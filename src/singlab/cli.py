@@ -3,7 +3,8 @@
 One subcommand per experiment; parameters come from an optional JSON config
 file plus command-line flags (flags win).  Unknown config keys are rejected,
 every report echoes the fully resolved config, and identical config + seed
-produce byte-identical output files regardless of the thread count.
+produce byte-identical output files.  The ``threads`` key of lfplot, tube
+and cdf is still accepted and validated but has no effect.
 
 Exit codes: 0 success, 1 internal error, 2 config/schema error,
 3 inconclusive-only results.
@@ -43,7 +44,6 @@ from singlab.measure import (
 from singlab.metrics import (
     classify_severity,
     derivative_blowup_profile,
-    distance_to_singular,
     oscillation,
 )
 from singlab.slices import SliceSpec, boundary_loop, render_lf_field
@@ -215,8 +215,8 @@ def _out_path(config_value: str, outdir: str | None) -> str:
 
 
 def write_json_report(path, command: str, config: dict, result) -> None:
-    # threads is execution machinery, not part of the experiment: outputs
-    # must be byte-identical across thread counts
+    # threads is accepted for existing configs but has no effect, so it is
+    # not part of the experiment and not echoed
     echoed = {k: v for k, v in config.items() if k != "threads"}
     payload = {"command": command, "config": echoed, "result": result}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -256,7 +256,6 @@ def _run_lfplot(config, outdir):
         DataMapSpec(kind=_FITTER_KINDS[config["map"]]),
         csv_path=csv_path,
         svg_path=svg_path,
-        threads=config["threads"],
     )
     return EXIT_OK, [csv_path, svg_path]
 
@@ -379,7 +378,6 @@ def _run_tube(config, outdir):
         deltas,
         config["samples"],
         config["seed"],
-        threads=config["threads"],
     )
     path = _out_path(config["out"], outdir)
     write_json_report(path, "tube", config, report.to_dict())
@@ -397,7 +395,6 @@ def _run_cdf(config, outdir):
         config["samples"],
         config["seed"],
         quantile_window=(config["q_lo"], config["q_hi"]),
-        threads=config["threads"],
     )
     path = _out_path(config["out"], outdir)
     write_json_report(path, "cdf", config, report.to_dict())

@@ -127,18 +127,6 @@ class DataMapSpec:
                 raise ContractViolation("DISK_DECISION needs radius > 0")
 
 
-def ls_line_spec(tie_tol: float = 1e-12) -> DataMapSpec:
-    return DataMapSpec(kind=MapKind.LS_LINE, tie_tol=tie_tol)
-
-
-def pc_line_spec(tie_tol: float = 1e-12) -> DataMapSpec:
-    return DataMapSpec(kind=MapKind.PC_LINE, tie_tol=tie_tol)
-
-
-def lad_line_spec(tie_tol: float = 1e-12) -> DataMapSpec:
-    return DataMapSpec(kind=MapKind.LAD_LINE, tie_tol=tie_tol)
-
-
 def uniform_preset(n: int) -> DataMapSpec:
     """Augmented mean with unit weights and a weak augmentation (w0 = 0.5)."""
     return DataMapSpec(kind=MapKind.AUG_MEAN, weights=(1.0,) * n, w0=0.5)
@@ -347,6 +335,31 @@ def eval_radial_oscillator(x, spec: DataMapSpec | None = None) -> EvalOutcome:
 # Calibration standard on perfect fits
 # ---------------------------------------------------------------------------
 
+def _pairwise_sq_distances(pts: np.ndarray) -> np.ndarray:
+    return np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
+
+
+def _spanning_line(pts: np.ndarray) -> tuple[float, float, float]:
+    """(residual, direction, span) from one pairwise-distance matrix.
+
+    span is the point-set diameter; the spanning line is anchored on the
+    most distant pair for numerical robustness.
+    """
+    d2 = _pairwise_sq_distances(pts)
+    i, j = np.unravel_index(np.argmax(d2), d2.shape)
+    if d2[i, j] == 0.0:
+        return math.inf, 0.0, 0.0
+    span = math.sqrt(d2[i, j])
+    d = pts[j] - pts[i]
+    rel = pts - pts[i]
+    # cross-product form: exactly zero for exact scalar multiples, no
+    # normalization rounding before the comparison
+    cross = rel[:, 0] * d[1] - rel[:, 1] * d[0]
+    residual = float(np.max(np.abs(cross)) / span)
+    theta = math.atan2(d[1], d[0])
+    return residual, theta % math.pi, span
+
+
 def collinearity_residual(dataset: PlaneDataset) -> tuple[float, float]:
     """(residual, direction) of the best line through the dataset.
 
@@ -354,20 +367,8 @@ def collinearity_residual(dataset: PlaneDataset) -> tuple[float, float]:
     exactly 0 for exactly collinear points.  direction is the angle (mod pi)
     of the segment between the two most distant points.
     """
-    pts = dataset.points
-    # anchor on the most distant pair for numerical robustness
-    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
-    i, j = np.unravel_index(np.argmax(d2), d2.shape)
-    if d2[i, j] == 0.0:
-        return math.inf, 0.0
-    d = pts[j] - pts[i]
-    rel = pts - pts[i]
-    # cross-product form: exactly zero for exact scalar multiples, no
-    # normalization rounding before the comparison
-    cross = rel[:, 0] * d[1] - rel[:, 1] * d[0]
-    residual = float(np.max(np.abs(cross)) / math.sqrt(d2[i, j]))
-    theta = math.atan2(d[1], d[0])
-    return residual, theta % math.pi
+    residual, theta, _ = _spanning_line(dataset.points)
+    return residual, theta
 
 
 def is_perfect_line_fit(dataset: PlaneDataset, tol: float = PERFECT_FIT_TOL) -> bool:
@@ -397,9 +398,7 @@ def eval_perfect_fit_standard(dataset) -> Feature:
 
 def dataset_span(dataset) -> float:
     """Diameter of the dataset's point set (distance from degenerate configs)."""
-    pts = dataset.points
-    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
-    return float(math.sqrt(np.max(d2)))
+    return float(math.sqrt(np.max(_pairwise_sq_distances(dataset.points))))
 
 
 def evaluate(spec: DataMapSpec, x) -> EvalOutcome:
@@ -429,8 +428,9 @@ def evaluate_with_standard(spec: DataMapSpec, x) -> EvalOutcome:
     Off perfect fits it is the raw map.
     """
     if spec.kind in (MapKind.LS_LINE, MapKind.PC_LINE, MapKind.LAD_LINE) and isinstance(x, PlaneDataset):
-        if is_perfect_line_fit(x):
-            return EvalOutcome.of(eval_perfect_fit_standard(x), dataset_span(x))
+        residual, theta, span = _spanning_line(x.points)
+        if residual <= PERFECT_FIT_TOL:
+            return EvalOutcome.of(LineDirection(theta), span)
     if spec.kind is MapKind.AUG_MEAN and isinstance(x, CircleDataset):
         spread = float(np.max(np.linalg.norm(x.points - x.points[0], axis=1)))
         if spread <= PERFECT_FIT_TOL:
@@ -462,7 +462,7 @@ def pc_gap_batch(points: np.ndarray) -> np.ndarray:
 def lad_gap_batch(points: np.ndarray) -> np.ndarray:
     """Tie-gap (second-best minus best candidate objective) for a batch.
 
-    Rows whose abscissae admit no candidate pair get gap 0.
+    Rows whose abscissae admit fewer than two candidate pairs get gap 0.
     """
     m, n, _ = points.shape
     objs = []
@@ -477,6 +477,8 @@ def lad_gap_batch(points: np.ndarray) -> np.ndarray:
                 obj = np.sum(np.abs(y - intercept[:, None] - slope[:, None] * x), axis=1)
             obj = np.where(dx == 0.0, np.inf, obj)
             objs.append(obj)
+    if len(objs) < 2:
+        return np.zeros(m)
     objs = np.stack(objs, axis=1)
     part = np.sort(objs, axis=1)
     gap = part[:, 1] - part[:, 0]
@@ -484,13 +486,27 @@ def lad_gap_batch(points: np.ndarray) -> np.ndarray:
     return gap
 
 
+def aug_mean_resultant(angles: np.ndarray, spec: DataMapSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Resultant sum_i w_i (cos phi_i, sin phi_i) + w0 * a of angle
+    configurations, with its Jacobian in the angles.
+
+    angles (..., n) -> r (..., 2) and J (..., 2, n), where column i of J is
+    w_i (-sin phi_i, cos phi_i).
+    """
+    w = np.asarray(spec.weights, dtype=float)
+    if w.shape[0] != angles.shape[-1]:
+        raise ContractViolation(f"{w.shape[0]} weights for {angles.shape[-1]} points")
+    a = np.asarray(spec.aug_point, dtype=float)
+    c = np.cos(angles)
+    s = np.sin(angles)
+    r = np.stack([c @ w + spec.w0 * a[0], s @ w + spec.w0 * a[1]], axis=-1)
+    return r, np.stack([-w * s, w * c], axis=-2)
+
+
 def aug_mean_gap_batch(angles: np.ndarray, spec: DataMapSpec) -> np.ndarray:
     """|resultant| for a batch of circle datasets given as angles (m, n)."""
-    w = np.asarray(spec.weights, dtype=float)
-    a = np.asarray(spec.aug_point, dtype=float)
-    rx = np.cos(angles) @ w + spec.w0 * a[0]
-    ry = np.sin(angles) @ w + spec.w0 * a[1]
-    return np.hypot(rx, ry)
+    r, _ = aug_mean_resultant(angles, spec)
+    return np.hypot(r[..., 0], r[..., 1])
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,14 @@ Hausdorff-measure surrogate, Monte-Carlo tube volumes with a codimension
 fit, distance-to-singular-set CDFs with tail exponents, and the
 measure-versus-distance tradeoff experiment for augmented means.
 
-All Monte-Carlo loops draw from chunked, per-chunk-seeded generators and
-merge in chunk order, so results are byte-identical across thread counts.
+All Monte-Carlo draws come in chunks, each from its own generator seeded
+by (seed, first row of the chunk), merged in chunk order.
 """
 
 from __future__ import annotations
 
 import math
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,11 +21,10 @@ from singlab.datamaps import (
     DataMapSpec,
     MapKind,
     aug_mean_gap_batch,
-    lad_gap_batch,
-    ls_gap_batch,
-    pc_gap_batch,
+    aug_mean_resultant,
 )
 from singlab.geometry import ContractViolation, omega_s
+from singlab.metrics import DIST_SURROGATE, SINGULAR_DISTANCE, penalty_projection
 
 DEFAULT_QUANTILE_WINDOW = (0.002, 0.05)
 
@@ -213,26 +213,18 @@ class TubeReport:
         }
 
 
-def _chunked_uniform(lo, hi, total: int, seed: int, threads: int = 1) -> np.ndarray:
-    """Uniform points in a box, chunked with derived seeds for determinism."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
+def _chunked_draw(total: int, seed: int, draw) -> np.ndarray:
+    """``total`` rows drawn in chunks, each from its own derived seed.
+
+    ``draw(rng, rows)`` returns one chunk; the chunk starting at row k uses
+    ``default_rng((seed, k))``, and chunks are concatenated in order.
+    """
     chunk = 1 << 14
-    starts = list(range(0, total, chunk))
-
-    def draw(idx_start):
-        n = min(chunk, total - idx_start)
-        rng = np.random.default_rng((seed, idx_start))
-        return lo + (hi - lo) * rng.random((n, lo.size))
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(draw, starts))
-    else:
-        parts = [draw(s) for s in starts]
-    return np.concatenate(parts, axis=0)
+    return np.concatenate(
+        [draw(np.random.default_rng((seed, start)), min(chunk, total - start))
+         for start in range(0, total, chunk)],
+        axis=0,
+    )
 
 
 def tube_volume(
@@ -242,7 +234,6 @@ def tube_volume(
     deltas,
     mc_samples: int,
     seed: int,
-    threads: int = 1,
 ) -> TubeReport:
     """Volumes of {dist <= delta} by Monte Carlo, and their log-log slope.
 
@@ -257,7 +248,7 @@ def tube_volume(
     if mc_samples < 10_000:
         raise ContractViolation("mc_samples must be at least 10^4")
     box_vol = float(np.prod(hi - lo))
-    pts = _chunked_uniform(lo, hi, mc_samples, seed, threads=threads)
+    pts = _chunked_draw(mc_samples, seed, lambda rng, k: lo + (hi - lo) * rng.random((k, lo.size)))
     d = np.asarray(dist_fn(pts), dtype=float)
     kept, vols, errs, dropped = [], [], [], []
     hits_kept = []
@@ -346,34 +337,12 @@ class CdfReport:
         return out
 
 
-def _chunked_normal(shape, seed: int, threads: int = 1) -> np.ndarray:
-    total = shape[0]
-    rest = shape[1:]
-    chunk = 1 << 14
-    starts = list(range(0, total, chunk))
-
-    def draw(idx_start):
-        n = min(chunk, total - idx_start)
-        rng = np.random.default_rng((seed, idx_start))
-        return rng.standard_normal((n, *rest))
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(draw, starts))
-    else:
-        parts = [draw(s) for s in starts]
-    return np.concatenate(parts, axis=0)
-
-
 def distance_cdf(
     spec: DataMapSpec,
     n_points: int,
     n_samples: int,
     seed: int,
     quantile_window: tuple[float, float] = DEFAULT_QUANTILE_WINDOW,
-    threads: int = 1,
 ) -> CdfReport:
     """Distance-to-S CDF from random datasets; tail slope identifies codim S.
 
@@ -387,23 +356,14 @@ def distance_cdf(
     if not (0.0 < q_lo < q_hi <= 0.1):
         raise ContractViolation("quantile window must satisfy 0 < q_lo < q_hi <= 0.1")
     kind = spec.kind
-    surrogate = kind in (MapKind.PC_LINE, MapKind.LAD_LINE, MapKind.AUG_MEAN)
+    if kind not in SINGULAR_DISTANCE:
+        raise ContractViolation(f"no CDF sampler for map kind {kind}")
+    distance, tag = SINGULAR_DISTANCE[kind]
     if kind is MapKind.AUG_MEAN:
-        angles = 2.0 * math.pi * _chunked_uniform(
-            np.zeros(n_points), np.ones(n_points), n_samples, seed, threads=threads
-        )
-        dists = aug_mean_gap_batch(angles, spec) / float(np.sum(spec.weights))
+        batch = 2.0 * math.pi * _chunked_draw(n_samples, seed, lambda rng, k: rng.random((k, n_points)))
     else:
-        pts = _chunked_normal((n_samples, n_points, 2), seed, threads=threads)
-        if kind is MapKind.LS_LINE:
-            dists = ls_gap_batch(pts)
-        elif kind is MapKind.PC_LINE:
-            dists = pc_gap_batch(pts) / 2.0
-        elif kind is MapKind.LAD_LINE:
-            dists = lad_gap_batch(pts)
-        else:
-            raise ContractViolation(f"no CDF sampler for map kind {kind}")
-    dists = np.sort(dists)
+        batch = _chunked_draw(n_samples, seed, lambda rng, k: rng.standard_normal((k, n_points, 2)))
+    dists = np.sort(distance(batch, spec))
     i_lo = max(int(n_samples * q_lo), 1)
     i_hi = max(int(n_samples * q_hi), i_lo + 2)
     idx = np.arange(i_lo, i_hi)
@@ -424,7 +384,7 @@ def distance_cdf(
         stderr=stderr,
         quantile_window=(q_lo, q_hi),
         seed=seed,
-        surrogate=surrogate,
+        surrogate=tag == DIST_SURROGATE,
     )
 
 
@@ -470,15 +430,11 @@ def _project_to_zero_resultant(angles: np.ndarray, spec: DataMapSpec, iters: int
     Underdetermined least-norm steps; rows that fail to converge are left
     with a nonzero residual and filtered by the caller.
     """
-    w = np.asarray(spec.weights, dtype=float)
-    a = np.asarray(spec.aug_point, dtype=float)
     phi = angles.copy()
     for _ in range(iters):
-        rx = np.cos(phi) @ w + spec.w0 * a[0]
-        ry = np.sin(phi) @ w + spec.w0 * a[1]
-        # Jacobian rows: d(rx)/dphi_i = -w_i sin, d(ry)/dphi_i = w_i cos
-        jx = -w[None, :] * np.sin(phi)
-        jy = w[None, :] * np.cos(phi)
+        r, jac = aug_mean_resultant(phi, spec)
+        rx, ry = r[:, 0], r[:, 1]
+        jx, jy = jac[:, 0], jac[:, 1]
         g11 = np.sum(jx * jx, axis=1)
         g12 = np.sum(jx * jy, axis=1)
         g22 = np.sum(jy * jy, axis=1)
@@ -508,40 +464,18 @@ def _aug_mean_dist_to_perfect(spec: DataMapSpec, n_grid: int = 720) -> float:
     A 1-D scan over the common point of the perfect fit finds the resultant
     minimizer; the configuration is then projected off the diagonal onto the
     singular set by penalty continuation (the start is nudged asymmetrically,
-    since the diagonal is a symmetry saddle of the penalty) and the
-    arc-metric displacement reported, minimized over a few restarts.
+    both ways, since the diagonal is a symmetry saddle of the penalty) and the
+    smaller landed arc-metric displacement reported.
     """
-    from scipy.optimize import minimize as _minimize
-
-    w = np.asarray(spec.weights, dtype=float)
-    a = np.asarray(spec.aug_point, dtype=float)
-    total_w = float(np.sum(w))
     if not aug_mean_singular_set_nonempty(spec):
         return math.inf
+    n = len(spec.weights)
     phis = 2.0 * math.pi * np.arange(n_grid) / n_grid
-    norms = np.hypot(total_w * np.cos(phis) + spec.w0 * a[0],
-                     total_w * np.sin(phis) + spec.w0 * a[1])
-    phi0 = float(phis[int(np.argmin(norms))])
-    n = len(w)
-    base = np.full(n, phi0)
-
-    def objective(phi, mu):
-        rx = float(np.dot(w, np.cos(phi)) + spec.w0 * a[0])
-        ry = float(np.dot(w, np.sin(phi)) + spec.w0 * a[1])
-        return float(np.sum((phi - base) ** 2) + mu * (rx * rx + ry * ry))
-
-    best = math.inf
+    norms = aug_mean_gap_batch(np.repeat(phis[:, None], n, axis=1), spec)
+    base = np.full(n, float(phis[int(np.argmin(norms))]))
     offsets = 1e-3 * (np.arange(n) - 0.5 * (n - 1))
-    for sign in (1.0, -1.0):
-        phi = base + sign * offsets
-        for mu in (1e1, 1e3, 1e5, 1e7, 1e9):
-            phi = _minimize(objective, phi, args=(mu,), method="BFGS",
-                            options={"gtol": 1e-12, "maxiter": 600}).x
-        rx = float(np.dot(w, np.cos(phi)) + spec.w0 * a[0])
-        ry = float(np.dot(w, np.sin(phi)) + spec.w0 * a[1])
-        if math.hypot(rx, ry) < 1e-6:
-            best = min(best, float(np.linalg.norm(phi - base)))
-    return best
+    return penalty_projection(base, [base + offsets, base - offsets],
+                              lambda phi: aug_mean_resultant(phi, spec))
 
 
 def tradeoff_experiment(
@@ -570,12 +504,11 @@ def tradeoff_experiment(
             entries.append(TradeoffEntry(name, spec.w0, math.inf, 0.0, feasible=False))
             continue
         dist = _aug_mean_dist_to_perfect(spec)
-        rng = np.random.default_rng((seed, hash(name) & 0xFFFF))
+        # a stable digest of the name: str hashes are salted per process
+        rng = np.random.default_rng((seed, zlib.crc32(name.encode())))
         starts = 2.0 * math.pi * rng.random((cloud_size, n_points))
         proj = _project_to_zero_resultant(starts, spec)
-        w = np.asarray(spec.weights, dtype=float)
-        a = np.asarray(spec.aug_point, dtype=float)
-        res = np.hypot(np.cos(proj) @ w + spec.w0 * a[0], np.sin(proj) @ w + spec.w0 * a[1])
+        res = aug_mean_gap_batch(proj, spec)
         cloud = np.mod(proj[np.isfinite(res) & (res < 1e-9)], 2.0 * math.pi)
         est = box_count_dimension(
             cloud,

@@ -16,25 +16,24 @@ from scipy.optimize import minimize
 
 from singlab.datamaps import (
     DataMapSpec,
-    EvalOutcome,
     MapKind,
-    covariance_2x2,
+    aug_mean_gap_batch,
+    aug_mean_resultant,
     evaluate,
-    lad_candidates,
-    ls_stats,
-    resultant,
+    lad_gap_batch,
+    ls_gap_batch,
+    pc_gap_batch,
 )
 from singlab.geometry import (
     CircleDataset,
     ContractViolation,
-    Decision,
     Feature,
-    LineDirection,
     PlaneDataset,
     ScalarValue,
     feature_distance,
     segment_average_norm,
 )
+from singlab.topology import _angle_of, _wrap_increment
 
 
 class UnsupportedMapError(ContractViolation):
@@ -49,73 +48,65 @@ DIST_EXACT = "EXACT"
 DIST_SURROGATE = "SURROGATE"
 DIST_REFINED = "REFINED"
 
+# Map kind -> (batched distance to the singular set, method tag).  Plane
+# fitters take point batches (m, n, 2), AUG_MEAN takes angle batches (m, n).
+# LS is exact; PC reports (lambda1 - lambda2) / 2, AUG_MEAN |rho| / sum(w)
+# and LAD the objective tie gap, each within constants of the true distance.
+SINGULAR_DISTANCE = {
+    MapKind.LS_LINE: (lambda pts, spec: ls_gap_batch(pts), DIST_EXACT),
+    MapKind.PC_LINE: (lambda pts, spec: pc_gap_batch(pts) / 2.0, DIST_SURROGATE),
+    MapKind.LAD_LINE: (lambda pts, spec: lad_gap_batch(pts), DIST_SURROGATE),
+    MapKind.AUG_MEAN: (
+        lambda angles, spec: aug_mean_gap_batch(angles, spec) / float(np.sum(spec.weights)),
+        DIST_SURROGATE,
+    ),
+}
 
-def _pc_tie_coords(points: np.ndarray) -> np.ndarray:
-    """Covariance-space coordinates ((Cxx-Cyy)/2, Cxy); zero iff eigen tie."""
-    c = covariance_2x2(points)
-    return np.array([0.5 * (c[0, 0] - c[1, 1]), c[0, 1]])
+_PENALTY_LADDER = (1e2, 1e4, 1e6, 1e8, 1e10)
 
 
-def _refine_pc_projection(dataset: PlaneDataset) -> float:
-    """Distance to the eigenvalue-tie variety by penalty continuation.
+def penalty_projection(x0, starts, residual) -> float:
+    """Distance from x0 to the zero set of ``residual`` by penalty continuation.
 
-    Minimizes |x' - x|^2 + mu * |tie coords|^2 with analytic gradients over
-    an increasing penalty ladder, warm-starting each stage; deterministic.
+    ``residual`` maps x to (r, J).  From each start, BFGS minimizes
+    |x - x0|^2 + mu |r(x)|^2 with the analytic gradient 2 (x - x0) +
+    2 mu J^T r over an increasing penalty ladder, warm-starting each stage
+    (the quadratic-penalty method, Nocedal & Wright, Numerical Optimization,
+    2nd ed., 17.1).  A run lands when |r| <= 1e-9 (1 + |J|^2); the smallest
+    landed |x - x0| is returned, or inf when no start lands.
     """
-    x0 = dataset.points.ravel()
-    n = dataset.n
+    x0 = np.asarray(x0, dtype=float)
 
-    def value_and_grad(flat, mu):
-        pts = flat.reshape(n, 2)
-        q = pts - pts.mean(axis=0)
-        a = 0.5 * (np.sum(q[:, 0] ** 2) - np.sum(q[:, 1] ** 2)) / n
-        b = float(np.sum(q[:, 0] * q[:, 1])) / n
-        val = float(np.sum((flat - x0) ** 2) + mu * (a * a + b * b))
-        # d a / d p_j = (q_jx, -q_jy) / n, d b / d p_j = (q_jy, q_jx) / n
-        grad_pen = np.empty_like(pts)
-        grad_pen[:, 0] = (2.0 * a * q[:, 0] + 2.0 * b * q[:, 1]) / n
-        grad_pen[:, 1] = (-2.0 * a * q[:, 1] + 2.0 * b * q[:, 0]) / n
-        grad = 2.0 * (flat - x0) + mu * grad_pen.ravel()
-        return val, grad
+    def value_and_grad(x, mu):
+        r, jac = residual(x)
+        d = x - x0
+        return float(d @ d + mu * (r @ r)), 2.0 * d + 2.0 * mu * (r @ jac)
 
-    # Symmetric configurations make the unperturbed start a saddle of the
-    # penalty flow, so run a few deterministic symmetry-breaking restarts and
-    # keep the best run that actually lands on the variety.
-    rng = np.random.default_rng(12345)
-    scale = 0.05 * (1.0 + float(np.linalg.norm(x0)))
-    starts = [x0.copy()]
-    starts.extend(x0 + scale * rng.standard_normal(x0.size) for _ in range(3))
     best = math.inf
-    for start in starts:
-        flat = start
-        for mu in (1e2, 1e4, 1e6, 1e8, 1e10):
-            res = minimize(value_and_grad, flat, args=(mu,), method="L-BFGS-B",
-                           jac=True, options={"gtol": 1e-14, "maxiter": 800})
-            flat = res.x
-        t = _pc_tie_coords(flat.reshape(n, 2))
-        trace = float(np.sum((flat.reshape(n, 2) - flat.reshape(n, 2).mean(axis=0)) ** 2))
-        if np.hypot(t[0], t[1]) <= 1e-9 * (1.0 + trace):
-            best = min(best, float(np.linalg.norm(flat - x0)))
+    for x in starts:
+        for mu in _PENALTY_LADDER:
+            x = minimize(value_and_grad, x, args=(mu,), method="BFGS", jac=True,
+                         options={"gtol": 1e-12, "maxiter": 800}).x
+        r, jac = residual(x)
+        if np.linalg.norm(r) <= 1e-9 * (1.0 + np.sum(jac * jac)):
+            best = min(best, float(np.linalg.norm(x - x0)))
     return best
 
 
-def _refine_aug_projection(dataset: CircleDataset, spec: DataMapSpec) -> float:
-    """Arc-metric distance to {resultant = 0} by penalty continuation on angles."""
-    phi0 = dataset.angles
-    w = np.asarray(spec.weights, dtype=float)
-    a = np.asarray(spec.aug_point, dtype=float)
+def _pc_tie_residual(n: int):
+    """Eigenvalue-tie coordinates (a, b) = ((Cxx - Cyy) / 2, Cxy) of flattened
+    points, with their Jacobian; they vanish exactly on the tie variety."""
 
-    def objective(phi, mu):
-        rx = float(np.dot(w, np.cos(phi)) + spec.w0 * a[0])
-        ry = float(np.dot(w, np.sin(phi)) + spec.w0 * a[1])
-        return float(np.sum((phi - phi0) ** 2) + mu * (rx * rx + ry * ry))
+    def residual(flat):
+        q = flat.reshape(n, 2)
+        q = q - q.mean(axis=0)
+        r = np.array([0.5 * (q[:, 0] @ q[:, 0] - q[:, 1] @ q[:, 1]), q[:, 0] @ q[:, 1]]) / n
+        # d a / d p_j = (q_jx, -q_jy) / n, d b / d p_j = (q_jy, q_jx) / n
+        jac = np.stack([np.column_stack([q[:, 0], -q[:, 1]]).ravel(),
+                        np.column_stack([q[:, 1], q[:, 0]]).ravel()]) / n
+        return r, jac
 
-    phi = phi0.copy()
-    for mu in (1e2, 1e4, 1e6, 1e8):
-        res = minimize(objective, phi, args=(mu,), method="BFGS",
-                       options={"gtol": 1e-10, "maxiter": 400})
-        phi = res.x
-    return float(np.linalg.norm(phi - phi0))
+    return residual
 
 
 def distance_to_singular(spec: DataMapSpec, x, refine: bool = False) -> tuple[float, str]:
@@ -126,30 +117,26 @@ def distance_to_singular(spec: DataMapSpec, x, refine: bool = False) -> tuple[fl
     projecting onto the singular variety.  LAD reports the tie-gap surrogate.
     """
     kind = spec.kind
-    if kind is MapKind.LS_LINE:
-        s_xx, _ = ls_stats(x.x, x.y)
-        return math.sqrt(s_xx), DIST_EXACT
     if kind is MapKind.DISK_DECISION:
         d = float(np.linalg.norm(np.asarray(x, dtype=float) - np.asarray(spec.center)))
         return abs(d - spec.radius), DIST_EXACT
-    if kind is MapKind.PC_LINE:
-        t = _pc_tie_coords(x.points)
-        surrogate = float(np.hypot(t[0], t[1]))  # (lambda1 - lambda2) / 2
-        if refine:
-            return _refine_pc_projection(x), DIST_REFINED
-        return surrogate, DIST_SURROGATE
-    if kind is MapKind.AUG_MEAN:
-        rho = resultant(x, spec)
-        surrogate = float(np.linalg.norm(rho)) / float(np.sum(spec.weights))
-        if refine:
-            return _refine_aug_projection(x, spec), DIST_REFINED
-        return surrogate, DIST_SURROGATE
-    if kind is MapKind.LAD_LINE:
-        cands = sorted(obj for obj, _, _ in lad_candidates(x))
-        if len(cands) < 2:
-            return 0.0, DIST_SURROGATE
-        return cands[1] - cands[0], DIST_SURROGATE
-    raise UnsupportedMapError(f"no distance rule for {kind}")
+    if kind not in SINGULAR_DISTANCE:
+        raise UnsupportedMapError(f"no distance rule for {kind}")
+    if refine and kind is MapKind.PC_LINE:
+        # Symmetric configurations make the unperturbed start a saddle of the
+        # penalty flow, so add a few deterministic symmetry-breaking starts.
+        x0 = x.points.ravel()
+        rng = np.random.default_rng(12345)
+        scale = 0.05 * (1.0 + float(np.linalg.norm(x0)))
+        starts = [x0] + [x0 + scale * rng.standard_normal(x0.size) for _ in range(3)]
+        return penalty_projection(x0, starts, _pc_tie_residual(x.n)), DIST_REFINED
+    if refine and kind is MapKind.AUG_MEAN:
+        # arc-metric distance: project the angles
+        phi0 = x.angles
+        return penalty_projection(phi0, [phi0], lambda phi: aug_mean_resultant(phi, spec)), DIST_REFINED
+    distance, tag = SINGULAR_DISTANCE[kind]
+    batch = x.angles if isinstance(x, CircleDataset) else x.points
+    return float(distance(batch[None], spec)[0]), tag
 
 
 @dataclass(frozen=True)
@@ -165,8 +152,6 @@ class OscillationProfile:
     def __post_init__(self):
         if len(self.radii) != len(self.diameters):
             raise ContractViolation("radii and diameters must have equal length")
-        if any(b <= a for a, b in zip(self.radii[1:], self.radii)):
-            pass
         if not all(r1 > r2 for r1, r2 in zip(self.radii, self.radii[1:])):
             raise ContractViolation("radii must be strictly decreasing")
         if self.all_undefined is None:
@@ -274,22 +259,11 @@ def classify_severity(profile: OscillationProfile, mesh: float) -> str:
 
 def _signed_feature_step(f_plus: Feature, f_minus: Feature) -> float:
     """Signed short-way increment between two features of the same variant."""
-    if isinstance(f_plus, LineDirection):
-        d = math.fmod(f_plus.theta - f_minus.theta, math.pi)
-        if d > math.pi / 2:
-            d -= math.pi
-        elif d <= -math.pi / 2:
-            d += math.pi
-        return d
     if isinstance(f_plus, ScalarValue):
         return f_plus.value - f_minus.value
-    # circle points: wrap into (-pi, pi]
-    d = math.fmod(f_plus.angle - f_minus.angle, 2 * math.pi)
-    if d > math.pi:
-        d -= 2 * math.pi
-    elif d <= -math.pi:
-        d += 2 * math.pi
-    return d
+    a, period = _angle_of(f_plus)
+    b, _ = _angle_of(f_minus)
+    return _wrap_increment(a - b, period)
 
 
 def _grad_norm(outcome_fn, u: np.ndarray, h: float) -> float:

@@ -86,11 +86,6 @@ class SliceSpec:
         return PlaneDataset((1.0 - r) * self.center_config.points + r * w)
 
 
-def embed_slice(u, spec: SliceSpec) -> PlaneDataset:
-    """Alias for SliceSpec.dataset_at on the closed unit disk."""
-    return spec.dataset_at(u)
-
-
 def boundary_loop(spec: SliceSpec, m: int):
     """m equally spaced boundary datasets; every sample is a perfect fit."""
     from singlab.topology import Loop
@@ -139,27 +134,14 @@ def render_lf_field(
     map_spec: DataMapSpec,
     csv_path=None,
     svg_path=None,
-    threads: int = 1,
 ) -> GridField:
     """Evaluate a map over the slice's polar grid and emit CSV/SVG.
 
     Evaluation failures at individual cells never abort the grid: undefined
-    outcomes are recorded and rendered as dots.  Output ordering is row-major
-    and independent of the thread count.
+    outcomes are recorded and rendered as dots.  Output ordering is row-major.
     """
     us = polar_grid(spec.grid_resolution)
-    datasets = [spec.dataset_at(u) for u in us]
-
-    def cell(ds):
-        return evaluate(map_spec, ds)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(cell, datasets))
-    else:
-        outcomes = [cell(ds) for ds in datasets]
+    outcomes = [evaluate(map_spec, spec.dataset_at(u)) for u in us]
     grid = GridField(us=us, outcomes=outcomes)
     if csv_path is not None:
         write_field_csv(grid, csv_path)

@@ -200,12 +200,13 @@ class LocalizerBox:
 
     status "certified" means the boundary winding is the stated nonzero
     degree with every lift step certified short; "inconclusive" marks boxes
-    whose subdivision could not be completed soundly.
+    whose subdivision could not be completed soundly.  A root box whose own
+    boundary degree cannot be certified is inconclusive with degree None.
     """
 
     center: tuple[float, float]
     half_width: float
-    boundary_degree: int
+    boundary_degree: int | None
     depth: int
     status: str = "certified"
 
@@ -326,7 +327,13 @@ def localize_singularities(
 
     c0 = (float(center[0]), float(center[1]))
     h0 = (float(half_width), float(half_width))
-    root_degree = boundary_degree(c0, h0)
+    try:
+        root_degree = boundary_degree(c0, h0)
+    except (LoopHitsSingularityError, InconclusiveDegreeError):
+        if not collect_inconclusive:
+            return []
+        return [LocalizerBox(center=c0, half_width=h0[0], boundary_degree=None, depth=0,
+                             status="inconclusive")]
     if root_degree == 0:
         return []
     recurse(c0, h0, root_degree, 0)

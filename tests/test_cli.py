@@ -2,8 +2,12 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
+
+import singlab
 
 from singlab.cli import EXIT_INCONCLUSIVE, EXIT_OK, EXIT_SCHEMA, main
 
@@ -152,3 +156,23 @@ def test_tradeoff_command(tmp_path):
     payload = json.loads((tmp_path / "tradeoff.json").read_text())
     names = [e["preset_name"] for e in payload["result"]["entries"]]
     assert names == ["MODERATE", "UNIFORM"]
+
+
+def test_tradeoff_byte_reproducible_across_processes(tmp_path):
+    # str hashes are salted per process; the preset seeds must not depend on them
+    src = os.path.dirname(os.path.dirname(os.path.abspath(singlab.__file__)))
+    args = ["tradeoff", "--presets", "uniform,moderate", "--cloud-size", "2000"]
+    for salt in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=salt,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        cmd = [sys.executable, "-m", "singlab.cli", *args, "--outdir", str(tmp_path / salt)]
+        assert subprocess.run(cmd, env=env, capture_output=True).returncode == EXIT_OK
+    assert (tmp_path / "1" / "tradeoff.json").read_bytes() == (tmp_path / "2" / "tradeoff.json").read_bytes()
+
+
+def test_localize_root_box_failure_exit_code(tmp_path):
+    # the LAD root boundary at half-width 0.5 cannot be certified
+    assert run(["localize", "--map", "lad", "--half-width", "0.5"], tmp_path) == EXIT_INCONCLUSIVE
+    boxes = json.loads((tmp_path / "localize.json").read_text())["result"]["boxes"]
+    assert boxes == [{"center": [0.0, 0.0], "half_width": 0.5, "degree": None, "depth": 0,
+                      "status": "inconclusive"}]

@@ -9,9 +9,6 @@ from singlab.datamaps import (
     DataMapSpec,
     MapKind,
     concentrated_preset,
-    lad_line_spec,
-    ls_line_spec,
-    pc_line_spec,
     uniform_preset,
 )
 from singlab.geometry import ContractViolation
@@ -150,12 +147,6 @@ def test_tube_monotone_volumes():
     assert all(b >= a for a, b in zip(rep.volumes, rep.volumes[1:]))
 
 
-def test_tube_thread_determinism():
-    r1 = tube_volume(point_distance_fn((0.5, 0.5)), (0, 0), (1, 1), DELTAS, 10**4 * 3, 5, threads=1)
-    r4 = tube_volume(point_distance_fn((0.5, 0.5)), (0, 0), (1, 1), DELTAS, 10**4 * 3, 5, threads=4)
-    assert r1 == r4
-
-
 def test_tube_preconditions():
     with pytest.raises(ContractViolation):
         tube_volume(point_distance_fn((0.5, 0.5)), (0, 0), (1, 1), DELTAS, 5000, 0)
@@ -166,12 +157,15 @@ def test_tube_preconditions():
 # ---------------------------------------------------------------------------
 
 CDF_SEED = 20260810
+LS = DataMapSpec(kind=MapKind.LS_LINE)
+PC = DataMapSpec(kind=MapKind.PC_LINE)
+LAD = DataMapSpec(kind=MapKind.LAD_LINE)
 
 
 def test_cdf_codim_tail_law():
-    ls = distance_cdf(ls_line_spec(), 4, 10**5, CDF_SEED)
-    pc = distance_cdf(pc_line_spec(), 4, 10**5, CDF_SEED)
-    lad = distance_cdf(lad_line_spec(), 4, 10**5, CDF_SEED)
+    ls = distance_cdf(LS, 4, 10**5, CDF_SEED)
+    pc = distance_cdf(PC, 4, 10**5, CDF_SEED)
+    lad = distance_cdf(LAD, 4, 10**5, CDF_SEED)
     assert abs(ls.exponent - 3.0) <= 0.5
     assert abs(pc.exponent - 2.0) <= 0.3
     assert abs(lad.exponent - 1.0) <= 0.3
@@ -179,7 +173,7 @@ def test_cdf_codim_tail_law():
 
 
 def test_cdf_consistency_under_doubling():
-    for spec in (ls_line_spec(), pc_line_spec(), lad_line_spec()):
+    for spec in (LS, PC, LAD):
         r1 = distance_cdf(spec, 4, 10**5, CDF_SEED)
         r2 = distance_cdf(spec, 4, 2 * 10**5, CDF_SEED)
         assert abs(r1.exponent - r2.exponent) < r1.stderr
@@ -191,18 +185,11 @@ def test_cdf_aug_mean_quadratic():
     assert rep.surrogate
 
 
-def test_cdf_thread_determinism():
-    r1 = distance_cdf(ls_line_spec(), 4, 2 * 10**4, 3, threads=1)
-    r4 = distance_cdf(ls_line_spec(), 4, 2 * 10**4, 3, threads=4)
-    assert r1.exponent == r4.exponent
-    np.testing.assert_array_equal(r1.sorted_distances, r4.sorted_distances)
-
-
 def test_cdf_preconditions():
     with pytest.raises(ContractViolation):
-        distance_cdf(ls_line_spec(), 4, 5000, 0)
+        distance_cdf(LS, 4, 5000, 0)
     with pytest.raises(ContractViolation):
-        distance_cdf(ls_line_spec(), 4, 10**4, 0, quantile_window=(0.05, 0.2))
+        distance_cdf(LS, 4, 10**4, 0, quantile_window=(0.05, 0.2))
 
 
 # ---------------------------------------------------------------------------

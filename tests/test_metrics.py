@@ -89,6 +89,8 @@ def test_lad_distance_surrogate():
     d, tag = distance_to_singular(LAD, PlaneDataset([(0, 0), (1, 0), (2, 1)]))
     assert tag == "SURROGATE"
     assert abs(d - 0.5) < 1e-12
+    # a single candidate pair has no second-best objective: gap 0
+    assert distance_to_singular(LAD, PlaneDataset([(0, 0), (1, 1)])) == (0.0, "SURROGATE")
 
 
 def test_aug_mean_distance():

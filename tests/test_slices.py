@@ -17,7 +17,6 @@ from singlab.slices import (
     GridField,
     SliceSpec,
     boundary_loop,
-    embed_slice,
     polar_grid,
     render_lf_field,
     write_field_csv,
@@ -27,23 +26,23 @@ SPEC = SliceSpec()
 
 
 def test_embed_center():
-    ds = embed_slice((0, 0), SPEC)
+    ds = SPEC.dataset_at((0, 0))
     np.testing.assert_allclose(ds.points, SPEC.center_config.points)
 
 
 def test_embed_boundary_horizontal():
-    ds = embed_slice((1, 0), SPEC)
+    ds = SPEC.dataset_at((1, 0))
     np.testing.assert_allclose(ds.points, [(-1, 0), (0, 0), (1, 0)], atol=1e-15)
 
 
 def test_embed_boundary_vertical():
-    ds = embed_slice((0, 1), SPEC)
+    ds = SPEC.dataset_at((0, 1))
     np.testing.assert_allclose(ds.points, [(0, -1), (0, 0), (0, 1)], atol=1e-15)
 
 
 def test_embed_domain_error():
     with pytest.raises(DomainError):
-        embed_slice((1.2, 0), SPEC)
+        SPEC.dataset_at((1.2, 0))
     # the extended affine formula is available explicitly
     SPEC.dataset_at((1.2, 0), allow_outside_disk=True)
 
@@ -57,7 +56,7 @@ def test_embed_lipschitz_bound():
         v = rng.uniform(-1, 1, 2)
         if np.linalg.norm(u) > 1 or np.linalg.norm(v) > 1 or np.allclose(u, v):
             continue
-        d = np.linalg.norm(embed_slice(u, SPEC).points - embed_slice(v, SPEC).points)
+        d = np.linalg.norm(SPEC.dataset_at(u).points - SPEC.dataset_at(v).points)
         assert d <= bound * np.linalg.norm(u - v) + 1e-9
 
 
@@ -165,13 +164,6 @@ def test_lf_field_files(tmp_path):
     csv2 = tmp_path / "field2.csv"
     write_field_csv(grid, csv2)
     assert csv2.read_text() == text
-
-
-def test_lf_field_threads_deterministic(tmp_path):
-    spec = SliceSpec(grid_resolution=10)
-    g1 = render_lf_field(spec, DataMapSpec(kind=MapKind.LAD_LINE), threads=1)
-    g4 = render_lf_field(spec, DataMapSpec(kind=MapKind.LAD_LINE), threads=4)
-    assert list(g1.rows()) == list(g4.rows())
 
 
 def test_slice_spec_validation():

@@ -203,6 +203,19 @@ def test_localizer_circle_valued():
     assert np.linalg.norm(boxes[0].center) <= boxes[0].half_width * math.sqrt(2)
 
 
+def test_localizer_root_box_failure_is_inconclusive():
+    # the root boundary passes through the singular point at the origin, so
+    # its degree is uncertifiable: one inconclusive root box, no degree
+    fn = lambda u: EvalOutcome.of(
+        LineDirection(0.5 * math.atan2(u[1], u[0])), float(np.linalg.norm(u))
+    ) if np.linalg.norm(u) > 0 else EvalOutcome.undefined(UndefinedReason.ORIGIN)
+    boxes = localize_singularities(fn, (0.5, 0.0), 0.5, 1e-2)
+    assert boxes == [LocalizerBox(center=(0.5, 0.0), half_width=0.5, boundary_degree=None,
+                                  depth=0, status="inconclusive")]
+    assert boxes[0].to_dict()["degree"] is None
+    assert localize_singularities(fn, (0.5, 0.0), 0.5, 1e-2, collect_inconclusive=False) == []
+
+
 def test_localizer_pc_finds_both_ties():
     # the standard slice has exactly two PC eigenvalue ties: the center and
     # u* = ((3 - sqrt(3)) / 2) * (-1/2, sqrt(3)/2)
