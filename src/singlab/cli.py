@@ -23,10 +23,12 @@ import numpy as np
 from singlab.datamaps import (
     DataMapSpec,
     MapKind,
+    NotPerfectFitError,
     concentrated_preset,
     evaluate,
     evaluate_with_standard,
     eval_radial_oscillator,
+    perfect_fit_outcome,
     uniform_preset,
 )
 from singlab.geometry import ContractViolation
@@ -233,6 +235,14 @@ def _fitter_outcome_fn(kind: MapKind, slice_spec: SliceSpec):
     return fn
 
 
+def _standard_outcome(dataset):
+    """The calibration standard on a loop sample; it must be a perfect fit."""
+    outcome = perfect_fit_outcome(dataset)
+    if outcome is None:
+        raise NotPerfectFitError("the standard loop left the perfect fits")
+    return outcome
+
+
 def _synthetic_outcome_fn(u):
     from singlab.datamaps import EvalOutcome, UndefinedReason
     from singlab.geometry import LineDirection
@@ -264,9 +274,7 @@ def _run_winding(config, outdir):
     slice_spec = SliceSpec()
     loop = boundary_loop(slice_spec, config["samples"])
     if config["target"] == "standard":
-        from singlab.datamaps import EvalOutcome, dataset_span, eval_perfect_fit_standard
-
-        fn = lambda ds: EvalOutcome.of(eval_perfect_fit_standard(ds), dataset_span(ds))
+        fn = _standard_outcome
     else:
         spec = DataMapSpec(kind=_FITTER_KINDS[config["target"]])
         fn = lambda ds: evaluate_with_standard(spec, ds)
@@ -285,7 +293,7 @@ def _run_winding(config, outdir):
         result = {
             "degree": report.degree,
             "samples_used": report.samples_used,
-            "min_gap": report.min_gap if math.isfinite(report.min_gap) else "inf",
+            "min_gap": report.min_gap,
             "refined": report.refined,
             "status": status,
         }

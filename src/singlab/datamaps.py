@@ -11,9 +11,8 @@ canonical feature, which extends the fitters continuously through inputs
 from __future__ import annotations
 
 import enum
-import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +29,9 @@ from singlab.geometry import (
 )
 
 PERFECT_FIT_TOL = 1e-10
+# Gap at or below which a PC eigenvalue tie, a LAD objective tie or a zero
+# AUG_MEAN resultant counts as Undefined.
+TIE_TOL = 1e-12
 
 
 class NotPerfectFitError(ContractViolation):
@@ -94,11 +96,10 @@ class DataMapSpec:
 
     AUG_MEAN uses ``weights`` (all positive), ``w0 >= 0`` and the unit
     augmentation point ``aug_point``.  DISK_DECISION uses ``center`` and
-    ``radius > 0``.  ``tie_tol`` controls when near-ties count as Undefined.
+    ``radius > 0``.
     """
 
     kind: MapKind
-    tie_tol: float = 1e-12
     weights: tuple[float, ...] | None = None
     w0: float | None = None
     aug_point: tuple[float, float] = (0.0, -1.0)
@@ -107,8 +108,6 @@ class DataMapSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", MapKind(self.kind))
-        if self.tie_tol < 0:
-            raise ContractViolation("tie_tol must be nonnegative")
         if self.kind is MapKind.AUG_MEAN:
             if self.weights is None or self.w0 is None:
                 raise ContractViolation("AUG_MEAN needs weights and w0")
@@ -176,12 +175,11 @@ def eval_pc_line(dataset: PlaneDataset, spec: DataMapSpec | None = None) -> Eval
     """Leading eigenvector direction of the covariance; gap = eigenvalue gap."""
     if dataset.n < 2:
         raise ContractViolation("line fitting needs n >= 2")
-    tie_tol = spec.tie_tol if spec is not None else 1e-12
     c = covariance_2x2(dataset.points)
     a = 0.5 * (c[0, 0] - c[1, 1])
     b = c[0, 1]
     gap = 2.0 * math.hypot(a, b)  # lambda_1 - lambda_2
-    if gap <= tie_tol:
+    if gap <= TIE_TOL:
         return EvalOutcome.undefined(UndefinedReason.EIGENVALUE_TIE)
     theta = 0.5 * math.atan2(2.0 * b, 2.0 * a)
     return EvalOutcome.of(LineDirection(theta), gap)
@@ -218,7 +216,6 @@ def eval_lad_line(dataset: PlaneDataset, spec: DataMapSpec | None = None) -> Eva
     """
     if dataset.n < 2:
         raise ContractViolation("line fitting needs n >= 2")
-    tie_tol = spec.tie_tol if spec is not None else 1e-12
     cands = lad_candidates(dataset)
     if not cands:
         return EvalOutcome.undefined(UndefinedReason.COLLINEAR_PREDICTOR)
@@ -228,11 +225,11 @@ def eval_lad_line(dataset: PlaneDataset, spec: DataMapSpec | None = None) -> Eva
     if len(cands) == 1:
         return EvalOutcome.of(feature, 0.0)
     gap = cands[order[1]][0] - best[0]
-    if gap <= tie_tol:
+    if gap <= TIE_TOL:
         tied_dir = LineDirection(math.atan(cands[order[1]][2]))
         from singlab.geometry import feature_distance
 
-        if feature_distance(feature, tied_dir) > tie_tol:
+        if feature_distance(feature, tied_dir) > TIE_TOL:
             return EvalOutcome.undefined(UndefinedReason.OBJECTIVE_TIE)
     return EvalOutcome.of(feature, gap)
 
@@ -257,7 +254,7 @@ def eval_augmented_mean(dataset: CircleDataset, spec: DataMapSpec) -> EvalOutcom
         raise ContractViolation("augmented mean needs n >= 1")
     rho = resultant(dataset, spec)
     norm = float(np.linalg.norm(rho))
-    if norm <= spec.tie_tol:
+    if norm <= TIE_TOL:
         return EvalOutcome.undefined(UndefinedReason.ZERO_RESULTANT)
     return EvalOutcome.of(CirclePoint(rho / norm), norm)
 
@@ -371,9 +368,26 @@ def collinearity_residual(dataset: PlaneDataset) -> tuple[float, float]:
     return residual, theta
 
 
-def is_perfect_line_fit(dataset: PlaneDataset, tol: float = PERFECT_FIT_TOL) -> bool:
-    residual, _ = collinearity_residual(dataset)
-    return residual <= tol
+def perfect_fit_outcome(dataset) -> EvalOutcome | None:
+    """The standard's outcome on an exact perfect fit, None off them.
+
+    A plane dataset is a perfect fit when it spans a unique line exactly;
+    its feature is that line's direction and its gap the point-set span.  A
+    circle dataset is one when all its points are equal; its feature is
+    that point and its gap the span plus one.
+    """
+    if isinstance(dataset, PlaneDataset):
+        residual, theta, span = _spanning_line(dataset.points)
+        if residual <= PERFECT_FIT_TOL:
+            return EvalOutcome.of(LineDirection(theta), span)
+        return None
+    if isinstance(dataset, CircleDataset):
+        spread = float(np.max(np.linalg.norm(dataset.points - dataset.points[0], axis=1)))
+        if spread <= PERFECT_FIT_TOL:
+            u = dataset.points[0]
+            return EvalOutcome.of(CirclePoint(u / np.linalg.norm(u)), dataset_span(dataset) + 1.0)
+        return None
+    raise ContractViolation(f"no perfect-fit standard for {type(dataset).__name__}")
 
 
 def eval_perfect_fit_standard(dataset) -> Feature:
@@ -382,18 +396,10 @@ def eval_perfect_fit_standard(dataset) -> Feature:
     Plane datasets must span a unique line exactly; circle datasets must have
     all points equal.  Anything else raises NotPerfectFitError.
     """
-    if isinstance(dataset, PlaneDataset):
-        residual, theta = collinearity_residual(dataset)
-        if not residual <= PERFECT_FIT_TOL:
-            raise NotPerfectFitError(f"plane dataset is not collinear (residual {residual:.3e})")
-        return LineDirection(theta)
-    if isinstance(dataset, CircleDataset):
-        spread = float(np.max(np.linalg.norm(dataset.points - dataset.points[0], axis=1)))
-        if spread > PERFECT_FIT_TOL:
-            raise NotPerfectFitError(f"circle dataset points are not coincident (spread {spread:.3e})")
-        u = dataset.points[0]
-        return CirclePoint(u / np.linalg.norm(u))
-    raise ContractViolation(f"no perfect-fit standard for {type(dataset).__name__}")
+    outcome = perfect_fit_outcome(dataset)
+    if outcome is None:
+        raise NotPerfectFitError(f"{type(dataset).__name__} is not an exact perfect fit")
+    return outcome.feature
 
 
 def dataset_span(dataset) -> float:
@@ -419,6 +425,15 @@ def evaluate(spec: DataMapSpec, x) -> EvalOutcome:
     raise ContractViolation(f"unknown map kind {kind}")
 
 
+# The dataset variant on which each map has a calibration standard.
+_STANDARD_DATASET = {
+    MapKind.LS_LINE: PlaneDataset,
+    MapKind.PC_LINE: PlaneDataset,
+    MapKind.LAD_LINE: PlaneDataset,
+    MapKind.AUG_MEAN: CircleDataset,
+}
+
+
 def evaluate_with_standard(spec: DataMapSpec, x) -> EvalOutcome:
     """Evaluate a map, answering exact perfect fits by the standard.
 
@@ -427,14 +442,10 @@ def evaluate_with_standard(spec: DataMapSpec, x) -> EvalOutcome:
     data, where the raw LS and LAD formulas are undefined or unrepresentable.
     Off perfect fits it is the raw map.
     """
-    if spec.kind in (MapKind.LS_LINE, MapKind.PC_LINE, MapKind.LAD_LINE) and isinstance(x, PlaneDataset):
-        residual, theta, span = _spanning_line(x.points)
-        if residual <= PERFECT_FIT_TOL:
-            return EvalOutcome.of(LineDirection(theta), span)
-    if spec.kind is MapKind.AUG_MEAN and isinstance(x, CircleDataset):
-        spread = float(np.max(np.linalg.norm(x.points - x.points[0], axis=1)))
-        if spread <= PERFECT_FIT_TOL:
-            return EvalOutcome.of(eval_perfect_fit_standard(x), dataset_span(x) + 1.0)
+    if isinstance(x, _STANDARD_DATASET.get(spec.kind, ())):
+        outcome = perfect_fit_outcome(x)
+        if outcome is not None:
+            return outcome
     return evaluate(spec, x)
 
 
@@ -507,40 +518,3 @@ def aug_mean_gap_batch(angles: np.ndarray, spec: DataMapSpec) -> np.ndarray:
     """|resultant| for a batch of circle datasets given as angles (m, n)."""
     r, _ = aug_mean_resultant(angles, spec)
     return np.hypot(r[..., 0], r[..., 1])
-
-
-# ---------------------------------------------------------------------------
-# Dataset CSV parsing
-# ---------------------------------------------------------------------------
-
-def parse_dataset_csv(source, kind: str = "plane"):
-    """Parse a dataset from CSV text or a file path: one point per row, x,y.
-
-    A leading ``x,y`` header row is permitted.
-    """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = str(source)
-        if "\n" not in text and "," not in text:
-            with open(text, "r", encoding="utf-8") as fh:
-                text = fh.read()
-    rows = []
-    for line_no, line in enumerate(io.StringIO(text), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        if line_no == 1 and parts[:2] == ["x", "y"]:
-            continue
-        if len(parts) != 2:
-            raise ContractViolation(f"line {line_no}: expected two columns, got {len(parts)}")
-        try:
-            rows.append((float(parts[0]), float(parts[1])))
-        except ValueError as exc:
-            raise ContractViolation(f"line {line_no}: {exc}") from exc
-    if kind == "plane":
-        return PlaneDataset(rows)
-    if kind == "circle":
-        return CircleDataset(rows)
-    raise ContractViolation(f"unknown dataset kind {kind!r}")

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 
 class ContractViolation(ValueError):
@@ -210,11 +209,20 @@ def omega_s(s: float) -> float:
     return math.pi ** (s / 2.0) / math.gamma(s / 2.0 + 1.0)
 
 
-def segment_average_norm(x, y, epsrel: float = 1e-9) -> float:
+def _norm_antiderivative(t: float, q: float) -> float:
+    """F(t) = (t sqrt(t^2 + q) + q asinh(t / sqrt(q))) / 2, so F' = sqrt(t^2 + q)."""
+    log_term = q * math.asinh(t / math.sqrt(q)) if q > 0.0 else 0.0
+    return 0.5 * (t * math.sqrt(t * t + q) + log_term)
+
+
+def segment_average_norm(x, y) -> float:
     """Average of |point| along the straight segment from x to y.
 
-    Computed by adaptive quadrature on the arclength parametrization.  The
-    result is never smaller than max(|x|, |y|) / 8.
+    Closed form: with u the unit direction, b = <x, u> and q the squared
+    distance from the origin to the segment's line, |x + s u|^2 = (s + b)^2
+    + q, so the average over s in [0, L] is (F(b + L) - F(b)) / L for the
+    antiderivative F above.  The result is never smaller than
+    max(|x|, |y|) / 8.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -225,20 +233,10 @@ def segment_average_norm(x, y, epsrel: float = 1e-9) -> float:
     if length == 0.0:
         raise DegenerateSegmentError("segment endpoints coincide")
     u = diff / length
-    # Closest approach to the origin is the only non-smooth point of the
-    # integrand; hand it to quad as a breakpoint.
-    t_star = float(-np.dot(x, u))
-    breakpoints = [t_star] if 0.0 < t_star < length else None
-    val, _ = quad(
-        lambda s: float(np.linalg.norm(x + s * u)),
-        0.0,
-        length,
-        epsabs=0.0,
-        epsrel=epsrel,
-        points=breakpoints,
-        limit=200,
-    )
-    return val / length
+    b = float(np.dot(x, u))
+    perp = x - b * u
+    q = float(np.dot(perp, perp))
+    return (_norm_antiderivative(b + length, q) - _norm_antiderivative(b, q)) / length
 
 
 def sorted_eigenvalues(m) -> np.ndarray:

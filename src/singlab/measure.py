@@ -24,9 +24,20 @@ from singlab.datamaps import (
     aug_mean_resultant,
 )
 from singlab.geometry import ContractViolation, omega_s
-from singlab.metrics import DIST_SURROGATE, SINGULAR_DISTANCE, penalty_projection
+from singlab.metrics import (
+    DIST_SURROGATE,
+    SINGULAR_DISTANCE,
+    penalty_projection,
+    symmetric_start_pair,
+)
 
 DEFAULT_QUANTILE_WINDOW = (0.002, 0.05)
+
+# Tradeoff experiment: Gauss-Newton steps of the cloud projection, grid of
+# the perfect-fit scan, and box-count meshes of the measure surrogate.
+GAUSS_NEWTON_ITERS = 60
+PERFECT_FIT_SCAN = 720
+TRADEOFF_MESH_SIZES = tuple(np.geomspace(0.8, 0.02, 6))
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +331,8 @@ class CdfReport:
     seed: int
     surrogate: bool
 
-    def to_dict(self, include_distances: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "n_samples": self.n_samples,
             "map_kind": self.map_kind,
             "tail_fit": {
@@ -332,9 +343,6 @@ class CdfReport:
             "seed": self.seed,
             "surrogate": self.surrogate,
         }
-        if include_distances:
-            out["sorted_distances"] = self.sorted_distances.tolist()
-        return out
 
 
 def distance_cdf(
@@ -424,14 +432,14 @@ class TradeoffReport:
         }
 
 
-def _project_to_zero_resultant(angles: np.ndarray, spec: DataMapSpec, iters: int = 60) -> np.ndarray:
+def _project_to_zero_resultant(angles: np.ndarray, spec: DataMapSpec) -> np.ndarray:
     """Gauss-Newton projection of angle configurations onto {resultant = 0}.
 
     Underdetermined least-norm steps; rows that fail to converge are left
     with a nonzero residual and filtered by the caller.
     """
     phi = angles.copy()
-    for _ in range(iters):
+    for _ in range(GAUSS_NEWTON_ITERS):
         r, jac = aug_mean_resultant(phi, spec)
         rx, ry = r[:, 0], r[:, 1]
         jx, jy = jac[:, 0], jac[:, 1]
@@ -458,7 +466,7 @@ def aug_mean_singular_set_nonempty(spec: DataMapSpec) -> bool:
     return lo <= spec.w0 < float(np.sum(w))
 
 
-def _aug_mean_dist_to_perfect(spec: DataMapSpec, n_grid: int = 720) -> float:
+def _aug_mean_dist_to_perfect(spec: DataMapSpec) -> float:
     """Distance from {resultant = 0} to the all-equal configurations.
 
     A 1-D scan over the common point of the perfect fit finds the resultant
@@ -470,11 +478,10 @@ def _aug_mean_dist_to_perfect(spec: DataMapSpec, n_grid: int = 720) -> float:
     if not aug_mean_singular_set_nonempty(spec):
         return math.inf
     n = len(spec.weights)
-    phis = 2.0 * math.pi * np.arange(n_grid) / n_grid
+    phis = 2.0 * math.pi * np.arange(PERFECT_FIT_SCAN) / PERFECT_FIT_SCAN
     norms = aug_mean_gap_batch(np.repeat(phis[:, None], n, axis=1), spec)
     base = np.full(n, float(phis[int(np.argmin(norms))]))
-    offsets = 1e-3 * (np.arange(n) - 0.5 * (n - 1))
-    return penalty_projection(base, [base + offsets, base - offsets],
+    return penalty_projection(base, symmetric_start_pair(base),
                               lambda phi: aug_mean_resultant(phi, spec))
 
 
@@ -483,7 +490,6 @@ def tradeoff_experiment(
     n_points: int,
     seed: int,
     cloud_size: int = 20_000,
-    mesh_sizes=None,
 ) -> TradeoffReport:
     """Per preset: distance from S to the perfect fits, and a box-count
     H^{n-2} surrogate of S from a root-continuation point cloud.
@@ -492,8 +498,6 @@ def tradeoff_experiment(
     have an empty singular set; they are flagged infeasible with infinite
     distance and zero measure.  Entries are sorted by distance.
     """
-    if mesh_sizes is None:
-        mesh_sizes = np.geomspace(0.8, 0.02, 6)
     entries = []
     for name, spec in presets.items():
         if spec.kind is not MapKind.AUG_MEAN:
@@ -514,7 +518,7 @@ def tradeoff_experiment(
             cloud,
             np.zeros(n_points),
             np.full(n_points, 2.0 * math.pi),
-            mesh_sizes,
+            TRADEOFF_MESH_SIZES,
             measure_s=n_points - 2,
         )
         entries.append(TradeoffEntry(name, spec.w0, dist, est.measure_at_dim, feasible=True))

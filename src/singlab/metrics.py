@@ -64,6 +64,17 @@ SINGULAR_DISTANCE = {
 
 _PENALTY_LADDER = (1e2, 1e4, 1e6, 1e8, 1e10)
 
+# Derivative blow-up profiles: finite-difference step as a share of eta,
+# and arc-template shifts tried per eta before the entry is flagged.
+H_FD_FACTOR = 1e-5
+MAX_JITTERS = 8
+
+# Oscillator arcs: chords of the semicircle, log-spaced radial pieces, and
+# the relative nudge that keeps both ends off the branch kinks.
+ARC_SEGMENTS = 96
+RADIAL_SEGMENTS = 64
+ARC_NUDGE = 1e-9
+
 
 def penalty_projection(x0, starts, residual) -> float:
     """Distance from x0 to the zero set of ``residual`` by penalty continuation.
@@ -91,6 +102,16 @@ def penalty_projection(x0, starts, residual) -> float:
         if np.linalg.norm(r) <= 1e-9 * (1.0 + np.sum(jac * jac)):
             best = min(best, float(np.linalg.norm(x - x0)))
     return best
+
+
+def symmetric_start_pair(x: np.ndarray) -> list[np.ndarray]:
+    """Starts x + o and x - o with o_i = 1e-3 (i - (n - 1) / 2).
+
+    Equal coordinates are a symmetry saddle of the AUG_MEAN penalty flow;
+    the opposite asymmetric nudges let a run leave it either way.
+    """
+    offsets = 1e-3 * (np.arange(x.size) - 0.5 * (x.size - 1))
+    return [x + offsets, x - offsets]
 
 
 def _pc_tie_residual(n: int):
@@ -133,7 +154,12 @@ def distance_to_singular(spec: DataMapSpec, x, refine: bool = False) -> tuple[fl
     if refine and kind is MapKind.AUG_MEAN:
         # arc-metric distance: project the angles
         phi0 = x.angles
-        return penalty_projection(phi0, [phi0], lambda phi: aug_mean_resultant(phi, spec)), DIST_REFINED
+        residual = lambda phi: aug_mean_resultant(phi, spec)
+        dist = penalty_projection(phi0, [phi0], residual)
+        if not math.isfinite(dist):
+            # the single start sat on the symmetry saddle: retry off it
+            dist = penalty_projection(phi0, symmetric_start_pair(phi0), residual)
+        return dist, DIST_REFINED
     distance, tag = SINGULAR_DISTANCE[kind]
     batch = x.angles if isinstance(x, CircleDataset) else x.points
     return float(distance(batch[None], spec)[0]), tag
@@ -363,8 +389,6 @@ def derivative_blowup_profile(
     singular_point,
     etas,
     seed: int = 0,
-    h_fd_factor: float = 1e-5,
-    max_jitters: int = 8,
 ) -> DerivativeProfile:
     """Blow-up profile of the derivative near a singular point.
 
@@ -390,7 +414,7 @@ def derivative_blowup_profile(
     flagged = []
     for eta in etas:
         ok = False
-        for attempt in range(max_jitters):
+        for attempt in range(MAX_JITTERS):
             shift = 0.02 * attempt
             y1 = x0 + 0.45 * eta * np.array([math.cos(phi1 + shift), math.sin(phi1 + shift)])
             out1 = outcome_fn(y1)
@@ -412,7 +436,7 @@ def derivative_blowup_profile(
                 continue
             curve = [y1, best[1], y3]
             try:
-                d = average_derivative_along_curve(outcome_fn, curve, h_fd=h_fd_factor * eta)
+                d = average_derivative_along_curve(outcome_fn, curve, h_fd=H_FD_FACTOR * eta)
             except CurveHitsSingularityError:
                 continue
             avg_d.append(d)
@@ -443,7 +467,7 @@ def derivative_blowup_profile(
     )
 
 
-def oscillator_arc(n: int, arc_segments: int = 96, radial_segments: int = 64, nudge: float = 1e-9):
+def oscillator_arc(n: int):
     """The two-piece arc probing the radial oscillator at scale t_n.
 
     An upper semicircle of radius t_n (nudged off the branch kink) from
@@ -454,10 +478,10 @@ def oscillator_arc(n: int, arc_segments: int = 96, radial_segments: int = 64, nu
     """
     from singlab.datamaps import oscillator_t
 
-    t_n = oscillator_t(n) * (1.0 - nudge)
-    t_n1 = oscillator_t(n + 1) * (1.0 + nudge)
-    angles = np.linspace(0.0, math.pi, arc_segments + 1)
+    t_n = oscillator_t(n) * (1.0 - ARC_NUDGE)
+    t_n1 = oscillator_t(n + 1) * (1.0 + ARC_NUDGE)
+    angles = np.linspace(0.0, math.pi, ARC_SEGMENTS + 1)
     pts = [np.array([t_n * math.cos(a), t_n * math.sin(a)]) for a in angles]
-    for r in np.geomspace(t_n, t_n1, radial_segments + 1)[1:]:
+    for r in np.geomspace(t_n, t_n1, RADIAL_SEGMENTS + 1)[1:]:
         pts.append(np.array([-r, 0.0]))
     return pts

@@ -24,6 +24,8 @@ from singlab.geometry import (
     PlaneDataset,
 )
 
+SVG_SIZE_PX = 640  # width and height of line-field plots
+
 
 def equilateral_center(n_points: int = 3) -> PlaneDataset:
     """n points evenly spread on the unit circle, first one at the top."""
@@ -158,10 +160,10 @@ def write_field_csv(grid: GridField, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def write_field_svg(grid: GridField, path, cell_size: float, size_px: int = 640) -> None:
+def write_field_svg(grid: GridField, path, cell_size: float) -> None:
     """Static SVG 1.1: oriented segments at defined cells, dots at undefined."""
     half = 1.15
-    scale = size_px / (2.0 * half)
+    scale = SVG_SIZE_PX / (2.0 * half)
 
     def to_px(x, y):
         return (x + half) * scale, (half - y) * scale
@@ -169,8 +171,8 @@ def write_field_svg(grid: GridField, path, cell_size: float, size_px: int = 640)
     seg_len = 0.8 * cell_size
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{size_px}" height="{size_px}" viewBox="0 0 {size_px} {size_px}">',
-        f'<rect width="{size_px}" height="{size_px}" fill="white"/>',
+        f'width="{SVG_SIZE_PX}" height="{SVG_SIZE_PX}" viewBox="0 0 {SVG_SIZE_PX} {SVG_SIZE_PX}">',
+        f'<rect width="{SVG_SIZE_PX}" height="{SVG_SIZE_PX}" fill="white"/>',
     ]
     for ux, uy, theta, gap, status in grid.rows():
         px, py = to_px(ux, uy)

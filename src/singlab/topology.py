@@ -16,18 +16,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from singlab.datamaps import EvalOutcome
 from singlab.geometry import (
     CircleDataset,
     CirclePoint,
     ContractViolation,
-    Decision,
     Feature,
     LineDirection,
     PlaneDataset,
-    ScalarValue,
     feature_distance,
 )
+
+# An edge certifies short when its endpoint features are less than this
+# share of a period apart, so the short way between them is the lift step.
+STEP_FRACTION = 0.25
+# Bisections per loop edge before the degree is declared inconclusive.
+MAX_REFINE = 24
 
 
 class LoopHitsSingularityError(RuntimeError):
@@ -116,59 +119,42 @@ def midpoint_interpolate(p, q):
     return 0.5 * (np.asarray(p, dtype=float) + np.asarray(q, dtype=float))
 
 
-def _feature_and_gap(value) -> tuple[Feature, float]:
-    """Accept either an EvalOutcome or a bare Feature (synthetic maps)."""
-    if isinstance(value, EvalOutcome):
-        if not value.defined:
-            raise LoopHitsSingularityError(
-                f"loop sample evaluated Undefined ({value.reason.value})"
-            )
-        return value.feature, value.gap
-    return value, math.inf
-
-
-def winding_number(
-    loop: Loop,
-    evaluate_fn,
-    *,
-    interpolate=None,
-    max_refine: int = 24,
-    step_fraction: float = 0.25,
-) -> WindingReport:
+def winding_number(loop: Loop, evaluate_fn) -> WindingReport:
     """Degree of a feature-valued map along a closed loop.
 
-    evaluate_fn maps a loop sample to an EvalOutcome (or a bare Feature).
-    Every sample must be Defined; an edge whose endpoint features are at
-    least step_fraction * period apart is bisected via ``interpolate`` up to
-    ``max_refine`` times before the computation is declared inconclusive.
+    evaluate_fn maps a loop sample to an EvalOutcome, and every sample must
+    be Defined.  An edge whose endpoint features are at least STEP_FRACTION
+    of a period apart is bisected by ``midpoint_interpolate`` up to
+    MAX_REFINE times before the computation is declared inconclusive.
     """
-    if interpolate is None:
-        interpolate = midpoint_interpolate
-
     state = {"samples": 0, "min_gap": math.inf, "refined": False}
 
     def eval_at(point) -> Feature:
-        feature, gap = _feature_and_gap(evaluate_fn(point))
+        outcome = evaluate_fn(point)
+        if not outcome.defined:
+            raise LoopHitsSingularityError(
+                f"loop sample evaluated Undefined ({outcome.reason.value})"
+            )
         state["samples"] += 1
-        state["min_gap"] = min(state["min_gap"], gap)
-        return feature
+        state["min_gap"] = min(state["min_gap"], outcome.gap)
+        return outcome.feature
 
     points = list(loop.samples)
     features = [eval_at(p) for p in points]
     _, period = _angle_of(features[0])
-    threshold = step_fraction * period
+    threshold = STEP_FRACTION * period
 
     def lift_edge(p_a, f_a, p_b, f_b, depth) -> float:
         if feature_distance(f_a, f_b) < threshold:
             a, _ = _angle_of(f_a)
             b, _ = _angle_of(f_b)
             return _wrap_increment(b - a, period)
-        if depth >= max_refine:
+        if depth >= MAX_REFINE:
             raise InconclusiveDegreeError(
-                f"edge not short-arc after {max_refine} bisections"
+                f"edge not short-arc after {MAX_REFINE} bisections"
             )
         state["refined"] = True
-        p_m = interpolate(p_a, p_b)
+        p_m = midpoint_interpolate(p_a, p_b)
         f_m = eval_at(p_m)
         return lift_edge(p_a, f_a, p_m, f_m, depth + 1) + lift_edge(
             p_m, f_m, p_b, f_b, depth + 1
@@ -185,11 +171,10 @@ def winding_number(
         raise InconclusiveDegreeError(
             f"lift residual {abs(total - degree * period):.3e} exceeds tolerance"
         )
-    min_gap = state["min_gap"] if math.isfinite(state["min_gap"]) else math.inf
     return WindingReport(
         degree=int(degree),
         samples_used=state["samples"],
-        min_gap=min_gap,
+        min_gap=state["min_gap"],
         refined=state["refined"],
     )
 
@@ -259,8 +244,6 @@ def localize_singularities(
     eps: float,
     *,
     samples_per_edge: int = 32,
-    max_refine: int = 24,
-    collect_inconclusive: bool = True,
 ) -> list[LocalizerBox]:
     """Recursive quadtree localization of degree-carrying singularities.
 
@@ -276,8 +259,7 @@ def localize_singularities(
 
     def boundary_degree(c, h):
         loop = rectangle_loop(c, h, samples_per_edge)
-        report = winding_number(loop, outcome_fn, max_refine=max_refine)
-        return report.degree
+        return winding_number(loop, outcome_fn).degree
 
     boxes: list[LocalizerBox] = []
 
@@ -314,24 +296,21 @@ def localize_singularities(
                 if d != 0:
                     recurse(cc, ch, d, depth + 1)
             return
-        if collect_inconclusive:
-            boxes.append(
-                LocalizerBox(
-                    center=(float(c[0]), float(c[1])),
-                    half_width=float(max(h)),
-                    boundary_degree=degree,
-                    depth=depth,
-                    status="inconclusive",
-                )
+        boxes.append(
+            LocalizerBox(
+                center=(float(c[0]), float(c[1])),
+                half_width=float(max(h)),
+                boundary_degree=degree,
+                depth=depth,
+                status="inconclusive",
             )
+        )
 
     c0 = (float(center[0]), float(center[1]))
     h0 = (float(half_width), float(half_width))
     try:
         root_degree = boundary_degree(c0, h0)
     except (LoopHitsSingularityError, InconclusiveDegreeError):
-        if not collect_inconclusive:
-            return []
         return [LocalizerBox(center=c0, half_width=h0[0], boundary_degree=None, depth=0,
                              status="inconclusive")]
     if root_degree == 0:

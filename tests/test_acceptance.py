@@ -238,7 +238,7 @@ def test_criterion_6_appendix_lemmas():
             y = rng.standard_normal(dim)
             if np.allclose(x, y):
                 continue
-            avg = segment_average_norm(x, y, epsrel=1e-8)
+            avg = segment_average_norm(x, y)
             if avg < max(np.linalg.norm(x), np.linalg.norm(y)) / 8.0:
                 violations += 1
     print(f"  segment-average bound violations: {violations} / 10000")

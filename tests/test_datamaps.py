@@ -1,6 +1,5 @@
 """The concrete data maps and the calibration standard."""
 
-import io
 import math
 
 import numpy as np
@@ -27,7 +26,6 @@ from singlab.datamaps import (
     oscillator_g,
     oscillator_g_prime_abs,
     oscillator_t,
-    parse_dataset_csv,
     pc_gap_batch,
     uniform_preset,
 )
@@ -408,14 +406,3 @@ def test_outcome_contract():
     with pytest.raises(ContractViolation):
         EvalOutcome(feature=None, gap=0.5, reason=UndefinedReason.ORIGIN)
 
-
-def test_parse_dataset_csv():
-    ds = parse_dataset_csv(io.StringIO("x,y\n0,0\n1,1\n2,2\n"))
-    assert isinstance(ds, PlaneDataset)
-    assert ds.n == 3
-    circ = parse_dataset_csv("1,0\n0,1\n", kind="circle")
-    assert isinstance(circ, CircleDataset)
-    with pytest.raises(ContractViolation):
-        parse_dataset_csv("1,2,3\n")
-    with pytest.raises(ContractViolation):
-        parse_dataset_csv("a,b\n")

@@ -1,10 +1,15 @@
 """Geometry primitives: metrics, unit-ball volumes, appendix utilities."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
+import singlab
 from singlab.geometry import (
     CircleDataset,
     CirclePoint,
@@ -21,6 +26,7 @@ from singlab.geometry import (
     segment_average_norm,
     sorted_eigenvalues,
 )
+from singlab.metrics import oscillator_arc
 
 # Frozen from a 10^6-step Riemann-sum oracle (test_riemann_oracle cross-checks).
 SEG_AVG_UNIT_DIAGONAL = 0.8116126200701153
@@ -123,6 +129,41 @@ def test_riemann_oracle():
     assert abs(riemann - SEG_AVG_UNIT_DIAGONAL) < 1e-9
 
 
+def _quad_average_norm(x, y):
+    """Reference: adaptive quadrature of |x + s u| over the arclength."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    length = float(np.linalg.norm(y - x))
+    u = (y - x) / length
+    t_star = float(-np.dot(x, u))
+    val, _ = quad(lambda s: float(np.linalg.norm(x + s * u)), 0.0, length, epsabs=0.0,
+                  epsrel=1e-12, points=[t_star] if 0.0 < t_star < length else None, limit=200)
+    return val / length
+
+
+def test_segment_average_norm_matches_quadrature():
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        x = rng.standard_normal(2) * 10.0 ** rng.uniform(-3, 3)
+        y = rng.standard_normal(2) * 10.0 ** rng.uniform(-3, 3)
+        ref = _quad_average_norm(x, y)
+        assert abs(segment_average_norm(x, y) - ref) <= 1e-9 * ref
+    for n in (1, 2):
+        arc = oscillator_arc(n)
+        for a, b in zip(arc, arc[1:]):
+            ref = _quad_average_norm(a, b)
+            assert abs(segment_average_norm(a, b) - ref) <= 1e-12 * ref
+
+
+def test_cli_import_leaves_out_quadrature():
+    # the closed form keeps scipy.integrate (tens of ms) out of start-up
+    src = os.path.dirname(os.path.dirname(singlab.__file__))
+    code = "import sys, singlab.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
+
+
 def test_segment_average_norm_lower_bound():
     rng = np.random.default_rng(7)
     for dim in (2, 6):
@@ -131,7 +172,7 @@ def test_segment_average_norm_lower_bound():
             y = rng.standard_normal(dim)
             if np.allclose(x, y):
                 continue
-            avg = segment_average_norm(x, y, epsrel=1e-8)
+            avg = segment_average_norm(x, y)
             bound = max(np.linalg.norm(x), np.linalg.norm(y)) / 8.0
             assert avg >= bound
 

@@ -104,6 +104,15 @@ def test_aug_mean_distance():
     assert refined > 0
 
 
+def test_aug_mean_refined_distance_off_the_symmetry_saddle():
+    # every point at (0, 1) is the diagonal saddle of the penalty flow; the
+    # nearest zero-resultant configuration is sqrt(2) acos(-1/4) away at n=3
+    ds = CircleDataset([(0.0, 1.0)] * 3)
+    refined, tag = distance_to_singular(uniform_preset(3), ds, refine=True)
+    assert tag == "REFINED"
+    assert abs(refined - math.sqrt(2) * math.acos(-0.25)) < 1e-6
+
+
 def test_unsupported_map_kind():
     with pytest.raises(UnsupportedMapError):
         distance_to_singular(DataMapSpec(kind=MapKind.RADIAL_OSCILLATOR), np.array([0.5, 0.0]))

@@ -77,12 +77,12 @@ def test_boundary_sigma_winding_is_two():
 
 def test_constant_loop_degree_zero():
     loop = circle_loop((0, 0), 1.0, 16)
-    assert winding_number(loop, lambda u: LineDirection(0.7)).degree == 0
+    assert winding_number(loop, lambda u: EvalOutcome.of(LineDirection(0.7), 1.0)).degree == 0
 
 
 def test_circle_identity_degree_one():
     loop = circle_loop((0, 0), 1.0, 16)
-    fn = lambda u: CirclePoint(np.asarray(u) / np.linalg.norm(u))
+    fn = lambda u: EvalOutcome.of(CirclePoint(np.asarray(u) / np.linalg.norm(u)), 1.0)
     assert winding_number(loop, fn).degree == 1
 
 
@@ -121,7 +121,7 @@ def test_inconclusive_on_genuine_jump():
         return EvalOutcome.of(LineDirection(theta), 1.0)
 
     with pytest.raises(InconclusiveDegreeError):
-        winding_number(circle_loop((0, 0), 1.0, 16), jumpy, max_refine=12)
+        winding_number(circle_loop((0, 0), 1.0, 16), jumpy)
 
 
 def test_decision_features_unsupported():
@@ -213,7 +213,6 @@ def test_localizer_root_box_failure_is_inconclusive():
     assert boxes == [LocalizerBox(center=(0.5, 0.0), half_width=0.5, boundary_degree=None,
                                   depth=0, status="inconclusive")]
     assert boxes[0].to_dict()["degree"] is None
-    assert localize_singularities(fn, (0.5, 0.0), 0.5, 1e-2, collect_inconclusive=False) == []
 
 
 def test_localizer_pc_finds_both_ties():
