@@ -21,17 +21,16 @@ import sys
 import numpy as np
 
 from singlab.datamaps import (
+    BatchMap,
     DataMapSpec,
     MapKind,
-    NotPerfectFitError,
     concentrated_preset,
     evaluate,
-    evaluate_with_standard,
-    eval_radial_oscillator,
-    perfect_fit_outcome,
+    evaluate_with_standard_batch,
+    standard_batch,
     uniform_preset,
 )
-from singlab.geometry import ContractViolation
+from singlab.geometry import ContractViolation, PlaneDataset
 from singlab.measure import (
     box_count_dimension,
     circle_cell_membership,
@@ -48,7 +47,7 @@ from singlab.metrics import (
     derivative_blowup_profile,
     oscillation,
 )
-from singlab.slices import SliceSpec, boundary_loop, render_lf_field
+from singlab.slices import SliceSpec, boundary_loop, render_lf_field, slice_map
 from singlab.topology import (
     InconclusiveDegreeError,
     Loop,
@@ -235,14 +234,6 @@ def _fitter_outcome_fn(kind: MapKind, slice_spec: SliceSpec):
     return fn
 
 
-def _standard_outcome(dataset):
-    """The calibration standard on a loop sample; it must be a perfect fit."""
-    outcome = perfect_fit_outcome(dataset)
-    if outcome is None:
-        raise NotPerfectFitError("the standard loop left the perfect fits")
-    return outcome
-
-
 def _synthetic_outcome_fn(u):
     from singlab.datamaps import EvalOutcome, UndefinedReason
     from singlab.geometry import LineDirection
@@ -274,19 +265,14 @@ def _run_winding(config, outdir):
     slice_spec = SliceSpec()
     loop = boundary_loop(slice_spec, config["samples"])
     if config["target"] == "standard":
-        fn = _standard_outcome
+        fn = BatchMap(standard_batch)
     else:
         spec = DataMapSpec(kind=_FITTER_KINDS[config["target"]])
-        fn = lambda ds: evaluate_with_standard(spec, ds)
+        fn = BatchMap(lambda points: evaluate_with_standard_batch(spec, points))
     if config["shrink"] != 1.0:
         shrink = config["shrink"]
         center = slice_spec.center_config.points
-        loop = Loop(
-            tuple(
-                type(s)((1.0 - shrink) * center + shrink * s.points)
-                for s in loop.samples
-            )
-        )
+        loop = Loop((1.0 - shrink) * center + shrink * loop.points, PlaneDataset)
     status = "ok"
     try:
         report = winding_number(loop, fn)
@@ -295,6 +281,7 @@ def _run_winding(config, outdir):
             "samples_used": report.samples_used,
             "min_gap": report.min_gap,
             "refined": report.refined,
+            "max_depth": report.max_depth,
             "status": status,
         }
         code = EXIT_OK
@@ -310,8 +297,7 @@ def _run_winding(config, outdir):
 
 
 def _run_localize(config, outdir):
-    slice_spec = SliceSpec()
-    fn = _fitter_outcome_fn(_FITTER_KINDS[config["map"]], slice_spec)
+    fn = slice_map(SliceSpec(), DataMapSpec(kind=_FITTER_KINDS[config["map"]]))
     boxes = localize_singularities(
         fn,
         (config["center_x"], config["center_y"]),

@@ -5,13 +5,16 @@ reason it is undefined, plus a nonnegative ``gap`` that vanishes exactly on
 the map's (surrogate) singular surface.  ``evaluate_with_standard`` wraps a
 map with the calibration standard: exact perfect fits are answered by the
 canonical feature, which extends the fitters continuously through inputs
-(vertical lines) the raw formulas cannot represent.
+(vertical lines) the raw formulas cannot represent.  ``evaluate_batch`` and
+the batched standard run the line fitters over (m, n, 2) point batches,
+returning a :class:`BatchOutcome` of angle, gap and reason arrays.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,6 +93,57 @@ class EvalOutcome:
         return EvalOutcome(feature=None, gap=0.0, reason=reason)
 
 
+# Reasons of batch outcomes as small integer codes: code 0 is Defined, code
+# k > 0 is REASON_CODES[k].
+REASON_CODES = (None, *UndefinedReason)
+
+
+@dataclass(frozen=True)
+class BatchOutcome:
+    """Outcomes of one map on a batch of inputs, as arrays.
+
+    ``angle`` (m,) is the feature angle mod ``period`` (pi for line
+    directions, 2 pi for circle points) and NaN where undefined; ``gap``
+    (m,) is the map's gap, 0 where undefined; ``reason`` (m,) holds
+    REASON_CODES indices, 0 where defined.
+    """
+
+    angle: np.ndarray
+    gap: np.ndarray
+    reason: np.ndarray
+    period: float
+
+    @property
+    def defined(self) -> np.ndarray:
+        return self.reason == 0
+
+    def outcome(self, i: int) -> EvalOutcome:
+        """Row i as an EvalOutcome."""
+        code = int(self.reason[i])
+        if code:
+            return EvalOutcome.undefined(REASON_CODES[code])
+        angle = float(self.angle[i])
+        if self.period == math.pi:
+            return EvalOutcome.of(LineDirection(angle), self.gap[i])
+        return EvalOutcome.of(CirclePoint((math.cos(angle), math.sin(angle))), self.gap[i])
+
+
+@dataclass(frozen=True)
+class BatchMap:
+    """A map evaluated on a whole stack of inputs in one call.
+
+    ``fn`` takes inputs stacked along the first axis, such as slice
+    parameters (m, 2) or plane datasets (m, n, 2), and returns their
+    BatchOutcome.  The winding certifier tells a batch map from a pointwise
+    EvalOutcome callable by this type.
+    """
+
+    fn: Callable[[np.ndarray], BatchOutcome]
+
+    def __call__(self, inputs: np.ndarray) -> BatchOutcome:
+        return self.fn(inputs)
+
+
 @dataclass(frozen=True)
 class DataMapSpec:
     """Which map to run and its parameters.
@@ -146,7 +200,7 @@ def ls_stats(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return float(np.dot(xc, xc)), float(np.dot(xc, y - y.mean()))
 
 
-def eval_ls_line(dataset: PlaneDataset, spec: DataMapSpec | None = None) -> EvalOutcome:
+def eval_ls_line(dataset: PlaneDataset) -> EvalOutcome:
     """Slope direction of the y-on-x least-squares line.
 
     gap = sqrt(S_xx): the exact R^{2n} distance to the collinear-predictor
@@ -171,7 +225,7 @@ def covariance_2x2(points: np.ndarray) -> np.ndarray:
     return centered.T @ centered / points.shape[0]
 
 
-def eval_pc_line(dataset: PlaneDataset, spec: DataMapSpec | None = None) -> EvalOutcome:
+def eval_pc_line(dataset: PlaneDataset) -> EvalOutcome:
     """Leading eigenvector direction of the covariance; gap = eigenvalue gap."""
     if dataset.n < 2:
         raise ContractViolation("line fitting needs n >= 2")
@@ -206,7 +260,7 @@ def lad_candidates(dataset: PlaneDataset) -> list[tuple[float, float, float]]:
     return out
 
 
-def eval_lad_line(dataset: PlaneDataset, spec: DataMapSpec | None = None) -> EvalOutcome:
+def eval_lad_line(dataset: PlaneDataset) -> EvalOutcome:
     """L1 regression by exact pair enumeration.
 
     An optimal L1 line passes through two data points, so enumerating every
@@ -333,39 +387,36 @@ def eval_radial_oscillator(x, spec: DataMapSpec | None = None) -> EvalOutcome:
 # ---------------------------------------------------------------------------
 
 def _pairwise_sq_distances(pts: np.ndarray) -> np.ndarray:
-    return np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
+    """Squared distances between the points of each dataset, (..., n, 2) -> (..., n, n)."""
+    return np.sum((pts[..., :, None, :] - pts[..., None, :, :]) ** 2, axis=-1)
 
 
-def _spanning_line(pts: np.ndarray) -> tuple[float, float, float]:
-    """(residual, direction, span) from one pairwise-distance matrix.
+def spanning_lines(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(residual, direction, span) of each dataset in a batch (m, n, 2).
 
     span is the point-set diameter; the spanning line is anchored on the
-    most distant pair for numerical robustness.
+    first most distant pair for numerical robustness.  residual is the
+    largest orthogonal distance from that line, exactly 0 for exactly
+    collinear points, and direction its angle mod pi.  A dataset of equal
+    points has residual inf, direction 0 and span 0.
     """
-    d2 = _pairwise_sq_distances(pts)
-    i, j = np.unravel_index(np.argmax(d2), d2.shape)
-    if d2[i, j] == 0.0:
-        return math.inf, 0.0, 0.0
-    span = math.sqrt(d2[i, j])
-    d = pts[j] - pts[i]
-    rel = pts - pts[i]
+    m, n, _ = points.shape
+    d2 = _pairwise_sq_distances(points).reshape(m, n * n)
+    k = np.argmax(d2, axis=1)
+    rows = np.arange(m)
+    span2 = d2[rows, k]
+    anchor = points[rows, k // n]
+    d = points[rows, k % n] - anchor
+    rel = points - anchor[:, None, :]
     # cross-product form: exactly zero for exact scalar multiples, no
     # normalization rounding before the comparison
-    cross = rel[:, 0] * d[1] - rel[:, 1] * d[0]
-    residual = float(np.max(np.abs(cross)) / span)
-    theta = math.atan2(d[1], d[0])
-    return residual, theta % math.pi, span
-
-
-def collinearity_residual(dataset: PlaneDataset) -> tuple[float, float]:
-    """(residual, direction) of the best line through the dataset.
-
-    residual is the maximum orthogonal distance from the spanning line; it is
-    exactly 0 for exactly collinear points.  direction is the angle (mod pi)
-    of the segment between the two most distant points.
-    """
-    residual, theta, _ = _spanning_line(dataset.points)
-    return residual, theta
+    cross = rel[..., 0] * d[:, None, 1] - rel[..., 1] * d[:, None, 0]
+    span = np.sqrt(span2)
+    equal = span2 == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        residual = np.where(equal, np.inf, np.max(np.abs(cross), axis=1) / span)
+    theta = np.where(equal, 0.0, np.arctan2(d[:, 1], d[:, 0]) % np.pi)
+    return residual, theta, span
 
 
 def perfect_fit_outcome(dataset) -> EvalOutcome | None:
@@ -377,9 +428,9 @@ def perfect_fit_outcome(dataset) -> EvalOutcome | None:
     that point and its gap the span plus one.
     """
     if isinstance(dataset, PlaneDataset):
-        residual, theta, span = _spanning_line(dataset.points)
-        if residual <= PERFECT_FIT_TOL:
-            return EvalOutcome.of(LineDirection(theta), span)
+        residual, theta, span = spanning_lines(dataset.points[None])
+        if residual[0] <= PERFECT_FIT_TOL:
+            return EvalOutcome.of(LineDirection(float(theta[0])), span[0])
         return None
     if isinstance(dataset, CircleDataset):
         spread = float(np.max(np.linalg.norm(dataset.points - dataset.points[0], axis=1)))
@@ -411,11 +462,11 @@ def evaluate(spec: DataMapSpec, x) -> EvalOutcome:
     """Dispatch a raw map evaluation."""
     kind = spec.kind
     if kind is MapKind.LS_LINE:
-        return eval_ls_line(x, spec)
+        return eval_ls_line(x)
     if kind is MapKind.PC_LINE:
-        return eval_pc_line(x, spec)
+        return eval_pc_line(x)
     if kind is MapKind.LAD_LINE:
-        return eval_lad_line(x, spec)
+        return eval_lad_line(x)
     if kind is MapKind.AUG_MEAN:
         return eval_augmented_mean(x, spec)
     if kind is MapKind.DISK_DECISION:
@@ -450,33 +501,43 @@ def evaluate_with_standard(spec: DataMapSpec, x) -> EvalOutcome:
 
 
 # ---------------------------------------------------------------------------
-# Batch kernels (used by the Monte-Carlo estimators)
+# Batch kernels: the line fitters over (m, n, 2) point batches
 # ---------------------------------------------------------------------------
+
+def _ls_moments(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Centered abscissae (m, n) and S_xx (m,) of a batch."""
+    x = points[..., 0]
+    xc = x - x.mean(axis=1, keepdims=True)
+    return xc, np.sum(xc * xc, axis=1)
+
 
 def ls_gap_batch(points: np.ndarray) -> np.ndarray:
     """sqrt(S_xx) for a batch of datasets, shape (m, n, 2) -> (m,)."""
-    x = points[..., 0]
-    xc = x - x.mean(axis=1, keepdims=True)
-    return np.sqrt(np.sum(xc * xc, axis=1))
+    return np.sqrt(_ls_moments(points)[1])
 
 
-def pc_gap_batch(points: np.ndarray) -> np.ndarray:
-    """Eigenvalue gap lambda_1 - lambda_2 for a batch, shape (m, n, 2) -> (m,)."""
+def _pc_moments(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a, b, gap) of a batch: a half the variance difference, b the
+    covariance (1/n normalization) and gap = 2 hypot(a, b) = lambda_1 - lambda_2."""
     centered = points - points.mean(axis=1, keepdims=True)
     n = points.shape[1]
     cxx = np.sum(centered[..., 0] ** 2, axis=1) / n
     cyy = np.sum(centered[..., 1] ** 2, axis=1) / n
     cxy = np.sum(centered[..., 0] * centered[..., 1], axis=1) / n
-    return 2.0 * np.hypot(0.5 * (cxx - cyy), cxy)
+    a = 0.5 * (cxx - cyy)
+    return a, cxy, 2.0 * np.hypot(a, cxy)
 
 
-def lad_gap_batch(points: np.ndarray) -> np.ndarray:
-    """Tie-gap (second-best minus best candidate objective) for a batch.
+def pc_gap_batch(points: np.ndarray) -> np.ndarray:
+    """Eigenvalue gap lambda_1 - lambda_2 for a batch, shape (m, n, 2) -> (m,)."""
+    return _pc_moments(points)[2]
 
-    Rows whose abscissae admit fewer than two candidate pairs get gap 0.
-    """
-    m, n, _ = points.shape
-    objs = []
+
+def _lad_candidates(points: np.ndarray):
+    """Yield (objective, slope), each (m,), of the line through every point
+    pair i < j in pair-index order; the objective is inf where the pair's
+    abscissae are equal."""
+    n = points.shape[1]
     x = points[..., 0]
     y = points[..., 1]
     for i in range(n):
@@ -486,16 +547,122 @@ def lad_gap_batch(points: np.ndarray) -> np.ndarray:
                 slope = (y[:, j] - y[:, i]) / dx
                 intercept = y[:, i] - slope * x[:, i]
                 obj = np.sum(np.abs(y - intercept[:, None] - slope[:, None] * x), axis=1)
-            obj = np.where(dx == 0.0, np.inf, obj)
-            objs.append(obj)
+            yield np.where(dx == 0.0, np.inf, obj), slope
+
+
+def lad_gap_batch(points: np.ndarray) -> np.ndarray:
+    """Tie-gap (second-best minus best candidate objective) for a batch.
+
+    Rows whose abscissae admit fewer than two candidate pairs get gap 0.
+    """
+    objs = [obj for obj, _ in _lad_candidates(points)]
     if len(objs) < 2:
-        return np.zeros(m)
-    objs = np.stack(objs, axis=1)
-    part = np.sort(objs, axis=1)
+        return np.zeros(points.shape[0])
+    part = np.sort(np.stack(objs, axis=1), axis=1)
     gap = part[:, 1] - part[:, 0]
     gap = np.where(np.isfinite(gap), gap, 0.0)
     return gap
 
+
+_COLLINEAR = REASON_CODES.index(UndefinedReason.COLLINEAR_PREDICTOR)
+_EIGEN_TIE = REASON_CODES.index(UndefinedReason.EIGENVALUE_TIE)
+_OBJECTIVE_TIE = REASON_CODES.index(UndefinedReason.OBJECTIVE_TIE)
+
+
+def _ls_batch(points):
+    xc, s_xx = _ls_moments(points)
+    y = points[..., 1]
+    s_xy = np.sum(xc * (y - y.mean(axis=1, keepdims=True)), axis=1)
+    undefined = s_xx == 0.0
+    angle = np.arctan(s_xy / s_xx) % np.pi
+    return angle, np.sqrt(s_xx), np.where(undefined, _COLLINEAR, 0)
+
+
+def _pc_batch(points):
+    a, b, gap = _pc_moments(points)
+    angle = (0.5 * np.arctan2(2.0 * b, 2.0 * a)) % np.pi
+    return angle, gap, np.where(gap <= TIE_TOL, _EIGEN_TIE, 0)
+
+
+def _lad_batch(points):
+    objs, slopes = (np.stack(c, axis=1) for c in zip(*_lad_candidates(points)))
+    rows = np.arange(objs.shape[0])
+    count = np.sum(np.isfinite(objs), axis=1)
+    # stable order, as the scalar map sorts: the first minimum is the best
+    # candidate, the first minimum of the rest the second best
+    best = np.argmin(objs, axis=1)
+    rest = np.where(np.arange(objs.shape[1]) == best[:, None], np.inf, objs)
+    second = np.argmin(rest, axis=1)
+    angle = np.arctan(slopes[rows, best]) % np.pi
+    gap = np.where(count >= 2, rest[rows, second] - objs[rows, best], 0.0)
+    d = np.abs(angle - np.arctan(slopes[rows, second]) % np.pi) % np.pi
+    tie = (count >= 2) & (gap <= TIE_TOL) & (np.minimum(d, np.pi - d) > TIE_TOL)
+    reason = np.where(count == 0, _COLLINEAR, np.where(tie, _OBJECTIVE_TIE, 0))
+    return angle, gap, reason
+
+
+_BATCH_FITTERS = {MapKind.LS_LINE: _ls_batch, MapKind.PC_LINE: _pc_batch, MapKind.LAD_LINE: _lad_batch}
+
+
+def _as_plane_batch(points) -> np.ndarray:
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 3 or points.shape[2] != 2:
+        raise ContractViolation(f"a plane dataset batch has shape (m, n, 2), got {points.shape}")
+    if points.shape[1] < 2:
+        raise ContractViolation("line fitting needs n >= 2")
+    return points
+
+
+def evaluate_batch(spec: DataMapSpec, points) -> BatchOutcome:
+    """The raw LS, PC or LAD line fitter on a batch of plane datasets (m, n, 2).
+
+    Row by row this is ``evaluate``: the same Defined mask and reasons, and
+    angles and gaps equal up to rounding.
+    """
+    if spec.kind not in _BATCH_FITTERS:
+        raise ContractViolation(f"no batch kernel for {spec.kind.value}")
+    points = _as_plane_batch(points)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        angle, gap, reason = _BATCH_FITTERS[spec.kind](points)
+    defined = reason == 0
+    return BatchOutcome(
+        angle=np.where(defined, angle, np.nan),
+        gap=np.where(defined, gap, 0.0),
+        reason=reason.astype(np.int8),
+        period=math.pi,
+    )
+
+
+def standard_batch(points) -> BatchOutcome:
+    """The calibration standard on a batch of plane datasets (m, n, 2).
+
+    Every row must span a unique line exactly; otherwise NotPerfectFitError.
+    """
+    residual, theta, span = spanning_lines(_as_plane_batch(points))
+    if not np.all(residual <= PERFECT_FIT_TOL):
+        raise NotPerfectFitError("a dataset of the batch is not an exact perfect fit")
+    return BatchOutcome(angle=theta, gap=span, reason=np.zeros(len(theta), dtype=np.int8),
+                        period=math.pi)
+
+
+def evaluate_with_standard_batch(spec: DataMapSpec, points) -> BatchOutcome:
+    """``evaluate_with_standard`` for a line fitter on a batch (m, n, 2):
+    exact perfect fits get the standard, the other rows the raw fitter."""
+    points = _as_plane_batch(points)
+    residual, theta, span = spanning_lines(points)
+    perfect = residual <= PERFECT_FIT_TOL
+    raw = evaluate_batch(spec, points)
+    return BatchOutcome(
+        angle=np.where(perfect, theta, raw.angle),
+        gap=np.where(perfect, span, raw.gap),
+        reason=np.where(perfect, 0, raw.reason).astype(np.int8),
+        period=math.pi,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Augmented mean over angle batches
+# ---------------------------------------------------------------------------
 
 def aug_mean_resultant(angles: np.ndarray, spec: DataMapSpec) -> tuple[np.ndarray, np.ndarray]:
     """Resultant sum_i w_i (cos phi_i, sin phi_i) + w0 * a of angle

@@ -11,11 +11,11 @@ cells drawn as dots.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from singlab.datamaps import DataMapSpec, EvalOutcome, evaluate
+from singlab.datamaps import BatchMap, DataMapSpec, EvalOutcome, evaluate_batch
 from singlab.geometry import (
     CirclePoint,
     ContractViolation,
@@ -23,6 +23,7 @@ from singlab.geometry import (
     LineDirection,
     PlaneDataset,
 )
+from singlab.topology import Loop
 
 SVG_SIZE_PX = 640  # width and height of line-field plots
 
@@ -66,35 +67,52 @@ class SliceSpec:
         if self.grid_resolution < 4:
             raise ContractViolation("grid_resolution must be >= 4")
 
+    def _boundary_points(self, psi: np.ndarray) -> np.ndarray:
+        """Points (m, n, 2) of the boundary datasets at boundary angles psi (m,)."""
+        directions = np.stack([np.cos(psi), np.sin(psi)], axis=-1)
+        return np.asarray(self.spread)[:, None] * directions[:, None, :]
+
     def boundary_family(self, psi: float) -> PlaneDataset:
         """The exactly collinear boundary dataset at boundary angle psi."""
-        v = np.array([math.cos(psi), math.sin(psi)])
-        return PlaneDataset(np.outer(np.asarray(self.spread), v))
+        return PlaneDataset(self._boundary_points(np.array([psi]))[0])
+
+    def datasets_at(self, us, allow_outside_disk: bool = False) -> np.ndarray:
+        """Embed slice parameters (m, 2) into data space, points (m, n, 2).
+
+        E(u) = (1 - |u|) * center + spread (x) u: the polar form (1 - r) *
+        center + r * w(psi) without trigonometry, smooth at u = 0.  The
+        affine formula extends to all of R^2; by default inputs outside the
+        closed unit disk are rejected.
+        """
+        us = np.asarray(us, dtype=float)
+        if us.ndim != 2 or us.shape[1] != 2 or not np.all(np.isfinite(us)):
+            raise ContractViolation("slice parameters must be finite 2-vectors")
+        r = np.linalg.norm(us, axis=1)
+        if not allow_outside_disk and np.any(r > 1.0 + 1e-12):
+            raise DomainError(f"slice parameter outside the unit disk, |u| = {float(r.max())}")
+        spread = np.asarray(self.spread)[:, None]
+        return (1.0 - r)[:, None, None] * self.center_config.points + spread * us[:, None, :]
 
     def dataset_at(self, u, allow_outside_disk: bool = False) -> PlaneDataset:
-        """Embed a slice parameter into data space.
-
-        The affine formula extends to all of R^2; by default inputs outside
-        the closed unit disk are rejected.
-        """
+        """Embed one slice parameter into data space (see ``datasets_at``)."""
         u = np.asarray(u, dtype=float)
-        if u.shape != (2,) or not np.all(np.isfinite(u)):
+        if u.shape != (2,):
             raise ContractViolation("slice parameter must be a finite 2-vector")
-        r = float(np.linalg.norm(u))
-        if r > 1.0 + 1e-12 and not allow_outside_disk:
-            raise DomainError(f"slice parameter outside the unit disk, |u| = {r}")
-        psi = math.atan2(u[1], u[0])
-        w = np.outer(np.asarray(self.spread), np.array([math.cos(psi), math.sin(psi)]))
-        return PlaneDataset((1.0 - r) * self.center_config.points + r * w)
+        return PlaneDataset(self.datasets_at(u[None], allow_outside_disk)[0])
 
 
-def boundary_loop(spec: SliceSpec, m: int):
+def slice_map(spec: SliceSpec, map_spec: DataMapSpec) -> BatchMap:
+    """The batched slice evaluator: slice parameters (m, 2) -> the map's
+    outcomes on their datasets, one kernel call per batch.  Parameters
+    outside the unit disk use the extended affine formula."""
+    return BatchMap(lambda us: evaluate_batch(map_spec, spec.datasets_at(us, allow_outside_disk=True)))
+
+
+def boundary_loop(spec: SliceSpec, m: int) -> Loop:
     """m equally spaced boundary datasets; every sample is a perfect fit."""
-    from singlab.topology import Loop
-
     if m < 3:
         raise ContractViolation("a loop needs at least 3 samples")
-    return Loop([spec.boundary_family(2.0 * math.pi * k / m) for k in range(m)])
+    return Loop(spec._boundary_points(2.0 * math.pi * np.arange(m) / m), PlaneDataset)
 
 
 @dataclass
@@ -143,8 +161,8 @@ def render_lf_field(
     outcomes are recorded and rendered as dots.  Output ordering is row-major.
     """
     us = polar_grid(spec.grid_resolution)
-    outcomes = [evaluate(map_spec, spec.dataset_at(u)) for u in us]
-    grid = GridField(us=us, outcomes=outcomes)
+    batch = evaluate_batch(map_spec, spec.datasets_at(us))
+    grid = GridField(us=us, outcomes=[batch.outcome(i) for i in range(len(us))])
     if csv_path is not None:
         write_field_csv(grid, csv_path)
     if svg_path is not None:

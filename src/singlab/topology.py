@@ -6,7 +6,9 @@ extension to the region the loop bounds, so it certifies a singularity
 inside.  Degrees are computed by a continuous angle lift over loop samples;
 an edge whose endpoint features are further apart than a quarter period is
 bisected until the short-arc condition holds, and the tool reports
-INCONCLUSIVE rather than an uncertifiable integer.
+INCONCLUSIVE rather than an uncertifiable integer.  Loops are evaluated in
+batches: all samples at once, then the midpoints of one bisection depth at
+a time.
 """
 
 from __future__ import annotations
@@ -16,14 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from singlab.datamaps import REASON_CODES, BatchMap, BatchOutcome
 from singlab.geometry import (
     CircleDataset,
     CirclePoint,
     ContractViolation,
     Feature,
     LineDirection,
-    PlaneDataset,
-    feature_distance,
 )
 
 # An edge certifies short when its endpoint features are less than this
@@ -45,26 +46,45 @@ class UnsupportedFeatureError(TypeError):
     """The feature variant carries no winding (decisions, scalars)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Loop:
     """Closed polygonal loop of >= 3 samples; closure is implied, the first
-    sample is never duplicated at the end."""
+    sample is never duplicated at the end.
 
-    samples: tuple
+    The samples are stacked in one array: vectors (m, d), or the points
+    (m, n, 2) of datasets of class ``sample_type``.  A sequence of vectors
+    or of datasets of one class is stacked on construction.
+    """
+
+    points: np.ndarray
+    sample_type: type | None = None
 
     def __post_init__(self):
-        samples = tuple(self.samples)
-        if len(samples) < 3:
+        points, sample_type = self.points, self.sample_type
+        if not isinstance(points, np.ndarray):
+            points = list(points)
+            if points and hasattr(points[0], "points"):
+                sample_type = type(points[0])
+                points = [s.points for s in points]
+        points = np.array(points, dtype=float)
+        if points.ndim < 2 or len(points) < 3:
             raise ContractViolation("a loop needs at least 3 samples")
-        for a, b in zip(samples, samples[1:] + samples[:1]):
-            pa = a.points if hasattr(a, "points") else np.asarray(a)
-            pb = b.points if hasattr(b, "points") else np.asarray(b)
-            if np.array_equal(pa, pb):
-                raise ContractViolation("consecutive loop samples must be distinct")
-        object.__setattr__(self, "samples", samples)
+        steps = (points != np.roll(points, -1, axis=0)).reshape(len(points), -1)
+        if not steps.any(axis=1).all():
+            raise ContractViolation("consecutive loop samples must be distinct")
+        points.flags.writeable = False
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "sample_type", sample_type)
+
+    @property
+    def samples(self) -> tuple:
+        """The samples, as vectors or as ``sample_type`` datasets."""
+        if self.sample_type is None:
+            return tuple(self.points)
+        return tuple(self.sample_type(p) for p in self.points)
 
     def __len__(self):
-        return len(self.samples)
+        return len(self.points)
 
 
 @dataclass(frozen=True)
@@ -72,13 +92,15 @@ class WindingReport:
     """Certified degree of a feature-valued map along a loop.
 
     degree counts half turns for line directions and full turns for circle
-    points.  min_gap is the smallest singularity gap seen at any sample.
+    points.  min_gap is the smallest singularity gap seen at any sample, and
+    max_depth the deepest bisection level used (0 when no edge was bisected).
     """
 
     degree: int
     samples_used: int
     min_gap: float
     refined: bool
+    max_depth: int = 0
 
 
 def _angle_of(feature: Feature) -> tuple[float, float]:
@@ -102,69 +124,106 @@ def _wrap_increment(delta: float, period: float) -> float:
     return delta
 
 
-def midpoint_interpolate(p, q):
-    """Default edge bisection: pointwise affine midpoint.
+def _wrap_increments(delta: np.ndarray, period: float) -> np.ndarray:
+    """``_wrap_increment`` over an array, with the same arithmetic."""
+    delta = np.fmod(delta, period)
+    delta = np.where(delta > 0.5 * period, delta - period, delta)
+    return np.where(delta <= -0.5 * period, delta + period, delta)
 
-    Works for slice parameters (2-vectors) and plane datasets; circle
-    datasets are bisected along per-point geodesics.
+
+def midpoint_interpolate(p: np.ndarray, q: np.ndarray, sample_type: type | None = None) -> np.ndarray:
+    """Edge bisection of stacked samples: pointwise affine midpoints.
+
+    Works for vectors and plane datasets; circle datasets are bisected
+    along per-point geodesics.
     """
-    if isinstance(p, PlaneDataset):
-        return PlaneDataset(0.5 * (p.points + q.points))
-    if isinstance(p, CircleDataset):
-        mid = 0.5 * (p.points + q.points)
-        norms = np.linalg.norm(mid, axis=1, keepdims=True)
+    mid = 0.5 * (p + q)
+    if sample_type is CircleDataset:
+        norms = np.linalg.norm(mid, axis=-1, keepdims=True)
         if np.any(norms < 1e-9):
             raise ContractViolation("cannot bisect between antipodal circle points")
-        return CircleDataset(mid / norms)
-    return 0.5 * (np.asarray(p, dtype=float) + np.asarray(q, dtype=float))
+        return mid / norms
+    return mid
+
+
+def _pointwise(fn, sample_type: type | None) -> BatchMap:
+    """A scalar EvalOutcome callable as a batch map, called sample by sample."""
+
+    def batch(points: np.ndarray) -> BatchOutcome:
+        m = len(points)
+        angle, gap = np.full(m, np.nan), np.zeros(m)
+        reason = np.zeros(m, dtype=np.int8)
+        period = math.pi
+        for k, p in enumerate(points):
+            outcome = fn(p if sample_type is None else sample_type(p))
+            if outcome.defined:
+                angle[k], period = _angle_of(outcome.feature)
+                gap[k] = outcome.gap
+            else:
+                reason[k] = REASON_CODES.index(outcome.reason)
+        return BatchOutcome(angle=angle, gap=gap, reason=reason, period=period)
+
+    return BatchMap(batch)
 
 
 def winding_number(loop: Loop, evaluate_fn) -> WindingReport:
     """Degree of a feature-valued map along a closed loop.
 
-    evaluate_fn maps a loop sample to an EvalOutcome, and every sample must
-    be Defined.  An edge whose endpoint features are at least STEP_FRACTION
-    of a period apart is bisected by ``midpoint_interpolate`` up to
-    MAX_REFINE times before the computation is declared inconclusive.
+    evaluate_fn is a BatchMap over the loop's stacked samples, or a callable
+    mapping one sample to an EvalOutcome, which is then called sample by
+    sample.  Every evaluated point must be Defined.  An edge whose endpoint
+    features are at least STEP_FRACTION of a period apart is bisected by
+    ``midpoint_interpolate`` up to MAX_REFINE times before the computation
+    is declared inconclusive.
+
+    The bisection runs level by level: one evaluation for all loop samples,
+    then one per depth for the midpoints of every edge not yet short.  It
+    evaluates exactly the points a depth-first bisection would, so a
+    certified degree, samples_used, refined and max_depth do not depend on
+    the order.  On a loop that fails, the order decides the error: an
+    Undefined midpoint at any depth raises LoopHitsSingularityError before an
+    edge that reaches depth MAX_REFINE raises InconclusiveDegreeError.
     """
-    state = {"samples": 0, "min_gap": math.inf, "refined": False}
+    if not isinstance(evaluate_fn, BatchMap):
+        evaluate_fn = _pointwise(evaluate_fn, loop.sample_type)
+    samples_used = 0
+    min_gap = math.inf
 
-    def eval_at(point) -> Feature:
-        outcome = evaluate_fn(point)
-        if not outcome.defined:
-            raise LoopHitsSingularityError(
-                f"loop sample evaluated Undefined ({outcome.reason.value})"
-            )
-        state["samples"] += 1
-        state["min_gap"] = min(state["min_gap"], outcome.gap)
-        return outcome.feature
+    def evaluate(points: np.ndarray) -> BatchOutcome:
+        nonlocal samples_used, min_gap
+        outcome = evaluate_fn(points)
+        undefined = np.flatnonzero(outcome.reason)
+        if undefined.size:
+            reason = REASON_CODES[outcome.reason[undefined[0]]]
+            raise LoopHitsSingularityError(f"loop sample evaluated Undefined ({reason.value})")
+        samples_used += len(points)
+        min_gap = min(min_gap, float(np.min(outcome.gap)))
+        return outcome
 
-    points = list(loop.samples)
-    features = [eval_at(p) for p in points]
-    _, period = _angle_of(features[0])
+    outcome = evaluate(loop.points)
+    period = outcome.period
     threshold = STEP_FRACTION * period
-
-    def lift_edge(p_a, f_a, p_b, f_b, depth) -> float:
-        if feature_distance(f_a, f_b) < threshold:
-            a, _ = _angle_of(f_a)
-            b, _ = _angle_of(f_b)
-            return _wrap_increment(b - a, period)
+    # the open edges: endpoints p_a -> p_b with their feature angles
+    p_a, a = loop.points, outcome.angle
+    p_b, b = np.roll(p_a, -1, axis=0), np.roll(a, -1)
+    total = 0.0
+    depth = 0
+    while True:
+        d = np.abs(b - a) % period
+        short = np.minimum(d, period - d) < threshold
+        total += float(np.sum(_wrap_increments(b[short] - a[short], period)))
+        if short.all():
+            break
         if depth >= MAX_REFINE:
             raise InconclusiveDegreeError(
                 f"edge not short-arc after {MAX_REFINE} bisections"
             )
-        state["refined"] = True
-        p_m = midpoint_interpolate(p_a, p_b)
-        f_m = eval_at(p_m)
-        return lift_edge(p_a, f_a, p_m, f_m, depth + 1) + lift_edge(
-            p_m, f_m, p_b, f_b, depth + 1
-        )
-
-    total = 0.0
-    m = len(points)
-    for i in range(m):
-        j = (i + 1) % m
-        total += lift_edge(points[i], features[i], points[j], features[j], 0)
+        split = ~short
+        p_a, a, p_b, b = p_a[split], a[split], p_b[split], b[split]
+        p_m = midpoint_interpolate(p_a, p_b, loop.sample_type)
+        m = evaluate(p_m).angle
+        depth += 1
+        p_a, a, p_b, b = (np.concatenate(pair) for pair in ((p_a, p_m), (a, m), (p_m, p_b), (m, b)))
 
     degree = round(total / period)
     if abs(total - degree * period) > 1e-6 * period:
@@ -173,9 +232,10 @@ def winding_number(loop: Loop, evaluate_fn) -> WindingReport:
         )
     return WindingReport(
         degree=int(degree),
-        samples_used=state["samples"],
-        min_gap=state["min_gap"],
-        refined=state["refined"],
+        samples_used=samples_used,
+        min_gap=min_gap,
+        refined=depth > 0,
+        max_depth=depth,
     )
 
 
@@ -209,19 +269,13 @@ def rectangle_loop(center, half_widths, samples_per_edge: int) -> Loop:
     """Counterclockwise samples along the boundary of an axis-aligned box."""
     cx, cy = center
     hx, hy = half_widths
-    corners = [
-        (cx - hx, cy - hy),
-        (cx + hx, cy - hy),
-        (cx + hx, cy + hy),
-        (cx - hx, cy + hy),
-    ]
-    pts = []
-    for k in range(4):
-        a = np.asarray(corners[k], dtype=float)
-        b = np.asarray(corners[(k + 1) % 4], dtype=float)
-        for t in np.arange(samples_per_edge) / samples_per_edge:
-            pts.append(a + t * (b - a))
-    return Loop(tuple(pts))
+    corners = np.array(
+        [(cx - hx, cy - hy), (cx + hx, cy - hy), (cx + hx, cy + hy), (cx - hx, cy + hy)],
+        dtype=float,
+    )
+    edges = np.roll(corners, -1, axis=0) - corners
+    t = (np.arange(samples_per_edge) / samples_per_edge)[None, :, None]
+    return Loop((corners[:, None, :] + t * edges[:, None, :]).reshape(-1, 2))
 
 
 # Deterministic jitter ladder for subdivision cross-hairs, as fractions of
@@ -246,6 +300,10 @@ def localize_singularities(
     samples_per_edge: int = 32,
 ) -> list[LocalizerBox]:
     """Recursive quadtree localization of degree-carrying singularities.
+
+    outcome_fn is a BatchMap over slice parameters (k, 2), such as
+    ``slices.slice_map``, or a callable u -> EvalOutcome (evaluated point by
+    point, so slower).
 
     The region square is subdivided while its boundary winding is nonzero;
     children with zero degree are dropped, and boxes reaching half_width <=

@@ -8,6 +8,11 @@ import sys
 import pytest
 
 import singlab
+import singlab.cli
+import singlab.datamaps
+import singlab.metrics
+import singlab.slices
+import singlab.topology
 
 from singlab.cli import EXIT_INCONCLUSIVE, EXIT_OK, EXIT_SCHEMA, main
 
@@ -54,7 +59,34 @@ def test_winding_report(tmp_path):
     assert run(["winding", "--target", "standard", "--samples", "64"], tmp_path) == EXIT_OK
     payload = json.loads((tmp_path / "winding.json").read_text())
     assert payload["result"]["degree"] == 2
+    assert payload["result"]["max_depth"] == 0
     assert payload["config"]["samples"] == 64
+    # 5 boundary samples step 2 pi / 5 in the lift: every edge is bisected once
+    assert run(["winding", "--target", "standard", "--samples", "5"], tmp_path) == EXIT_OK
+    result = json.loads((tmp_path / "winding.json").read_text())["result"]
+    assert (result["degree"], result["samples_used"], result["max_depth"]) == (2, 10, 1)
+
+
+def test_certify_commands_stay_batched(tmp_path, monkeypatch):
+    # localize, winding and lfplot evaluate whole batches: a fall back to
+    # per-sample evaluation or slice embedding would hit these
+    def scalar_path(*args, **kwargs):
+        raise AssertionError("scalar evaluation on a batched path")
+
+    scalar_evaluate = singlab.datamaps.evaluate
+    for module in (singlab.datamaps, singlab.cli, singlab.metrics, singlab.slices, singlab.topology):
+        if getattr(module, "evaluate", None) is scalar_evaluate:
+            monkeypatch.setattr(module, "evaluate", scalar_path)
+    monkeypatch.setattr(singlab.slices.SliceSpec, "dataset_at", scalar_path)
+    runs = [
+        (["localize", "--map", "pc", "--eps", "0.01"], EXIT_OK),
+        (["localize", "--map", "lad", "--eps", "0.01"], EXIT_INCONCLUSIVE),
+        (["winding", "--target", "ls", "--shrink", "0.999", "--samples", "256"], EXIT_OK),
+        (["winding", "--target", "standard", "--samples", "64"], EXIT_OK),
+        (["lfplot", "--map", "lad", "--grid-resolution", "8"], EXIT_OK),
+    ]
+    for args, code in runs:
+        assert run(args, tmp_path) == code, args
 
 
 def test_localize_pc_report(tmp_path):

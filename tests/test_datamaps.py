@@ -95,7 +95,7 @@ def test_pc_horizontal():
 
 
 def test_pc_equilateral_tie():
-    out = eval_pc_line(EQUILATERAL, PC)
+    out = eval_pc_line(EQUILATERAL)
     assert not out.defined
     assert out.reason is UndefinedReason.EIGENVALUE_TIE
 

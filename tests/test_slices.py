@@ -8,9 +8,9 @@ import pytest
 from singlab.datamaps import (
     DataMapSpec,
     MapKind,
-    collinearity_residual,
     eval_perfect_fit_standard,
     ls_stats,
+    spanning_lines,
 )
 from singlab.geometry import ContractViolation, DomainError, PlaneDataset
 from singlab.slices import (
@@ -73,9 +73,9 @@ def test_boundary_loop_angles():
 
 def test_boundary_loop_exactly_collinear():
     loop = boundary_loop(SPEC, 64)
+    residual, _, _ = spanning_lines(loop.points)
+    assert np.all(residual == 0.0)  # exactly zero, not just small
     for sample in loop.samples:
-        residual, _ = collinearity_residual(sample)
-        assert residual == 0.0  # exactly zero, not just small
         eval_perfect_fit_standard(sample)
 
 

@@ -73,6 +73,7 @@ def test_boundary_sigma_winding_is_two():
     assert report.degree == 2
     assert report.min_gap > 0
     assert not report.refined
+    assert report.max_depth == 0
 
 
 def test_constant_loop_degree_zero():
@@ -100,6 +101,7 @@ def test_refinement_kicks_in_on_coarse_loops():
     assert report.degree == 2
     assert report.refined
     assert report.samples_used > 5
+    assert report.max_depth >= 1
 
 
 def test_loop_not_enclosing_singularity_is_zero():
