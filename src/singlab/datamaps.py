@@ -1,13 +1,16 @@
 """The concrete data maps: line fitters, circle location, toy decision rules.
 
-Every map returns an :class:`EvalOutcome` carrying either a feature or a
-reason it is undefined, plus a nonnegative ``gap`` that vanishes exactly on
-the map's (surrogate) singular surface.  ``evaluate_with_standard`` wraps a
-map with the calibration standard: exact perfect fits are answered by the
-canonical feature, which extends the fitters continuously through inputs
-(vertical lines) the raw formulas cannot represent.  ``evaluate_batch`` and
-the batched standard run the line fitters over (m, n, 2) point batches,
-returning a :class:`BatchOutcome` of angle, gap and reason arrays.
+``evaluate_batch`` runs every map, on inputs stacked along a first axis, and
+returns a :class:`BatchOutcome` of value, gap and reason arrays; each map's
+formula lives in one kernel there (the ``*_gap_batch`` functions compute
+gaps alone for the Monte-Carlo estimators).  ``evaluate`` is its one-row
+case: an :class:`EvalOutcome` carrying either a feature or a reason it is
+undefined, plus a nonnegative ``gap`` that vanishes exactly on the map's
+(surrogate) singular surface.  ``evaluate_with_standard`` wraps a map with the
+calibration standard: exact perfect fits are answered by the canonical
+feature, which extends the fitters continuously through inputs (vertical
+lines) the raw formulas cannot represent; the batched standard does the same
+for the line fitters over (m, n, 2) point batches.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from singlab.geometry import (
     LineDirection,
     PlaneDataset,
     ScalarValue,
+    reduce_mod_pi,
 )
 
 PERFECT_FIT_TOL = 1e-10
@@ -97,21 +101,30 @@ class EvalOutcome:
 # k > 0 is REASON_CODES[k].
 REASON_CODES = (None, *UndefinedReason)
 
+# The period of each angle-valued feature variant.
+_PERIODS = {LineDirection: math.pi, CirclePoint: 2.0 * math.pi}
+
 
 @dataclass(frozen=True)
 class BatchOutcome:
     """Outcomes of one map on a batch of inputs, as arrays.
 
-    ``angle`` (m,) is the feature angle mod ``period`` (pi for line
-    directions, 2 pi for circle points) and NaN where undefined; ``gap``
-    (m,) is the map's gap, 0 where undefined; ``reason`` (m,) holds
-    REASON_CODES indices, 0 where defined.
+    ``value`` (m,) holds each Defined row's feature of variant ``feature`` as
+    a number: the angle mod pi of a LineDirection, the angle of a
+    CirclePoint, the bit of a Decision or the value of a ScalarValue; it is
+    NaN where undefined.  ``gap`` (m,) is the map's gap, 0 where undefined;
+    ``reason`` (m,) holds REASON_CODES indices, 0 where defined.
     """
 
-    angle: np.ndarray
+    value: np.ndarray
     gap: np.ndarray
     reason: np.ndarray
-    period: float
+    feature: type
+
+    @property
+    def period(self) -> float | None:
+        """The angle period (pi or 2 pi), None for decisions and scalars."""
+        return _PERIODS.get(self.feature)
 
     @property
     def defined(self) -> np.ndarray:
@@ -122,10 +135,10 @@ class BatchOutcome:
         code = int(self.reason[i])
         if code:
             return EvalOutcome.undefined(REASON_CODES[code])
-        angle = float(self.angle[i])
-        if self.period == math.pi:
-            return EvalOutcome.of(LineDirection(angle), self.gap[i])
-        return EvalOutcome.of(CirclePoint((math.cos(angle), math.sin(angle))), self.gap[i])
+        value = float(self.value[i])
+        if self.feature is CirclePoint:
+            return EvalOutcome.of(CirclePoint((math.cos(value), math.sin(value))), self.gap[i])
+        return EvalOutcome.of(self.feature(value), self.gap[i])
 
 
 @dataclass(frozen=True)
@@ -191,155 +204,33 @@ def concentrated_preset(n: int) -> DataMapSpec:
 
 
 # ---------------------------------------------------------------------------
-# Least-squares line
-# ---------------------------------------------------------------------------
-
-def ls_stats(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Centered second moments (S_xx, S_xy) of a point batch."""
-    xc = x - x.mean()
-    return float(np.dot(xc, xc)), float(np.dot(xc, y - y.mean()))
-
-
-def eval_ls_line(dataset: PlaneDataset) -> EvalOutcome:
-    """Slope direction of the y-on-x least-squares line.
-
-    gap = sqrt(S_xx): the exact R^{2n} distance to the collinear-predictor
-    surface {all abscissae equal}, on which the map is undefined.
-    """
-    if dataset.n < 2:
-        raise ContractViolation("line fitting needs n >= 2")
-    s_xx, s_xy = ls_stats(dataset.x, dataset.y)
-    if s_xx == 0.0:
-        return EvalOutcome.undefined(UndefinedReason.COLLINEAR_PREDICTOR)
-    slope = s_xy / s_xx
-    return EvalOutcome.of(LineDirection(math.atan(slope)), math.sqrt(s_xx))
-
-
-# ---------------------------------------------------------------------------
-# Principal-component line
-# ---------------------------------------------------------------------------
-
-def covariance_2x2(points: np.ndarray) -> np.ndarray:
-    """Covariance with 1/n normalization."""
-    centered = points - points.mean(axis=0)
-    return centered.T @ centered / points.shape[0]
-
-
-def eval_pc_line(dataset: PlaneDataset) -> EvalOutcome:
-    """Leading eigenvector direction of the covariance; gap = eigenvalue gap."""
-    if dataset.n < 2:
-        raise ContractViolation("line fitting needs n >= 2")
-    c = covariance_2x2(dataset.points)
-    a = 0.5 * (c[0, 0] - c[1, 1])
-    b = c[0, 1]
-    gap = 2.0 * math.hypot(a, b)  # lambda_1 - lambda_2
-    if gap <= TIE_TOL:
-        return EvalOutcome.undefined(UndefinedReason.EIGENVALUE_TIE)
-    theta = 0.5 * math.atan2(2.0 * b, 2.0 * a)
-    return EvalOutcome.of(LineDirection(theta), gap)
-
-
-# ---------------------------------------------------------------------------
-# Least-absolute-deviation line
-# ---------------------------------------------------------------------------
-
-def lad_candidates(dataset: PlaneDataset) -> list[tuple[float, float, float]]:
-    """All (objective, intercept, slope) for lines through point pairs with
-    distinct abscissae, in pair-index order."""
-    pts = dataset.points
-    out = []
-    for i in range(dataset.n):
-        for j in range(i + 1, dataset.n):
-            dx = pts[j, 0] - pts[i, 0]
-            if dx == 0.0:
-                continue
-            slope = (pts[j, 1] - pts[i, 1]) / dx
-            intercept = pts[i, 1] - slope * pts[i, 0]
-            obj = float(np.sum(np.abs(pts[:, 1] - intercept - slope * pts[:, 0])))
-            out.append((obj, intercept, slope))
-    return out
-
-
-def eval_lad_line(dataset: PlaneDataset) -> EvalOutcome:
-    """L1 regression by exact pair enumeration.
-
-    An optimal L1 line passes through two data points, so enumerating every
-    pair with distinct abscissae is exact at desk scale.  gap is the margin
-    between the two best objectives; a tie only counts as a singularity when
-    the tied candidates disagree in direction.
-    """
-    if dataset.n < 2:
-        raise ContractViolation("line fitting needs n >= 2")
-    cands = lad_candidates(dataset)
-    if not cands:
-        return EvalOutcome.undefined(UndefinedReason.COLLINEAR_PREDICTOR)
-    order = sorted(range(len(cands)), key=lambda k: cands[k][0])
-    best = cands[order[0]]
-    feature = LineDirection(math.atan(best[2]))
-    if len(cands) == 1:
-        return EvalOutcome.of(feature, 0.0)
-    gap = cands[order[1]][0] - best[0]
-    if gap <= TIE_TOL:
-        tied_dir = LineDirection(math.atan(cands[order[1]][2]))
-        from singlab.geometry import feature_distance
-
-        if feature_distance(feature, tied_dir) > TIE_TOL:
-            return EvalOutcome.undefined(UndefinedReason.OBJECTIVE_TIE)
-    return EvalOutcome.of(feature, gap)
-
-
-# ---------------------------------------------------------------------------
-# Augmented directional mean
-# ---------------------------------------------------------------------------
-
-def resultant(dataset: CircleDataset, spec: DataMapSpec) -> np.ndarray:
-    w = np.asarray(spec.weights, dtype=float)
-    if w.shape[0] != dataset.n:
-        raise ContractViolation(f"{w.shape[0]} weights for {dataset.n} points")
-    return w @ dataset.points + spec.w0 * np.asarray(spec.aug_point)
-
-
-def eval_augmented_mean(dataset: CircleDataset, spec: DataMapSpec) -> EvalOutcome:
-    """Normalized weighted resultant, augmented by a fixed pseudo-observation.
-
-    gap = |resultant|; the map is undefined when the resultant vanishes.
-    """
-    if dataset.n < 1:
-        raise ContractViolation("augmented mean needs n >= 1")
-    rho = resultant(dataset, spec)
-    norm = float(np.linalg.norm(rho))
-    if norm <= TIE_TOL:
-        return EvalOutcome.undefined(UndefinedReason.ZERO_RESULTANT)
-    return EvalOutcome.of(CirclePoint(rho / norm), norm)
-
-
-# ---------------------------------------------------------------------------
 # Disk decision rule
 # ---------------------------------------------------------------------------
 
-def eval_disk_decision(x, spec: DataMapSpec) -> EvalOutcome:
-    """Decide whether x lies strictly inside the disk; gap = |dist - R|.
+def eval_disk_decision(x: np.ndarray, spec: DataMapSpec):
+    """Kernel of DISK_DECISION on points (m, 2): bit 1 strictly inside the
+    disk, gap = |dist - R|.
 
-    Boundary points return Decision(0) with gap 0: the singular set is the
+    Boundary points get bit 0 with gap 0: the singular set is the
     measure-zero circle itself.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (2,) or not np.all(np.isfinite(x)):
+    if x.ndim != 2 or x.shape[1] != 2 or not np.all(np.isfinite(x)):
         raise ContractViolation("disk decision input must be a finite 2-vector")
-    d = float(np.linalg.norm(x - np.asarray(spec.center)))
-    bit = 1 if d < spec.radius else 0
-    return EvalOutcome.of(Decision(bit), abs(d - spec.radius))
+    d = np.linalg.norm(x - np.asarray(spec.center), axis=1)
+    return (d < spec.radius).astype(float), np.abs(d - spec.radius), np.zeros(len(d), dtype=np.int8)
 
 
 # ---------------------------------------------------------------------------
 # Radial oscillator
 # ---------------------------------------------------------------------------
 
-def oscillator_f(t: float) -> float:
-    """f(t) = log(-log(t / e)) on (0, 1]; f(1) = 0, increasing as t drops."""
-    if not 0.0 < t <= 1.0:
-        raise DomainError(f"f is defined on (0, 1], got {t}")
-    return math.log(1.0 - math.log(t))
+def oscillator_f(t):
+    """f(t) = log(-log(t / e)) on (0, 1], elementwise; f(1) = 0, increasing as t drops."""
+    t = np.asarray(t, dtype=float)
+    inside = (0.0 < t) & (t <= 1.0)
+    if not np.all(inside):
+        raise DomainError(f"f is defined on (0, 1], got {t[~inside].flat[0]}")
+    return np.log(1.0 - np.log(t))
 
 
 def oscillator_t(n: int) -> float:
@@ -349,17 +240,15 @@ def oscillator_t(n: int) -> float:
     return math.exp(1.0 - math.exp(float(n)))
 
 
-def oscillator_g(t: float) -> float:
-    """Piecewise value oscillating between 0 and 1 as t drops to 0.
+def oscillator_g(t):
+    """Piecewise value oscillating between 0 and 1 as t drops to 0, elementwise.
 
     On [t_{n+1}, t_n) the value is f(t) - n for even n and (n+1) - f(t) for
     odd n; the two formulas agree at every branch point so g is continuous.
     """
     fval = oscillator_f(t)
-    n = int(math.floor(fval))
-    if n % 2 == 0:
-        return fval - n
-    return (n + 1) - fval
+    n = np.floor(fval)
+    return np.where(n % 2 == 0, fval - n, (n + 1) - fval)[()]
 
 
 def oscillator_g_prime_abs(t: float) -> float:
@@ -369,17 +258,16 @@ def oscillator_g_prime_abs(t: float) -> float:
     return 1.0 / (t * (1.0 - math.log(t)))
 
 
-def eval_radial_oscillator(x, spec: DataMapSpec | None = None) -> EvalOutcome:
-    """Scalar feature g(|x|) on the punctured unit ball; gap = |x|."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size < 2 or not np.all(np.isfinite(x)):
+def eval_radial_oscillator(x: np.ndarray, spec: DataMapSpec):
+    """Kernel of RADIAL_OSCILLATOR on vectors (m, d), d >= 2: the scalar
+    g(|x|) on the punctured unit ball, gap = |x|."""
+    if x.ndim != 2 or x.shape[1] < 2 or not np.all(np.isfinite(x)):
         raise ContractViolation("oscillator input must be a finite d-vector, d >= 2")
-    r = float(np.linalg.norm(x))
-    if r > 1.0 + 1e-12:
-        raise DomainError(f"oscillator input must lie in the unit ball, |x| = {r}")
-    if r == 0.0:
-        return EvalOutcome.undefined(UndefinedReason.ORIGIN)
-    return EvalOutcome.of(ScalarValue(oscillator_g(min(r, 1.0))), r)
+    r = np.linalg.norm(x, axis=1)
+    if np.any(r > 1.0 + 1e-12):
+        raise DomainError(f"oscillator input must lie in the unit ball, |x| = {float(r.max())}")
+    origin = r == 0.0
+    return oscillator_g(np.where(origin, 1.0, np.minimum(r, 1.0))), r, np.where(origin, _ORIGIN, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +303,7 @@ def spanning_lines(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     equal = span2 == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         residual = np.where(equal, np.inf, np.max(np.abs(cross), axis=1) / span)
-    theta = np.where(equal, 0.0, np.arctan2(d[:, 1], d[:, 0]) % np.pi)
+    theta = np.where(equal, 0.0, reduce_mod_pi(np.arctan2(d[:, 1], d[:, 0])))
     return residual, theta, span
 
 
@@ -458,24 +346,6 @@ def dataset_span(dataset) -> float:
     return float(math.sqrt(np.max(_pairwise_sq_distances(dataset.points))))
 
 
-def evaluate(spec: DataMapSpec, x) -> EvalOutcome:
-    """Dispatch a raw map evaluation."""
-    kind = spec.kind
-    if kind is MapKind.LS_LINE:
-        return eval_ls_line(x)
-    if kind is MapKind.PC_LINE:
-        return eval_pc_line(x)
-    if kind is MapKind.LAD_LINE:
-        return eval_lad_line(x)
-    if kind is MapKind.AUG_MEAN:
-        return eval_augmented_mean(x, spec)
-    if kind is MapKind.DISK_DECISION:
-        return eval_disk_decision(x, spec)
-    if kind is MapKind.RADIAL_OSCILLATOR:
-        return eval_radial_oscillator(x, spec)
-    raise ContractViolation(f"unknown map kind {kind}")
-
-
 # The dataset variant on which each map has a calibration standard.
 _STANDARD_DATASET = {
     MapKind.LS_LINE: PlaneDataset,
@@ -516,16 +386,17 @@ def ls_gap_batch(points: np.ndarray) -> np.ndarray:
     return np.sqrt(_ls_moments(points)[1])
 
 
-def _pc_moments(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(a, b, gap) of a batch: a half the variance difference, b the
-    covariance (1/n normalization) and gap = 2 hypot(a, b) = lambda_1 - lambda_2."""
+def _pc_moments(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(a, b, gap, mean) of a batch: a half the variance difference, b the
+    covariance (1/n normalization), gap = 2 hypot(a, b) = lambda_1 - lambda_2
+    and mean = (lambda_1 + lambda_2) / 2."""
     centered = points - points.mean(axis=1, keepdims=True)
     n = points.shape[1]
     cxx = np.sum(centered[..., 0] ** 2, axis=1) / n
     cyy = np.sum(centered[..., 1] ** 2, axis=1) / n
     cxy = np.sum(centered[..., 0] * centered[..., 1], axis=1) / n
     a = 0.5 * (cxx - cyy)
-    return a, cxy, 2.0 * np.hypot(a, cxy)
+    return a, cxy, 2.0 * np.hypot(a, cxy), 0.5 * (cxx + cyy)
 
 
 def pc_gap_batch(points: np.ndarray) -> np.ndarray:
@@ -567,41 +438,54 @@ def lad_gap_batch(points: np.ndarray) -> np.ndarray:
 _COLLINEAR = REASON_CODES.index(UndefinedReason.COLLINEAR_PREDICTOR)
 _EIGEN_TIE = REASON_CODES.index(UndefinedReason.EIGENVALUE_TIE)
 _OBJECTIVE_TIE = REASON_CODES.index(UndefinedReason.OBJECTIVE_TIE)
+_ZERO_RESULTANT = REASON_CODES.index(UndefinedReason.ZERO_RESULTANT)
+_ORIGIN = REASON_CODES.index(UndefinedReason.ORIGIN)
 
 
-def _ls_batch(points):
+def _ls_batch(points, spec):
+    """Slope direction of the y-on-x least-squares line.
+
+    gap = sqrt(S_xx): the exact R^{2n} distance to the collinear-predictor
+    surface {all abscissae equal}, on which the map is undefined.
+    """
+    points = _as_plane_batch(points)
     xc, s_xx = _ls_moments(points)
     y = points[..., 1]
     s_xy = np.sum(xc * (y - y.mean(axis=1, keepdims=True)), axis=1)
     undefined = s_xx == 0.0
-    angle = np.arctan(s_xy / s_xx) % np.pi
+    angle = reduce_mod_pi(np.arctan(s_xy / s_xx))
     return angle, np.sqrt(s_xx), np.where(undefined, _COLLINEAR, 0)
 
 
-def _pc_batch(points):
-    a, b, gap = _pc_moments(points)
-    angle = (0.5 * np.arctan2(2.0 * b, 2.0 * a)) % np.pi
+def _pc_batch(points, spec):
+    """Leading eigenvector direction of the covariance; gap = eigenvalue gap."""
+    a, b, gap, _ = _pc_moments(_as_plane_batch(points))
+    angle = reduce_mod_pi(0.5 * np.arctan2(2.0 * b, 2.0 * a))
     return angle, gap, np.where(gap <= TIE_TOL, _EIGEN_TIE, 0)
 
 
-def _lad_batch(points):
-    objs, slopes = (np.stack(c, axis=1) for c in zip(*_lad_candidates(points)))
+def _lad_batch(points, spec):
+    """L1 regression by exact pair enumeration.
+
+    An optimal L1 line passes through two data points, so enumerating every
+    pair with distinct abscissae is exact at desk scale.  gap is the margin
+    between the two best objectives (0 with a single candidate); a tie only
+    counts as a singularity when the tied candidates disagree in direction.
+    """
+    objs, slopes = (np.stack(c, axis=1) for c in zip(*_lad_candidates(_as_plane_batch(points))))
     rows = np.arange(objs.shape[0])
     count = np.sum(np.isfinite(objs), axis=1)
-    # stable order, as the scalar map sorts: the first minimum is the best
-    # candidate, the first minimum of the rest the second best
+    # stable order: the first minimum is the best candidate, the first
+    # minimum of the rest the second best
     best = np.argmin(objs, axis=1)
     rest = np.where(np.arange(objs.shape[1]) == best[:, None], np.inf, objs)
     second = np.argmin(rest, axis=1)
-    angle = np.arctan(slopes[rows, best]) % np.pi
+    angle = reduce_mod_pi(np.arctan(slopes[rows, best]))
     gap = np.where(count >= 2, rest[rows, second] - objs[rows, best], 0.0)
-    d = np.abs(angle - np.arctan(slopes[rows, second]) % np.pi) % np.pi
+    d = np.abs(angle - reduce_mod_pi(np.arctan(slopes[rows, second]))) % np.pi
     tie = (count >= 2) & (gap <= TIE_TOL) & (np.minimum(d, np.pi - d) > TIE_TOL)
     reason = np.where(count == 0, _COLLINEAR, np.where(tie, _OBJECTIVE_TIE, 0))
     return angle, gap, reason
-
-
-_BATCH_FITTERS = {MapKind.LS_LINE: _ls_batch, MapKind.PC_LINE: _pc_batch, MapKind.LAD_LINE: _lad_batch}
 
 
 def _as_plane_batch(points) -> np.ndarray:
@@ -613,26 +497,6 @@ def _as_plane_batch(points) -> np.ndarray:
     return points
 
 
-def evaluate_batch(spec: DataMapSpec, points) -> BatchOutcome:
-    """The raw LS, PC or LAD line fitter on a batch of plane datasets (m, n, 2).
-
-    Row by row this is ``evaluate``: the same Defined mask and reasons, and
-    angles and gaps equal up to rounding.
-    """
-    if spec.kind not in _BATCH_FITTERS:
-        raise ContractViolation(f"no batch kernel for {spec.kind.value}")
-    points = _as_plane_batch(points)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        angle, gap, reason = _BATCH_FITTERS[spec.kind](points)
-    defined = reason == 0
-    return BatchOutcome(
-        angle=np.where(defined, angle, np.nan),
-        gap=np.where(defined, gap, 0.0),
-        reason=reason.astype(np.int8),
-        period=math.pi,
-    )
-
-
 def standard_batch(points) -> BatchOutcome:
     """The calibration standard on a batch of plane datasets (m, n, 2).
 
@@ -641,8 +505,8 @@ def standard_batch(points) -> BatchOutcome:
     residual, theta, span = spanning_lines(_as_plane_batch(points))
     if not np.all(residual <= PERFECT_FIT_TOL):
         raise NotPerfectFitError("a dataset of the batch is not an exact perfect fit")
-    return BatchOutcome(angle=theta, gap=span, reason=np.zeros(len(theta), dtype=np.int8),
-                        period=math.pi)
+    return BatchOutcome(value=theta, gap=span, reason=np.zeros(len(theta), dtype=np.int8),
+                        feature=LineDirection)
 
 
 def evaluate_with_standard_batch(spec: DataMapSpec, points) -> BatchOutcome:
@@ -653,10 +517,10 @@ def evaluate_with_standard_batch(spec: DataMapSpec, points) -> BatchOutcome:
     perfect = residual <= PERFECT_FIT_TOL
     raw = evaluate_batch(spec, points)
     return BatchOutcome(
-        angle=np.where(perfect, theta, raw.angle),
+        value=np.where(perfect, theta, raw.value),
         gap=np.where(perfect, span, raw.gap),
         reason=np.where(perfect, 0, raw.reason).astype(np.int8),
-        period=math.pi,
+        feature=LineDirection,
     )
 
 
@@ -685,3 +549,63 @@ def aug_mean_gap_batch(angles: np.ndarray, spec: DataMapSpec) -> np.ndarray:
     """|resultant| for a batch of circle datasets given as angles (m, n)."""
     r, _ = aug_mean_resultant(angles, spec)
     return np.hypot(r[..., 0], r[..., 1])
+
+
+def _aug_mean_batch(angles, spec):
+    """Direction of the weighted resultant, augmented by a fixed
+    pseudo-observation; gap = |resultant|, undefined where it vanishes."""
+    if angles.ndim != 2 or angles.shape[1] < 1:
+        raise ContractViolation("augmented mean needs n >= 1 angles per dataset")
+    r, _ = aug_mean_resultant(angles, spec)
+    gap = np.hypot(r[:, 0], r[:, 1])
+    return np.arctan2(r[:, 1], r[:, 0]), gap, np.where(gap <= TIE_TOL, _ZERO_RESULTANT, 0)
+
+
+# ---------------------------------------------------------------------------
+# Evaluation: every map through its one kernel
+# ---------------------------------------------------------------------------
+
+# Map kind -> (kernel, feature variant).  A kernel checks its stacked inputs
+# and returns (value, gap, reason) arrays; evaluate_batch masks them.
+_KERNELS = {
+    MapKind.LS_LINE: (_ls_batch, LineDirection),
+    MapKind.PC_LINE: (_pc_batch, LineDirection),
+    MapKind.LAD_LINE: (_lad_batch, LineDirection),
+    MapKind.AUG_MEAN: (_aug_mean_batch, CirclePoint),
+    MapKind.DISK_DECISION: (eval_disk_decision, Decision),
+    MapKind.RADIAL_OSCILLATOR: (eval_radial_oscillator, ScalarValue),
+}
+
+
+def evaluate_batch(spec: DataMapSpec, inputs) -> BatchOutcome:
+    """The map on inputs stacked along the first axis.
+
+    LS, PC and LAD take plane datasets (m, n, 2), AUG_MEAN circle datasets
+    as angles (m, n), DISK_DECISION points (m, 2) and RADIAL_OSCILLATOR
+    vectors (m, d).
+    """
+    kernel, feature = _KERNELS[spec.kind]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value, gap, reason = kernel(np.asarray(inputs, dtype=float), spec)
+    defined = reason == 0
+    return BatchOutcome(
+        value=np.where(defined, value, np.nan),
+        gap=np.where(defined, gap, 0.0),
+        reason=reason.astype(np.int8),
+        feature=feature,
+    )
+
+
+def as_map_input(x) -> np.ndarray:
+    """One input as evaluate_batch takes it per row: a plane dataset's
+    points, a circle dataset's angles, a vector as it is."""
+    if isinstance(x, PlaneDataset):
+        return x.points
+    if isinstance(x, CircleDataset):
+        return x.angles
+    return np.asarray(x, dtype=float)
+
+
+def evaluate(spec: DataMapSpec, x) -> EvalOutcome:
+    """The map on one input: the one-row case of ``evaluate_batch``."""
+    return evaluate_batch(spec, as_map_input(x)[None]).outcome(0)

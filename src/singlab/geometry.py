@@ -90,6 +90,17 @@ class CircleDataset:
         return np.arctan2(self.points[:, 1], self.points[:, 0])
 
 
+def reduce_mod_pi(theta):
+    """Angles, scalar or array, reduced mod pi into [0, pi).
+
+    ``theta % pi`` rounds up to pi itself for tiny negative theta (pi - 1e-17
+    is pi in floating point); that result is the direction 0 and becomes 0.
+    """
+    r = theta % math.pi
+    # multiplying by the comparison keeps r exactly, or zeroes it where r is pi
+    return r * (r != math.pi)
+
+
 @dataclass(frozen=True)
 class LineDirection:
     """Undirected line direction: an angle reduced mod pi into [0, pi)."""
@@ -99,7 +110,7 @@ class LineDirection:
     def __post_init__(self):
         if not math.isfinite(self.theta):
             raise ContractViolation("direction angle must be finite")
-        object.__setattr__(self, "theta", float(self.theta) % math.pi)
+        object.__setattr__(self, "theta", reduce_mod_pi(float(self.theta)))
 
 
 @dataclass(frozen=True)

@@ -15,20 +15,21 @@ import numpy as np
 from scipy.optimize import minimize
 
 from singlab.datamaps import (
+    BatchOutcome,
     DataMapSpec,
     MapKind,
+    _pc_moments,
+    as_map_input,
     aug_mean_gap_batch,
     aug_mean_resultant,
-    evaluate,
+    evaluate_batch,
     lad_gap_batch,
     ls_gap_batch,
     pc_gap_batch,
 )
 from singlab.geometry import (
-    CircleDataset,
     ContractViolation,
     Feature,
-    PlaneDataset,
     ScalarValue,
     feature_distance,
     segment_average_norm,
@@ -114,28 +115,32 @@ def symmetric_start_pair(x: np.ndarray) -> list[np.ndarray]:
     return [x + offsets, x - offsets]
 
 
-def _pc_tie_residual(n: int):
-    """Eigenvalue-tie coordinates (a, b) = ((Cxx - Cyy) / 2, Cxy) of flattened
-    points, with their Jacobian; they vanish exactly on the tie variety."""
+def _pc_tie_distance(points: np.ndarray) -> float:
+    """Exact distance of one plane dataset (n, 2) to the PC eigenvalue ties.
 
-    def residual(flat):
-        q = flat.reshape(n, 2)
-        q = q - q.mean(axis=0)
-        r = np.array([0.5 * (q[:, 0] @ q[:, 0] - q[:, 1] @ q[:, 1]), q[:, 0] @ q[:, 1]]) / n
-        # d a / d p_j = (q_jx, -q_jy) / n, d b / d p_j = (q_jy, q_jx) / n
-        jac = np.stack([np.column_stack([q[:, 0], -q[:, 1]]).ravel(),
-                        np.column_stack([q[:, 1], q[:, 0]]).ravel()]) / n
-        return r, jac
-
-    return residual
+    Ties are the datasets whose centered points Q (n x 2) have orthogonal
+    columns of equal norm.  The nearest such Q is s U V^T with s = (sigma1 +
+    sigma2) / 2, from the SVD Q = U S V^T (Eckart & Young 1936, Psychometrika
+    1; Higham 1986, SIAM J. Sci. Stat. Comput. 7), and the mean is free, so
+    the distance is (sigma1 - sigma2) / sqrt(2).  With sigma_i = sqrt(n
+    lambda_i) that is sqrt(n / 2) gap / (sqrt(lambda1) + sqrt(lambda2)),
+    free of cancellation.
+    """
+    _, _, gap, mean = (float(v[0]) for v in _pc_moments(points[None]))
+    if gap == 0.0:
+        return 0.0
+    lam2 = max(mean - 0.5 * gap, 0.0)
+    return math.sqrt(points.shape[0] / 2.0) * gap / (math.sqrt(mean + 0.5 * gap) + math.sqrt(lam2))
 
 
 def distance_to_singular(spec: DataMapSpec, x, refine: bool = False) -> tuple[float, str]:
     """(distance to the singular set, method tag).
 
     LS and DISK_DECISION have exact analytic projections.  PC and AUG_MEAN
-    report surrogates with a two-sided constant bound, optionally refined by
-    projecting onto the singular variety.  LAD reports the tie-gap surrogate.
+    report surrogates with a two-sided constant bound, optionally refined:
+    PC by its closed-form distance to the tie variety, AUG_MEAN by
+    projecting onto the zero-resultant variety.  LAD reports the tie-gap
+    surrogate.
     """
     kind = spec.kind
     if kind is MapKind.DISK_DECISION:
@@ -144,13 +149,7 @@ def distance_to_singular(spec: DataMapSpec, x, refine: bool = False) -> tuple[fl
     if kind not in SINGULAR_DISTANCE:
         raise UnsupportedMapError(f"no distance rule for {kind}")
     if refine and kind is MapKind.PC_LINE:
-        # Symmetric configurations make the unperturbed start a saddle of the
-        # penalty flow, so add a few deterministic symmetry-breaking starts.
-        x0 = x.points.ravel()
-        rng = np.random.default_rng(12345)
-        scale = 0.05 * (1.0 + float(np.linalg.norm(x0)))
-        starts = [x0] + [x0 + scale * rng.standard_normal(x0.size) for _ in range(3)]
-        return penalty_projection(x0, starts, _pc_tie_residual(x.n)), DIST_REFINED
+        return _pc_tie_distance(x.points), DIST_REFINED
     if refine and kind is MapKind.AUG_MEAN:
         # arc-metric distance: project the angles
         phi0 = x.angles
@@ -161,8 +160,7 @@ def distance_to_singular(spec: DataMapSpec, x, refine: bool = False) -> tuple[fl
             dist = penalty_projection(phi0, symmetric_start_pair(phi0), residual)
         return dist, DIST_REFINED
     distance, tag = SINGULAR_DISTANCE[kind]
-    batch = x.angles if isinstance(x, CircleDataset) else x.points
-    return float(distance(batch[None], spec)[0]), tag
+    return float(distance(as_map_input(x)[None], spec)[0]), tag
 
 
 @dataclass(frozen=True)
@@ -173,15 +171,17 @@ class OscillationProfile:
     diameters: tuple[float, ...]
     samples_per_radius: int
     seed: int
-    all_undefined: tuple[bool, ...] = None
 
     def __post_init__(self):
         if len(self.radii) != len(self.diameters):
             raise ContractViolation("radii and diameters must have equal length")
         if not all(r1 > r2 for r1, r2 in zip(self.radii, self.radii[1:])):
             raise ContractViolation("radii must be strictly decreasing")
-        if self.all_undefined is None:
-            object.__setattr__(self, "all_undefined", tuple(False for _ in self.radii))
+
+    @property
+    def all_undefined(self) -> tuple[bool, ...]:
+        """Per radius, whether every sample was Undefined (a NaN diameter)."""
+        return tuple(math.isnan(d) for d in self.diameters)
 
     def to_dict(self) -> dict:
         return {
@@ -202,59 +202,55 @@ def _sample_ball(rng, center_flat: np.ndarray, radius: float, k: int) -> np.ndar
     return center_flat[None, :] + radius * (g * u[:, None])
 
 
-def _feature_diameter(features: list[Feature]) -> float:
-    best = 0.0
-    for i in range(len(features)):
-        for j in range(i + 1, len(features)):
-            best = max(best, feature_distance(features[i], features[j]))
-    return best
+# Sorted neighbours of each angle's antipode tried as its farthest partner:
+# the two around it and one more on each side, against the antipode's
+# rounding.
+_ANTIPODE_WINDOW = np.arange(-2, 2)
+
+
+def batch_diameter(batch: BatchOutcome) -> float:
+    """Feature-space diameter of the Defined rows of a batch, NaN if none.
+
+    Angle features use the mod-period metric of ``line_angle_distance``,
+    which is arc length for circle points.  The angles are sorted mod the
+    period, and each one's farthest partner is a sorted neighbour of its
+    antipode, found by ``searchsorted``: O(k log k) for k rows.  Decisions
+    and scalars take max - min.
+    """
+    values = batch.value[batch.defined]
+    if values.size == 0:
+        return math.nan
+    period = batch.period
+    if period is None:
+        return float(values.max() - values.min())
+    s = np.sort(values % period)
+    j = np.searchsorted(s, (s + 0.5 * period) % period)
+    d = np.abs(s[:, None] - s[(j[:, None] + _ANTIPODE_WINDOW) % s.size]) % period
+    return float(np.max(np.minimum(d, period - d)))
 
 
 def oscillation(spec: DataMapSpec, x, radii, k_samples: int, seed: int) -> OscillationProfile:
     """Sampled feature-space diameter of the map over balls around x.
 
     Plane datasets are perturbed coordinate-wise in R^{2n}; circle datasets
-    through per-point tangent angles; bare vectors in their own space.  A
-    radius where every sample is Undefined records a NaN diameter.
+    through per-point tangent angles; bare vectors in their own space.  The
+    k samples of each radius go to the map as one batch.  A radius where
+    every sample is Undefined records a NaN diameter.
     """
     radii = tuple(float(r) for r in radii)
     if k_samples < 16:
         raise ContractViolation("k_samples must be >= 16")
     rng = np.random.default_rng(seed)
+    center = as_map_input(x)
     diameters = []
-    flags = []
     for r in radii:
-        if isinstance(x, PlaneDataset):
-            flat = x.points.ravel()
-            samples = _sample_ball(rng, flat, r, k_samples)
-            inputs = [PlaneDataset(s.reshape(-1, 2)) for s in samples]
-        elif isinstance(x, CircleDataset):
-            t = _sample_ball(rng, np.zeros(x.n), r, k_samples)
-            inputs = []
-            for row in t:
-                ang = x.angles + row
-                inputs.append(CircleDataset(np.stack([np.cos(ang), np.sin(ang)], axis=1)))
-        else:
-            flat = np.asarray(x, dtype=float)
-            samples = _sample_ball(rng, flat, r, k_samples)
-            inputs = list(samples)
-        feats = []
-        for inp in inputs:
-            out = evaluate(spec, inp)
-            if out.defined:
-                feats.append(out.feature)
-        if not feats:
-            diameters.append(math.nan)
-            flags.append(True)
-        else:
-            diameters.append(_feature_diameter(feats))
-            flags.append(False)
+        samples = _sample_ball(rng, center.ravel(), r, k_samples).reshape(k_samples, *center.shape)
+        diameters.append(batch_diameter(evaluate_batch(spec, samples)))
     return OscillationProfile(
         radii=radii,
         diameters=tuple(diameters),
         samples_per_radius=k_samples,
         seed=seed,
-        all_undefined=tuple(flags),
     )
 
 

@@ -153,15 +153,16 @@ def _pointwise(fn, sample_type: type | None) -> BatchMap:
         m = len(points)
         angle, gap = np.full(m, np.nan), np.zeros(m)
         reason = np.zeros(m, dtype=np.int8)
-        period = math.pi
+        feature = LineDirection
         for k, p in enumerate(points):
             outcome = fn(p if sample_type is None else sample_type(p))
             if outcome.defined:
-                angle[k], period = _angle_of(outcome.feature)
+                angle[k], _ = _angle_of(outcome.feature)
+                feature = type(outcome.feature)
                 gap[k] = outcome.gap
             else:
                 reason[k] = REASON_CODES.index(outcome.reason)
-        return BatchOutcome(angle=angle, gap=gap, reason=reason, period=period)
+        return BatchOutcome(value=angle, gap=gap, reason=reason, feature=feature)
 
     return BatchMap(batch)
 
@@ -202,9 +203,11 @@ def winding_number(loop: Loop, evaluate_fn) -> WindingReport:
 
     outcome = evaluate(loop.points)
     period = outcome.period
+    if period is None:
+        raise UnsupportedFeatureError(f"{outcome.feature.__name__} features carry no winding number")
     threshold = STEP_FRACTION * period
     # the open edges: endpoints p_a -> p_b with their feature angles
-    p_a, a = loop.points, outcome.angle
+    p_a, a = loop.points, outcome.value
     p_b, b = np.roll(p_a, -1, axis=0), np.roll(a, -1)
     total = 0.0
     depth = 0
@@ -221,7 +224,7 @@ def winding_number(loop: Loop, evaluate_fn) -> WindingReport:
         split = ~short
         p_a, a, p_b, b = p_a[split], a[split], p_b[split], b[split]
         p_m = midpoint_interpolate(p_a, p_b, loop.sample_type)
-        m = evaluate(p_m).angle
+        m = evaluate(p_m).value
         depth += 1
         p_a, a, p_b, b = (np.concatenate(pair) for pair in ((p_a, p_m), (a, m), (p_m, p_b), (m, b)))
 

@@ -19,7 +19,6 @@ from singlab.datamaps import (
     UndefinedReason,
     dataset_span,
     eval_perfect_fit_standard,
-    eval_radial_oscillator,
     evaluate,
     evaluate_with_standard,
     oscillator_g_prime_abs,
@@ -207,7 +206,7 @@ def test_criterion_5_derivative_blowup():
             elif not (profile.constant_c * eta <= dist + 1e-12 and dist <= eta + 1e-12):
                 failures.append(f"{name}: distance bracket fails at eta {eta:.3e}")
     # radial oscillator at eta = t_n
-    osc = lambda u: eval_radial_oscillator(u)
+    osc = lambda u: evaluate(DataMapSpec(kind=MapKind.RADIAL_OSCILLATOR), u)
     for n in (0, 1, 2):
         t_n = oscillator_t(n)
         arc = oscillator_arc(n)

@@ -1,5 +1,7 @@
-"""Batch kernels and level-by-level winding against their scalar references."""
+"""Batch kernels, array diameters and level-by-level winding against their
+scalar references."""
 
+import itertools
 import math
 
 import numpy as np
@@ -9,7 +11,9 @@ from hypothesis import strategies as st
 
 from singlab.datamaps import (
     REASON_CODES,
+    TIE_TOL,
     BatchMap,
+    BatchOutcome,
     DataMapSpec,
     EvalOutcome,
     MapKind,
@@ -21,9 +25,20 @@ from singlab.datamaps import (
     evaluate_batch,
     evaluate_with_standard,
     evaluate_with_standard_batch,
+    oscillator_g,
+    perfect_fit_outcome,
     standard_batch,
 )
-from singlab.geometry import CirclePoint, LineDirection, PlaneDataset, feature_distance
+from singlab.geometry import (
+    CirclePoint,
+    Decision,
+    LineDirection,
+    PlaneDataset,
+    ScalarValue,
+    feature_distance,
+    reduce_mod_pi,
+)
+from singlab.metrics import batch_diameter
 from singlab.slices import SliceSpec, slice_map
 from singlab.topology import (
     MAX_REFINE,
@@ -44,6 +59,77 @@ PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
 coords = st.floats(-8.0, 8.0).filter(lambda v: v == 0.0 or abs(v) > 1e-6)
 scales = st.floats(0.1, 4.0)
 angles = st.floats(0.0, 2.0 * math.pi)
+
+
+# ---------------------------------------------------------------------------
+# Scalar reference maps, one input at a time
+# ---------------------------------------------------------------------------
+
+def reference_ls(pts):
+    """Slope direction of the y-on-x least-squares line; gap sqrt(S_xx)."""
+    xc = pts[:, 0] - pts[:, 0].mean()
+    s_xx = float(np.dot(xc, xc))
+    s_xy = float(np.dot(xc, pts[:, 1] - pts[:, 1].mean()))
+    if s_xx == 0.0:
+        return EvalOutcome.undefined(UndefinedReason.COLLINEAR_PREDICTOR)
+    return EvalOutcome.of(LineDirection(math.atan(s_xy / s_xx)), math.sqrt(s_xx))
+
+
+def reference_pc(pts):
+    """Leading eigenvector direction of the covariance; gap the eigenvalue gap."""
+    centered = pts - pts.mean(axis=0)
+    c = centered.T @ centered / pts.shape[0]
+    a = 0.5 * (c[0, 0] - c[1, 1])
+    b = c[0, 1]
+    gap = 2.0 * math.hypot(a, b)
+    if gap <= TIE_TOL:
+        return EvalOutcome.undefined(UndefinedReason.EIGENVALUE_TIE)
+    return EvalOutcome.of(LineDirection(0.5 * math.atan2(2.0 * b, 2.0 * a)), gap)
+
+
+def reference_lad(pts):
+    """L1 line by enumerating the lines through point pairs, best first;
+    gap the margin to the second best."""
+    cands = []
+    for i, j in itertools.combinations(range(pts.shape[0]), 2):
+        dx = pts[j, 0] - pts[i, 0]
+        if dx == 0.0:
+            continue
+        slope = (pts[j, 1] - pts[i, 1]) / dx
+        intercept = pts[i, 1] - slope * pts[i, 0]
+        cands.append((float(np.sum(np.abs(pts[:, 1] - intercept - slope * pts[:, 0]))), slope))
+    if not cands:
+        return EvalOutcome.undefined(UndefinedReason.COLLINEAR_PREDICTOR)
+    cands.sort(key=lambda c: c[0])
+    feature = LineDirection(math.atan(cands[0][1]))
+    if len(cands) == 1:
+        return EvalOutcome.of(feature, 0.0)
+    gap = cands[1][0] - cands[0][0]
+    if gap <= TIE_TOL and feature_distance(feature, LineDirection(math.atan(cands[1][1]))) > TIE_TOL:
+        return EvalOutcome.undefined(UndefinedReason.OBJECTIVE_TIE)
+    return EvalOutcome.of(feature, gap)
+
+
+def reference_aug_mean(points, spec):
+    """Direction of the weighted resultant of unit vectors plus w0 a."""
+    rho = np.asarray(spec.weights) @ points + spec.w0 * np.asarray(spec.aug_point)
+    norm = float(np.linalg.norm(rho))
+    if norm <= TIE_TOL:
+        return EvalOutcome.undefined(UndefinedReason.ZERO_RESULTANT)
+    return EvalOutcome.of(CirclePoint(rho / norm), norm)
+
+
+def reference_oscillator(x):
+    """g(|x|) on the punctured unit ball, one branch at a time."""
+    r = math.hypot(*x)
+    if r == 0.0:
+        return EvalOutcome.undefined(UndefinedReason.ORIGIN)
+    f = math.log(1.0 - math.log(min(r, 1.0)))
+    n = math.floor(f)
+    return EvalOutcome.of(ScalarValue(f - n if n % 2 == 0 else (n + 1) - f), r)
+
+
+REFERENCE = {MapKind.LS_LINE: reference_ls, MapKind.PC_LINE: reference_pc, MapKind.LAD_LINE: reference_lad}
 
 
 def _rows(n, draw_points):
@@ -94,33 +180,77 @@ def batches(draw):
     return np.stack(draw(st.lists(st.one_of(kinds), min_size=1, max_size=6)))
 
 
+def assert_close(got, want):
+    """Same reason; features within 1e-12 in the feature metric (mod the
+    period for angles) and gaps within 1e-12 relative."""
+    assert got.reason == want.reason
+    if not want.defined:
+        return
+    if isinstance(want.feature, (LineDirection, CirclePoint)):
+        angle, period = _angle_of(want.feature)
+        d = abs(_angle_of(got.feature)[0] - angle) % period
+        assert min(d, period - d) <= 1e-12
+    else:
+        assert feature_distance(got.feature, want.feature) <= 1e-12
+    assert abs(got.gap - want.gap) <= 1e-12 * max(1.0, want.gap)
+
+
 def assert_rows_match(batch, outcomes):
-    for i, scalar in enumerate(outcomes):
-        assert bool(batch.defined[i]) == scalar.defined
-        assert REASON_CODES[batch.reason[i]] == scalar.reason
-        if scalar.defined:
-            angle, period = _angle_of(scalar.feature)
-            d = abs(batch.angle[i] - angle) % period
-            assert min(d, period - d) <= 1e-12
-            assert abs(batch.gap[i] - scalar.gap) <= 1e-12 * max(1.0, scalar.gap)
-        else:
-            assert batch.gap[i] == 0.0
+    assert batch.defined.tolist() == [o.defined for o in outcomes]
+    assert np.all(batch.gap[~batch.defined] == 0.0)
+    for i, want in enumerate(outcomes):
+        assert_close(batch.outcome(i), want)
 
 
 @PROPERTY
 @given(batches())
 def test_evaluate_batch_matches_scalar(points):
+    # the batch and its one-row case against the scalar reference fitters
     for spec in FITTERS:
-        outcomes = [evaluate(spec, PlaneDataset(p)) for p in points]
+        outcomes = [REFERENCE[spec.kind](p) for p in points]
         assert_rows_match(evaluate_batch(spec, points), outcomes)
+        for p, want in zip(points, outcomes):
+            assert_close(evaluate(spec, PlaneDataset(p)), want)
+
+
+@PROPERTY
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(st.lists(angles, min_size=n, max_size=n),
+                                                    min_size=1, max_size=6)),
+       st.sampled_from([0.0, 0.5, 1.0, 8.0]))
+def test_aug_mean_batch_matches_reference(rows, w0):
+    spec = DataMapSpec(kind=MapKind.AUG_MEAN, weights=(1.0,) * len(rows[0]), w0=w0)
+    phi = np.array(rows)
+    outcomes = [reference_aug_mean(np.stack([np.cos(p), np.sin(p)], axis=1), spec) for p in phi]
+    assert_rows_match(evaluate_batch(spec, phi), outcomes)
+
+
+@PROPERTY
+@given(st.lists(st.tuples(coords.map(lambda v: v / 12.0), coords.map(lambda v: v / 12.0)),
+                min_size=1, max_size=8))
+def test_disk_and_oscillator_batches_match_reference(rows):
+    x = np.array(rows)
+    disk = DataMapSpec(kind=MapKind.DISK_DECISION, center=(0.1, -0.2), radius=0.5)
+    outcomes = []
+    for p in x:
+        d = math.hypot(p[0] - 0.1, p[1] + 0.2)
+        outcomes.append(EvalOutcome.of(Decision(1 if d < 0.5 else 0), abs(d - 0.5)))
+    assert_rows_match(evaluate_batch(disk, x), outcomes)
+    oscillator = DataMapSpec(kind=MapKind.RADIAL_OSCILLATOR)
+    assert_rows_match(evaluate_batch(oscillator, x), [reference_oscillator(p) for p in x])
+    # one formula serves scalars and arrays
+    r = np.linalg.norm(x, axis=1)
+    r = r[r > 0]
+    assert np.array_equal(oscillator_g(r), [oscillator_g(float(t)) for t in r])
 
 
 @PROPERTY
 @given(batches())
 def test_evaluate_with_standard_batch_matches_scalar(points):
     for spec in FITTERS:
-        outcomes = [evaluate_with_standard(spec, PlaneDataset(p)) for p in points]
+        outcomes = [perfect_fit_outcome(PlaneDataset(p)) or REFERENCE[spec.kind](p) for p in points]
         assert_rows_match(evaluate_with_standard_batch(spec, points), outcomes)
+        for p, want in zip(points, outcomes):
+            assert_close(evaluate_with_standard(spec, PlaneDataset(p)), want)
 
 
 @PROPERTY
@@ -152,6 +282,77 @@ def test_degenerate_examples():
         batch = evaluate_batch(DataMapSpec(kind=kind), np.array([pts], dtype=float))
         assert REASON_CODES[batch.reason[0]] is reason
         assert batch.outcome(0) == evaluate(DataMapSpec(kind=kind), PlaneDataset(pts))
+        assert_close(batch.outcome(0), REFERENCE[kind](np.array(pts, dtype=float)))
+
+
+def test_line_angles_stay_below_pi():
+    # a tiny negative angle mod pi rounds up to pi itself; it is direction 0
+    assert LineDirection(-1e-17).theta == 0.0
+    assert LineDirection(math.pi).theta == 0.0
+    assert LineDirection(-1e-15).theta == -1e-15 % math.pi < math.pi
+    got = reduce_mod_pi(np.array([-1e-17, -0.0, 0.0, math.pi, 4.0]))
+    assert got.tolist() == [0.0, 0.0, 0.0, 0.0, 4.0 - math.pi]
+    # a fitted direction of slope -1e-17 is 0, in the kernel as in the feature
+    points = np.array([[(0.0, 0.0), (1.0, -1e-17)]])
+    for spec in FITTERS:
+        batch = evaluate_batch(spec, points)
+        assert batch.value[0] == 0.0 and batch.outcome(0).feature.theta == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Array diameters against brute-force pairwise feature distances
+# ---------------------------------------------------------------------------
+
+_NEAR_ENDS = st.floats(0.0, 1e-12)
+
+
+@st.composite
+def feature_batches(draw):
+    """A BatchOutcome of one feature variant with duplicated values, angles
+    near 0 and near the period, and any number of Undefined rows."""
+    feature = draw(st.sampled_from([LineDirection, CirclePoint, Decision, ScalarValue]))
+    if feature is LineDirection:
+        pool = st.floats(0.0, math.pi) | _NEAR_ENDS | _NEAR_ENDS.map(lambda d: math.pi - d)
+    elif feature is CirclePoint:
+        pool = (st.floats(-math.pi, math.pi) | _NEAR_ENDS | _NEAR_ENDS.map(lambda d: -d)
+                | _NEAR_ENDS.map(lambda d: math.pi - d) | _NEAR_ENDS.map(lambda d: d - math.pi))
+    elif feature is Decision:
+        pool = st.sampled_from([0.0, 1.0])
+    else:
+        pool = st.floats(-5.0, 5.0)
+    base = draw(st.lists(pool, min_size=1, max_size=12))
+    values = np.array(draw(st.lists(st.sampled_from(base), min_size=1, max_size=40)))
+    if feature is LineDirection:
+        values = reduce_mod_pi(values)
+    defined = np.array(draw(st.lists(st.booleans(), min_size=len(values), max_size=len(values))))
+    return BatchOutcome(value=np.where(defined, values, np.nan), gap=np.where(defined, 1.0, 0.0),
+                        reason=np.where(defined, 0, 1).astype(np.int8), feature=feature)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(feature_batches())
+def test_batch_diameter_matches_pairwise(batch):
+    features = [batch.outcome(i).feature for i in np.flatnonzero(batch.defined)]
+    got = batch_diameter(batch)
+    if not features:
+        assert math.isnan(got)
+        return
+    want = max((feature_distance(f, g) for f, g in itertools.combinations(features, 2)), default=0.0)
+    if batch.feature is CirclePoint:
+        # feature_distance takes arccos of a dot product, which is only
+        # sqrt(machine epsilon) accurate near distances 0 and pi
+        assert abs(got - want) <= 1e-7
+    else:
+        assert abs(got - want) <= 4e-16
+
+
+def test_batch_diameter_single_sample_and_all_undefined():
+    one = BatchOutcome(value=np.array([np.nan, 0.3]), gap=np.array([0.0, 1.0]),
+                       reason=np.array([1, 0], dtype=np.int8), feature=LineDirection)
+    assert batch_diameter(one) == 0.0
+    none = BatchOutcome(value=np.array([np.nan]), gap=np.array([0.0]),
+                        reason=np.array([1], dtype=np.int8), feature=CirclePoint)
+    assert math.isnan(batch_diameter(none))
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,24 @@ def test_certify_commands_stay_batched(tmp_path, monkeypatch):
         assert run(args, tmp_path) == code, args
 
 
+def test_oscillate_and_severity_stay_batched(tmp_path, monkeypatch):
+    # oscillation evaluates each radius's samples as one batch and takes the
+    # diameter on arrays: per-sample evaluation or pairwise feature
+    # distances would hit these
+    def scalar_path(*args, **kwargs):
+        raise AssertionError("per-sample work on a batched path")
+
+    scalar_evaluate = singlab.datamaps.evaluate
+    for module in (singlab.datamaps, singlab.cli, singlab.metrics):
+        if getattr(module, "evaluate", None) is scalar_evaluate:
+            monkeypatch.setattr(module, "evaluate", scalar_path)
+    monkeypatch.setattr(singlab.metrics, "feature_distance", scalar_path)
+    assert run(["oscillate", "--map", "pc"], tmp_path) == EXIT_OK
+    assert run(["severity", "--map", "lad"], tmp_path) == EXIT_OK
+    profile = json.loads((tmp_path / "severity.json").read_text())["result"]["profile"]
+    assert len(profile["diameters"]) == 3
+
+
 def test_localize_pc_report(tmp_path):
     assert run(["localize", "--map", "pc", "--eps", "0.01"], tmp_path) == EXIT_OK
     payload = json.loads((tmp_path / "localize.json").read_text())

@@ -12,13 +12,7 @@ from singlab.datamaps import (
     NotPerfectFitError,
     UndefinedReason,
     concentrated_preset,
-    eval_augmented_mean,
-    eval_disk_decision,
-    eval_lad_line,
-    eval_ls_line,
-    eval_pc_line,
     eval_perfect_fit_standard,
-    eval_radial_oscillator,
     evaluate,
     evaluate_with_standard,
     lad_gap_batch,
@@ -42,6 +36,7 @@ from singlab.geometry import (
 LS = DataMapSpec(kind=MapKind.LS_LINE)
 PC = DataMapSpec(kind=MapKind.PC_LINE)
 LAD = DataMapSpec(kind=MapKind.LAD_LINE)
+OSCILLATOR = DataMapSpec(kind=MapKind.RADIAL_OSCILLATOR)
 
 EQUILATERAL = PlaneDataset(
     [(math.cos(a), math.sin(a)) for a in (math.pi / 2, math.pi / 2 + 2 * math.pi / 3, math.pi / 2 + 4 * math.pi / 3)]
@@ -59,28 +54,28 @@ def rotate(dataset: PlaneDataset, phi: float) -> PlaneDataset:
 # ---------------------------------------------------------------------------
 
 def test_ls_perfect_diagonal():
-    out = eval_ls_line(PlaneDataset([(0, 0), (1, 1), (2, 2), (3, 3)]))
+    out = evaluate(LS, PlaneDataset([(0, 0), (1, 1), (2, 2), (3, 3)]))
     assert out.defined
     assert abs(out.feature.theta - math.pi / 4) < 1e-12
     assert abs(out.gap - math.sqrt(5)) < 1e-12
 
 
 def test_ls_vertical_undefined():
-    out = eval_ls_line(PlaneDataset([(1, 0), (1, 1), (1, 2)]))
+    out = evaluate(LS, PlaneDataset([(1, 0), (1, 1), (1, 2)]))
     assert not out.defined
     assert out.reason is UndefinedReason.COLLINEAR_PREDICTOR
     assert out.gap == 0.0
 
 
 def test_ls_normal_equations():
-    out = eval_ls_line(PlaneDataset([(0, 0), (1, 0), (2, 1)]))
+    out = evaluate(LS, PlaneDataset([(0, 0), (1, 0), (2, 1)]))
     assert abs(out.feature.theta - math.atan(0.5)) < 1e-12
     assert abs(out.gap - math.sqrt(2)) < 1e-12
 
 
 def test_ls_needs_two_points():
     with pytest.raises(ContractViolation):
-        eval_ls_line(PlaneDataset([(0, 0)]))
+        evaluate(LS, PlaneDataset([(0, 0)]))
 
 
 # ---------------------------------------------------------------------------
@@ -88,21 +83,21 @@ def test_ls_needs_two_points():
 # ---------------------------------------------------------------------------
 
 def test_pc_horizontal():
-    out = eval_pc_line(PlaneDataset([(1, 0), (-1, 0), (0, 0)]))
+    out = evaluate(PC, PlaneDataset([(1, 0), (-1, 0), (0, 0)]))
     assert out.defined
     assert out.feature.theta == 0.0
     assert abs(out.gap - 2 / 3) < 1e-12
 
 
 def test_pc_equilateral_tie():
-    out = eval_pc_line(EQUILATERAL)
+    out = evaluate(PC, EQUILATERAL)
     assert not out.defined
     assert out.reason is UndefinedReason.EIGENVALUE_TIE
 
 
 def test_pc_against_lapack_oracle():
     pts = np.array([(0, 0), (2, 0), (0, 1)], dtype=float)
-    out = eval_pc_line(PlaneDataset(pts))
+    out = evaluate(PC, PlaneDataset(pts))
     centered = pts - pts.mean(axis=0)
     cov = centered.T @ centered / 3
     evals, evecs = np.linalg.eigh(cov)
@@ -129,7 +124,7 @@ def lad_grid_oracle(points, lim=3.0, steps=401):
 
 
 def test_lad_enumeration_example():
-    out = eval_lad_line(PlaneDataset([(0, 0), (1, 0), (2, 1)]))
+    out = evaluate(LAD, PlaneDataset([(0, 0), (1, 0), (2, 1)]))
     assert out.defined
     assert abs(out.feature.theta - math.atan(0.5)) < 1e-12
     assert abs(out.gap - 0.5) < 1e-12
@@ -138,7 +133,7 @@ def test_lad_enumeration_example():
 
 
 def test_lad_collinear_perfect_fit():
-    out = eval_lad_line(PlaneDataset([(0, 1), (1, 4), (2, 7)]))
+    out = evaluate(LAD, PlaneDataset([(0, 1), (1, 4), (2, 7)]))
     assert out.defined
     assert abs(out.feature.theta - math.atan(3)) < 1e-12
     assert out.gap == 0.0  # all candidates are the same line
@@ -148,7 +143,7 @@ def test_lad_v_configuration_is_defined():
     # The symmetric V has a unique optimum: the horizontal line through the
     # two top points wins (objective 1 versus 2 for the mirror candidates),
     # confirmed by the dense grid oracle.
-    out = eval_lad_line(PlaneDataset([(-1, 1), (0, 0), (1, 1)]))
+    out = evaluate(LAD, PlaneDataset([(-1, 1), (0, 0), (1, 1)]))
     assert out.defined
     assert out.feature.theta == 0.0
     assert abs(out.gap - 1.0) < 1e-12
@@ -157,13 +152,13 @@ def test_lad_v_configuration_is_defined():
 
 def test_lad_objective_tie():
     # two candidates with equal objective and different directions
-    out = eval_lad_line(PlaneDataset([(0, 0), (1, 1), (1, -1)]))
+    out = evaluate(LAD, PlaneDataset([(0, 0), (1, 1), (1, -1)]))
     assert not out.defined
     assert out.reason is UndefinedReason.OBJECTIVE_TIE
 
 
 def test_lad_all_vertical():
-    out = eval_lad_line(PlaneDataset([(1, 0), (1, 1), (1, 2)]))
+    out = evaluate(LAD, PlaneDataset([(1, 0), (1, 1), (1, 2)]))
     assert not out.defined
     assert out.reason is UndefinedReason.COLLINEAR_PREDICTOR
 
@@ -174,24 +169,25 @@ def test_lad_all_vertical():
 
 def test_augmented_mean_seventeen_points():
     spec = DataMapSpec(kind=MapKind.AUG_MEAN, weights=(1.0,) * 17, w0=0.5)
-    out = eval_augmented_mean(CircleDataset([(0.0, 1.0)] * 17), spec)
+    out = evaluate(spec, CircleDataset([(0.0, 1.0)] * 17))
     assert out.defined
-    np.testing.assert_allclose(out.feature.u, [0.0, 1.0])
+    # the map reads angles, and cos(pi / 2) is 6.1e-17 in floating point
+    np.testing.assert_allclose(out.feature.u, [0.0, 1.0], atol=1e-15)
     assert abs(out.gap - 16.5) < 1e-12
 
 
 def test_augmented_mean_cancellation():
     spec = DataMapSpec(kind=MapKind.AUG_MEAN, weights=(1.0,), w0=1.0)
-    out = eval_augmented_mean(CircleDataset([(0.0, 1.0)]), spec)
+    out = evaluate(spec, CircleDataset([(0.0, 1.0)]))
     assert not out.defined
     assert out.reason is UndefinedReason.ZERO_RESULTANT
 
 
 def test_augmented_mean_horizontal_pair():
     spec = DataMapSpec(kind=MapKind.AUG_MEAN, weights=(1.0, 1.0), w0=0.5)
-    out = eval_augmented_mean(CircleDataset([(1.0, 0.0), (-1.0, 0.0)]), spec)
+    out = evaluate(spec, CircleDataset([(1.0, 0.0), (-1.0, 0.0)]))
     assert out.defined
-    np.testing.assert_allclose(out.feature.u, [0.0, -1.0])
+    np.testing.assert_allclose(out.feature.u, [0.0, -1.0], atol=1e-15)
     assert abs(out.gap - 0.5) < 1e-12
 
 
@@ -210,11 +206,11 @@ def test_aug_mean_spec_validation():
 
 def test_disk_decision_examples():
     spec = DataMapSpec(kind=MapKind.DISK_DECISION, center=(0.0, 0.0), radius=0.5)
-    center = eval_disk_decision((0, 0), spec)
+    center = evaluate(spec, (0, 0))
     assert center.feature.bit == 1 and center.gap == 0.5
-    boundary = eval_disk_decision((0.5, 0), spec)
+    boundary = evaluate(spec, (0.5, 0))
     assert boundary.feature.bit == 0 and boundary.gap == 0.0
-    outside = eval_disk_decision((1, 1), spec)
+    outside = evaluate(spec, (1, 1))
     assert outside.feature.bit == 0
     assert abs(outside.gap - (math.sqrt(2) - 0.5)) < 1e-12
 
@@ -250,12 +246,12 @@ def test_oscillator_range_and_derivative():
 
 
 def test_oscillator_eval():
-    out = eval_radial_oscillator(np.array([1.0, 0.0]))
+    out = evaluate(OSCILLATOR, np.array([1.0, 0.0]))
     assert out.defined and out.feature.value == 0.0 and out.gap == 1.0
-    origin = eval_radial_oscillator(np.array([0.0, 0.0]))
+    origin = evaluate(OSCILLATOR, np.array([0.0, 0.0]))
     assert not origin.defined and origin.reason is UndefinedReason.ORIGIN
     with pytest.raises(DomainError):
-        eval_radial_oscillator(np.array([1.5, 0.0]))
+        evaluate(OSCILLATOR, np.array([1.5, 0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +369,7 @@ def test_gap_zero_iff_on_singular_surface():
         out = evaluate(spec, ds)
         assert not out.defined and out.gap == 0.0
     zero = DataMapSpec(kind=MapKind.AUG_MEAN, weights=(1.0,), w0=1.0)
-    out = eval_augmented_mean(CircleDataset([(0.0, 1.0)]), zero)
+    out = evaluate(zero, CircleDataset([(0.0, 1.0)]))
     assert not out.defined and out.gap == 0.0
     # generic datasets are Defined with strictly positive gap
     rng = np.random.default_rng(14)
@@ -392,9 +388,9 @@ def test_batch_kernels_match_scalar():
     lad_gaps = lad_gap_batch(pts)
     for i in range(50):
         ds = PlaneDataset(pts[i])
-        assert abs(ls_gaps[i] - eval_ls_line(ds).gap) < 1e-12
-        assert abs(pc_gaps[i] - eval_pc_line(ds).gap) < 1e-12
-        out = eval_lad_line(ds)
+        assert abs(ls_gaps[i] - evaluate(LS, ds).gap) < 1e-12
+        assert abs(pc_gaps[i] - evaluate(PC, ds).gap) < 1e-12
+        out = evaluate(LAD, ds)
         assert abs(lad_gaps[i] - out.gap) < 1e-12
 
 

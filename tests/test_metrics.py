@@ -10,7 +10,6 @@ from singlab.datamaps import (
     EvalOutcome,
     MapKind,
     UndefinedReason,
-    eval_radial_oscillator,
     evaluate,
     ls_gap_batch,
     oscillator_g_prime_abs,
@@ -83,6 +82,21 @@ def test_pc_distance_surrogate_and_refined():
     # pinned by a random-restart penalty oracle: the nearest tie moves the
     # outer abscissae in by 1/2 and spreads ordinates by (1/2)/sqrt(3)
     assert abs(refined - 1.0) < 1e-3
+
+
+def test_pc_refined_distance_is_the_svd_closed_form():
+    # the nearest eigenvalue tie is s U V^T for the centered points Q = U S V^T,
+    # s = (sigma1 + sigma2) / 2, so the distance is (sigma1 - sigma2) / sqrt(2)
+    rng = np.random.default_rng(44)
+    for n in range(3, 9):
+        for _ in range(5):
+            pts = rng.standard_normal((n, 2)) * rng.uniform(0.1, 10.0, 2)
+            sigma = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
+            refined, tag = distance_to_singular(PC, PlaneDataset(pts), refine=True)
+            assert tag == "REFINED"
+            want = (sigma[0] - sigma[1]) / math.sqrt(2.0)
+            assert abs(refined - want) <= 1e-12 * want
+    assert distance_to_singular(PC, PlaneDataset([(1, 1)] * 3), refine=True) == (0.0, "REFINED")
 
 
 def test_lad_distance_surrogate():
@@ -215,6 +229,12 @@ def test_severity_classification():
     assert classify_severity(between, 0.3) == UNDECIDED
 
 
+def test_oscillation_profile_all_undefined_is_derived():
+    profile = OscillationProfile(radii=RADII, diameters=(0.4, math.nan, 0.0), samples_per_radius=16, seed=0)
+    assert profile.all_undefined == (False, True, False)
+    assert profile.to_dict()["all_undefined"] == [False, True, False]
+
+
 # ---------------------------------------------------------------------------
 # Average derivative along curves
 # ---------------------------------------------------------------------------
@@ -287,7 +307,7 @@ def test_blowup_distance_bracket():
 def test_oscillator_arc_average_derivative():
     # avg derivative at scale t_n is Theta(1 / t_n) while the pointwise
     # t |g'(t)| stays below 1 / |log(t_n / e)|
-    fn = lambda u: eval_radial_oscillator(u)
+    fn = lambda u: evaluate(DataMapSpec(kind=MapKind.RADIAL_OSCILLATOR), u)
     for n in (0, 1):
         t_n = oscillator_t(n)
         arc = oscillator_arc(n)

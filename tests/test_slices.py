@@ -9,7 +9,7 @@ from singlab.datamaps import (
     DataMapSpec,
     MapKind,
     eval_perfect_fit_standard,
-    ls_stats,
+    evaluate,
     spanning_lines,
 )
 from singlab.geometry import ContractViolation, DomainError, PlaneDataset
@@ -118,7 +118,8 @@ def test_lf_field_ls_undefined_cells_match_sxx():
     # undefined exactly where the embedded abscissae coincide (S_xx = 0)
     for u, out in zip(grid.us, grid.outcomes):
         ds = spec.dataset_at(u)
-        s_xx, _ = ls_stats(ds.x, ds.y)
+        xc = ds.x - ds.x.mean()
+        s_xx = float(np.dot(xc, xc))
         assert out.defined == (s_xx > 0.0)
     # componentwise solve puts the surface at u = (0, +-1) exactly; the grid
     # lands within rounding of it (gap below 1e-15 at the vertical cells),
@@ -126,10 +127,8 @@ def test_lf_field_ls_undefined_cells_match_sxx():
     for u, out in zip(grid.us, grid.outcomes):
         if abs(abs(u[1]) - 1.0) < 1e-12 and abs(u[0]) < 1e-12:
             assert out.gap < 1e-15
-    from singlab.datamaps import eval_ls_line
-
     exact_vertical = PlaneDataset([(0, -1), (0, 0), (0, 1)])
-    assert not eval_ls_line(exact_vertical).defined
+    assert not evaluate(DataMapSpec(kind=MapKind.LS_LINE), exact_vertical).defined
 
 
 def test_lf_field_boundary_ring_calibrated():

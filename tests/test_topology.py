@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from singlab.datamaps import (
+    BatchMap,
     DataMapSpec,
     EvalOutcome,
     MapKind,
     UndefinedReason,
     dataset_span,
-    eval_disk_decision,
     eval_perfect_fit_standard,
     evaluate,
+    evaluate_batch,
 )
 from singlab.geometry import CirclePoint, ContractViolation, LineDirection
 from singlab.slices import SliceSpec, boundary_loop
@@ -130,10 +131,12 @@ def test_decision_features_unsupported():
     spec = DataMapSpec(kind=MapKind.DISK_DECISION, radius=0.5)
     loop = circle_loop((0, 0), 0.9, 16)
     with pytest.raises(UnsupportedFeatureError):
-        winding_number(loop, lambda u: eval_disk_decision(u, spec))
+        winding_number(loop, lambda u: evaluate(spec, u))
+    with pytest.raises(UnsupportedFeatureError):
+        winding_number(loop, BatchMap(lambda us: evaluate_batch(spec, us)))
     # r = 0 features are outside the degree machinery in the localizer too
     with pytest.raises(UnsupportedFeatureError):
-        localize_singularities(lambda u: eval_disk_decision(u, spec), (0, 0), 0.9, 0.1)
+        localize_singularities(lambda u: evaluate(spec, u), (0, 0), 0.9, 0.1)
 
 
 def test_degree_additivity_random_subdivisions():
