@@ -21,16 +21,18 @@ import sys
 import numpy as np
 
 from singlab.datamaps import (
+    REASON_CODES,
     BatchMap,
+    BatchOutcome,
     DataMapSpec,
     MapKind,
+    UndefinedReason,
     concentrated_preset,
-    evaluate,
     evaluate_with_standard_batch,
     standard_batch,
     uniform_preset,
 )
-from singlab.geometry import ContractViolation, PlaneDataset
+from singlab.geometry import ContractViolation, LineDirection, PlaneDataset, reduce_mod_pi
 from singlab.measure import (
     box_count_dimension,
     circle_cell_membership,
@@ -225,23 +227,24 @@ def write_json_report(path, command: str, config: dict, result) -> None:
         fh.write("\n")
 
 
-def _fitter_outcome_fn(kind: MapKind, slice_spec: SliceSpec):
-    spec = DataMapSpec(kind=kind)
-
-    def fn(u):
-        return evaluate(spec, slice_spec.dataset_at(u, allow_outside_disk=True))
-
-    return fn
+# libm's atan2, which numpy's arctan2 does not match in the last bit.  The
+# derivative profile's candidate arcs come in mirror-image pairs that tie
+# exactly on this map, so the last bit decides which arc an eta gets.
+_atan2 = np.vectorize(math.atan2, otypes=[float])
 
 
-def _synthetic_outcome_fn(u):
-    from singlab.datamaps import EvalOutcome, UndefinedReason
-    from singlab.geometry import LineDirection
-
-    r = float(np.linalg.norm(u))
-    if r == 0.0:
-        return EvalOutcome.undefined(UndefinedReason.ORIGIN)
-    return EvalOutcome.of(LineDirection(0.5 * math.atan2(u[1], u[0])), r)
+def _synthetic_batch(us: np.ndarray) -> BatchOutcome:
+    """Half the polar angle of slice parameters (m, 2) as a line direction,
+    gap |u|, Undefined at the origin: degree 1 in half turns, with a
+    derivative that blows up like 1 / (2 |u|)."""
+    r = np.linalg.norm(us, axis=1)
+    origin = r == 0.0
+    return BatchOutcome(
+        value=np.where(origin, np.nan, reduce_mod_pi(0.5 * _atan2(us[:, 1], us[:, 0]))),
+        gap=r,
+        reason=np.where(origin, REASON_CODES.index(UndefinedReason.ORIGIN), 0).astype(np.int8),
+        feature=LineDirection,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -338,11 +341,10 @@ def _run_severity(config, outdir):
 
 
 def _run_derivprofile(config, outdir):
-    slice_spec = SliceSpec()
     if config["map"] == "synthetic":
-        fn = _synthetic_outcome_fn
+        fn = BatchMap(_synthetic_batch)
     else:
-        fn = _fitter_outcome_fn(_FITTER_KINDS[config["map"]], slice_spec)
+        fn = slice_map(SliceSpec(), DataMapSpec(kind=_FITTER_KINDS[config["map"]]))
     etas = np.geomspace(config["eta_max"], config["eta_min"], config["eta_count"])
     profile = derivative_blowup_profile(fn, (config["at_x"], config["at_y"]), etas, seed=config["seed"])
     path = _out_path(config["out"], outdir)

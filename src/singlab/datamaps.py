@@ -157,6 +157,41 @@ class BatchMap:
         return self.fn(inputs)
 
 
+# Each feature variant's number in a BatchOutcome's value array.
+_FEATURE_VALUE = {
+    LineDirection: lambda f: f.theta,
+    CirclePoint: lambda f: f.angle,
+    Decision: lambda f: f.bit,
+    ScalarValue: lambda f: f.value,
+}
+
+
+def _pointwise(fn, sample_type: type | None = None) -> BatchMap:
+    """``fn`` as a batch map: a BatchMap as it is, and a callable mapping one
+    input to an EvalOutcome called row by row, each row wrapped in
+    ``sample_type`` when one is given.  All-Undefined batches report the
+    LineDirection variant."""
+    if isinstance(fn, BatchMap):
+        return fn
+
+    def batch(inputs: np.ndarray) -> BatchOutcome:
+        m = len(inputs)
+        value, gap = np.full(m, np.nan), np.zeros(m)
+        reason = np.zeros(m, dtype=np.int8)
+        feature = LineDirection
+        for k, x in enumerate(inputs):
+            outcome = fn(x if sample_type is None else sample_type(x))
+            if outcome.defined:
+                feature = type(outcome.feature)
+                value[k] = _FEATURE_VALUE[feature](outcome.feature)
+                gap[k] = outcome.gap
+            else:
+                reason[k] = REASON_CODES.index(outcome.reason)
+        return BatchOutcome(value=value, gap=gap, reason=reason, feature=feature)
+
+    return BatchMap(batch)
+
+
 @dataclass(frozen=True)
 class DataMapSpec:
     """Which map to run and its parameters.

@@ -33,9 +33,11 @@ from singlab.metrics import (
 
 DEFAULT_QUANTILE_WINDOW = (0.002, 0.05)
 
-# Tradeoff experiment: Gauss-Newton steps of the cloud projection, grid of
-# the perfect-fit scan, and box-count meshes of the measure surrogate.
+# Tradeoff experiment: Gauss-Newton steps of the cloud projection (a cap:
+# a row stops once its resultant is below GAUSS_NEWTON_TOL), grid of the
+# perfect-fit scan, and box-count meshes of the measure surrogate.
 GAUSS_NEWTON_ITERS = 60
+GAUSS_NEWTON_TOL = 1e-12
 PERFECT_FIT_SCAN = 720
 TRADEOFF_MESH_SIZES = tuple(np.geomspace(0.8, 0.02, 6))
 
@@ -56,11 +58,11 @@ def _greedy_net(cloud: np.ndarray, delta: float) -> int:
         raise ContractViolation("point cloud must be a nonempty (m, d) array")
     if delta <= 0:
         raise ContractViolation("delta must be positive")
-    centers = np.empty((0, cloud.shape[1]))
+    centers = np.empty_like(cloud)
     count = 0
     for p in cloud:
-        if count == 0 or np.min(np.linalg.norm(centers - p, axis=1)) > delta:
-            centers = np.vstack([centers, p])
+        if count == 0 or np.min(np.linalg.norm(centers[:count] - p, axis=1)) > delta:
+            centers[count] = p
             count += 1
     return count
 
@@ -106,23 +108,84 @@ class DimensionEstimate:
         }
 
 
-def _occupied_count(membership, lo: np.ndarray, hi: np.ndarray, delta: float) -> int:
-    """Number of delta-cells of the domain box touched by the set.
+def _cell_counts(lo: np.ndarray, hi: np.ndarray, delta: float) -> np.ndarray:
+    """Cells per axis of the delta-grid over the domain box; the last cell of
+    an axis is clipped at hi."""
+    return np.maximum(np.ceil((hi - lo) / delta - 1e-12).astype(int), 1)
 
-    ``membership`` is either a point cloud (m, d) or a vectorized cell
-    predicate mapping stacked cell bounds (M, d), (M, d) to a bool mask.
+
+def _distinct_rows(idx: np.ndarray) -> np.ndarray:
+    """The distinct rows of an integer array (k, d), by one lexsort.
+
+    Unlike a raveled flat index it never overflows, however many cells the
+    grid has (a 17-point tradeoff cloud lives on a 315^17-cell grid).
     """
-    counts = np.maximum(np.ceil((hi - lo) / delta - 1e-12).astype(int), 1)
-    if isinstance(membership, np.ndarray):
-        idx = np.floor((membership - lo[None, :]) / delta).astype(int)
-        idx = np.clip(idx, 0, counts[None, :] - 1)
-        return len({tuple(row) for row in idx})
-    grids = [np.arange(c) for c in counts]
-    mesh = np.meshgrid(*grids, indexing="ij")
-    cells = np.stack([m.ravel() for m in mesh], axis=1).astype(float)
-    c_lo = lo[None, :] + cells * delta
-    c_hi = np.minimum(c_lo + delta, hi[None, :])
-    return int(np.count_nonzero(membership(c_lo, c_hi)))
+    idx = idx[np.lexsort(idx.T)]
+    first = np.ones(len(idx), dtype=bool)
+    first[1:] = np.any(idx[1:] != idx[:-1], axis=1)
+    return idx[first]
+
+
+def _cloud_count(cloud: np.ndarray, lo: np.ndarray, hi: np.ndarray, delta: float) -> int:
+    """Number of delta-cells of the domain box holding a point of the cloud."""
+    counts = _cell_counts(lo, hi, delta)
+    idx = np.floor((cloud - lo[None, :]) / delta).astype(int)
+    return len(_distinct_rows(np.clip(idx, 0, counts[None, :] - 1)))
+
+
+def _overlapping_cells(occupied: np.ndarray, coarse: float, delta: float, counts: np.ndarray) -> np.ndarray:
+    """Indices (k, d) of the delta-cells that overlap an occupied coarse cell.
+
+    ``occupied`` is the coarse grid's boolean mask.  Along each axis, coarse
+    cell k overlaps the fine cells floor(k coarse / delta) to floor((k + 1)
+    coarse / delta), padded here by one on each side so rounding never drops
+    one.  Both ends grow with k, so the coarse cells over fine cell j form a
+    short run [k_lo, k_hi), and fine cell j is kept when any cell of its run
+    is occupied.  One axis at a time, that maps the mask onto the fine grid.
+    """
+    mask = occupied
+    for axis, n in enumerate(counts):
+        size = mask.shape[axis]
+        k = np.arange(size + 1)
+        first = np.floor(k[:-1] * coarse / delta).astype(int) - 1
+        last = np.floor(k[1:] * coarse / delta).astype(int) + 1
+        j = np.arange(n)
+        k_lo = np.searchsorted(last, j, side="left")
+        k_hi = np.searchsorted(first, j, side="right")
+        along = [n if a == axis else 1 for a in range(mask.ndim)]
+        fine = np.zeros(mask.shape[:axis] + (n,) + mask.shape[axis + 1:], dtype=bool)
+        for t in range(int(np.max(k_hi - k_lo, initial=0))):
+            k = k_lo + t
+            fine |= np.take(mask, np.minimum(k, size - 1), axis=axis) & (k < k_hi).reshape(along)
+        mask = fine
+    return np.argwhere(mask)
+
+
+def _predicate_counts(pred, lo: np.ndarray, hi: np.ndarray, mesh_sizes) -> list[int]:
+    """Occupied-cell counts of a cell predicate on decreasing meshes.
+
+    Coarse to fine, as a quadtree (Liebovitch & Toth 1989, Phys. Lett. A
+    141): the coarsest grid is tested in full, and each finer grid only on
+    the cells overlapping an occupied cell of the previous one.  A point of
+    the set in a fine cell lies in some coarse cell, which is then occupied,
+    so no occupied fine cell is skipped.
+    """
+    counts = []
+    occupied = coarse = None
+    for delta in mesh_sizes:
+        n_cells = _cell_counts(lo, hi, delta)
+        if occupied is None:
+            cells = np.argwhere(np.ones(n_cells, dtype=bool))
+        else:
+            cells = _overlapping_cells(occupied, coarse, delta, n_cells)
+        c_lo = lo[None, :] + cells * delta
+        c_hi = np.minimum(c_lo + delta, hi[None, :])
+        hit = cells[pred(c_lo, c_hi)]
+        occupied = np.zeros(n_cells, dtype=bool)
+        occupied[tuple(hit.T)] = True
+        coarse = delta
+        counts.append(len(hit))
+    return counts
 
 
 def box_count_dimension(
@@ -140,6 +203,13 @@ def box_count_dimension(
     pins s explicitly; each occupied cell is treated as one covering set of
     diameter d_min * sqrt(dim), so this is an upper-bound-flavored H^s
     estimate, not the true Hausdorff measure.
+
+    A point cloud counts the cells holding one of its points.  A cell
+    predicate maps stacked closed-cell bounds (M, d), (M, d) to a bool mask
+    and is tested coarse to fine, only near the cells the previous mesh found
+    occupied.  The counts then equal those of testing every cell whenever the
+    predicate is an exact closed-cell intersection test, as
+    ``circle_cell_membership`` and ``filled_box_membership`` are.
     """
     lo = np.asarray(domain_lo, dtype=float)
     hi = np.asarray(domain_hi, dtype=float)
@@ -148,7 +218,10 @@ def box_count_dimension(
         raise ContractViolation("need at least 4 mesh sizes")
     if mesh_sizes[0] / mesh_sizes[-1] < 10 ** 1.5:
         raise ContractViolation("mesh sizes must span at least 1.5 decades")
-    counts = [_occupied_count(membership, lo, hi, d) for d in mesh_sizes]
+    if isinstance(membership, np.ndarray):
+        counts = [_cloud_count(membership, lo, hi, d) for d in mesh_sizes]
+    else:
+        counts = _predicate_counts(membership, lo, hi, mesh_sizes)
     degenerate = len(set(counts)) == 1
     if degenerate:
         dimension = 0.0
@@ -435,14 +508,22 @@ class TradeoffReport:
 def _project_to_zero_resultant(angles: np.ndarray, spec: DataMapSpec) -> np.ndarray:
     """Gauss-Newton projection of angle configurations onto {resultant = 0}.
 
-    Underdetermined least-norm steps; rows that fail to converge are left
-    with a nonzero residual and filtered by the caller.
+    Underdetermined least-norm steps, on the active rows only: a row is
+    frozen once its resultant norm drops below GAUSS_NEWTON_TOL, and the
+    iteration stops when none is left or after GAUSS_NEWTON_ITERS steps.
+    Rows that go NaN never freeze; rows that fail to converge are left with
+    a nonzero residual and filtered by the caller.
     """
     phi = angles.copy()
+    active = np.arange(len(phi))
     for _ in range(GAUSS_NEWTON_ITERS):
-        r, jac = aug_mean_resultant(phi, spec)
-        rx, ry = r[:, 0], r[:, 1]
-        jx, jy = jac[:, 0], jac[:, 1]
+        r, jac = aug_mean_resultant(phi[active], spec)
+        moving = ~(np.hypot(r[:, 0], r[:, 1]) < GAUSS_NEWTON_TOL)
+        active = active[moving]
+        if active.size == 0:
+            break
+        rx, ry = r[moving, 0], r[moving, 1]
+        jx, jy = jac[moving, 0], jac[moving, 1]
         g11 = np.sum(jx * jx, axis=1)
         g12 = np.sum(jx * jy, axis=1)
         g22 = np.sum(jy * jy, axis=1)
@@ -450,7 +531,7 @@ def _project_to_zero_resultant(angles: np.ndarray, spec: DataMapSpec) -> np.ndar
         det = np.where(np.abs(det) < 1e-12, np.nan, det)
         lam1 = (g22 * rx - g12 * ry) / det
         lam2 = (g11 * ry - g12 * rx) / det
-        phi = phi - (jx * lam1[:, None] + jy * lam2[:, None])
+        phi[active] -= jx * lam1[:, None] + jy * lam2[:, None]
     return phi
 
 

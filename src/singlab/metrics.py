@@ -15,10 +15,12 @@ import numpy as np
 from scipy.optimize import minimize
 
 from singlab.datamaps import (
+    BatchMap,
     BatchOutcome,
     DataMapSpec,
     MapKind,
     _pc_moments,
+    _pointwise,
     as_map_input,
     aug_mean_gap_batch,
     aug_mean_resultant,
@@ -27,14 +29,8 @@ from singlab.datamaps import (
     ls_gap_batch,
     pc_gap_batch,
 )
-from singlab.geometry import (
-    ContractViolation,
-    Feature,
-    ScalarValue,
-    feature_distance,
-    segment_average_norm,
-)
-from singlab.topology import _angle_of, _wrap_increment
+from singlab.geometry import ContractViolation, segment_average_norm
+from singlab.topology import _wrap_increments
 
 
 class UnsupportedMapError(ContractViolation):
@@ -122,15 +118,16 @@ def _pc_tie_distance(points: np.ndarray) -> float:
     columns of equal norm.  The nearest such Q is s U V^T with s = (sigma1 +
     sigma2) / 2, from the SVD Q = U S V^T (Eckart & Young 1936, Psychometrika
     1; Higham 1986, SIAM J. Sci. Stat. Comput. 7), and the mean is free, so
-    the distance is (sigma1 - sigma2) / sqrt(2).  With sigma_i = sqrt(n
-    lambda_i) that is sqrt(n / 2) gap / (sqrt(lambda1) + sqrt(lambda2)),
-    free of cancellation.
+    the distance is (sigma1 - sigma2) / sqrt(2).  With sigma1^2 - sigma2^2 =
+    n gap that is n gap / (sqrt(2) (sigma1 + sigma2)), free of cancellation:
+    the singular values come from the SVD of Q, not from the eigenvalues,
+    whose smaller one cancels on nearly collinear data.
     """
-    _, _, gap, mean = (float(v[0]) for v in _pc_moments(points[None]))
+    gap = float(_pc_moments(points[None])[2][0])
     if gap == 0.0:
         return 0.0
-    lam2 = max(mean - 0.5 * gap, 0.0)
-    return math.sqrt(points.shape[0] / 2.0) * gap / (math.sqrt(mean + 0.5 * gap) + math.sqrt(lam2))
+    sigma = np.linalg.svd(points - points.mean(axis=0), compute_uv=False)
+    return points.shape[0] * gap / (math.sqrt(2.0) * float(sigma[0] + sigma[1]))
 
 
 def distance_to_singular(spec: DataMapSpec, x, refine: bool = False) -> tuple[float, str]:
@@ -208,6 +205,17 @@ def _sample_ball(rng, center_flat: np.ndarray, radius: float, k: int) -> np.ndar
 _ANTIPODE_WINDOW = np.arange(-2, 2)
 
 
+def _value_distances(a: np.ndarray, b: np.ndarray, period: float | None) -> np.ndarray:
+    """Feature-space distances between feature values, elementwise: the
+    mod-period metric of ``line_angle_distance`` for angles (arc length for
+    circle points), the absolute difference for decisions and scalars."""
+    d = np.abs(a - b)
+    if period is None:
+        return d
+    d = d % period
+    return np.minimum(d, period - d)
+
+
 def batch_diameter(batch: BatchOutcome) -> float:
     """Feature-space diameter of the Defined rows of a batch, NaN if none.
 
@@ -225,8 +233,7 @@ def batch_diameter(batch: BatchOutcome) -> float:
         return float(values.max() - values.min())
     s = np.sort(values % period)
     j = np.searchsorted(s, (s + 0.5 * period) % period)
-    d = np.abs(s[:, None] - s[(j[:, None] + _ANTIPODE_WINDOW) % s.size]) % period
-    return float(np.max(np.minimum(d, period - d)))
+    return float(np.max(_value_distances(s[:, None], s[(j[:, None] + _ANTIPODE_WINDOW) % s.size], period)))
 
 
 def oscillation(spec: DataMapSpec, x, radii, k_samples: int, seed: int) -> OscillationProfile:
@@ -279,32 +286,26 @@ def classify_severity(profile: OscillationProfile, mesh: float) -> str:
     return UNDECIDED
 
 
-def _signed_feature_step(f_plus: Feature, f_minus: Feature) -> float:
-    """Signed short-way increment between two features of the same variant."""
-    if isinstance(f_plus, ScalarValue):
-        return f_plus.value - f_minus.value
-    a, period = _angle_of(f_plus)
-    b, _ = _angle_of(f_minus)
-    return _wrap_increment(a - b, period)
+def _grad_norms(batch_fn: BatchMap, nodes: np.ndarray, h: float) -> np.ndarray:
+    """Operator norms of the finite-difference Jacobian of u -> feature at
+    each node of a stack (k, dim).
 
-
-def _grad_norm(outcome_fn, u: np.ndarray, h: float) -> float:
-    """Operator norm of the finite-difference Jacobian of u -> feature.
-
-    Central differences per coordinate; increments measured in the feature
-    metric with the sign of the short way.  For a real- or angle-valued
-    feature the operator norm is the Euclidean norm of the gradient.
+    Central differences per coordinate, all 2 dim k stencil points in one
+    batch; increments measured in the feature metric with the sign of the
+    short way.  For a real- or angle-valued feature the operator norm is the
+    Euclidean norm of the gradient.
     """
-    grads = []
-    for axis in range(u.size):
-        e = np.zeros(u.size)
-        e[axis] = h
-        out_p = outcome_fn(u + e)
-        out_m = outcome_fn(u - e)
-        if not (out_p.defined and out_m.defined):
-            raise CurveHitsSingularityError("finite-difference stencil hit the singular set")
-        grads.append(_signed_feature_step(out_p.feature, out_m.feature) / (2.0 * h))
-    return float(np.linalg.norm(grads))
+    k, dim = nodes.shape
+    e = h * np.eye(dim)
+    stencil = np.concatenate([(nodes[:, None, :] + e).reshape(-1, dim),
+                              (nodes[:, None, :] - e).reshape(-1, dim)])
+    out = batch_fn(stencil)
+    if not out.defined.all():
+        raise CurveHitsSingularityError("finite-difference stencil hit the singular set")
+    steps = out.value[:k * dim] - out.value[k * dim:]
+    if out.period is not None:
+        steps = _wrap_increments(steps, out.period)
+    return np.linalg.norm(steps.reshape(k, dim) / (2.0 * h), axis=1)
 
 
 def average_derivative_along_curve(
@@ -317,24 +318,27 @@ def average_derivative_along_curve(
 
     Composite midpoint quadrature: each segment contributes its length times
     the mean |D(feature)| over equally spaced interior midpoints.
+    ``outcome_fn`` is a BatchMap over stacked points (m, dim), or a callable
+    mapping one point to an EvalOutcome; the stencils of every node of the
+    curve go to it as one batch.
     """
     pts = [np.asarray(p, dtype=float) for p in curve]
     if len(pts) < 2:
         raise ContractViolation("curve needs at least 2 vertices")
     if h_fd <= 0:
         raise ContractViolation("h_fd must be positive")
+    segments = [(a, b, float(np.linalg.norm(b - a))) for a, b in zip(pts, pts[1:])]
+    segments = [(a, b, seg) for a, b, seg in segments if seg != 0.0]
+    if not segments:
+        raise ContractViolation("curve has zero length")
+    ts = (np.arange(nodes_per_segment) + 0.5) / nodes_per_segment
+    nodes = np.concatenate([a + ts[:, None] * (b - a) for a, b, _ in segments])
+    norms = _grad_norms(_pointwise(outcome_fn), nodes, h_fd).reshape(len(segments), nodes_per_segment)
     total_len = 0.0
     total_int = 0.0
-    for a, b in zip(pts, pts[1:]):
-        seg = float(np.linalg.norm(b - a))
-        if seg == 0.0:
-            continue
-        ts = (np.arange(nodes_per_segment) + 0.5) / nodes_per_segment
-        vals = [_grad_norm(outcome_fn, a + t * (b - a), h_fd) for t in ts]
+    for (_, _, seg), vals in zip(segments, norms):
         total_len += seg
         total_int += seg * float(np.mean(vals))
-    if total_len == 0.0:
-        raise ContractViolation("curve has zero length")
     return total_int / total_len
 
 
@@ -394,16 +398,24 @@ def derivative_blowup_profile(
     scale-invariant and the fitted log-log slope reflects the map alone.
     Entries whose arc construction keeps hitting the singular set are
     flagged and excluded from the fit.
+
+    ``outcome_fn`` is a BatchMap over stacked points (m, 2), such as
+    ``slices.slice_map``, or a callable mapping one point to an EvalOutcome
+    (called point by point, so slower).  Each attempt evaluates its y1, y2
+    candidates and y3 as one batch, and each arc its stencils as another.
     """
     x0 = np.asarray(singular_point, dtype=float)
     etas = tuple(float(e) for e in etas)
     if not all(a > b for a, b in zip(etas, etas[1:])):
         raise ContractViolation("etas must be strictly decreasing")
+    fn = _pointwise(outcome_fn)
     rng = np.random.default_rng(seed)
     # seeded template directions, shared across etas
     phi1 = rng.uniform(0.0, 2 * math.pi)
     phi3 = phi1 + rng.uniform(0.5, 1.2)
     candidate_phis = phi1 + np.linspace(0.3, 2 * math.pi - 0.3, 24)
+    # rows of one attempt's batch: y1, the candidate y2, then y3
+    scales = np.concatenate([[0.45], np.full(candidate_phis.size, 0.45), [0.9]])
 
     avg_d = []
     avg_r = []
@@ -412,27 +424,17 @@ def derivative_blowup_profile(
         ok = False
         for attempt in range(MAX_JITTERS):
             shift = 0.02 * attempt
-            y1 = x0 + 0.45 * eta * np.array([math.cos(phi1 + shift), math.sin(phi1 + shift)])
-            out1 = outcome_fn(y1)
-            if not out1.defined:
+            phis = np.concatenate([[phi1], candidate_phis, [phi3]]) + shift
+            ys = x0 + (scales * eta)[:, None] * np.stack([np.cos(phis), np.sin(phis)], axis=1)
+            out = fn(ys)
+            candidates = out.defined[1:-1]
+            if not (out.defined[0] and candidates.any() and out.defined[-1]):
                 continue
-            best = None
-            for phi in candidate_phis + shift:
-                y2 = x0 + 0.45 * eta * np.array([math.cos(phi), math.sin(phi)])
-                out2 = outcome_fn(y2)
-                if not out2.defined:
-                    continue
-                sep = feature_distance(out1.feature, out2.feature)
-                if best is None or sep > best[0]:
-                    best = (sep, y2)
-            if best is None:
-                continue
-            y3 = x0 + 0.9 * eta * np.array([math.cos(phi3 + shift), math.sin(phi3 + shift)])
-            if not outcome_fn(y3).defined:
-                continue
-            curve = [y1, best[1], y3]
+            # the first candidate farthest from y1 in the feature metric
+            sep = np.where(candidates, _value_distances(out.value[1:-1], out.value[0], out.period), -np.inf)
+            curve = [ys[0], ys[1 + int(np.argmax(sep))], ys[-1]]
             try:
-                d = average_derivative_along_curve(outcome_fn, curve, h_fd=H_FD_FACTOR * eta)
+                d = average_derivative_along_curve(fn, curve, h_fd=H_FD_FACTOR * eta)
             except CurveHitsSingularityError:
                 continue
             avg_d.append(d)

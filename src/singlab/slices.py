@@ -170,10 +170,19 @@ def render_lf_field(
     return grid
 
 
+# A line angle just below pi prints as pi at 12 digits, though it is the
+# direction 0; the CSV prints it as 0, so a last-bit rounding change cannot
+# move a cell between the two ends of the theta column.
+_PI_12G = f"{math.pi:.12g}"
+
+
 def write_field_csv(grid: GridField, path) -> None:
     lines = ["u_x,u_y,theta_or_nan,gap,status"]
     for ux, uy, theta, gap, status in grid.rows():
-        lines.append(f"{ux:.12g},{uy:.12g},{theta:.12g},{gap:.12g},{status}")
+        theta_text = f"{theta:.12g}"
+        if theta_text == _PI_12G:
+            theta_text = "0"
+        lines.append(f"{ux:.12g},{uy:.12g},{theta_text},{gap:.12g},{status}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -18,14 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from singlab.datamaps import REASON_CODES, BatchMap, BatchOutcome
-from singlab.geometry import (
-    CircleDataset,
-    CirclePoint,
-    ContractViolation,
-    Feature,
-    LineDirection,
-)
+from singlab.datamaps import REASON_CODES, BatchOutcome, _pointwise
+from singlab.geometry import CircleDataset, ContractViolation
 
 # An edge certifies short when its endpoint features are less than this
 # share of a period apart, so the short way between them is the lift step.
@@ -103,29 +97,8 @@ class WindingReport:
     max_depth: int = 0
 
 
-def _angle_of(feature: Feature) -> tuple[float, float]:
-    """(angle, period) of a feature; rejects variants without winding."""
-    if isinstance(feature, LineDirection):
-        return feature.theta, math.pi
-    if isinstance(feature, CirclePoint):
-        return feature.angle, 2.0 * math.pi
-    raise UnsupportedFeatureError(
-        f"{type(feature).__name__} features carry no winding number"
-    )
-
-
-def _wrap_increment(delta: float, period: float) -> float:
-    """Reduce an angle increment into (-period/2, period/2]."""
-    delta = math.fmod(delta, period)
-    if delta > 0.5 * period:
-        delta -= period
-    elif delta <= -0.5 * period:
-        delta += period
-    return delta
-
-
 def _wrap_increments(delta: np.ndarray, period: float) -> np.ndarray:
-    """``_wrap_increment`` over an array, with the same arithmetic."""
+    """Reduce angle increments into (-period/2, period/2]."""
     delta = np.fmod(delta, period)
     delta = np.where(delta > 0.5 * period, delta - period, delta)
     return np.where(delta <= -0.5 * period, delta + period, delta)
@@ -146,27 +119,6 @@ def midpoint_interpolate(p: np.ndarray, q: np.ndarray, sample_type: type | None 
     return mid
 
 
-def _pointwise(fn, sample_type: type | None) -> BatchMap:
-    """A scalar EvalOutcome callable as a batch map, called sample by sample."""
-
-    def batch(points: np.ndarray) -> BatchOutcome:
-        m = len(points)
-        angle, gap = np.full(m, np.nan), np.zeros(m)
-        reason = np.zeros(m, dtype=np.int8)
-        feature = LineDirection
-        for k, p in enumerate(points):
-            outcome = fn(p if sample_type is None else sample_type(p))
-            if outcome.defined:
-                angle[k], _ = _angle_of(outcome.feature)
-                feature = type(outcome.feature)
-                gap[k] = outcome.gap
-            else:
-                reason[k] = REASON_CODES.index(outcome.reason)
-        return BatchOutcome(value=angle, gap=gap, reason=reason, feature=feature)
-
-    return BatchMap(batch)
-
-
 def winding_number(loop: Loop, evaluate_fn) -> WindingReport:
     """Degree of a feature-valued map along a closed loop.
 
@@ -185,8 +137,7 @@ def winding_number(loop: Loop, evaluate_fn) -> WindingReport:
     Undefined midpoint at any depth raises LoopHitsSingularityError before an
     edge that reaches depth MAX_REFINE raises InconclusiveDegreeError.
     """
-    if not isinstance(evaluate_fn, BatchMap):
-        evaluate_fn = _pointwise(evaluate_fn, loop.sample_type)
+    evaluate_fn = _pointwise(evaluate_fn, loop.sample_type)
     samples_used = 0
     min_gap = math.inf
 

@@ -46,8 +46,6 @@ from singlab.topology import (
     InconclusiveDegreeError,
     Loop,
     LoopHitsSingularityError,
-    _angle_of,
-    _wrap_increment,
     winding_number,
 )
 
@@ -64,6 +62,23 @@ angles = st.floats(0.0, 2.0 * math.pi)
 # ---------------------------------------------------------------------------
 # Scalar reference maps, one input at a time
 # ---------------------------------------------------------------------------
+
+def _angle_of(feature):
+    """(angle, period) of a line direction or circle point."""
+    if isinstance(feature, LineDirection):
+        return feature.theta, math.pi
+    return feature.angle, 2.0 * math.pi
+
+
+def _wrap_increment(delta, period):
+    """Reduce one angle increment into (-period/2, period/2]."""
+    delta = math.fmod(delta, period)
+    if delta > 0.5 * period:
+        delta -= period
+    elif delta <= -0.5 * period:
+        delta += period
+    return delta
+
 
 def reference_ls(pts):
     """Slope direction of the y-on-x least-squares line; gap sqrt(S_xx)."""

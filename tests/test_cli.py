@@ -100,11 +100,46 @@ def test_oscillate_and_severity_stay_batched(tmp_path, monkeypatch):
     for module in (singlab.datamaps, singlab.cli, singlab.metrics):
         if getattr(module, "evaluate", None) is scalar_evaluate:
             monkeypatch.setattr(module, "evaluate", scalar_path)
-    monkeypatch.setattr(singlab.metrics, "feature_distance", scalar_path)
+    monkeypatch.setattr(singlab.metrics, "feature_distance", scalar_path, raising=False)
     assert run(["oscillate", "--map", "pc"], tmp_path) == EXIT_OK
     assert run(["severity", "--map", "lad"], tmp_path) == EXIT_OK
     profile = json.loads((tmp_path / "severity.json").read_text())["result"]["profile"]
     assert len(profile["diameters"]) == 3
+
+
+def test_refine_commands_stay_batched(tmp_path, monkeypatch):
+    # derivprofile evaluates each jitter attempt and each arc's stencils as
+    # one batch, and dimension tests only cells near the previous mesh's
+    # occupied ones
+    def scalar_path(*args, **kwargs):
+        raise AssertionError("scalar evaluation on a batched path")
+
+    scalar_evaluate = singlab.datamaps.evaluate
+    for module in (singlab.datamaps, singlab.cli, singlab.metrics, singlab.slices, singlab.topology):
+        if getattr(module, "evaluate", None) is scalar_evaluate:
+            monkeypatch.setattr(module, "evaluate", scalar_path)
+    monkeypatch.setattr(singlab.slices.SliceSpec, "dataset_at", scalar_path)
+    for m in ("pc", "lad", "synthetic"):
+        assert run(["derivprofile", "--map", m, "--eta-count", "13"], tmp_path) == EXIT_OK, m
+        assert not any(json.loads((tmp_path / "derivprofile.json").read_text())["result"]["flagged"])
+
+    cells = []
+    circle = singlab.cli.circle_cell_membership
+
+    def counted(center, radius):
+        pred = circle(center, radius)
+
+        def count(lo, hi):
+            cells.append(len(lo))
+            return pred(lo, hi)
+
+        return count
+
+    monkeypatch.setattr(singlab.cli, "circle_cell_membership", counted)
+    assert run(["dimension", "--fixture", "circle", "--mesh-min", "0.0005"], tmp_path) == EXIT_OK
+    counts = json.loads((tmp_path / "dimension.json").read_text())["result"]["occupied_counts"]
+    assert counts == [44, 112, 332, 960, 2772, 8008]
+    assert sum(cells) < 10**5
 
 
 def test_localize_pc_report(tmp_path):

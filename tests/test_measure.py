@@ -4,15 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from singlab.datamaps import (
     DataMapSpec,
     MapKind,
+    aug_mean_gap_batch,
+    aug_mean_resultant,
     concentrated_preset,
     uniform_preset,
 )
 from singlab.geometry import ContractViolation
 from singlab.measure import (
+    GAUSS_NEWTON_ITERS,
+    _project_to_zero_resultant,
     aug_mean_singular_set_nonempty,
     box_count_dimension,
     circle_cell_membership,
@@ -98,6 +104,63 @@ def test_box_count_single_point():
     assert est.dimension == 0.0
     assert est.degenerate
     assert est.occupied_counts == (1, 1, 1, 1, 1)
+
+
+def dense_occupied_counts(pred, lo, hi, mesh_sizes):
+    """Reference box counts: the predicate on every cell of every mesh."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    result = []
+    for delta in sorted(mesh_sizes, reverse=True):
+        counts = np.maximum(np.ceil((hi - lo) / delta - 1e-12).astype(int), 1)
+        mesh = np.meshgrid(*[np.arange(c) for c in counts], indexing="ij")
+        cells = np.stack([m.ravel() for m in mesh], axis=1).astype(float)
+        c_lo = lo[None, :] + cells * delta
+        c_hi = np.minimum(c_lo + delta, hi[None, :])
+        result.append(int(np.count_nonzero(pred(c_lo, c_hi))))
+    return tuple(result)
+
+
+@st.composite
+def domains_and_meshes(draw):
+    """A domain box and 4 to 6 mesh sizes over at least 1.5 decades, with
+    ratios that are neither integers nor equal, so the grids do not nest."""
+    lo = np.array([draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))])
+    hi = lo + np.array([draw(st.floats(0.3, 1.5)), draw(st.floats(0.3, 1.5))])
+    coarse = draw(st.floats(0.06, 0.3))
+    fine = coarse / 10 ** draw(st.floats(1.5, 1.9))
+    inner = draw(st.lists(st.floats(0.05, 0.95), min_size=2, max_size=4))
+    meshes = [coarse, fine, *(fine * (coarse / fine) ** t for t in inner)]
+    return lo, hi, meshes
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(domain=domains_and_meshes(), fx=st.floats(0.0, 1.0), fy=st.floats(0.0, 1.0),
+       fr=st.floats(0.05, 0.9))
+@example(domain=(np.zeros(2), np.ones(2), list(np.geomspace(0.1, 0.003, 6))), fx=0.5, fy=0.5, fr=0.5)
+def test_sparse_box_counts_equal_dense_circle(domain, fx, fy, fr):
+    # centers anywhere in the domain, radii up to past its edges: many
+    # circles cross or touch the boundary, as the unit circle of the example does
+    lo, hi, meshes = domain
+    center = lo + np.array([fx, fy]) * (hi - lo)
+    radius = fr * float(np.max(hi - lo))
+    pred = circle_cell_membership(center, radius)
+    est = box_count_dimension(pred, lo, hi, meshes)
+    assert est.occupied_counts == dense_occupied_counts(pred, lo, hi, meshes)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(domain=domains_and_meshes(), corners=st.lists(st.floats(-0.2, 1.2), min_size=4, max_size=4))
+@example(domain=(np.zeros(2), np.ones(2), [1 / 8, 1 / 16, 1 / 32, 1 / 64, 1 / 256]),
+         corners=[0.0, 0.0, 1.0, 1.0])
+def test_sparse_box_counts_equal_dense_filled_box(domain, corners):
+    # filled boxes inside the domain, partly outside it, or the domain itself
+    lo, hi, meshes = domain
+    a = lo + np.array(corners[:2]) * (hi - lo)
+    b = lo + np.array(corners[2:]) * (hi - lo)
+    pred = filled_box_membership(np.minimum(a, b), np.maximum(a, b))
+    est = box_count_dimension(pred, lo, hi, meshes)
+    assert est.occupied_counts == dense_occupied_counts(pred, lo, hi, meshes)
 
 
 def test_box_count_preconditions():
@@ -230,6 +293,42 @@ def test_tradeoff_concentrated_infeasible_at_n3():
     assert not by_name["CONCENTRATED"].feasible
     assert math.isinf(by_name["CONCENTRATED"].dist_s_to_p)
     assert by_name["UNIFORM"].feasible
+
+
+def fixed_step_projection(angles, spec):
+    """Reference Gauss-Newton projection: GAUSS_NEWTON_ITERS steps on every row."""
+    phi = angles.copy()
+    for _ in range(GAUSS_NEWTON_ITERS):
+        r, jac = aug_mean_resultant(phi, spec)
+        rx, ry = r[:, 0], r[:, 1]
+        jx, jy = jac[:, 0], jac[:, 1]
+        g11 = np.sum(jx * jx, axis=1)
+        g12 = np.sum(jx * jy, axis=1)
+        g22 = np.sum(jy * jy, axis=1)
+        det = g11 * g22 - g12 * g12
+        det = np.where(np.abs(det) < 1e-12, np.nan, det)
+        lam1 = (g22 * rx - g12 * ry) / det
+        lam2 = (g11 * ry - g12 * rx) / det
+        phi = phi - (jx * lam1[:, None] + jy * lam2[:, None])
+    return phi
+
+
+def test_converged_gauss_newton_matches_fixed_steps():
+    # freezing converged rows lands the same rows at the same points
+    specs = [uniform_preset(3), DataMapSpec(kind=MapKind.AUG_MEAN, weights=(1.0,) * 3, w0=2.0),
+             uniform_preset(5)]
+    for k, spec in enumerate(specs):
+        rng = np.random.default_rng((19, k))
+        starts = 2.0 * math.pi * rng.random((3000, len(spec.weights)))
+        got = _project_to_zero_resultant(starts, spec)
+        want = fixed_step_projection(starts, spec)
+        landed = []
+        for phi in (got, want):
+            res = aug_mean_gap_batch(phi, spec)
+            landed.append(np.isfinite(res) & (res < 1e-9))
+        assert np.array_equal(landed[0], landed[1])
+        assert landed[0].sum() > 2000
+        assert np.max(np.abs(got[landed[0]] - want[landed[0]])) <= 1e-10
 
 
 def test_tradeoff_single_point_sanity():

@@ -33,7 +33,7 @@ from singlab.metrics import (
     oscillation,
     oscillator_arc,
 )
-from singlab.slices import SliceSpec
+from singlab.slices import SliceSpec, slice_map
 
 LS = DataMapSpec(kind=MapKind.LS_LINE)
 PC = DataMapSpec(kind=MapKind.PC_LINE)
@@ -97,6 +97,19 @@ def test_pc_refined_distance_is_the_svd_closed_form():
             want = (sigma[0] - sigma[1]) / math.sqrt(2.0)
             assert abs(refined - want) <= 1e-12 * want
     assert distance_to_singular(PC, PlaneDataset([(1, 1)] * 3), refine=True) == (0.0, "REFINED")
+
+
+def test_pc_refined_distance_nearly_collinear():
+    # off-line noise of 1e-6: the smaller covariance eigenvalue cancels, so
+    # the distance must take sigma2 from the points, not from the moments
+    rng = np.random.default_rng(45)
+    for _ in range(200):
+        x = rng.standard_normal(5)
+        pts = np.stack([x, 0.7 * x + 1e-6 * rng.standard_normal(5)], axis=1)
+        sigma = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
+        want = (sigma[0] - sigma[1]) / math.sqrt(2.0)
+        refined, _ = distance_to_singular(PC, PlaneDataset(pts), refine=True)
+        assert abs(refined - want) <= 1e-12 * want
 
 
 def test_lad_distance_surrogate():
@@ -290,6 +303,15 @@ def test_blowup_synthetic_exponent_minus_one():
 def test_blowup_pc_at_slice_center():
     profile = derivative_blowup_profile(pc_on_slice, (0, 0), ETAS, seed=3)
     assert -1.2 <= profile.fitted_exponent <= -0.8
+
+
+def test_blowup_batch_map_and_pointwise_callable_agree():
+    # the batched slice evaluator and a scalar lambda build the same arcs
+    batched = derivative_blowup_profile(slice_map(SPEC, PC), (0, 0), ETAS, seed=3)
+    pointwise = derivative_blowup_profile(pc_on_slice, (0, 0), ETAS, seed=3)
+    assert batched.flagged == pointwise.flagged
+    np.testing.assert_allclose(batched.avg_distance, pointwise.avg_distance, rtol=1e-12)
+    np.testing.assert_allclose(batched.avg_derivative, pointwise.avg_derivative, rtol=1e-9)
 
 
 def test_blowup_distance_bracket():

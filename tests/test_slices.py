@@ -7,12 +7,13 @@ import pytest
 
 from singlab.datamaps import (
     DataMapSpec,
+    EvalOutcome,
     MapKind,
     eval_perfect_fit_standard,
     evaluate,
     spanning_lines,
 )
-from singlab.geometry import ContractViolation, DomainError, PlaneDataset
+from singlab.geometry import ContractViolation, DomainError, LineDirection, PlaneDataset
 from singlab.slices import (
     GridField,
     SliceSpec,
@@ -163,6 +164,17 @@ def test_lf_field_files(tmp_path):
     csv2 = tmp_path / "field2.csv"
     write_field_csv(grid, csv2)
     assert csv2.read_text() == text
+
+
+def test_field_csv_prints_angles_next_to_pi_as_zero(tmp_path):
+    # pi - 4.4e-16 and 4.4e-16 are the same direction up to the last bit
+    # (the LAD slice center sits at pi - 4.4e-16); neither may print as pi
+    thetas = (math.pi - 4.4e-16, 4.4e-16, 3.14159265358)
+    grid = GridField(us=np.zeros((3, 2)), outcomes=[EvalOutcome.of(LineDirection(t), 1.0) for t in thetas])
+    path = tmp_path / "field.csv"
+    write_field_csv(grid, path)
+    column = [row.split(",")[2] for row in path.read_text().splitlines()[1:]]
+    assert column == ["0", "4.4e-16", "3.14159265358"]
 
 
 def test_slice_spec_validation():
