@@ -2,8 +2,8 @@
 
 ``evaluate_batch`` runs every map, on inputs stacked along a first axis, and
 returns a :class:`BatchOutcome` of value, gap and reason arrays; each map's
-formula lives in one kernel there (the ``*_gap_batch`` functions compute
-gaps alone for the Monte-Carlo estimators).  ``evaluate`` is its one-row
+formula, its gap included, lives in one kernel there, and the distances of
+the Monte-Carlo estimators read that gap.  ``evaluate`` is its one-row
 case: an :class:`EvalOutcome` carrying either a feature or a reason it is
 undefined, plus a nonnegative ``gap`` that vanishes exactly on the map's
 (surrogate) singular surface.  ``evaluate_with_standard`` wraps a map with the
@@ -16,6 +16,7 @@ for the line fitters over (m, n, 2) point batches.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -32,6 +33,7 @@ from singlab.geometry import (
     LineDirection,
     PlaneDataset,
     ScalarValue,
+    angle_distance,
     reduce_mod_pi,
 )
 
@@ -409,18 +411,6 @@ def evaluate_with_standard(spec: DataMapSpec, x) -> EvalOutcome:
 # Batch kernels: the line fitters over (m, n, 2) point batches
 # ---------------------------------------------------------------------------
 
-def _ls_moments(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Centered abscissae (m, n) and S_xx (m,) of a batch."""
-    x = points[..., 0]
-    xc = x - x.mean(axis=1, keepdims=True)
-    return xc, np.sum(xc * xc, axis=1)
-
-
-def ls_gap_batch(points: np.ndarray) -> np.ndarray:
-    """sqrt(S_xx) for a batch of datasets, shape (m, n, 2) -> (m,)."""
-    return np.sqrt(_ls_moments(points)[1])
-
-
 def _pc_moments(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(a, b, gap, mean) of a batch: a half the variance difference, b the
     covariance (1/n normalization), gap = 2 hypot(a, b) = lambda_1 - lambda_2
@@ -432,42 +422,6 @@ def _pc_moments(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     cxy = np.sum(centered[..., 0] * centered[..., 1], axis=1) / n
     a = 0.5 * (cxx - cyy)
     return a, cxy, 2.0 * np.hypot(a, cxy), 0.5 * (cxx + cyy)
-
-
-def pc_gap_batch(points: np.ndarray) -> np.ndarray:
-    """Eigenvalue gap lambda_1 - lambda_2 for a batch, shape (m, n, 2) -> (m,)."""
-    return _pc_moments(points)[2]
-
-
-def _lad_candidates(points: np.ndarray):
-    """Yield (objective, slope), each (m,), of the line through every point
-    pair i < j in pair-index order; the objective is inf where the pair's
-    abscissae are equal."""
-    n = points.shape[1]
-    x = points[..., 0]
-    y = points[..., 1]
-    for i in range(n):
-        for j in range(i + 1, n):
-            dx = x[:, j] - x[:, i]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                slope = (y[:, j] - y[:, i]) / dx
-                intercept = y[:, i] - slope * x[:, i]
-                obj = np.sum(np.abs(y - intercept[:, None] - slope[:, None] * x), axis=1)
-            yield np.where(dx == 0.0, np.inf, obj), slope
-
-
-def lad_gap_batch(points: np.ndarray) -> np.ndarray:
-    """Tie-gap (second-best minus best candidate objective) for a batch.
-
-    Rows whose abscissae admit fewer than two candidate pairs get gap 0.
-    """
-    objs = [obj for obj, _ in _lad_candidates(points)]
-    if len(objs) < 2:
-        return np.zeros(points.shape[0])
-    part = np.sort(np.stack(objs, axis=1), axis=1)
-    gap = part[:, 1] - part[:, 0]
-    gap = np.where(np.isfinite(gap), gap, 0.0)
-    return gap
 
 
 _COLLINEAR = REASON_CODES.index(UndefinedReason.COLLINEAR_PREDICTOR)
@@ -484,8 +438,9 @@ def _ls_batch(points, spec):
     surface {all abscissae equal}, on which the map is undefined.
     """
     points = _as_plane_batch(points)
-    xc, s_xx = _ls_moments(points)
-    y = points[..., 1]
+    x, y = points[..., 0], points[..., 1]
+    xc = x - x.mean(axis=1, keepdims=True)
+    s_xx = np.sum(xc * xc, axis=1)
     s_xy = np.sum(xc * (y - y.mean(axis=1, keepdims=True)), axis=1)
     undefined = s_xx == 0.0
     angle = reduce_mod_pi(np.arctan(s_xy / s_xx))
@@ -506,20 +461,35 @@ def _lad_batch(points, spec):
     pair with distinct abscissae is exact at desk scale.  gap is the margin
     between the two best objectives (0 with a single candidate); a tie only
     counts as a singularity when the tied candidates disagree in direction.
+    The objective and slope of each pair i < j fill one column of two (m, P)
+    buffers, in pair-index order.
     """
-    objs, slopes = (np.stack(c, axis=1) for c in zip(*_lad_candidates(_as_plane_batch(points))))
-    rows = np.arange(objs.shape[0])
-    count = np.sum(np.isfinite(objs), axis=1)
-    # stable order: the first minimum is the best candidate, the first
-    # minimum of the rest the second best
+    points = _as_plane_batch(points)
+    m, n, _ = points.shape
+    x, y = points[..., 0], points[..., 1]
+    pairs = list(itertools.combinations(range(n), 2))
+    objs, slopes = np.empty((2, m, len(pairs)))
+    for k, (i, j) in enumerate(pairs):
+        dx = x[:, j] - x[:, i]
+        slope = (y[:, j] - y[:, i]) / dx
+        intercept = y[:, i] - slope * x[:, i]
+        obj = np.sum(np.abs(y - intercept[:, None] - slope[:, None] * x), axis=1)
+        objs[:, k] = np.where(dx == 0.0, np.inf, obj)
+        slopes[:, k] = slope
+    rows = np.arange(m)
+    # the first minimum is the best candidate, the first minimum of the rest
+    # the second best; either is inf where the row has no such candidate
     best = np.argmin(objs, axis=1)
-    rest = np.where(np.arange(objs.shape[1]) == best[:, None], np.inf, objs)
-    second = np.argmin(rest, axis=1)
+    best_obj = objs[rows, best]
+    objs[rows, best] = np.inf
+    second = np.argmin(objs, axis=1)
+    second_obj = objs[rows, second]
+    has_second = np.isfinite(second_obj)
     angle = reduce_mod_pi(np.arctan(slopes[rows, best]))
-    gap = np.where(count >= 2, rest[rows, second] - objs[rows, best], 0.0)
-    d = np.abs(angle - reduce_mod_pi(np.arctan(slopes[rows, second]))) % np.pi
-    tie = (count >= 2) & (gap <= TIE_TOL) & (np.minimum(d, np.pi - d) > TIE_TOL)
-    reason = np.where(count == 0, _COLLINEAR, np.where(tie, _OBJECTIVE_TIE, 0))
+    gap = np.where(has_second, second_obj - best_obj, 0.0)
+    second_angle = reduce_mod_pi(np.arctan(slopes[rows, second]))
+    tie = has_second & (gap <= TIE_TOL) & (angle_distance(angle, second_angle, np.pi) > TIE_TOL)
+    reason = np.where(np.isinf(best_obj), _COLLINEAR, np.where(tie, _OBJECTIVE_TIE, 0))
     return angle, gap, reason
 
 
@@ -578,12 +548,6 @@ def aug_mean_resultant(angles: np.ndarray, spec: DataMapSpec) -> tuple[np.ndarra
     s = np.sin(angles)
     r = np.stack([c @ w + spec.w0 * a[0], s @ w + spec.w0 * a[1]], axis=-1)
     return r, np.stack([-w * s, w * c], axis=-2)
-
-
-def aug_mean_gap_batch(angles: np.ndarray, spec: DataMapSpec) -> np.ndarray:
-    """|resultant| for a batch of circle datasets given as angles (m, n)."""
-    r, _ = aug_mean_resultant(angles, spec)
-    return np.hypot(r[..., 0], r[..., 1])
 
 
 def _aug_mean_batch(angles, spec):

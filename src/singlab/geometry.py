@@ -186,10 +186,18 @@ def dataset_distance(a: Dataset, b: Dataset) -> float:
     return float(np.sqrt(np.sum(_arc_distance(a.points, b.points) ** 2)))
 
 
-def line_angle_distance(t1: float, t2: float) -> float:
-    """Mod-pi metric between two line angles."""
-    d = abs(t1 - t2) % math.pi
-    return min(d, math.pi - d)
+def angle_distance(a, b, period: float):
+    """Mod-period metric between angles, elementwise: the length of the
+    short way from a to b on a circle of circumference ``period``."""
+    d = np.abs(a - b) % period
+    return np.minimum(d, period - d)
+
+
+def wrap_increments(delta, period: float):
+    """Reduce angle increments into (-period/2, period/2], elementwise."""
+    delta = np.fmod(delta, period)
+    delta = np.where(delta > 0.5 * period, delta - period, delta)
+    return np.where(delta <= -0.5 * period, delta + period, delta)
 
 
 def feature_distance(f: Feature, g: Feature) -> float:
@@ -201,7 +209,7 @@ def feature_distance(f: Feature, g: Feature) -> float:
     if type(f) is not type(g):
         raise ContractViolation(f"feature variants differ: {type(f).__name__} vs {type(g).__name__}")
     if isinstance(f, LineDirection):
-        return line_angle_distance(f.theta, g.theta)
+        return float(angle_distance(f.theta, g.theta, math.pi))
     if isinstance(f, CirclePoint):
         return float(_arc_distance(f.u, g.u))
     if isinstance(f, Decision):

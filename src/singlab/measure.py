@@ -20,8 +20,8 @@ import numpy as np
 from singlab.datamaps import (
     DataMapSpec,
     MapKind,
-    aug_mean_gap_batch,
     aug_mean_resultant,
+    evaluate_batch,
 )
 from singlab.geometry import ContractViolation, omega_s
 from singlab.metrics import (
@@ -437,13 +437,13 @@ def distance_cdf(
     if not (0.0 < q_lo < q_hi <= 0.1):
         raise ContractViolation("quantile window must satisfy 0 < q_lo < q_hi <= 0.1")
     kind = spec.kind
-    if kind not in SINGULAR_DISTANCE:
-        raise ContractViolation(f"no CDF sampler for map kind {kind}")
-    distance, tag = SINGULAR_DISTANCE[kind]
     if kind is MapKind.AUG_MEAN:
         batch = 2.0 * math.pi * _chunked_draw(n_samples, seed, lambda rng, k: rng.random((k, n_points)))
-    else:
+    elif kind in (MapKind.LS_LINE, MapKind.PC_LINE, MapKind.LAD_LINE):
         batch = _chunked_draw(n_samples, seed, lambda rng, k: rng.standard_normal((k, n_points, 2)))
+    else:
+        raise ContractViolation(f"no CDF sampler for map kind {kind}")
+    distance, tag = SINGULAR_DISTANCE[kind]
     dists = np.sort(distance(batch, spec))
     i_lo = max(int(n_samples * q_lo), 1)
     i_hi = max(int(n_samples * q_hi), i_lo + 2)
@@ -560,7 +560,7 @@ def _aug_mean_dist_to_perfect(spec: DataMapSpec) -> float:
         return math.inf
     n = len(spec.weights)
     phis = 2.0 * math.pi * np.arange(PERFECT_FIT_SCAN) / PERFECT_FIT_SCAN
-    norms = aug_mean_gap_batch(np.repeat(phis[:, None], n, axis=1), spec)
+    norms = evaluate_batch(spec, np.repeat(phis[:, None], n, axis=1)).gap
     base = np.full(n, float(phis[int(np.argmin(norms))]))
     return penalty_projection(base, symmetric_start_pair(base),
                               lambda phi: aug_mean_resultant(phi, spec))
@@ -593,7 +593,7 @@ def tradeoff_experiment(
         rng = np.random.default_rng((seed, zlib.crc32(name.encode())))
         starts = 2.0 * math.pi * rng.random((cloud_size, n_points))
         proj = _project_to_zero_resultant(starts, spec)
-        res = aug_mean_gap_batch(proj, spec)
+        res = evaluate_batch(spec, proj).gap
         cloud = np.mod(proj[np.isfinite(res) & (res < 1e-9)], 2.0 * math.pi)
         est = box_count_dimension(
             cloud,

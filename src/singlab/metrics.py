@@ -22,15 +22,10 @@ from singlab.datamaps import (
     _pc_moments,
     _pointwise,
     as_map_input,
-    aug_mean_gap_batch,
     aug_mean_resultant,
     evaluate_batch,
-    lad_gap_batch,
-    ls_gap_batch,
-    pc_gap_batch,
 )
-from singlab.geometry import ContractViolation, segment_average_norm
-from singlab.topology import _wrap_increments
+from singlab.geometry import ContractViolation, angle_distance, segment_average_norm, wrap_increments
 
 
 class UnsupportedMapError(ContractViolation):
@@ -45,18 +40,20 @@ DIST_EXACT = "EXACT"
 DIST_SURROGATE = "SURROGATE"
 DIST_REFINED = "REFINED"
 
-# Map kind -> (batched distance to the singular set, method tag).  Plane
-# fitters take point batches (m, n, 2), AUG_MEAN takes angle batches (m, n).
-# LS is exact; PC reports (lambda1 - lambda2) / 2, AUG_MEAN |rho| / sum(w)
-# and LAD the objective tie gap, each within constants of the true distance.
+# Map kind -> (batched distance to the singular set, method tag), each the
+# map's gap over a constant.  Inputs are stacked as evaluate_batch takes
+# them.  LS and DISK_DECISION are exact; PC reports (lambda1 - lambda2) / 2,
+# AUG_MEAN |rho| / sum(w) and LAD the objective tie gap, each within
+# constants of the true distance.
 SINGULAR_DISTANCE = {
-    MapKind.LS_LINE: (lambda pts, spec: ls_gap_batch(pts), DIST_EXACT),
-    MapKind.PC_LINE: (lambda pts, spec: pc_gap_batch(pts) / 2.0, DIST_SURROGATE),
-    MapKind.LAD_LINE: (lambda pts, spec: lad_gap_batch(pts), DIST_SURROGATE),
+    MapKind.LS_LINE: (lambda batch, spec: evaluate_batch(spec, batch).gap, DIST_EXACT),
+    MapKind.PC_LINE: (lambda batch, spec: evaluate_batch(spec, batch).gap / 2.0, DIST_SURROGATE),
+    MapKind.LAD_LINE: (lambda batch, spec: evaluate_batch(spec, batch).gap, DIST_SURROGATE),
     MapKind.AUG_MEAN: (
-        lambda angles, spec: aug_mean_gap_batch(angles, spec) / float(np.sum(spec.weights)),
+        lambda batch, spec: evaluate_batch(spec, batch).gap / float(np.sum(spec.weights)),
         DIST_SURROGATE,
     ),
+    MapKind.DISK_DECISION: (lambda batch, spec: evaluate_batch(spec, batch).gap, DIST_EXACT),
 }
 
 _PENALTY_LADDER = (1e2, 1e4, 1e6, 1e8, 1e10)
@@ -140,9 +137,6 @@ def distance_to_singular(spec: DataMapSpec, x, refine: bool = False) -> tuple[fl
     surrogate.
     """
     kind = spec.kind
-    if kind is MapKind.DISK_DECISION:
-        d = float(np.linalg.norm(np.asarray(x, dtype=float) - np.asarray(spec.center)))
-        return abs(d - spec.radius), DIST_EXACT
     if kind not in SINGULAR_DISTANCE:
         raise UnsupportedMapError(f"no distance rule for {kind}")
     if refine and kind is MapKind.PC_LINE:
@@ -207,23 +201,21 @@ _ANTIPODE_WINDOW = np.arange(-2, 2)
 
 def _value_distances(a: np.ndarray, b: np.ndarray, period: float | None) -> np.ndarray:
     """Feature-space distances between feature values, elementwise: the
-    mod-period metric of ``line_angle_distance`` for angles (arc length for
-    circle points), the absolute difference for decisions and scalars."""
-    d = np.abs(a - b)
+    mod-period ``angle_distance`` for angles (arc length for circle points),
+    the absolute difference for decisions and scalars."""
     if period is None:
-        return d
-    d = d % period
-    return np.minimum(d, period - d)
+        return np.abs(a - b)
+    return angle_distance(a, b, period)
 
 
 def batch_diameter(batch: BatchOutcome) -> float:
     """Feature-space diameter of the Defined rows of a batch, NaN if none.
 
-    Angle features use the mod-period metric of ``line_angle_distance``,
-    which is arc length for circle points.  The angles are sorted mod the
-    period, and each one's farthest partner is a sorted neighbour of its
-    antipode, found by ``searchsorted``: O(k log k) for k rows.  Decisions
-    and scalars take max - min.
+    Angle features use the mod-period ``angle_distance``, which is arc
+    length for circle points.  The angles are sorted mod the period, and
+    each one's farthest partner is a sorted neighbour of its antipode, found
+    by ``searchsorted``: O(k log k) for k rows.  Decisions and scalars take
+    max - min.
     """
     values = batch.value[batch.defined]
     if values.size == 0:
@@ -304,7 +296,7 @@ def _grad_norms(batch_fn: BatchMap, nodes: np.ndarray, h: float) -> np.ndarray:
         raise CurveHitsSingularityError("finite-difference stencil hit the singular set")
     steps = out.value[:k * dim] - out.value[k * dim:]
     if out.period is not None:
-        steps = _wrap_increments(steps, out.period)
+        steps = wrap_increments(steps, out.period)
     return np.linalg.norm(steps.reshape(k, dim) / (2.0 * h), axis=1)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from singlab.datamaps import REASON_CODES, BatchOutcome, _pointwise
-from singlab.geometry import CircleDataset, ContractViolation
+from singlab.geometry import CircleDataset, ContractViolation, angle_distance, wrap_increments
 
 # An edge certifies short when its endpoint features are less than this
 # share of a period apart, so the short way between them is the lift step.
@@ -97,13 +97,6 @@ class WindingReport:
     max_depth: int = 0
 
 
-def _wrap_increments(delta: np.ndarray, period: float) -> np.ndarray:
-    """Reduce angle increments into (-period/2, period/2]."""
-    delta = np.fmod(delta, period)
-    delta = np.where(delta > 0.5 * period, delta - period, delta)
-    return np.where(delta <= -0.5 * period, delta + period, delta)
-
-
 def midpoint_interpolate(p: np.ndarray, q: np.ndarray, sample_type: type | None = None) -> np.ndarray:
     """Edge bisection of stacked samples: pointwise affine midpoints.
 
@@ -163,9 +156,8 @@ def winding_number(loop: Loop, evaluate_fn) -> WindingReport:
     total = 0.0
     depth = 0
     while True:
-        d = np.abs(b - a) % period
-        short = np.minimum(d, period - d) < threshold
-        total += float(np.sum(_wrap_increments(b[short] - a[short], period)))
+        short = angle_distance(b, a, period) < threshold
+        total += float(np.sum(wrap_increments(b[short] - a[short], period)))
         if short.all():
             break
         if depth >= MAX_REFINE:

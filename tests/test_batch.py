@@ -38,7 +38,7 @@ from singlab.geometry import (
     feature_distance,
     reduce_mod_pi,
 )
-from singlab.metrics import batch_diameter
+from singlab.metrics import SINGULAR_DISTANCE, batch_diameter
 from singlab.slices import SliceSpec, slice_map
 from singlab.topology import (
     MAX_REFINE,
@@ -125,6 +125,27 @@ def reference_lad(pts):
     return EvalOutcome.of(feature, gap)
 
 
+def reference_lad_gap(points):
+    """LAD tie gap of a batch (m, n, 2) from every pair's objective, sorted:
+    second best minus best, 0 where fewer than two pairs have distinct
+    abscissae."""
+    objs = []
+    x, y = points[..., 0], points[..., 1]
+    for i, j in itertools.combinations(range(points.shape[1]), 2):
+        dx = x[:, j] - x[:, i]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = (y[:, j] - y[:, i]) / dx
+            intercept = y[:, i] - slope * x[:, i]
+            obj = np.sum(np.abs(y - intercept[:, None] - slope[:, None] * x), axis=1)
+        objs.append(np.where(dx == 0.0, np.inf, obj))
+    if len(objs) < 2:
+        return np.zeros(points.shape[0])
+    part = np.sort(np.stack(objs, axis=1), axis=1)
+    with np.errstate(invalid="ignore"):
+        gap = part[:, 1] - part[:, 0]
+    return np.where(np.isfinite(gap), gap, 0.0)
+
+
 def reference_aug_mean(points, spec):
     """Direction of the weighted resultant of unit vectors plus w0 a."""
     rho = np.asarray(spec.weights) @ points + spec.w0 * np.asarray(spec.aug_point)
@@ -187,12 +208,17 @@ def collinear(draw, n):
 
 
 @st.composite
-def batches(draw):
-    n = draw(st.integers(2, 6))
-    kinds = [_rows(n, coords), equal_abscissae(n), collinear(n)]
+def batches(draw, sizes=st.integers(2, 6), extra=()):
+    n = draw(sizes)
+    kinds = [_rows(n, coords), equal_abscissae(n), collinear(n), *(kind(n) for kind in extra)]
     if n >= 3:
         kinds += [regular_polygon(n), lad_tie(n)]
     return np.stack(draw(st.lists(st.one_of(kinds), min_size=1, max_size=6)))
+
+
+def half_integer_grid(n):
+    """Points on the half-integer grid: exact LAD objective ties abound."""
+    return _rows(n, st.integers(-8, 8).map(lambda v: v / 2.0))
 
 
 def assert_close(got, want):
@@ -256,6 +282,37 @@ def test_disk_and_oscillator_batches_match_reference(rows):
     r = np.linalg.norm(x, axis=1)
     r = r[r > 0]
     assert np.array_equal(oscillator_g(r), [oscillator_g(float(t)) for t in r])
+
+
+@PROPERTY
+@given(batches(st.sampled_from([2, 3, 5, 12]), extra=(half_integer_grid,)),
+       st.sampled_from([1, 2, 3, 5, 12]).flatmap(
+           lambda n: st.lists(st.lists(angles, min_size=n, max_size=n), min_size=1, max_size=6)),
+       st.sampled_from([0.0, 0.5, 1.0, 8.0]))
+def test_singular_distance_matches_reference_formulas(points, rows, w0):
+    # each distance is the map's gap over its constant: LS sqrt(S_xx), PC
+    # (lambda1 - lambda2) / 2, LAD the sorted tie gap (0 on ties) and
+    # AUG_MEAN |rho| / sum(w)
+    def distance(kind, batch, spec=None):
+        fn, _ = SINGULAR_DISTANCE[kind]
+        return fn(batch, spec or DataMapSpec(kind=kind))
+
+    xc = points[..., 0] - points[..., 0].mean(axis=1, keepdims=True)
+    ls = [math.sqrt(float(np.dot(r, r))) for r in xc]
+    assert np.allclose(distance(MapKind.LS_LINE, points), ls, rtol=1e-12, atol=0.0)
+    centered = points - points.mean(axis=1, keepdims=True)
+    lam = np.linalg.eigvalsh(np.einsum("mni,mnj->mij", centered, centered) / points.shape[1])
+    pc = distance(MapKind.PC_LINE, points)
+    assert np.allclose(pc, (lam[:, 1] - lam[:, 0]) / 2.0, rtol=0.0, atol=1e-12 * max(1.0, lam.max()))
+    defined = np.array([reference_lad(p).defined for p in points])
+    lad = np.where(defined, reference_lad_gap(points), 0.0)
+    assert np.array_equal(distance(MapKind.LAD_LINE, points).view(np.int64), lad.view(np.int64))
+    phi = np.array(rows)
+    w = np.arange(1.0, phi.shape[1] + 1.0)
+    spec = DataMapSpec(kind=MapKind.AUG_MEAN, weights=tuple(w), w0=w0)
+    rho = np.linalg.norm(np.stack([np.cos(phi) @ w, np.sin(phi) @ w], axis=1) + w0 * np.asarray(spec.aug_point), axis=1)
+    aug = np.where(rho <= TIE_TOL, 0.0, rho) / w.sum()
+    assert np.allclose(distance(MapKind.AUG_MEAN, phi, spec), aug, rtol=1e-12, atol=1e-15)
 
 
 @PROPERTY

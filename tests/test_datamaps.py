@@ -15,12 +15,9 @@ from singlab.datamaps import (
     eval_perfect_fit_standard,
     evaluate,
     evaluate_with_standard,
-    lad_gap_batch,
-    ls_gap_batch,
     oscillator_g,
     oscillator_g_prime_abs,
     oscillator_t,
-    pc_gap_batch,
     uniform_preset,
 )
 from singlab.geometry import (
@@ -378,20 +375,6 @@ def test_gap_zero_iff_on_singular_surface():
         for spec in (LS, PC, LAD):
             out = evaluate(spec, ds)
             assert out.defined and out.gap > 0.0
-
-
-def test_batch_kernels_match_scalar():
-    rng = np.random.default_rng(15)
-    pts = rng.standard_normal((50, 4, 2))
-    ls_gaps = ls_gap_batch(pts)
-    pc_gaps = pc_gap_batch(pts)
-    lad_gaps = lad_gap_batch(pts)
-    for i in range(50):
-        ds = PlaneDataset(pts[i])
-        assert abs(ls_gaps[i] - evaluate(LS, ds).gap) < 1e-12
-        assert abs(pc_gaps[i] - evaluate(PC, ds).gap) < 1e-12
-        out = evaluate(LAD, ds)
-        assert abs(lad_gaps[i] - out.gap) < 1e-12
 
 
 def test_outcome_contract():

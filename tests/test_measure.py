@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from singlab.datamaps import (
     DataMapSpec,
     MapKind,
-    aug_mean_gap_batch,
     aug_mean_resultant,
     concentrated_preset,
+    evaluate_batch,
     uniform_preset,
 )
 from singlab.geometry import ContractViolation
@@ -324,7 +324,7 @@ def test_converged_gauss_newton_matches_fixed_steps():
         want = fixed_step_projection(starts, spec)
         landed = []
         for phi in (got, want):
-            res = aug_mean_gap_batch(phi, spec)
+            res = evaluate_batch(spec, phi).gap
             landed.append(np.isfinite(res) & (res < 1e-9))
         assert np.array_equal(landed[0], landed[1])
         assert landed[0].sum() > 2000

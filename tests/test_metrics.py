@@ -1,6 +1,7 @@
 """Distance to the singular set, oscillation, severity, derivative blow-up."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,10 +12,9 @@ from singlab.datamaps import (
     MapKind,
     UndefinedReason,
     evaluate,
-    ls_gap_batch,
+    evaluate_batch,
     oscillator_g_prime_abs,
     oscillator_t,
-    pc_gap_batch,
     uniform_preset,
 )
 from singlab.geometry import CircleDataset, LineDirection, PlaneDataset
@@ -120,6 +120,13 @@ def test_lad_distance_surrogate():
     assert distance_to_singular(LAD, PlaneDataset([(0, 0), (1, 1)])) == (0.0, "SURROGATE")
 
 
+def test_lad_distance_without_candidates_is_quiet():
+    # equal abscissae leave no candidate line: gap 0, and no inf - inf warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert distance_to_singular(LAD, PlaneDataset([(0, 0), (0, 1), (0, 2)])) == (0.0, "SURROGATE")
+
+
 def test_aug_mean_distance():
     spec = uniform_preset(2)
     ds = CircleDataset([(1.0, 0.0), (-1.0, 0.0)])
@@ -150,17 +157,17 @@ def test_ls_distance_exactness_certificate():
     # surface, and no sampled perturbation of smaller norm does
     rng = np.random.default_rng(41)
     pts = rng.standard_normal((100, 4, 2))
-    gaps = ls_gap_batch(pts)
+    gaps = evaluate_batch(LS, pts).gap
     for i in range(100):
         proj = pts[i].copy()
         proj[:, 0] = proj[:, 0].mean()
-        assert ls_gap_batch(proj[None])[0] < 1e-12
+        assert evaluate_batch(LS, proj[None]).gap[0] < 1e-12
         # random perturbations of norm 0.99 * distance never reach the surface
         d = gaps[i]
         pert = rng.standard_normal((1000, 8))
         pert = pert / np.linalg.norm(pert, axis=1, keepdims=True) * (0.99 * d)
         moved = pts[i].reshape(1, 8) + pert
-        assert np.all(ls_gap_batch(moved.reshape(-1, 4, 2)) > 0)
+        assert np.all(evaluate_batch(LS, moved.reshape(-1, 4, 2)).gap > 0)
 
 
 def test_pc_sandwich_on_scale_controlled_ensemble():
@@ -172,7 +179,7 @@ def test_pc_sandwich_on_scale_controlled_ensemble():
     ratios = []
     while len(ratios) < 200:
         pts = rng.standard_normal((400, 4, 2))
-        gaps = pc_gap_batch(pts)
+        gaps = evaluate_batch(PC, pts).gap
         traces = np.sum((pts - pts.mean(axis=1, keepdims=True)) ** 2, axis=(1, 2)) / 4
         for i in np.nonzero((gaps < 0.2) & (traces >= 0.5))[0]:
             if len(ratios) >= 200:
