@@ -396,7 +396,7 @@ def _run_cdf(config, outdir):
     write_json_report(path, "cdf", config, report.to_dict())
     csv_path = _out_path(config["out_csv"], outdir)
     lines = ["distance"]
-    lines.extend(f"{d:.12g}" for d in report.sorted_distances)
+    lines.extend(map("{:.12g}".format, report.sorted_distances.tolist()))
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     return EXIT_OK, [path, csv_path]

