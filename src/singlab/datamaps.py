@@ -16,7 +16,7 @@ for the line fitters over (m, n, 2) point batches.
 from __future__ import annotations
 
 import enum
-import itertools
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -454,12 +454,74 @@ def _pc_batch(points, spec):
     return angle, gap, np.where(gap <= TIE_TOL, _EIGEN_TIE, 0)
 
 
-# Rows per pass of the LAD kernel.  A block's objective and slope buffers
-# (2 x 1024 x 66 doubles at n = 12) and its per-pair (1024, n) temporaries
-# stay in a core's L2 cache; at 10^5 rows and n = 12, blocks of 1024 to 2048
-# rows ran the kernel in ~0.9 s against ~2.1 s for one whole-batch pass (on a
-# 2-vCPU Xeon VM).
-_LAD_BLOCK = 1024
+# Bytes of one (P, b) array of the LAD kernel: P = n(n-1)/2 pair lines by b
+# rows of a block.  A block's pair lines, objectives and the partial sums of
+# its pairwise objective sums, about ten such arrays, stay in a core's L2
+# cache, and small-n batches of a few thousand rows run in one pass.  At 10^5
+# rows and n = 12, budgets of 128 to 256 KB ran the kernel in 0.33-0.40 s
+# against 0.53 s at 512 KB and 0.70 s at 32 KB (on a 2-vCPU Xeon VM).
+_LAD_BLOCK_BYTES = 1 << 18
+
+
+def _lad_block_rows(n: int) -> int:
+    """Rows per block of the LAD kernel on n points: as many as fit one
+    (P, b) array of doubles in ``_LAD_BLOCK_BYTES``, at least one."""
+    return max(1, _LAD_BLOCK_BYTES // (4 * n * (n - 1)))
+
+
+@functools.cache
+def _lad_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (i, j) of the pairs i < j of n points, in the order of
+    itertools.combinations; read-only, since every call shares them."""
+    pairs = np.triu_indices(n, 1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
+def _sum_in_order(term, ks, total=None):
+    """total + term(k) for k in ks, added one after another; the first term
+    alone when total is None."""
+    scratch = None
+    for k in ks:
+        if total is None:
+            total = term(k, None)
+        else:
+            scratch = term(k, scratch)
+            total += scratch
+    return total
+
+
+def _sum_tree(term, chains):
+    """The sums of the chains of terms, combined as a balanced binary tree."""
+    if len(chains) == 1:
+        return _sum_in_order(term, chains[0])
+    total = _sum_tree(term, chains[:len(chains) // 2])
+    total += _sum_tree(term, chains[len(chains) // 2:])
+    return total
+
+
+def _pairwise_sum(term, lo: int, hi: int) -> np.ndarray:
+    """term(lo) + ... + term(hi - 1), added in the order in which np.sum adds
+    a contiguous row of hi - lo values (numpy's pairwise summation): one
+    after another below 8 terms; up to 128, eight accumulators r0..r7, each
+    over every eighth term, combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5)
+    + (r6 + r7)) before the tail of fewer than 8 is added; above 128, two
+    halves split at a multiple of 8.  For nonnegative terms the result is
+    bit-equal to np.sum(axis=-1) of the terms stacked on a last axis (np.sum
+    starts from +0.0).  ``term(k, out)`` writes term k to ``out``, or to a
+    fresh array when out is None, and returns it."""
+    n = hi - lo
+    if n < 8:
+        return _sum_in_order(term, range(lo, hi))
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        total = _pairwise_sum(term, lo, lo + half)
+        total += _pairwise_sum(term, lo + half, hi)
+        return total
+    stop = hi - n % 8
+    total = _sum_tree(term, [range(lo + r, stop, 8) for r in range(8)])
+    return _sum_in_order(term, range(stop, hi), total)
 
 
 def _lad_batch(points, spec):
@@ -469,50 +531,59 @@ def _lad_batch(points, spec):
     pair with distinct abscissae is exact at desk scale.  gap is the margin
     between the two best objectives (0 with a single candidate); a tie only
     counts as a singularity when the tied candidates disagree in direction.
-    The batch runs in blocks of ``_LAD_BLOCK`` rows, each through the whole
-    kernel before the next: the objective and slope of each pair i < j fill
-    one column of two (block, P) buffers, in pair-index order, and the
-    block's best and second-best pairs give its rows of the output.
+    The batch runs in blocks of ``_lad_block_rows(n)`` rows, each through the
+    whole kernel before the next, in point-major order: the block's
+    coordinates are transposed to (n, b), every pair line i < j is built at
+    once as (P, b) slope and intercept arrays, and the objectives
+    sum |y_k - intercept - slope x_k| one data point k at a time, in numpy's
+    pairwise order, so they are bit-equal to np.sum over each row's
+    residuals.  The block's best and second-best pairs give its rows of the
+    output.
     """
     points = _as_plane_batch(points)
     m, n, _ = points.shape
-    pairs = list(itertools.combinations(range(n), 2))
-    block_rows = min(m, _LAD_BLOCK)
-    objs_buf, slopes_buf = np.empty((2, block_rows, len(pairs)))
+    i, j = _lad_pairs(n)
+    block_rows = _lad_block_rows(n)
     angle, gap, reason = np.empty(m), np.empty(m), np.empty(m, dtype=np.int8)
-    for start in range(0, m, _LAD_BLOCK):
-        block = slice(start, start + _LAD_BLOCK)
-        # unit-stride copies: ~10% faster at n = 12 than strided views
-        x = np.ascontiguousarray(points[block, :, 0])
-        y = np.ascontiguousarray(points[block, :, 1])
-        objs, slopes = objs_buf[:len(x)], slopes_buf[:len(x)]
-        for k, (i, j) in enumerate(pairs):
-            dx = x[:, j] - x[:, i]
-            slope = (y[:, j] - y[:, i]) / dx
-            intercept = y[:, i] - slope * x[:, i]
-            obj = np.sum(np.abs(y - intercept[:, None] - slope[:, None] * x), axis=1)
-            objs[:, k] = np.where(dx == 0.0, np.inf, obj)
-            slopes[:, k] = slope
-        angle[block], gap[block], reason[block] = _lad_select(objs, slopes)
+    for start in range(0, m, block_rows):
+        block = slice(start, start + block_rows)
+        x, y = np.ascontiguousarray(points[block].transpose(2, 1, 0))
+        dx = x[j] - x[i]
+        slope = (y[j] - y[i]) / dx
+        intercept = y[i] - slope * x[i]
+        product = np.empty_like(slope)
+
+        def residual(k, out):
+            out = np.subtract(y[k], intercept, out=out)
+            out -= np.multiply(slope, x[k], out=product)
+            return np.abs(out, out=out)
+
+        objs = _pairwise_sum(residual, 0, n)
+        objs[dx == 0.0] = np.inf
+        angle[block], gap[block], reason[block] = _lad_select(objs, slope)
     return angle, gap, reason
 
 
 def _lad_select(objs, slopes):
-    """(angle, gap, reason) of each row from its pairs' objectives and
-    slopes; overwrites the best objective of every row."""
-    rows = np.arange(len(objs))
+    """(angle, gap, reason) of each row of a block from its pairs'
+    objectives and slopes, (P, b) with one column per row; overwrites the
+    best objective of every row."""
+    rows = np.arange(objs.shape[1])
     # the first minimum is the best candidate, the first minimum of the rest
     # the second best; either is inf where the row has no such candidate
-    best = np.argmin(objs, axis=1)
-    best_obj = objs[rows, best]
-    objs[rows, best] = np.inf
-    second = np.argmin(objs, axis=1)
-    second_obj = objs[rows, second]
+    best = np.argmin(objs, axis=0)
+    best_obj = objs[best, rows]
+    objs[best, rows] = np.inf
+    second = np.argmin(objs, axis=0)
+    second_obj = objs[second, rows]
     has_second = np.isfinite(second_obj)
-    angle = reduce_mod_pi(np.arctan(slopes[rows, best]))
+    angle = reduce_mod_pi(np.arctan(slopes[best, rows]))
     gap = np.where(has_second, second_obj - best_obj, 0.0)
-    second_angle = reduce_mod_pi(np.arctan(slopes[rows, second]))
-    tie = has_second & (gap <= TIE_TOL) & (angle_distance(angle, second_angle, np.pi) > TIE_TOL)
+    # only a near tie needs the second-best direction
+    tie = has_second & (gap <= TIE_TOL)
+    near = np.flatnonzero(tie)
+    second_angle = reduce_mod_pi(np.arctan(slopes[second[near], near]))
+    tie[near] = angle_distance(angle[near], second_angle, np.pi) > TIE_TOL
     reason = np.where(np.isinf(best_obj), _COLLINEAR, np.where(tie, _OBJECTIVE_TIE, 0))
     return angle, gap, reason
 

@@ -330,11 +330,13 @@ def lad_block_batch(n, m, seed):
     return points
 
 
-@pytest.mark.parametrize("n", [2, 12])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 12, 17])
 def test_lad_rows_match_reference_across_blocks(n):
-    # full blocks plus a ragged tail: every row, those at a block edge
-    # included, agrees with the one-dataset reference and its sorted tie gap
-    points = lad_block_batch(n, 2 * datamaps._LAD_BLOCK + 37, seed=n)
+    # full blocks plus a ragged tail, and one- and two-row batches: every
+    # row, those at a block edge included, agrees with the one-dataset
+    # reference and its sorted tie gap; n = 17 takes two rounds of the eight
+    # accumulators of the pairwise objective sums
+    points = lad_block_batch(n, 2 * datamaps._lad_block_rows(n) + 37, seed=n)
     spec = DataMapSpec(kind=MapKind.LAD_LINE)
     outcomes = [reference_lad(p) for p in points]
     reasons = {None, UndefinedReason.COLLINEAR_PREDICTOR}
@@ -342,6 +344,9 @@ def test_lad_rows_match_reference_across_blocks(n):
         reasons.add(UndefinedReason.OBJECTIVE_TIE)
     assert {o.reason for o in outcomes} >= reasons
     assert_rows_match(evaluate_batch(spec, points), outcomes)
+    for start in range(4):
+        for rows in (1, 2):
+            assert_rows_match(evaluate_batch(spec, points[start:start + rows]), outcomes[start:start + rows])
     defined = np.array([o.defined for o in outcomes])
     want = np.where(defined, reference_lad_gap(points), 0.0)
     got = SINGULAR_DISTANCE[MapKind.LAD_LINE][0](points, spec)
@@ -349,7 +354,9 @@ def test_lad_rows_match_reference_across_blocks(n):
 
 
 def test_lad_kernel_keeps_no_whole_batch_buffer():
-    # a (m, P) objective buffer alone would take m P 8 bytes
+    # the kernel holds about ten block arrays of at most the byte budget
+    # each, plus the (m,) outputs (17 bytes a row, twice); one (m, P)
+    # objective array alone would take m P 8 = 10.6 MB here
     m, n = 20000, 12
     points = lad_block_batch(n, m, seed=0)
     tracemalloc.start()
@@ -358,7 +365,28 @@ def test_lad_kernel_keeps_no_whole_batch_buffer():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < m * (n * (n - 1) // 2) * 8
+    assert peak < 16 * datamaps._LAD_BLOCK_BYTES
+
+
+def test_pairwise_sum_matches_numpy_sum():
+    # the LAD objectives sum one data point at a time in this order; if a
+    # numpy release changes how np.sum reduces a contiguous row, this fails
+    # before any output digest does
+    rng = np.random.default_rng(0)
+    for n in range(1, 301):
+        values = 10.0 ** rng.uniform(-8.0, 8.0, (16, n))
+        columns = np.ascontiguousarray(values.T)
+
+        def term(k, out):
+            if out is None:
+                return columns[k].copy()
+            out[...] = columns[k]
+            return out
+
+        got = datamaps._pairwise_sum(term, 0, n)
+        want = np.sum(values, axis=-1)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), (
+            f"np.sum no longer adds {n} values in pairwise order")
 
 
 @st.composite
@@ -369,7 +397,8 @@ def map_batches(draw):
     if kind in REFERENCE:
         points = draw(batches(extra=(half_integer_grid,)))
         if kind is MapKind.LAD_LINE:
-            m = draw(st.integers(datamaps._LAD_BLOCK + 1, 3 * datamaps._LAD_BLOCK))
+            rows = datamaps._lad_block_rows(points.shape[1])
+            m = draw(st.integers(rows + 1, 3 * rows))
             points = np.resize(points, (m, *points.shape[1:]))
         return DataMapSpec(kind=kind), points
     if kind is MapKind.AUG_MEAN:

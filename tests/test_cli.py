@@ -273,6 +273,19 @@ def test_lad_cdf_bytes_pinned_across_processes(tmp_path):
     }
 
 
+@pytest.mark.parametrize("args, code, name, digest", [
+    (["lfplot", "--map", "lad", "--grid-resolution", "48"], EXIT_OK, "lfplot.csv",
+     "8295f33fb2dd754ceef62b05fc9868e75a17ec167d9f6d943cb79730dfd4108f"),
+    (["localize", "--map", "lad"], EXIT_INCONCLUSIVE, "localize.json",
+     "cf8cf9a8ab053a58c4f0273fb0ceddf2b8f17c907579957bac24f90eb6effea5"),
+], ids=["lfplot", "localize"])
+def test_small_n_lad_bytes_pinned_across_processes(tmp_path, args, code, name, digest):
+    # digests recorded at commit 9daa629, whose LAD kernel added each row's
+    # residuals with np.sum; the n = 3 slice datasets run the small-n path
+    assert run_in_process(args, tmp_path) == code
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
 def test_localize_root_box_failure_exit_code(tmp_path):
     # the LAD root boundary at half-width 0.5 cannot be certified
     assert run(["localize", "--map", "lad", "--half-width", "0.5"], tmp_path) == EXIT_INCONCLUSIVE
