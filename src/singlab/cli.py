@@ -265,6 +265,10 @@ def _run_lfplot(config, outdir):
 
 
 def _run_winding(config, outdir):
+    if config["target"] == "standard" and config["shrink"] != 1.0:
+        # the standard is defined only on perfect fits, and a shrunk loop
+        # leaves them
+        raise SchemaError(f"key 'shrink' must be 1.0 for target 'standard', got {config['shrink']}")
     slice_spec = SliceSpec()
     loop = boundary_loop(slice_spec, config["samples"])
     if config["target"] == "standard":
@@ -487,10 +491,7 @@ def main(argv=None) -> int:
                 continue
             overrides[key] = [p for p in str(raw).split(",")] if typ is list else raw
         config = resolve_config(command, file_config, overrides)
-    except SchemaError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except (OSError, json.JSONDecodeError) as exc:
+    except (SchemaError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     outdir = args.outdir or os.environ.get("SINGLAB_OUTDIR")
@@ -498,10 +499,7 @@ def main(argv=None) -> int:
         os.makedirs(outdir, exist_ok=True)
     try:
         code, files = _RUNNERS[command](config, outdir)
-    except SchemaError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except ContractViolation as exc:
+    except (SchemaError, ContractViolation) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except Exception as exc:  # noqa: BLE001

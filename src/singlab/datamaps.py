@@ -9,8 +9,9 @@ undefined, plus a nonnegative ``gap`` that vanishes exactly on the map's
 (surrogate) singular surface.  ``evaluate_with_standard`` wraps a map with the
 calibration standard: exact perfect fits are answered by the canonical
 feature, which extends the fitters continuously through inputs (vertical
-lines) the raw formulas cannot represent; the batched standard does the same
-for the line fitters over (m, n, 2) point batches.
+lines) the raw formulas cannot represent.  For the line fitters it is the
+one-row case of ``evaluate_with_standard_batch`` over (m, n, 2) point
+batches; only the augmented mean's standard, on circle datasets, is scalar.
 """
 
 from __future__ import annotations
@@ -344,37 +345,37 @@ def spanning_lines(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return residual, theta, span
 
 
-def perfect_fit_outcome(dataset) -> EvalOutcome | None:
-    """The standard's outcome on an exact perfect fit, None off them.
+def _circle_standard(dataset: CircleDataset) -> EvalOutcome | None:
+    """The standard's outcome on a circle dataset whose points are all
+    equal, None otherwise: that point, with gap the span plus one.
 
-    A plane dataset is a perfect fit when it spans a unique line exactly;
-    its feature is that line's direction and its gap the point-set span.  A
-    circle dataset is one when all its points are equal; its feature is
-    that point and its gap the span plus one.
+    It stays scalar, not a row of a BatchOutcome: a row stores the point's
+    angle, and the point rebuilt from it is off in the last bit (cos(pi/2) =
+    6.1e-17 where the data have 0), while the standard returns the data's
+    point itself.
     """
-    if isinstance(dataset, PlaneDataset):
-        residual, theta, span = spanning_lines(dataset.points[None])
-        if residual[0] <= PERFECT_FIT_TOL:
-            return EvalOutcome.of(LineDirection(float(theta[0])), span[0])
+    spread = float(np.max(np.linalg.norm(dataset.points - dataset.points[0], axis=1)))
+    if spread > PERFECT_FIT_TOL:
         return None
-    if isinstance(dataset, CircleDataset):
-        spread = float(np.max(np.linalg.norm(dataset.points - dataset.points[0], axis=1)))
-        if spread <= PERFECT_FIT_TOL:
-            u = dataset.points[0]
-            return EvalOutcome.of(CirclePoint(u / np.linalg.norm(u)), dataset_span(dataset) + 1.0)
-        return None
-    raise ContractViolation(f"no perfect-fit standard for {type(dataset).__name__}")
+    u = dataset.points[0]
+    return EvalOutcome.of(CirclePoint(u / np.linalg.norm(u)), dataset_span(dataset) + 1.0)
 
 
 def eval_perfect_fit_standard(dataset) -> Feature:
     """The canonical feature of a perfect fit (the standard Sigma).
 
-    Plane datasets must span a unique line exactly; circle datasets must have
-    all points equal.  Anything else raises NotPerfectFitError.
+    Plane datasets must span a unique line exactly, and get its direction
+    from ``standard_batch``; circle datasets must have all points equal.
+    Anything else raises NotPerfectFitError (a one-point plane dataset, which
+    no line fitter takes, a ContractViolation).
     """
-    outcome = perfect_fit_outcome(dataset)
+    if isinstance(dataset, PlaneDataset):
+        return standard_batch(dataset.points[None]).outcome(0).feature
+    if not isinstance(dataset, CircleDataset):
+        raise ContractViolation(f"no perfect-fit standard for {type(dataset).__name__}")
+    outcome = _circle_standard(dataset)
     if outcome is None:
-        raise NotPerfectFitError(f"{type(dataset).__name__} is not an exact perfect fit")
+        raise NotPerfectFitError("CircleDataset is not an exact perfect fit")
     return outcome.feature
 
 
@@ -383,25 +384,19 @@ def dataset_span(dataset) -> float:
     return float(math.sqrt(np.max(_pairwise_sq_distances(dataset.points))))
 
 
-# The dataset variant on which each map has a calibration standard.
-_STANDARD_DATASET = {
-    MapKind.LS_LINE: PlaneDataset,
-    MapKind.PC_LINE: PlaneDataset,
-    MapKind.LAD_LINE: PlaneDataset,
-    MapKind.AUG_MEAN: CircleDataset,
-}
-
-
 def evaluate_with_standard(spec: DataMapSpec, x) -> EvalOutcome:
     """Evaluate a map, answering exact perfect fits by the standard.
 
     This is the unique continuous extension of each fitter through perfect
     fits: in particular it gives the vertical direction on vertical collinear
     data, where the raw LS and LAD formulas are undefined or unrepresentable.
-    Off perfect fits it is the raw map.
+    Off perfect fits it is the raw map.  A line fitter on a plane dataset is
+    the one-row case of ``evaluate_with_standard_batch``.
     """
-    if isinstance(x, _STANDARD_DATASET.get(spec.kind, ())):
-        outcome = perfect_fit_outcome(x)
+    if isinstance(x, PlaneDataset) and _KERNELS[spec.kind][1] is LineDirection:
+        return evaluate_with_standard_batch(spec, x.points[None]).outcome(0)
+    if isinstance(x, CircleDataset) and spec.kind is MapKind.AUG_MEAN:
+        outcome = _circle_standard(x)
         if outcome is not None:
             return outcome
     return evaluate(spec, x)

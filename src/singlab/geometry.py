@@ -4,9 +4,10 @@ Datasets are ordered lists of points: relabeling is never quotiented out, so
 plane datasets embed isometrically into R^{2n} and circle datasets carry the
 L2 product of arc-length metrics.  Features are a small tagged union (line
 direction mod pi, circle point, binary decision, scalar value), each with its
-own metric.  The module also houses the two analytic utilities the rest of
-the package leans on: the average norm along a segment and sorted symmetric
-eigenvalues.
+own metric.  The module also houses two analytic utilities: the average norm
+along a segment, which ``metrics`` leans on, and sorted symmetric eigenvalues,
+which no module of the package calls; it is exported for the appendix's
+eigenvalue-Lipschitz (Weyl) check.
 """
 
 from __future__ import annotations

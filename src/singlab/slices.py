@@ -15,14 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from singlab.datamaps import BatchMap, DataMapSpec, EvalOutcome, evaluate_batch
-from singlab.geometry import (
-    CirclePoint,
-    ContractViolation,
-    DomainError,
-    LineDirection,
-    PlaneDataset,
-)
+from singlab.datamaps import REASON_CODES, BatchMap, BatchOutcome, DataMapSpec, evaluate_batch
+from singlab.geometry import ContractViolation, DomainError, PlaneDataset
 from singlab.topology import Loop
 
 SVG_SIZE_PX = 640  # width and height of line-field plots
@@ -120,22 +114,13 @@ class GridField:
     """Evaluated polar grid over the slice disk."""
 
     us: np.ndarray  # (N, 2) slice parameters
-    outcomes: list[EvalOutcome]
+    batch: BatchOutcome  # the map's outcomes at us, row for row
 
     def rows(self):
         """Yield (u_x, u_y, theta_or_nan, gap, status) per grid cell."""
-        for u, out in zip(self.us, self.outcomes):
-            if out.defined:
-                f = out.feature
-                if isinstance(f, LineDirection):
-                    theta = f.theta
-                elif isinstance(f, CirclePoint):
-                    theta = f.angle
-                else:
-                    theta = math.nan
-                yield float(u[0]), float(u[1]), theta, out.gap, "defined"
-            else:
-                yield float(u[0]), float(u[1]), math.nan, 0.0, out.reason.value
+        batch = self.batch
+        status = ["defined" if code == 0 else REASON_CODES[code].value for code in batch.reason.tolist()]
+        return zip(*self.us.T.tolist(), batch.value.tolist(), batch.gap.tolist(), status)
 
 
 def polar_grid(resolution: int) -> np.ndarray:
@@ -161,8 +146,7 @@ def render_lf_field(
     outcomes are recorded and rendered as dots.  Output ordering is row-major.
     """
     us = polar_grid(spec.grid_resolution)
-    batch = evaluate_batch(map_spec, spec.datasets_at(us))
-    grid = GridField(us=us, outcomes=[batch.outcome(i) for i in range(len(us))])
+    grid = GridField(us=us, batch=evaluate_batch(map_spec, spec.datasets_at(us)))
     if csv_path is not None:
         write_field_csv(grid, csv_path)
     if svg_path is not None:

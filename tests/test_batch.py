@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from singlab import datamaps
 from singlab.datamaps import (
+    PERFECT_FIT_TOL,
     REASON_CODES,
     TIE_TOL,
     BatchMap,
@@ -28,7 +29,6 @@ from singlab.datamaps import (
     evaluate_with_standard,
     evaluate_with_standard_batch,
     oscillator_g,
-    perfect_fit_outcome,
     standard_batch,
 )
 from singlab.geometry import (
@@ -165,6 +165,27 @@ def reference_oscillator(x):
     f = math.log(1.0 - math.log(min(r, 1.0)))
     n = math.floor(f)
     return EvalOutcome.of(ScalarValue(f - n if n % 2 == 0 else (n + 1) - f), r)
+
+
+def reference_standard(pts):
+    """The calibration standard on one plane dataset, None off perfect fits:
+    the line through the first most distant pair of points, when each
+    point's cross product with it, over the span, is within PERFECT_FIT_TOL;
+    its atan2 direction, gap the span."""
+    pts = pts.tolist()
+    pair, span2 = None, 0.0
+    for i, j in itertools.product(range(len(pts)), repeat=2):
+        dx, dy = pts[j][0] - pts[i][0], pts[j][1] - pts[i][1]
+        d2 = dx * dx + dy * dy
+        if d2 > span2:
+            pair, span2 = (i, j), d2
+    if pair is None:
+        return None
+    (ax, ay), (bx, by) = pts[pair[0]], pts[pair[1]]
+    dx, dy, span = bx - ax, by - ay, math.sqrt(span2)
+    if max(abs((x - ax) * dy - (y - ay) * dx) for x, y in pts) / span > PERFECT_FIT_TOL:
+        return None
+    return EvalOutcome.of(LineDirection(math.atan2(dy, dx)), span)
 
 
 REFERENCE = {MapKind.LS_LINE: reference_ls, MapKind.PC_LINE: reference_pc, MapKind.LAD_LINE: reference_lad}
@@ -436,7 +457,7 @@ def test_batch_outcome_invariants(case):
 @given(batches())
 def test_evaluate_with_standard_batch_matches_scalar(points):
     for spec in FITTERS:
-        outcomes = [perfect_fit_outcome(PlaneDataset(p)) or REFERENCE[spec.kind](p) for p in points]
+        outcomes = [reference_standard(p) or REFERENCE[spec.kind](p) for p in points]
         assert_rows_match(evaluate_with_standard_batch(spec, points), outcomes)
         for p, want in zip(points, outcomes):
             assert_close(evaluate_with_standard(spec, PlaneDataset(p)), want)
@@ -446,9 +467,11 @@ def test_evaluate_with_standard_batch_matches_scalar(points):
 @given(st.integers(2, 6).flatmap(lambda n: st.lists(collinear(n), min_size=1, max_size=6)))
 def test_standard_batch_matches_scalar(rows):
     points = np.stack(rows)
-    outcomes = [EvalOutcome.of(eval_perfect_fit_standard(PlaneDataset(p)), dataset_span(PlaneDataset(p)))
-                for p in points]
+    outcomes = [reference_standard(p) for p in points]
     assert_rows_match(standard_batch(points), outcomes)
+    for p, want in zip(points, outcomes):
+        ds = PlaneDataset(p)
+        assert_close(EvalOutcome.of(eval_perfect_fit_standard(ds), dataset_span(ds)), want)
 
 
 def test_standard_batch_rejects_non_perfect_fits():

@@ -15,7 +15,7 @@ import singlab.metrics
 import singlab.slices
 import singlab.topology
 
-from singlab.cli import EXIT_INCONCLUSIVE, EXIT_OK, EXIT_SCHEMA, main
+from singlab.cli import EXIT_INCONCLUSIVE, EXIT_INTERNAL, EXIT_OK, EXIT_SCHEMA, main
 
 
 def run(args, outdir):
@@ -68,9 +68,32 @@ def test_winding_report(tmp_path):
     assert (result["degree"], result["samples_used"], result["max_depth"]) == (2, 10, 1)
 
 
+def test_winding_standard_rejects_shrink(tmp_path, capsys, monkeypatch):
+    # the standard is defined only on perfect fits, which a shrunk loop
+    # leaves: the key is named before anything is evaluated
+    def evaluated(*args, **kwargs):
+        raise AssertionError("winding evaluated a rejected config")
+
+    monkeypatch.setattr(singlab.cli, "winding_number", evaluated)
+    assert run(["winding", "--target", "standard", "--shrink", "0.99"], tmp_path) == EXIT_SCHEMA
+    assert "key 'shrink'" in capsys.readouterr().err
+    assert not (tmp_path / "winding.json").exists()
+
+
+def test_os_errors_exit_by_stage(tmp_path, capsys):
+    # an unreadable config file is a config error; a report the run cannot
+    # write is an internal one
+    assert run(["dimension", "--config", str(tmp_path / "missing.json")], tmp_path) == EXIT_SCHEMA
+    assert capsys.readouterr().err.startswith("config error: ")
+    out = str(tmp_path / "missing" / "dimension.json")
+    assert run(["dimension", "--fixture", "point", "--out", out], tmp_path) == EXIT_INTERNAL
+    assert capsys.readouterr().err.startswith("internal error: FileNotFoundError")
+
+
 def test_certify_commands_stay_batched(tmp_path, monkeypatch):
-    # localize, winding and lfplot evaluate whole batches: a fall back to
-    # per-sample evaluation or slice embedding would hit these
+    # localize, winding and lfplot evaluate whole batches and read their
+    # results off the arrays: a fall back to per-sample evaluation, slice
+    # embedding or outcome objects would hit these
     def scalar_path(*args, **kwargs):
         raise AssertionError("scalar evaluation on a batched path")
 
@@ -79,6 +102,7 @@ def test_certify_commands_stay_batched(tmp_path, monkeypatch):
         if getattr(module, "evaluate", None) is scalar_evaluate:
             monkeypatch.setattr(module, "evaluate", scalar_path)
     monkeypatch.setattr(singlab.slices.SliceSpec, "dataset_at", scalar_path)
+    monkeypatch.setattr(singlab.datamaps.BatchOutcome, "outcome", scalar_path)
     runs = [
         (["localize", "--map", "pc", "--eps", "0.01"], EXIT_OK),
         (["localize", "--map", "lad", "--eps", "0.01"], EXIT_INCONCLUSIVE),
@@ -284,6 +308,25 @@ def test_small_n_lad_bytes_pinned_across_processes(tmp_path, args, code, name, d
     # residuals with np.sum; the n = 3 slice datasets run the small-n path
     assert run_in_process(args, tmp_path) == code
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("args, digests", [
+    (["lfplot", "--map", "pc", "--grid-resolution", "48"],
+     {"lfplot.csv": "41c97bbee65585ccbb088e3dc51ad3217e7808dcdc6a59e793f3bb57c630e573",
+      "lfplot.svg": "a1c50f682cbf899619770e47c1cc7ab730a578182ef8a60cad18a28fa1a0d0c6"}),
+    (["lfplot", "--map", "lad", "--grid-resolution", "48"],
+     {"lfplot.svg": "784ad306cf28786521cf4e9f896f8120089810979e9f88709bfe0527de4064c5"}),
+    (["winding", "--target", "standard", "--samples", "2048"],
+     {"winding.json": "1731f4cd2a4bd85820aaa8688f9a8ba494af435503d4b4f29409d1a284ce17eb"}),
+    (["winding", "--target", "lad", "--shrink", "0.99", "--samples", "2048"],
+     {"winding.json": "d58bbaba317c46fd8bd69328ac759d60363ae467a7e1b373020de52c8701225a"}),
+], ids=["lfplot-pc", "lfplot-lad-svg", "winding-standard", "winding-lad"])
+def test_grid_and_standard_bytes_pinned_across_processes(tmp_path, args, digests):
+    # digests recorded at commit 01d8e60, before the line-field grid read its
+    # rows straight off the batch and the scalar plane standard became a
+    # one-row view of the batched one
+    assert run_in_process(args, tmp_path) == EXIT_OK
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in digests} == digests
 
 
 def test_localize_root_box_failure_exit_code(tmp_path):

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from singlab.datamaps import (
+    BatchOutcome,
     DataMapSpec,
-    EvalOutcome,
     MapKind,
     eval_perfect_fit_standard,
     evaluate,
@@ -117,7 +117,8 @@ def test_lf_field_ls_undefined_cells_match_sxx():
     spec = SliceSpec(grid_resolution=16)
     grid = render_lf_field(spec, DataMapSpec(kind=MapKind.LS_LINE))
     # undefined exactly where the embedded abscissae coincide (S_xx = 0)
-    for u, out in zip(grid.us, grid.outcomes):
+    for i, u in enumerate(grid.us):
+        out = grid.batch.outcome(i)
         ds = spec.dataset_at(u)
         xc = ds.x - ds.x.mean()
         s_xx = float(np.dot(xc, xc))
@@ -125,7 +126,8 @@ def test_lf_field_ls_undefined_cells_match_sxx():
     # componentwise solve puts the surface at u = (0, +-1) exactly; the grid
     # lands within rounding of it (gap below 1e-15 at the vertical cells),
     # and the exact vertical dataset is Undefined
-    for u, out in zip(grid.us, grid.outcomes):
+    for i, u in enumerate(grid.us):
+        out = grid.batch.outcome(i)
         if abs(abs(u[1]) - 1.0) < 1e-12 and abs(u[0]) < 1e-12:
             assert out.gap < 1e-15
     exact_vertical = PlaneDataset([(0, -1), (0, 0), (0, 1)])
@@ -136,7 +138,8 @@ def test_lf_field_boundary_ring_calibrated():
     spec = SliceSpec(grid_resolution=16)
     for kind in (MapKind.LS_LINE, MapKind.PC_LINE, MapKind.LAD_LINE):
         grid = render_lf_field(spec, DataMapSpec(kind=kind))
-        for u, out in zip(grid.us, grid.outcomes):
+        for i, u in enumerate(grid.us):
+            out = grid.batch.outcome(i)
             if abs(np.linalg.norm(u) - 1.0) > 1e-12 or not out.defined:
                 continue
             sigma = eval_perfect_fit_standard(spec.dataset_at(u))
@@ -170,7 +173,10 @@ def test_field_csv_prints_angles_next_to_pi_as_zero(tmp_path):
     # pi - 4.4e-16 and 4.4e-16 are the same direction up to the last bit
     # (the LAD slice center sits at pi - 4.4e-16); neither may print as pi
     thetas = (math.pi - 4.4e-16, 4.4e-16, 3.14159265358)
-    grid = GridField(us=np.zeros((3, 2)), outcomes=[EvalOutcome.of(LineDirection(t), 1.0) for t in thetas])
+    value = np.array([LineDirection(t).theta for t in thetas])
+    reason = np.zeros(3, dtype=np.int8)
+    grid = GridField(us=np.zeros((3, 2)),
+                     batch=BatchOutcome(value=value, gap=np.ones(3), reason=reason, feature=LineDirection))
     path = tmp_path / "field.csv"
     write_field_csv(grid, path)
     column = [row.split(",")[2] for row in path.read_text().splitlines()[1:]]
