@@ -6,9 +6,18 @@ extension to the region the loop bounds, so it certifies a singularity
 inside.  Degrees are computed by a continuous angle lift over loop samples;
 an edge whose endpoint features are further apart than a quarter period is
 bisected until the short-arc condition holds, and the tool reports
-INCONCLUSIVE rather than an uncertifiable integer.  Loops are evaluated in
-batches: all samples at once, then the midpoints of one bisection depth at
-a time.
+INCONCLUSIVE rather than an uncertifiable integer.
+
+One lift serves any number of loops: the samples of every loop are
+evaluated in one kernel call, then the midpoints of one bisection depth at
+a time, over the open edges of all loops still alive.  Each loop keeps its
+own outcome, a report or the error it would raise alone, and
+``winding_number`` is the one-loop case.  The localizer lifts the four
+children of a split together, and when the plain cross-hair fails, all six
+jittered cross-hairs (24 loops) in one more batch.  It takes the first
+jitter in ladder order whose children all certify: the jitter a
+one-at-a-time ladder would stop at, since a loop's outcome does not depend
+on the loops lifted with it.
 """
 
 from __future__ import annotations
@@ -18,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from singlab.datamaps import REASON_CODES, BatchOutcome, _pointwise
-from singlab.geometry import CircleDataset, ContractViolation, angle_distance, wrap_increments
+from singlab.datamaps import REASON_CODES, _pointwise
+from singlab.geometry import CircleDataset, ContractViolation, wrap_increments
 
 # An edge certifies short when its endpoint features are less than this
 # share of a period apart, so the short way between them is the lift step.
@@ -38,6 +47,16 @@ class InconclusiveDegreeError(RuntimeError):
 
 class UnsupportedFeatureError(TypeError):
     """The feature variant carries no winding (decisions, scalars)."""
+
+
+def _check_loops(points: np.ndarray) -> None:
+    """points (k, m, ...) stacks k closed loops of m samples: each loop needs
+    at least 3 samples, and consecutive samples must differ."""
+    if points.ndim < 3 or points.shape[1] < 3:
+        raise ContractViolation("a loop needs at least 3 samples")
+    steps = (points != np.roll(points, -1, axis=1)).reshape(*points.shape[:2], -1)
+    if not steps.any(axis=2).all():
+        raise ContractViolation("consecutive loop samples must be distinct")
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,11 +80,7 @@ class Loop:
                 sample_type = type(points[0])
                 points = [s.points for s in points]
         points = np.array(points, dtype=float)
-        if points.ndim < 2 or len(points) < 3:
-            raise ContractViolation("a loop needs at least 3 samples")
-        steps = (points != np.roll(points, -1, axis=0)).reshape(len(points), -1)
-        if not steps.any(axis=1).all():
-            raise ContractViolation("consecutive loop samples must be distinct")
+        _check_loops(points[None])
         points.flags.writeable = False
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "sample_type", sample_type)
@@ -112,6 +127,103 @@ def midpoint_interpolate(p: np.ndarray, q: np.ndarray, sample_type: type | None 
     return mid
 
 
+def _lift(points: np.ndarray, lengths, evaluate_fn, sample_type: type | None = None) -> list:
+    """Degrees of several closed loops, stacked one after another in points.
+
+    lengths gives each loop's sample count.  The result holds, loop by loop,
+    the WindingReport of ``winding_number`` or the error it would raise.  All
+    samples are evaluated in one call, then the midpoints of one bisection
+    depth at a time, for the open edges of every loop still alive.  Edges
+    keep their per-loop order, so each loop evaluates the same points at the
+    same depths as it would on its own, and raises the same error first:
+    Undefined samples at any depth before the MAX_REFINE budget, and the
+    budget before the lift residual.  Each loop's lift steps are added in
+    edge order; their rounding is far below the residual tolerance.
+    """
+    evaluate_fn = _pointwise(evaluate_fn, sample_type)
+    lengths = np.asarray(lengths, dtype=np.intp)
+    n_loops = len(lengths)
+    results: list = [None] * n_loops
+    alive = np.ones(n_loops, dtype=bool)
+    samples_used = lengths.copy()
+    min_gap = np.full(n_loops, math.inf)
+
+    def evaluate(points: np.ndarray, owner: np.ndarray):
+        """The outcome on points, and the mask of the rows whose loop is
+        still alive, None when no loop died here."""
+        outcome = evaluate_fn(points)
+        np.minimum.at(min_gap, owner, outcome.gap)
+        undefined = np.flatnonzero(outcome.reason)
+        if not undefined.size:
+            return outcome, None
+        # each loop's first Undefined sample, in its own order
+        loops, first = np.unique(owner[undefined], return_index=True)
+        for i, k in zip(loops, undefined[first]):
+            reason = REASON_CODES[outcome.reason[k]]
+            results[i] = LoopHitsSingularityError(f"loop sample evaluated Undefined ({reason.value})")
+        alive[loops] = False
+        return outcome, alive[owner]
+
+    owner = np.repeat(np.arange(n_loops), lengths)
+    outcome, live = evaluate(points, owner)
+    period = outcome.period
+    if period is None:
+        error = UnsupportedFeatureError(f"{outcome.feature.__name__} features carry no winding number")
+        return [error if ok else r for ok, r in zip(alive, results)]
+    threshold = STEP_FRACTION * period
+    # the open edges: endpoints p_a -> p_b with their feature angles, the
+    # last sample of each loop closing back to its first
+    after = np.arange(1, len(points) + 1)
+    ends = np.cumsum(lengths)
+    after[ends - 1] = ends - lengths
+    p_a, a, p_b, b = points, outcome.value, points[after], outcome.value[after]
+    if live is not None:
+        p_a, a, p_b, b, owner = (x[live] for x in (p_a, a, p_b, b, owner))
+    total = np.zeros(n_loops)
+    depth = 0
+    while True:
+        # |wrapped step| is the angle distance, bit for bit
+        step = wrap_increments(b - a, period)
+        short = np.abs(step) < threshold
+        total += np.bincount(owner, np.where(short, step, 0.0), n_loops)
+        split = ~short
+        open_edges = np.bincount(owner[split], minlength=n_loops)
+        for i in np.flatnonzero(alive & (open_edges == 0)):
+            results[i] = _report(float(total[i]), period, int(samples_used[i]), float(min_gap[i]), depth)
+        alive &= open_edges > 0
+        if not alive.any():
+            return results
+        if depth >= MAX_REFINE:
+            for i in np.flatnonzero(alive):
+                results[i] = InconclusiveDegreeError(f"edge not short-arc after {MAX_REFINE} bisections")
+            return results
+        p_a, a, p_b, b, owner = p_a[split], a[split], p_b[split], b[split], owner[split]
+        p_m = midpoint_interpolate(p_a, p_b, sample_type)
+        samples_used += open_edges
+        outcome, live = evaluate(p_m, owner)
+        m = outcome.value
+        depth += 1
+        if live is not None:
+            p_a, a, p_m, m, p_b, b, owner = (x[live] for x in (p_a, a, p_m, m, p_b, b, owner))
+        p_a, a, p_b, b = (np.concatenate(pair) for pair in ((p_a, p_m), (a, m), (p_m, p_b), (m, b)))
+        owner = np.concatenate((owner, owner))
+
+
+def _report(total: float, period: float, samples_used: int, min_gap: float, depth: int):
+    """A finished loop's report, or the error of a lift that does not close
+    to a whole number of periods."""
+    degree = round(total / period)
+    if abs(total - degree * period) > 1e-6 * period:
+        return InconclusiveDegreeError(f"lift residual {abs(total - degree * period):.3e} exceeds tolerance")
+    return WindingReport(
+        degree=int(degree),
+        samples_used=samples_used,
+        min_gap=min_gap,
+        refined=depth > 0,
+        max_depth=depth,
+    )
+
+
 def winding_number(loop: Loop, evaluate_fn) -> WindingReport:
     """Degree of a feature-valued map along a closed loop.
 
@@ -128,61 +240,13 @@ def winding_number(loop: Loop, evaluate_fn) -> WindingReport:
     certified degree, samples_used, refined and max_depth do not depend on
     the order.  On a loop that fails, the order decides the error: an
     Undefined midpoint at any depth raises LoopHitsSingularityError before an
-    edge that reaches depth MAX_REFINE raises InconclusiveDegreeError.
+    edge that reaches depth MAX_REFINE raises InconclusiveDegreeError.  This
+    is the one-loop case of the multi-loop lift the localizer runs.
     """
-    evaluate_fn = _pointwise(evaluate_fn, loop.sample_type)
-    samples_used = 0
-    min_gap = math.inf
-
-    def evaluate(points: np.ndarray) -> BatchOutcome:
-        nonlocal samples_used, min_gap
-        outcome = evaluate_fn(points)
-        undefined = np.flatnonzero(outcome.reason)
-        if undefined.size:
-            reason = REASON_CODES[outcome.reason[undefined[0]]]
-            raise LoopHitsSingularityError(f"loop sample evaluated Undefined ({reason.value})")
-        samples_used += len(points)
-        min_gap = min(min_gap, float(np.min(outcome.gap)))
-        return outcome
-
-    outcome = evaluate(loop.points)
-    period = outcome.period
-    if period is None:
-        raise UnsupportedFeatureError(f"{outcome.feature.__name__} features carry no winding number")
-    threshold = STEP_FRACTION * period
-    # the open edges: endpoints p_a -> p_b with their feature angles
-    p_a, a = loop.points, outcome.value
-    p_b, b = np.roll(p_a, -1, axis=0), np.roll(a, -1)
-    total = 0.0
-    depth = 0
-    while True:
-        short = angle_distance(b, a, period) < threshold
-        total += float(np.sum(wrap_increments(b[short] - a[short], period)))
-        if short.all():
-            break
-        if depth >= MAX_REFINE:
-            raise InconclusiveDegreeError(
-                f"edge not short-arc after {MAX_REFINE} bisections"
-            )
-        split = ~short
-        p_a, a, p_b, b = p_a[split], a[split], p_b[split], b[split]
-        p_m = midpoint_interpolate(p_a, p_b, loop.sample_type)
-        m = evaluate(p_m).value
-        depth += 1
-        p_a, a, p_b, b = (np.concatenate(pair) for pair in ((p_a, p_m), (a, m), (p_m, p_b), (m, b)))
-
-    degree = round(total / period)
-    if abs(total - degree * period) > 1e-6 * period:
-        raise InconclusiveDegreeError(
-            f"lift residual {abs(total - degree * period):.3e} exceeds tolerance"
-        )
-    return WindingReport(
-        degree=int(degree),
-        samples_used=samples_used,
-        min_gap=min_gap,
-        refined=depth > 0,
-        max_depth=depth,
-    )
+    (result,) = _lift(loop.points, (len(loop),), evaluate_fn, loop.sample_type)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 @dataclass(frozen=True)
@@ -211,17 +275,22 @@ class LocalizerBox:
         }
 
 
+_CORNER_SIGNS = np.array([(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)])
+
+
+def _rectangle_points(centers: np.ndarray, half_widths: np.ndarray, samples_per_edge: int) -> np.ndarray:
+    """Counterclockwise boundary samples of axis-aligned boxes: centers and
+    half_widths (k, 2) -> points (k, 4 * samples_per_edge, 2)."""
+    corners = centers[:, None, :] + _CORNER_SIGNS * half_widths[:, None, :]
+    edges = corners[:, (1, 2, 3, 0)] - corners
+    t = (np.arange(samples_per_edge) / samples_per_edge)[:, None]
+    return (corners[:, :, None, :] + t * edges[:, :, None, :]).reshape(len(centers), -1, 2)
+
+
 def rectangle_loop(center, half_widths, samples_per_edge: int) -> Loop:
     """Counterclockwise samples along the boundary of an axis-aligned box."""
-    cx, cy = center
-    hx, hy = half_widths
-    corners = np.array(
-        [(cx - hx, cy - hy), (cx + hx, cy - hy), (cx + hx, cy + hy), (cx - hx, cy + hy)],
-        dtype=float,
-    )
-    edges = np.roll(corners, -1, axis=0) - corners
-    t = (np.arange(samples_per_edge) / samples_per_edge)[None, :, None]
-    return Loop((corners[:, None, :] + t * edges[:, None, :]).reshape(-1, 2))
+    centers, half_widths = np.array([center], dtype=float), np.array([half_widths], dtype=float)
+    return Loop(_rectangle_points(centers, half_widths, samples_per_edge)[0])
 
 
 # Deterministic jitter ladder for subdivision cross-hairs, as fractions of
@@ -235,6 +304,31 @@ _JITTERS = (
     (0.083, -0.017),
     (-0.019, 0.089),
 )
+
+
+def _quarters(c, h, jitter) -> list:
+    """The four children (center, half_widths) of box (c, h) cut at the
+    cross-hair shifted by jitter, in the order x-low then x-high, y-low
+    then y-high within each."""
+    split = (c[0] + jitter[0] * h[0], c[1] + jitter[1] * h[1])
+    lo = (c[0] - h[0], c[1] - h[1])
+    hi = (c[0] + h[0], c[1] + h[1])
+    return [
+        ((0.5 * (x0 + x1), 0.5 * (y0 + y1)), (0.5 * (x1 - x0), 0.5 * (y1 - y0)))
+        for x0, x1 in ((lo[0], split[0]), (split[0], hi[0]))
+        for y0, y1 in ((lo[1], split[1]), (split[1], hi[1]))
+    ]
+
+
+def _certified_degrees(results) -> list | None:
+    """The degrees of the lift results, or None if a loop hit S or failed
+    to certify.  Other errors are raised, the first one in order."""
+    for result in results:
+        if isinstance(result, (LoopHitsSingularityError, InconclusiveDegreeError)):
+            return None
+        if isinstance(result, Exception):
+            raise result
+    return [result.degree for result in results]
 
 
 def localize_singularities(
@@ -257,13 +351,22 @@ def localize_singularities(
     parent) is checked at every completed split; a violation, like jitter
     exhaustion when a cut line keeps hitting the singular set, demotes the
     box to INCONCLUSIVE instead of ever reporting an uncertified degree.
+
+    A split lifts its four children in one batch.  If one of them hits S or
+    fails to certify, the six jittered cross-hairs are lifted together, 24
+    loops in one batch, and the split takes the first jitter of ``_JITTERS``
+    whose four children all certify.  A loop's outcome does not depend on
+    the loops lifted with it, so that is the jitter a one-at-a-time ladder
+    would stop at, and the boxes are the same.
     """
     if eps <= 0:
         raise ContractViolation("eps must be positive")
 
-    def boundary_degree(c, h):
-        loop = rectangle_loop(c, h, samples_per_edge)
-        return winding_number(loop, outcome_fn).degree
+    def lift(boxes) -> list:
+        centers, half_widths = (np.array(column, dtype=float) for column in zip(*boxes))
+        points = _rectangle_points(centers, half_widths, samples_per_edge)
+        _check_loops(points)
+        return _lift(points.reshape(-1, 2), [points.shape[1]] * len(boxes), outcome_fn)
 
     boxes: list[LocalizerBox] = []
 
@@ -280,44 +383,41 @@ def localize_singularities(
                 )
             )
             return
-        for jx, jy in _JITTERS:
-            split = (c[0] + jx * h[0], c[1] + jy * h[1])
-            lo = (c[0] - h[0], c[1] - h[1])
-            hi = (c[0] + h[0], c[1] + h[1])
-            children = []
-            for x0, x1 in ((lo[0], split[0]), (split[0], hi[0])):
-                for y0, y1 in ((lo[1], split[1]), (split[1], hi[1])):
-                    cc = (0.5 * (x0 + x1), 0.5 * (y0 + y1))
-                    ch = (0.5 * (x1 - x0), 0.5 * (y1 - y0))
-                    children.append((cc, ch))
-            try:
-                child_degrees = [boundary_degree(cc, ch) for cc, ch in children]
-            except (LoopHitsSingularityError, InconclusiveDegreeError):
-                continue  # cut line hit S or an edge refused to certify: jitter
-            if sum(child_degrees) != degree:
-                break  # additivity violated: the parent certificate is unsound
-            for (cc, ch), d in zip(children, child_degrees):
-                if d != 0:
-                    recurse(cc, ch, d, depth + 1)
-            return
-        boxes.append(
-            LocalizerBox(
-                center=(float(c[0]), float(c[1])),
-                half_width=float(max(h)),
-                boundary_degree=degree,
-                depth=depth,
-                status="inconclusive",
+        children = _quarters(c, h, _JITTERS[0])
+        child_degrees = _certified_degrees(lift(children))
+        if child_degrees is None:
+            # a cut line hit S or an edge refused to certify: jitter
+            ladder = [_quarters(c, h, jitter) for jitter in _JITTERS[1:]]
+            results = lift([child for quarters in ladder for child in quarters])
+            for k, quarters in enumerate(ladder):
+                child_degrees = _certified_degrees(results[4 * k:4 * k + 4])
+                if child_degrees is not None:
+                    children = quarters
+                    break
+        if child_degrees is None or sum(child_degrees) != degree:
+            # jitters exhausted, or additivity violated: the parent
+            # certificate is unsound
+            boxes.append(
+                LocalizerBox(
+                    center=(float(c[0]), float(c[1])),
+                    half_width=float(hw),
+                    boundary_degree=degree,
+                    depth=depth,
+                    status="inconclusive",
+                )
             )
-        )
+            return
+        for (cc, ch), d in zip(children, child_degrees):
+            if d != 0:
+                recurse(cc, ch, d, depth + 1)
 
     c0 = (float(center[0]), float(center[1]))
     h0 = (float(half_width), float(half_width))
-    try:
-        root_degree = boundary_degree(c0, h0)
-    except (LoopHitsSingularityError, InconclusiveDegreeError):
+    root = _certified_degrees(lift([(c0, h0)]))
+    if root is None:
         return [LocalizerBox(center=c0, half_width=h0[0], boundary_degree=None, depth=0,
                              status="inconclusive")]
-    if root_degree == 0:
+    if root[0] == 0:
         return []
-    recurse(c0, h0, root_degree, 0)
+    recurse(c0, h0, root[0], 0)
     return boxes

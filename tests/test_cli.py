@@ -329,6 +329,35 @@ def test_grid_and_standard_bytes_pinned_across_processes(tmp_path, args, digests
     assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in digests} == digests
 
 
+@pytest.mark.parametrize("args, code, name, digest", [
+    (["localize", "--map", "pc"], EXIT_OK, "localize.json",
+     "ef42fbd44d2c39aa7c2de506bfe4b7133326216e3b9b172bbe966109d3ef36cc"),
+    (["localize", "--map", "pc", "--eps", "1e-4"], EXIT_OK, "localize.json",
+     "1d8c5bc963cd180ac507fac485d7d8f32d37657166329d5d76ea47e55b374572"),
+    (["localize", "--map", "ls"], EXIT_INCONCLUSIVE, "localize.json",
+     "5aaa6dee165734f10542d41710b72b2cbe3a0bf89536de286450cd8bb1a7fca0"),
+    (["localize", "--map", "lad", "--half-width", "0.5"], EXIT_INCONCLUSIVE, "localize.json",
+     "6d6c608ce37b1a5976b0b68e5c34c0c2a75d78eca18a5bbd5f45675eea3635ae"),
+    (["localize", "--map", "pc", "--center-x=-0.07523628010317189", "--center-y=-0.33399085703281434",
+      "--half-width=0.34497395554501975"], EXIT_OK, "localize.json",
+     "36849ab58081826d9aa1327f63eb99249db9224b5739e570c7b45d41e65217ab"),
+    (["localize", "--map", "lad", "--center-x=-0.0040473673926858435", "--center-y=0.04556852545510367",
+      "--half-width=0.8771029422583467"], EXIT_INCONCLUSIVE, "localize.json",
+     "beb82e2e0d4bee22fe3695933d6d3837054d50b85d365a23fbfd9587f14944d0"),
+    (["winding", "--target", "ls", "--shrink", "0.999"], EXIT_OK, "winding.json",
+     "d49b02b392953914d489a39370a5830dc53e51d54d66d2f6825e5f4181d8daad"),
+    (["winding", "--target", "pc", "--shrink", "0.999"], EXIT_OK, "winding.json",
+     "10e823d40b0eecc1b162fd5d6d6983edada866aece14c6d7e19dfcaed448b7f2"),
+], ids=["localize-pc", "localize-pc-eps", "localize-ls", "localize-lad-root", "localize-pc-box",
+        "localize-lad-box", "winding-ls", "winding-pc"])
+def test_certify_bytes_pinned_across_processes(tmp_path, args, code, name, digest):
+    # digests recorded at commit 4b3557a, whose localizer lifted one child
+    # box at a time and walked the jitter ladder one cross-hair at a time;
+    # the two root boxes were drawn once from numpy's default_rng(1307)
+    assert run_in_process(args, tmp_path) == code
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
 def test_localize_root_box_failure_exit_code(tmp_path):
     # the LAD root boundary at half-width 0.5 cannot be certified
     assert run(["localize", "--map", "lad", "--half-width", "0.5"], tmp_path) == EXIT_INCONCLUSIVE

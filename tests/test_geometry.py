@@ -20,11 +20,13 @@ from singlab.geometry import (
     LineDirection,
     PlaneDataset,
     ScalarValue,
+    angle_distance,
     dataset_distance,
     feature_distance,
     omega_s,
     segment_average_norm,
     sorted_eigenvalues,
+    wrap_increments,
 )
 from singlab.metrics import oscillator_arc
 
@@ -70,6 +72,20 @@ def test_feature_distance_examples():
 def test_line_direction_reduced_mod_pi():
     assert abs(LineDirection(math.pi + 0.3).theta - 0.3) < 1e-12
     assert abs(LineDirection(-0.3).theta - (math.pi - 0.3)) < 1e-12
+
+
+def test_wrapped_step_length_is_angle_distance():
+    # the winding lift tests an edge short by the length of its wrapped
+    # step; that must be the angle distance bit for bit, ties at half a
+    # period and steps beyond one period included
+    rng = np.random.default_rng(5)
+    for period in (math.pi, 2.0 * math.pi):
+        a = rng.uniform(0.0, period, 4000)
+        b = np.concatenate([rng.uniform(0.0, period, 2000), rng.uniform(-3 * period, 3 * period, 1000),
+                            a[3000:] + rng.choice([0.25, 0.5, 0.75, 1.0, -0.5], 1000) * period])
+        step = wrap_increments(b - a, period)
+        assert np.array_equal(np.abs(step), angle_distance(b, a, period))
+        assert np.all((-0.5 * period < step) & (step <= 0.5 * period))
 
 
 def test_metric_axioms_line_directions():

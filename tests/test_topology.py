@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from singlab.datamaps import (
+    REASON_CODES,
     BatchMap,
     DataMapSpec,
     EvalOutcome,
@@ -15,10 +18,14 @@ from singlab.datamaps import (
     eval_perfect_fit_standard,
     evaluate,
     evaluate_batch,
+    _pointwise,
 )
-from singlab.geometry import CirclePoint, ContractViolation, LineDirection
-from singlab.slices import SliceSpec, boundary_loop
+from singlab.geometry import CirclePoint, ContractViolation, LineDirection, angle_distance, wrap_increments
+from singlab.slices import SliceSpec, boundary_loop, slice_map
 from singlab.topology import (
+    MAX_REFINE,
+    STEP_FRACTION,
+    _JITTERS,
     InconclusiveDegreeError,
     LocalizerBox,
     Loop,
@@ -26,8 +33,10 @@ from singlab.topology import (
     UnsupportedFeatureError,
     WindingReport,
     localize_singularities,
+    midpoint_interpolate,
     rectangle_loop,
     winding_number,
+    _lift,
 )
 
 SPEC = SliceSpec()
@@ -279,3 +288,282 @@ def test_loop_and_report_types():
     assert d["degree"] == 1 and d["status"] == "certified"
     r = WindingReport(degree=2, samples_used=10, min_gap=0.5, refined=False)
     assert r.degree == 2
+
+
+# ---------------------------------------------------------------------------
+# Multi-loop lift and the batched localizer
+# ---------------------------------------------------------------------------
+
+T_STAR = (3 - math.sqrt(3)) / 2
+U_STAR = (-0.5 * T_STAR, math.sqrt(3) / 2 * T_STAR)
+# a point of S for each slice map: the PC tie at the center, and the
+# vertical-predictor boundary dataset where LS and LAD are Undefined
+SLICE_S = {MapKind.PC_LINE: (0.0, 0.0), MapKind.LS_LINE: (0.0, 1.0), MapKind.LAD_LINE: (0.0, 1.0)}
+
+
+def reference_winding(loop, fn):
+    """One loop lifted on its own, level by level, as the certifier did
+    before loops were batched: the report, or the error it raises."""
+    fn = _pointwise(fn, loop.sample_type)
+    samples_used, min_gap = 0, math.inf
+
+    def evaluate(points):
+        nonlocal samples_used, min_gap
+        outcome = fn(points)
+        undefined = np.flatnonzero(outcome.reason)
+        if undefined.size:
+            reason = REASON_CODES[outcome.reason[undefined[0]]]
+            raise LoopHitsSingularityError(f"loop sample evaluated Undefined ({reason.value})")
+        samples_used += len(points)
+        min_gap = min(min_gap, float(np.min(outcome.gap)))
+        return outcome
+
+    try:
+        outcome = evaluate(loop.points)
+        period = outcome.period
+        if period is None:
+            raise UnsupportedFeatureError(f"{outcome.feature.__name__} features carry no winding number")
+        p_a, a = loop.points, outcome.value
+        p_b, b = np.roll(p_a, -1, axis=0), np.roll(a, -1)
+        total, depth = 0.0, 0
+        while True:
+            short = angle_distance(b, a, period) < STEP_FRACTION * period
+            total += float(np.sum(wrap_increments(b[short] - a[short], period)))
+            if short.all():
+                break
+            if depth >= MAX_REFINE:
+                raise InconclusiveDegreeError(f"edge not short-arc after {MAX_REFINE} bisections")
+            split = ~short
+            p_a, a, p_b, b = p_a[split], a[split], p_b[split], b[split]
+            p_m = midpoint_interpolate(p_a, p_b, loop.sample_type)
+            m = evaluate(p_m).value
+            depth += 1
+            p_a, a, p_b, b = (np.concatenate(pair) for pair in ((p_a, p_m), (a, m), (p_m, p_b), (m, b)))
+    except (LoopHitsSingularityError, InconclusiveDegreeError, UnsupportedFeatureError) as exc:
+        return exc
+    degree = round(total / period)
+    assert abs(total - degree * period) <= 1e-6 * period
+    return WindingReport(degree, samples_used, min_gap, depth > 0, depth)
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+    else:
+        assert got == want
+
+
+def assert_lift_matches_alone(loops, fn):
+    # each loop of the batch against winding_number, and both against the
+    # one-loop reference
+    points = np.concatenate([loop.points for loop in loops])
+    results = _lift(points, [len(loop) for loop in loops], fn, loops[0].sample_type)
+    assert len(results) == len(loops)
+    for loop, got in zip(loops, results):
+        want = reference_winding(loop, fn)
+        try:
+            alone = winding_number(loop, fn)
+        except (LoopHitsSingularityError, InconclusiveDegreeError, UnsupportedFeatureError) as exc:
+            alone = exc
+        assert_same_outcome(alone, want)
+        assert_same_outcome(got, want)
+    return results
+
+
+def polygon(points):
+    return Loop(np.asarray(points, dtype=float))
+
+
+@st.composite
+def loops_about(draw, s):
+    """A loop near the point s of S: a circle, a circle with one sample on
+    s (it hits S), a triangle whose first edge crosses s at a third of its
+    length (its bisection never lands on s, so where the map jumps at s the
+    budget runs out), or the boundary of a box about the slice center."""
+    shape = draw(st.sampled_from(("circle", "through", "across", "box")))
+    phase = draw(st.floats(0.0, 2.0 * math.pi))
+    sx, sy = s
+    if shape == "box":
+        c = draw(st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)))
+        hw = draw(st.floats(0.05, 0.6))
+        return rectangle_loop(c, (hw, hw), draw(st.integers(1, 8)))
+    if shape == "across":
+        r = draw(st.floats(0.02, 0.4))
+        v = np.array([math.cos(phase), math.sin(phase)])
+        w = np.array([-v[1], v[0]])
+        return polygon([(sx, sy) - r * v, (sx, sy) + 2 * r * v, (sx, sy) + r * w])
+    m = draw(st.integers(3, 24))
+    center = np.array([sx, sy]) + draw(st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)))
+    radius = draw(st.floats(0.05, 0.9))
+    t = phase + 2.0 * math.pi * np.arange(m) / m
+    points = center + radius * np.stack([np.cos(t), np.sin(t)], axis=1)
+    if shape == "through":
+        points[draw(st.integers(0, m - 1))] = (sx, sy)
+    return polygon(points)
+
+
+def slice_maps(kind):
+    return {"batch": slice_map(SPEC, DataMapSpec(kind=kind)), "pointwise": fitter_on_slice(kind)}
+
+
+LIFT_CASES = [
+    *((f"half-angle-{k}", half_angle_map(k, singularity=(0.1, -0.2)), (0.1, -0.2)) for k in (-1, 2, 3)),
+    *((f"{kind.name}-{form}", fn, SLICE_S[kind])
+      for kind in SLICE_S for form, fn in slice_maps(kind).items()),
+]
+
+
+@pytest.mark.parametrize("name, fn, s", LIFT_CASES, ids=[case[0] for case in LIFT_CASES])
+def test_multi_loop_lift_matches_winding_number(name, fn, s):
+    # lifting loops of mixed lengths together gives each one the report, or
+    # the error, it gets alone
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.lists(loops_about(s), min_size=1, max_size=5))
+    def check(loops):
+        assert_lift_matches_alone(loops, fn)
+
+    check()
+
+
+def test_multi_loop_lift_outcome_kinds():
+    # one batch mixing every outcome: a degree, a refined degree, a sample
+    # on S, a jump edge that exhausts MAX_REFINE, and a depth-24 LAD box
+    s = (0.1, -0.2)
+    loops = [
+        circle_loop(s, 0.5, 40),
+        circle_loop((0.0, 0.0), 1.0, 3),
+        polygon([s, (0.6, 0.1), (-0.3, 0.4), (-0.2, -0.6)]),
+        polygon([(-0.2, -0.2), (0.7, -0.2), (0.1, 0.3)]),
+    ]
+    results = assert_lift_matches_alone(loops, half_angle_map(-1, singularity=s))
+    assert [type(r) for r in results] == [WindingReport, WindingReport, LoopHitsSingularityError,
+                                          InconclusiveDegreeError]
+    assert results[0].degree == -1 and not results[0].refined
+    assert results[1].degree == -1 and results[1].refined and results[1].samples_used > 3
+
+    lad = slice_map(SPEC, DataMapSpec(kind=MapKind.LAD_LINE))
+    boxes = [rectangle_loop((0.0, 0.0), (hw, hw), 32) for hw in (0.9, 0.5, 0.1)]
+    results = assert_lift_matches_alone(boxes, lad)
+    assert [type(r) for r in results] == [WindingReport, InconclusiveDegreeError, WindingReport]
+
+    disk = DataMapSpec(kind=MapKind.DISK_DECISION, radius=0.5)
+    results = assert_lift_matches_alone(boxes, BatchMap(lambda us: evaluate_batch(disk, us)))
+    assert all(isinstance(r, UnsupportedFeatureError) for r in results)
+
+
+def sequential_localize(outcome_fn, center, half_width, eps, samples_per_edge=32):
+    """Reference localizer: one child box lifted at a time, and the jitter
+    ladder walked one cross-hair at a time."""
+
+    def boundary_degree(c, h):
+        return winding_number(rectangle_loop(c, h, samples_per_edge), outcome_fn).degree
+
+    boxes = []
+
+    def recurse(c, h, degree, depth):
+        if max(h) <= eps:
+            boxes.append(LocalizerBox((float(c[0]), float(c[1])), float(max(h)), degree, depth))
+            return
+        for jx, jy in _JITTERS:
+            split = (c[0] + jx * h[0], c[1] + jy * h[1])
+            children = [
+                ((0.5 * (x0 + x1), 0.5 * (y0 + y1)), (0.5 * (x1 - x0), 0.5 * (y1 - y0)))
+                for x0, x1 in ((c[0] - h[0], split[0]), (split[0], c[0] + h[0]))
+                for y0, y1 in ((c[1] - h[1], split[1]), (split[1], c[1] + h[1]))
+            ]
+            try:
+                degrees = [boundary_degree(cc, ch) for cc, ch in children]
+            except (LoopHitsSingularityError, InconclusiveDegreeError):
+                continue
+            if sum(degrees) != degree:
+                break
+            for (cc, ch), d in zip(children, degrees):
+                if d != 0:
+                    recurse(cc, ch, d, depth + 1)
+            return
+        boxes.append(LocalizerBox((float(c[0]), float(c[1])), float(max(h)), degree, depth, "inconclusive"))
+
+    c0, h0 = (float(center[0]), float(center[1])), (float(half_width), float(half_width))
+    try:
+        root = boundary_degree(c0, h0)
+    except (LoopHitsSingularityError, InconclusiveDegreeError):
+        return [LocalizerBox(c0, h0[0], None, 0, "inconclusive")]
+    if root != 0:
+        recurse(c0, h0, root, 0)
+    return boxes
+
+
+def counting_slice_map(kind):
+    fn = slice_map(SPEC, DataMapSpec(kind=kind))
+    calls = []
+
+    def counted(us):
+        calls.append(len(us))
+        return fn(us)
+
+    return BatchMap(counted), calls
+
+
+@pytest.mark.parametrize("kind, eps, bound", [
+    (MapKind.LAD_LINE, 1e-3, 160),  # 537 calls with one child lifted at a time
+    (MapKind.PC_LINE, 1e-4, 32),  # 110 calls with one child lifted at a time
+], ids=["lad", "pc"])
+def test_localizer_lifts_each_split_in_one_batch(kind, eps, bound):
+    fn, calls = counting_slice_map(kind)
+    boxes = localize_singularities(fn, (0.0, 0.0), 0.9, eps)
+    assert len(calls) <= bound
+    assert boxes == sequential_localize(fn, (0.0, 0.0), 0.9, eps)
+
+
+def test_localizer_matches_sequential_reference_on_random_boxes():
+    rng = np.random.default_rng(1307)
+    for kind in SLICE_S:
+        fn = slice_map(SPEC, DataMapSpec(kind=kind))
+        for _ in range(4):
+            radius, angle = 0.4 * math.sqrt(rng.random()), 2.0 * math.pi * rng.random()
+            center = (radius * math.cos(angle), radius * math.sin(angle))
+            hw = float(rng.uniform(0.15, 0.9))
+            assert localize_singularities(fn, center, hw, 1e-3) == sequential_localize(fn, center, hw, 1e-3)
+
+
+def assume_off(s_points, box, split, margin):
+    """Skip boxes whose boundary or cross-hair passes within margin of S."""
+    (cx, cy), h = box
+    for sx, sy in s_points:
+        inside = abs(sx - cx) <= h + margin and abs(sy - cy) <= h + margin
+        for coord, lines in ((sx, (cx - h, split[0], cx + h)), (sy, (cy - h, split[1], cy + h))):
+            assume(not inside or min(abs(coord - line) for line in lines) > margin)
+
+
+@st.composite
+def cut_boxes(draw):
+    center = draw(st.tuples(st.floats(-0.4, 0.4), st.floats(-0.4, 0.4)))
+    h = draw(st.floats(0.05, 0.6))
+    cut = draw(st.tuples(st.floats(-0.8, 0.8), st.floats(-0.8, 0.8)))
+    return (center, h), (center[0] + cut[0] * h, center[1] + cut[1] * h)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(cut_boxes(), st.sampled_from([-2, -1, 1, 2, 3]), st.sampled_from(["pc", "half-angle"]))
+@example((((0.0, 0.0), 0.3), (0.1, -0.05)), 1, "pc")
+@example((((-0.3, 0.5), 0.1), (-0.32, 0.53)), 1, "pc")
+def test_degree_additivity_under_random_cuts(box_and_cut, k, target):
+    # a box whose boundary and cut stay off S: the degrees of its four
+    # children, lifted in one batch, sum to its own
+    box, split = box_and_cut
+    if target == "pc":
+        fn, s_points = slice_map(SPEC, DataMapSpec(kind=MapKind.PC_LINE)), [(0.0, 0.0), U_STAR]
+    else:
+        fn, s_points = half_angle_map(k, singularity=(0.05, -0.1)), [(0.05, -0.1)]
+    assume_off(s_points, box, split, 0.02 * box[1])
+    (cx, cy), h = box
+    children = [
+        ((0.5 * (x0 + x1), 0.5 * (y0 + y1)), (0.5 * (x1 - x0), 0.5 * (y1 - y0)))
+        for x0, x1 in ((cx - h, split[0]), (split[0], cx + h))
+        for y0, y1 in ((cy - h, split[1]), (split[1], cy + h))
+    ]
+    loops = [rectangle_loop(c, hw, 32) for c, hw in children]
+    results = _lift(np.concatenate([loop.points for loop in loops]), [len(loop) for loop in loops], fn)
+    parent = winding_number(rectangle_loop((cx, cy), (h, h), 32), fn)
+    assert all(isinstance(r, WindingReport) for r in results)
+    assert sum(r.degree for r in results) == parent.degree
