@@ -399,10 +399,9 @@ def _run_cdf(config, outdir):
     path = _out_path(config["out"], outdir)
     write_json_report(path, "cdf", config, report.to_dict())
     csv_path = _out_path(config["out_csv"], outdir)
-    lines = ["distance"]
-    lines.extend(map("{:.12g}".format, report.sorted_distances.tolist()))
+    values = report.sorted_distances.tolist()
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("distance\n" + "%.12g\n" * len(values) % tuple(values))
     return EXIT_OK, [path, csv_path]
 
 

@@ -409,12 +409,22 @@ def evaluate_with_standard(spec: DataMapSpec, x) -> EvalOutcome:
 def _pc_moments(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(a, b, gap, mean) of a batch: a half the variance difference, b the
     covariance (1/n normalization), gap = 2 hypot(a, b) = lambda_1 - lambda_2
-    and mean = (lambda_1 + lambda_2) / 2."""
-    centered = points - points.mean(axis=1, keepdims=True)
+    and mean = (lambda_1 + lambda_2) / 2.
+
+    The sums run over the points axis one column at a time, on strided views
+    of the batch, in the orders numpy's reductions take: the point means add
+    their n terms one after another, as points.mean(axis=1) does over an
+    axis that is not the last, and the second moments add pairwise, as
+    np.sum(axis=1) does over the last axis of the centered products.  So
+    the moments are bit-equal to those reductions.
+    """
     n = points.shape[1]
-    cxx = np.sum(centered[..., 0] ** 2, axis=1) / n
-    cyy = np.sum(centered[..., 1] ** 2, axis=1) / n
-    cxy = np.sum(centered[..., 0] * centered[..., 1], axis=1) / n
+    x, y = points[..., 0], points[..., 1]
+    mx = _axis_sum(_columns(x), n) / n
+    my = _axis_sum(_columns(y), n) / n
+    cxx = _centered_product_sum(x, mx, x, mx) / n
+    cyy = _centered_product_sum(y, my, y, my) / n
+    cxy = _centered_product_sum(x, mx, y, my) / n
     a = 0.5 * (cxx - cyy)
     return a, cxy, 2.0 * np.hypot(a, cxy), 0.5 * (cxx + cyy)
 
@@ -433,10 +443,13 @@ def _ls_batch(points, spec):
     surface {all abscissae equal}, on which the map is undefined.
     """
     points = _as_plane_batch(points)
+    n = points.shape[1]
     x, y = points[..., 0], points[..., 1]
-    xc = x - x.mean(axis=1, keepdims=True)
-    s_xx = np.sum(xc * xc, axis=1)
-    s_xy = np.sum(xc * (y - y.mean(axis=1, keepdims=True)), axis=1)
+    # mean and np.sum over each row's last axis both add pairwise
+    mx = _axis_sum(_columns(x), n, pairwise=True) / n
+    my = _axis_sum(_columns(y), n, pairwise=True) / n
+    s_xx = _centered_product_sum(x, mx, x, mx)
+    s_xy = _centered_product_sum(x, mx, y, my)
     undefined = s_xx == 0.0
     angle = reduce_mod_pi(np.arctan(s_xy / s_xx))
     return angle, np.sqrt(s_xx), np.where(undefined, _COLLINEAR, 0)
@@ -476,7 +489,9 @@ def _lad_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _sum_in_order(term, ks, total=None):
     """total + term(k) for k in ks, added one after another; the first term
-    alone when total is None."""
+    alone when total is None.  ``term(k, out)`` returns term k: in a fresh
+    array when out is None, otherwise in out or in any array it leaves
+    unchanged."""
     scratch = None
     for k in ks:
         if total is None:
@@ -504,8 +519,8 @@ def _pairwise_sum(term, lo: int, hi: int) -> np.ndarray:
     + (r6 + r7)) before the tail of fewer than 8 is added; above 128, two
     halves split at a multiple of 8.  For nonnegative terms the result is
     bit-equal to np.sum(axis=-1) of the terms stacked on a last axis (np.sum
-    starts from +0.0).  ``term(k, out)`` writes term k to ``out``, or to a
-    fresh array when out is None, and returns it."""
+    starts from +0.0; ``_axis_sum`` covers signed terms).  ``term(k, out)``
+    is as in ``_sum_in_order``."""
     n = hi - lo
     if n < 8:
         return _sum_in_order(term, range(lo, hi))
@@ -517,6 +532,39 @@ def _pairwise_sum(term, lo: int, hi: int) -> np.ndarray:
     stop = hi - n % 8
     total = _sum_tree(term, [range(lo + r, stop, 8) for r in range(8)])
     return _sum_in_order(term, range(stop, hi), total)
+
+
+def _axis_sum(term, n: int, pairwise: bool = False) -> np.ndarray:
+    """term(0) + ... + term(n - 1) bit-equal to np.sum over an axis of n
+    values: pairwise (``_pairwise_sum``) when the axis is the array's last,
+    strided or not, and one after another when it is not.  np.sum starts
+    from +0.0, so terms that are all -0.0 sum to +0.0, which adding +0.0
+    last reproduces: it changes no other sum."""
+    total = _pairwise_sum(term, 0, n) if pairwise else _sum_in_order(term, range(n))
+    total += 0.0
+    return total
+
+
+def _columns(values: np.ndarray):
+    """The term of ``_sum_in_order`` that is column k of values (m, n): a
+    copy for the first term, the column itself after that."""
+    return lambda k, out: values[:, k].copy() if out is None else values[:, k]
+
+
+def _centered_product_sum(u, mu, v, mv) -> np.ndarray:
+    """The sums over k of (u[:, k] - mu) (v[:, k] - mv) for columns of u, v
+    (m, n) and means mu, mv (m,), bit-equal to np.sum(axis=1) of the
+    centered products; u is v gives the sums of squares."""
+    scratch = np.empty_like(mu)
+
+    def term(k, out):
+        out = np.subtract(u[:, k], mu, out=out)
+        if v is u:
+            return np.square(out, out=out)
+        out *= np.subtract(v[:, k], mv, out=scratch)
+        return out
+
+    return _axis_sum(term, u.shape[1], pairwise=True)
 
 
 def _lad_batch(points, spec):

@@ -6,7 +6,8 @@ fit, distance-to-singular-set CDFs with tail exponents, and the
 measure-versus-distance tradeoff experiment for augmented means.
 
 All Monte-Carlo draws come in chunks, each from its own generator seeded
-by (seed, first row of the chunk), merged in chunk order.
+by (seed, first row of the chunk), written in place into one array in chunk
+order.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 from singlab.datamaps import (
     DataMapSpec,
     MapKind,
+    _pairwise_sum,
     aug_mean_resultant,
     evaluate_batch,
 )
@@ -297,18 +299,20 @@ class TubeReport:
         }
 
 
-def _chunked_draw(total: int, seed: int, draw) -> np.ndarray:
-    """``total`` rows drawn in chunks, each from its own derived seed.
+def _chunked_draw(total: int, shape: tuple, seed: int, draw) -> np.ndarray:
+    """``total`` rows of the given shape drawn in chunks, each from its own
+    derived seed.
 
-    ``draw(rng, rows)`` returns one chunk; the chunk starting at row k uses
-    ``default_rng((seed, k))``, and chunks are concatenated in order.
+    ``draw(rng, out)`` fills one chunk of rows in place, through the
+    generator's ``out=`` argument; the chunk starting at row k uses
+    ``default_rng((seed, k))``.  The rows go straight into one
+    (total, *shape) array, so no chunk is copied.
     """
     chunk = 1 << 14
-    return np.concatenate(
-        [draw(np.random.default_rng((seed, start)), min(chunk, total - start))
-         for start in range(0, total, chunk)],
-        axis=0,
-    )
+    out = np.empty((total, *shape))
+    for start in range(0, total, chunk):
+        draw(np.random.default_rng((seed, start)), out[start:start + chunk])
+    return out
 
 
 def tube_volume(
@@ -332,12 +336,14 @@ def tube_volume(
     if mc_samples < 10_000:
         raise ContractViolation("mc_samples must be at least 10^4")
     box_vol = float(np.prod(hi - lo))
-    pts = _chunked_draw(mc_samples, seed, lambda rng, k: lo + (hi - lo) * rng.random((k, lo.size)))
+    pts = _chunked_draw(mc_samples, lo.shape, seed, lambda rng, out: rng.random(out=out))
+    pts *= hi - lo
+    pts += lo
     d = np.asarray(dist_fn(pts), dtype=float)
     kept, vols, errs, dropped = [], [], [], []
     hits_kept = []
     for delta in deltas:
-        hits = int(np.sum(d <= delta))
+        hits = np.count_nonzero(d <= delta)
         if hits == 0:
             dropped.append(delta)
             continue
@@ -365,9 +371,22 @@ def tube_volume(
     )
 
 
+def _row_norms(diff, d: int) -> np.ndarray:
+    """Euclidean norms of the rows of an (m, d) array given column by
+    column: ``diff(k, out)`` writes column k to out (fresh when None) and
+    returns it.  The squares are added in np.linalg.norm(axis=1)'s order,
+    numpy's pairwise summation along the row, so the norms are bit-equal to
+    it without the (m, d) array."""
+    def term(k, out):
+        out = diff(k, out)
+        return np.square(out, out=out)
+
+    return np.sqrt(_pairwise_sum(term, 0, d))
+
+
 def point_distance_fn(point):
     p = np.asarray(point, dtype=float)
-    return lambda xs: np.linalg.norm(xs - p[None, :], axis=1)
+    return lambda xs: _row_norms(lambda k, out: np.subtract(xs[:, k], p[k], out=out), p.size)
 
 def segment_distance_fn(a, b):
     a = np.asarray(a, dtype=float)
@@ -377,14 +396,26 @@ def segment_distance_fn(a, b):
 
     def fn(xs):
         t = np.clip((xs - a[None, :]) @ ab / len2, 0.0, 1.0)
-        proj = a[None, :] + t[:, None] * ab[None, :]
-        return np.linalg.norm(xs - proj, axis=1)
+
+        def diff(k, out):
+            # xs minus the projection a + t ab, one coordinate at a time
+            out = np.multiply(t, ab[k], out=out)
+            out += a[k]
+            return np.subtract(xs[:, k], out, out=out)
+
+        return _row_norms(diff, a.size)
 
     return fn
 
 def circle_distance_fn(center, radius: float):
-    c = np.asarray(center, dtype=float)
-    return lambda xs: np.abs(np.linalg.norm(xs - c[None, :], axis=1) - radius)
+    to_center = point_distance_fn(center)
+
+    def fn(xs):
+        d = to_center(xs)
+        d -= radius
+        return np.abs(d, out=d)
+
+    return fn
 
 
 # ---------------------------------------------------------------------------
@@ -438,9 +469,10 @@ def distance_cdf(
         raise ContractViolation("quantile window must satisfy 0 < q_lo < q_hi <= 0.1")
     kind = spec.kind
     if kind is MapKind.AUG_MEAN:
-        batch = 2.0 * math.pi * _chunked_draw(n_samples, seed, lambda rng, k: rng.random((k, n_points)))
+        batch = _chunked_draw(n_samples, (n_points,), seed, lambda rng, out: rng.random(out=out))
+        batch *= 2.0 * math.pi
     elif kind in (MapKind.LS_LINE, MapKind.PC_LINE, MapKind.LAD_LINE):
-        batch = _chunked_draw(n_samples, seed, lambda rng, k: rng.standard_normal((k, n_points, 2)))
+        batch = _chunked_draw(n_samples, (n_points, 2), seed, lambda rng, out: rng.standard_normal(out=out))
     else:
         raise ContractViolation(f"no CDF sampler for map kind {kind}")
     distance, tag = SINGULAR_DISTANCE[kind]

@@ -410,6 +410,74 @@ def test_pairwise_sum_matches_numpy_sum():
             f"np.sum no longer adds {n} values in pairwise order")
 
 
+def numpy_pc_moments(points):
+    # the moments by numpy's reductions over the points axis
+    centered = points - points.mean(axis=1, keepdims=True)
+    n = points.shape[1]
+    cxx = np.sum(centered[..., 0] ** 2, axis=1) / n
+    cyy = np.sum(centered[..., 1] ** 2, axis=1) / n
+    cxy = np.sum(centered[..., 0] * centered[..., 1], axis=1) / n
+    a = 0.5 * (cxx - cyy)
+    return a, cxy, 2.0 * np.hypot(a, cxy), 0.5 * (cxx + cyy)
+
+
+def numpy_ls_sums(points):
+    # (s_xx, s_xy) of the LS kernel by numpy's reductions over each row
+    x, y = points[..., 0], points[..., 1]
+    xc = x - x.mean(axis=1, keepdims=True)
+    return np.sum(xc * xc, axis=1), np.sum(xc * (y - y.mean(axis=1, keepdims=True)), axis=1)
+
+
+def moment_batch(m, n, rng):
+    """m datasets of n points: normal rows, then as many of the rows as fit
+    made integer-valued, all equal, constant in x, of random signed zeros,
+    and of x all -0.0 with y all +0.0 (centered products all -0.0, which
+    np.sum adds to +0.0).  The kinds are taken in a turn that shifts with n,
+    so one or two rows see them all over a sweep of n."""
+    points = rng.standard_normal((m, n, 2))
+    special = [
+        lambda p: np.round(4.0 * p),
+        lambda p: np.broadcast_to(p[:, :1], p.shape),
+        lambda p: np.concatenate([np.broadcast_to(p[:, :1, :1], p[..., :1].shape), p[..., 1:]], axis=-1),
+        lambda p: rng.choice([0.0, -0.0], size=p.shape),
+        lambda p: np.stack([np.full(p.shape[:2], -0.0), np.zeros(p.shape[:2])], axis=-1),
+    ]
+    block = max(1, m // 8)
+    for k, make in enumerate(special[n % 5:] + special[:n % 5]):
+        rows = slice(k * block, (k + 1) * block)
+        if len(points[rows]):
+            points[rows] = make(points[rows])
+    return points
+
+
+def assert_bits_equal(got, want, label):
+    assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64)), label
+
+
+# Point counts that reach every branch of numpy's pairwise order: one after
+# another below 8, eight accumulators and a tail up to 128, and above 128
+# halves split at a multiple of 8, each with and without a tail.
+PAIRWISE_BRANCH_NS = (*range(2, 18), 31, 32, 33, 127, 128, 129, 130, 136, 137, 255, 256, 257, 300)
+
+
+@pytest.mark.parametrize("m, ns", [(1, range(2, 301)), (2, range(2, 301)), (3072, PAIRWISE_BRANCH_NS),
+                                   (10**5, (2, 3, 4, 9))], ids=["1", "2", "3072", "100000"])
+def test_moment_kernels_match_numpy_reductions(m, ns):
+    # the PC and LS kernels add over the points axis column by column in
+    # numpy's own order: the PC means one after another, every sum over a
+    # row's last axis pairwise, each from +0.0; signed zeros included
+    rng = np.random.default_rng(m)
+    for n in ns:
+        points = moment_batch(m, n, rng)
+        for k, (got, want) in enumerate(zip(datamaps._pc_moments(points), numpy_pc_moments(points))):
+            assert_bits_equal(got, want, f"PC moment {k}, n = {n}")
+        s_xx, s_xy = numpy_ls_sums(points)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            angle, gap, _ = datamaps._ls_batch(points, None)
+            assert_bits_equal(angle, reduce_mod_pi(np.arctan(s_xy / s_xx)), f"LS angle, n = {n}")
+        assert_bits_equal(gap, np.sqrt(s_xx), f"LS gap, n = {n}")
+
+
 @st.composite
 def map_batches(draw):
     """(spec, inputs) of any of the six maps; LAD batches span more than one

@@ -268,12 +268,34 @@ def test_tradeoff_command(tmp_path):
     assert names == ["MODERATE", "UNIFORM"]
 
 
+def _fresh_env(**env):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(singlab.__file__)))
+    return dict(os.environ, **env, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def run_in_process(args, outdir, **env):
     """Exit code of the CLI run in a fresh interpreter, with extra env vars."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(singlab.__file__)))
-    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     cmd = [sys.executable, "-m", "singlab.cli", *args, "--outdir", str(outdir)]
-    return subprocess.run(cmd, env=env, capture_output=True).returncode
+    return subprocess.run(cmd, env=_fresh_env(**env), capture_output=True).returncode
+
+
+# The CLI runs of one fresh interpreter, in order: each prints the files it
+# wrote, and the last line is the list of exit codes.
+_SEQUENCE = """\
+import json, sys
+from singlab.cli import main
+runs = json.loads(sys.argv[1])
+print(json.dumps([main(args + ["--outdir", outdir]) for args, outdir in runs]))
+"""
+
+
+def run_sequence_in_process(runs):
+    """Exit codes of CLI runs (args, outdir) made one after another by one
+    fresh interpreter, which pays the import once for all of them."""
+    runs = [(list(args), str(outdir)) for args, outdir in runs]
+    done = subprocess.run([sys.executable, "-c", _SEQUENCE, json.dumps(runs)], env=_fresh_env(),
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 def test_tradeoff_byte_reproducible_across_processes(tmp_path):
@@ -364,3 +386,50 @@ def test_localize_root_box_failure_exit_code(tmp_path):
     boxes = json.loads((tmp_path / "localize.json").read_text())["result"]["boxes"]
     assert boxes == [{"center": [0.0, 0.0], "half_width": 0.5, "degree": None, "depth": 0,
                       "status": "inconclusive"}]
+
+
+# digests recorded at commit 594692c, whose draws were concatenated chunk by
+# chunk, whose tube fixtures took np.linalg.norm and whose PC and LS kernels
+# reduced over the points axis with numpy; these are the montecarlo
+# workload's configs, plus LS on the line-field grid
+_MONTECARLO_PINS = {
+    "tube-point": (["tube", "--fixture", "point", "--samples", "1000000"],
+                   {"tube.json": "f4138d3a81d7bacce89b2d061c9bd1cadc3dc8b45058102195ddb6d8ec612445"}),
+    "tube-segment": (["tube", "--fixture", "segment", "--samples", "1000000"],
+                     {"tube.json": "4bca9aeb28aa2ba591bd67329deee0d2ef530554195d519ef458c0e92e7d109c"}),
+    "tube-circle": (["tube", "--fixture", "circle", "--samples", "1000000"],
+                    {"tube.json": "d0cb6a88fcb03e7237991acfd328eb7db11a0dd6c59eb2f4d758437f95455902"}),
+    "cdf-ls": (["cdf", "--map", "ls", "--n-points", "4"],
+               {"cdf.csv": "3283b22f22007d1b083ea72b4c62e06e3573dddebe0b53901ce640f68ce5f173",
+                "cdf.json": "df831d6904849f8856a6e8abbb30615e35321416f7cbd5265290e9ecfb746794"}),
+    "cdf-pc": (["cdf", "--map", "pc", "--n-points", "4"],
+               {"cdf.csv": "bc85a0617e397ba0edebf9da7e91ec294b31850f8995e28fadc2804939918f27",
+                "cdf.json": "56a752ea3d48ebd74ed75fd547b931f1415dbb6506d8bcbc2e62f752005a5c70"}),
+    "cdf-lad": (["cdf", "--map", "lad", "--n-points", "4"],
+                {"cdf.csv": "b77561ce698785658ca75a6a337e820720d65a43d89eb1c4c5917ddcc9e3d131",
+                 "cdf.json": "eccbba3dbdb1a63d46a7d36fec5299c10bcd20357cab75307a92a585fd7b35ad"}),
+    "cdf-augmean": (["cdf", "--map", "augmean", "--n-points", "3", "--seed", "7"],
+                    {"cdf.csv": "4c70105b2fcc71ace9749693c57b1eaff0b89f3005f7854b55d4a1c54c73faf2",
+                     "cdf.json": "848631ec38e558c240703e297671594199ef5e08660bcc1515b8c587715865e9"}),
+    "lfplot-ls": (["lfplot", "--map", "ls", "--grid-resolution", "48"],
+                  {"lfplot.csv": "581f5b865257a70666f01ef4fdf9e7166b001c9ada7cc1e209730b52503c09fc",
+                   "lfplot.svg": "1f8e0f10c1c9ae3aed3b1b5a0fb4bf9c36f9a48b01f7d38efedc8eb0cd91e1e8"}),
+}
+
+
+@pytest.fixture(scope="module")
+def montecarlo_outputs(tmp_path_factory):
+    """Output directory and exit code of each pinned run, all made in one
+    fresh interpreter."""
+    base = tmp_path_factory.mktemp("pinned")
+    runs = [(args, base / key) for key, (args, _) in _MONTECARLO_PINS.items()]
+    codes = run_sequence_in_process(runs)
+    return {key: (base / key, code) for key, code in zip(_MONTECARLO_PINS, codes)}
+
+
+@pytest.mark.parametrize("key", list(_MONTECARLO_PINS))
+def test_montecarlo_bytes_pinned_across_processes(montecarlo_outputs, key):
+    outdir, code = montecarlo_outputs[key]
+    assert code == EXIT_OK
+    digests = _MONTECARLO_PINS[key][1]
+    assert {name: hashlib.sha256((outdir / name).read_bytes()).hexdigest() for name in digests} == digests

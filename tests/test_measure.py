@@ -1,6 +1,7 @@
 """Packing/covering, box counting, tube volumes, CDF tails, tradeoff."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from singlab.datamaps import (
 from singlab.geometry import ContractViolation
 from singlab.measure import (
     GAUSS_NEWTON_ITERS,
+    _chunked_draw,
     _project_to_zero_resultant,
     aug_mean_singular_set_nonempty,
     box_count_dimension,
@@ -215,6 +217,80 @@ def test_tube_preconditions():
         tube_volume(point_distance_fn((0.5, 0.5)), (0, 0), (1, 1), DELTAS, 5000, 0)
 
 
+def peak_bytes(fn):
+    """Peak of the memory Python and numpy allocate while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def concatenated_draw(total, seed, draw):
+    # the draw as chunks that are concatenated, each chunk a fresh array
+    return np.concatenate([draw(np.random.default_rng((seed, start)), min(1 << 14, total - start))
+                           for start in range(0, total, 1 << 14)], axis=0)
+
+
+@pytest.mark.parametrize("total", [1, 16_383, 16_384, 16_385, 100_007])
+def test_chunked_draw_matches_concatenated_chunks(total):
+    # the chunks are written in place through the generators' out= argument:
+    # the same streams, so the same bits as drawing each chunk and joining them
+    got = _chunked_draw(total, (2,), 11, lambda rng, out: rng.random(out=out))
+    want = concatenated_draw(total, 11, lambda rng, k: rng.random((k, 2)))
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    got = _chunked_draw(total, (3, 2), 11, lambda rng, out: rng.standard_normal(out=out))
+    want = concatenated_draw(total, 11, lambda rng, k: rng.standard_normal((k, 3, 2)))
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_chunked_draw_allocates_only_its_output():
+    # a draw that concatenated its chunks would peak at twice the output
+    out = []
+    peak = peak_bytes(lambda: out.append(
+        _chunked_draw(10**5, (12, 2), 3, lambda rng, out: rng.standard_normal(out=out))))
+    assert peak <= 1.1 * out[0].nbytes
+
+
+def norm_fixtures(d, rng):
+    """(name, new fixture, formula of np.linalg.norm) of each tube fixture in
+    dimension d."""
+    p, a, b = rng.random((3, d))
+    ab = b - a
+
+    def segment(xs):
+        t = np.clip((xs - a[None, :]) @ ab / float(np.dot(ab, ab)), 0.0, 1.0)
+        return np.linalg.norm(xs - (a[None, :] + t[:, None] * ab[None, :]), axis=1)
+
+    return [
+        ("point", point_distance_fn(p), lambda xs: np.linalg.norm(xs - p[None, :], axis=1)),
+        ("segment", segment_distance_fn(a, b), segment),
+        ("circle", circle_distance_fn(p, 0.2), lambda xs: np.abs(np.linalg.norm(xs - p[None, :], axis=1) - 0.2)),
+    ]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 9, 17])
+def test_tube_fixtures_match_linalg_norm(d):
+    # the fixtures add squared column differences in np.linalg.norm's order:
+    # one after another below 8 columns, pairwise from 8 on
+    rng = np.random.default_rng(d)
+    for name, fn, want in norm_fixtures(d, rng):
+        xs = rng.random((4096, d))
+        xs[:64] = -0.0
+        xs[64:128] = np.round(4.0 * xs[64:128]) / 4.0
+        got, ref = fn(xs), want(xs)
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64)), name
+
+
+def test_tube_volume_memory_bound():
+    # the draw is filled in place and the distances built one column at a
+    # time: 10^6 samples of the segment fixture peaked at 88 MB with a
+    # concatenated draw and np.linalg.norm's (m, d) arrays
+    fn = segment_distance_fn((0.25, 0.5), (0.75, 0.5))
+    assert peak_bytes(lambda: tube_volume(fn, (0, 0), (1, 1), DELTAS, 10**6, TUBE_SEED)) <= 64 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # Distance CDFs
 # ---------------------------------------------------------------------------
@@ -246,6 +322,13 @@ def test_cdf_aug_mean_quadratic():
     rep = distance_cdf(uniform_preset(5), 5, 10**5, CDF_SEED)
     assert abs(rep.exponent - 2.0) <= 0.4
     assert rep.surrogate
+
+
+def test_pc_cdf_memory_bound():
+    # the PC kernel sums centered columns of the draw without a centered or
+    # transposed copy of it; centering the whole batch with numpy's
+    # reductions peaked at 18.4e6 bytes here
+    assert peak_bytes(lambda: distance_cdf(PC, 4, 10**5, CDF_SEED)) <= 17.6 * 2**20
 
 
 def test_cdf_preconditions():
