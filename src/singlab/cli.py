@@ -13,8 +13,8 @@ Exit codes: 0 success, 1 internal error, 2 config/schema error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
-import math
 import os
 import sys
 
@@ -22,7 +22,6 @@ import numpy as np
 
 from singlab.datamaps import (
     REASON_CODES,
-    BatchMap,
     BatchOutcome,
     DataMapSpec,
     MapKind,
@@ -227,12 +226,6 @@ def write_json_report(path, command: str, config: dict, result) -> None:
         fh.write("\n")
 
 
-# libm's atan2, which numpy's arctan2 does not match in the last bit.  The
-# derivative profile's candidate arcs come in mirror-image pairs that tie
-# exactly on this map, so the last bit decides which arc an eta gets.
-_atan2 = np.vectorize(math.atan2, otypes=[float])
-
-
 def _synthetic_batch(us: np.ndarray) -> BatchOutcome:
     """Half the polar angle of slice parameters (m, 2) as a line direction,
     gap |u|, Undefined at the origin: degree 1 in half turns, with a
@@ -240,7 +233,7 @@ def _synthetic_batch(us: np.ndarray) -> BatchOutcome:
     r = np.linalg.norm(us, axis=1)
     origin = r == 0.0
     return BatchOutcome(
-        value=np.where(origin, np.nan, reduce_mod_pi(0.5 * _atan2(us[:, 1], us[:, 0]))),
+        value=np.where(origin, np.nan, reduce_mod_pi(0.5 * np.arctan2(us[:, 1], us[:, 0]))),
         gap=r,
         reason=np.where(origin, REASON_CODES.index(UndefinedReason.ORIGIN), 0).astype(np.int8),
         feature=LineDirection,
@@ -272,10 +265,9 @@ def _run_winding(config, outdir):
     slice_spec = SliceSpec()
     loop = boundary_loop(slice_spec, config["samples"])
     if config["target"] == "standard":
-        fn = BatchMap(standard_batch)
+        fn = standard_batch
     else:
-        spec = DataMapSpec(kind=_FITTER_KINDS[config["target"]])
-        fn = BatchMap(lambda points: evaluate_with_standard_batch(spec, points))
+        fn = functools.partial(evaluate_with_standard_batch, DataMapSpec(kind=_FITTER_KINDS[config["target"]]))
     if config["shrink"] != 1.0:
         shrink = config["shrink"]
         center = slice_spec.center_config.points
@@ -346,7 +338,7 @@ def _run_severity(config, outdir):
 
 def _run_derivprofile(config, outdir):
     if config["map"] == "synthetic":
-        fn = BatchMap(_synthetic_batch)
+        fn = _synthetic_batch
     else:
         fn = slice_map(SliceSpec(), DataMapSpec(kind=_FITTER_KINDS[config["map"]]))
     etas = np.geomspace(config["eta_max"], config["eta_min"], config["eta_count"])

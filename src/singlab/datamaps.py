@@ -3,8 +3,11 @@
 ``evaluate_batch`` runs every map, on inputs stacked along a first axis, and
 returns a :class:`BatchOutcome` of value, gap and reason arrays; each map's
 formula, its gap included, lives in one kernel there, and the distances of
-the Monte-Carlo estimators read that gap.  ``evaluate`` is its one-row
-case: an :class:`EvalOutcome` carrying either a feature or a reason it is
+the Monte-Carlo estimators read that gap.  The certifiers and profilers of
+``topology`` and ``metrics`` take a map in this one form: any callable from
+inputs stacked on a first axis to their BatchOutcome, such as
+``slices.slice_map``.  ``evaluate`` is the one-row case of evaluate_batch:
+an :class:`EvalOutcome` carrying either a feature or a reason it is
 undefined, plus a nonnegative ``gap`` that vanishes exactly on the map's
 (surrogate) singular surface.  ``evaluate_with_standard`` wraps a map with the
 calibration standard: exact perfect fits are answered by the canonical
@@ -19,7 +22,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,55 +146,11 @@ class BatchOutcome:
         return EvalOutcome.of(self.feature(value), self.gap[i])
 
 
-@dataclass(frozen=True)
-class BatchMap:
-    """A map evaluated on a whole stack of inputs in one call.
-
-    ``fn`` takes inputs stacked along the first axis, such as slice
-    parameters (m, 2) or plane datasets (m, n, 2), and returns their
-    BatchOutcome.  The winding certifier tells a batch map from a pointwise
-    EvalOutcome callable by this type.
-    """
-
-    fn: Callable[[np.ndarray], BatchOutcome]
-
-    def __call__(self, inputs: np.ndarray) -> BatchOutcome:
-        return self.fn(inputs)
-
-
-# Each feature variant's number in a BatchOutcome's value array.
-_FEATURE_VALUE = {
-    LineDirection: lambda f: f.theta,
-    CirclePoint: lambda f: f.angle,
-    Decision: lambda f: f.bit,
-    ScalarValue: lambda f: f.value,
-}
-
-
-def _pointwise(fn, sample_type: type | None = None) -> BatchMap:
-    """``fn`` as a batch map: a BatchMap as it is, and a callable mapping one
-    input to an EvalOutcome called row by row, each row wrapped in
-    ``sample_type`` when one is given.  All-Undefined batches report the
-    LineDirection variant."""
-    if isinstance(fn, BatchMap):
-        return fn
-
-    def batch(inputs: np.ndarray) -> BatchOutcome:
-        m = len(inputs)
-        value, gap = np.full(m, np.nan), np.zeros(m)
-        reason = np.zeros(m, dtype=np.int8)
-        feature = LineDirection
-        for k, x in enumerate(inputs):
-            outcome = fn(x if sample_type is None else sample_type(x))
-            if outcome.defined:
-                feature = type(outcome.feature)
-                value[k] = _FEATURE_VALUE[feature](outcome.feature)
-                gap[k] = outcome.gap
-            else:
-                reason[k] = REASON_CODES.index(outcome.reason)
-        return BatchOutcome(value=value, gap=gap, reason=reason, feature=feature)
-
-    return BatchMap(batch)
+def _batch_outcome(result) -> BatchOutcome:
+    """A map's result, checked to be the BatchOutcome of its stacked inputs."""
+    if not isinstance(result, BatchOutcome):
+        raise ContractViolation(f"a map must return a BatchOutcome of its inputs, got {type(result).__name__}")
+    return result
 
 
 @dataclass(frozen=True)

@@ -385,10 +385,13 @@ def _row_norms(diff, d: int) -> np.ndarray:
 
 
 def point_distance_fn(point):
+    """Distances xs (m, d) -> (m,) to one point, the codimension-d fixture."""
     p = np.asarray(point, dtype=float)
     return lambda xs: _row_norms(lambda k, out: np.subtract(xs[:, k], p[k], out=out), p.size)
 
+
 def segment_distance_fn(a, b):
+    """Distances xs (m, d) -> (m,) to the closed segment from a to b."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     ab = b - a
@@ -408,6 +411,7 @@ def segment_distance_fn(a, b):
     return fn
 
 def circle_distance_fn(center, radius: float):
+    """Distances xs (m, 2) -> (m,) to the circle of this center and radius."""
     to_center = point_distance_fn(center)
 
     def fn(xs):

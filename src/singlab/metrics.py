@@ -3,7 +3,9 @@
 Distance to the singular set (exact where an analytic projection exists,
 tagged surrogates elsewhere), local oscillation profiles, a cover-based
 severity classifier, and derivative blow-up profiles along arcs shrinking
-into a singular point.
+into a singular point.  The profilers take a map as any callable from points
+stacked on a first axis to their ``BatchOutcome``, such as
+``slices.slice_map``, and refuse a result of another type.
 """
 
 from __future__ import annotations
@@ -15,12 +17,11 @@ import numpy as np
 from scipy.optimize import minimize
 
 from singlab.datamaps import (
-    BatchMap,
     BatchOutcome,
     DataMapSpec,
     MapKind,
+    _batch_outcome,
     _pc_moments,
-    _pointwise,
     as_map_input,
     aug_mean_resultant,
     evaluate_batch,
@@ -62,6 +63,11 @@ _PENALTY_LADDER = (1e2, 1e4, 1e6, 1e8, 1e10)
 # and arc-template shifts tried per eta before the entry is flagged.
 H_FD_FACTOR = 1e-5
 MAX_JITTERS = 8
+# Candidate y2 whose feature separation from y1 is within this of the
+# largest count as tied, and the first of them is taken.  The candidates
+# come in mirror-image pairs that tie exactly on a symmetric map, so without
+# it the last bit of the map's arithmetic would pick the arc.
+SEPARATION_TIE = 1e-12
 
 # Oscillator arcs: chords of the semicircle, log-spaced radial pieces, and
 # the relative nudge that keeps both ends off the branch kinks.
@@ -278,7 +284,7 @@ def classify_severity(profile: OscillationProfile, mesh: float) -> str:
     return UNDECIDED
 
 
-def _grad_norms(batch_fn: BatchMap, nodes: np.ndarray, h: float) -> np.ndarray:
+def _grad_norms(batch_fn, nodes: np.ndarray, h: float) -> np.ndarray:
     """Operator norms of the finite-difference Jacobian of u -> feature at
     each node of a stack (k, dim).
 
@@ -291,7 +297,7 @@ def _grad_norms(batch_fn: BatchMap, nodes: np.ndarray, h: float) -> np.ndarray:
     e = h * np.eye(dim)
     stencil = np.concatenate([(nodes[:, None, :] + e).reshape(-1, dim),
                               (nodes[:, None, :] - e).reshape(-1, dim)])
-    out = batch_fn(stencil)
+    out = _batch_outcome(batch_fn(stencil))
     if not out.defined.all():
         raise CurveHitsSingularityError("finite-difference stencil hit the singular set")
     steps = out.value[:k * dim] - out.value[k * dim:]
@@ -310,9 +316,8 @@ def average_derivative_along_curve(
 
     Composite midpoint quadrature: each segment contributes its length times
     the mean |D(feature)| over equally spaced interior midpoints.
-    ``outcome_fn`` is a BatchMap over stacked points (m, dim), or a callable
-    mapping one point to an EvalOutcome; the stencils of every node of the
-    curve go to it as one batch.
+    ``outcome_fn`` maps stacked points (m, dim) to their BatchOutcome; the
+    stencils of every node of the curve go to it as one batch.
     """
     pts = [np.asarray(p, dtype=float) for p in curve]
     if len(pts) < 2:
@@ -325,7 +330,7 @@ def average_derivative_along_curve(
         raise ContractViolation("curve has zero length")
     ts = (np.arange(nodes_per_segment) + 0.5) / nodes_per_segment
     nodes = np.concatenate([a + ts[:, None] * (b - a) for a, b, _ in segments])
-    norms = _grad_norms(_pointwise(outcome_fn), nodes, h_fd).reshape(len(segments), nodes_per_segment)
+    norms = _grad_norms(outcome_fn, nodes, h_fd).reshape(len(segments), nodes_per_segment)
     total_len = 0.0
     total_int = 0.0
     for (_, _, seg), vals in zip(segments, norms):
@@ -391,16 +396,14 @@ def derivative_blowup_profile(
     Entries whose arc construction keeps hitting the singular set are
     flagged and excluded from the fit.
 
-    ``outcome_fn`` is a BatchMap over stacked points (m, 2), such as
-    ``slices.slice_map``, or a callable mapping one point to an EvalOutcome
-    (called point by point, so slower).  Each attempt evaluates its y1, y2
-    candidates and y3 as one batch, and each arc its stencils as another.
+    ``outcome_fn`` maps stacked points (m, 2) to their BatchOutcome, such as
+    ``slices.slice_map``.  Each attempt evaluates its y1, y2 candidates and
+    y3 as one batch, and each arc its stencils as another.
     """
     x0 = np.asarray(singular_point, dtype=float)
     etas = tuple(float(e) for e in etas)
     if not all(a > b for a, b in zip(etas, etas[1:])):
         raise ContractViolation("etas must be strictly decreasing")
-    fn = _pointwise(outcome_fn)
     rng = np.random.default_rng(seed)
     # seeded template directions, shared across etas
     phi1 = rng.uniform(0.0, 2 * math.pi)
@@ -418,15 +421,16 @@ def derivative_blowup_profile(
             shift = 0.02 * attempt
             phis = np.concatenate([[phi1], candidate_phis, [phi3]]) + shift
             ys = x0 + (scales * eta)[:, None] * np.stack([np.cos(phis), np.sin(phis)], axis=1)
-            out = fn(ys)
+            out = _batch_outcome(outcome_fn(ys))
             candidates = out.defined[1:-1]
             if not (out.defined[0] and candidates.any() and out.defined[-1]):
                 continue
-            # the first candidate farthest from y1 in the feature metric
+            # the first candidate tied for farthest from y1 in the feature metric
             sep = np.where(candidates, _value_distances(out.value[1:-1], out.value[0], out.period), -np.inf)
-            curve = [ys[0], ys[1 + int(np.argmax(sep))], ys[-1]]
+            farthest = int(np.argmax(sep >= sep.max() - SEPARATION_TIE))
+            curve = [ys[0], ys[1 + farthest], ys[-1]]
             try:
-                d = average_derivative_along_curve(fn, curve, h_fd=H_FD_FACTOR * eta)
+                d = average_derivative_along_curve(outcome_fn, curve, h_fd=H_FD_FACTOR * eta)
             except CurveHitsSingularityError:
                 continue
             avg_d.append(d)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from singlab.datamaps import REASON_CODES, BatchMap, BatchOutcome, DataMapSpec, evaluate_batch
+from singlab.datamaps import REASON_CODES, BatchOutcome, DataMapSpec, evaluate_batch
 from singlab.geometry import ContractViolation, DomainError, PlaneDataset
 from singlab.topology import Loop
 
@@ -95,11 +95,11 @@ class SliceSpec:
         return PlaneDataset(self.datasets_at(u[None], allow_outside_disk)[0])
 
 
-def slice_map(spec: SliceSpec, map_spec: DataMapSpec) -> BatchMap:
+def slice_map(spec: SliceSpec, map_spec: DataMapSpec):
     """The batched slice evaluator: slice parameters (m, 2) -> the map's
-    outcomes on their datasets, one kernel call per batch.  Parameters
+    BatchOutcome on their datasets, one kernel call per batch.  Parameters
     outside the unit disk use the extended affine formula."""
-    return BatchMap(lambda us: evaluate_batch(map_spec, spec.datasets_at(us, allow_outside_disk=True)))
+    return lambda us: evaluate_batch(map_spec, spec.datasets_at(us, allow_outside_disk=True))
 
 
 def boundary_loop(spec: SliceSpec, m: int) -> Loop:

@@ -8,16 +8,17 @@ an edge whose endpoint features are further apart than a quarter period is
 bisected until the short-arc condition holds, and the tool reports
 INCONCLUSIVE rather than an uncertifiable integer.
 
-One lift serves any number of loops: the samples of every loop are
-evaluated in one kernel call, then the midpoints of one bisection depth at
-a time, over the open edges of all loops still alive.  Each loop keeps its
-own outcome, a report or the error it would raise alone, and
-``winding_number`` is the one-loop case.  The localizer lifts the four
-children of a split together, and when the plain cross-hair fails, all six
-jittered cross-hairs (24 loops) in one more batch.  It takes the first
-jitter in ladder order whose children all certify: the jitter a
-one-at-a-time ladder would stop at, since a loop's outcome does not depend
-on the loops lifted with it.
+A map here is any callable from samples stacked on a first axis to their
+``BatchOutcome``; a result of another type is refused.  One lift serves any
+number of loops: the samples of every loop are evaluated in one call, then
+the midpoints of one bisection depth at a time, over the open edges of all
+loops still alive.  Each loop keeps its own outcome, a report or the error
+it would raise alone, and ``winding_number`` is the one-loop case.  The
+localizer lifts the four children of a split together, and when the plain
+cross-hair fails, all six jittered cross-hairs (24 loops) in one more
+batch.  It takes the first jitter in ladder order whose children all
+certify: the jitter a one-at-a-time ladder would stop at, since a loop's
+outcome does not depend on the loops lifted with it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from singlab.datamaps import REASON_CODES, _pointwise
+from singlab.datamaps import REASON_CODES, _batch_outcome
 from singlab.geometry import CircleDataset, ContractViolation, wrap_increments
 
 # An edge certifies short when its endpoint features are less than this
@@ -130,8 +131,10 @@ def midpoint_interpolate(p: np.ndarray, q: np.ndarray, sample_type: type | None 
 def _lift(points: np.ndarray, lengths, evaluate_fn, sample_type: type | None = None) -> list:
     """Degrees of several closed loops, stacked one after another in points.
 
-    lengths gives each loop's sample count.  The result holds, loop by loop,
-    the WindingReport of ``winding_number`` or the error it would raise.  All
+    lengths gives each loop's sample count, evaluate_fn maps stacked samples
+    to their BatchOutcome, and sample_type, the loops' dataset class, decides
+    how edges are bisected.  The result holds, loop by loop, the
+    WindingReport of ``winding_number`` or the error it would raise.  All
     samples are evaluated in one call, then the midpoints of one bisection
     depth at a time, for the open edges of every loop still alive.  Edges
     keep their per-loop order, so each loop evaluates the same points at the
@@ -140,7 +143,6 @@ def _lift(points: np.ndarray, lengths, evaluate_fn, sample_type: type | None = N
     budget before the lift residual.  Each loop's lift steps are added in
     edge order; their rounding is far below the residual tolerance.
     """
-    evaluate_fn = _pointwise(evaluate_fn, sample_type)
     lengths = np.asarray(lengths, dtype=np.intp)
     n_loops = len(lengths)
     results: list = [None] * n_loops
@@ -151,7 +153,7 @@ def _lift(points: np.ndarray, lengths, evaluate_fn, sample_type: type | None = N
     def evaluate(points: np.ndarray, owner: np.ndarray):
         """The outcome on points, and the mask of the rows whose loop is
         still alive, None when no loop died here."""
-        outcome = evaluate_fn(points)
+        outcome = _batch_outcome(evaluate_fn(points))
         np.minimum.at(min_gap, owner, outcome.gap)
         undefined = np.flatnonzero(outcome.reason)
         if not undefined.size:
@@ -227,10 +229,10 @@ def _report(total: float, period: float, samples_used: int, min_gap: float, dept
 def winding_number(loop: Loop, evaluate_fn) -> WindingReport:
     """Degree of a feature-valued map along a closed loop.
 
-    evaluate_fn is a BatchMap over the loop's stacked samples, or a callable
-    mapping one sample to an EvalOutcome, which is then called sample by
-    sample.  Every evaluated point must be Defined.  An edge whose endpoint
-    features are at least STEP_FRACTION of a period apart is bisected by
+    evaluate_fn maps the loop's stacked samples, vectors (m, d) or the
+    points (m, n, 2) of its datasets, to their BatchOutcome.  Every
+    evaluated point must be Defined.  An edge whose endpoint features are at
+    least STEP_FRACTION of a period apart is bisected by
     ``midpoint_interpolate`` up to MAX_REFINE times before the computation
     is declared inconclusive.
 
@@ -341,9 +343,8 @@ def localize_singularities(
 ) -> list[LocalizerBox]:
     """Recursive quadtree localization of degree-carrying singularities.
 
-    outcome_fn is a BatchMap over slice parameters (k, 2), such as
-    ``slices.slice_map``, or a callable u -> EvalOutcome (evaluated point by
-    point, so slower).
+    outcome_fn maps slice parameters (k, 2) to their BatchOutcome, such as
+    ``slices.slice_map``.
 
     The region square is subdivided while its boundary winding is nonzero;
     children with zero degree are dropped, and boxes reaching half_width <=

@@ -13,22 +13,25 @@ import numpy as np
 import pytest
 
 from singlab.datamaps import (
+    REASON_CODES,
+    BatchOutcome,
     DataMapSpec,
-    EvalOutcome,
     MapKind,
     UndefinedReason,
-    dataset_span,
     eval_perfect_fit_standard,
     evaluate,
+    evaluate_batch,
     evaluate_with_standard,
     oscillator_g_prime_abs,
     oscillator_t,
+    standard_batch,
 )
 from singlab.geometry import (
     LineDirection,
     PlaneDataset,
     feature_distance,
     omega_s,
+    reduce_mod_pi,
     segment_average_norm,
     sorted_eigenvalues,
 )
@@ -48,7 +51,7 @@ from singlab.metrics import (
     derivative_blowup_profile,
     oscillator_arc,
 )
-from singlab.slices import SliceSpec, boundary_loop
+from singlab.slices import SliceSpec, boundary_loop, slice_map
 from singlab.topology import Loop, localize_singularities, winding_number
 
 SLICE = SliceSpec()
@@ -84,16 +87,14 @@ def test_criterion_1_codim_tail_law():
 
 
 def _fitter_on_slice(kind):
-    spec = DataMapSpec(kind=kind)
-    return lambda u: evaluate(spec, SLICE.dataset_at(u, allow_outside_disk=True))
+    return slice_map(SLICE, DataMapSpec(kind=kind))
 
 
 def test_criterion_2_degree_obstruction():
     t0 = time.time()
     failures = []
     # standard features on the exact boundary
-    sigma = lambda ds: EvalOutcome.of(eval_perfect_fit_standard(ds), dataset_span(ds))
-    deg = winding_number(boundary_loop(SLICE, 512), sigma).degree
+    deg = winding_number(boundary_loop(SLICE, 512), standard_batch).degree
     print(f"  Sigma boundary winding: {deg}")
     if deg != 2:
         failures.append(f"Sigma winding {deg} != 2")
@@ -185,11 +186,15 @@ def test_criterion_5_derivative_blowup():
     failures = []
     etas = np.geomspace(1e-1, 1e-3, 7)
 
-    def synthetic(u):
-        r = float(np.linalg.norm(u))
-        if r == 0.0:
-            return EvalOutcome.undefined(UndefinedReason.ORIGIN)
-        return EvalOutcome.of(LineDirection(0.5 * math.atan2(u[1], u[0])), r)
+    def synthetic(us):
+        r = np.linalg.norm(us, axis=1)
+        origin = r == 0.0
+        return BatchOutcome(
+            value=np.where(origin, np.nan, reduce_mod_pi(0.5 * np.arctan2(us[:, 1], us[:, 0]))),
+            gap=r,
+            reason=np.where(origin, REASON_CODES.index(UndefinedReason.ORIGIN), 0).astype(np.int8),
+            feature=LineDirection,
+        )
 
     prof = derivative_blowup_profile(synthetic, (0, 0), etas, seed=3)
     print(f"  synthetic exponent {prof.fitted_exponent:.4f} (target -1 +- 0.05)")
@@ -206,7 +211,7 @@ def test_criterion_5_derivative_blowup():
             elif not (profile.constant_c * eta <= dist + 1e-12 and dist <= eta + 1e-12):
                 failures.append(f"{name}: distance bracket fails at eta {eta:.3e}")
     # radial oscillator at eta = t_n
-    osc = lambda u: evaluate(DataMapSpec(kind=MapKind.RADIAL_OSCILLATOR), u)
+    osc = lambda us: evaluate_batch(DataMapSpec(kind=MapKind.RADIAL_OSCILLATOR), us)
     for n in (0, 1, 2):
         t_n = oscillator_t(n)
         arc = oscillator_arc(n)

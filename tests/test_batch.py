@@ -15,7 +15,6 @@ from singlab.datamaps import (
     PERFECT_FIT_TOL,
     REASON_CODES,
     TIE_TOL,
-    BatchMap,
     BatchOutcome,
     DataMapSpec,
     EvalOutcome,
@@ -37,6 +36,7 @@ from singlab.geometry import (
     LineDirection,
     PlaneDataset,
     ScalarValue,
+    angle_distance,
     feature_distance,
     reduce_mod_pi,
 )
@@ -579,6 +579,43 @@ def test_line_angles_stay_below_pi():
         assert batch.value[0] == 0.0 and batch.outcome(0).feature.theta == 0.0
 
 
+unit_coords = st.floats(-1.0, 1.0)
+
+
+@PROPERTY
+@given(
+    n=st.integers(2, 6),
+    data=st.data(),
+    alpha=st.floats(-math.pi, math.pi),
+    weights=st.lists(st.floats(0.1, 2.0), min_size=6, max_size=6),
+    w0=st.floats(0.0, 2.0),
+    beta=angles,
+)
+def test_rotation_equivariance(n, data, alpha, weights, w0, beta):
+    # rotating the data by alpha turns the PC direction by alpha mod pi, and
+    # the augmented mean, augmentation point included, by alpha; rows near S
+    # (gap at most 1e-6) are left out, where the direction is ill-conditioned
+    m = data.draw(st.integers(1, 8))
+    flat = data.draw(st.lists(unit_coords, min_size=2 * m * n, max_size=2 * m * n))
+    points = np.array(flat).reshape(m, n, 2)
+    c, s = math.cos(alpha), math.sin(alpha)
+    pc = DataMapSpec(kind=MapKind.PC_LINE)
+    before = evaluate_batch(pc, points)
+    after = evaluate_batch(pc, points @ np.array([[c, s], [-s, c]]))
+    keep = before.gap > 1e-6
+    assert np.all(angle_distance(after.value[keep], before.value[keep] + alpha, math.pi) <= 1e-9)
+
+    phis = points[..., 0] * math.pi
+    spec = DataMapSpec(kind=MapKind.AUG_MEAN, weights=weights[:n], w0=w0,
+                       aug_point=(math.cos(beta), math.sin(beta)))
+    turned = DataMapSpec(kind=MapKind.AUG_MEAN, weights=weights[:n], w0=w0,
+                         aug_point=(math.cos(beta + alpha), math.sin(beta + alpha)))
+    before = evaluate_batch(spec, phis)
+    after = evaluate_batch(turned, phis + alpha)
+    keep = before.gap > 1e-6
+    assert np.all(angle_distance(after.value[keep], before.value[keep] + alpha, 2.0 * math.pi) <= 1e-9)
+
+
 # ---------------------------------------------------------------------------
 # Array diameters against brute-force pairwise feature distances
 # ---------------------------------------------------------------------------
@@ -644,7 +681,7 @@ def recursive_winding(points, fn):
     state = {"samples": 0, "min_gap": math.inf, "depth": 0}
 
     def eval_at(p):
-        outcome = fn(p)
+        outcome = fn(p[None]).outcome(0)
         if not outcome.defined:
             raise LoopHitsSingularityError(outcome.reason.value)
         state["samples"] += 1
@@ -673,20 +710,26 @@ def recursive_winding(points, fn):
 
 
 def wobbly_map(k, singularity, wobble, circle_valued):
-    """Degree-k map around a singular point, with an angular wobble that
-    makes edges need different bisection depths."""
+    """Degree-k map around a singular point on stacked points (m, 2), with
+    an angular wobble that makes edges need different bisection depths."""
     x0 = np.asarray(singularity, dtype=float)
 
-    def fn(u):
-        v = np.asarray(u, dtype=float) - x0
-        r = float(np.hypot(v[0], v[1]))
-        if r == 0.0:
-            return EvalOutcome.undefined(UndefinedReason.ORIGIN)
-        t = math.atan2(v[1], v[0])
-        phase = k * t + wobble * math.sin(3.0 * t)
+    def fn(us):
+        v = us - x0
+        r = np.hypot(v[:, 0], v[:, 1])
+        t = np.arctan2(v[:, 1], v[:, 0])
+        phase = k * t + wobble * np.sin(3.0 * t)
         if circle_valued:
-            return EvalOutcome.of(CirclePoint((math.cos(phase), math.sin(phase))), r)
-        return EvalOutcome.of(LineDirection(0.5 * phase), r)
+            value, feature = np.arctan2(np.sin(phase), np.cos(phase)), CirclePoint
+        else:
+            value, feature = reduce_mod_pi(0.5 * phase), LineDirection
+        origin = r == 0.0
+        return BatchOutcome(
+            value=np.where(origin, np.nan, value),
+            gap=r,
+            reason=np.where(origin, REASON_CODES.index(UndefinedReason.ORIGIN), 0).astype(np.int8),
+            feature=feature,
+        )
 
     return fn
 
@@ -715,16 +758,20 @@ def test_level_by_level_matches_recursive(k, singularity, wobble, circle_valued,
     assert got == expected
 
 
-def test_batch_map_and_pointwise_callable_agree():
-    # the batched slice evaluator and a scalar lambda give the same report on
-    # a coarse loop near the slice boundary, where every edge is bisected
+def test_slice_map_rows_equal_pointwise_evaluate():
+    # the batched slice evaluator gives, row for row and bit for bit, what
+    # one dataset embedded and evaluated on its own gives, inside the disk
+    # and outside it
     slc = SliceSpec()
-    t = 2.0 * math.pi * np.arange(7) / 7
-    loop = Loop(0.999 * np.stack([np.cos(t), np.sin(t)], axis=1))
-    for spec in FITTERS[:2]:
-        scalar = winding_number(loop, lambda u: evaluate(spec, slc.dataset_at(u, allow_outside_disk=True)))
-        batched = winding_number(loop, slice_map(slc, spec))
-        assert isinstance(slice_map(slc, spec), BatchMap)
-        assert (batched.degree, batched.samples_used, batched.refined, batched.max_depth) == (
-            scalar.degree, scalar.samples_used, scalar.refined, scalar.max_depth)
-        assert abs(batched.min_gap - scalar.min_gap) <= 1e-12
+    us = np.random.default_rng(15).uniform(-1.2, 1.2, (400, 2))
+    us[:4] = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (-0.6, 1.0)]
+    assert (np.linalg.norm(us, axis=1) <= 1.0).any() and (np.linalg.norm(us, axis=1) > 1.0).any()
+    for spec in FITTERS:
+        batch = slice_map(slc, spec)(us)
+        rows = [evaluate(spec, slc.dataset_at(u, allow_outside_disk=True)) for u in us]
+        value = np.array([row.feature.theta if row.defined else np.nan for row in rows])
+        reason = np.array([REASON_CODES.index(row.reason) for row in rows])
+        assert_bits_equal(batch.value, value, spec.kind.value)
+        assert_bits_equal(batch.gap, np.array([row.gap for row in rows]), spec.kind.value)
+        np.testing.assert_array_equal(batch.reason, reason)
+        assert batch.feature is LineDirection

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from singlab.datamaps import (
+    REASON_CODES,
+    BatchOutcome,
     DataMapSpec,
     EvalOutcome,
     MapKind,
@@ -17,7 +19,7 @@ from singlab.datamaps import (
     oscillator_t,
     uniform_preset,
 )
-from singlab.geometry import CircleDataset, LineDirection, PlaneDataset
+from singlab.geometry import CircleDataset, ContractViolation, LineDirection, PlaneDataset, reduce_mod_pi
 from singlab.metrics import (
     NON_SEVERE,
     SEVERE,
@@ -43,15 +45,34 @@ SPEC = SliceSpec()
 EQUILATERAL = SPEC.center_config
 
 
-def half_angle_outcome(u):
-    r = float(np.linalg.norm(u))
-    if r == 0.0:
-        return EvalOutcome.undefined(UndefinedReason.ORIGIN)
-    return EvalOutcome.of(LineDirection(0.5 * math.atan2(u[1], u[0])), r)
+def line_batch(value, gap, undefined):
+    """A LineDirection BatchOutcome, Undefined (ORIGIN) where undefined is set."""
+    return BatchOutcome(
+        value=np.where(undefined, np.nan, value),
+        gap=np.where(undefined, 0.0, gap),
+        reason=np.where(undefined, REASON_CODES.index(UndefinedReason.ORIGIN), 0).astype(np.int8),
+        feature=LineDirection,
+    )
 
 
-def pc_on_slice(u):
-    return evaluate(PC, SPEC.dataset_at(u, allow_outside_disk=True))
+def half_angle_map(atan2=np.arctan2):
+    """u -> LineDirection(arg(u) / 2) on stacked points (m, 2), gap |u|,
+    with the given two-argument arctangent."""
+
+    def fn(us):
+        r = np.linalg.norm(us, axis=1)
+        return line_batch(reduce_mod_pi(0.5 * atan2(us[:, 1], us[:, 0])), r, r == 0.0)
+
+    return fn
+
+
+def libm_atan2(y, x):
+    """libm's atan2 elementwise, which can differ from np.arctan2 in the last bit."""
+    return np.array([math.atan2(b, a) for b, a in zip(y, x)])
+
+
+half_angle_batch = half_angle_map()
+pc_on_slice = slice_map(SPEC, PC)
 
 
 # ---------------------------------------------------------------------------
@@ -267,22 +288,20 @@ def circle_polyline(radius, m=96):
 
 
 def test_average_derivative_constant_map():
-    fn = lambda u: EvalOutcome.of(LineDirection(0.4), 1.0)
+    fn = lambda us: line_batch(np.full(len(us), 0.4), np.ones(len(us)), np.zeros(len(us), dtype=bool))
     assert average_derivative_along_curve(fn, circle_polyline(0.5), 1e-6) == 0.0
 
 
 def test_average_derivative_half_angle_closed_form():
     # |D(arg/2)| = 1 / (2 |u|) exactly
     for eta in (0.5, 0.1):
-        v = average_derivative_along_curve(half_angle_outcome, circle_polyline(eta), 1e-7)
+        v = average_derivative_along_curve(half_angle_batch, circle_polyline(eta), 1e-7)
         assert abs(v - 1.0 / (2.0 * eta)) < 0.01 / eta
 
 
 def test_average_derivative_curve_hits_singularity():
-    def left_half_undefined(u):
-        if u[0] < 0:
-            return EvalOutcome.undefined(UndefinedReason.ORIGIN)
-        return EvalOutcome.of(LineDirection(u[0]), 1.0)
+    def left_half_undefined(us):
+        return line_batch(reduce_mod_pi(us[:, 0]), np.ones(len(us)), us[:, 0] < 0)
 
     segment = [np.array([-0.1, 0.0]), np.array([0.1, 0.0])]
     with pytest.raises(CurveHitsSingularityError):
@@ -302,7 +321,7 @@ ETAS = tuple(np.geomspace(1e-1, 1e-3, 7))
 
 
 def test_blowup_synthetic_exponent_minus_one():
-    profile = derivative_blowup_profile(half_angle_outcome, (0, 0), ETAS, seed=3)
+    profile = derivative_blowup_profile(half_angle_batch, (0, 0), ETAS, seed=3)
     assert not any(profile.flagged)
     assert abs(profile.fitted_exponent + 1.0) <= 0.05
 
@@ -312,18 +331,32 @@ def test_blowup_pc_at_slice_center():
     assert -1.2 <= profile.fitted_exponent <= -0.8
 
 
-def test_blowup_batch_map_and_pointwise_callable_agree():
-    # the batched slice evaluator and a scalar lambda build the same arcs
-    batched = derivative_blowup_profile(slice_map(SPEC, PC), (0, 0), ETAS, seed=3)
-    pointwise = derivative_blowup_profile(pc_on_slice, (0, 0), ETAS, seed=3)
-    assert batched.flagged == pointwise.flagged
-    np.testing.assert_allclose(batched.avg_distance, pointwise.avg_distance, rtol=1e-12)
-    np.testing.assert_allclose(batched.avg_derivative, pointwise.avg_derivative, rtol=1e-9)
+def test_blowup_arcs_do_not_depend_on_the_last_bit():
+    # the candidate arcs of the half-angle map come in mirror-image pairs
+    # that tie exactly; libm's and numpy's arctangent differ in the last
+    # bit, and both must pick the same arcs
+    etas = np.geomspace(1e-1, 1e-3, 13)
+    libm = derivative_blowup_profile(half_angle_map(libm_atan2), (0, 0), etas, seed=0)
+    numpy = derivative_blowup_profile(half_angle_map(np.arctan2), (0, 0), etas, seed=0)
+    assert libm.flagged == numpy.flagged and not any(libm.flagged)
+    assert libm.avg_distance == numpy.avg_distance
+    assert abs(libm.fitted_exponent + 1.0) <= 1e-9
+    assert abs(numpy.fitted_exponent + 1.0) <= 1e-9
+
+
+def test_profilers_refuse_pointwise_callable():
+    # a callable mapping one point to an EvalOutcome is not a map: the
+    # profilers say which return type they expect
+    pointwise = lambda u: EvalOutcome.of(LineDirection(0.4), 1.0)
+    with pytest.raises(ContractViolation, match="must return a BatchOutcome .* got EvalOutcome"):
+        derivative_blowup_profile(pointwise, (0, 0), ETAS, seed=3)
+    with pytest.raises(ContractViolation, match="must return a BatchOutcome .* got EvalOutcome"):
+        average_derivative_along_curve(pointwise, circle_polyline(0.5), 1e-6)
 
 
 def test_blowup_distance_bracket():
     # c * eta <= avg distance <= eta for every entry, with the reported c
-    for fn in (half_angle_outcome, pc_on_slice):
+    for fn in (half_angle_batch, pc_on_slice):
         profile = derivative_blowup_profile(fn, (0, 0), ETAS, seed=3)
         assert 0 < profile.constant_c <= 1
         for eta, r, flag in zip(profile.etas, profile.avg_distance, profile.flagged):
@@ -336,7 +369,7 @@ def test_blowup_distance_bracket():
 def test_oscillator_arc_average_derivative():
     # avg derivative at scale t_n is Theta(1 / t_n) while the pointwise
     # t |g'(t)| stays below 1 / |log(t_n / e)|
-    fn = lambda u: evaluate(DataMapSpec(kind=MapKind.RADIAL_OSCILLATOR), u)
+    fn = lambda us: evaluate_batch(DataMapSpec(kind=MapKind.RADIAL_OSCILLATOR), us)
     for n in (0, 1):
         t_n = oscillator_t(n)
         arc = oscillator_arc(n)

@@ -9,18 +9,22 @@ from hypothesis import strategies as st
 
 from singlab.datamaps import (
     REASON_CODES,
-    BatchMap,
+    BatchOutcome,
     DataMapSpec,
     EvalOutcome,
     MapKind,
     UndefinedReason,
-    dataset_span,
-    eval_perfect_fit_standard,
-    evaluate,
     evaluate_batch,
-    _pointwise,
+    standard_batch,
 )
-from singlab.geometry import CirclePoint, ContractViolation, LineDirection, angle_distance, wrap_increments
+from singlab.geometry import (
+    CirclePoint,
+    ContractViolation,
+    LineDirection,
+    angle_distance,
+    reduce_mod_pi,
+    wrap_increments,
+)
 from singlab.slices import SliceSpec, boundary_loop, slice_map
 from singlab.topology import (
     MAX_REFINE,
@@ -51,27 +55,43 @@ def circle_loop(center, radius, m):
     )
 
 
+def origin_batch(value, gap, origin, feature=LineDirection):
+    """A BatchOutcome of the given values and gaps, Undefined (ORIGIN) on
+    the rows where origin is set."""
+    return BatchOutcome(
+        value=np.where(origin, np.nan, value),
+        gap=np.where(origin, 0.0, gap),
+        reason=np.where(origin, REASON_CODES.index(UndefinedReason.ORIGIN), 0).astype(np.int8),
+        feature=feature,
+    )
+
+
+def constant_map(theta):
+    """Every point mapped to LineDirection(theta), gap 1."""
+    return lambda us: origin_batch(np.full(len(us), theta), np.ones(len(us)), np.zeros(len(us), dtype=bool))
+
+
 def half_angle_map(k=1, singularity=(0.0, 0.0)):
-    """Synthetic map u -> LineDirection(k * arg(u - x0) / 2), degree k."""
+    """Synthetic map u -> LineDirection(k * arg(u - x0) / 2) on stacked
+    points (m, 2), gap |u - x0|: degree k."""
     x0 = np.asarray(singularity, dtype=float)
 
-    def fn(u):
-        v = np.asarray(u, dtype=float) - x0
-        r = float(np.linalg.norm(v))
-        if r == 0.0:
-            return EvalOutcome.undefined(UndefinedReason.ORIGIN)
-        return EvalOutcome.of(LineDirection(0.5 * k * math.atan2(v[1], v[0])), r)
+    def fn(us):
+        v = np.asarray(us, dtype=float) - x0
+        r = np.linalg.norm(v, axis=1)
+        return origin_batch(reduce_mod_pi(0.5 * k * np.arctan2(v[:, 1], v[:, 0])), r, r == 0.0)
 
     return fn
 
 
+def identity_circle_map(us):
+    """u -> the circle point u / |u|, gap |u|: degree 1."""
+    r = np.linalg.norm(us, axis=1)
+    return origin_batch(np.arctan2(us[:, 1], us[:, 0]), r, r == 0.0, CirclePoint)
+
+
 def fitter_on_slice(kind):
-    spec = DataMapSpec(kind=kind)
-    return lambda u: evaluate(spec, SPEC.dataset_at(u, allow_outside_disk=True))
-
-
-def sigma_outcome(ds):
-    return EvalOutcome.of(eval_perfect_fit_standard(ds), dataset_span(ds))
+    return slice_map(SPEC, DataMapSpec(kind=kind))
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +99,7 @@ def sigma_outcome(ds):
 # ---------------------------------------------------------------------------
 
 def test_boundary_sigma_winding_is_two():
-    report = winding_number(boundary_loop(SPEC, 64), sigma_outcome)
+    report = winding_number(boundary_loop(SPEC, 64), standard_batch)
     assert report.degree == 2
     assert report.min_gap > 0
     assert not report.refined
@@ -88,13 +108,12 @@ def test_boundary_sigma_winding_is_two():
 
 def test_constant_loop_degree_zero():
     loop = circle_loop((0, 0), 1.0, 16)
-    assert winding_number(loop, lambda u: EvalOutcome.of(LineDirection(0.7), 1.0)).degree == 0
+    assert winding_number(loop, constant_map(0.7)).degree == 0
 
 
 def test_circle_identity_degree_one():
     loop = circle_loop((0, 0), 1.0, 16)
-    fn = lambda u: EvalOutcome.of(CirclePoint(np.asarray(u) / np.linalg.norm(u)), 1.0)
-    assert winding_number(loop, fn).degree == 1
+    assert winding_number(loop, identity_circle_map).degree == 1
 
 
 def test_half_angle_degrees():
@@ -128,9 +147,8 @@ def test_loop_hits_singularity():
 def test_inconclusive_on_genuine_jump():
     # a map with a large jump discontinuity across the x axis can never
     # certify the step condition, no matter how deep the bisection
-    def jumpy(u):
-        theta = 1.2 if u[1] >= 0 else 0.0
-        return EvalOutcome.of(LineDirection(theta), 1.0)
+    def jumpy(us):
+        return origin_batch(np.where(us[:, 1] >= 0, 1.2, 0.0), np.ones(len(us)), np.zeros(len(us), dtype=bool))
 
     with pytest.raises(InconclusiveDegreeError):
         winding_number(circle_loop((0, 0), 1.0, 16), jumpy)
@@ -139,13 +157,22 @@ def test_inconclusive_on_genuine_jump():
 def test_decision_features_unsupported():
     spec = DataMapSpec(kind=MapKind.DISK_DECISION, radius=0.5)
     loop = circle_loop((0, 0), 0.9, 16)
+    disk = lambda us: evaluate_batch(spec, us)
     with pytest.raises(UnsupportedFeatureError):
-        winding_number(loop, lambda u: evaluate(spec, u))
-    with pytest.raises(UnsupportedFeatureError):
-        winding_number(loop, BatchMap(lambda us: evaluate_batch(spec, us)))
+        winding_number(loop, disk)
     # r = 0 features are outside the degree machinery in the localizer too
     with pytest.raises(UnsupportedFeatureError):
-        localize_singularities(lambda u: evaluate(spec, u), (0, 0), 0.9, 0.1)
+        localize_singularities(disk, (0, 0), 0.9, 0.1)
+
+
+def test_pointwise_callable_is_refused():
+    # a callable mapping one point to an EvalOutcome is not a map: the
+    # certifiers say which return type they expect
+    pointwise = lambda u: EvalOutcome.of(LineDirection(0.7), 1.0)
+    with pytest.raises(ContractViolation, match="must return a BatchOutcome .* got EvalOutcome"):
+        winding_number(circle_loop((0, 0), 1.0, 16), pointwise)
+    with pytest.raises(ContractViolation, match="must return a BatchOutcome .* got EvalOutcome"):
+        localize_singularities(pointwise, (0, 0), 0.9, 0.1)
 
 
 def test_degree_additivity_random_subdivisions():
@@ -208,10 +235,7 @@ def test_localizer_soundness_synthetic():
 
 
 def test_localizer_circle_valued():
-    fn = lambda u: EvalOutcome.of(
-        CirclePoint(np.asarray(u) / np.linalg.norm(u)), float(np.linalg.norm(u))
-    ) if np.linalg.norm(u) > 0 else EvalOutcome.undefined(UndefinedReason.ORIGIN)
-    boxes = localize_singularities(fn, (0.0, 0.0), 0.7, 1e-2)
+    boxes = localize_singularities(identity_circle_map, (0.0, 0.0), 0.7, 1e-2)
     assert len(boxes) == 1
     assert boxes[0].status == "certified"
     assert np.linalg.norm(boxes[0].center) <= boxes[0].half_width * math.sqrt(2)
@@ -220,10 +244,7 @@ def test_localizer_circle_valued():
 def test_localizer_root_box_failure_is_inconclusive():
     # the root boundary passes through the singular point at the origin, so
     # its degree is uncertifiable: one inconclusive root box, no degree
-    fn = lambda u: EvalOutcome.of(
-        LineDirection(0.5 * math.atan2(u[1], u[0])), float(np.linalg.norm(u))
-    ) if np.linalg.norm(u) > 0 else EvalOutcome.undefined(UndefinedReason.ORIGIN)
-    boxes = localize_singularities(fn, (0.5, 0.0), 0.5, 1e-2)
+    boxes = localize_singularities(half_angle_map(1), (0.5, 0.0), 0.5, 1e-2)
     assert boxes == [LocalizerBox(center=(0.5, 0.0), half_width=0.5, boundary_degree=None,
                                   depth=0, status="inconclusive")]
     assert boxes[0].to_dict()["degree"] is None
@@ -247,11 +268,9 @@ def test_localizer_singularity_free_zone_is_empty():
     # confirms the gap floor, localizer returns no boxes
     fn = fitter_on_slice(MapKind.LS_LINE)
     center, hw = (0.45, 0.0), 0.2
-    gaps = []
-    for x in np.linspace(center[0] - hw, center[0] + hw, 40):
-        for y in np.linspace(center[1] - hw, center[1] + hw, 40):
-            gaps.append(fn((x, y)).gap)
-    assert min(gaps) > 0.05
+    xs, ys = np.meshgrid(np.linspace(center[0] - hw, center[0] + hw, 40),
+                         np.linspace(center[1] - hw, center[1] + hw, 40))
+    assert fn(np.stack([xs.ravel(), ys.ravel()], axis=1)).gap.min() > 0.05
     assert localize_singularities(fn, center, hw, 1e-2) == []
 
 
@@ -304,7 +323,6 @@ SLICE_S = {MapKind.PC_LINE: (0.0, 0.0), MapKind.LS_LINE: (0.0, 1.0), MapKind.LAD
 def reference_winding(loop, fn):
     """One loop lifted on its own, level by level, as the certifier did
     before loops were batched: the report, or the error it raises."""
-    fn = _pointwise(fn, loop.sample_type)
     samples_used, min_gap = 0, math.inf
 
     def evaluate(points):
@@ -402,8 +420,21 @@ def loops_about(draw, s):
     return polygon(points)
 
 
+def one_row_at_a_time(fn):
+    """fn called on one row per call, as a pointwise evaluation would, with
+    the rows' outcomes stacked back into one BatchOutcome."""
+
+    def rows(inputs):
+        outs = [fn(inputs[i:i + 1]) for i in range(len(inputs))]
+        return BatchOutcome(*(np.concatenate([getattr(out, name) for out in outs])
+                              for name in ("value", "gap", "reason")), feature=outs[0].feature)
+
+    return rows
+
+
 def slice_maps(kind):
-    return {"batch": slice_map(SPEC, DataMapSpec(kind=kind)), "pointwise": fitter_on_slice(kind)}
+    fn = fitter_on_slice(kind)
+    return {"batch": fn, "pointwise": one_row_at_a_time(fn)}
 
 
 LIFT_CASES = [
@@ -447,7 +478,7 @@ def test_multi_loop_lift_outcome_kinds():
     assert [type(r) for r in results] == [WindingReport, InconclusiveDegreeError, WindingReport]
 
     disk = DataMapSpec(kind=MapKind.DISK_DECISION, radius=0.5)
-    results = assert_lift_matches_alone(boxes, BatchMap(lambda us: evaluate_batch(disk, us)))
+    results = assert_lift_matches_alone(boxes, lambda us: evaluate_batch(disk, us))
     assert all(isinstance(r, UnsupportedFeatureError) for r in results)
 
 
@@ -501,7 +532,7 @@ def counting_slice_map(kind):
         calls.append(len(us))
         return fn(us)
 
-    return BatchMap(counted), calls
+    return counted, calls
 
 
 @pytest.mark.parametrize("kind, eps, bound", [
