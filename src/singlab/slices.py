@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -60,6 +61,9 @@ class SliceSpec:
             raise ContractViolation("spread size does not match n_points")
         if self.grid_resolution < 4:
             raise ContractViolation("grid_resolution must be >= 4")
+        # column index and factors of datasets_at's flat (m, 2n) layout
+        object.__setattr__(self, "_u_columns", np.tile((0, 1), self.n_points))
+        object.__setattr__(self, "_flat_spread", np.repeat(self.spread, 2))
 
     def _boundary_points(self, psi: np.ndarray) -> np.ndarray:
         """Points (m, n, 2) of the boundary datasets at boundary angles psi (m,)."""
@@ -79,13 +83,17 @@ class SliceSpec:
         closed unit disk are rejected.
         """
         us = np.asarray(us, dtype=float)
-        if us.ndim != 2 or us.shape[1] != 2 or not np.all(np.isfinite(us)):
+        if us.ndim != 2 or us.shape[1] != 2 or not np.isfinite(us).all():
             raise ContractViolation("slice parameters must be finite 2-vectors")
-        r = np.linalg.norm(us, axis=1)
-        if not allow_outside_disk and np.any(r > 1.0 + 1e-12):
+        # what np.linalg.norm(us, axis=1) computes for real input
+        r = np.sqrt(np.add.reduce(us * us, axis=1))
+        if not allow_outside_disk and (r > 1.0 + 1e-12).any():
             raise DomainError(f"slice parameter outside the unit disk, |u| = {float(r.max())}")
-        spread = np.asarray(self.spread)[:, None]
-        return (1.0 - r)[:, None, None] * self.center_config.points + spread * us[:, None, :]
+        # flat coordinate 2i + j of point i is (1 - r) c_ij + u_j spread_i:
+        # the same two products and one sum per entry as the (m, n, 2) broadcast
+        points = np.multiply.outer(1.0 - r, self.center_config.points.ravel())
+        points += us[:, self._u_columns] * self._flat_spread
+        return points.reshape(len(us), self.n_points, 2)
 
     def dataset_at(self, u, allow_outside_disk: bool = False) -> PlaneDataset:
         """Embed one slice parameter into data space (see ``datasets_at``)."""
@@ -116,22 +124,29 @@ class GridField:
     us: np.ndarray  # (N, 2) slice parameters
     batch: BatchOutcome  # the map's outcomes at us, row for row
 
+    def status(self) -> list[str]:
+        """Per grid cell, "defined" or the value of its undefined reason."""
+        return ["defined" if code == 0 else REASON_CODES[code].value for code in self.batch.reason.tolist()]
+
     def rows(self):
         """Yield (u_x, u_y, theta_or_nan, gap, status) per grid cell."""
         batch = self.batch
-        status = ["defined" if code == 0 else REASON_CODES[code].value for code in batch.reason.tolist()]
-        return zip(*self.us.T.tolist(), batch.value.tolist(), batch.gap.tolist(), status)
+        return zip(*self.us.T.tolist(), batch.value.tolist(), batch.gap.tolist(), self.status())
 
 
 def polar_grid(resolution: int) -> np.ndarray:
-    """Row-major polar grid: radii 0..1 (inclusive) by angles 0..2*pi."""
+    """Row-major polar grid: radii 0..1 (inclusive) by angles 0..2*pi.
+
+    Cell (i, k) is (r_i cos a_k, r_i sin a_k), with the cosine and sine
+    from libm's ``math.cos``/``math.sin`` (numpy's SIMD versions may differ
+    in the last bit), taken once per angle; the products are rounded the
+    same in an outer product as one by one.
+    """
     radii = np.linspace(0.0, 1.0, resolution)
-    angles = 2.0 * math.pi * np.arange(resolution) / resolution
-    us = []
-    for r in radii:
-        for a in angles:
-            us.append((r * math.cos(a), r * math.sin(a)))
-    return np.asarray(us)
+    angles = (2.0 * math.pi * np.arange(resolution) / resolution).tolist()
+    cos = np.array([math.cos(a) for a in angles])
+    sin = np.array([math.sin(a) for a in angles])
+    return np.stack([np.multiply.outer(radii, cos).ravel(), np.multiply.outer(radii, sin).ravel()], axis=1)
 
 
 def render_lf_field(
@@ -161,42 +176,57 @@ _PI_12G = f"{math.pi:.12g}"
 
 
 def write_field_csv(grid: GridField, path) -> None:
-    lines = ["u_x,u_y,theta_or_nan,gap,status"]
-    for ux, uy, theta, gap, status in grid.rows():
-        theta_text = f"{theta:.12g}"
-        if theta_text == _PI_12G:
-            theta_text = "0"
-        lines.append(f"{ux:.12g},{uy:.12g},{theta_text},{gap:.12g},{status}")
+    """CSV of the grid's rows, ``u_x,u_y,theta_or_nan,gap,status``.
+
+    Every number goes through ``%.12g`` once, in one formatting call for the
+    theta column and one for the file; ``%`` and an f-string ``:.12g`` print
+    a float alike, so the bytes are those of a row-by-row f-string writer.
+    """
+    batch = grid.batch
+    thetas = ("%.12g\n" * len(grid.us) % tuple(batch.value.tolist())).split("\n")[:-1]
+    thetas = ["0" if text == _PI_12G else text for text in thetas]
+    fields = chain.from_iterable(zip(*grid.us.T.tolist(), thetas, batch.gap.tolist(), grid.status()))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("u_x,u_y,theta_or_nan,gap,status\n" + "%.12g,%.12g,%s,%.12g,%s\n" * len(grid.us) % tuple(fields))
+
+
+_SVG_LINE = '<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="black" stroke-width="1"/>\n'
+_SVG_DOT = '<circle cx="%.2f" cy="%.2f" r="2.5" fill="red"/>\n'
 
 
 def write_field_svg(grid: GridField, path, cell_size: float) -> None:
-    """Static SVG 1.1: oriented segments at defined cells, dots at undefined."""
+    """Static SVG 1.1: oriented segments at defined cells, dots at undefined.
+
+    Coordinates are computed as arrays in the order of the per-cell formula,
+    px = (u_x + half) * scale and dx = ((0.5 * seg_len) * cos theta) * scale
+    with libm's cosine and sine, so each is the same double; the markup is
+    one template of line and dot elements in row order, filled by one ``%``.
+    """
     half = 1.15
     scale = SVG_SIZE_PX / (2.0 * half)
-
-    def to_px(x, y):
-        return (x + half) * scale, (half - y) * scale
-
     seg_len = 0.8 * cell_size
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{SVG_SIZE_PX}" height="{SVG_SIZE_PX}" viewBox="0 0 {SVG_SIZE_PX} {SVG_SIZE_PX}">',
-        f'<rect width="{SVG_SIZE_PX}" height="{SVG_SIZE_PX}" fill="white"/>',
-    ]
-    for ux, uy, theta, gap, status in grid.rows():
-        px, py = to_px(ux, uy)
-        if status == "defined" and not math.isnan(theta):
-            dx = 0.5 * seg_len * math.cos(theta) * scale
-            dy = 0.5 * seg_len * math.sin(theta) * scale
-            parts.append(
-                f'<line x1="{px - dx:.2f}" y1="{py + dy:.2f}" '
-                f'x2="{px + dx:.2f}" y2="{py - dy:.2f}" '
-                f'stroke="black" stroke-width="1"/>'
-            )
-        else:
-            parts.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="2.5" fill="red"/>')
-    parts.append("</svg>")
+    px = (grid.us[:, 0] + half) * scale
+    py = (half - grid.us[:, 1]) * scale
+    theta = grid.batch.value
+    drawn = (grid.batch.reason == 0) & ~np.isnan(theta)
+    shown = theta[drawn].tolist()
+    dx = 0.5 * seg_len * np.array([math.cos(t) for t in shown]) * scale
+    dy = 0.5 * seg_len * np.array([math.sin(t) for t in shown]) * scale
+    # a segment takes four numbers (x1, y1, x2, y2) and a dot two (cx, cy)
+    width = np.where(drawn, 4, 2)
+    start = np.cumsum(width) - width
+    numbers = np.empty(int(width.sum()))
+    at = start[drawn]
+    numbers[at], numbers[at + 1] = px[drawn] - dx, py[drawn] + dy
+    numbers[at + 2], numbers[at + 3] = px[drawn] + dx, py[drawn] - dy
+    at = start[~drawn]
+    numbers[at], numbers[at + 1] = px[~drawn], py[~drawn]
+    body = "".join([_SVG_DOT, _SVG_LINE][d] for d in drawn.tolist()) % tuple(numbers.tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+        fh.write(
+            f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+            f'width="{SVG_SIZE_PX}" height="{SVG_SIZE_PX}" viewBox="0 0 {SVG_SIZE_PX} {SVG_SIZE_PX}">\n'
+            f'<rect width="{SVG_SIZE_PX}" height="{SVG_SIZE_PX}" fill="white"/>\n'
+            + body
+            + "</svg>\n"
+        )

@@ -67,31 +67,17 @@ class Loop:
 
     The samples are stacked in one array: vectors (m, d), or the points
     (m, n, 2) of datasets of class ``sample_type``.  A sequence of vectors
-    or of datasets of one class is stacked on construction.
+    is stacked on construction.
     """
 
     points: np.ndarray
     sample_type: type | None = None
 
     def __post_init__(self):
-        points, sample_type = self.points, self.sample_type
-        if not isinstance(points, np.ndarray):
-            points = list(points)
-            if points and hasattr(points[0], "points"):
-                sample_type = type(points[0])
-                points = [s.points for s in points]
-        points = np.array(points, dtype=float)
+        points = np.array(self.points, dtype=float)
         _check_loops(points[None])
         points.flags.writeable = False
         object.__setattr__(self, "points", points)
-        object.__setattr__(self, "sample_type", sample_type)
-
-    @property
-    def samples(self) -> tuple:
-        """The samples, as vectors or as ``sample_type`` datasets."""
-        if self.sample_type is None:
-            return tuple(self.points)
-        return tuple(self.sample_type(p) for p in self.points)
 
     def __len__(self):
         return len(self.points)

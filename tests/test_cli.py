@@ -388,6 +388,34 @@ def test_localize_root_box_failure_exit_code(tmp_path):
                       "status": "inconclusive"}]
 
 
+def _usage_and_help(parse, argv, capsys):
+    """Exit code, stdout and stderr of a parse that exits."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+def test_reused_parser_keeps_no_state(tmp_path, capsys):
+    # main builds its parser once per process: a rejected flag, then two
+    # runs, must give what fresh parsers give, byte for byte
+    fresh = singlab.cli._build_parser.__wrapped__
+    assert singlab.cli._build_parser() is singlab.cli._build_parser()
+    bogus = ["lfplot", "--bogus"]
+    assert _usage_and_help(main, bogus, capsys)[0] == EXIT_SCHEMA
+    # the pins of localize-pc and winding-standard above
+    assert run(["localize", "--map", "pc"], tmp_path / "a") == EXIT_OK
+    assert hashlib.sha256((tmp_path / "a" / "localize.json").read_bytes()).hexdigest() == (
+        "ef42fbd44d2c39aa7c2de506bfe4b7133326216e3b9b172bbe966109d3ef36cc")
+    assert run(["winding", "--target", "standard", "--samples", "2048"], tmp_path / "b") == EXIT_OK
+    assert hashlib.sha256((tmp_path / "b" / "winding.json").read_bytes()).hexdigest() == (
+        "1731f4cd2a4bd85820aaa8688f9a8ba494af435503d4b4f29409d1a284ce17eb")
+    capsys.readouterr()
+    # usage errors exit 2 and --help exits 0 with the text of a fresh parser
+    for argv in (bogus, ["--help"], ["lfplot", "--help"], []):
+        assert _usage_and_help(main, argv, capsys) == _usage_and_help(fresh().parse_args, argv, capsys)
+
+
 # digests recorded at commit 594692c, whose draws were concatenated chunk by
 # chunk, whose tube fixtures took np.linalg.norm and whose PC and LS kernels
 # reduced over the points axis with numpy; these are the montecarlo

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from singlab.datamaps import (
+    REASON_CODES,
     BatchOutcome,
     DataMapSpec,
     MapKind,
@@ -21,6 +22,7 @@ from singlab.slices import (
     polar_grid,
     render_lf_field,
     write_field_csv,
+    write_field_svg,
 )
 
 SPEC = SliceSpec()
@@ -64,9 +66,9 @@ def test_embed_lipschitz_bound():
 def test_boundary_loop_angles():
     loop = boundary_loop(SPEC, 4)
     expected = [0.0, math.pi / 2, math.pi, 3 * math.pi / 2]
-    for sample, psi in zip(loop.samples, expected):
+    for points, psi in zip(loop.points, expected):
         np.testing.assert_allclose(
-            sample.points,
+            points,
             np.outer([-1, 0, 1], [math.cos(psi), math.sin(psi)]),
             atol=1e-15,
         )
@@ -76,8 +78,8 @@ def test_boundary_loop_exactly_collinear():
     loop = boundary_loop(SPEC, 64)
     residual, _, _ = spanning_lines(loop.points)
     assert np.all(residual == 0.0)  # exactly zero, not just small
-    for sample in loop.samples:
-        eval_perfect_fit_standard(sample)
+    for points in loop.points:
+        eval_perfect_fit_standard(PlaneDataset(points))
 
 
 def test_boundary_standard_sweeps_two_half_turns():
@@ -85,7 +87,7 @@ def test_boundary_standard_sweeps_two_half_turns():
     # sweeps two half turns over a full boundary revolution
     m = 256
     loop = boundary_loop(SPEC, m)
-    thetas = [eval_perfect_fit_standard(s).theta for s in loop.samples]
+    thetas = [eval_perfect_fit_standard(PlaneDataset(p)).theta for p in loop.points]
     total = 0.0
     for i in range(m):
         d = math.fmod(thetas[(i + 1) % m] - thetas[i], math.pi)
@@ -181,6 +183,108 @@ def test_field_csv_prints_angles_next_to_pi_as_zero(tmp_path):
     write_field_csv(grid, path)
     column = [row.split(",")[2] for row in path.read_text().splitlines()[1:]]
     assert column == ["0", "4.4e-16", "3.14159265358"]
+
+
+def _reference_csv(grid, path):
+    # the row-by-row writer the one-call formatting replaced
+    lines = ["u_x,u_y,theta_or_nan,gap,status"]
+    for ux, uy, theta, gap, status in grid.rows():
+        theta_text = f"{theta:.12g}"
+        if theta_text == f"{math.pi:.12g}":
+            theta_text = "0"
+        lines.append(f"{ux:.12g},{uy:.12g},{theta_text},{gap:.12g},{status}")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _reference_svg(grid, path, cell_size):
+    # the row-by-row writer the one-call formatting replaced
+    SVG_SIZE_PX = 640
+    half = 1.15
+    scale = SVG_SIZE_PX / (2.0 * half)
+
+    def to_px(x, y):
+        return (x + half) * scale, (half - y) * scale
+
+    seg_len = 0.8 * cell_size
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{SVG_SIZE_PX}" height="{SVG_SIZE_PX}" viewBox="0 0 {SVG_SIZE_PX} {SVG_SIZE_PX}">',
+        f'<rect width="{SVG_SIZE_PX}" height="{SVG_SIZE_PX}" fill="white"/>',
+    ]
+    for ux, uy, theta, gap, status in grid.rows():
+        px, py = to_px(ux, uy)
+        if status == "defined" and not math.isnan(theta):
+            dx = 0.5 * seg_len * math.cos(theta) * scale
+            dy = 0.5 * seg_len * math.sin(theta) * scale
+            parts.append(
+                f'<line x1="{px - dx:.2f}" y1="{py + dy:.2f}" '
+                f'x2="{px + dx:.2f}" y2="{py - dy:.2f}" '
+                f'stroke="black" stroke-width="1"/>'
+            )
+        else:
+            parts.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="2.5" fill="red"/>')
+    parts.append("</svg>")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(parts) + "\n")
+
+
+def _hard_grid(rng):
+    """Grid rows whose values sit where formatting is delicate: NaN, signed
+    zeros, one ulp either side of pi and of 0, subnormal and huge
+    magnitudes, beside uniform directions; reasons mixed."""
+    tiny = 5e-324
+    special = [math.nan, 0.0, -0.0, math.pi, math.nextafter(math.pi, 0.0), math.nextafter(math.pi, 4.0),
+               tiny, -tiny, 2.2e-310, 1e-300, 1e300, -1e300, 0.5 - 1e-13, 2.0000000000005, 1e16 + 2.0]
+    value = np.concatenate([special, rng.uniform(0.0, math.pi, 300)])
+    m = len(value)
+    gaps = np.array([0.0, -0.0, tiny, 2.2e-310, 1e-300, 1e300, math.inf, math.nan, 1.0 / 3.0])
+    gap = np.concatenate([gaps, np.abs(rng.standard_normal(m - len(gaps))) * 10.0 ** rng.integers(-20, 20, m - len(gaps))])
+    reason = rng.integers(0, len(REASON_CODES), m).astype(np.int8)
+    reason[: len(special)] = 0
+    reason[len(special): 2 * len(special)] = np.arange(len(special)) % len(REASON_CODES)
+    us = rng.uniform(-1.0, 1.0, (m, 2))
+    us[:8] = [(0.0, 0.0), (-0.0, -0.0), (tiny, -tiny), (1.0, -1.0), (-1.0, 1e-300),
+              (0.0050000000000000001, -0.004999999999999999), (1e-17, 0.125), (2.0 / 3.0, -1.0 / 3.0)]
+    rows = rng.permutation(m)
+    batch = BatchOutcome(value=value[rows], gap=gap[rows], reason=reason[rows], feature=LineDirection)
+    return GridField(us=us[rows], batch=batch)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_field_writers_match_row_by_row_reference(tmp_path, seed):
+    grid = _hard_grid(np.random.default_rng(seed))
+    for cell_size in (2.0 / 48, 0.3):
+        write_field_csv(grid, tmp_path / "a.csv")
+        _reference_csv(grid, tmp_path / "b.csv")
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        write_field_svg(grid, tmp_path / "a.svg", cell_size)
+        _reference_svg(grid, tmp_path / "b.svg", cell_size)
+        assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "b.svg").read_bytes()
+
+
+@pytest.mark.parametrize("resolution", [4, 8, 47, 48])
+def test_polar_grid_matches_double_loop_bit_for_bit(resolution):
+    radii = np.linspace(0.0, 1.0, resolution)
+    angles = 2.0 * math.pi * np.arange(resolution) / resolution
+    us = []
+    for r in radii:
+        for a in angles:
+            us.append((r * math.cos(a), r * math.sin(a)))
+    # bytes, so that 0.0 and -0.0 count as different
+    assert polar_grid(resolution).tobytes() == np.asarray(us).tobytes()
+
+
+@pytest.mark.parametrize("n_points", [2, 3, 5])
+def test_datasets_at_matches_broadcast_formula_bit_for_bit(n_points):
+    spec = SliceSpec(n_points=n_points)
+    us = np.random.default_rng(n_points).uniform(-1.2, 1.2, (3072, 2))
+    us[:4] = [(0.0, 0.0), (-0.0, 1.0), (1e-300, -5e-324), (0.6, 0.8)]
+    r = np.linalg.norm(us, axis=1)
+    expected = (1.0 - r)[:, None, None] * spec.center_config.points + np.asarray(spec.spread)[:, None] * us[:, None, :]
+    assert spec.datasets_at(us, allow_outside_disk=True).tobytes() == expected.tobytes()
+    inside = us[r <= 1.0]
+    assert spec.datasets_at(inside).shape == (len(inside), n_points, 2)
 
 
 def test_slice_spec_validation():

@@ -214,7 +214,7 @@ def test_homotopy_invariance_under_jitter():
     base = circle_loop((0, 0), 0.8, 96)
     d0 = winding_number(base, fn).degree
     for _ in range(10):
-        jittered = Loop(tuple(p + rng.standard_normal(2) * 1e-4 for p in base.samples))
+        jittered = Loop(tuple(p + rng.standard_normal(2) * 1e-4 for p in base.points))
         assert winding_number(jittered, fn).degree == d0
 
 
