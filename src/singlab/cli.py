@@ -31,7 +31,7 @@ from singlab.datamaps import (
     standard_batch,
     uniform_preset,
 )
-from singlab.geometry import ContractViolation, LineDirection, PlaneDataset, reduce_mod_pi
+from singlab.geometry import ContractViolation, LineDirection, reduce_mod_pi
 from singlab.measure import (
     box_count_dimension,
     circle_cell_membership,
@@ -271,7 +271,7 @@ def _run_winding(config, outdir):
     if config["shrink"] != 1.0:
         shrink = config["shrink"]
         center = slice_spec.center_config.points
-        loop = Loop((1.0 - shrink) * center + shrink * loop.points, PlaneDataset)
+        loop = Loop((1.0 - shrink) * center + shrink * loop.points)
     status = "ok"
     try:
         report = winding_number(loop, fn)

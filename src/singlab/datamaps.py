@@ -2,18 +2,19 @@
 
 ``evaluate_batch`` runs every map, on inputs stacked along a first axis, and
 returns a :class:`BatchOutcome` of value, gap and reason arrays; each map's
-formula, its gap included, lives in one kernel there, and the distances of
-the Monte-Carlo estimators read that gap.  The certifiers and profilers of
-``topology`` and ``metrics`` take a map in this one form: any callable from
-inputs stacked on a first axis to their BatchOutcome, such as
-``slices.slice_map``.  ``evaluate`` is the one-row case of evaluate_batch:
-an :class:`EvalOutcome` carrying either a feature or a reason it is
-undefined, plus a nonnegative ``gap`` that vanishes exactly on the map's
-(surrogate) singular surface.  ``evaluate_with_standard`` wraps a map with the
-calibration standard: exact perfect fits are answered by the canonical
-feature, which extends the fitters continuously through inputs (vertical
-lines) the raw formulas cannot represent.  For the line fitters it is the
-one-row case of ``evaluate_with_standard_batch`` over (m, n, 2) point
+formula, its gap included, lives in one kernel there, and the distances of the
+Monte-Carlo estimators read that gap.  Kernels are row-wise, each row summed
+in a fixed order, and only evaluate_batch cuts row blocks, so a row's outcome
+does not depend on its batch.  The certifiers and profilers of ``topology``
+and ``metrics`` take a map in this one form: any callable from stacked inputs
+to their BatchOutcome, such as ``slices.slice_map``.  ``evaluate`` is the
+one-row case of evaluate_batch: an :class:`EvalOutcome` carrying either a
+feature or a reason it is undefined, plus a nonnegative ``gap`` that vanishes
+exactly on the map's (surrogate) singular surface.  ``evaluate_with_standard``
+wraps a map with the calibration standard: exact perfect fits are answered by
+the canonical feature, which extends the fitters continuously through inputs
+(vertical lines) the raw formulas cannot represent.  For the line fitters it
+is the one-row case of ``evaluate_with_standard_batch`` over (m, n, 2) point
 batches; only the augmented mean's standard, on circle datasets, is scalar.
 """
 
@@ -271,8 +272,10 @@ def eval_radial_oscillator(x: np.ndarray, spec: DataMapSpec):
 # ---------------------------------------------------------------------------
 
 def _pairwise_sq_distances(pts: np.ndarray) -> np.ndarray:
-    """Squared distances between the points of each dataset, (..., n, 2) -> (..., n, n)."""
-    return np.sum((pts[..., :, None, :] - pts[..., None, :, :]) ** 2, axis=-1)
+    """Squared distances between the points of each dataset, (..., n, 2) ->
+    (..., n, n), as dx^2 + dy^2: bit-equal to a sum over a last axis of two."""
+    dx, dy = (c[..., :, None] - c[..., None, :] for c in (pts[..., 0], pts[..., 1]))
+    return dx * dx + dy * dy
 
 
 def spanning_lines(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -420,21 +423,6 @@ def _pc_batch(points, spec):
     return angle, gap, np.where(gap <= TIE_TOL, _EIGEN_TIE, 0)
 
 
-# Bytes of one (P, b) array of the LAD kernel: P = n(n-1)/2 pair lines by b
-# rows of a block.  A block's pair lines, objectives and the partial sums of
-# its pairwise objective sums, about ten such arrays, stay in a core's L2
-# cache, and small-n batches of a few thousand rows run in one pass.  At 10^5
-# rows and n = 12, budgets of 128 to 256 KB ran the kernel in 0.33-0.40 s
-# against 0.53 s at 512 KB and 0.70 s at 32 KB (on a 2-vCPU Xeon VM).
-_LAD_BLOCK_BYTES = 1 << 18
-
-
-def _lad_block_rows(n: int) -> int:
-    """Rows per block of the LAD kernel on n points: as many as fit one
-    (P, b) array of doubles in ``_LAD_BLOCK_BYTES``, at least one."""
-    return max(1, _LAD_BLOCK_BYTES // (4 * n * (n - 1)))
-
-
 @functools.cache
 def _lad_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Index arrays (i, j) of the pairs i < j of n points, in the order of
@@ -532,37 +520,30 @@ def _lad_batch(points, spec):
     pair with distinct abscissae is exact at desk scale.  gap is the margin
     between the two best objectives (0 with a single candidate); a tie only
     counts as a singularity when the tied candidates disagree in direction.
-    The batch runs in blocks of ``_lad_block_rows(n)`` rows, each through the
-    whole kernel before the next, in point-major order: the block's
+    A row block of ``evaluate_batch`` runs in point-major order: its
     coordinates are transposed to (n, b), every pair line i < j is built at
-    once as (P, b) slope and intercept arrays, and the objectives
-    sum |y_k - intercept - slope x_k| one data point k at a time, in numpy's
+    once as (P, b) slope and intercept arrays, and the objectives sum
+    |y_k - intercept - slope x_k| one data point k at a time, in numpy's
     pairwise order, so they are bit-equal to np.sum over each row's
-    residuals.  The block's best and second-best pairs give its rows of the
-    output.
+    residuals.
     """
     points = _as_plane_batch(points)
-    m, n, _ = points.shape
+    n = points.shape[1]
     i, j = _lad_pairs(n)
-    block_rows = _lad_block_rows(n)
-    angle, gap, reason = np.empty(m), np.empty(m), np.empty(m, dtype=np.int8)
-    for start in range(0, m, block_rows):
-        block = slice(start, start + block_rows)
-        x, y = np.ascontiguousarray(points[block].transpose(2, 1, 0))
-        dx = x[j] - x[i]
-        slope = (y[j] - y[i]) / dx
-        intercept = y[i] - slope * x[i]
-        product = np.empty_like(slope)
+    x, y = np.ascontiguousarray(points.transpose(2, 1, 0))
+    dx = x[j] - x[i]
+    slope = (y[j] - y[i]) / dx
+    intercept = y[i] - slope * x[i]
+    product = np.empty_like(slope)
 
-        def residual(k, out):
-            out = np.subtract(y[k], intercept, out=out)
-            out -= np.multiply(slope, x[k], out=product)
-            return np.abs(out, out=out)
+    def residual(k, out):
+        out = np.subtract(y[k], intercept, out=out)
+        out -= np.multiply(slope, x[k], out=product)
+        return np.abs(out, out=out)
 
-        objs = _pairwise_sum(residual, 0, n)
-        objs[dx == 0.0] = np.inf
-        angle[block], gap[block], reason[block] = _lad_select(objs, slope)
-    return angle, gap, reason
+    objs = _pairwise_sum(residual, 0, n)
+    objs[dx == 0.0] = np.inf
+    return _lad_select(objs, slope)
 
 
 def _lad_select(objs, slopes):
@@ -633,17 +614,26 @@ def aug_mean_resultant(angles: np.ndarray, spec: DataMapSpec) -> tuple[np.ndarra
     """Resultant sum_i w_i (cos phi_i, sin phi_i) + w0 * a of angle
     configurations, with its Jacobian in the angles.
 
-    angles (..., n) -> r (..., 2) and J (..., 2, n), where column i of J is
-    w_i (-sin phi_i, cos phi_i).
+    angles (n,) or (m, n) -> r (2,) or (m, 2) and J (2, n) or (m, 2, n),
+    where column i of J is w_i (-sin phi_i, cos phi_i).  Each row adds its
+    terms in order from +0.0, then w0 a: unlike a BLAS product's, r's
+    rounding ignores the other rows.
     """
     w = np.asarray(spec.weights, dtype=float)
     if w.shape[0] != angles.shape[-1]:
         raise ContractViolation(f"{w.shape[0]} weights for {angles.shape[-1]} points")
-    a = np.asarray(spec.aug_point, dtype=float)
-    c = np.cos(angles)
-    s = np.sin(angles)
-    r = np.stack([c @ w + spec.w0 * a[0], s @ w + spec.w0 * a[1]], axis=-1)
-    return r, np.stack([-w * s, w * c], axis=-2)
+    terms = np.empty((2, *angles.shape))  # w cos phi, w sin phi
+    np.cos(angles, out=terms[0])
+    np.sin(angles, out=terms[1])
+    terms *= w
+    r = np.zeros(terms.shape[:-1])
+    for i in range(w.shape[0]):
+        r += terms[..., i]
+    r = r.T + spec.w0 * np.asarray(spec.aug_point, dtype=float)
+    jac = np.empty((*angles.shape[:-1], 2, w.shape[0]))
+    np.negative(terms[1], out=jac[..., 0, :])
+    jac[..., 1, :] = terms[0]
+    return r, jac
 
 
 def _aug_mean_batch(angles, spec):
@@ -660,16 +650,29 @@ def _aug_mean_batch(angles, spec):
 # Evaluation: every map through its one kernel
 # ---------------------------------------------------------------------------
 
-# Map kind -> (kernel, feature variant).  A kernel checks its stacked inputs
-# and returns (value, gap, reason) arrays; evaluate_batch masks them.
+# Map kind -> (kernel, feature variant, width).  A kernel checks one row
+# block and returns (value, gap, reason) arrays; evaluate_batch masks them.
+# width(n) counts the doubles per row of its widest array, n = shape[1].
 _KERNELS = {
-    MapKind.LS_LINE: (_ls_batch, LineDirection),
-    MapKind.PC_LINE: (_pc_batch, LineDirection),
-    MapKind.LAD_LINE: (_lad_batch, LineDirection),
-    MapKind.AUG_MEAN: (_aug_mean_batch, CirclePoint),
-    MapKind.DISK_DECISION: (eval_disk_decision, Decision),
-    MapKind.RADIAL_OSCILLATOR: (eval_radial_oscillator, ScalarValue),
+    MapKind.LS_LINE: (_ls_batch, LineDirection, lambda n: 2 * n),
+    MapKind.PC_LINE: (_pc_batch, LineDirection, lambda n: 2 * n),
+    MapKind.LAD_LINE: (_lad_batch, LineDirection, lambda n: n * (n - 1) // 2),
+    MapKind.AUG_MEAN: (_aug_mean_batch, CirclePoint, lambda n: n),
+    MapKind.DISK_DECISION: (eval_disk_decision, Decision, lambda n: n),
+    MapKind.RADIAL_OSCILLATOR: (eval_radial_oscillator, ScalarValue, lambda n: n),
 }
+
+# Bytes of the widest array of a row block, for LAD the (P, b) arrays of P =
+# n(n-1)/2 pair lines by b rows: about ten such arrays stay in a core's L2
+# cache, and small-n batches of a few thousand rows run in one pass.  At 10^5
+# rows and n = 12, budgets of 128 to 256 KB ran the LAD kernel in 0.33-0.40 s
+# against 0.53 s at 512 KB and 0.70 s at 32 KB (on a 2-vCPU Xeon VM).
+_BLOCK_BYTES = 1 << 18
+
+
+def _block_rows(kind: MapKind, shape) -> int:
+    """Rows per block: the kernel's widest array fits _BLOCK_BYTES, or 1 row."""
+    return max(1, _BLOCK_BYTES // (8 * max(1, _KERNELS[kind][2](shape[1]))))
 
 
 def evaluate_batch(spec: DataMapSpec, inputs) -> BatchOutcome:
@@ -677,11 +680,19 @@ def evaluate_batch(spec: DataMapSpec, inputs) -> BatchOutcome:
 
     LS, PC and LAD take plane datasets (m, n, 2), AUG_MEAN circle datasets
     as angles (m, n), DISK_DECISION points (m, 2) and RADIAL_OSCILLATOR
-    vectors (m, d).
+    vectors (m, d).  The kernel, row-wise, runs on blocks of ``_block_rows``
+    rows, or once on a batch that fits one block or has fewer than two axes
+    (which it refuses).
     """
-    kernel, feature = _KERNELS[spec.kind]
+    kernel, feature, _ = _KERNELS[spec.kind]
+    inputs = np.asarray(inputs, dtype=float)
+    rows = _block_rows(spec.kind, inputs.shape) if inputs.ndim > 1 else None
     with np.errstate(divide="ignore", invalid="ignore"):
-        value, gap, reason = kernel(np.asarray(inputs, dtype=float), spec)
+        if rows is None or len(inputs) <= rows:
+            value, gap, reason = kernel(inputs, spec)
+        else:
+            blocks = [kernel(inputs[start:start + rows], spec) for start in range(0, len(inputs), rows)]
+            value, gap, reason = (np.concatenate(parts) for parts in zip(*blocks))
     defined = reason == 0
     return BatchOutcome(
         value=np.where(defined, value, np.nan),

@@ -114,7 +114,7 @@ def boundary_loop(spec: SliceSpec, m: int) -> Loop:
     """m equally spaced boundary datasets; every sample is a perfect fit."""
     if m < 3:
         raise ContractViolation("a loop needs at least 3 samples")
-    return Loop(spec._boundary_points(2.0 * math.pi * np.arange(m) / m), PlaneDataset)
+    return Loop(spec._boundary_points(2.0 * math.pi * np.arange(m) / m))
 
 
 @dataclass

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from singlab.datamaps import REASON_CODES, _batch_outcome
-from singlab.geometry import CircleDataset, ContractViolation, wrap_increments
+from singlab.geometry import ContractViolation, wrap_increments
 
 # An edge certifies short when its endpoint features are less than this
 # share of a period apart, so the short way between them is the lift step.
@@ -65,13 +65,11 @@ class Loop:
     """Closed polygonal loop of >= 3 samples; closure is implied, the first
     sample is never duplicated at the end.
 
-    The samples are stacked in one array: vectors (m, d), or the points
-    (m, n, 2) of datasets of class ``sample_type``.  A sequence of vectors
-    is stacked on construction.
+    The samples, vectors (m, d) or the points (m, n, 2) of plane datasets,
+    are stacked in one array on construction.
     """
 
     points: np.ndarray
-    sample_type: type | None = None
 
     def __post_init__(self):
         points = np.array(self.points, dtype=float)
@@ -99,27 +97,17 @@ class WindingReport:
     max_depth: int = 0
 
 
-def midpoint_interpolate(p: np.ndarray, q: np.ndarray, sample_type: type | None = None) -> np.ndarray:
-    """Edge bisection of stacked samples: pointwise affine midpoints.
-
-    Works for vectors and plane datasets; circle datasets are bisected
-    along per-point geodesics.
-    """
-    mid = 0.5 * (p + q)
-    if sample_type is CircleDataset:
-        norms = np.linalg.norm(mid, axis=-1, keepdims=True)
-        if np.any(norms < 1e-9):
-            raise ContractViolation("cannot bisect between antipodal circle points")
-        return mid / norms
-    return mid
+def midpoint_interpolate(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Edge bisection of stacked samples, vectors or plane datasets:
+    pointwise affine midpoints."""
+    return 0.5 * (p + q)
 
 
-def _lift(points: np.ndarray, lengths, evaluate_fn, sample_type: type | None = None) -> list:
+def _lift(points: np.ndarray, lengths, evaluate_fn) -> list:
     """Degrees of several closed loops, stacked one after another in points.
 
-    lengths gives each loop's sample count, evaluate_fn maps stacked samples
-    to their BatchOutcome, and sample_type, the loops' dataset class, decides
-    how edges are bisected.  The result holds, loop by loop, the
+    lengths gives each loop's sample count and evaluate_fn maps stacked
+    samples to their BatchOutcome.  The result holds, loop by loop, the
     WindingReport of ``winding_number`` or the error it would raise.  All
     samples are evaluated in one call, then the midpoints of one bisection
     depth at a time, for the open edges of every loop still alive.  Edges
@@ -186,7 +174,7 @@ def _lift(points: np.ndarray, lengths, evaluate_fn, sample_type: type | None = N
                 results[i] = InconclusiveDegreeError(f"edge not short-arc after {MAX_REFINE} bisections")
             return results
         p_a, a, p_b, b, owner = p_a[split], a[split], p_b[split], b[split], owner[split]
-        p_m = midpoint_interpolate(p_a, p_b, sample_type)
+        p_m = midpoint_interpolate(p_a, p_b)
         samples_used += open_edges
         outcome, live = evaluate(p_m, owner)
         m = outcome.value
@@ -231,7 +219,7 @@ def winding_number(loop: Loop, evaluate_fn) -> WindingReport:
     edge that reaches depth MAX_REFINE raises InconclusiveDegreeError.  This
     is the one-loop case of the multi-loop lift the localizer runs.
     """
-    (result,) = _lift(loop.points, (len(loop),), evaluate_fn, loop.sample_type)
+    (result,) = _lift(loop.points, (len(loop),), evaluate_fn)
     if isinstance(result, Exception):
         raise result
     return result

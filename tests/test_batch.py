@@ -29,9 +29,11 @@ from singlab.datamaps import (
     evaluate_with_standard_batch,
     oscillator_g,
     standard_batch,
+    uniform_preset,
 )
 from singlab.geometry import (
     CirclePoint,
+    ContractViolation,
     Decision,
     LineDirection,
     PlaneDataset,
@@ -357,7 +359,7 @@ def test_lad_rows_match_reference_across_blocks(n):
     # row, those at a block edge included, agrees with the one-dataset
     # reference and its sorted tie gap; n = 17 takes two rounds of the eight
     # accumulators of the pairwise objective sums
-    points = lad_block_batch(n, 2 * datamaps._lad_block_rows(n) + 37, seed=n)
+    points = lad_block_batch(n, 2 * datamaps._block_rows(MapKind.LAD_LINE, (1, n, 2)) + 37, seed=n)
     spec = DataMapSpec(kind=MapKind.LAD_LINE)
     outcomes = [reference_lad(p) for p in points]
     reasons = {None, UndefinedReason.COLLINEAR_PREDICTOR}
@@ -386,7 +388,7 @@ def test_lad_kernel_keeps_no_whole_batch_buffer():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * datamaps._LAD_BLOCK_BYTES
+    assert peak < 16 * datamaps._BLOCK_BYTES
 
 
 def test_pairwise_sum_matches_numpy_sum():
@@ -481,12 +483,12 @@ def test_moment_kernels_match_numpy_reductions(m, ns):
 @st.composite
 def map_batches(draw):
     """(spec, inputs) of any of the six maps; LAD batches span more than one
-    block of its kernel, repeating drawn rows."""
+    row block of evaluate_batch, repeating drawn rows."""
     kind = draw(st.sampled_from(list(MapKind)))
     if kind in REFERENCE:
         points = draw(batches(extra=(half_integer_grid,)))
         if kind is MapKind.LAD_LINE:
-            rows = datamaps._lad_block_rows(points.shape[1])
+            rows = datamaps._block_rows(kind, points.shape)
             m = draw(st.integers(rows + 1, 3 * rows))
             points = np.resize(points, (m, *points.shape[1:]))
         return DataMapSpec(kind=kind), points
@@ -519,6 +521,75 @@ def test_batch_outcome_invariants(case):
         outcome = batch.outcome(i)
         assert outcome.defined == (not undefined[i])
         assert outcome.gap == batch.gap[i]
+
+
+@st.composite
+def rowwise_batches(draw):
+    """(spec, inputs, rows, cuts) of any of the six maps: up to eight drawn
+    rows, repeated to inputs of just under one row block of evaluate_batch
+    to three blocks, and the cut points of a random split of the inputs.
+    AUG_MEAN takes random positive weights."""
+    kind = draw(st.sampled_from(list(MapKind)))
+    if kind in REFERENCE:
+        spec, rows = DataMapSpec(kind=kind), draw(batches(sizes=st.integers(2, 12), extra=(half_integer_grid,)))
+    elif kind is MapKind.AUG_MEAN:
+        n = draw(st.integers(1, 9))
+        weights = draw(st.lists(st.floats(0.05, 4.0), min_size=n, max_size=n))
+        spec = DataMapSpec(kind=kind, weights=tuple(weights), w0=draw(st.sampled_from([0.0, 0.5, 8.0])))
+        rows = np.array(draw(st.lists(st.lists(angles | st.sampled_from([0.0, 0.5 * math.pi, math.pi]),
+                                               min_size=n, max_size=n), min_size=1, max_size=8)))
+    else:
+        small = coords.map(lambda v: v / 16.0)  # inside the unit ball for d <= 3
+        disk = kind is MapKind.DISK_DECISION
+        d = 2 if disk else draw(st.integers(2, 3))
+        rows = np.array(draw(st.lists(st.lists(small, min_size=d, max_size=d), min_size=1, max_size=8)))
+        spec = DataMapSpec(kind=kind, center=(0.1, -0.2), radius=0.5) if disk else DataMapSpec(kind=kind)
+    block = datamaps._block_rows(kind, rows.shape)
+    m = draw(st.integers(max(1, block - 2), 3 * block))
+    cuts = sorted(set(draw(st.lists(st.integers(1, max(1, m - 1)), max_size=5))) - {m})
+    return spec, np.resize(rows, (m, *rows.shape[1:])), rows, cuts
+
+
+def concat_outcomes(parts, length=None):
+    """The outcomes of parts one after another, repeated up to length rows."""
+    arrays = (np.concatenate([(b.value, b.gap, b.reason)[k] for b in parts]) for k in range(3))
+    if length is not None:
+        arrays = (np.resize(a, length) for a in arrays)
+    return BatchOutcome(*arrays, feature=parts[0].feature)
+
+
+def assert_outcomes_bit_equal(got, want):
+    assert got.feature is want.feature
+    assert_bits_equal(got.value, want.value, "value")
+    assert_bits_equal(got.gap, want.gap, "gap")
+    assert np.array_equal(got.reason, want.reason)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(rowwise_batches())
+def test_every_kernel_is_row_wise(case):
+    # a row's outcome does not depend on the batch it comes in: the whole
+    # batch, spanning up to three row blocks, equals bit for bit the pieces
+    # of a random split and the one-row batches, concatenated; the batch
+    # repeats its drawn rows, so their one-row outcomes, repeated, are those
+    # of every row
+    spec, inputs, rows, cuts = case
+    whole = evaluate_batch(spec, inputs)
+    edges = [0, *cuts, len(inputs)]
+    pieces = [evaluate_batch(spec, inputs[a:b]) for a, b in zip(edges, edges[1:])]
+    assert_outcomes_bit_equal(whole, concat_outcomes(pieces))
+    singles = [evaluate_batch(spec, row[None]) for row in rows]
+    assert_outcomes_bit_equal(whole, concat_outcomes(singles, len(inputs)))
+
+
+def test_inputs_of_fewer_than_two_axes_are_refused_whole():
+    # no row block is cut from them: the kernel sees them and refuses them
+    specs = (*FITTERS, uniform_preset(3), DataMapSpec(kind=MapKind.DISK_DECISION, radius=0.5),
+             DataMapSpec(kind=MapKind.RADIAL_OSCILLATOR))
+    for spec in specs:
+        for x in (0.5, [0.1, 0.2, 0.3]):
+            with pytest.raises(ContractViolation):
+                evaluate_batch(spec, x)
 
 
 @PROPERTY

@@ -289,11 +289,12 @@ print(json.dumps([main(args + ["--outdir", outdir]) for args, outdir in runs]))
 """
 
 
-def run_sequence_in_process(runs):
+def run_sequence_in_process(runs, **env):
     """Exit codes of CLI runs (args, outdir) made one after another by one
-    fresh interpreter, which pays the import once for all of them."""
+    fresh interpreter, with extra env vars, which pays the import once for
+    all of them."""
     runs = [(list(args), str(outdir)) for args, outdir in runs]
-    done = subprocess.run([sys.executable, "-c", _SEQUENCE, json.dumps(runs)], env=_fresh_env(),
+    done = subprocess.run([sys.executable, "-c", _SEQUENCE, json.dumps(runs)], env=_fresh_env(**env),
                           capture_output=True, text=True, check=True)
     return json.loads(done.stdout.splitlines()[-1])
 
@@ -461,3 +462,48 @@ def test_montecarlo_bytes_pinned_across_processes(montecarlo_outputs, key):
     assert code == EXIT_OK
     digests = _MONTECARLO_PINS[key][1]
     assert {name: hashlib.sha256((outdir / name).read_bytes()).hexdigest() for name in digests} == digests
+
+
+# digests recorded at commit 5b62a16, whose AUG_MEAN resultant summed through
+# a BLAS product and whose LAD kernel cut its own row blocks; these are the
+# refine workload's oscillation, derivative-profile and box-counting configs,
+# which run evaluate_batch on oscillation batches and derivative stencils
+_REFINE_PINS = {
+    "oscillate-pc": (["oscillate", "--map", "pc", "--k-samples", "1024"],
+                     {"oscillation.json": "bb8777a9e40ed091d9cab19d56094a720621687f39e8af9739e613c8f7d2add0"}),
+    "severity-lad": (["severity", "--map", "lad", "--k-samples", "512"],
+                     {"severity.json": "e27fa508ca20c37e497e9c34e14ee858bb31dfb7dcfeb025361e3436d8ed901a"}),
+    "derivprofile-pc": (["derivprofile", "--map", "pc", "--eta-count", "13"],
+                        {"derivprofile.csv": "2680ebcb39f36c71356eab44e50c0785e269eb44ef91ae02d947a5279693df6e",
+                         "derivprofile.json": "9561fcd1c3965f96581792b497bb029f7f5230f319dcc21a45b2ac0f26f81381"}),
+    "derivprofile-lad": (["derivprofile", "--map", "lad", "--eta-count", "13"],
+                         {"derivprofile.csv": "b577d0046e70b3775d6b1f89b64d66a160c66561cef787bb14937555337eecfc",
+                          "derivprofile.json": "d09b4433c23b18acbc405a3bad06f7866bdceffad253b358c7d0854c435c9fc7"}),
+    "derivprofile-synthetic": (["derivprofile", "--map", "synthetic", "--eta-count", "13"],
+                               {"derivprofile.csv": "29afd60209549d7069d7a3433221a25711314dca813428df3fe2fab974e229d9",
+                                "derivprofile.json": "3f75eaa0a41f37eedc2588db7500c44e05f03472c3454e9617aa838c4b9de95e"}),
+    "dimension-circle": (["dimension", "--fixture", "circle", "--mesh-min", "0.0005"],
+                         {"dimension.json": "33038b6842a24b8602041c9f932a8948953698988fe4a5f3b59e5df8b60d564b"}),
+}
+
+
+@pytest.fixture(scope="module")
+def refine_outputs(tmp_path_factory):
+    """Output directory and exit code of each pinned run, per hash seed: the
+    runs of one seed are made in one fresh interpreter."""
+    base = tmp_path_factory.mktemp("refine")
+    outputs = {}
+    for salt in ("1", "2"):
+        runs = [(args, base / salt / key) for key, (args, _) in _REFINE_PINS.items()]
+        codes = run_sequence_in_process(runs, PYTHONHASHSEED=salt)
+        outputs.update({(key, salt): (base / salt / key, code) for key, code in zip(_REFINE_PINS, codes)})
+    return outputs
+
+
+@pytest.mark.parametrize("key", list(_REFINE_PINS))
+def test_refine_bytes_pinned_across_processes(refine_outputs, key):
+    digests = _REFINE_PINS[key][1]
+    for salt in ("1", "2"):
+        outdir, code = refine_outputs[key, salt]
+        assert code == EXIT_OK
+        assert {name: hashlib.sha256((outdir / name).read_bytes()).hexdigest() for name in digests} == digests

@@ -353,7 +353,7 @@ def reference_winding(loop, fn):
                 raise InconclusiveDegreeError(f"edge not short-arc after {MAX_REFINE} bisections")
             split = ~short
             p_a, a, p_b, b = p_a[split], a[split], p_b[split], b[split]
-            p_m = midpoint_interpolate(p_a, p_b, loop.sample_type)
+            p_m = midpoint_interpolate(p_a, p_b)
             m = evaluate(p_m).value
             depth += 1
             p_a, a, p_b, b = (np.concatenate(pair) for pair in ((p_a, p_m), (a, m), (p_m, p_b), (m, b)))
@@ -375,7 +375,7 @@ def assert_lift_matches_alone(loops, fn):
     # each loop of the batch against winding_number, and both against the
     # one-loop reference
     points = np.concatenate([loop.points for loop in loops])
-    results = _lift(points, [len(loop) for loop in loops], fn, loops[0].sample_type)
+    results = _lift(points, [len(loop) for loop in loops], fn)
     assert len(results) == len(loops)
     for loop, got in zip(loops, results):
         want = reference_winding(loop, fn)
