@@ -610,15 +610,12 @@ def evaluate_with_standard_batch(spec: DataMapSpec, points) -> BatchOutcome:
 # Augmented mean over angle batches
 # ---------------------------------------------------------------------------
 
-def aug_mean_resultant(angles: np.ndarray, spec: DataMapSpec) -> tuple[np.ndarray, np.ndarray]:
+def _resultant(angles: np.ndarray, spec: DataMapSpec) -> tuple[np.ndarray, np.ndarray]:
     """Resultant sum_i w_i (cos phi_i, sin phi_i) + w0 * a of angle
-    configurations, with its Jacobian in the angles.
-
-    angles (n,) or (m, n) -> r (2,) or (m, 2) and J (2, n) or (m, 2, n),
-    where column i of J is w_i (-sin phi_i, cos phi_i).  Each row adds its
-    terms in order from +0.0, then w0 a: unlike a BLAS product's, r's
-    rounding ignores the other rows.
-    """
+    configurations (n,) or (m, n): r (2,) or (m, 2), and the weighted points
+    (w cos phi, w sin phi) stacked on a first axis.  Each row adds its terms
+    in order from +0.0, then w0 a: unlike a BLAS product's, r's rounding
+    ignores the other rows."""
     w = np.asarray(spec.weights, dtype=float)
     if w.shape[0] != angles.shape[-1]:
         raise ContractViolation(f"{w.shape[0]} weights for {angles.shape[-1]} points")
@@ -629,8 +626,17 @@ def aug_mean_resultant(angles: np.ndarray, spec: DataMapSpec) -> tuple[np.ndarra
     r = np.zeros(terms.shape[:-1])
     for i in range(w.shape[0]):
         r += terms[..., i]
-    r = r.T + spec.w0 * np.asarray(spec.aug_point, dtype=float)
-    jac = np.empty((*angles.shape[:-1], 2, w.shape[0]))
+    return r.T + spec.w0 * np.asarray(spec.aug_point, dtype=float), terms
+
+
+def aug_mean_resultant(angles: np.ndarray, spec: DataMapSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The augmented resultant r of angle configurations (``_resultant``)
+    with its Jacobian in the angles: angles (n,) or (m, n) -> r (2,) or
+    (m, 2) and J (2, n) or (m, 2, n), where column i of J is
+    w_i (-sin phi_i, cos phi_i).
+    """
+    r, terms = _resultant(angles, spec)
+    jac = np.empty((*angles.shape[:-1], 2, angles.shape[-1]))
     np.negative(terms[1], out=jac[..., 0, :])
     jac[..., 1, :] = terms[0]
     return r, jac
@@ -641,7 +647,7 @@ def _aug_mean_batch(angles, spec):
     pseudo-observation; gap = |resultant|, undefined where it vanishes."""
     if angles.ndim != 2 or angles.shape[1] < 1:
         raise ContractViolation("augmented mean needs n >= 1 angles per dataset")
-    r, _ = aug_mean_resultant(angles, spec)
+    r, _ = _resultant(angles, spec)
     gap = np.hypot(r[:, 0], r[:, 1])
     return np.arctan2(r[:, 1], r[:, 0]), gap, np.where(gap <= TIE_TOL, _ZERO_RESULTANT, 0)
 

@@ -3,7 +3,9 @@
 Greedy packing/covering numbers, box-count dimension with an upper-bound
 Hausdorff-measure surrogate, Monte-Carlo tube volumes with a codimension
 fit, distance-to-singular-set CDFs with tail exponents, and the
-measure-versus-distance tradeoff experiment for augmented means.
+measure-versus-distance tradeoff experiment for augmented means, whose
+distance and point cloud come from the zero-resultant projector of
+``singlab.metrics``.
 
 All Monte-Carlo draws come in chunks, each from its own generator seeded
 by (seed, first row of the chunk), written in place into one array in chunk
@@ -18,28 +20,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from singlab.datamaps import (
-    DataMapSpec,
-    MapKind,
-    _pairwise_sum,
-    aug_mean_resultant,
-    evaluate_batch,
-)
+from singlab.datamaps import DataMapSpec, MapKind, _pairwise_sum, evaluate_batch
 from singlab.geometry import ContractViolation, omega_s
 from singlab.metrics import (
     DIST_SURROGATE,
+    LANDED_TOL,
     SINGULAR_DISTANCE,
-    penalty_projection,
-    symmetric_start_pair,
+    _project_to_zero_resultant,
+    nearest_zero_resultant,
 )
 
 DEFAULT_QUANTILE_WINDOW = (0.002, 0.05)
 
-# Tradeoff experiment: Gauss-Newton steps of the cloud projection (a cap:
-# a row stops once its resultant is below GAUSS_NEWTON_TOL), grid of the
-# perfect-fit scan, and box-count meshes of the measure surrogate.
-GAUSS_NEWTON_ITERS = 60
-GAUSS_NEWTON_TOL = 1e-12
+# Tradeoff experiment: grid of the perfect-fit scan, and box-count meshes of
+# the measure surrogate.
 PERFECT_FIT_SCAN = 720
 TRADEOFF_MESH_SIZES = tuple(np.geomspace(0.8, 0.02, 6))
 
@@ -541,36 +535,6 @@ class TradeoffReport:
         }
 
 
-def _project_to_zero_resultant(angles: np.ndarray, spec: DataMapSpec) -> np.ndarray:
-    """Gauss-Newton projection of angle configurations onto {resultant = 0}.
-
-    Underdetermined least-norm steps, on the active rows only: a row is
-    frozen once its resultant norm drops below GAUSS_NEWTON_TOL, and the
-    iteration stops when none is left or after GAUSS_NEWTON_ITERS steps.
-    Rows that go NaN never freeze; rows that fail to converge are left with
-    a nonzero residual and filtered by the caller.
-    """
-    phi = angles.copy()
-    active = np.arange(len(phi))
-    for _ in range(GAUSS_NEWTON_ITERS):
-        r, jac = aug_mean_resultant(phi[active], spec)
-        moving = ~(np.hypot(r[:, 0], r[:, 1]) < GAUSS_NEWTON_TOL)
-        active = active[moving]
-        if active.size == 0:
-            break
-        rx, ry = r[moving, 0], r[moving, 1]
-        jx, jy = jac[moving, 0], jac[moving, 1]
-        g11 = np.sum(jx * jx, axis=1)
-        g12 = np.sum(jx * jy, axis=1)
-        g22 = np.sum(jy * jy, axis=1)
-        det = g11 * g22 - g12 * g12
-        det = np.where(np.abs(det) < 1e-12, np.nan, det)
-        lam1 = (g22 * rx - g12 * ry) / det
-        lam2 = (g11 * ry - g12 * rx) / det
-        phi[active] -= jx * lam1[:, None] + jy * lam2[:, None]
-    return phi
-
-
 def aug_mean_singular_set_nonempty(spec: DataMapSpec) -> bool:
     """Whether {resultant = 0} is nonempty.
 
@@ -587,19 +551,14 @@ def _aug_mean_dist_to_perfect(spec: DataMapSpec) -> float:
     """Distance from {resultant = 0} to the all-equal configurations.
 
     A 1-D scan over the common point of the perfect fit finds the resultant
-    minimizer; the configuration is then projected off the diagonal onto the
-    singular set by penalty continuation (the start is nudged asymmetrically,
-    both ways, since the diagonal is a symmetry saddle of the penalty) and the
-    smaller landed arc-metric displacement reported.
+    minimizer, and ``nearest_zero_resultant`` reports the wrapped arc
+    distance from that configuration to the singular set.
     """
-    if not aug_mean_singular_set_nonempty(spec):
-        return math.inf
     n = len(spec.weights)
     phis = 2.0 * math.pi * np.arange(PERFECT_FIT_SCAN) / PERFECT_FIT_SCAN
     norms = evaluate_batch(spec, np.repeat(phis[:, None], n, axis=1)).gap
     base = np.full(n, float(phis[int(np.argmin(norms))]))
-    return penalty_projection(base, symmetric_start_pair(base),
-                              lambda phi: aug_mean_resultant(phi, spec))
+    return nearest_zero_resultant(base, spec)[0]
 
 
 def tradeoff_experiment(
@@ -630,7 +589,7 @@ def tradeoff_experiment(
         starts = 2.0 * math.pi * rng.random((cloud_size, n_points))
         proj = _project_to_zero_resultant(starts, spec)
         res = evaluate_batch(spec, proj).gap
-        cloud = np.mod(proj[np.isfinite(res) & (res < 1e-9)], 2.0 * math.pi)
+        cloud = np.mod(proj[np.isfinite(res) & (res < LANDED_TOL)], 2.0 * math.pi)
         est = box_count_dimension(
             cloud,
             np.zeros(n_points),

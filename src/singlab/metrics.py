@@ -1,9 +1,11 @@
 """Quantitative proximity and severity of singularities.
 
 Distance to the singular set (exact where an analytic projection exists,
-tagged surrogates elsewhere), local oscillation profiles, a cover-based
-severity classifier, and derivative blow-up profiles along arcs shrinking
-into a singular point.  The profilers take a map as any callable from points
+tagged surrogates elsewhere), the one projector onto the augmented mean's
+zero-resultant set (batched Gauss-Newton landing, then a Newton polish of
+the KKT system), local oscillation profiles, a cover-based severity
+classifier, and derivative blow-up profiles along arcs shrinking into a
+singular point.  The profilers take a map as any callable from points
 stacked on a first axis to their ``BatchOutcome``, such as
 ``slices.slice_map``, and refuse a result of another type.
 """
@@ -14,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import minimize  # noqa: F401  unused here: perfbench's tracer patches this name
 
 from singlab.datamaps import (
     BatchOutcome,
@@ -57,7 +59,16 @@ SINGULAR_DISTANCE = {
     MapKind.DISK_DECISION: (lambda batch, spec: evaluate_batch(spec, batch).gap, DIST_EXACT),
 }
 
-_PENALTY_LADDER = (1e2, 1e4, 1e6, 1e8, 1e10)
+# Projection onto {resultant = 0}: the Gauss-Newton step cap (a row stops
+# once |r| < GAUSS_NEWTON_TOL), the residual of a landed start, the seeded
+# uniform starts, and the KKT polish's step cap and step-size stop.
+GAUSS_NEWTON_ITERS = 60
+GAUSS_NEWTON_TOL = 1e-12
+LANDED_TOL = 1e-9
+PROJECTION_STARTS = 128
+PROJECTION_SEED = 0
+POLISH_ITERS = 10
+POLISH_STEP_TOL = 1e-13
 
 # Derivative blow-up profiles: finite-difference step as a share of eta,
 # and arc-template shifts tried per eta before the entry is flagged.
@@ -76,42 +87,97 @@ RADIAL_SEGMENTS = 64
 ARC_NUDGE = 1e-9
 
 
-def penalty_projection(x0, starts, residual) -> float:
-    """Distance from x0 to the zero set of ``residual`` by penalty continuation.
+def _solve_gram(ux, uy, jx, jy, b1, b2):
+    """Rowwise solutions of [<ux, jx> <ux, jy>; <ux, jy> <uy, jy>] x = (b1,
+    b2) by Cramer's rule, NaN where the determinant is below 1e-12."""
+    a11, a12, a22 = np.sum(ux * jx, axis=1), np.sum(ux * jy, axis=1), np.sum(uy * jy, axis=1)
+    det = a11 * a22 - a12 * a12
+    det = np.where(np.abs(det) < 1e-12, np.nan, det)
+    return (a22 * b1 - a12 * b2) / det, (a11 * b2 - a12 * b1) / det
 
-    ``residual`` maps x to (r, J).  From each start, BFGS minimizes
-    |x - x0|^2 + mu |r(x)|^2 with the analytic gradient 2 (x - x0) +
-    2 mu J^T r over an increasing penalty ladder, warm-starting each stage
-    (the quadratic-penalty method, Nocedal & Wright, Numerical Optimization,
-    2nd ed., 17.1).  A run lands when |r| <= 1e-9 (1 + |J|^2); the smallest
-    landed |x - x0| is returned, or inf when no start lands.
+
+def _project_to_zero_resultant(angles: np.ndarray, spec: DataMapSpec) -> np.ndarray:
+    """Gauss-Newton projection of angle configurations onto {resultant = 0}.
+
+    Underdetermined least-norm steps, on the active rows only: a row is
+    frozen once its resultant norm drops below GAUSS_NEWTON_TOL, and the
+    iteration stops when none is left or after GAUSS_NEWTON_ITERS steps.
+    Rows that go NaN never freeze; rows that fail to converge are left with
+    a nonzero residual and filtered by the caller.
     """
-    x0 = np.asarray(x0, dtype=float)
-
-    def value_and_grad(x, mu):
-        r, jac = residual(x)
-        d = x - x0
-        return float(d @ d + mu * (r @ r)), 2.0 * d + 2.0 * mu * (r @ jac)
-
-    best = math.inf
-    for x in starts:
-        for mu in _PENALTY_LADDER:
-            x = minimize(value_and_grad, x, args=(mu,), method="BFGS", jac=True,
-                         options={"gtol": 1e-12, "maxiter": 800}).x
-        r, jac = residual(x)
-        if np.linalg.norm(r) <= 1e-9 * (1.0 + np.sum(jac * jac)):
-            best = min(best, float(np.linalg.norm(x - x0)))
-    return best
+    phi = angles.copy()
+    active = np.arange(len(phi))
+    for _ in range(GAUSS_NEWTON_ITERS):
+        r, jac = aug_mean_resultant(phi[active], spec)
+        moving = ~(np.hypot(r[:, 0], r[:, 1]) < GAUSS_NEWTON_TOL)
+        active = active[moving]
+        if active.size == 0:
+            break
+        jx, jy = jac[moving, 0], jac[moving, 1]
+        lam1, lam2 = _solve_gram(jx, jy, jx, jy, r[moving, 0], r[moving, 1])
+        phi[active] -= jx * lam1[:, None] + jy * lam2[:, None]
+    return phi
 
 
-def symmetric_start_pair(x: np.ndarray) -> list[np.ndarray]:
-    """Starts x + o and x - o with o_i = 1e-3 (i - (n - 1) / 2).
-
-    Equal coordinates are a symmetry saddle of the AUG_MEAN penalty flow;
-    the opposite asymmetric nudges let a run leave it either way.
+def _kkt_polish(phi: np.ndarray, phi0: np.ndarray, spec: DataMapSpec) -> np.ndarray:
+    """Newton on the KKT system of min 1/2 |phi - phi0|^2 s.t. r(phi) = 0,
+    for all rows of phi (k, n) at once (Nocedal & Wright, Numerical
+    Optimization, 2nd ed., 18.1).  With g = phi - phi0 - J^T mu, the
+    Lagrangian's Hessian is diagonal, h_i = 1 + w_i (mu_x cos phi_i + mu_y
+    sin phi_i), so a step solves the 2x2 Schur system (J H^-1 J^T) dmu =
+    J H^-1 g - r and sets dphi = H^-1 (J^T dmu - g); mu starts at the
+    least-squares multipliers.  A row goes NaN once a step exceeds pi (it
+    left its cell) or its system is singular, and the iteration stops once
+    no step exceeds POLISH_STEP_TOL, or after POLISH_ITERS steps.
     """
-    offsets = 1e-3 * (np.arange(x.size) - 0.5 * (x.size - 1))
-    return [x + offsets, x - offsets]
+    phi = phi.copy()
+    _, jac = aug_mean_resultant(phi, spec)
+    jx, jy, d = jac[:, 0], jac[:, 1], phi - phi0
+    mu_x, mu_y = _solve_gram(jx, jy, jx, jy, np.sum(jx * d, axis=1), np.sum(jy * d, axis=1))
+    for _ in range(POLISH_ITERS):
+        r, jac = aug_mean_resultant(phi, spec)
+        jx, jy = jac[:, 0], jac[:, 1]
+        # w cos phi = jy and w sin phi = -jx
+        h = 1.0 + mu_x[:, None] * jy - mu_y[:, None] * jx
+        g = phi - phi0 - jx * mu_x[:, None] - jy * mu_y[:, None]
+        ux, uy = jx / h, jy / h
+        dmu_x, dmu_y = _solve_gram(ux, uy, jx, jy, np.sum(ux * g, axis=1) - r[:, 0],
+                                   np.sum(uy * g, axis=1) - r[:, 1])
+        step = ux * dmu_x[:, None] + uy * dmu_y[:, None] - g / h
+        phi += step
+        mu_x += dmu_x
+        mu_y += dmu_y
+        size = np.max(np.abs(step), axis=1)
+        phi[~(size <= math.pi)] = np.nan
+        if not np.any(size > POLISH_STEP_TOL):
+            break
+    return phi
+
+
+def nearest_zero_resultant(phi0, spec: DataMapSpec) -> tuple[float, np.ndarray | None]:
+    """(wrapped arc distance, configuration) of the nearest zero-resultant
+    configuration to the angles phi0 (n,) that the projector finds, or
+    (inf, None) when no start lands.  Gauss-Newton lands phi0, phi0 +-
+    1e-3 (i - (n - 1) / 2) (equal angles are a saddle that the nudges leave)
+    and PROJECTION_STARTS seeded uniform starts; rows within LANDED_TOL are
+    wrapped into phi0 + (-pi, pi]^n and polished by ``_kkt_polish``.  The
+    nearest landed or polished row with |r| <= GAUSS_NEWTON_TOL wins, so
+    the distance is that of a point of the set.
+    """
+    phi0 = np.asarray(phi0, dtype=float)
+    offsets = 1e-3 * (np.arange(phi0.size) - 0.5 * (phi0.size - 1))
+    uniform = 2.0 * math.pi * np.random.default_rng(PROJECTION_SEED).random((PROJECTION_STARTS, phi0.size))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phi = _project_to_zero_resultant(np.vstack([phi0, phi0 + offsets, phi0 - offsets, uniform]), spec)
+        r, _ = aug_mean_resultant(phi, spec)
+        landed = phi0 + wrap_increments(phi[np.hypot(r[:, 0], r[:, 1]) < LANDED_TOL] - phi0, 2.0 * math.pi)
+        d = wrap_increments(np.vstack([landed, _kkt_polish(landed, phi0, spec)]) - phi0, 2.0 * math.pi)
+    r, _ = aug_mean_resultant(phi0 + d, spec)
+    dist = np.where(np.hypot(r[:, 0], r[:, 1]) <= GAUSS_NEWTON_TOL, np.linalg.norm(d, axis=1), np.inf)
+    if not np.any(dist < np.inf):
+        return math.inf, None
+    best = int(np.argmin(dist))
+    return float(dist[best]), phi0 + d[best]
 
 
 def _pc_tie_distance(points: np.ndarray) -> float:
@@ -138,9 +204,10 @@ def distance_to_singular(spec: DataMapSpec, x, refine: bool = False) -> tuple[fl
 
     LS and DISK_DECISION have exact analytic projections.  PC and AUG_MEAN
     report surrogates with a two-sided constant bound, optionally refined:
-    PC by its closed-form distance to the tie variety, AUG_MEAN by
-    projecting onto the zero-resultant variety.  LAD reports the tie-gap
-    surrogate.
+    PC by its closed-form distance to the tie variety, AUG_MEAN by the
+    wrapped arc distance to the nearest zero-resultant configuration that
+    ``nearest_zero_resultant`` finds, the distance to a point of the set
+    (inf when no start lands).  LAD reports the tie-gap surrogate.
     """
     kind = spec.kind
     if kind not in SINGULAR_DISTANCE:
@@ -148,14 +215,7 @@ def distance_to_singular(spec: DataMapSpec, x, refine: bool = False) -> tuple[fl
     if refine and kind is MapKind.PC_LINE:
         return _pc_tie_distance(x.points), DIST_REFINED
     if refine and kind is MapKind.AUG_MEAN:
-        # arc-metric distance: project the angles
-        phi0 = x.angles
-        residual = lambda phi: aug_mean_resultant(phi, spec)
-        dist = penalty_projection(phi0, [phi0], residual)
-        if not math.isfinite(dist):
-            # the single start sat on the symmetry saddle: retry off it
-            dist = penalty_projection(phi0, symmetric_start_pair(phi0), residual)
-        return dist, DIST_REFINED
+        return nearest_zero_resultant(x.angles, spec)[0], DIST_REFINED
     distance, tag = SINGULAR_DISTANCE[kind]
     return float(distance(as_map_input(x)[None], spec)[0]), tag
 

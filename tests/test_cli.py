@@ -484,6 +484,9 @@ _REFINE_PINS = {
                                 "derivprofile.json": "3f75eaa0a41f37eedc2588db7500c44e05f03472c3454e9617aa838c4b9de95e"}),
     "dimension-circle": (["dimension", "--fixture", "circle", "--mesh-min", "0.0005"],
                          {"dimension.json": "33038b6842a24b8602041c9f932a8948953698988fe4a5f3b59e5df8b60d564b"}),
+    # recorded once the tradeoff distance came from metrics.nearest_zero_resultant
+    "tradeoff": (["tradeoff", "--n-points", "3", "--presets", "uniform,concentrated,moderate"],
+                 {"tradeoff.json": "3fde2b4ee502a3b613703ac2d2ab0ef5cb0f666194322be94c742ae16d927fd2"}),
 }
 
 
@@ -507,3 +510,39 @@ def test_refine_bytes_pinned_across_processes(refine_outputs, key):
         outdir, code = refine_outputs[key, salt]
         assert code == EXIT_OK
         assert {name: hashlib.sha256((outdir / name).read_bytes()).hexdigest() for name in digests} == digests
+
+
+# Installs perfbench's tracer on the package in a fresh interpreter, runs the
+# three measure functions whose arguments its hooks bind, and uninstalls it.
+_TRACER_CHECK = """\
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+import scipy.optimize
+import singlab.measure as measure
+import singlab.metrics as metrics
+from singlab.datamaps import DataMapSpec, MapKind
+from tracer import Tracer
+tracer = Tracer()
+tracer.install()
+measure.box_count_dimension(measure.filled_box_membership((0.2, 0.2), (0.4, 0.4)), (0.0, 0.0), (1.0, 1.0),
+                            np.geomspace(0.5, 0.01, 4))
+measure.distance_cdf(DataMapSpec(kind=MapKind.LS_LINE), 4, 10**4, 0)
+measure.tube_volume(measure.point_distance_fn((0.5, 0.5)), (0.0, 0.0), (1.0, 1.0), (0.1, 0.2), 10**4, 0)
+tracer.uninstall()
+assert metrics.minimize is scipy.optimize.minimize
+print(json.dumps(dict(tracer.counters)))
+"""
+
+
+def test_benchmark_tracer_installs_on_the_package():
+    # the tracer patches metrics.minimize, SliceSpec.dataset_at and
+    # boundary_family, and binds measure's signatures: install() raises, or a
+    # hook does, when one of them is gone
+    perfbench = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
+    done = subprocess.run([sys.executable, "-c", _TRACER_CHECK, perfbench], env=_fresh_env(),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    counters = json.loads(done.stdout.splitlines()[-1])
+    assert counters["measure.samples"] == 2 * 10**4
+    assert counters["measure.box_count_dimension.cells_computed"] > 0

@@ -18,9 +18,7 @@ from singlab.datamaps import (
 )
 from singlab.geometry import ContractViolation
 from singlab.measure import (
-    GAUSS_NEWTON_ITERS,
     _chunked_draw,
-    _project_to_zero_resultant,
     aug_mean_singular_set_nonempty,
     box_count_dimension,
     circle_cell_membership,
@@ -34,6 +32,7 @@ from singlab.measure import (
     tradeoff_experiment,
     tube_volume,
 )
+from singlab.metrics import GAUSS_NEWTON_ITERS, _project_to_zero_resultant
 
 CIRCLE_100 = np.array(
     [[math.cos(2 * math.pi * k / 100), math.sin(2 * math.pi * k / 100)] for k in range(100)]

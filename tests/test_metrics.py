@@ -13,16 +13,26 @@ from singlab.datamaps import (
     EvalOutcome,
     MapKind,
     UndefinedReason,
+    aug_mean_resultant,
     evaluate,
     evaluate_batch,
     oscillator_g_prime_abs,
     oscillator_t,
     uniform_preset,
 )
-from singlab.geometry import CircleDataset, ContractViolation, LineDirection, PlaneDataset, reduce_mod_pi
+from singlab.geometry import (
+    CircleDataset,
+    ContractViolation,
+    LineDirection,
+    PlaneDataset,
+    reduce_mod_pi,
+    wrap_increments,
+)
+from singlab.measure import aug_mean_singular_set_nonempty
 from singlab.metrics import (
     NON_SEVERE,
     SEVERE,
+    LANDED_TOL,
     UNDECIDED,
     CurveHitsSingularityError,
     OscillationProfile,
@@ -32,6 +42,7 @@ from singlab.metrics import (
     classify_severity,
     derivative_blowup_profile,
     distance_to_singular,
+    nearest_zero_resultant,
     oscillation,
     oscillator_arc,
 )
@@ -166,6 +177,65 @@ def test_aug_mean_refined_distance_off_the_symmetry_saddle():
     refined, tag = distance_to_singular(uniform_preset(3), ds, refine=True)
     assert tag == "REFINED"
     assert abs(refined - math.sqrt(2) * math.acos(-0.25)) < 1e-6
+
+
+def _two_angle_slice_zeros(phi0, spec):
+    """The zero-resultant configurations that differ from phi0 in two angles
+    only.  With the other terms of the resultant summing to c, angles i and
+    j must close the two-link chain w_i u_i + w_j u_j = -c: by the law of
+    cosines, u_i makes the angle acos((w_i^2 + |c|^2 - w_j^2) / (2 w_i |c|))
+    with -c, on either side, whenever |w_i - w_j| <= |c| <= w_i + w_j."""
+    w = np.asarray(spec.weights)
+    terms = w[:, None] * np.stack([np.cos(phi0), np.sin(phi0)], axis=1)
+    total = terms.sum(axis=0) + spec.w0 * np.asarray(spec.aug_point)
+    zeros = []
+    for i in range(len(w)):
+        for j in range(i + 1, len(w)):
+            c = total - terms[i] - terms[j]
+            length = math.hypot(*c)
+            if length == 0.0 or not abs(w[i] - w[j]) <= length <= w[i] + w[j]:
+                continue
+            cos_a = (w[i] ** 2 + length ** 2 - w[j] ** 2) / (2.0 * w[i] * length)
+            for side in (1.0, -1.0):
+                phi_i = math.atan2(-c[1], -c[0]) + side * math.acos(min(1.0, max(-1.0, cos_a)))
+                u_j = -c - w[i] * np.array([math.cos(phi_i), math.sin(phi_i)])
+                phi = phi0.copy()
+                phi[i], phi[j] = phi_i, math.atan2(u_j[1], u_j[0])
+                zeros.append(phi)
+    return zeros
+
+
+def test_aug_mean_refined_distance_is_a_torus_distance():
+    # the refined distance is the wrapped arc distance to a KKT point of the
+    # zero-resultant set: never above the torus diameter pi sqrt(n), nor above
+    # any zero reached by moving two angles
+    rng = np.random.default_rng(7)
+    for n in range(2, 7):
+        w = rng.uniform(0.5, 2.0, n)
+        w0 = rng.uniform(max(0.0, 2.0 * w.max() - w.sum()), w.sum())
+        specs = [uniform_preset(n), DataMapSpec(kind=MapKind.AUG_MEAN, weights=(1.0,) * n, w0=2.0),
+                 DataMapSpec(kind=MapKind.AUG_MEAN, weights=tuple(w), w0=float(w0))]
+        for spec in filter(aug_mean_singular_set_nonempty, specs):
+            for k in range(40):
+                phi0 = 2.0 * math.pi * rng.random(n)
+                ds = CircleDataset(np.stack([np.cos(phi0), np.sin(phi0)], axis=1))
+                d, tag = distance_to_singular(spec, ds, refine=True)
+                assert tag == "REFINED"
+                assert d <= math.pi * math.sqrt(n)
+                for zero in _two_angle_slice_zeros(ds.angles, spec):
+                    assert d <= np.linalg.norm(wrap_increments(zero - ds.angles, 2.0 * math.pi)) + 1e-12
+                if k % 2:
+                    continue
+                # the minimizing configuration, on every other input
+                dist, phi = nearest_zero_resultant(ds.angles, spec)
+                assert dist == d
+                r, jac = aug_mean_resultant(phi, spec)
+                assert math.hypot(*r) <= 1e-12
+                step = phi - ds.angles
+                assert abs(np.linalg.norm(step) - d) <= 1e-12
+                # stationarity: phi - phi0 lies in the row space of J
+                mu = np.linalg.lstsq(jac.T, step, rcond=None)[0]
+                assert np.linalg.norm(step - jac.T @ mu) <= LANDED_TOL
 
 
 def test_unsupported_map_kind():
