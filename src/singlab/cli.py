@@ -6,6 +6,11 @@ every report echoes the fully resolved config, and identical config + seed
 produce byte-identical output files.  The ``threads`` key of lfplot, tube
 and cdf is still accepted and validated but has no effect.
 
+Each runner returns its exit code, its report's result (None for lfplot,
+which writes no report) and the other files it wrote; ``main`` alone writes
+the result as the JSON report at ``config["out"]`` and prints its path
+before the other files.
+
 Exit codes: 0 success, 1 internal error, 2 config/schema error,
 3 inconclusive-only results.
 """
@@ -17,6 +22,7 @@ import functools
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -241,7 +247,8 @@ def _synthetic_batch(us: np.ndarray) -> BatchOutcome:
 
 
 # ---------------------------------------------------------------------------
-# Command implementations: each returns (exit_code, files_written)
+# Command implementations: each returns (exit_code, result, other_files), and
+# main writes a result that is not None as the report at config["out"]
 # ---------------------------------------------------------------------------
 
 def _run_lfplot(config, outdir):
@@ -254,7 +261,7 @@ def _run_lfplot(config, outdir):
         csv_path=csv_path,
         svg_path=svg_path,
     )
-    return EXIT_OK, [csv_path, svg_path]
+    return EXIT_OK, None, [csv_path, svg_path]
 
 
 def _run_winding(config, outdir):
@@ -272,27 +279,12 @@ def _run_winding(config, outdir):
         shrink = config["shrink"]
         center = slice_spec.center_config.points
         loop = Loop((1.0 - shrink) * center + shrink * loop.points)
-    status = "ok"
     try:
-        report = winding_number(loop, fn)
-        result = {
-            "degree": report.degree,
-            "samples_used": report.samples_used,
-            "min_gap": report.min_gap,
-            "refined": report.refined,
-            "max_depth": report.max_depth,
-            "status": status,
-        }
-        code = EXIT_OK
+        return EXIT_OK, {**asdict(winding_number(loop, fn)), "status": "ok"}, []
     except LoopHitsSingularityError as exc:
-        result = {"status": "LOOP_HITS_SINGULARITY", "detail": str(exc)}
-        code = EXIT_INCONCLUSIVE
+        return EXIT_INCONCLUSIVE, {"status": "LOOP_HITS_SINGULARITY", "detail": str(exc)}, []
     except InconclusiveDegreeError as exc:
-        result = {"status": "INCONCLUSIVE", "detail": str(exc)}
-        code = EXIT_INCONCLUSIVE
-    path = _out_path(config["out"], outdir)
-    write_json_report(path, "winding", config, result)
-    return code, [path]
+        return EXIT_INCONCLUSIVE, {"status": "INCONCLUSIVE", "detail": str(exc)}, []
 
 
 def _run_localize(config, outdir):
@@ -305,12 +297,9 @@ def _run_localize(config, outdir):
         samples_per_edge=config["samples_per_edge"],
     )
     result = {"boxes": [b.to_dict() for b in boxes]}
-    path = _out_path(config["out"], outdir)
-    write_json_report(path, "localize", config, result)
-    certified = [b for b in boxes if b.status == "certified"]
-    if boxes and not certified:
-        return EXIT_INCONCLUSIVE, [path]
-    return EXIT_OK, [path]
+    if boxes and not any(b.status == "certified" for b in boxes):
+        return EXIT_INCONCLUSIVE, result, []
+    return EXIT_OK, result, []
 
 
 def _oscillation_profile(config):
@@ -321,19 +310,13 @@ def _oscillation_profile(config):
 
 
 def _run_oscillate(config, outdir):
-    profile = _oscillation_profile(config)
-    path = _out_path(config["out"], outdir)
-    write_json_report(path, "oscillate", config, profile.to_dict())
-    return EXIT_OK, [path]
+    return EXIT_OK, _oscillation_profile(config).to_dict(), []
 
 
 def _run_severity(config, outdir):
-    osc_config = {k: config[k] for k in ("map", "at_x", "at_y", "radii", "k_samples", "seed")}
-    profile = _oscillation_profile(osc_config)
+    profile = _oscillation_profile(config)
     label = classify_severity(profile, config["mesh"])
-    path = _out_path(config["out"], outdir)
-    write_json_report(path, "severity", config, {"profile": profile.to_dict(), "severity": label})
-    return EXIT_OK, [path]
+    return EXIT_OK, {"profile": profile.to_dict(), "severity": label}, []
 
 
 def _run_derivprofile(config, outdir):
@@ -343,15 +326,13 @@ def _run_derivprofile(config, outdir):
         fn = slice_map(SliceSpec(), DataMapSpec(kind=_FITTER_KINDS[config["map"]]))
     etas = np.geomspace(config["eta_max"], config["eta_min"], config["eta_count"])
     profile = derivative_blowup_profile(fn, (config["at_x"], config["at_y"]), etas, seed=config["seed"])
-    path = _out_path(config["out"], outdir)
-    write_json_report(path, "derivprofile", config, profile.to_dict())
     csv_path = _out_path(config["out_csv"], outdir)
     lines = ["eta,avg_derivative,avg_distance"]
     for e, d, r in zip(profile.etas, profile.avg_derivative, profile.avg_distance):
         lines.append(f"{e:.12g},{d:.12g},{r:.12g}")
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-    return EXIT_OK, [path, csv_path]
+    return EXIT_OK, asdict(profile), [csv_path]
 
 
 _TUBE_FIXTURES = {
@@ -371,9 +352,7 @@ def _run_tube(config, outdir):
         config["samples"],
         config["seed"],
     )
-    path = _out_path(config["out"], outdir)
-    write_json_report(path, "tube", config, report.to_dict())
-    return EXIT_OK, [path]
+    return EXIT_OK, asdict(report), []
 
 
 def _run_cdf(config, outdir):
@@ -388,13 +367,11 @@ def _run_cdf(config, outdir):
         config["seed"],
         quantile_window=(config["q_lo"], config["q_hi"]),
     )
-    path = _out_path(config["out"], outdir)
-    write_json_report(path, "cdf", config, report.to_dict())
     csv_path = _out_path(config["out_csv"], outdir)
     values = report.sorted_distances.tolist()
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("distance\n" + "%.12g\n" * len(values) % tuple(values))
-    return EXIT_OK, [path, csv_path]
+    return EXIT_OK, report.to_dict(), [csv_path]
 
 
 def _run_dimension(config, outdir):
@@ -406,10 +383,7 @@ def _run_dimension(config, outdir):
         membership = filled_box_membership((0.0, 0.0), (1.0, 1.0))
     else:
         membership = np.array([[0.5, 0.5]])
-    estimate = box_count_dimension(membership, (0.0, 0.0), (1.0, 1.0), meshes)
-    path = _out_path(config["out"], outdir)
-    write_json_report(path, "dimension", config, estimate.to_dict())
-    return EXIT_OK, [path]
+    return EXIT_OK, asdict(box_count_dimension(membership, (0.0, 0.0), (1.0, 1.0), meshes)), []
 
 
 def _run_tradeoff(config, outdir):
@@ -425,10 +399,7 @@ def _run_tradeoff(config, outdir):
         if key not in named:
             raise SchemaError(f"key 'presets' contains unknown preset {key!r}")
         presets[key.upper()] = named[key]
-    report = tradeoff_experiment(presets, n, config["seed"], cloud_size=config["cloud_size"])
-    path = _out_path(config["out"], outdir)
-    write_json_report(path, "tradeoff", config, report.to_dict())
-    return EXIT_OK, [path]
+    return EXIT_OK, tradeoff_experiment(presets, n, config["seed"], cloud_size=config["cloud_size"]).to_dict(), []
 
 
 _RUNNERS = {
@@ -499,7 +470,11 @@ def main(argv=None) -> int:
     if outdir:
         os.makedirs(outdir, exist_ok=True)
     try:
-        code, files = _RUNNERS[command](config, outdir)
+        code, result, files = _RUNNERS[command](config, outdir)
+        if result is not None:
+            path = _out_path(config["out"], outdir)
+            write_json_report(path, command, config, result)
+            files = [path, *files]
     except (SchemaError, ContractViolation) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

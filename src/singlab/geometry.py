@@ -166,12 +166,6 @@ Feature = LineDirection | CirclePoint | Decision | ScalarValue
 Dataset = PlaneDataset | CircleDataset
 
 
-def _arc_distance(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Arc length between unit vectors, rows of (n, 2) arrays."""
-    dot = np.clip(np.sum(p * q, axis=-1), -1.0, 1.0)
-    return np.arccos(dot)
-
-
 def dataset_distance(a: Dataset, b: Dataset) -> float:
     """Distance between two datasets of the same variant and size.
 
@@ -184,7 +178,7 @@ def dataset_distance(a: Dataset, b: Dataset) -> float:
         raise ContractViolation(f"dataset sizes differ: {a.n} vs {b.n}")
     if isinstance(a, PlaneDataset):
         return float(np.linalg.norm(a.points - b.points))
-    return float(np.sqrt(np.sum(_arc_distance(a.points, b.points) ** 2)))
+    return float(np.sqrt(np.sum(angle_distance(a.angles, b.angles, 2.0 * math.pi) ** 2)))
 
 
 def angle_distance(a, b, period: float):
@@ -212,7 +206,7 @@ def feature_distance(f: Feature, g: Feature) -> float:
     if isinstance(f, LineDirection):
         return float(angle_distance(f.theta, g.theta, math.pi))
     if isinstance(f, CirclePoint):
-        return float(_arc_distance(f.u, g.u))
+        return float(angle_distance(f.angle, g.angle, 2.0 * math.pi))
     if isinstance(f, Decision):
         return 0.0 if f.bit == g.bit else 1.0
     return abs(f.value - g.value)

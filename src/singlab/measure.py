@@ -32,9 +32,7 @@ from singlab.metrics import (
 
 DEFAULT_QUANTILE_WINDOW = (0.002, 0.05)
 
-# Tradeoff experiment: grid of the perfect-fit scan, and box-count meshes of
-# the measure surrogate.
-PERFECT_FIT_SCAN = 720
+# Tradeoff experiment: box-count meshes of the measure surrogate.
 TRADEOFF_MESH_SIZES = tuple(np.geomspace(0.8, 0.02, 6))
 
 
@@ -92,16 +90,6 @@ class DimensionEstimate:
     measure_at_dim: float
     measure_exponent: float
     degenerate: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "mesh_sizes": list(self.mesh_sizes),
-            "occupied_counts": list(self.occupied_counts),
-            "dimension": self.dimension,
-            "measure_at_dim": self.measure_at_dim,
-            "measure_exponent": self.measure_exponent,
-            "degenerate": self.degenerate,
-        }
 
 
 def _cell_counts(lo: np.ndarray, hi: np.ndarray, delta: float) -> np.ndarray:
@@ -280,17 +268,6 @@ class TubeReport:
     fitted_codim: float
     mc_samples: int
     seed: int
-
-    def to_dict(self) -> dict:
-        return {
-            "deltas": list(self.deltas),
-            "volumes": list(self.volumes),
-            "std_errors": list(self.std_errors),
-            "dropped_deltas": list(self.dropped_deltas),
-            "fitted_codim": self.fitted_codim,
-            "mc_samples": self.mc_samples,
-            "seed": self.seed,
-        }
 
 
 def _chunked_draw(total: int, shape: tuple, seed: int, draw) -> np.ndarray:
@@ -550,15 +527,13 @@ def aug_mean_singular_set_nonempty(spec: DataMapSpec) -> bool:
 def _aug_mean_dist_to_perfect(spec: DataMapSpec) -> float:
     """Distance from {resultant = 0} to the all-equal configurations.
 
-    A 1-D scan over the common point of the perfect fit finds the resultant
-    minimizer, and ``nearest_zero_resultant`` reports the wrapped arc
-    distance from that configuration to the singular set.
+    On the perfect fit phi (1, ..., 1) the resultant is sum(w) e^{i phi} +
+    w0 a, whose norm is least where e^{i phi} = -a; ``nearest_zero_resultant``
+    reports the wrapped arc distance from that configuration to the singular
+    set.
     """
-    n = len(spec.weights)
-    phis = 2.0 * math.pi * np.arange(PERFECT_FIT_SCAN) / PERFECT_FIT_SCAN
-    norms = evaluate_batch(spec, np.repeat(phis[:, None], n, axis=1)).gap
-    base = np.full(n, float(phis[int(np.argmin(norms))]))
-    return nearest_zero_resultant(base, spec)[0]
+    a_x, a_y = spec.aug_point
+    return nearest_zero_resultant(np.full(len(spec.weights), math.atan2(-a_y, -a_x)), spec)[0]
 
 
 def tradeoff_experiment(

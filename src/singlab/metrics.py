@@ -13,15 +13,18 @@ stacked on a first axis to their ``BatchOutcome``, such as
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.optimize import minimize  # noqa: F401  unused here: perfbench's tracer patches this name
 
 from singlab.datamaps import (
+    REASON_CODES,
+    TIE_TOL,
     BatchOutcome,
     DataMapSpec,
     MapKind,
+    UndefinedReason,
     _batch_outcome,
     _pc_moments,
     as_map_input,
@@ -60,10 +63,9 @@ SINGULAR_DISTANCE = {
 }
 
 # Projection onto {resultant = 0}: the Gauss-Newton step cap (a row stops
-# once |r| < GAUSS_NEWTON_TOL), the residual of a landed start, the seeded
-# uniform starts, and the KKT polish's step cap and step-size stop.
+# once |r| < TIE_TOL), the residual of a landed start, the seeded uniform
+# starts, and the KKT polish's step cap and step-size stop.
 GAUSS_NEWTON_ITERS = 60
-GAUSS_NEWTON_TOL = 1e-12
 LANDED_TOL = 1e-9
 PROJECTION_STARTS = 128
 PROJECTION_SEED = 0
@@ -100,7 +102,7 @@ def _project_to_zero_resultant(angles: np.ndarray, spec: DataMapSpec) -> np.ndar
     """Gauss-Newton projection of angle configurations onto {resultant = 0}.
 
     Underdetermined least-norm steps, on the active rows only: a row is
-    frozen once its resultant norm drops below GAUSS_NEWTON_TOL, and the
+    frozen once its resultant norm drops below TIE_TOL, and the
     iteration stops when none is left or after GAUSS_NEWTON_ITERS steps.
     Rows that go NaN never freeze; rows that fail to converge are left with
     a nonzero residual and filtered by the caller.
@@ -109,7 +111,7 @@ def _project_to_zero_resultant(angles: np.ndarray, spec: DataMapSpec) -> np.ndar
     active = np.arange(len(phi))
     for _ in range(GAUSS_NEWTON_ITERS):
         r, jac = aug_mean_resultant(phi[active], spec)
-        moving = ~(np.hypot(r[:, 0], r[:, 1]) < GAUSS_NEWTON_TOL)
+        moving = ~(np.hypot(r[:, 0], r[:, 1]) < TIE_TOL)
         active = active[moving]
         if active.size == 0:
             break
@@ -161,19 +163,18 @@ def nearest_zero_resultant(phi0, spec: DataMapSpec) -> tuple[float, np.ndarray |
     1e-3 (i - (n - 1) / 2) (equal angles are a saddle that the nudges leave)
     and PROJECTION_STARTS seeded uniform starts; rows within LANDED_TOL are
     wrapped into phi0 + (-pi, pi]^n and polished by ``_kkt_polish``.  The
-    nearest landed or polished row with |r| <= GAUSS_NEWTON_TOL wins, so
-    the distance is that of a point of the set.
+    nearest landed or polished row on which the map is Undefined (|r| <=
+    TIE_TOL) wins, so the distance is that of a point of the set.
     """
     phi0 = np.asarray(phi0, dtype=float)
     offsets = 1e-3 * (np.arange(phi0.size) - 0.5 * (phi0.size - 1))
     uniform = 2.0 * math.pi * np.random.default_rng(PROJECTION_SEED).random((PROJECTION_STARTS, phi0.size))
     with np.errstate(divide="ignore", invalid="ignore"):
         phi = _project_to_zero_resultant(np.vstack([phi0, phi0 + offsets, phi0 - offsets, uniform]), spec)
-        r, _ = aug_mean_resultant(phi, spec)
-        landed = phi0 + wrap_increments(phi[np.hypot(r[:, 0], r[:, 1]) < LANDED_TOL] - phi0, 2.0 * math.pi)
+        landed = phi0 + wrap_increments(phi[evaluate_batch(spec, phi).gap < LANDED_TOL] - phi0, 2.0 * math.pi)
         d = wrap_increments(np.vstack([landed, _kkt_polish(landed, phi0, spec)]) - phi0, 2.0 * math.pi)
-    r, _ = aug_mean_resultant(phi0 + d, spec)
-    dist = np.where(np.hypot(r[:, 0], r[:, 1]) <= GAUSS_NEWTON_TOL, np.linalg.norm(d, axis=1), np.inf)
+    on_s = evaluate_batch(spec, phi0 + d).reason == REASON_CODES.index(UndefinedReason.ZERO_RESULTANT)
+    dist = np.where(on_s, np.linalg.norm(d, axis=1), np.inf)
     if not np.any(dist < np.inf):
         return math.inf, None
     best = int(np.argmin(dist))
@@ -241,13 +242,7 @@ class OscillationProfile:
         return tuple(math.isnan(d) for d in self.diameters)
 
     def to_dict(self) -> dict:
-        return {
-            "radii": list(self.radii),
-            "diameters": list(self.diameters),
-            "samples_per_radius": self.samples_per_radius,
-            "seed": self.seed,
-            "all_undefined": list(self.all_undefined),
-        }
+        return {**asdict(self), "all_undefined": list(self.all_undefined)}
 
 
 def _sample_ball(rng, center_flat: np.ndarray, radius: float, k: int) -> np.ndarray:
@@ -429,16 +424,6 @@ class DerivativeProfile:
     fitted_exponent: float
     constant_c: float
     flagged: tuple[bool, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "etas": list(self.etas),
-            "avg_derivative": list(self.avg_derivative),
-            "avg_distance": list(self.avg_distance),
-            "fitted_exponent": self.fitted_exponent,
-            "constant_c": self.constant_c,
-            "flagged": list(self.flagged),
-        }
 
 
 def derivative_blowup_profile(

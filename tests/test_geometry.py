@@ -69,6 +69,20 @@ def test_feature_distance_examples():
         feature_distance(LineDirection(0), Decision(0))
 
 
+@pytest.mark.parametrize("t", [1e-9, 1e-7, 1e-5])
+@pytest.mark.parametrize("base", [0.0, 0.7, -2.0])
+def test_circle_distances_keep_their_digits_near_zero(base, t):
+    # arccos of a dot product reads 1.49e-8 for points 1e-9 apart; the
+    # difference of their angles is exact to the last bits
+    def unit(a):
+        return (math.cos(a), math.sin(a))
+
+    assert abs(feature_distance(CirclePoint(unit(base)), CirclePoint(unit(base + t))) - t) <= 1e-15
+    a = CircleDataset([unit(0.3), unit(base), unit(-1.1)])
+    b = CircleDataset([unit(0.3), unit(base + t), unit(-1.1)])
+    assert abs(dataset_distance(a, b) - t) <= 1e-15
+
+
 def test_line_direction_reduced_mod_pi():
     assert abs(LineDirection(math.pi + 0.3).theta - 0.3) < 1e-12
     assert abs(LineDirection(-0.3).theta - (math.pi - 0.3)) < 1e-12

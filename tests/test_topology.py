@@ -21,6 +21,7 @@ from singlab.geometry import (
     CirclePoint,
     ContractViolation,
     LineDirection,
+    PlaneDataset,
     angle_distance,
     reduce_mod_pi,
     wrap_increments,
@@ -598,3 +599,95 @@ def test_degree_additivity_under_random_cuts(box_and_cut, k, target):
     parent = winding_number(rectangle_loop((cx, cy), (h, h), 32), fn)
     assert all(isinstance(r, WindingReport) for r in results)
     assert sum(r.degree for r in results) == parent.degree
+
+
+# ---------------------------------------------------------------------------
+# Closed-form PC oracle on random slices
+# ---------------------------------------------------------------------------
+#
+# With c_k the centred centre points as complex numbers and s_k the centred
+# spreads, the centred points of E(u) are (1 - |u|) c_k + s_k zeta, zeta =
+# u_1 + i u_2, so the complex moment (S_xx - S_yy) + 2i S_xy is, up to 1/n,
+# (1 - |zeta|)^2 q(gamma) with q(gamma) = s2 gamma^2 + 2 beta gamma + alpha
+# and gamma = zeta / (1 - |zeta|), an orientation-preserving homeomorphism
+# of the open unit disk onto the plane.  PC's direction is arg(q) / 2, so
+# its zeros in the disk are zeta = gamma / (1 + |gamma|) over the roots of
+# q, each of index +1 in half turns, and the degree of a loop in the open
+# disk is the number of zeros it encloses.  Outside the disk the extended
+# embedding has other zeros, so every loop here stays inside it.
+
+PC = DataMapSpec(kind=MapKind.PC_LINE)
+ORACLE_DISK = 0.98
+_SIGNS = np.array([(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)])
+
+
+def random_slice(rng):
+    n = int(rng.integers(3, 7))
+    return SliceSpec(n_points=n, center_config=PlaneDataset(rng.standard_normal((n, 2))),
+                     spread=tuple(rng.standard_normal(n)))
+
+
+def pc_slice_zeros(spec):
+    """The zeros (2, 2) of PC on the slice, inside the open unit disk."""
+    c = spec.center_config.points @ np.array([1.0, 1.0j])
+    c -= c.mean()
+    s = np.asarray(spec.spread) - np.mean(spec.spread)
+    gammas = np.roots([np.sum(s * s), 2.0 * np.sum(s * c), np.sum(c * c)])
+    zetas = gammas / (1.0 + np.abs(gammas))
+    return np.stack([zetas.real, zetas.imag], axis=1)
+
+
+def in_disk(center, half_widths):
+    return np.max(np.linalg.norm(center + _SIGNS * half_widths, axis=1)) < ORACLE_DISK
+
+
+def test_pc_slice_zeros_on_the_standard_slice():
+    zeros = pc_slice_zeros(SPEC)
+    assert np.allclose(sorted(map(tuple, zeros)), sorted([(0.0, 0.0), U_STAR]), atol=1e-12)
+
+
+def test_certified_pc_degrees_count_the_enclosed_zeros():
+    # seeded slices with n = 3-6 and rectangles inside the disk: uniform
+    # centres and log-uniform half widths, plus a 1e-4 square on each zero
+    rng = np.random.default_rng(20260901)
+    checked, wrong = {}, []
+    for _ in range(60):
+        spec = random_slice(rng)
+        fn, zeros = slice_map(spec, PC), pc_slice_zeros(spec)
+        rectangles = [(rng.uniform(-0.9, 0.9, 2), np.exp(rng.uniform(math.log(1e-3), math.log(0.5), 2)))
+                      for _ in range(25)]
+        rectangles += [(z, np.full(2, 1e-4)) for z in zeros]
+        for center, half_widths in rectangles:
+            if not in_disk(center, half_widths):
+                continue
+            try:
+                report = winding_number(rectangle_loop(center, half_widths, 16), fn)
+            except (LoopHitsSingularityError, InconclusiveDegreeError):
+                continue
+            enclosed = int(np.sum(np.all(np.abs(zeros - center) < half_widths, axis=1)))
+            checked[enclosed] = checked.get(enclosed, 0) + 1
+            if report.degree != enclosed:
+                wrong.append((spec, center, half_widths, report.degree, enclosed))
+    assert not wrong, wrong
+    assert checked.get(0, 0) > 500 and checked.get(1, 0) > 60, checked
+
+
+def test_pc_localizer_boxes_hold_the_closed_form_zeros():
+    # every certified box contains a zero, and every zero in the root box
+    # lies in a certified or an inconclusive box
+    rng = np.random.default_rng(20260902)
+    certified = found = 0
+    for _ in range(80):
+        spec = random_slice(rng)
+        zeros = pc_slice_zeros(spec)
+        center, half_width = rng.uniform(-0.2, 0.2, 2), rng.uniform(0.3, 0.45)
+        assert in_disk(center, half_width)
+        boxes = localize_singularities(slice_map(spec, PC), center, half_width, 1e-2)
+        for box in boxes:
+            if box.status == "certified":
+                certified += 1
+                assert np.any(np.all(np.abs(zeros - box.center) <= box.half_width, axis=1)), (spec, box)
+        for zero in zeros[np.all(np.abs(zeros - center) < half_width, axis=1)]:
+            found += 1
+            assert any(np.all(np.abs(zero - box.center) <= box.half_width) for box in boxes), (spec, zero)
+    assert certified > 25 and found > 25, (certified, found)
