@@ -186,12 +186,15 @@ def test_segment_average_norm_matches_quadrature():
 
 
 def test_cli_import_leaves_out_quadrature():
-    # the closed form keeps scipy.integrate (tens of ms) out of start-up
+    # start-up loads no scipy: the CLI and every layer module import without
+    # putting any scipy* module in sys.modules
     src = os.path.dirname(os.path.dirname(singlab.__file__))
-    code = "import sys, singlab.cli; print('scipy.integrate' in sys.modules)"
+    layers = ("cli", "slices", "datamaps", "topology", "geometry", "metrics", "measure")
+    code = (f"import sys, {', '.join(f'singlab.{layer}' for layer in layers)}; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_segment_average_norm_lower_bound():

@@ -1,11 +1,15 @@
 """Distance to the singular set, oscillation, severity, derivative blow-up."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import singlab
 from singlab.datamaps import (
     REASON_CODES,
     BatchOutcome,
@@ -452,3 +456,31 @@ def test_oscillator_arc_average_derivative():
                 r = float(np.linalg.norm(a + t * (b - a)))
                 worst = max(worst, r * oscillator_g_prime_abs(r))
         assert worst <= bound + 1e-9
+
+
+# In a fresh interpreter: importing metrics loads no scipy, and its
+# ``minimize`` is scipy's own function, still so after a stand-in replaces
+# ``scipy.optimize.minimize`` (the order perfbench's tracer patches in).
+_MINIMIZE_SHIM_CHECK = """\
+import sys
+import singlab.metrics as metrics
+assert not [m for m in sys.modules if m.startswith("scipy")], "importing singlab.metrics loaded scipy"
+import scipy.optimize
+real = scipy.optimize.minimize
+assert metrics.minimize is real
+scipy.optimize.minimize = lambda *args, **kwargs: None
+assert metrics.minimize is real, "metrics.minimize follows a patched scipy.optimize"
+try:
+    metrics.no_such_name
+except AttributeError as exc:
+    assert str(exc) == "module 'singlab.metrics' has no attribute 'no_such_name'", str(exc)
+else:
+    raise AssertionError("metrics.no_such_name did not raise")
+"""
+
+
+def test_minimize_shim_is_lazy_and_ignores_patches():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(singlab.__file__)))
+    done = subprocess.run([sys.executable, "-c", _MINIMIZE_SHIM_CHECK], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
