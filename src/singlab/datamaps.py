@@ -611,22 +611,24 @@ def evaluate_with_standard_batch(spec: DataMapSpec, points) -> BatchOutcome:
 # ---------------------------------------------------------------------------
 
 def _resultant(angles: np.ndarray, spec: DataMapSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Resultant sum_i w_i (cos phi_i, sin phi_i) + w0 * a of angle
-    configurations (n,) or (m, n): r (2,) or (m, 2), and the weighted points
-    (w cos phi, w sin phi) stacked on a first axis.  Each row adds its terms
-    in order from +0.0, then w0 a: unlike a BLAS product's, r's rounding
-    ignores the other rows."""
+    """Resultant sum_i w_i (cos phi_i, sin phi_i) + w0 * a of m angle
+    configurations stored one row per point, angles (n, m): r (2, m), and
+    the weighted points (w cos phi, w sin phi) stacked on a first axis, (2,
+    n, m).  Each configuration adds its terms in point order from +0.0, then
+    w0 a, one contiguous m-long row at a time: unlike a BLAS product's, r's
+    rounding ignores the other configurations."""
     w = np.asarray(spec.weights, dtype=float)
-    if w.shape[0] != angles.shape[-1]:
-        raise ContractViolation(f"{w.shape[0]} weights for {angles.shape[-1]} points")
+    if w.shape[0] != angles.shape[0]:
+        raise ContractViolation(f"{w.shape[0]} weights for {angles.shape[0]} points")
     terms = np.empty((2, *angles.shape))  # w cos phi, w sin phi
     np.cos(angles, out=terms[0])
     np.sin(angles, out=terms[1])
-    terms *= w
-    r = np.zeros(terms.shape[:-1])
+    terms *= w[:, None]
+    r = np.zeros((2, angles.shape[1]))
     for i in range(w.shape[0]):
-        r += terms[..., i]
-    return r.T + spec.w0 * np.asarray(spec.aug_point, dtype=float), terms
+        r += terms[:, i]
+    r += spec.w0 * np.asarray(spec.aug_point, dtype=float)[:, None]
+    return r, terms
 
 
 def aug_mean_resultant(angles: np.ndarray, spec: DataMapSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -635,11 +637,12 @@ def aug_mean_resultant(angles: np.ndarray, spec: DataMapSpec) -> tuple[np.ndarra
     (m, 2) and J (2, n) or (m, 2, n), where column i of J is
     w_i (-sin phi_i, cos phi_i).
     """
-    r, terms = _resultant(angles, spec)
-    jac = np.empty((*angles.shape[:-1], 2, angles.shape[-1]))
-    np.negative(terms[1], out=jac[..., 0, :])
-    jac[..., 1, :] = terms[0]
-    return r, jac
+    rows = np.atleast_2d(angles)
+    r, terms = _resultant(rows.T, spec)
+    jac = np.empty((len(rows), 2, rows.shape[1]))
+    np.negative(terms[1].T, out=jac[:, 0])
+    jac[:, 1] = terms[0].T
+    return (r.T, jac) if angles.ndim == 2 else (r[:, 0], jac[0])
 
 
 def _aug_mean_batch(angles, spec):
@@ -647,9 +650,9 @@ def _aug_mean_batch(angles, spec):
     pseudo-observation; gap = |resultant|, undefined where it vanishes."""
     if angles.ndim != 2 or angles.shape[1] < 1:
         raise ContractViolation("augmented mean needs n >= 1 angles per dataset")
-    r, _ = _resultant(angles, spec)
-    gap = np.hypot(r[:, 0], r[:, 1])
-    return np.arctan2(r[:, 1], r[:, 0]), gap, np.where(gap <= TIE_TOL, _ZERO_RESULTANT, 0)
+    r, _ = _resultant(angles.T, spec)
+    gap = np.hypot(r[0], r[1])
+    return np.arctan2(r[1], r[0]), gap, np.where(gap <= TIE_TOL, _ZERO_RESULTANT, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from singlab.datamaps import DataMapSpec, MapKind, _pairwise_sum, evaluate_batch
+from singlab.datamaps import DataMapSpec, MapKind, _axis_sum, _pairwise_sum, evaluate_batch
 from singlab.geometry import ContractViolation, omega_s
 from singlab.metrics import (
     DIST_SURROGATE,
@@ -118,31 +118,34 @@ def _cloud_count(cloud: np.ndarray, lo: np.ndarray, hi: np.ndarray, delta: float
 
 
 def _overlapping_cells(occupied: np.ndarray, coarse: float, delta: float, counts: np.ndarray) -> np.ndarray:
-    """Indices (k, d) of the delta-cells that overlap an occupied coarse cell.
+    """Indices (k, d) of the delta-cells that overlap an occupied coarse cell,
+    in the row-major order of np.argwhere.
 
-    ``occupied`` is the coarse grid's boolean mask.  Along each axis, coarse
-    cell k overlaps the fine cells floor(k coarse / delta) to floor((k + 1)
-    coarse / delta), padded here by one on each side so rounding never drops
-    one.  Both ends grow with k, so the coarse cells over fine cell j form a
-    short run [k_lo, k_hi), and fine cell j is kept when any cell of its run
-    is occupied.  One axis at a time, that maps the mask onto the fine grid.
+    ``occupied`` holds the occupied coarse cells' indices (k, d).  Along each
+    axis, coarse cell k overlaps the fine cells floor(k coarse / delta) to
+    floor((k + 1) coarse / delta), padded here by one on each side so
+    rounding never drops one, and clipped to the grid.  One axis at a time,
+    each cell marked in a mask of the fine grid (whose shape holds every
+    coarse index too) is replaced by its padded fine range along that axis.
+    The index arithmetic grows with the occupied cells and their children,
+    and only the mask's byte-wide scans touch the whole grid; the mask drops
+    the repeats after each axis, so a filled set never pays for the product
+    of its ranges.
     """
-    mask = occupied
-    for axis, n in enumerate(counts):
-        size = mask.shape[axis]
-        k = np.arange(size + 1)
-        first = np.floor(k[:-1] * coarse / delta).astype(int) - 1
-        last = np.floor(k[1:] * coarse / delta).astype(int) + 1
-        j = np.arange(n)
-        k_lo = np.searchsorted(last, j, side="left")
-        k_hi = np.searchsorted(first, j, side="right")
-        along = [n if a == axis else 1 for a in range(mask.ndim)]
-        fine = np.zeros(mask.shape[:axis] + (n,) + mask.shape[axis + 1:], dtype=bool)
-        for t in range(int(np.max(k_hi - k_lo, initial=0))):
-            k = k_lo + t
-            fine |= np.take(mask, np.minimum(k, size - 1), axis=axis) & (k < k_hi).reshape(along)
-        mask = fine
-    return np.argwhere(mask)
+    strides = np.cumprod((1, *counts[:0:-1]))[::-1]
+    mask = np.zeros(int(np.prod(counts)), dtype=bool)
+    mask[occupied @ strides] = True
+    for stride, n in zip(strides, counts):
+        flat = np.flatnonzero(mask)
+        mask[:] = False
+        k = flat // stride % n
+        first = np.maximum(np.floor(k * coarse / delta).astype(int) - 1, 0)
+        span = np.minimum(np.floor((k + 1) * coarse / delta).astype(int) + 1, n - 1) - first
+        flat += (first - k) * stride
+        for t in range(np.max(span, initial=-1) + 1):
+            flat, span = flat[span >= t], span[span >= t]
+            mask[flat + t * stride] = True
+    return np.argwhere(mask.reshape(counts))
 
 
 def _predicate_counts(pred, lo: np.ndarray, hi: np.ndarray, mesh_sizes) -> list[int]:
@@ -152,7 +155,8 @@ def _predicate_counts(pred, lo: np.ndarray, hi: np.ndarray, mesh_sizes) -> list[
     141): the coarsest grid is tested in full, and each finer grid only on
     the cells overlapping an occupied cell of the previous one.  A point of
     the set in a fine cell lies in some coarse cell, which is then occupied,
-    so no occupied fine cell is skipped.
+    so no occupied fine cell is skipped.  The occupied cells of a mesh are
+    carried as their indices (k, d), never as a mask of the whole grid.
     """
     counts = []
     occupied = coarse = None
@@ -164,11 +168,9 @@ def _predicate_counts(pred, lo: np.ndarray, hi: np.ndarray, mesh_sizes) -> list[
             cells = _overlapping_cells(occupied, coarse, delta, n_cells)
         c_lo = lo[None, :] + cells * delta
         c_hi = np.minimum(c_lo + delta, hi[None, :])
-        hit = cells[pred(c_lo, c_hi)]
-        occupied = np.zeros(n_cells, dtype=bool)
-        occupied[tuple(hit.T)] = True
+        occupied = cells[pred(c_lo, c_hi)]
         coarse = delta
-        counts.append(len(hit))
+        counts.append(len(occupied))
     return counts
 
 
@@ -308,8 +310,9 @@ def tube_volume(
         raise ContractViolation("mc_samples must be at least 10^4")
     box_vol = float(np.prod(hi - lo))
     pts = _chunked_draw(mc_samples, lo.shape, seed, lambda rng, out: rng.random(out=out))
-    pts *= hi - lo
-    pts += lo
+    for a in range(lo.size):
+        pts[:, a] *= hi[a] - lo[a]
+        pts[:, a] += lo[a]
     d = np.asarray(dist_fn(pts), dtype=float)
     kept, vols, errs, dropped = [], [], [], []
     hits_kept = []
@@ -362,14 +365,26 @@ def point_distance_fn(point):
 
 
 def segment_distance_fn(a, b):
-    """Distances xs (m, d) -> (m,) to the closed segment from a to b."""
+    """Distances xs (m, d) -> (m,) to the closed segment from a to b.
+
+    The projection parameter t adds its d products column by column,
+    bit-equal to np.sum((xs - a) * (b - a), axis=1) / |b - a|^2.  A BLAS
+    product (xs - a) @ (b - a) may fuse a multiply and an add, so it can
+    differ in the last bit; on the CLI's segment, b - a = (0.5, 0), it does not.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     ab = b - a
     len2 = float(np.dot(ab, ab))
 
     def fn(xs):
-        t = np.clip((xs - a[None, :]) @ ab / len2, 0.0, 1.0)
+        def product(k, out):
+            out = np.subtract(xs[:, k], a[k], out=out)
+            return np.multiply(out, ab[k], out=out)
+
+        t = _axis_sum(product, a.size, pairwise=True)
+        t /= len2
+        np.clip(t, 0.0, 1.0, out=t)
 
         def diff(k, out):
             # xs minus the projection a + t ab, one coordinate at a time

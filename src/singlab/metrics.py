@@ -30,10 +30,11 @@ from singlab.datamaps import (
     DataMapSpec,
     MapKind,
     UndefinedReason,
+    _axis_sum,
     _batch_outcome,
     _pc_moments,
+    _resultant,
     as_map_input,
-    aug_mean_resultant,
     evaluate_batch,
 )
 from singlab.geometry import ContractViolation, angle_distance, segment_average_norm, wrap_increments
@@ -106,36 +107,56 @@ RADIAL_SEGMENTS = 64
 ARC_NUDGE = 1e-9
 
 
+def _jacobian(phi: np.ndarray, spec: DataMapSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The resultant r (2, m) of angles stored one row per point, phi (n, m),
+    and its Jacobian rows jx = -w sin phi, jy = w cos phi (n, m)."""
+    r, (w_cos, w_sin) = _resultant(phi, spec)
+    return r, np.negative(w_sin, out=w_sin), w_cos
+
+
+def _gram_sum(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_i u_i v_i (m,) of vectors stored one row per point, u, v (n, m),
+    bit-equal to np.sum(u.T * v.T, axis=1)."""
+    return _axis_sum(lambda i, out: np.multiply(u[i], v[i], out=out), len(u), pairwise=True)
+
+
 def _solve_gram(ux, uy, jx, jy, b1, b2):
-    """Rowwise solutions of [<ux, jx> <ux, jy>; <ux, jy> <uy, jy>] x = (b1,
-    b2) by Cramer's rule, NaN where the determinant is below 1e-12."""
-    a11, a12, a22 = np.sum(ux * jx, axis=1), np.sum(ux * jy, axis=1), np.sum(uy * jy, axis=1)
+    """Solutions of [<ux, jx> <ux, jy>; <ux, jy> <uy, jy>] x = (b1, b2) for
+    vectors stored one row per point, (n, m), by Cramer's rule, NaN where
+    the determinant is below 1e-12."""
+    a11, a12, a22 = _gram_sum(ux, jx), _gram_sum(ux, jy), _gram_sum(uy, jy)
     det = a11 * a22 - a12 * a12
     det = np.where(np.abs(det) < 1e-12, np.nan, det)
     return (a22 * b1 - a12 * b2) / det, (a11 * b2 - a12 * b1) / det
 
 
 def _project_to_zero_resultant(angles: np.ndarray, spec: DataMapSpec) -> np.ndarray:
-    """Gauss-Newton projection of angle configurations onto {resultant = 0}.
+    """Gauss-Newton projection of angle configurations (m, n) onto
+    {resultant = 0}.
 
-    Underdetermined least-norm steps, on the active rows only: a row is
-    frozen once its resultant norm drops below TIE_TOL, and the
-    iteration stops when none is left or after GAUSS_NEWTON_ITERS steps.
-    Rows that go NaN never freeze; rows that fail to converge are left with
-    a nonzero residual and filtered by the caller.
+    Underdetermined least-norm steps, on the live rows only: a row is frozen
+    once its resultant norm drops below TIE_TOL or is NaN (NaN absorbs every
+    later step, so such a row never lands), and the iteration stops when
+    none is left or after GAUSS_NEWTON_ITERS steps.  Rows that fail to
+    converge are left with a nonzero or NaN residual and filtered by the
+    caller.  The angles are stored one row per point, (n, m), so the sums
+    and steps run over contiguous rows of the live configurations.
     """
-    phi = angles.copy()
-    active = np.arange(len(phi))
+    phi = angles.T.copy()
+    active = np.arange(phi.shape[1])
+    live = phi
     for _ in range(GAUSS_NEWTON_ITERS):
-        r, jac = aug_mean_resultant(phi[active], spec)
-        moving = ~(np.hypot(r[:, 0], r[:, 1]) < TIE_TOL)
-        active = active[moving]
+        r, jx, jy = _jacobian(live, spec)
+        moving = np.hypot(r[0], r[1]) >= TIE_TOL
+        if not moving.all():
+            phi[:, active[~moving]] = live[:, ~moving]
+            active, live, r, jx, jy = (np.compress(moving, a, axis=-1) for a in (active, live, r, jx, jy))
         if active.size == 0:
             break
-        jx, jy = jac[moving, 0], jac[moving, 1]
-        lam1, lam2 = _solve_gram(jx, jy, jx, jy, r[moving, 0], r[moving, 1])
-        phi[active] -= jx * lam1[:, None] + jy * lam2[:, None]
-    return phi
+        lam1, lam2 = _solve_gram(jx, jy, jx, jy, r[0], r[1])
+        live -= jx * lam1 + jy * lam2
+    phi[:, active] = live
+    return phi.T
 
 
 def _kkt_polish(phi: np.ndarray, phi0: np.ndarray, spec: DataMapSpec) -> np.ndarray:
@@ -147,30 +168,29 @@ def _kkt_polish(phi: np.ndarray, phi0: np.ndarray, spec: DataMapSpec) -> np.ndar
     J H^-1 g - r and sets dphi = H^-1 (J^T dmu - g); mu starts at the
     least-squares multipliers.  A row goes NaN once a step exceeds pi (it
     left its cell) or its system is singular, and the iteration stops once
-    no step exceeds POLISH_STEP_TOL, or after POLISH_ITERS steps.
+    no step exceeds POLISH_STEP_TOL, or after POLISH_ITERS steps.  Like the
+    projector, it stores the angles one row per point.
     """
-    phi = phi.copy()
-    _, jac = aug_mean_resultant(phi, spec)
-    jx, jy, d = jac[:, 0], jac[:, 1], phi - phi0
-    mu_x, mu_y = _solve_gram(jx, jy, jx, jy, np.sum(jx * d, axis=1), np.sum(jy * d, axis=1))
+    phi, phi0 = phi.T.copy(), phi0[:, None]
+    _, jx, jy = _jacobian(phi, spec)
+    d = phi - phi0
+    mu_x, mu_y = _solve_gram(jx, jy, jx, jy, _gram_sum(jx, d), _gram_sum(jy, d))
     for _ in range(POLISH_ITERS):
-        r, jac = aug_mean_resultant(phi, spec)
-        jx, jy = jac[:, 0], jac[:, 1]
+        r, jx, jy = _jacobian(phi, spec)
         # w cos phi = jy and w sin phi = -jx
-        h = 1.0 + mu_x[:, None] * jy - mu_y[:, None] * jx
-        g = phi - phi0 - jx * mu_x[:, None] - jy * mu_y[:, None]
+        h = 1.0 + mu_x * jy - mu_y * jx
+        g = phi - phi0 - jx * mu_x - jy * mu_y
         ux, uy = jx / h, jy / h
-        dmu_x, dmu_y = _solve_gram(ux, uy, jx, jy, np.sum(ux * g, axis=1) - r[:, 0],
-                                   np.sum(uy * g, axis=1) - r[:, 1])
-        step = ux * dmu_x[:, None] + uy * dmu_y[:, None] - g / h
+        dmu_x, dmu_y = _solve_gram(ux, uy, jx, jy, _gram_sum(ux, g) - r[0], _gram_sum(uy, g) - r[1])
+        step = ux * dmu_x + uy * dmu_y - g / h
         phi += step
         mu_x += dmu_x
         mu_y += dmu_y
-        size = np.max(np.abs(step), axis=1)
-        phi[~(size <= math.pi)] = np.nan
+        size = np.max(np.abs(step), axis=0)
+        phi[:, ~(size <= math.pi)] = np.nan
         if not np.any(size > POLISH_STEP_TOL):
             break
-    return phi
+    return phi.T
 
 
 def nearest_zero_resultant(phi0, spec: DataMapSpec) -> tuple[float, np.ndarray | None]:

@@ -18,7 +18,9 @@ from singlab.datamaps import (
 )
 from singlab.geometry import ContractViolation
 from singlab.measure import (
+    _cell_counts,
     _chunked_draw,
+    _overlapping_cells,
     aug_mean_singular_set_nonempty,
     box_count_dimension,
     circle_cell_membership,
@@ -164,6 +166,31 @@ def test_sparse_box_counts_equal_dense_filled_box(domain, corners):
     assert est.occupied_counts == dense_occupied_counts(pred, lo, hi, meshes)
 
 
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(spans=st.lists(st.floats(0.05, 5.0), min_size=1, max_size=3), coarse=st.floats(0.01, 1.0),
+       ratio=st.floats(1.2, 4.0), bits=st.lists(st.booleans(), min_size=125, max_size=125))
+@example(spans=[2.5, 3.0], coarse=0.1, ratio=2.0, bits=[False] * 125)
+@example(spans=[5.0, 5.0, 5.0], coarse=0.3, ratio=4.0, bits=[True] * 125)
+def test_overlapping_cells_match_brute_force(spans, coarse, ratio, bits):
+    # fine cell j is kept when some occupied coarse cell k has
+    # floor(k coarse / delta) - 1 <= j <= floor((k + 1) coarse / delta) + 1
+    # on every axis; the coarse grid has at most 5 cells per axis
+    lo = np.zeros(len(spans))
+    hi = coarse * np.array(spans)
+    delta = coarse / ratio
+    coarse_cells = np.argwhere(np.ones(_cell_counts(lo, hi, coarse), dtype=bool))
+    occupied = coarse_cells[np.array(bits[:len(coarse_cells)], dtype=bool)]
+    counts = _cell_counts(lo, hi, delta)
+    got = _overlapping_cells(occupied, coarse, delta, counts)
+    fine = np.argwhere(np.ones(counts, dtype=bool))
+    first = np.floor(occupied * coarse / delta) - 1
+    last = np.floor((occupied + 1) * coarse / delta) + 1
+    inside = (first[None] <= fine[:, None]) & (fine[:, None] <= last[None])
+    want = fine[np.any(np.all(inside, axis=2), axis=1)]
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
 def test_box_count_preconditions():
     with pytest.raises(ContractViolation):
         box_count_dimension(np.array([[0.5, 0.5]]), (0, 0), (1, 1), [0.1, 0.05, 0.02])
@@ -259,7 +286,7 @@ def norm_fixtures(d, rng):
     ab = b - a
 
     def segment(xs):
-        t = np.clip((xs - a[None, :]) @ ab / float(np.dot(ab, ab)), 0.0, 1.0)
+        t = np.clip(np.sum((xs - a[None, :]) * ab[None, :], axis=1) / float(np.dot(ab, ab)), 0.0, 1.0)
         return np.linalg.norm(xs - (a[None, :] + t[:, None] * ab[None, :]), axis=1)
 
     return [
@@ -396,14 +423,19 @@ def fixed_step_projection(angles, spec):
 
 
 def test_converged_gauss_newton_matches_fixed_steps():
-    # freezing converged rows lands the same rows at the same points
+    # freezing converged rows lands the same rows at the same points; the
+    # first start is the all-equal perfect fit nearest -a, a saddle whose
+    # Gram matrix goes singular, so its row comes back NaN from both
     specs = [uniform_preset(3), DataMapSpec(kind=MapKind.AUG_MEAN, weights=(1.0,) * 3, w0=2.0),
              uniform_preset(5)]
     for k, spec in enumerate(specs):
         rng = np.random.default_rng((19, k))
-        starts = 2.0 * math.pi * rng.random((3000, len(spec.weights)))
+        a_x, a_y = spec.aug_point
+        saddle = np.full((1, len(spec.weights)), math.atan2(-a_y, -a_x))
+        starts = np.vstack([saddle, 2.0 * math.pi * rng.random((3000, len(spec.weights)))])
         got = _project_to_zero_resultant(starts, spec)
         want = fixed_step_projection(starts, spec)
+        assert np.all(np.isnan(got[0])) and np.all(np.isnan(want[0]))
         landed = []
         for phi in (got, want):
             res = evaluate_batch(spec, phi).gap
