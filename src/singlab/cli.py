@@ -1,10 +1,11 @@
 """Config-driven experiment runner.
 
 One subcommand per experiment; parameters come from an optional JSON config
-file plus command-line flags (flags win).  Unknown config keys are rejected,
-every report echoes the fully resolved config, and identical config + seed
-produce byte-identical output files.  The ``threads`` key of lfplot, tube
-and cdf is still accepted and validated but has no effect.
+file plus command-line flags (flags win).  Unknown config keys and NaN or
+infinite floats are rejected, every report echoes the fully resolved
+config, and identical config + seed produce byte-identical output files.
+The ``threads`` key of lfplot, tube and cdf is still accepted and validated
+but has no effect.
 
 Each runner returns its exit code, its report's result (None for lfplot,
 which writes no report) and the other files it wrote; ``main`` alone writes
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -190,7 +192,10 @@ SCHEMAS = {
 
 
 def resolve_config(command: str, file_config: dict, overrides: dict) -> dict:
-    """Merge defaults, config file and flag overrides; validate everything."""
+    """Merge defaults, config file and flag overrides; validate everything.
+
+    Every float, and every float element of a list, must be finite: no run
+    is defined on NaN or infinite sizes, radii or shrinks."""
     schema = SCHEMAS[command]
     for key in file_config:
         if key not in schema:
@@ -210,6 +215,8 @@ def resolve_config(command: str, file_config: dict, overrides: dict) -> dict:
                 value = typ(value)
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"key '{key}' has invalid value {value!r}: {exc}") from exc
+        if not all(math.isfinite(v) for v in (value if typ is list else [value]) if isinstance(v, float)):
+            raise SchemaError(f"key '{key}' must be finite, got {value!r}")
         if check is not None:
             check(value)
         config[key] = value
@@ -296,7 +303,7 @@ def _run_localize(config, outdir):
         config["eps"],
         samples_per_edge=config["samples_per_edge"],
     )
-    result = {"boxes": [b.to_dict() for b in boxes]}
+    result = {"boxes": [asdict(b) for b in boxes]}
     if boxes and not any(b.status == "certified" for b in boxes):
         return EXIT_INCONCLUSIVE, result, []
     return EXIT_OK, result, []

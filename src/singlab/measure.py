@@ -450,7 +450,8 @@ def distance_cdf(
 
     Plane fitters draw iid standard-normal coordinates, the augmented mean
     draws iid uniform circle points.  The exponent is the least-squares
-    slope of log F-hat against log t between the window quantiles.
+    slope of log F-hat against log t between the window quantiles; fewer
+    than two positive distances there cannot be fitted.
     """
     if n_samples < 10_000:
         raise ContractViolation("n_samples must be at least 10^4")
@@ -473,6 +474,8 @@ def distance_cdf(
     t = dists[idx]
     f_hat = (idx + 1) / n_samples
     mask = t > 0
+    if np.count_nonzero(mask) < 2:
+        raise ContractViolation("fewer than two positive distances in the quantile window")
     x = np.log(t[mask])
     y = np.log(f_hat[mask])
     slope = float(np.polyfit(x, y, 1)[0])

@@ -9,16 +9,17 @@ bisected until the short-arc condition holds, and the tool reports
 INCONCLUSIVE rather than an uncertifiable integer.
 
 A map here is any callable from samples stacked on a first axis to their
-``BatchOutcome``; a result of another type is refused.  One lift serves any
-number of loops: the samples of every loop are evaluated in one call, then
-the midpoints of one bisection depth at a time, over the open edges of all
-loops still alive.  Each loop keeps its own outcome, a report or the error
-it would raise alone, and ``winding_number`` is the one-loop case.  The
-localizer lifts the four children of a split together, and when the plain
-cross-hair fails, all six jittered cross-hairs (24 loops) in one more
-batch.  It takes the first jitter in ladder order whose children all
-certify: the jitter a one-at-a-time ladder would stop at, since a loop's
-outcome does not depend on the loops lifted with it.
+``BatchOutcome``; a result of another type is refused.  The lift runs level
+by level, and one lift serves any number of loops: the samples of every
+loop are evaluated in one call, then, one bisection depth per call, the
+affine midpoints of every edge not yet short, over the loops still alive.
+That evaluates exactly the points a depth-first bisection would, so a
+certified degree, samples_used, refined and max_depth do not depend on the
+order.  On a loop that fails, the order decides the error: an Undefined
+midpoint at any depth raises LoopHitsSingularityError before an edge that
+reaches depth MAX_REFINE raises InconclusiveDegreeError.  Each loop keeps
+its own outcome, a report or the error it would raise alone:
+``winding_number`` is the one-loop case, and the localizer lifts many.
 """
 
 from __future__ import annotations
@@ -52,9 +53,11 @@ class UnsupportedFeatureError(TypeError):
 
 def _check_loops(points: np.ndarray) -> None:
     """points (k, m, ...) stacks k closed loops of m samples: each loop needs
-    at least 3 samples, and consecutive samples must differ."""
+    at least 3 finite samples, and consecutive samples must differ."""
     if points.ndim < 3 or points.shape[1] < 3:
         raise ContractViolation("a loop needs at least 3 samples")
+    if not np.isfinite(points).all():
+        raise ContractViolation("loop samples must be finite")
     steps = (points != np.roll(points, -1, axis=1)).reshape(*points.shape[:2], -1)
     if not steps.any(axis=2).all():
         raise ContractViolation("consecutive loop samples must be distinct")
@@ -97,25 +100,17 @@ class WindingReport:
     max_depth: int = 0
 
 
-def midpoint_interpolate(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Edge bisection of stacked samples, vectors or plane datasets:
-    pointwise affine midpoints."""
-    return 0.5 * (p + q)
-
-
 def _lift(points: np.ndarray, lengths, evaluate_fn) -> list:
     """Degrees of several closed loops, stacked one after another in points.
 
     lengths gives each loop's sample count and evaluate_fn maps stacked
     samples to their BatchOutcome.  The result holds, loop by loop, the
-    WindingReport of ``winding_number`` or the error it would raise.  All
-    samples are evaluated in one call, then the midpoints of one bisection
-    depth at a time, for the open edges of every loop still alive.  Edges
+    WindingReport of ``winding_number`` or the error it would raise.  Edges
     keep their per-loop order, so each loop evaluates the same points at the
-    same depths as it would on its own, and raises the same error first:
-    Undefined samples at any depth before the MAX_REFINE budget, and the
-    budget before the lift residual.  Each loop's lift steps are added in
-    edge order; their rounding is far below the residual tolerance.
+    same depths as it would on its own, and raises the same error first;
+    the lift residual is checked after the MAX_REFINE budget.  Each loop's
+    lift steps are added in edge order; their rounding is far below the
+    residual tolerance.
     """
     lengths = np.asarray(lengths, dtype=np.intp)
     n_loops = len(lengths)
@@ -125,23 +120,22 @@ def _lift(points: np.ndarray, lengths, evaluate_fn) -> list:
     min_gap = np.full(n_loops, math.inf)
 
     def evaluate(points: np.ndarray, owner: np.ndarray):
-        """The outcome on points, and the mask of the rows whose loop is
-        still alive, None when no loop died here."""
+        """The outcome on points; a loop with an Undefined row dies here."""
         outcome = _batch_outcome(evaluate_fn(points))
         np.minimum.at(min_gap, owner, outcome.gap)
         undefined = np.flatnonzero(outcome.reason)
         if not undefined.size:
-            return outcome, None
+            return outcome
         # each loop's first Undefined sample, in its own order
         loops, first = np.unique(owner[undefined], return_index=True)
         for i, k in zip(loops, undefined[first]):
             reason = REASON_CODES[outcome.reason[k]]
             results[i] = LoopHitsSingularityError(f"loop sample evaluated Undefined ({reason.value})")
         alive[loops] = False
-        return outcome, alive[owner]
+        return outcome
 
     owner = np.repeat(np.arange(n_loops), lengths)
-    outcome, live = evaluate(points, owner)
+    outcome = evaluate(points, owner)
     period = outcome.period
     if period is None:
         error = UnsupportedFeatureError(f"{outcome.feature.__name__} features carry no winding number")
@@ -153,11 +147,13 @@ def _lift(points: np.ndarray, lengths, evaluate_fn) -> list:
     ends = np.cumsum(lengths)
     after[ends - 1] = ends - lengths
     p_a, a, p_b, b = points, outcome.value, points[after], outcome.value[after]
-    if live is not None:
-        p_a, a, p_b, b, owner = (x[live] for x in (p_a, a, p_b, b, owner))
     total = np.zeros(n_loops)
     depth = 0
     while True:
+        # evaluate only marks the loops that hit S; their edges go here
+        live = alive[owner]
+        if not live.all():
+            p_a, a, p_b, b, owner = (x[live] for x in (p_a, a, p_b, b, owner))
         # |wrapped step| is the angle distance, bit for bit
         step = wrap_increments(b - a, period)
         short = np.abs(step) < threshold
@@ -174,13 +170,10 @@ def _lift(points: np.ndarray, lengths, evaluate_fn) -> list:
                 results[i] = InconclusiveDegreeError(f"edge not short-arc after {MAX_REFINE} bisections")
             return results
         p_a, a, p_b, b, owner = p_a[split], a[split], p_b[split], b[split], owner[split]
-        p_m = midpoint_interpolate(p_a, p_b)
+        p_m = 0.5 * (p_a + p_b)
         samples_used += open_edges
-        outcome, live = evaluate(p_m, owner)
-        m = outcome.value
+        m = evaluate(p_m, owner).value
         depth += 1
-        if live is not None:
-            p_a, a, p_m, m, p_b, b, owner = (x[live] for x in (p_a, a, p_m, m, p_b, b, owner))
         p_a, a, p_b, b = (np.concatenate(pair) for pair in ((p_a, p_m), (a, m), (p_m, p_b), (m, b)))
         owner = np.concatenate((owner, owner))
 
@@ -206,18 +199,9 @@ def winding_number(loop: Loop, evaluate_fn) -> WindingReport:
     evaluate_fn maps the loop's stacked samples, vectors (m, d) or the
     points (m, n, 2) of its datasets, to their BatchOutcome.  Every
     evaluated point must be Defined.  An edge whose endpoint features are at
-    least STEP_FRACTION of a period apart is bisected by
-    ``midpoint_interpolate`` up to MAX_REFINE times before the computation
-    is declared inconclusive.
-
-    The bisection runs level by level: one evaluation for all loop samples,
-    then one per depth for the midpoints of every edge not yet short.  It
-    evaluates exactly the points a depth-first bisection would, so a
-    certified degree, samples_used, refined and max_depth do not depend on
-    the order.  On a loop that fails, the order decides the error: an
-    Undefined midpoint at any depth raises LoopHitsSingularityError before an
-    edge that reaches depth MAX_REFINE raises InconclusiveDegreeError.  This
-    is the one-loop case of the multi-loop lift the localizer runs.
+    least STEP_FRACTION of a period apart is bisected at its affine midpoint,
+    level by level as the module docstring tells, up to MAX_REFINE times
+    before the computation is declared inconclusive.
     """
     (result,) = _lift(loop.points, (len(loop),), evaluate_fn)
     if isinstance(result, Exception):
@@ -233,22 +217,15 @@ class LocalizerBox:
     degree with every lift step certified short; "inconclusive" marks boxes
     whose subdivision could not be completed soundly.  A root box whose own
     boundary degree cannot be certified is inconclusive with degree None.
+    The fields, as ``dataclasses.asdict`` gives them, are the box's record
+    in the localize report.
     """
 
     center: tuple[float, float]
     half_width: float
-    boundary_degree: int | None
+    degree: int | None
     depth: int
     status: str = "certified"
-
-    def to_dict(self) -> dict:
-        return {
-            "center": [self.center[0], self.center[1]],
-            "half_width": self.half_width,
-            "degree": self.boundary_degree,
-            "depth": self.depth,
-            "status": self.status,
-        }
 
 
 _CORNER_SIGNS = np.array([(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)])
@@ -334,7 +311,7 @@ def localize_singularities(
     the loops lifted with it, so that is the jitter a one-at-a-time ladder
     would stop at, and the boxes are the same.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ContractViolation("eps must be positive")
 
     def lift(boxes) -> list:
@@ -345,18 +322,20 @@ def localize_singularities(
 
     boxes: list[LocalizerBox] = []
 
-    def recurse(c, h, degree, depth):
-        hw = max(h)
-        if hw <= eps:
-            boxes.append(
-                LocalizerBox(
-                    center=(float(c[0]), float(c[1])),
-                    half_width=float(hw),
-                    boundary_degree=degree,
-                    depth=depth,
-                    status="certified",
-                )
+    def emit(c, h, degree, depth, status):
+        boxes.append(
+            LocalizerBox(
+                center=(float(c[0]), float(c[1])),
+                half_width=float(max(h)),
+                degree=degree,
+                depth=depth,
+                status=status,
             )
+        )
+
+    def recurse(c, h, degree, depth):
+        if max(h) <= eps:
+            emit(c, h, degree, depth, "certified")
             return
         children = _quarters(c, h, _JITTERS[0])
         child_degrees = _certified_degrees(lift(children))
@@ -372,15 +351,7 @@ def localize_singularities(
         if child_degrees is None or sum(child_degrees) != degree:
             # jitters exhausted, or additivity violated: the parent
             # certificate is unsound
-            boxes.append(
-                LocalizerBox(
-                    center=(float(c[0]), float(c[1])),
-                    half_width=float(hw),
-                    boundary_degree=degree,
-                    depth=depth,
-                    status="inconclusive",
-                )
-            )
+            emit(c, h, degree, depth, "inconclusive")
             return
         for (cc, ch), d in zip(children, child_degrees):
             if d != 0:
@@ -390,9 +361,7 @@ def localize_singularities(
     h0 = (float(half_width), float(half_width))
     root = _certified_degrees(lift([(c0, h0)]))
     if root is None:
-        return [LocalizerBox(center=c0, half_width=h0[0], boundary_degree=None, depth=0,
-                             status="inconclusive")]
-    if root[0] == 0:
-        return []
-    recurse(c0, h0, root[0], 0)
+        emit(c0, h0, None, 0, "inconclusive")
+    elif root[0] != 0:
+        recurse(c0, h0, root[0], 0)
     return boxes

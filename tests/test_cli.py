@@ -1,12 +1,17 @@
 """CLI: schema validation, exit codes, byte-level determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import singlab
 import singlab.cli
@@ -210,6 +215,93 @@ def test_schema_rejects_bad_values(tmp_path, capsys):
     for args, key in cases:
         assert run(args, tmp_path) == EXIT_SCHEMA
         assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, key", [
+    (["winding", "--target", "pc", "--shrink", "inf"], "shrink"),
+    (["dimension", "--mesh-min", "nan"], "mesh_min"),
+    (["severity", "--mesh", "nan"], "mesh"),
+    (["oscillate", "--radii", "inf,1,0.1"], "radii"),
+    (["localize", "--map", "pc", "--eps", "nan"], "eps"),
+    (["tube", "--delta-min", "inf"], "delta_min"),
+    (["localize", "--map", "pc", "--half-width", "inf"], "half_width"),
+])
+def test_schema_rejects_non_finite_values(tmp_path, capsys, monkeypatch, args, key):
+    # each of these ran out of memory, raised, warned or exited 0 or 3 when
+    # it reached its runner: the schema names the key before any runner starts
+    def started(*args, **kwargs):
+        raise AssertionError("a runner started on a rejected config")
+
+    for command in singlab.cli._RUNNERS:
+        monkeypatch.setitem(singlab.cli._RUNNERS, command, started)
+    assert run(args, tmp_path) == EXIT_SCHEMA
+    assert f"key '{key}' must be finite" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_cdf_lad_two_points_is_a_contract_error(tmp_path, capsys):
+    # two points have one candidate line, so every LAD tie-gap surrogate is
+    # 0 and no distance in the quantile window can be fitted
+    assert run(["cdf", "--map", "lad", "--n-points", "2", "--samples", "10000"], tmp_path) == EXIT_SCHEMA
+    assert "fewer than two positive distances" in capsys.readouterr().err
+    assert not (tmp_path / "cdf.json").exists()
+
+
+_MAPS = st.sampled_from(["ls", "pc", "lad"])
+
+
+def _decreasing(lo, hi, count):
+    return st.lists(st.floats(lo, hi), min_size=count, max_size=count, unique=True).map(
+        lambda xs: sorted(xs, reverse=True))
+
+
+def _cheap_configs():
+    """(command, config) pairs whose runs each take milliseconds."""
+    at = {"at_x": st.floats(-1.5, 1.5), "at_y": st.floats(-1.5, 1.5)}
+    profile = {"map": _MAPS, **at, "radii": _decreasing(1e-4, 0.5, 3), "k_samples": st.integers(16, 64),
+               "seed": st.integers(0, 2**32 - 1)}
+    families = {
+        "localize": {"map": _MAPS, "center_x": st.floats(-1.0, 1.0), "center_y": st.floats(-1.0, 1.0),
+                     "half_width": st.floats(1e-3, 2.0), "eps": st.floats(1e-4, 0.5),
+                     "samples_per_edge": st.integers(2, 8)},
+        "winding": {"target": st.sampled_from(["standard", "ls", "pc", "lad"]), "samples": st.integers(3, 64),
+                    "shrink": st.just(1.0) | st.floats(1e-3, 1.0)},
+        "oscillate": profile,
+        "severity": {**profile, "mesh": st.floats(1e-3, 1.0)},
+        "derivprofile": {"map": _MAPS | st.just("synthetic"), **at,
+                         "eta_max_min": _decreasing(1e-4, 0.5, 2), "eta_count": st.integers(2, 5),
+                         "seed": st.integers(0, 2**32 - 1)},
+        "dimension": {"fixture": st.sampled_from(["circle", "square", "point"]), "radius": st.floats(1e-3, 1.0),
+                      "mesh_max_min": _decreasing(2e-3, 0.5, 2), "mesh_count": st.integers(4, 6)},
+    }
+    return st.sampled_from(sorted(families)).flatmap(
+        lambda command: st.tuples(st.just(command), st.fixed_dictionaries(families[command])))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(drawn=_cheap_configs(), data=st.data())
+def test_cli_never_exits_internal_on_accepted_configs(tmp_path_factory, drawn, data):
+    # a config the schema accepts ends in a report (0), a config or contract
+    # error (2) or an inconclusive result (3), never in an internal error;
+    # a non-finite float anywhere is the schema's to refuse
+    command, config = drawn
+    for pair in ("eta", "mesh"):
+        if f"{pair}_max_min" in config:
+            config[f"{pair}_max"], config[f"{pair}_min"] = config.pop(f"{pair}_max_min")
+    floats = sorted(key for key, value in config.items() if isinstance(value, (float, list)))
+    bad = data.draw(st.none() | st.tuples(st.sampled_from(floats), st.sampled_from([math.nan, math.inf, -math.inf])))
+    if bad is not None:
+        key, value = bad
+        config[key] = [*config[key][:-1], value] if isinstance(config[key], list) else value
+    argv = [command, "--outdir", str(tmp_path_factory.getbasetemp() / "fuzz")]
+    for key, value in config.items():
+        argv.append(f"--{key.replace('_', '-')}={','.join(map(str, value)) if isinstance(value, list) else value}")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if bad is not None:
+        assert code == EXIT_SCHEMA and f"key '{bad[0]}' must be finite" in err.getvalue(), err.getvalue()
+    assert code in (EXIT_OK, EXIT_SCHEMA, EXIT_INCONCLUSIVE), err.getvalue()
 
 
 def test_schema_rejects_malformed_json(tmp_path):
@@ -513,7 +605,8 @@ def test_refine_bytes_pinned_across_processes(refine_outputs, key):
 
 
 # Installs perfbench's tracer on the package in a fresh interpreter, runs the
-# three measure functions whose arguments its hooks bind, and uninstalls it.
+# three measure functions whose arguments its hooks bind and the localizer,
+# whose boxes its hook reads, and uninstalls it.
 _TRACER_CHECK = """\
 import json, sys
 sys.path.insert(0, sys.argv[1])
@@ -521,7 +614,9 @@ import numpy as np
 import scipy.optimize
 import singlab.measure as measure
 import singlab.metrics as metrics
+import singlab.topology as topology
 from singlab.datamaps import DataMapSpec, MapKind
+from singlab.slices import SliceSpec, slice_map
 from tracer import Tracer
 tracer = Tracer()
 tracer.install()
@@ -529,6 +624,7 @@ measure.box_count_dimension(measure.filled_box_membership((0.2, 0.2), (0.4, 0.4)
                             np.geomspace(0.5, 0.01, 4))
 measure.distance_cdf(DataMapSpec(kind=MapKind.LS_LINE), 4, 10**4, 0)
 measure.tube_volume(measure.point_distance_fn((0.5, 0.5)), (0.0, 0.0), (1.0, 1.0), (0.1, 0.2), 10**4, 0)
+topology.localize_singularities(slice_map(SliceSpec(), DataMapSpec(kind=MapKind.PC_LINE)), (0.0, 0.0), 0.9, 0.1)
 tracer.uninstall()
 assert metrics.minimize is scipy.optimize.minimize
 print(json.dumps(dict(tracer.counters)))
@@ -537,8 +633,8 @@ print(json.dumps(dict(tracer.counters)))
 
 def test_benchmark_tracer_installs_on_the_package():
     # the tracer patches metrics.minimize, SliceSpec.dataset_at and
-    # boundary_family, and binds measure's signatures: install() raises, or a
-    # hook does, when one of them is gone
+    # boundary_family, binds measure's signatures and reads each localizer
+    # box's status: install() raises, or a hook does, when one of them is gone
     perfbench = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
     done = subprocess.run([sys.executable, "-c", _TRACER_CHECK, perfbench], env=_fresh_env(),
                           capture_output=True, text=True)
@@ -546,3 +642,4 @@ def test_benchmark_tracer_installs_on_the_package():
     counters = json.loads(done.stdout.splitlines()[-1])
     assert counters["measure.samples"] == 2 * 10**4
     assert counters["measure.box_count_dimension.cells_computed"] > 0
+    assert counters["topology.boxes_certified"] >= 1

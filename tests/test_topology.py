@@ -1,6 +1,7 @@
 """Winding numbers and the subdivision localizer."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -38,7 +39,6 @@ from singlab.topology import (
     UnsupportedFeatureError,
     WindingReport,
     localize_singularities,
-    midpoint_interpolate,
     rectangle_loop,
     winding_number,
     _lift,
@@ -246,9 +246,15 @@ def test_localizer_root_box_failure_is_inconclusive():
     # the root boundary passes through the singular point at the origin, so
     # its degree is uncertifiable: one inconclusive root box, no degree
     boxes = localize_singularities(half_angle_map(1), (0.5, 0.0), 0.5, 1e-2)
-    assert boxes == [LocalizerBox(center=(0.5, 0.0), half_width=0.5, boundary_degree=None,
+    assert boxes == [LocalizerBox(center=(0.5, 0.0), half_width=0.5, degree=None,
                                   depth=0, status="inconclusive")]
-    assert boxes[0].to_dict()["degree"] is None
+    assert asdict(boxes[0])["degree"] is None
+
+
+@pytest.mark.parametrize("eps", [0.0, -1e-3, math.nan])
+def test_localizer_refuses_eps_that_is_not_positive(eps):
+    with pytest.raises(ContractViolation, match="eps must be positive"):
+        localize_singularities(identity_circle_map, (0.0, 0.0), 0.7, eps)
 
 
 def test_localizer_pc_finds_both_ties():
@@ -303,8 +309,13 @@ def test_localizer_never_reports_uncertified_degree():
 def test_loop_and_report_types():
     with pytest.raises(ContractViolation):
         Loop((np.zeros(2), np.ones(2)))
-    box = LocalizerBox(center=(0.0, 0.0), half_width=0.1, boundary_degree=1, depth=3)
-    d = box.to_dict()
+    # a non-finite sample would never step short, so every edge would be
+    # bisected MAX_REFINE times: the loop is refused before any lift
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ContractViolation, match="finite"):
+            Loop((np.zeros(2), np.ones(2), np.array([bad, 0.0])))
+    box = LocalizerBox(center=(0.0, 0.0), half_width=0.1, degree=1, depth=3)
+    d = asdict(box)
     assert d["degree"] == 1 and d["status"] == "certified"
     r = WindingReport(degree=2, samples_used=10, min_gap=0.5, refined=False)
     assert r.degree == 2
@@ -354,7 +365,7 @@ def reference_winding(loop, fn):
                 raise InconclusiveDegreeError(f"edge not short-arc after {MAX_REFINE} bisections")
             split = ~short
             p_a, a, p_b, b = p_a[split], a[split], p_b[split], b[split]
-            p_m = midpoint_interpolate(p_a, p_b)
+            p_m = 0.5 * (p_a + p_b)
             m = evaluate(p_m).value
             depth += 1
             p_a, a, p_b, b = (np.concatenate(pair) for pair in ((p_a, p_m), (a, m), (p_m, p_b), (m, b)))
