@@ -313,6 +313,8 @@ def localize_singularities(
     """
     if not eps > 0:
         raise ContractViolation("eps must be positive")
+    if not (0 < half_width < math.inf and np.isfinite(center).all()):
+        raise ContractViolation("half_width must be finite and positive, and center finite")
 
     def lift(boxes) -> list:
         centers, half_widths = (np.array(column, dtype=float) for column in zip(*boxes))

@@ -579,6 +579,10 @@ _REFINE_PINS = {
     # recorded once the tradeoff distance came from metrics.nearest_zero_resultant
     "tradeoff": (["tradeoff", "--n-points", "3", "--presets", "uniform,concentrated,moderate"],
                  {"tradeoff.json": "3fde2b4ee502a3b613703ac2d2ab0ef5cb0f666194322be94c742ae16d927fd2"}),
+    # recorded while the cloud's cells were counted by a lexsort of their
+    # index rows; the 315^17-cell grid overflows a plain int64 cell key
+    "tradeoff-17": (["tradeoff", "--n-points", "17", "--presets", "uniform,concentrated,moderate"],
+                    {"tradeoff.json": "dd9b54f0701cb9be69efc67d104ea08dd6a4974631fcf750af26f79addbdfa02"}),
 }
 
 

@@ -20,6 +20,7 @@ from singlab.geometry import ContractViolation
 from singlab.measure import (
     _cell_counts,
     _chunked_draw,
+    _cloud_count,
     _overlapping_cells,
     aug_mean_singular_set_nonempty,
     box_count_dimension,
@@ -189,6 +190,28 @@ def test_overlapping_cells_match_brute_force(spans, coarse, ratio, bits):
     want = fine[np.any(np.all(inside, axis=2), axis=1)]
     assert got.shape == want.shape
     assert np.array_equal(got, want)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(d=st.sampled_from([1, 2, 3, 5, 8, 17]),
+       delta=st.one_of(st.floats(0.005, 0.8), st.integers(3, 10).map(lambda k: 2 * math.pi / 2 ** k)),
+       rows=st.integers(0, 300), pool=st.integers(1, 40), varying=st.integers(1, 17),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(d=17, delta=2 * math.pi / 1024, rows=200, pool=40, varying=1, seed=0)
+@example(d=17, delta=0.005, rows=300, pool=40, varying=17, seed=1)
+@example(d=3, delta=0.02, rows=0, pool=1, varying=3, seed=2)
+def test_cloud_count_matches_distinct_cells(d, delta, rows, pool, varying, seed):
+    # the rows repeat: each is drawn from a pool of points that differ only in
+    # their first `varying` coordinates.  With 2^k cells per axis, rows that
+    # differ only in their first coordinate share one wrapped int64 row-major
+    # key unless the partial keys are ranked before they overflow
+    rng = np.random.default_rng(seed)
+    points = np.tile(2 * math.pi * rng.random(d), (pool, 1))
+    points[:, :varying] = 2 * math.pi * rng.random((pool, min(varying, d)))
+    cloud = points[rng.integers(pool, size=rows)]
+    lo, hi = np.zeros(d), np.full(d, 2 * math.pi)
+    idx = np.clip(np.floor(cloud / delta).astype(int), 0, _cell_counts(lo, hi, delta) - 1)
+    assert _cloud_count(cloud, lo, hi, delta) == len(set(map(tuple, idx)))
 
 
 def test_box_count_preconditions():

@@ -257,6 +257,19 @@ def test_localizer_refuses_eps_that_is_not_positive(eps):
         localize_singularities(identity_circle_map, (0.0, 0.0), 0.7, eps)
 
 
+@pytest.mark.parametrize("center, half_width", [
+    ((0.0, 0.0), math.inf), ((0.0, 0.0), math.nan), ((0.0, 0.0), -0.5), ((0.0, 0.0), 0.0),
+    ((math.nan, 0.0), 0.9), ((0.0, math.inf), 0.9),
+])
+def test_localizer_refuses_bad_root_box(center, half_width):
+    # refused before any loop is built: unchecked, an infinite half-width
+    # warns in _rectangle_points, a zero one fails the loop check, and a
+    # negative one comes back certified with its negative half-width
+    fn = slice_map(SliceSpec(), DataMapSpec(kind=MapKind.PC_LINE))
+    with pytest.raises(ContractViolation, match="half_width must be finite and positive, and center finite"):
+        localize_singularities(fn, center, half_width, 1e-2)
+
+
 def test_localizer_pc_finds_both_ties():
     # the standard slice has exactly two PC eigenvalue ties: the center and
     # u* = ((3 - sqrt(3)) / 2) * (-1/2, sqrt(3)/2)
