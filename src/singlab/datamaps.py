@@ -158,9 +158,9 @@ def _batch_outcome(result) -> BatchOutcome:
 class DataMapSpec:
     """Which map to run and its parameters.
 
-    AUG_MEAN uses ``weights`` (all positive), ``w0 >= 0`` and the unit
-    augmentation point ``aug_point``.  DISK_DECISION uses ``center`` and
-    ``radius > 0``.
+    AUG_MEAN uses ``weights`` (nonempty, finite and positive), a finite
+    ``w0 >= 0`` and the unit augmentation point ``aug_point``.
+    DISK_DECISION uses a finite ``center`` and a finite ``radius > 0``.
     """
 
     kind: MapKind
@@ -176,18 +176,18 @@ class DataMapSpec:
             if self.weights is None or self.w0 is None:
                 raise ContractViolation("AUG_MEAN needs weights and w0")
             w = tuple(float(v) for v in self.weights)
-            if any(v <= 0 for v in w):
-                raise ContractViolation("AUG_MEAN weights must be positive")
-            if self.w0 < 0:
-                raise ContractViolation("AUG_MEAN w0 must be nonnegative")
+            if not w or not all(0.0 < v < math.inf for v in w):
+                raise ContractViolation("AUG_MEAN weights must be nonempty, finite and positive")
+            if not 0.0 <= self.w0 < math.inf:
+                raise ContractViolation("AUG_MEAN w0 must be finite and nonnegative")
             a = np.asarray(self.aug_point, dtype=float)
             if abs(np.linalg.norm(a) - 1.0) > 1e-12:
                 raise ContractViolation("augmentation point must be a unit vector")
             object.__setattr__(self, "weights", w)
             object.__setattr__(self, "aug_point", (float(a[0]), float(a[1])))
         if self.kind is MapKind.DISK_DECISION:
-            if self.radius is None or self.radius <= 0:
-                raise ContractViolation("DISK_DECISION needs radius > 0")
+            if self.radius is None or not 0.0 < self.radius < math.inf or not np.all(np.isfinite(self.center)):
+                raise ContractViolation("DISK_DECISION needs a finite center and a finite radius > 0")
 
 
 def uniform_preset(n: int) -> DataMapSpec:

@@ -32,8 +32,8 @@ from singlab.metrics import (
 
 DEFAULT_QUANTILE_WINDOW = (0.002, 0.05)
 
-# Tradeoff experiment: box-count meshes of the measure surrogate.
-TRADEOFF_MESH_SIZES = tuple(np.geomspace(0.8, 0.02, 6))
+# Tradeoff experiment: the one box-count mesh of the measure surrogate.
+TRADEOFF_MESH = 0.02
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +113,11 @@ def _cloud_count(cloud: np.ndarray, lo: np.ndarray, hi: np.ndarray, delta: float
     return int(np.count_nonzero(np.diff(np.sort(key), prepend=-1)))  # 1 + key changes, 0 if empty
 
 
+def _covering_measure(s: float, count: int, delta: float, dim: int) -> float:
+    """omega_s * N * (diam / 2)^s, the N delta-cells of R^dim as covering sets of diameter delta sqrt(dim)."""
+    return omega_s(s) * count * (delta * math.sqrt(dim) / 2.0) ** s
+
+
 def _overlapping_cells(occupied: np.ndarray, coarse: float, delta: float, counts: np.ndarray) -> np.ndarray:
     """Indices (k, d) of the delta-cells that overlap an occupied coarse cell,
     in the row-major order of np.argwhere.
@@ -148,20 +153,18 @@ def _predicate_counts(pred, lo: np.ndarray, hi: np.ndarray, mesh_sizes) -> list[
     """Occupied-cell counts of a cell predicate on decreasing meshes.
 
     Coarse to fine, as a quadtree (Liebovitch & Toth 1989, Phys. Lett. A
-    141): the coarsest grid is tested in full, and each finer grid only on
-    the cells overlapping an occupied cell of the previous one.  A point of
-    the set in a fine cell lies in some coarse cell, which is then occupied,
-    so no occupied fine cell is skipped.  The occupied cells of a mesh are
-    carried as their indices (k, d), never as a mask of the whole grid.
+    141): each grid is tested only on the cells overlapping an occupied cell
+    of the previous one, the first grid on those of one cell of side
+    max(hi - lo), which are all of its cells.  A point of the set in a fine
+    cell lies in some coarse cell, which is then occupied, so no occupied
+    fine cell is skipped.  The occupied cells of a mesh are carried as their
+    indices (k, d), never as a mask of the whole grid.
     """
     counts = []
-    occupied = coarse = None
+    occupied, coarse = np.zeros((1, lo.size), dtype=np.intp), float(np.max(hi - lo))
     for delta in mesh_sizes:
         n_cells = _cell_counts(lo, hi, delta)
-        if occupied is None:
-            cells = np.argwhere(np.ones(n_cells, dtype=bool))
-        else:
-            cells = _overlapping_cells(occupied, coarse, delta, n_cells)
+        cells = _overlapping_cells(occupied, coarse, delta, n_cells)
         c_lo = lo[None, :] + cells * delta
         c_hi = np.minimum(c_lo + delta, hi[None, :])
         occupied = cells[pred(c_lo, c_hi)]
@@ -182,16 +185,17 @@ def box_count_dimension(
     dimension is the least-squares slope of log N(delta) against
     log(1/delta).  The measure surrogate is omega_s * N(d_min) *
     (d_min * sqrt(dim) / 2)^s at s = round(dimension) unless ``measure_s``
-    pins s explicitly; each occupied cell is treated as one covering set of
-    diameter d_min * sqrt(dim), so this is an upper-bound-flavored H^s
-    estimate, not the true Hausdorff measure.
+    pins s explicitly (``_covering_measure``); each occupied cell is treated
+    as one covering set of diameter d_min * sqrt(dim), so this is an
+    upper-bound-flavored H^s estimate, not the true Hausdorff measure.
 
     A point cloud counts the cells holding one of its points.  A cell
     predicate maps stacked closed-cell bounds (M, d), (M, d) to a bool mask
     and is tested coarse to fine, only near the cells the previous mesh found
-    occupied.  The counts then equal those of testing every cell whenever the
-    predicate is an exact closed-cell intersection test, as
-    ``circle_cell_membership`` and ``filled_box_membership`` are.
+    occupied, the first mesh near one domain-sized cell, so in full.  The
+    counts then equal those of testing every cell whenever the predicate is
+    an exact closed-cell intersection test, as ``circle_cell_membership``
+    and ``filled_box_membership`` are.
     """
     lo = np.asarray(domain_lo, dtype=float)
     hi = np.asarray(domain_hi, dtype=float)
@@ -211,15 +215,11 @@ def box_count_dimension(
         slope = np.polyfit(np.log(1.0 / np.asarray(mesh_sizes)), np.log(counts), 1)[0]
         dimension = float(slope)
     s = float(round(dimension)) if measure_s is None else float(measure_s)
-    d_min = mesh_sizes[-1]
-    n_min = counts[-1]
-    diam = d_min * math.sqrt(lo.size)
-    measure = omega_s(s) * n_min * (diam / 2.0) ** s
     return DimensionEstimate(
         mesh_sizes=tuple(mesh_sizes),
         occupied_counts=tuple(int(c) for c in counts),
         dimension=dimension,
-        measure_at_dim=measure,
+        measure_at_dim=_covering_measure(s, counts[-1], mesh_sizes[-1], lo.size),
         measure_exponent=s,
         degenerate=degenerate,
     )
@@ -322,10 +322,10 @@ def tube_volume(
         hits_kept.append(hits)
         vols.append(box_vol * frac)
         errs.append(box_vol * math.sqrt(frac * (1.0 - frac) / mc_samples))
-    if len(kept) < 2:
-        raise ContractViolation("fewer than two deltas produced hits")
-    w = np.asarray(hits_kept, dtype=float)
     x = np.log(kept)
+    if len(set(x.tolist())) < 2:  # not np.unique, which imports numpy.ma (~1.6 MB of RSS)
+        raise ContractViolation("fewer than two distinct deltas produced hits")
+    w = np.asarray(hits_kept, dtype=float)
     y = np.log(vols)
     xm = np.average(x, weights=w)
     ym = np.average(y, weights=w)
@@ -557,9 +557,11 @@ def tradeoff_experiment(
     cloud_size: int = 20_000,
 ) -> TradeoffReport:
     """Per preset: distance from S to the perfect fits, and a box-count
-    H^{n-2} surrogate of S from a root-continuation point cloud.  From n = 5
-    the counts saturate near one landed point per cell (on every mesh at
-    n = 17), so the surrogate is then set by ``cloud_size``, not by S.
+    H^{n-2} surrogate of S from one count of the TRADEOFF_MESH-cells holding
+    a point of a root-continuation cloud.  From n = 5 nearly every landed
+    point has a cell of its own (of 20 000: 19 999 and 19 992 for UNIFORM and
+    MODERATE at n = 5, all from n = 8), so the surrogate is then set by
+    ``cloud_size``, not by S.
 
     Presets whose augmentation weight reaches the total observation weight
     have an empty singular set; they are flagged infeasible with infinite
@@ -581,13 +583,8 @@ def tradeoff_experiment(
         proj = _project_to_zero_resultant(starts, spec)
         res = evaluate_batch(spec, proj).gap
         cloud = np.mod(proj[np.isfinite(res) & (res < LANDED_TOL)], 2.0 * math.pi)
-        est = box_count_dimension(
-            cloud,
-            np.zeros(n_points),
-            np.full(n_points, 2.0 * math.pi),
-            TRADEOFF_MESH_SIZES,
-            measure_s=n_points - 2,
-        )
-        entries.append(TradeoffEntry(name, spec.w0, dist, est.measure_at_dim, feasible=True))
+        count = _cloud_count(cloud, np.zeros(n_points), np.full(n_points, 2.0 * math.pi), TRADEOFF_MESH)
+        measure = _covering_measure(float(n_points - 2), count, TRADEOFF_MESH, n_points)
+        entries.append(TradeoffEntry(name, spec.w0, dist, measure, feasible=True))
     entries.sort(key=lambda e: (e.dist_s_to_p, e.preset_name))
     return TradeoffReport(entries=tuple(entries), n_points=n_points, seed=seed)

@@ -476,7 +476,8 @@ def derivative_blowup_profile(
     then y3 in the outer half of the eta-ball), so the geometry is
     scale-invariant and the fitted log-log slope reflects the map alone.
     Entries whose arc construction keeps hitting the singular set are
-    flagged and excluded from the fit.
+    flagged and excluded from the fit, which reads NaN unless two kept etas
+    have distinct logs.
 
     ``outcome_fn`` maps stacked points (m, 2) to their BatchOutcome, such as
     ``slices.slice_map``.  Each attempt evaluates its y1, y2 candidates and
@@ -525,8 +526,8 @@ def derivative_blowup_profile(
             avg_r.append(math.nan)
             flagged.append(True)
     good = [i for i, f in enumerate(flagged) if not f]
-    if len(good) >= 2:
-        logs = np.log([etas[i] for i in good])
+    logs = np.log([etas[i] for i in good])
+    if len(set(logs.tolist())) >= 2:  # not np.unique, which imports numpy.ma (~1.6 MB of RSS)
         logd = np.log([avg_d[i] for i in good])
         exponent = float(np.polyfit(logs, logd, 1)[0])
         c = float(min(avg_r[i] / etas[i] for i in good))

@@ -273,6 +273,17 @@ def _cheap_configs():
                          "seed": st.integers(0, 2**32 - 1)},
         "dimension": {"fixture": st.sampled_from(["circle", "square", "point"]), "radius": st.floats(1e-3, 1.0),
                       "mesh_max_min": _decreasing(2e-3, 0.5, 2), "mesh_count": st.integers(4, 6)},
+        "tube": {"fixture": st.sampled_from(["point", "segment", "circle"]), "delta_min": st.floats(1e-4, 0.5),
+                 "delta_max": st.floats(1e-4, 0.5), "delta_count": st.integers(2, 9),
+                 "samples": st.integers(10**4, 2 * 10**4), "seed": st.integers(0, 2**32 - 1)},
+        "cdf": {"map": _MAPS | st.just("augmean"), "n_points": st.integers(1, 6),
+                "samples": st.integers(10**4, 2 * 10**4), "seed": st.integers(0, 2**32 - 1),
+                "q_lo": st.floats(1e-4, 0.2), "q_hi": st.floats(1e-4, 0.2)},
+        "tradeoff": {"n_points": st.integers(1, 8), "cloud_size": st.integers(100, 600),
+                     "presets": st.lists(st.sampled_from(["uniform", "concentrated", "moderate"]),
+                                         min_size=1, max_size=3, unique=True),
+                     "seed": st.integers(0, 2**32 - 1)},
+        "lfplot": {"map": _MAPS, "grid_resolution": st.integers(4, 12)},
     }
     return st.sampled_from(sorted(families)).flatmap(
         lambda command: st.tuples(st.just(command), st.fixed_dictionaries(families[command])))
@@ -288,8 +299,10 @@ def test_cli_never_exits_internal_on_accepted_configs(tmp_path_factory, drawn, d
     for pair in ("eta", "mesh"):
         if f"{pair}_max_min" in config:
             config[f"{pair}_max"], config[f"{pair}_min"] = config.pop(f"{pair}_max_min")
-    floats = sorted(key for key, value in config.items() if isinstance(value, (float, list)))
-    bad = data.draw(st.none() | st.tuples(st.sampled_from(floats), st.sampled_from([math.nan, math.inf, -math.inf])))
+    floats = sorted(key for key, value in config.items()
+                    if all(isinstance(v, float) for v in (value if isinstance(value, list) else [value])))
+    bad = None if not floats else data.draw(
+        st.none() | st.tuples(st.sampled_from(floats), st.sampled_from([math.nan, math.inf, -math.inf])))
     if bad is not None:
         key, value = bad
         config[key] = [*config[key][:-1], value] if isinstance(config[key], list) else value

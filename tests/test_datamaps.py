@@ -197,6 +197,22 @@ def test_aug_mean_spec_validation():
     assert concentrated_preset(4).w0 == 8.0
 
 
+@pytest.mark.parametrize("params", [
+    {"kind": MapKind.AUG_MEAN, "weights": (math.nan, 1.0), "w0": 0.5},
+    {"kind": MapKind.AUG_MEAN, "weights": (1.0, math.inf), "w0": 0.5},
+    {"kind": MapKind.AUG_MEAN, "weights": (), "w0": 0.5},
+    {"kind": MapKind.AUG_MEAN, "weights": (1.0, 1.0), "w0": math.nan},
+    {"kind": MapKind.DISK_DECISION, "radius": math.nan},
+    {"kind": MapKind.DISK_DECISION, "radius": math.inf},
+    {"kind": MapKind.DISK_DECISION, "radius": 1.0, "center": (math.nan, 0.0)},
+])
+def test_spec_refuses_non_finite_or_empty_parameters(params):
+    # each was accepted, and evaluate_batch then returned Defined rows with a
+    # NaN value and a NaN or infinite gap, or (no weights) failed in the kernel
+    with pytest.raises(ContractViolation):
+        DataMapSpec(**params)
+
+
 # ---------------------------------------------------------------------------
 # Disk decision
 # ---------------------------------------------------------------------------

@@ -18,9 +18,11 @@ from singlab.datamaps import (
 )
 from singlab.geometry import ContractViolation
 from singlab.measure import (
+    TRADEOFF_MESH,
     _cell_counts,
     _chunked_draw,
     _cloud_count,
+    _covering_measure,
     _overlapping_cells,
     aug_mean_singular_set_nonempty,
     box_count_dimension,
@@ -214,6 +216,24 @@ def test_cloud_count_matches_distinct_cells(d, delta, rows, pool, varying, seed)
     assert _cloud_count(cloud, lo, hi, delta) == len(set(map(tuple, idx)))
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.sampled_from([2, 3, 5, 8, 17]), rows=st.integers(0, 400), pool=st.integers(1, 400),
+       spread=st.floats(0.01, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+@example(n=3, rows=0, pool=1, spread=1.0, seed=0)
+@example(n=17, rows=400, pool=3, spread=1.0, seed=1)
+def test_tradeoff_count_equals_six_mesh_surrogate(n, rows, pool, spread, seed):
+    # the tradeoff's one count at TRADEOFF_MESH gives, bit for bit, the
+    # surrogate of the six-mesh estimate it used to make and then read only
+    # at its finest mesh.  Rows repeat from a pool, in a corner of the
+    # domain when `spread` is small, so cells hold many points
+    rng = np.random.default_rng(seed)
+    cloud = (2 * math.pi * spread * rng.random((pool, n)))[rng.integers(pool, size=rows)]
+    lo, hi = np.zeros(n), np.full(n, 2 * math.pi)
+    want = box_count_dimension(cloud, lo, hi, np.geomspace(0.8, 0.02, 6), measure_s=n - 2).measure_at_dim
+    got = _covering_measure(float(n - 2), _cloud_count(cloud, lo, hi, TRADEOFF_MESH), TRADEOFF_MESH, n)
+    assert got.hex() == want.hex()
+
+
 def test_box_count_preconditions():
     with pytest.raises(ContractViolation):
         box_count_dimension(np.array([[0.5, 0.5]]), (0, 0), (1, 1), [0.1, 0.05, 0.02])
@@ -264,6 +284,10 @@ def test_tube_monotone_volumes():
 def test_tube_preconditions():
     with pytest.raises(ContractViolation):
         tube_volume(point_distance_fn((0.5, 0.5)), (0, 0), (1, 1), DELTAS, 5000, 0)
+    # deltas one ulp apart share a log, which leaves the slope fit 0 / 0
+    with pytest.raises(ContractViolation):
+        tube_volume(point_distance_fn((0.5, 0.5)), (0, 0), (1, 1), [0.23792354683877923, 0.23792354683877925],
+                    10_000, 0)
 
 
 def peak_bytes(fn):

@@ -400,6 +400,14 @@ def test_blowup_synthetic_exponent_minus_one():
     assert abs(profile.fitted_exponent + 1.0) <= 0.05
 
 
+def test_blowup_etas_of_one_log_fit_nothing():
+    # the two etas differ in their last bit and their logs do not: the slope
+    # fit was rank-deficient (a RankWarning), now it is NaN like a fit of one entry
+    profile = derivative_blowup_profile(half_angle_batch, (0, 0), (0.00010000000000000002, 1e-4), seed=3)
+    assert not any(profile.flagged)
+    assert math.isnan(profile.fitted_exponent) and math.isnan(profile.constant_c)
+
+
 def test_blowup_pc_at_slice_center():
     profile = derivative_blowup_profile(pc_on_slice, (0, 0), ETAS, seed=3)
     assert -1.2 <= profile.fitted_exponent <= -0.8
