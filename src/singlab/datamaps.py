@@ -211,8 +211,8 @@ def eval_disk_decision(x: np.ndarray, spec: DataMapSpec):
     Boundary points get bit 0 with gap 0: the singular set is the
     measure-zero circle itself.
     """
-    if x.ndim != 2 or x.shape[1] != 2 or not np.all(np.isfinite(x)):
-        raise ContractViolation("disk decision input must be a finite 2-vector")
+    if x.ndim != 2 or x.shape[1] != 2:
+        raise ContractViolation("disk decision input must be a 2-vector")
     d = np.linalg.norm(x - np.asarray(spec.center), axis=1)
     return (d < spec.radius).astype(float), np.abs(d - spec.radius), np.zeros(len(d), dtype=np.int8)
 
@@ -258,8 +258,8 @@ def oscillator_g_prime_abs(t: float) -> float:
 def eval_radial_oscillator(x: np.ndarray, spec: DataMapSpec):
     """Kernel of RADIAL_OSCILLATOR on vectors (m, d), d >= 2: the scalar
     g(|x|) on the punctured unit ball, gap = |x|."""
-    if x.ndim != 2 or x.shape[1] < 2 or not np.all(np.isfinite(x)):
-        raise ContractViolation("oscillator input must be a finite d-vector, d >= 2")
+    if x.ndim != 2 or x.shape[1] < 2:
+        raise ContractViolation("oscillator input must be a d-vector, d >= 2")
     r = np.linalg.norm(x, axis=1)
     if np.any(r > 1.0 + 1e-12):
         raise DomainError(f"oscillator input must lie in the unit ball, |x| = {float(r.max())}")
@@ -689,12 +689,15 @@ def evaluate_batch(spec: DataMapSpec, inputs) -> BatchOutcome:
 
     LS, PC and LAD take plane datasets (m, n, 2), AUG_MEAN circle datasets
     as angles (m, n), DISK_DECISION points (m, 2) and RADIAL_OSCILLATOR
-    vectors (m, d).  The kernel, row-wise, runs on blocks of ``_block_rows``
-    rows, or once on a batch that fits one block or has fewer than two axes
-    (which it refuses).
+    vectors (m, d), all finite.  The kernel, row-wise, runs on blocks of
+    ``_block_rows`` rows, or once on a batch that fits one block or has
+    fewer than two axes (which it refuses).
     """
     kernel, feature, _ = _KERNELS[spec.kind]
     inputs = np.asarray(inputs, dtype=float)
+    # min and max carry any NaN or inf, and build no input-sized mask
+    if inputs.size and not np.isfinite([inputs.min(), inputs.max()]).all():
+        raise ContractViolation("map inputs must be finite")
     rows = _block_rows(spec.kind, inputs.shape) if inputs.ndim > 1 else None
     with np.errstate(divide="ignore", invalid="ignore"):
         if rows is None or len(inputs) <= rows:

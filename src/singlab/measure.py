@@ -581,8 +581,8 @@ def tradeoff_experiment(
         rng = np.random.default_rng((seed, zlib.crc32(name.encode())))
         starts = 2.0 * math.pi * rng.random((cloud_size, n_points))
         proj = _project_to_zero_resultant(starts, spec)
-        res = evaluate_batch(spec, proj).gap
-        cloud = np.mod(proj[np.isfinite(res) & (res < LANDED_TOL)], 2.0 * math.pi)
+        proj = proj[np.isfinite(proj).all(axis=1)]
+        cloud = np.mod(proj[evaluate_batch(spec, proj).gap < LANDED_TOL], 2.0 * math.pi)
         count = _cloud_count(cloud, np.zeros(n_points), np.full(n_points, 2.0 * math.pi), TRADEOFF_MESH)
         measure = _covering_measure(float(n_points - 2), count, TRADEOFF_MESH, n_points)
         entries.append(TradeoffEntry(name, spec.w0, dist, measure, feasible=True))

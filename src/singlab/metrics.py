@@ -198,9 +198,10 @@ def nearest_zero_resultant(phi0, spec: DataMapSpec) -> tuple[float, np.ndarray |
     configuration to the angles phi0 (n,) that the projector finds, or
     (inf, None) when no start lands.  Gauss-Newton lands phi0, phi0 +-
     1e-3 (i - (n - 1) / 2) (equal angles are a saddle that the nudges leave)
-    and PROJECTION_STARTS seeded uniform starts; rows within LANDED_TOL are
-    wrapped into phi0 + (-pi, pi]^n and polished by ``_kkt_polish``.  The
-    nearest landed or polished row on which the map is Undefined (|r| <=
+    and PROJECTION_STARTS seeded uniform starts; finite rows within
+    LANDED_TOL are wrapped into phi0 + (-pi, pi]^n and polished by
+    ``_kkt_polish``, whose rows that went NaN are dropped.  The nearest
+    landed or polished row on which the map is Undefined (|r| <=
     TIE_TOL) wins, so the distance is that of a point of the set.
     """
     phi0 = np.asarray(phi0, dtype=float)
@@ -208,8 +209,10 @@ def nearest_zero_resultant(phi0, spec: DataMapSpec) -> tuple[float, np.ndarray |
     uniform = 2.0 * math.pi * np.random.default_rng(PROJECTION_SEED).random((PROJECTION_STARTS, phi0.size))
     with np.errstate(divide="ignore", invalid="ignore"):
         phi = _project_to_zero_resultant(np.vstack([phi0, phi0 + offsets, phi0 - offsets, uniform]), spec)
+        phi = phi[np.isfinite(phi).all(axis=1)]
         landed = phi0 + wrap_increments(phi[evaluate_batch(spec, phi).gap < LANDED_TOL] - phi0, 2.0 * math.pi)
         d = wrap_increments(np.vstack([landed, _kkt_polish(landed, phi0, spec)]) - phi0, 2.0 * math.pi)
+        d = d[np.isfinite(d).all(axis=1)]
     on_s = evaluate_batch(spec, phi0 + d).reason == REASON_CODES.index(UndefinedReason.ZERO_RESULTANT)
     dist = np.where(on_s, np.linalg.norm(d, axis=1), np.inf)
     if not np.any(dist < np.inf):

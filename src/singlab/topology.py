@@ -1,5 +1,5 @@
 """Winding numbers of feature-valued maps along loops, and degree-certified
-recursive localization of singularities.
+quadtree localization of singularities.
 
 A nonzero degree of the feature map along a loop obstructs any continuous
 extension to the region the loop bounds, so it certifies a singularity
@@ -19,7 +19,8 @@ order.  On a loop that fails, the order decides the error: an Undefined
 midpoint at any depth raises LoopHitsSingularityError before an edge that
 reaches depth MAX_REFINE raises InconclusiveDegreeError.  Each loop keeps
 its own outcome, a report or the error it would raise alone:
-``winding_number`` is the one-loop case, and the localizer lifts many.
+``winding_number`` is the one-loop case, and the localizer lifts the boxes
+of one quadtree depth together.
 """
 
 from __future__ import annotations
@@ -273,17 +274,6 @@ def _quarters(c, h, jitter) -> list:
     ]
 
 
-def _certified_degrees(results) -> list | None:
-    """The degrees of the lift results, or None if a loop hit S or failed
-    to certify.  Other errors are raised, the first one in order."""
-    for result in results:
-        if isinstance(result, (LoopHitsSingularityError, InconclusiveDegreeError)):
-            return None
-        if isinstance(result, Exception):
-            raise result
-    return [result.degree for result in results]
-
-
 def localize_singularities(
     outcome_fn,
     center,
@@ -292,7 +282,8 @@ def localize_singularities(
     *,
     samples_per_edge: int = 32,
 ) -> list[LocalizerBox]:
-    """Recursive quadtree localization of degree-carrying singularities.
+    """Quadtree localization of degree-carrying singularities, built one
+    depth at a time.
 
     outcome_fn maps slice parameters (k, 2) to their BatchOutcome, such as
     ``slices.slice_map``.
@@ -304,66 +295,64 @@ def localize_singularities(
     exhaustion when a cut line keeps hitting the singular set, demotes the
     box to INCONCLUSIVE instead of ever reporting an uncertified degree.
 
-    A split lifts its four children in one batch.  If one of them hits S or
-    fails to certify, the six jittered cross-hairs are lifted together, 24
-    loops in one batch, and the split takes the first jitter of ``_JITTERS``
-    whose four children all certify.  A loop's outcome does not depend on
-    the loops lifted with it, so that is the jitter a one-at-a-time ladder
-    would stop at, and the boxes are the same.
+    Each depth takes at most two lifts: the plain cross-hair children of
+    every box still splitting, then the six jittered cross-hairs of every
+    split whose four children did not all certify, which takes the first
+    jitter of ``_JITTERS`` whose four children all certify.  A loop's
+    outcome does not depend on the loops lifted with it, so the boxes are
+    those of a depth-first walk that lifts one child at a time.  Each box
+    carries the path of child indices that led to it, and none is an
+    ancestor of another, so sorting by path returns that walk's order.
     """
     if not eps > 0:
         raise ContractViolation("eps must be positive")
     if not (0 < half_width < math.inf and np.isfinite(center).all()):
         raise ContractViolation("half_width must be finite and positive, and center finite")
 
-    def lift(boxes) -> list:
+    def degrees(boxes) -> list:
+        """Each box's (center, half_widths) certified boundary degree, or
+        None where its loop hit S or did not certify; other errors raise."""
+        if not boxes:
+            return []
         centers, half_widths = (np.array(column, dtype=float) for column in zip(*boxes))
         points = _rectangle_points(centers, half_widths, samples_per_edge)
         _check_loops(points)
-        return _lift(points.reshape(-1, 2), [points.shape[1]] * len(boxes), outcome_fn)
-
-    boxes: list[LocalizerBox] = []
-
-    def emit(c, h, degree, depth, status):
-        boxes.append(
-            LocalizerBox(
-                center=(float(c[0]), float(c[1])),
-                half_width=float(max(h)),
-                degree=degree,
-                depth=depth,
-                status=status,
-            )
-        )
-
-    def recurse(c, h, degree, depth):
-        if max(h) <= eps:
-            emit(c, h, degree, depth, "certified")
-            return
-        children = _quarters(c, h, _JITTERS[0])
-        child_degrees = _certified_degrees(lift(children))
-        if child_degrees is None:
-            # a cut line hit S or an edge refused to certify: jitter
-            ladder = [_quarters(c, h, jitter) for jitter in _JITTERS[1:]]
-            results = lift([child for quarters in ladder for child in quarters])
-            for k, quarters in enumerate(ladder):
-                child_degrees = _certified_degrees(results[4 * k:4 * k + 4])
-                if child_degrees is not None:
-                    children = quarters
-                    break
-        if child_degrees is None or sum(child_degrees) != degree:
-            # jitters exhausted, or additivity violated: the parent
-            # certificate is unsound
-            emit(c, h, degree, depth, "inconclusive")
-            return
-        for (cc, ch), d in zip(children, child_degrees):
-            if d != 0:
-                recurse(cc, ch, d, depth + 1)
+        results = _lift(points.reshape(-1, 2), [points.shape[1]] * len(boxes), outcome_fn)
+        for result in results:
+            if not isinstance(result, (WindingReport, LoopHitsSingularityError, InconclusiveDegreeError)):
+                raise result
+        return [result.degree if isinstance(result, WindingReport) else None for result in results]
 
     c0 = (float(center[0]), float(center[1]))
     h0 = (float(half_width), float(half_width))
-    root = _certified_degrees(lift([(c0, h0)]))
+    (root,) = degrees([(c0, h0)])
     if root is None:
-        emit(c0, h0, None, 0, "inconclusive")
-    elif root[0] != 0:
-        recurse(c0, h0, root[0], 0)
-    return boxes
+        return [LocalizerBox(c0, h0[0], None, 0, "inconclusive")]
+    found = []  # (path, box)
+    level = [((), c0, h0, root)] if root else []
+    while level:
+        splits = []
+        for path, c, h, degree in level:
+            if max(h) <= eps:
+                found.append((path, LocalizerBox(c, max(h), degree, len(path))))
+            else:
+                splits.append((path, c, h, degree))
+        # each split's cut: its first cross-hair whose children all certify
+        cuts = [None] * len(splits)
+        pending = range(len(splits))
+        for jitters in (_JITTERS[:1], _JITTERS[1:]):
+            tries = [(k, _quarters(*splits[k][1:3], jitter)) for k in pending for jitter in jitters]
+            child_degrees = degrees([child for _, children in tries for child in children])
+            for i, (k, children) in enumerate(tries):
+                if cuts[k] is None and None not in child_degrees[4 * i:4 * i + 4]:
+                    cuts[k] = (children, child_degrees[4 * i:4 * i + 4])
+            pending = [k for k in pending if cuts[k] is None]
+        level = []
+        for (path, c, h, degree), cut in zip(splits, cuts):
+            if cut is None or sum(cut[1]) != degree:
+                # jitters exhausted, or additivity violated: the parent
+                # certificate is unsound
+                found.append((path, LocalizerBox(c, max(h), degree, len(path), "inconclusive")))
+            else:
+                level += [(path + (i,), cc, ch, d) for i, ((cc, ch), d) in enumerate(zip(*cut)) if d]
+    return [box for _, box in sorted(found, key=lambda item: item[0])]

@@ -404,6 +404,43 @@ def run_sequence_in_process(runs, **env):
     return json.loads(done.stdout.splitlines()[-1])
 
 
+# A fresh interpreter runs the given CLI runs and prints, as JSON, their exit
+# codes and whether numpy.ma was loaded after the import and after the runs.
+_MA_CHECK = """\
+import json, sys
+from singlab.cli import main
+at_import = "numpy.ma" in sys.modules
+runs = json.loads(sys.argv[1])
+codes = [main(args + ["--outdir", outdir]) for args, outdir in runs]
+print(json.dumps([codes, at_import, "numpy.ma" in sys.modules]))
+"""
+
+
+def test_no_command_loads_numpy_ma(tmp_path):
+    # a first load of numpy.ma costs ~1.6 MB of peak RSS.  A plain np.unique
+    # of floats loads it, the integer np.unique calls of the PC localizer (a
+    # jitter ladder's loops hit S) and the 8-point tradeoff's key re-rank do not
+    runs = [
+        (["lfplot", "--map", "pc", "--grid-resolution", "8"], EXIT_OK),
+        (["winding", "--target", "standard", "--samples", "64"], EXIT_OK),
+        (["localize", "--map", "pc"], EXIT_OK),
+        (["oscillate", "--map", "pc", "--k-samples", "16"], EXIT_OK),
+        (["severity", "--map", "pc", "--k-samples", "16"], EXIT_OK),
+        (["derivprofile", "--map", "synthetic", "--eta-count", "3"], EXIT_OK),
+        (["tube", "--fixture", "point", "--samples", "10000"], EXIT_OK),
+        (["cdf", "--map", "ls", "--samples", "10000"], EXIT_OK),
+        (["dimension", "--fixture", "point", "--mesh-min", "0.003"], EXIT_OK),
+        (["tradeoff", "--n-points", "8", "--presets", "uniform", "--cloud-size", "500"], EXIT_OK),
+    ]
+    assert sorted(args[0] for args, _ in runs) == sorted(singlab.cli.SCHEMAS)
+    argv = [(args, str(tmp_path / args[0])) for args, _ in runs]
+    done = subprocess.run([sys.executable, "-c", _MA_CHECK, json.dumps(argv)], env=_fresh_env(),
+                          capture_output=True, text=True, check=True)
+    codes, at_import, after = json.loads(done.stdout.splitlines()[-1])
+    assert codes == [code for _, code in runs]
+    assert at_import or not after
+
+
 def test_tradeoff_byte_reproducible_across_processes(tmp_path):
     # str hashes are salted per process; the preset seeds must not depend on them
     args = ["tradeoff", "--presets", "uniform,moderate", "--cloud-size", "2000"]

@@ -14,6 +14,7 @@ from singlab.datamaps import (
     concentrated_preset,
     eval_perfect_fit_standard,
     evaluate,
+    evaluate_batch,
     evaluate_with_standard,
     oscillator_g,
     oscillator_g_prime_abs,
@@ -211,6 +212,27 @@ def test_spec_refuses_non_finite_or_empty_parameters(params):
     # NaN value and a NaN or infinite gap, or (no weights) failed in the kernel
     with pytest.raises(ContractViolation):
         DataMapSpec(**params)
+
+
+@pytest.mark.parametrize("spec, row", [
+    (LS, [[0.0, 0.0], [1.0, 0.5], [2.0, 1.0]]),
+    (PC, [[0.0, 0.0], [1.0, 0.5], [2.0, 1.0]]),
+    (LAD, [[0.0, 0.0], [1.0, 0.5], [2.0, 1.0]]),
+    (uniform_preset(3), [0.0, 1.0, 2.0]),
+    (DataMapSpec(kind=MapKind.DISK_DECISION, radius=0.5), [0.1, 0.2]),
+    (OSCILLATOR, [0.1, 0.2]),
+], ids=["ls", "pc", "lad", "aug_mean", "disk", "oscillator"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_evaluate_batch_refuses_non_finite_inputs(spec, row, bad):
+    # LS, PC, LAD and AUG_MEAN returned such a row as Defined, with a NaN
+    # value; the last block of a many-block batch is checked too
+    good = np.array(row, dtype=float)
+    broken = good.copy()
+    broken.flat[-1] = bad
+    assert np.all(evaluate_batch(spec, np.stack([good, good])).reason == 0)
+    for batch in (np.stack([good, broken]), np.concatenate([np.repeat(good[None], 20_000, axis=0), broken[None]])):
+        with pytest.raises(ContractViolation, match="map inputs must be finite"):
+            evaluate_batch(spec, batch)
 
 
 # ---------------------------------------------------------------------------
