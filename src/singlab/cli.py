@@ -12,8 +12,9 @@ which writes no report) and the other files it wrote; ``main`` alone writes
 the result as the JSON report at ``config["out"]`` and prints its path
 before the other files.
 
-Exit codes: 0 success, 1 internal error, 2 config/schema error,
-3 inconclusive-only results.
+Exit codes: 0 success, 1 internal error, 2 config/schema error ("config
+error:") or a contract the run itself broke ("run error:"), 3
+inconclusive-only results.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ class SchemaError(ValueError):
 # Per-command schema: key -> (type, default, validator or None)
 def _positive(name):
     def check(v):
-        if v <= 0:
+        if any(x <= 0 for x in (v if isinstance(v, list) else [v])):
             raise SchemaError(f"key '{name}' must be positive, got {v}")
     return check
 
@@ -126,7 +127,7 @@ SCHEMAS = {
         "map": (str, "pc", _choice("map", set(_FITTER_KINDS))),
         "at_x": (float, 0.0, None),
         "at_y": (float, 0.0, None),
-        "radii": (list, [0.1, 0.01, 0.001], None),
+        "radii": (list, [0.1, 0.01, 0.001], _positive("radii")),
         "k_samples": (int, 64, _at_least("k_samples", 16)),
         "seed": (int, 0, None),
         "out": (str, "oscillation.json", None),
@@ -135,7 +136,7 @@ SCHEMAS = {
         "map": (str, "pc", _choice("map", set(_FITTER_KINDS))),
         "at_x": (float, 0.0, None),
         "at_y": (float, 0.0, None),
-        "radii": (list, [0.1, 0.01, 0.001], None),
+        "radii": (list, [0.1, 0.01, 0.001], _positive("radii")),
         "k_samples": (int, 64, _at_least("k_samples", 16)),
         "mesh": (float, 0.3, _positive("mesh")),
         "seed": (int, 0, None),
@@ -482,8 +483,11 @@ def main(argv=None) -> int:
             path = _out_path(config["out"], outdir)
             write_json_report(path, command, config, result)
             files = [path, *files]
-    except (SchemaError, ContractViolation) as exc:
+    except SchemaError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_SCHEMA
+    except ContractViolation as exc:
+        print(f"run error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except Exception as exc:  # noqa: BLE001
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -4,36 +4,26 @@ Greedy packing/covering numbers, box-count dimension with an upper-bound
 Hausdorff-measure surrogate, Monte-Carlo tube volumes with a codimension
 fit, distance-to-singular-set CDFs with tail exponents, and the
 measure-versus-distance tradeoff experiment for augmented means, whose
-distance and point cloud come from the zero-resultant projector of
-``singlab.metrics``.
+distance comes from the zero-resultant projector of ``singlab.metrics`` and
+whose measure is bracketed by zero counts on coordinate torus slices.
 
-All Monte-Carlo draws come in chunks, each from its own generator seeded
-by (seed, first row of the chunk), written in place into one array in chunk
-order.
+Tube and CDF draws come in chunks, each from its own generator seeded by
+(seed, first row of the chunk), written in place into one array in chunk
+order; the tradeoff's one (n, m) draw comes from ``default_rng(seed)``.
 """
 
 from __future__ import annotations
 
 import math
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from singlab.datamaps import DataMapSpec, MapKind, _axis_sum, _pairwise_sum, evaluate_batch
+from singlab.datamaps import DataMapSpec, MapKind, _axis_sum, _pairwise_sum, _resultant
 from singlab.geometry import ContractViolation, omega_s
-from singlab.metrics import (
-    DIST_SURROGATE,
-    LANDED_TOL,
-    SINGULAR_DISTANCE,
-    _project_to_zero_resultant,
-    nearest_zero_resultant,
-)
+from singlab.metrics import DIST_SURROGATE, SINGULAR_DISTANCE, nearest_zero_resultant
 
 DEFAULT_QUANTILE_WINDOW = (0.002, 0.05)
-
-# Tradeoff experiment: the one box-count mesh of the measure surrogate.
-TRADEOFF_MESH = 0.02
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +92,7 @@ def _cloud_count(cloud: np.ndarray, lo: np.ndarray, hi: np.ndarray, delta: float
     """Number of delta-cells of the domain box holding a point of the cloud,
     counted over sorted row-major int64 cell keys (Liebovitch & Toth 1989).
     Partial keys are ranked before a column would push their bound past 2^62,
-    so even a 17-point tradeoff cloud's 315^17-cell grid cannot overflow."""
+    so even a 315^17-cell grid of a 17-dimensional cloud cannot overflow."""
     counts = _cell_counts(lo, hi, delta)
     idx = np.clip(np.floor((cloud - lo[None, :]) / delta).astype(int), 0, counts - 1)
     key, bound = np.zeros(len(idx), dtype=np.int64), 1
@@ -111,11 +101,6 @@ def _cloud_count(cloud: np.ndarray, lo: np.ndarray, hi: np.ndarray, delta: float
             key, bound = np.unique(key, return_inverse=True)[1], len(key)
         key, bound = key * n + column, bound * n
     return int(np.count_nonzero(np.diff(np.sort(key), prepend=-1)))  # 1 + key changes, 0 if empty
-
-
-def _covering_measure(s: float, count: int, delta: float, dim: int) -> float:
-    """omega_s * N * (diam / 2)^s, the N delta-cells of R^dim as covering sets of diameter delta sqrt(dim)."""
-    return omega_s(s) * count * (delta * math.sqrt(dim) / 2.0) ** s
 
 
 def _overlapping_cells(occupied: np.ndarray, coarse: float, delta: float, counts: np.ndarray) -> np.ndarray:
@@ -185,9 +170,9 @@ def box_count_dimension(
     dimension is the least-squares slope of log N(delta) against
     log(1/delta).  The measure surrogate is omega_s * N(d_min) *
     (d_min * sqrt(dim) / 2)^s at s = round(dimension) unless ``measure_s``
-    pins s explicitly (``_covering_measure``); each occupied cell is treated
-    as one covering set of diameter d_min * sqrt(dim), so this is an
-    upper-bound-flavored H^s estimate, not the true Hausdorff measure.
+    pins s explicitly; each occupied cell is treated as one covering set of
+    diameter d_min * sqrt(dim), so this is an upper-bound-flavored H^s
+    estimate, not the true Hausdorff measure.
 
     A point cloud counts the cells holding one of its points.  A cell
     predicate maps stacked closed-cell bounds (M, d), (M, d) to a bool mask
@@ -219,7 +204,7 @@ def box_count_dimension(
         mesh_sizes=tuple(mesh_sizes),
         occupied_counts=tuple(int(c) for c in counts),
         dimension=dimension,
-        measure_at_dim=_covering_measure(s, counts[-1], mesh_sizes[-1], lo.size),
+        measure_at_dim=omega_s(s) * counts[-1] * (mesh_sizes[-1] * math.sqrt(lo.size) / 2.0) ** s,
         measure_exponent=s,
         degenerate=degenerate,
     )
@@ -499,7 +484,9 @@ class TradeoffEntry:
     preset_name: str
     w0: float
     dist_s_to_p: float
-    measure_estimate: float
+    measure_lower: float
+    measure_upper: float
+    measure_stderr: float
     feasible: bool
 
     def to_dict(self) -> dict:
@@ -507,7 +494,9 @@ class TradeoffEntry:
             "preset_name": self.preset_name,
             "w0": self.w0,
             "dist_S_to_P": self.dist_s_to_p if math.isfinite(self.dist_s_to_p) else "inf",
-            "measure_estimate": self.measure_estimate,
+            "measure_lower": self.measure_lower,
+            "measure_upper": self.measure_upper,
+            "measure_stderr": self.measure_stderr,
             "feasible": self.feasible,
         }
 
@@ -550,23 +539,40 @@ def _aug_mean_dist_to_perfect(spec: DataMapSpec) -> float:
     return nearest_zero_resultant(np.full(len(spec.weights), math.atan2(-a_y, -a_x)), spec)[0]
 
 
+def _slice_zero_counts(angles: np.ndarray, spec: DataMapSpec) -> np.ndarray:
+    """Per configuration, angles (n, m) one row per point, the resultant's zeros
+    on its C(n, 2) coordinate slices: two with phi_i, phi_j free if |w_i - w_j|
+    < |c| < w_i + w_j, c the other terms plus w0 a, else none (up to a null set)."""
+    w = np.asarray(spec.weights, dtype=float)[:, None]
+    r, terms = _resultant(angles, spec)
+    counts = np.zeros(angles.shape[1], dtype=np.int64)
+    for i in range(len(w) - 1):
+        c2 = np.sum(np.square((r - terms[:, i])[:, None] - terms[:, i + 1:]), axis=0)  # |c|^2, (n - 1 - i, m)
+        counts += 2 * np.count_nonzero(((w[i] - w[i + 1:]) ** 2 < c2) & (c2 < (w[i] + w[i + 1:]) ** 2), axis=0)
+    return counts
+
+
 def tradeoff_experiment(
     presets: dict[str, DataMapSpec],
     n_points: int,
     seed: int,
     cloud_size: int = 20_000,
 ) -> TradeoffReport:
-    """Per preset: distance from S to the perfect fits, and a box-count
-    H^{n-2} surrogate of S from one count of the TRADEOFF_MESH-cells holding
-    a point of a root-continuation cloud.  From n = 5 nearly every landed
-    point has a cell of its own (of 20 000: 19 999 and 19 992 for UNIFORM and
-    MODERATE at n = 5, all from n = 8), so the surrogate is then set by
-    ``cloud_size``, not by S.
+    """Per preset: distance from S to the perfect fits, and a bracket on
+    H^{n-2}(S) from ``cloud_size`` uniform draws on the n-torus, one set for all.
+
+    The mean m of (2 pi)^{n-2} times a draw's slice zero count estimates
+    sum_ij int_S J_ij dH^{n-2} (coarea formula, Federer 1969, §3.2); with sum_ij
+    J_ij^2 = 1 (Cauchy-Binet), H^{n-2}(S) lies in [m / sqrt(C(n, 2)), m].
 
     Presets whose augmentation weight reaches the total observation weight
     have an empty singular set; they are flagged infeasible with infinite
     distance and zero measure.  Entries are sorted by distance.
     """
+    if cloud_size < 1:
+        raise ContractViolation("cloud_size must be at least 1")
+    angles = 2.0 * math.pi * np.random.default_rng(seed).random((n_points, cloud_size))
+    scale = (2.0 * math.pi) ** (n_points - 2)
     entries = []
     for name, spec in presets.items():
         if spec.kind is not MapKind.AUG_MEAN:
@@ -574,17 +580,13 @@ def tradeoff_experiment(
         if len(spec.weights) != n_points:
             raise ContractViolation(f"preset {name} has {len(spec.weights)} weights for n={n_points}")
         if not aug_mean_singular_set_nonempty(spec):
-            entries.append(TradeoffEntry(name, spec.w0, math.inf, 0.0, feasible=False))
+            entries.append(TradeoffEntry(name, spec.w0, math.inf, 0.0, 0.0, 0.0, feasible=False))
             continue
         dist = _aug_mean_dist_to_perfect(spec)
-        # a stable digest of the name: str hashes are salted per process
-        rng = np.random.default_rng((seed, zlib.crc32(name.encode())))
-        starts = 2.0 * math.pi * rng.random((cloud_size, n_points))
-        proj = _project_to_zero_resultant(starts, spec)
-        proj = proj[np.isfinite(proj).all(axis=1)]
-        cloud = np.mod(proj[evaluate_batch(spec, proj).gap < LANDED_TOL], 2.0 * math.pi)
-        count = _cloud_count(cloud, np.zeros(n_points), np.full(n_points, 2.0 * math.pi), TRADEOFF_MESH)
-        measure = _covering_measure(float(n_points - 2), count, TRADEOFF_MESH, n_points)
-        entries.append(TradeoffEntry(name, spec.w0, dist, measure, feasible=True))
+        counts = _slice_zero_counts(angles, spec)
+        upper = scale * float(np.mean(counts))
+        stderr = scale * float(np.std(counts)) / math.sqrt(cloud_size)  # 0.0 when every count agrees
+        lower = upper / math.sqrt(math.comb(n_points, 2))
+        entries.append(TradeoffEntry(name, spec.w0, dist, lower, upper, stderr, feasible=True))
     entries.sort(key=lambda e: (e.dist_s_to_p, e.preset_name))
     return TradeoffReport(entries=tuple(entries), n_points=n_points, seed=seed)

@@ -275,6 +275,8 @@ class OscillationProfile:
             raise ContractViolation("radii and diameters must have equal length")
         if not all(r1 > r2 for r1, r2 in zip(self.radii, self.radii[1:])):
             raise ContractViolation("radii must be strictly decreasing")
+        if not all(r > 0 for r in self.radii):
+            raise ContractViolation(f"radii must be positive, got {self.radii}")
 
     @property
     def all_undefined(self) -> tuple[bool, ...]:

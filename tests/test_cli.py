@@ -243,8 +243,34 @@ def test_cdf_lad_two_points_is_a_contract_error(tmp_path, capsys):
     # two points have one candidate line, so every LAD tie-gap surrogate is
     # 0 and no distance in the quantile window can be fitted
     assert run(["cdf", "--map", "lad", "--n-points", "2", "--samples", "10000"], tmp_path) == EXIT_SCHEMA
-    assert "fewer than two positive distances" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("run error: fewer than two positive distances")
     assert not (tmp_path / "cdf.json").exists()
+
+
+@pytest.mark.parametrize("args, prefix", [
+    # one delta has one hit log, so no slope can be fitted: the run fails
+    (["tube", "--delta-min", "0.01", "--delta-max", "0.01"], "run error: fewer than two distinct deltas"),
+    # the schema refuses the config before any run starts
+    (["tube", "--delta-min", "-0.01"], "config error: key 'delta_min'"),
+    (["winding", "--target", "standard", "--shrink", "0.5"], "config error: key 'shrink'"),
+])
+def test_run_errors_and_config_errors_are_told_apart(tmp_path, capsys, args, prefix):
+    assert run(args, tmp_path) == EXIT_SCHEMA
+    assert capsys.readouterr().err.startswith(prefix)
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("args", [
+    ["oscillate", "--radii=-0.1,-0.2,-0.3"],
+    ["severity", "--radii=0.1,0.01,-0.001"],
+    ["severity", "--radii=0.1,0.01,0"],
+])
+def test_schema_refuses_radii_that_are_not_positive(tmp_path, capsys, args):
+    # each of these ran and exited 0: diameters of balls of negative radius,
+    # a SEVERE label, a NaN diameter labelled UNDECIDED
+    assert run(args, tmp_path) == EXIT_SCHEMA
+    assert capsys.readouterr().err.startswith("config error: key 'radii' must be positive")
+    assert not list(tmp_path.iterdir())
 
 
 _MAPS = st.sampled_from(["ls", "pc", "lad"])
@@ -369,8 +395,11 @@ def test_tradeoff_command(tmp_path):
         tmp_path,
     ) == EXIT_OK
     payload = json.loads((tmp_path / "tradeoff.json").read_text())
-    names = [e["preset_name"] for e in payload["result"]["entries"]]
-    assert names == ["MODERATE", "UNIFORM"]
+    entries = payload["result"]["entries"]
+    assert [e["preset_name"] for e in entries] == ["MODERATE", "UNIFORM"]
+    for e in entries:
+        assert e["measure_lower"] <= e["measure_upper"]
+        assert e["measure_stderr"] >= 0.0
 
 
 def _fresh_env(**env):
@@ -626,13 +655,12 @@ _REFINE_PINS = {
                                 "derivprofile.json": "3f75eaa0a41f37eedc2588db7500c44e05f03472c3454e9617aa838c4b9de95e"}),
     "dimension-circle": (["dimension", "--fixture", "circle", "--mesh-min", "0.0005"],
                          {"dimension.json": "33038b6842a24b8602041c9f932a8948953698988fe4a5f3b59e5df8b60d564b"}),
-    # recorded once the tradeoff distance came from metrics.nearest_zero_resultant
+    # recorded once the measure became the slice-count bracket (measure_lower,
+    # measure_upper, measure_stderr); dist_S_to_P kept its bits
     "tradeoff": (["tradeoff", "--n-points", "3", "--presets", "uniform,concentrated,moderate"],
-                 {"tradeoff.json": "3fde2b4ee502a3b613703ac2d2ab0ef5cb0f666194322be94c742ae16d927fd2"}),
-    # recorded while the cloud's cells were counted by a lexsort of their
-    # index rows; the 315^17-cell grid overflows a plain int64 cell key
+                 {"tradeoff.json": "341e13b62c7f8495deed37ec03c7eb537d7b401c47586fb9b297caa2f0c9680b"}),
     "tradeoff-17": (["tradeoff", "--n-points", "17", "--presets", "uniform,concentrated,moderate"],
-                    {"tradeoff.json": "dd9b54f0701cb9be69efc67d104ea08dd6a4974631fcf750af26f79addbdfa02"}),
+                    {"tradeoff.json": "ea5dfa301c7ebee3365062e26a959be7ed21caacfb14db3e34a31c1453f8a5d1"}),
 }
 
 

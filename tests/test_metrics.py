@@ -344,6 +344,14 @@ def test_severity_classification():
     assert classify_severity(between, 0.3) == UNDECIDED
 
 
+@pytest.mark.parametrize("radii", [(-0.1, -0.2, -0.3), (0.1, 0.01, -0.001), (0.1, 0.01, 0.0)])
+def test_oscillation_refuses_radii_that_are_not_positive(radii):
+    with pytest.raises(ContractViolation, match="radii must be positive"):
+        OscillationProfile(radii=radii, diameters=(0.4, 0.2, 0.1), samples_per_radius=16, seed=0)
+    with pytest.raises(ContractViolation, match="radii must be positive"):
+        oscillation(PC, EQUILATERAL, radii, 16, seed=0)
+
+
 def test_oscillation_profile_all_undefined_is_derived():
     profile = OscillationProfile(radii=RADII, diameters=(0.4, math.nan, 0.0), samples_per_radius=16, seed=0)
     assert profile.all_undefined == (False, True, False)
