@@ -614,17 +614,24 @@ def _resultant(angles: np.ndarray, spec: DataMapSpec) -> tuple[np.ndarray, np.nd
     """Resultant sum_i w_i (cos phi_i, sin phi_i) + w0 * a of m angle
     configurations stored one row per point, angles (n, m): r (2, m), and
     the weighted points (w cos phi, w sin phi) stacked on a first axis, (2,
-    n, m).  Each configuration adds its terms in point order from +0.0, then
-    w0 a, one contiguous m-long row at a time: unlike a BLAS product's, r's
-    rounding ignores the other configurations."""
-    w = np.asarray(spec.weights, dtype=float)
-    if w.shape[0] != angles.shape[0]:
-        raise ContractViolation(f"{w.shape[0]} weights for {angles.shape[0]} points")
-    terms = np.empty((2, *angles.shape))  # w cos phi, w sin phi
+    n, m); ``_weighted_resultant`` of the unit points."""
+    terms = np.empty((2, *angles.shape))  # cos phi, sin phi
     np.cos(angles, out=terms[0])
     np.sin(angles, out=terms[1])
+    return _weighted_resultant(terms, spec)
+
+
+def _weighted_resultant(terms: np.ndarray, spec: DataMapSpec) -> tuple[np.ndarray, np.ndarray]:
+    """``_resultant`` of unit points (cos phi, sin phi) stacked on a first
+    axis, terms (2, n, m), which it scales in place to the weighted points.
+    Each configuration adds its terms in point order from +0.0, then w0 a,
+    one contiguous m-long row at a time: unlike a BLAS product's, r's
+    rounding ignores the other configurations."""
+    w = np.asarray(spec.weights, dtype=float)
+    if w.shape[0] != terms.shape[1]:
+        raise ContractViolation(f"{w.shape[0]} weights for {terms.shape[1]} points")
     terms *= w[:, None]
-    r = np.zeros((2, angles.shape[1]))
+    r = np.zeros((2, terms.shape[2]))
     for i in range(w.shape[0]):
         r += terms[:, i]
     r += spec.w0 * np.asarray(spec.aug_point, dtype=float)[:, None]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from singlab.datamaps import DataMapSpec, MapKind, _axis_sum, _pairwise_sum, _resultant
+from singlab.datamaps import DataMapSpec, MapKind, _axis_sum, _pairwise_sum, _weighted_resultant
 from singlab.geometry import ContractViolation, omega_s
 from singlab.metrics import DIST_SURROGATE, SINGULAR_DISTANCE, nearest_zero_resultant
 
@@ -539,13 +539,14 @@ def _aug_mean_dist_to_perfect(spec: DataMapSpec) -> float:
     return nearest_zero_resultant(np.full(len(spec.weights), math.atan2(-a_y, -a_x)), spec)[0]
 
 
-def _slice_zero_counts(angles: np.ndarray, spec: DataMapSpec) -> np.ndarray:
-    """Per configuration, angles (n, m) one row per point, the resultant's zeros
-    on its C(n, 2) coordinate slices: two with phi_i, phi_j free if |w_i - w_j|
-    < |c| < w_i + w_j, c the other terms plus w0 a, else none (up to a null set)."""
+def _slice_zero_counts(units: np.ndarray, spec: DataMapSpec) -> np.ndarray:
+    """Per configuration, given by its unit points (cos phi, sin phi) (2, n, m),
+    the resultant's zeros on its C(n, 2) coordinate slices: two with phi_i,
+    phi_j free if |w_i - w_j| < |c| < w_i + w_j, c the other terms plus w0 a,
+    else none (up to a null set)."""
     w = np.asarray(spec.weights, dtype=float)[:, None]
-    r, terms = _resultant(angles, spec)
-    counts = np.zeros(angles.shape[1], dtype=np.int64)
+    r, terms = _weighted_resultant(units.copy(), spec)
+    counts = np.zeros(r.shape[1], dtype=np.int64)
     for i in range(len(w) - 1):
         c2 = np.sum(np.square((r - terms[:, i])[:, None] - terms[:, i + 1:]), axis=0)  # |c|^2, (n - 1 - i, m)
         counts += 2 * np.count_nonzero(((w[i] - w[i + 1:]) ** 2 < c2) & (c2 < (w[i] + w[i + 1:]) ** 2), axis=0)
@@ -572,6 +573,7 @@ def tradeoff_experiment(
     if cloud_size < 1:
         raise ContractViolation("cloud_size must be at least 1")
     angles = 2.0 * math.pi * np.random.default_rng(seed).random((n_points, cloud_size))
+    units = np.stack([np.cos(angles), np.sin(angles)])  # one trig pass for every preset
     scale = (2.0 * math.pi) ** (n_points - 2)
     entries = []
     for name, spec in presets.items():
@@ -583,7 +585,7 @@ def tradeoff_experiment(
             entries.append(TradeoffEntry(name, spec.w0, math.inf, 0.0, 0.0, 0.0, feasible=False))
             continue
         dist = _aug_mean_dist_to_perfect(spec)
-        counts = _slice_zero_counts(angles, spec)
+        counts = _slice_zero_counts(units, spec)
         upper = scale * float(np.mean(counts))
         stderr = scale * float(np.std(counts)) / math.sqrt(cloud_size)  # 0.0 when every count agrees
         lower = upper / math.sqrt(math.comb(n_points, 2))

@@ -2,10 +2,11 @@
 
 Distance to the singular set (exact where an analytic projection exists,
 tagged surrogates elsewhere), the one projector onto the augmented mean's
-zero-resultant set (batched Gauss-Newton landing, then a Newton polish of
-the KKT system), local oscillation profiles, a cover-based severity
-classifier, and derivative blow-up profiles along arcs shrinking into a
-singular point.  The profilers take a map as any callable from points
+zero-resultant set (Gauss-Newton landing, then a Newton polish of the KKT
+system, over a batch of starts in which each row stops by its own rule, so
+no start moves another's result), local oscillation profiles, a
+cover-based severity classifier, and derivative blow-up profiles along
+arcs shrinking into a singular point.  The profilers take a map as any callable from points
 stacked on a first axis to their ``BatchOutcome``, such as
 ``slices.slice_map``, and refuse a result of another type.
 
@@ -81,10 +82,9 @@ SINGULAR_DISTANCE = {
 }
 
 # Projection onto {resultant = 0}: the Gauss-Newton step cap (a row stops
-# once |r| < TIE_TOL), the residual of a landed start, the seeded uniform
-# starts, and the KKT polish's step cap and step-size stop.
+# once |r| < TIE_TOL), the seeded uniform starts, and the KKT polish's step
+# cap and the step size after which a row stops.
 GAUSS_NEWTON_ITERS = 60
-LANDED_TOL = 1e-9
 PROJECTION_STARTS = 128
 PROJECTION_SEED = 0
 POLISH_ITERS = 10
@@ -134,28 +134,22 @@ def _project_to_zero_resultant(angles: np.ndarray, spec: DataMapSpec) -> np.ndar
     """Gauss-Newton projection of angle configurations (m, n) onto
     {resultant = 0}.
 
-    Underdetermined least-norm steps, on the live rows only: a row is frozen
-    once its resultant norm drops below TIE_TOL or is NaN (NaN absorbs every
-    later step, so such a row never lands), and the iteration stops when
-    none is left or after GAUSS_NEWTON_ITERS steps.  Rows that fail to
-    converge are left with a nonzero or NaN residual and filtered by the
-    caller.  The angles are stored one row per point, (n, m), so the sums
-    and steps run over contiguous rows of the live configurations.
+    Underdetermined least-norm steps.  A row stops once its resultant norm
+    drops below TIE_TOL or is NaN (NaN absorbs every later step, so such a
+    row never lands), and the iteration stops when no row moves or after
+    GAUSS_NEWTON_ITERS steps, so each row's result is that of its start
+    alone.  Rows that fail to converge are left with a nonzero or NaN
+    residual and filtered by the caller.  The angles are stored one row per
+    point, (n, m), so the sums and steps run over contiguous rows.
     """
     phi = angles.T.copy()
-    active = np.arange(phi.shape[1])
-    live = phi
     for _ in range(GAUSS_NEWTON_ITERS):
-        r, jx, jy = _jacobian(live, spec)
+        r, jx, jy = _jacobian(phi, spec)
         moving = np.hypot(r[0], r[1]) >= TIE_TOL
-        if not moving.all():
-            phi[:, active[~moving]] = live[:, ~moving]
-            active, live, r, jx, jy = (np.compress(moving, a, axis=-1) for a in (active, live, r, jx, jy))
-        if active.size == 0:
+        if not moving.any():
             break
         lam1, lam2 = _solve_gram(jx, jy, jx, jy, r[0], r[1])
-        live -= jx * lam1 + jy * lam2
-    phi[:, active] = live
+        phi = np.where(moving, phi - (jx * lam1 + jy * lam2), phi)
     return phi.T
 
 
@@ -166,30 +160,33 @@ def _kkt_polish(phi: np.ndarray, phi0: np.ndarray, spec: DataMapSpec) -> np.ndar
     Lagrangian's Hessian is diagonal, h_i = 1 + w_i (mu_x cos phi_i + mu_y
     sin phi_i), so a step solves the 2x2 Schur system (J H^-1 J^T) dmu =
     J H^-1 g - r and sets dphi = H^-1 (J^T dmu - g); mu starts at the
-    least-squares multipliers.  A row goes NaN once a step exceeds pi (it
-    left its cell) or its system is singular, and the iteration stops once
-    no step exceeds POLISH_STEP_TOL, or after POLISH_ITERS steps.  Like the
-    projector, it stores the angles one row per point.
+    least-squares multipliers.  A row stops after the step that brings its
+    largest |dphi| to at most POLISH_STEP_TOL, or goes NaN and stops once a
+    step exceeds pi (it left its cell) or its system is singular; the
+    iteration ends when no row moves, or after POLISH_ITERS steps, so each
+    row's result is that of its start alone.  Like the projector, it stores
+    the angles one row per point.
     """
     phi, phi0 = phi.T.copy(), phi0[:, None]
-    _, jx, jy = _jacobian(phi, spec)
+    r, jx, jy = _jacobian(phi, spec)
     d = phi - phi0
     mu_x, mu_y = _solve_gram(jx, jy, jx, jy, _gram_sum(jx, d), _gram_sum(jy, d))
+    moving = np.ones(phi.shape[1], dtype=bool)
     for _ in range(POLISH_ITERS):
-        r, jx, jy = _jacobian(phi, spec)
         # w cos phi = jy and w sin phi = -jx
         h = 1.0 + mu_x * jy - mu_y * jx
         g = phi - phi0 - jx * mu_x - jy * mu_y
         ux, uy = jx / h, jy / h
         dmu_x, dmu_y = _solve_gram(ux, uy, jx, jy, _gram_sum(ux, g) - r[0], _gram_sum(uy, g) - r[1])
         step = ux * dmu_x + uy * dmu_y - g / h
-        phi += step
-        mu_x += dmu_x
-        mu_y += dmu_y
         size = np.max(np.abs(step), axis=0)
-        phi[:, ~(size <= math.pi)] = np.nan
-        if not np.any(size > POLISH_STEP_TOL):
+        phi = np.where(moving, phi + step, phi)
+        phi[:, moving & ~(size <= math.pi)] = np.nan
+        mu_x, mu_y = np.where(moving, mu_x + dmu_x, mu_x), np.where(moving, mu_y + dmu_y, mu_y)
+        moving &= (size > POLISH_STEP_TOL) & (size <= math.pi)
+        if not moving.any():
             break
+        r, jx, jy = _jacobian(phi, spec)
     return phi.T
 
 
@@ -198,22 +195,24 @@ def nearest_zero_resultant(phi0, spec: DataMapSpec) -> tuple[float, np.ndarray |
     configuration to the angles phi0 (n,) that the projector finds, or
     (inf, None) when no start lands.  Gauss-Newton lands phi0, phi0 +-
     1e-3 (i - (n - 1) / 2) (equal angles are a saddle that the nudges leave)
-    and PROJECTION_STARTS seeded uniform starts; finite rows within
-    LANDED_TOL are wrapped into phi0 + (-pi, pi]^n and polished by
-    ``_kkt_polish``, whose rows that went NaN are dropped.  The nearest
-    landed or polished row on which the map is Undefined (|r| <=
-    TIE_TOL) wins, so the distance is that of a point of the set.
+    and PROJECTION_STARTS seeded uniform starts.  A finite row has landed
+    when the map is Undefined on it (|r| <= TIE_TOL); the landed rows are
+    wrapped into phi0 + (-pi, pi]^n and polished by ``_kkt_polish``, whose
+    rows that went NaN are dropped.  The nearest landed or polished row on
+    which the map is Undefined wins, so the distance is that of a point of
+    the set.  Every row runs alone, so no start moves another's result.
     """
     phi0 = np.asarray(phi0, dtype=float)
     offsets = 1e-3 * (np.arange(phi0.size) - 0.5 * (phi0.size - 1))
     uniform = 2.0 * math.pi * np.random.default_rng(PROJECTION_SEED).random((PROJECTION_STARTS, phi0.size))
+    zero = REASON_CODES.index(UndefinedReason.ZERO_RESULTANT)
     with np.errstate(divide="ignore", invalid="ignore"):
         phi = _project_to_zero_resultant(np.vstack([phi0, phi0 + offsets, phi0 - offsets, uniform]), spec)
         phi = phi[np.isfinite(phi).all(axis=1)]
-        landed = phi0 + wrap_increments(phi[evaluate_batch(spec, phi).gap < LANDED_TOL] - phi0, 2.0 * math.pi)
+        landed = phi0 + wrap_increments(phi[evaluate_batch(spec, phi).reason == zero] - phi0, 2.0 * math.pi)
         d = wrap_increments(np.vstack([landed, _kkt_polish(landed, phi0, spec)]) - phi0, 2.0 * math.pi)
         d = d[np.isfinite(d).all(axis=1)]
-    on_s = evaluate_batch(spec, phi0 + d).reason == REASON_CODES.index(UndefinedReason.ZERO_RESULTANT)
+    on_s = evaluate_batch(spec, phi0 + d).reason == zero
     dist = np.where(on_s, np.linalg.norm(d, axis=1), np.inf)
     if not np.any(dist < np.inf):
         return math.inf, None

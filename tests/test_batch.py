@@ -511,16 +511,26 @@ def map_batches(draw):
 def test_batch_outcome_invariants(case):
     # finite nonnegative gaps; gap 0 and value NaN exactly on the undefined
     # rows; every row a valid EvalOutcome (its constructor checks the rest)
+    # whose feature gives back the row's value: exactly, but for a circle
+    # point, whose angle comes back through (cos, sin)
     spec, inputs = case
     batch = evaluate_batch(spec, inputs)
     undefined = batch.reason != 0
     assert np.all(np.isfinite(batch.gap)) and np.all(batch.gap >= 0.0)
     assert np.array_equal(np.isnan(batch.value), undefined)
     assert np.all(batch.gap[undefined] == 0.0)
+    field = {LineDirection: "theta", Decision: "bit", ScalarValue: "value"}.get(batch.feature)
     for i in range(len(inputs)):
         outcome = batch.outcome(i)
         assert outcome.defined == (not undefined[i])
         assert outcome.gap == batch.gap[i]
+        if undefined[i]:
+            continue
+        assert type(outcome.feature) is batch.feature
+        if field is None:
+            assert angle_distance(outcome.feature.angle, batch.value[i], 2.0 * math.pi) <= 1e-15
+        else:
+            assert getattr(outcome.feature, field) == batch.value[i]
 
 
 @st.composite

@@ -36,11 +36,12 @@ from singlab.measure import aug_mean_singular_set_nonempty
 from singlab.metrics import (
     NON_SEVERE,
     SEVERE,
-    LANDED_TOL,
     UNDECIDED,
     CurveHitsSingularityError,
     OscillationProfile,
     UnsupportedMapError,
+    _kkt_polish,
+    _project_to_zero_resultant,
     average_derivative_along_curve,
     average_distance_to_point,
     classify_severity,
@@ -239,7 +240,61 @@ def test_aug_mean_refined_distance_is_a_torus_distance():
                 assert abs(np.linalg.norm(step) - d) <= 1e-12
                 # stationarity: phi - phi0 lies in the row space of J
                 mu = np.linalg.lstsq(jac.T, step, rcond=None)[0]
-                assert np.linalg.norm(step - jac.T @ mu) <= LANDED_TOL
+                assert np.linalg.norm(step - jac.T @ mu) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [3, 17])
+def test_projector_rows_do_not_depend_on_their_batch(n):
+    # each row of both loops stops by its own rule, so a start run alone
+    # gives the bits of its row in the full batch; the first start has equal
+    # angles, a saddle whose Gram matrix is singular, so its row goes NaN
+    zero = REASON_CODES.index(UndefinedReason.ZERO_RESULTANT)
+    spread = DataMapSpec(kind=MapKind.AUG_MEAN, weights=tuple(np.linspace(0.6, 1.7, n)), w0=0.8)
+    for k, spec in enumerate([uniform_preset(n), spread]):
+        assert aug_mean_singular_set_nonempty(spec)
+        rng = np.random.default_rng((28, n, k))
+        phi0 = 2.0 * math.pi * rng.random(n)
+        starts = np.vstack([np.full((1, n), 0.5 * math.pi), 2.0 * math.pi * rng.random((40, n))])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            batch = _project_to_zero_resultant(starts, spec)
+            alone = np.vstack([_project_to_zero_resultant(row[None], spec) for row in starts])
+            assert np.all(np.isnan(batch[0]))
+            assert alone.tobytes() == batch.tobytes()
+            finite = batch[np.isfinite(batch).all(axis=1)]
+            landed = phi0 + wrap_increments(finite[evaluate_batch(spec, finite).reason == zero] - phi0,
+                                            2.0 * math.pi)
+            assert len(landed) >= 20
+            polished = _kkt_polish(landed, phi0, spec)
+            alone = np.vstack([_kkt_polish(row[None], phi0, spec) for row in landed])
+        assert alone.tobytes() == polished.tobytes()
+
+
+# Distances and configurations that nearest_zero_resultant finds for seeded
+# inputs at n = 3, 5 and 17, unit and spread weights, hashed as float hex.
+_PROJECTOR_PIN = """\
+import hashlib, math
+import numpy as np
+from singlab.datamaps import DataMapSpec, MapKind, uniform_preset
+from singlab.metrics import nearest_zero_resultant
+digest = hashlib.sha256()
+for n in (3, 5, 17):
+    rng = np.random.default_rng((28, n))
+    for spec in (uniform_preset(n),
+                 DataMapSpec(kind=MapKind.AUG_MEAN, weights=tuple(np.linspace(0.6, 1.7, n)), w0=0.8)):
+        for phi0 in 2.0 * math.pi * rng.random((8, n)):
+            dist, phi = nearest_zero_resultant(phi0, spec)
+            digest.update(" ".join(map(float.hex, [dist, *([] if phi is None else phi)])).encode() + b"\\n")
+print(digest.hexdigest())
+"""
+
+
+def test_nearest_zero_resultant_pinned_across_processes():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(singlab.__file__)))
+    for salt in ("1", "2"):
+        done = subprocess.run([sys.executable, "-c", _PROJECTOR_PIN], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": salt})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "34fb4ef957c902cf35145c92e93e3f858dcdf0e9d4a7896bb0644e986b54b13c"
 
 
 def test_unsupported_map_kind():
