@@ -30,7 +30,6 @@ from dataclasses import asdict
 import numpy as np
 
 from singlab.datamaps import (
-    REASON_CODES,
     BatchOutcome,
     DataMapSpec,
     MapKind,
@@ -245,11 +244,10 @@ def _synthetic_batch(us: np.ndarray) -> BatchOutcome:
     gap |u|, Undefined at the origin: degree 1 in half turns, with a
     derivative that blows up like 1 / (2 |u|)."""
     r = np.linalg.norm(us, axis=1)
-    origin = r == 0.0
     return BatchOutcome(
-        value=np.where(origin, np.nan, reduce_mod_pi(0.5 * np.arctan2(us[:, 1], us[:, 0]))),
+        value=reduce_mod_pi(0.5 * np.arctan2(us[:, 1], us[:, 0])),
         gap=r,
-        reason=np.where(origin, REASON_CODES.index(UndefinedReason.ORIGIN), 0).astype(np.int8),
+        reason=np.where(r == 0.0, UndefinedReason.ORIGIN, 0),
         feature=LineDirection,
     )
 

@@ -3,14 +3,17 @@
 ``evaluate_batch`` runs every map, on inputs stacked along a first axis, and
 returns a :class:`BatchOutcome` of value, gap and reason arrays; each map's
 formula, its gap included, lives in one kernel there, and the distances of the
-Monte-Carlo estimators read that gap.  Kernels are row-wise, each row summed
-in a fixed order, and only evaluate_batch cuts row blocks, so a row's outcome
-does not depend on its batch.  The certifiers and profilers of ``topology``
-and ``metrics`` take a map in this one form: any callable from stacked inputs
-to their BatchOutcome, such as ``slices.slice_map``.  ``evaluate`` is the
-one-row case of evaluate_batch: an :class:`EvalOutcome` carrying either a
-feature or a reason it is undefined, plus a nonnegative ``gap`` that vanishes
-exactly on the map's (surrogate) singular surface.  ``evaluate_with_standard``
+Monte-Carlo estimators read that gap.  A reason is stored as its
+:class:`UndefinedReason` code, and a BatchOutcome masks its own Undefined
+rows, so a kernel or any other map returns its formula's arrays and
+``reason=np.where(undefined, UndefinedReason.X, 0)``.  Kernels are row-wise,
+each row summed in a fixed order, and only evaluate_batch cuts row blocks, so
+a row's outcome does not depend on its batch.  The certifiers and profilers of
+``topology`` and ``metrics`` take a map in this one form: any callable from
+stacked inputs to their BatchOutcome, such as ``slices.slice_map``.
+``evaluate`` is the one-row case of evaluate_batch: an :class:`EvalOutcome`
+carrying either a feature or a reason it is undefined, plus a nonnegative
+``gap`` that vanishes exactly on the map's (surrogate) singular surface.  ``evaluate_with_standard``
 wraps a map with the calibration standard: exact perfect fits are answered by
 the canonical feature, which extends the fitters continuously through inputs
 (vertical lines) the raw formulas cannot represent.  For the line fitters it
@@ -60,12 +63,15 @@ class MapKind(str, enum.Enum):
     RADIAL_OSCILLATOR = "RADIAL_OSCILLATOR"
 
 
-class UndefinedReason(str, enum.Enum):
-    COLLINEAR_PREDICTOR = "COLLINEAR_PREDICTOR"
-    EIGENVALUE_TIE = "EIGENVALUE_TIE"
-    OBJECTIVE_TIE = "OBJECTIVE_TIE"
-    ZERO_RESULTANT = "ZERO_RESULTANT"
-    ORIGIN = "ORIGIN"
+class UndefinedReason(enum.IntEnum):
+    """Why a map is Undefined; each value is the reason's code in a
+    BatchOutcome, where 0 means Defined."""
+
+    COLLINEAR_PREDICTOR = 1
+    EIGENVALUE_TIE = 2
+    OBJECTIVE_TIE = 3
+    ZERO_RESULTANT = 4
+    ORIGIN = 5
 
 
 @dataclass(frozen=True)
@@ -103,10 +109,6 @@ class EvalOutcome:
         return EvalOutcome(feature=None, gap=0.0, reason=reason)
 
 
-# Reasons of batch outcomes as small integer codes: code 0 is Defined, code
-# k > 0 is REASON_CODES[k].
-REASON_CODES = (None, *UndefinedReason)
-
 # The period of each angle-valued feature variant.
 _PERIODS = {LineDirection: math.pi, CirclePoint: 2.0 * math.pi}
 
@@ -119,13 +121,22 @@ class BatchOutcome:
     a number: the angle mod pi of a LineDirection, the angle of a
     CirclePoint, the bit of a Decision or the value of a ScalarValue; it is
     NaN where undefined.  ``gap`` (m,) is the map's gap, 0 where undefined;
-    ``reason`` (m,) holds REASON_CODES indices, 0 where defined.
+    ``reason`` (m,) holds int8 UndefinedReason codes, 0 where defined.  A
+    map states each row's reason once: construction casts ``reason`` to
+    int8 and masks ``value`` to NaN and ``gap`` to 0 on its Undefined rows.
     """
 
     value: np.ndarray
     gap: np.ndarray
     reason: np.ndarray
     feature: type
+
+    def __post_init__(self):
+        reason = np.asarray(self.reason).astype(np.int8)
+        defined = reason == 0
+        object.__setattr__(self, "value", np.where(defined, self.value, np.nan))
+        object.__setattr__(self, "gap", np.where(defined, self.gap, 0.0))
+        object.__setattr__(self, "reason", reason)
 
     @property
     def period(self) -> float | None:
@@ -140,7 +151,7 @@ class BatchOutcome:
         """Row i as an EvalOutcome."""
         code = int(self.reason[i])
         if code:
-            return EvalOutcome.undefined(REASON_CODES[code])
+            return EvalOutcome.undefined(UndefinedReason(code))
         value = float(self.value[i])
         if self.feature is CirclePoint:
             return EvalOutcome.of(CirclePoint((math.cos(value), math.sin(value))), self.gap[i])
@@ -264,7 +275,7 @@ def eval_radial_oscillator(x: np.ndarray, spec: DataMapSpec):
     if np.any(r > 1.0 + 1e-12):
         raise DomainError(f"oscillator input must lie in the unit ball, |x| = {float(r.max())}")
     origin = r == 0.0
-    return oscillator_g(np.where(origin, 1.0, np.minimum(r, 1.0))), r, np.where(origin, _ORIGIN, 0)
+    return oscillator_g(np.where(origin, 1.0, np.minimum(r, 1.0))), r, np.where(origin, UndefinedReason.ORIGIN, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -390,13 +401,6 @@ def _pc_moments(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     return a, cxy, 2.0 * np.hypot(a, cxy), 0.5 * (cxx + cyy)
 
 
-_COLLINEAR = REASON_CODES.index(UndefinedReason.COLLINEAR_PREDICTOR)
-_EIGEN_TIE = REASON_CODES.index(UndefinedReason.EIGENVALUE_TIE)
-_OBJECTIVE_TIE = REASON_CODES.index(UndefinedReason.OBJECTIVE_TIE)
-_ZERO_RESULTANT = REASON_CODES.index(UndefinedReason.ZERO_RESULTANT)
-_ORIGIN = REASON_CODES.index(UndefinedReason.ORIGIN)
-
-
 def _ls_batch(points, spec):
     """Slope direction of the y-on-x least-squares line.
 
@@ -413,14 +417,14 @@ def _ls_batch(points, spec):
     s_xy = _centered_product_sum(x, mx, y, my)
     undefined = s_xx == 0.0
     angle = reduce_mod_pi(np.arctan(s_xy / s_xx))
-    return angle, np.sqrt(s_xx), np.where(undefined, _COLLINEAR, 0)
+    return angle, np.sqrt(s_xx), np.where(undefined, UndefinedReason.COLLINEAR_PREDICTOR, 0)
 
 
 def _pc_batch(points, spec):
     """Leading eigenvector direction of the covariance; gap = eigenvalue gap."""
     a, b, gap, _ = _pc_moments(_as_plane_batch(points))
     angle = reduce_mod_pi(0.5 * np.arctan2(2.0 * b, 2.0 * a))
-    return angle, gap, np.where(gap <= TIE_TOL, _EIGEN_TIE, 0)
+    return angle, gap, np.where(gap <= TIE_TOL, UndefinedReason.EIGENVALUE_TIE, 0)
 
 
 @functools.cache
@@ -566,7 +570,8 @@ def _lad_select(objs, slopes):
     near = np.flatnonzero(tie)
     second_angle = reduce_mod_pi(np.arctan(slopes[second[near], near]))
     tie[near] = angle_distance(angle[near], second_angle, np.pi) > TIE_TOL
-    reason = np.where(np.isinf(best_obj), _COLLINEAR, np.where(tie, _OBJECTIVE_TIE, 0))
+    reason = np.where(np.isinf(best_obj), UndefinedReason.COLLINEAR_PREDICTOR,
+                      np.where(tie, UndefinedReason.OBJECTIVE_TIE, 0))
     return angle, gap, reason
 
 
@@ -587,8 +592,7 @@ def standard_batch(points) -> BatchOutcome:
     residual, theta, span = spanning_lines(_as_plane_batch(points))
     if not np.all(residual <= PERFECT_FIT_TOL):
         raise NotPerfectFitError("a dataset of the batch is not an exact perfect fit")
-    return BatchOutcome(value=theta, gap=span, reason=np.zeros(len(theta), dtype=np.int8),
-                        feature=LineDirection)
+    return BatchOutcome(value=theta, gap=span, reason=np.zeros(len(theta)), feature=LineDirection)
 
 
 def evaluate_with_standard_batch(spec: DataMapSpec, points) -> BatchOutcome:
@@ -601,7 +605,7 @@ def evaluate_with_standard_batch(spec: DataMapSpec, points) -> BatchOutcome:
     return BatchOutcome(
         value=np.where(perfect, theta, raw.value),
         gap=np.where(perfect, span, raw.gap),
-        reason=np.where(perfect, 0, raw.reason).astype(np.int8),
+        reason=np.where(perfect, 0, raw.reason),
         feature=LineDirection,
     )
 
@@ -659,7 +663,7 @@ def _aug_mean_batch(angles, spec):
         raise ContractViolation("augmented mean needs n >= 1 angles per dataset")
     r, _ = _resultant(angles.T, spec)
     gap = np.hypot(r[0], r[1])
-    return np.arctan2(r[1], r[0]), gap, np.where(gap <= TIE_TOL, _ZERO_RESULTANT, 0)
+    return np.arctan2(r[1], r[0]), gap, np.where(gap <= TIE_TOL, UndefinedReason.ZERO_RESULTANT, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -667,7 +671,7 @@ def _aug_mean_batch(angles, spec):
 # ---------------------------------------------------------------------------
 
 # Map kind -> (kernel, feature variant, width).  A kernel checks one row
-# block and returns (value, gap, reason) arrays; evaluate_batch masks them.
+# block and returns (value, gap, reason) arrays, which BatchOutcome masks.
 # width(n) counts the doubles per row of its widest array, n = shape[1].
 _KERNELS = {
     MapKind.LS_LINE: (_ls_batch, LineDirection, lambda n: 2 * n),
@@ -698,7 +702,8 @@ def evaluate_batch(spec: DataMapSpec, inputs) -> BatchOutcome:
     as angles (m, n), DISK_DECISION points (m, 2) and RADIAL_OSCILLATOR
     vectors (m, d), all finite.  The kernel, row-wise, runs on blocks of
     ``_block_rows`` rows, or once on a batch that fits one block or has
-    fewer than two axes (which it refuses).
+    fewer than two axes (which it refuses); its arrays become the
+    BatchOutcome, which masks the Undefined rows.
     """
     kernel, feature, _ = _KERNELS[spec.kind]
     inputs = np.asarray(inputs, dtype=float)
@@ -712,13 +717,7 @@ def evaluate_batch(spec: DataMapSpec, inputs) -> BatchOutcome:
         else:
             blocks = [kernel(inputs[start:start + rows], spec) for start in range(0, len(inputs), rows)]
             value, gap, reason = (np.concatenate(parts) for parts in zip(*blocks))
-    defined = reason == 0
-    return BatchOutcome(
-        value=np.where(defined, value, np.nan),
-        gap=np.where(defined, gap, 0.0),
-        reason=reason.astype(np.int8),
-        feature=feature,
-    )
+    return BatchOutcome(value=value, gap=gap, reason=reason, feature=feature)
 
 
 def as_map_input(x) -> np.ndarray:

@@ -25,7 +25,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from singlab.datamaps import (
-    REASON_CODES,
     TIE_TOL,
     BatchOutcome,
     DataMapSpec,
@@ -37,6 +36,7 @@ from singlab.datamaps import (
     _resultant,
     as_map_input,
     evaluate_batch,
+    oscillator_t,
 )
 from singlab.geometry import ContractViolation, angle_distance, segment_average_norm, wrap_increments
 
@@ -205,7 +205,7 @@ def nearest_zero_resultant(phi0, spec: DataMapSpec) -> tuple[float, np.ndarray |
     phi0 = np.asarray(phi0, dtype=float)
     offsets = 1e-3 * (np.arange(phi0.size) - 0.5 * (phi0.size - 1))
     uniform = 2.0 * math.pi * np.random.default_rng(PROJECTION_SEED).random((PROJECTION_STARTS, phi0.size))
-    zero = REASON_CODES.index(UndefinedReason.ZERO_RESULTANT)
+    zero = UndefinedReason.ZERO_RESULTANT
     with np.errstate(divide="ignore", invalid="ignore"):
         phi = _project_to_zero_resultant(np.vstack([phi0, phi0 + offsets, phi0 - offsets, uniform]), spec)
         phi = phi[np.isfinite(phi).all(axis=1)]
@@ -557,8 +557,6 @@ def oscillator_arc(n: int):
     concentrates its mass logarithmically toward the inner radius, which
     equally spaced quadrature nodes would miss badly.
     """
-    from singlab.datamaps import oscillator_t
-
     t_n = oscillator_t(n) * (1.0 - ARC_NUDGE)
     t_n1 = oscillator_t(n + 1) * (1.0 + ARC_NUDGE)
     angles = np.linspace(0.0, math.pi, ARC_SEGMENTS + 1)

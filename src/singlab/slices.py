@@ -16,7 +16,7 @@ from itertools import chain
 
 import numpy as np
 
-from singlab.datamaps import REASON_CODES, BatchOutcome, DataMapSpec, evaluate_batch
+from singlab.datamaps import BatchOutcome, DataMapSpec, UndefinedReason, evaluate_batch
 from singlab.geometry import ContractViolation, DomainError, PlaneDataset
 from singlab.topology import Loop
 
@@ -125,8 +125,8 @@ class GridField:
     batch: BatchOutcome  # the map's outcomes at us, row for row
 
     def status(self) -> list[str]:
-        """Per grid cell, "defined" or the value of its undefined reason."""
-        return ["defined" if code == 0 else REASON_CODES[code].value for code in self.batch.reason.tolist()]
+        """Per grid cell, "defined" or the name of its undefined reason."""
+        return ["defined" if code == 0 else UndefinedReason(code).name for code in self.batch.reason.tolist()]
 
     def rows(self):
         """Yield (u_x, u_y, theta_or_nan, gap, status) per grid cell."""

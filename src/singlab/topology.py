@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from singlab.datamaps import REASON_CODES, _batch_outcome
+from singlab.datamaps import UndefinedReason, _batch_outcome
 from singlab.geometry import ContractViolation, wrap_increments
 
 # An edge certifies short when its endpoint features are less than this
@@ -130,8 +130,8 @@ def _lift(points: np.ndarray, lengths, evaluate_fn) -> list:
         # each loop's first Undefined sample, in its own order
         loops, first = np.unique(owner[undefined], return_index=True)
         for i, k in zip(loops, undefined[first]):
-            reason = REASON_CODES[outcome.reason[k]]
-            results[i] = LoopHitsSingularityError(f"loop sample evaluated Undefined ({reason.value})")
+            reason = UndefinedReason(outcome.reason[k])
+            results[i] = LoopHitsSingularityError(f"loop sample evaluated Undefined ({reason.name})")
         alive[loops] = False
         return outcome
 

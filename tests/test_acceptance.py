@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from singlab.datamaps import (
-    REASON_CODES,
     BatchOutcome,
     DataMapSpec,
     MapKind,
@@ -118,8 +117,8 @@ def test_criterion_2_degree_obstruction():
         print(f"  {kind.value} localizer: {len(certified)} certified / {len(boxes)} boxes")
         if not certified:
             failures.append(
-                f"{kind.value}: no certified box (see decisions ledger: the degree "
-                "certificate cannot localize this fitter's singular structure)"
+                f"{kind.value}: no certified box (see README's \"Known red\" section and CHANGES.md: "
+                "the degree certificate cannot localize this fitter's singular structure)"
             )
         if kind is MapKind.PC_LINE and certified:
             nearest = min(np.linalg.norm(b.center) for b in certified)
@@ -188,11 +187,10 @@ def test_criterion_5_derivative_blowup():
 
     def synthetic(us):
         r = np.linalg.norm(us, axis=1)
-        origin = r == 0.0
         return BatchOutcome(
-            value=np.where(origin, np.nan, reduce_mod_pi(0.5 * np.arctan2(us[:, 1], us[:, 0]))),
+            value=reduce_mod_pi(0.5 * np.arctan2(us[:, 1], us[:, 0])),
             gap=r,
-            reason=np.where(origin, REASON_CODES.index(UndefinedReason.ORIGIN), 0).astype(np.int8),
+            reason=np.where(r == 0.0, UndefinedReason.ORIGIN, 0),
             feature=LineDirection,
         )
 

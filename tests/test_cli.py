@@ -688,6 +688,19 @@ def test_refine_bytes_pinned_across_processes(refine_outputs, key):
         assert {name: hashlib.sha256((outdir / name).read_bytes()).hexdigest() for name in digests} == digests
 
 
+@pytest.mark.parametrize("fixture, digest", [
+    ("square", "7e8a4ca111db4394baf2fe34d7dc7ed934e85962947bbc8ed91cec1af9b2abc1"),
+    ("point", "c1b178baa8ee8f3a4996b72f13aa432d32b665e126ddcfdaf6b59c398af93b65"),
+])
+def test_dimension_bytes_pinned_across_processes(tmp_path, fixture, digest):
+    # digests recorded at commit a69ad36: the filled-box predicate (square)
+    # and the point-cloud count (point) at the default meshes; their counts
+    # are exact, so a rewrite of box counting must keep these bytes
+    for salt in ("1", "2"):
+        assert run_in_process(["dimension", "--fixture", fixture], tmp_path / salt, PYTHONHASHSEED=salt) == EXIT_OK
+        assert hashlib.sha256((tmp_path / salt / "dimension.json").read_bytes()).hexdigest() == digest
+
+
 # Installs perfbench's tracer on the package in a fresh interpreter, runs the
 # three measure functions whose arguments its hooks bind and the localizer,
 # whose boxes its hook reads, and uninstalls it.

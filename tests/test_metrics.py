@@ -11,7 +11,6 @@ import pytest
 
 import singlab
 from singlab.datamaps import (
-    REASON_CODES,
     BatchOutcome,
     DataMapSpec,
     EvalOutcome,
@@ -63,12 +62,8 @@ EQUILATERAL = SPEC.center_config
 
 def line_batch(value, gap, undefined):
     """A LineDirection BatchOutcome, Undefined (ORIGIN) where undefined is set."""
-    return BatchOutcome(
-        value=np.where(undefined, np.nan, value),
-        gap=np.where(undefined, 0.0, gap),
-        reason=np.where(undefined, REASON_CODES.index(UndefinedReason.ORIGIN), 0).astype(np.int8),
-        feature=LineDirection,
-    )
+    return BatchOutcome(value=value, gap=gap, reason=np.where(undefined, UndefinedReason.ORIGIN, 0),
+                        feature=LineDirection)
 
 
 def half_angle_map(atan2=np.arctan2):
@@ -248,7 +243,7 @@ def test_projector_rows_do_not_depend_on_their_batch(n):
     # each row of both loops stops by its own rule, so a start run alone
     # gives the bits of its row in the full batch; the first start has equal
     # angles, a saddle whose Gram matrix is singular, so its row goes NaN
-    zero = REASON_CODES.index(UndefinedReason.ZERO_RESULTANT)
+    zero = UndefinedReason.ZERO_RESULTANT
     spread = DataMapSpec(kind=MapKind.AUG_MEAN, weights=tuple(np.linspace(0.6, 1.7, n)), w0=0.8)
     for k, spec in enumerate([uniform_preset(n), spread]):
         assert aug_mean_singular_set_nonempty(spec)
@@ -324,7 +319,7 @@ def test_pc_sandwich_on_scale_controlled_ensemble():
     # refined distance within a single constant K <= 5 of the surrogate for
     # near-tie datasets whose scale is bounded below.  (Unconditioned
     # Gaussians violate any fixed K: the ratio grows like 1/scale as the
-    # cluster collapses; see the decisions ledger.)
+    # cluster collapses; see CHANGES.md.)
     rng = np.random.default_rng(42)
     ratios = []
     while len(ratios) < 200:

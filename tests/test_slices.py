@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from singlab.datamaps import (
-    REASON_CODES,
     BatchOutcome,
     DataMapSpec,
     MapKind,
+    UndefinedReason,
     eval_perfect_fit_standard,
     evaluate,
     spanning_lines,
@@ -240,9 +240,9 @@ def _hard_grid(rng):
     m = len(value)
     gaps = np.array([0.0, -0.0, tiny, 2.2e-310, 1e-300, 1e300, math.inf, math.nan, 1.0 / 3.0])
     gap = np.concatenate([gaps, np.abs(rng.standard_normal(m - len(gaps))) * 10.0 ** rng.integers(-20, 20, m - len(gaps))])
-    reason = rng.integers(0, len(REASON_CODES), m).astype(np.int8)
+    reason = rng.integers(0, len(UndefinedReason) + 1, m).astype(np.int8)
     reason[: len(special)] = 0
-    reason[len(special): 2 * len(special)] = np.arange(len(special)) % len(REASON_CODES)
+    reason[len(special): 2 * len(special)] = np.arange(len(special)) % (len(UndefinedReason) + 1)
     us = rng.uniform(-1.0, 1.0, (m, 2))
     us[:8] = [(0.0, 0.0), (-0.0, -0.0), (tiny, -tiny), (1.0, -1.0), (-1.0, 1e-300),
               (0.0050000000000000001, -0.004999999999999999), (1e-17, 0.125), (2.0 / 3.0, -1.0 / 3.0)]

@@ -9,7 +9,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from singlab.datamaps import (
-    REASON_CODES,
     BatchOutcome,
     DataMapSpec,
     EvalOutcome,
@@ -59,12 +58,7 @@ def circle_loop(center, radius, m):
 def origin_batch(value, gap, origin, feature=LineDirection):
     """A BatchOutcome of the given values and gaps, Undefined (ORIGIN) on
     the rows where origin is set."""
-    return BatchOutcome(
-        value=np.where(origin, np.nan, value),
-        gap=np.where(origin, 0.0, gap),
-        reason=np.where(origin, REASON_CODES.index(UndefinedReason.ORIGIN), 0).astype(np.int8),
-        feature=feature,
-    )
+    return BatchOutcome(value=value, gap=gap, reason=np.where(origin, UndefinedReason.ORIGIN, 0), feature=feature)
 
 
 def constant_map(theta):
@@ -355,8 +349,8 @@ def reference_winding(loop, fn):
         outcome = fn(points)
         undefined = np.flatnonzero(outcome.reason)
         if undefined.size:
-            reason = REASON_CODES[outcome.reason[undefined[0]]]
-            raise LoopHitsSingularityError(f"loop sample evaluated Undefined ({reason.value})")
+            reason = UndefinedReason(outcome.reason[undefined[0]])
+            raise LoopHitsSingularityError(f"loop sample evaluated Undefined ({reason.name})")
         samples_used += len(points)
         min_gap = min(min_gap, float(np.min(outcome.gap)))
         return outcome
