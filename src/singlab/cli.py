@@ -247,7 +247,7 @@ def _synthetic_batch(us: np.ndarray) -> BatchOutcome:
     return BatchOutcome(
         value=reduce_mod_pi(0.5 * np.arctan2(us[:, 1], us[:, 0])),
         gap=r,
-        reason=np.where(r == 0.0, UndefinedReason.ORIGIN, 0),
+        reason=np.where(r == 0.0, UndefinedReason.ORIGIN.value, 0),
         feature=LineDirection,
     )
 
@@ -374,9 +374,12 @@ def _run_cdf(config, outdir):
         quantile_window=(config["q_lo"], config["q_hi"]),
     )
     csv_path = _out_path(config["out_csv"], outdir)
-    values = report.sorted_distances.tolist()
+    dists = report.sorted_distances
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("distance\n" + "%.12g\n" * len(values) % tuple(values))
+        fh.write("distance\n")
+        for start in range(0, len(dists), 1 << 14):  # a slice at a time, never the whole column's text
+            values = dists[start:start + (1 << 14)].tolist()
+            fh.write("%.12g\n" * len(values) % tuple(values))
     return EXIT_OK, report.to_dict(), [csv_path]
 
 

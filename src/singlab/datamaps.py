@@ -6,7 +6,8 @@ formula, its gap included, lives in one kernel there, and the distances of the
 Monte-Carlo estimators read that gap.  A reason is stored as its
 :class:`UndefinedReason` code, and a BatchOutcome masks its own Undefined
 rows, so a kernel or any other map returns its formula's arrays and
-``reason=np.where(undefined, UndefinedReason.X, 0)``.  Kernels are row-wise,
+``reason=np.where(undefined, UndefinedReason.X.value, 0)`` (the member works
+too, but numpy takes a slow path for an int subclass).  Kernels are row-wise,
 each row summed in a fixed order, and only evaluate_batch cuts row blocks, so
 a row's outcome does not depend on its batch.  The certifiers and profilers of
 ``topology`` and ``metrics`` take a map in this one form: any callable from
@@ -275,7 +276,7 @@ def eval_radial_oscillator(x: np.ndarray, spec: DataMapSpec):
     if np.any(r > 1.0 + 1e-12):
         raise DomainError(f"oscillator input must lie in the unit ball, |x| = {float(r.max())}")
     origin = r == 0.0
-    return oscillator_g(np.where(origin, 1.0, np.minimum(r, 1.0))), r, np.where(origin, UndefinedReason.ORIGIN, 0)
+    return oscillator_g(np.where(origin, 1.0, np.minimum(r, 1.0))), r, np.where(origin, UndefinedReason.ORIGIN.value, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -417,14 +418,14 @@ def _ls_batch(points, spec):
     s_xy = _centered_product_sum(x, mx, y, my)
     undefined = s_xx == 0.0
     angle = reduce_mod_pi(np.arctan(s_xy / s_xx))
-    return angle, np.sqrt(s_xx), np.where(undefined, UndefinedReason.COLLINEAR_PREDICTOR, 0)
+    return angle, np.sqrt(s_xx), np.where(undefined, UndefinedReason.COLLINEAR_PREDICTOR.value, 0)
 
 
 def _pc_batch(points, spec):
     """Leading eigenvector direction of the covariance; gap = eigenvalue gap."""
     a, b, gap, _ = _pc_moments(_as_plane_batch(points))
     angle = reduce_mod_pi(0.5 * np.arctan2(2.0 * b, 2.0 * a))
-    return angle, gap, np.where(gap <= TIE_TOL, UndefinedReason.EIGENVALUE_TIE, 0)
+    return angle, gap, np.where(gap <= TIE_TOL, UndefinedReason.EIGENVALUE_TIE.value, 0)
 
 
 @functools.cache
@@ -570,8 +571,8 @@ def _lad_select(objs, slopes):
     near = np.flatnonzero(tie)
     second_angle = reduce_mod_pi(np.arctan(slopes[second[near], near]))
     tie[near] = angle_distance(angle[near], second_angle, np.pi) > TIE_TOL
-    reason = np.where(np.isinf(best_obj), UndefinedReason.COLLINEAR_PREDICTOR,
-                      np.where(tie, UndefinedReason.OBJECTIVE_TIE, 0))
+    reason = np.where(np.isinf(best_obj), UndefinedReason.COLLINEAR_PREDICTOR.value,
+                      np.where(tie, UndefinedReason.OBJECTIVE_TIE.value, 0))
     return angle, gap, reason
 
 
@@ -663,7 +664,7 @@ def _aug_mean_batch(angles, spec):
         raise ContractViolation("augmented mean needs n >= 1 angles per dataset")
     r, _ = _resultant(angles.T, spec)
     gap = np.hypot(r[0], r[1])
-    return np.arctan2(r[1], r[0]), gap, np.where(gap <= TIE_TOL, UndefinedReason.ZERO_RESULTANT, 0)
+    return np.arctan2(r[1], r[0]), gap, np.where(gap <= TIE_TOL, UndefinedReason.ZERO_RESULTANT.value, 0)
 
 
 # ---------------------------------------------------------------------------

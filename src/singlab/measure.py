@@ -7,9 +7,10 @@ measure-versus-distance tradeoff experiment for augmented means, whose
 distance comes from the zero-resultant projector of ``singlab.metrics`` and
 whose measure is bracketed by zero counts on coordinate torus slices.
 
-Tube and CDF draws come in chunks, each from its own generator seeded by
-(seed, first row of the chunk), written in place into one array in chunk
-order; the tradeoff's one (n, m) draw comes from ``default_rng(seed)``.
+Tube and CDF draws come in chunks of 2^14 rows, each from its own generator
+seeded by (seed, first row of the chunk) and reduced before the next is
+drawn into the same buffer, so no estimator holds the whole draw; the
+tradeoff's one (n, m) draw comes from ``default_rng(seed)``.
 """
 
 from __future__ import annotations
@@ -253,20 +254,22 @@ class TubeReport:
     seed: int
 
 
-def _chunked_draw(total: int, shape: tuple, seed: int, draw) -> np.ndarray:
-    """``total`` rows of the given shape drawn in chunks, each from its own
-    derived seed.
+def _chunked_draw(total: int, shape: tuple, seed: int, draw):
+    """``total`` rows of the given shape, yielded in chunks of 2^14 rows,
+    each from its own derived seed.
 
     ``draw(rng, out)`` fills one chunk of rows in place, through the
     generator's ``out=`` argument; the chunk starting at row k uses
-    ``default_rng((seed, k))``.  The rows go straight into one
-    (total, *shape) array, so no chunk is copied.
+    ``default_rng((seed, k))``.  Every chunk is a view of one reused
+    (min(total, 2^14), *shape) buffer, so a chunk is valid only until the
+    next one is drawn: copy or reduce it before then.
     """
     chunk = 1 << 14
-    out = np.empty((total, *shape))
+    buf = np.empty((min(total, chunk), *shape))
     for start in range(0, total, chunk):
-        draw(np.random.default_rng((seed, start)), out[start:start + chunk])
-    return out
+        out = buf[:total - start]
+        draw(np.random.default_rng((seed, start)), out)
+        yield out
 
 
 def tube_volume(
@@ -282,7 +285,8 @@ def tube_volume(
     The same sample cloud serves every delta, which makes the volume table
     exactly monotone in delta.  The codimension fit weights each point by
     its hit count (the variance of log f is roughly 1/hits), and a delta
-    with zero hits is dropped with a warning entry.
+    with zero hits is dropped with a warning entry.  The cloud is counted
+    one drawn chunk at a time, so memory is O(chunk), whatever mc_samples.
     """
     lo = np.asarray(domain_lo, dtype=float)
     hi = np.asarray(domain_hi, dtype=float)
@@ -290,15 +294,16 @@ def tube_volume(
     if mc_samples < 10_000:
         raise ContractViolation("mc_samples must be at least 10^4")
     box_vol = float(np.prod(hi - lo))
-    pts = _chunked_draw(mc_samples, lo.shape, seed, lambda rng, out: rng.random(out=out))
-    for a in range(lo.size):
-        pts[:, a] *= hi[a] - lo[a]
-        pts[:, a] += lo[a]
-    d = np.asarray(dist_fn(pts), dtype=float)
+    hit_counts = np.zeros(len(deltas), dtype=np.int64)
+    for pts in _chunked_draw(mc_samples, lo.shape, seed, lambda rng, out: rng.random(out=out)):
+        for a in range(lo.size):
+            pts[:, a] *= hi[a] - lo[a]
+            pts[:, a] += lo[a]
+        d = np.asarray(dist_fn(pts), dtype=float)
+        hit_counts += [np.count_nonzero(d <= delta) for delta in deltas]
     kept, vols, errs, dropped = [], [], [], []
     hits_kept = []
-    for delta in deltas:
-        hits = np.count_nonzero(d <= delta)
+    for delta, hits in zip(deltas, hit_counts.tolist()):
         if hits == 0:
             dropped.append(delta)
             continue
@@ -432,7 +437,9 @@ def distance_cdf(
     Plane fitters draw iid standard-normal coordinates, the augmented mean
     draws iid uniform circle points.  The exponent is the least-squares
     slope of log F-hat against log t between the window quantiles; fewer
-    than two positive distances there cannot be fitted.
+    than two positive distances there cannot be fitted.  The distances are
+    taken one drawn chunk at a time into one sorted array, so memory is
+    8 bytes times n_samples plus O(chunk).
     """
     if n_samples < 10_000:
         raise ContractViolation("n_samples must be at least 10^4")
@@ -441,14 +448,18 @@ def distance_cdf(
         raise ContractViolation("quantile window must satisfy 0 < q_lo < q_hi <= 0.1")
     kind = spec.kind
     if kind is MapKind.AUG_MEAN:
-        batch = _chunked_draw(n_samples, (n_points,), seed, lambda rng, out: rng.random(out=out))
-        batch *= 2.0 * math.pi
+        chunks = _chunked_draw(n_samples, (n_points,), seed,
+                               lambda rng, out: np.multiply(rng.random(out=out), 2.0 * math.pi, out=out))
     elif kind in (MapKind.LS_LINE, MapKind.PC_LINE, MapKind.LAD_LINE):
-        batch = _chunked_draw(n_samples, (n_points, 2), seed, lambda rng, out: rng.standard_normal(out=out))
+        chunks = _chunked_draw(n_samples, (n_points, 2), seed, lambda rng, out: rng.standard_normal(out=out))
     else:
         raise ContractViolation(f"no CDF sampler for map kind {kind}")
     distance, tag = SINGULAR_DISTANCE[kind]
-    dists = np.sort(distance(batch, spec))
+    dists, start = np.empty(n_samples), 0
+    for batch in chunks:
+        dists[start:start + len(batch)] = distance(batch, spec)
+        start += len(batch)
+    dists.sort()
     i_lo = max(int(n_samples * q_lo), 1)
     i_hi = max(int(n_samples * q_hi), i_lo + 2)
     idx = np.arange(i_lo, i_hi)

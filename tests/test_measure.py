@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from singlab import measure
 from singlab.datamaps import (
     DataMapSpec,
     MapKind,
@@ -288,24 +289,35 @@ def concatenated_draw(total, seed, draw):
                            for start in range(0, total, 1 << 14)], axis=0)
 
 
+def copied_chunks(total, shape, seed, draw):
+    # each yielded chunk copied before the next one overwrites its buffer
+    return np.concatenate([chunk.copy() for chunk in _chunked_draw(total, shape, seed, draw)], axis=0)
+
+
 @pytest.mark.parametrize("total", [1, 16_383, 16_384, 16_385, 100_007])
 def test_chunked_draw_matches_concatenated_chunks(total):
     # the chunks are written in place through the generators' out= argument:
     # the same streams, so the same bits as drawing each chunk and joining them
-    got = _chunked_draw(total, (2,), 11, lambda rng, out: rng.random(out=out))
+    got = copied_chunks(total, (2,), 11, lambda rng, out: rng.random(out=out))
     want = concatenated_draw(total, 11, lambda rng, k: rng.random((k, 2)))
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    got = _chunked_draw(total, (3, 2), 11, lambda rng, out: rng.standard_normal(out=out))
+    got = copied_chunks(total, (3, 2), 11, lambda rng, out: rng.standard_normal(out=out))
     want = concatenated_draw(total, 11, lambda rng, k: rng.standard_normal((k, 3, 2)))
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
-def test_chunked_draw_allocates_only_its_output():
-    # a draw that concatenated its chunks would peak at twice the output
-    out = []
-    peak = peak_bytes(lambda: out.append(
-        _chunked_draw(10**5, (12, 2), 3, lambda rng, out: rng.standard_normal(out=out))))
-    assert peak <= 1.1 * out[0].nbytes
+def test_chunked_draw_holds_one_chunk():
+    # every chunk is drawn into one reused buffer: a draw that allocated a
+    # buffer per chunk, or the whole (10^5, 12, 2) array, would peak higher
+    sizes = []
+
+    def consume():
+        for chunk in _chunked_draw(10**5, (12, 2), 3, lambda rng, out: rng.standard_normal(out=out)):
+            sizes.append(chunk.nbytes)
+
+    peak = peak_bytes(consume)
+    assert max(sizes) == (1 << 14) * 12 * 2 * 8
+    assert peak <= 1.1 * max(sizes)
 
 
 def norm_fixtures(d, rng):
@@ -346,6 +358,13 @@ def test_tube_volume_memory_bound():
     assert peak_bytes(lambda: tube_volume(fn, (0, 0), (1, 1), DELTAS, 10**6, TUBE_SEED)) <= 64 * 2**20
 
 
+def test_tube_volume_holds_one_chunk():
+    # the hits are counted one 2^14-row chunk at a time: the whole 10^6-row
+    # draw with its distances peaked at 38 MiB
+    fn = segment_distance_fn((0.25, 0.5), (0.75, 0.5))
+    assert peak_bytes(lambda: tube_volume(fn, (0, 0), (1, 1), DELTAS, 10**6, TUBE_SEED)) <= 4 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # Distance CDFs
 # ---------------------------------------------------------------------------
@@ -384,6 +403,42 @@ def test_pc_cdf_memory_bound():
     # transposed copy of it; centering the whole batch with numpy's
     # reductions peaked at 18.4e6 bytes here
     assert peak_bytes(lambda: distance_cdf(PC, 4, 10**5, CDF_SEED)) <= 17.6 * 2**20
+
+
+def test_cdf_holds_its_distances_and_one_chunk():
+    # 3.2 MB of sorted distances plus one drawn chunk and its kernel's
+    # arrays; the whole 4 * 10^5-row draw and its outcome peaked at 49.6 MiB
+    assert peak_bytes(lambda: distance_cdf(PC, 4, 4 * 10**5, CDF_SEED)) <= 8 * 2**20
+
+
+def whole_draw(total, shape, seed, draw):
+    """The draw as one (total, *shape) array, filled chunk by chunk in place,
+    yielded as a single chunk: the estimators then reduce the whole cloud at
+    once."""
+    out = np.empty((total, *shape))
+    for start in range(0, total, 1 << 14):
+        draw(np.random.default_rng((seed, start)), out[start:start + (1 << 14)])
+    yield out
+
+
+@pytest.mark.parametrize("total", [16_385, 49_153])
+def test_streamed_estimators_equal_the_whole_draw(total, monkeypatch):
+    # sample counts off the chunk grid: the last chunk is one row long, and
+    # the reduced chunks must give the bits of reducing the whole cloud
+    fixtures = [point_distance_fn((0.5, 0.5)), segment_distance_fn((0.25, 0.5), (0.75, 0.5)),
+                circle_distance_fn((0.5, 0.5), 0.2)]
+    cdfs = [(LS, 4), (PC, 4), (LAD, 4), (uniform_preset(3), 3)]
+    streamed = ([tube_volume(fn, (0, 0), (1, 1), DELTAS, total, TUBE_SEED) for fn in fixtures],
+                [distance_cdf(spec, n, total, CDF_SEED) for spec, n in cdfs])
+    monkeypatch.setattr(measure, "_chunked_draw", whole_draw)
+    whole = ([tube_volume(fn, (0, 0), (1, 1), DELTAS, total, TUBE_SEED) for fn in fixtures],
+             [distance_cdf(spec, n, total, CDF_SEED) for spec, n in cdfs])
+    for got, want in zip(streamed[0], whole[0]):
+        assert repr(got) == repr(want)
+    for got, want in zip(streamed[1], whole[1]):
+        assert np.array_equal(got.sorted_distances.view(np.int64), want.sorted_distances.view(np.int64))
+        assert got.to_dict() == want.to_dict()
+        assert got.exponent.hex() == want.exponent.hex() and got.stderr.hex() == want.stderr.hex()
 
 
 def test_cdf_preconditions():
