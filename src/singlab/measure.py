@@ -1,11 +1,12 @@
 """Measure-theoretic estimators for singular sets.
 
-Greedy packing/covering numbers, box-count dimension with an upper-bound
-Hausdorff-measure surrogate, Monte-Carlo tube volumes with a codimension
-fit, distance-to-singular-set CDFs with tail exponents, and the
-measure-versus-distance tradeoff experiment for augmented means, whose
-distance comes from the zero-resultant projector of ``singlab.metrics`` and
-whose measure is bracketed by zero counts on coordinate torus slices.
+Greedy delta-nets bracketing covering and packing numbers, box-count
+dimension with an upper-bound Hausdorff-measure surrogate, Monte-Carlo tube
+volumes with a codimension fit, distance-to-singular-set CDFs with tail
+exponents, and the measure-versus-distance tradeoff experiment for
+augmented means, whose distance comes from the zero-resultant projector of
+``singlab.metrics`` and whose measure is bracketed by zero counts on
+coordinate torus slices.
 
 Tube and CDF draws come in chunks of 2^14 rows, each from its own generator
 seeded by (seed, first row of the chunk) and reduced before the next is
@@ -27,22 +28,39 @@ from singlab.metrics import DIST_SURROGATE, SINGULAR_DISTANCE, nearest_zero_resu
 DEFAULT_QUANTILE_WINDOW = (0.002, 0.05)
 
 
-# ---------------------------------------------------------------------------
-# Packing and covering numbers
-# ---------------------------------------------------------------------------
-
-def _greedy_net(cloud: np.ndarray, delta: float) -> int:
-    """Greedy delta-net by index order.
-
-    The selected centers are pairwise more than delta apart (a packing) and
-    every cloud point is within delta of one (a cover), so the count upper
-    bounds the covering number and lower bounds the packing number.
-    """
+def _finite_cloud(cloud) -> np.ndarray:
+    """The cloud as a finite (m, d) float array."""
     cloud = np.asarray(cloud, dtype=float)
-    if cloud.ndim != 2 or cloud.shape[0] < 1:
-        raise ContractViolation("point cloud must be a nonempty (m, d) array")
-    if delta <= 0:
-        raise ContractViolation("delta must be positive")
+    if cloud.ndim != 2 or not np.isfinite(cloud).all():
+        raise ContractViolation("point cloud must be a finite (m, d) array")
+    return cloud
+
+
+def _positive_sizes(sizes, name: str) -> list[float]:
+    """Mesh sizes or deltas as floats, each finite and positive."""
+    sizes = [float(s) for s in sizes]
+    if not all(0.0 < s < math.inf for s in sizes):
+        raise ContractViolation(f"{name} must be finite and positive")
+    return sizes
+
+
+# ---------------------------------------------------------------------------
+# Greedy nets
+# ---------------------------------------------------------------------------
+
+def greedy_net(cloud, delta: float) -> int:
+    """Size G(delta) of the greedy delta-net of the cloud, by index order.
+
+    Let N(delta) be the least number of closed delta-balls centred on cloud
+    points that cover the cloud, and D(delta) the largest number of cloud
+    points pairwise more than delta apart.  The greedy centres are pairwise
+    more than delta apart, and every point lies within delta of one of them,
+    so G(2 delta) <= N(delta) <= G(delta) <= D(delta) <= G(delta / 2).
+    """
+    cloud = _finite_cloud(cloud)
+    if len(cloud) == 0:
+        raise ContractViolation("point cloud must be nonempty")
+    _positive_sizes([delta], "delta")
     centers = np.empty_like(cloud)
     count = 0
     for p in cloud:
@@ -50,21 +68,6 @@ def _greedy_net(cloud: np.ndarray, delta: float) -> int:
             centers[count] = p
             count += 1
     return count
-
-
-def covering_number(cloud, delta: float) -> int:
-    """Size of the greedy delta-cover of the cloud (insertion order by index)."""
-    return _greedy_net(cloud, delta)
-
-
-def packing_number(cloud, delta: float) -> int:
-    """Size of the greedy maximal delta-packing of the cloud.
-
-    Same greedy net as covering_number: a maximal packing is automatically a
-    cover, and the chain N(delta/2) >= D(delta) >= N(delta) holds on the
-    greedy estimates because the net size is nonincreasing in delta.
-    """
-    return _greedy_net(cloud, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -185,13 +188,14 @@ def box_count_dimension(
     """
     lo = np.asarray(domain_lo, dtype=float)
     hi = np.asarray(domain_hi, dtype=float)
-    mesh_sizes = sorted((float(m) for m in mesh_sizes), reverse=True)
+    mesh_sizes = sorted(_positive_sizes(mesh_sizes, "mesh sizes"), reverse=True)
     if len(mesh_sizes) < 4:
         raise ContractViolation("need at least 4 mesh sizes")
     if mesh_sizes[0] / mesh_sizes[-1] < 10 ** 1.5:
         raise ContractViolation("mesh sizes must span at least 1.5 decades")
     if isinstance(membership, np.ndarray):
-        counts = [_cloud_count(membership, lo, hi, d) for d in mesh_sizes]
+        cloud = _finite_cloud(membership)
+        counts = [_cloud_count(cloud, lo, hi, d) for d in mesh_sizes]
     else:
         counts = _predicate_counts(membership, lo, hi, mesh_sizes)
     degenerate = len(set(counts)) == 1
@@ -290,7 +294,7 @@ def tube_volume(
     """
     lo = np.asarray(domain_lo, dtype=float)
     hi = np.asarray(domain_hi, dtype=float)
-    deltas = sorted(float(d) for d in deltas)
+    deltas = sorted(_positive_sizes(deltas, "deltas"))
     if mc_samples < 10_000:
         raise ContractViolation("mc_samples must be at least 10^4")
     box_vol = float(np.prod(hi - lo))

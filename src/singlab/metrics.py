@@ -366,6 +366,10 @@ def classify_severity(profile: OscillationProfile, mesh: float) -> str:
     SEVERE when the smallest-radius diameter is at least 2 * mesh (no cover
     ball can contain the local image); NON_SEVERE when the two smallest radii
     have diameters at most mesh / 2; UNDECIDED otherwise.
+
+    The diameters are of sampled images, so each is a lower bound on the
+    true oscillation.  SEVERE is therefore sound, but NON_SEVERE is a
+    sampled verdict, not a certificate: the true diameter may be larger.
     """
     if len(profile.radii) < 3:
         raise ContractViolation("severity needs a profile with >= 3 radii")
@@ -402,6 +406,18 @@ def _grad_norms(batch_fn, nodes: np.ndarray, h: float) -> np.ndarray:
     return np.linalg.norm(steps.reshape(k, dim) / (2.0 * h), axis=1)
 
 
+def _segments(curve) -> list[tuple[np.ndarray, np.ndarray, float]]:
+    """The polyline's segments (a, b, |b - a|) of nonzero length, in order."""
+    pts = [np.asarray(p, dtype=float) for p in curve]
+    if len(pts) < 2:
+        raise ContractViolation("curve needs at least 2 vertices")
+    segments = [(a, b, float(np.linalg.norm(b - a))) for a, b in zip(pts, pts[1:])]
+    segments = [(a, b, seg) for a, b, seg in segments if seg != 0.0]
+    if not segments:
+        raise ContractViolation("curve has zero length")
+    return segments
+
+
 def average_derivative_along_curve(
     outcome_fn,
     curve,
@@ -415,15 +431,9 @@ def average_derivative_along_curve(
     ``outcome_fn`` maps stacked points (m, dim) to their BatchOutcome; the
     stencils of every node of the curve go to it as one batch.
     """
-    pts = [np.asarray(p, dtype=float) for p in curve]
-    if len(pts) < 2:
-        raise ContractViolation("curve needs at least 2 vertices")
+    segments = _segments(curve)
     if h_fd <= 0:
         raise ContractViolation("h_fd must be positive")
-    segments = [(a, b, float(np.linalg.norm(b - a))) for a, b in zip(pts, pts[1:])]
-    segments = [(a, b, seg) for a, b, seg in segments if seg != 0.0]
-    if not segments:
-        raise ContractViolation("curve has zero length")
     ts = (np.arange(nodes_per_segment) + 0.5) / nodes_per_segment
     nodes = np.concatenate([a + ts[:, None] * (b - a) for a, b, _ in segments])
     norms = _grad_norms(outcome_fn, nodes, h_fd).reshape(len(segments), nodes_per_segment)
@@ -438,13 +448,9 @@ def average_derivative_along_curve(
 def average_distance_to_point(curve, x0) -> float:
     """Length-weighted average of |y - x0| along a polyline, by quadrature."""
     x0 = np.asarray(x0, dtype=float)
-    pts = [np.asarray(p, dtype=float) for p in curve]
     total_len = 0.0
     total_int = 0.0
-    for a, b in zip(pts, pts[1:]):
-        seg = float(np.linalg.norm(b - a))
-        if seg == 0.0:
-            continue
+    for a, b, seg in _segments(curve):
         total_len += seg
         total_int += seg * segment_average_norm(a - x0, b - x0)
     return total_int / total_len

@@ -38,9 +38,8 @@ from singlab.measure import (
     box_count_dimension,
     circle_cell_membership,
     circle_distance_fn,
-    covering_number,
     distance_cdf,
-    packing_number,
+    greedy_net,
     point_distance_fn,
     segment_distance_fn,
     tube_volume,
@@ -229,6 +228,23 @@ def test_criterion_5_derivative_blowup():
     report(5, "derivative blow-up profiles", failures)
 
 
+def _circle_points(k):
+    return np.array([[math.cos(2 * math.pi * j / k), math.sin(2 * math.pi * j / k)] for j in range(k)])
+
+
+def _exact_cover_and_packing(cloud, delta):
+    """Brute-force N(delta), the fewest closed delta-balls centred on cloud
+    points that cover it, and D(delta), the most cloud points pairwise more
+    than delta apart, over all 2^m subsets."""
+    m = len(cloud)
+    near = (np.linalg.norm(cloud[:, None, :] - cloud[None, :, :], axis=2) <= delta).astype(int)
+    members = ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1).astype(int)
+    sizes = members.sum(axis=1)
+    covers = (members @ near > 0).all(axis=1)
+    close_pairs = np.einsum("si,ij,sj->s", members, np.triu(near, 1), members)
+    return int(sizes[covers].min()), int(sizes[close_pairs == 0].max())
+
+
 def test_criterion_6_appendix_lemmas():
     failures = []
     rng = np.random.default_rng(61)
@@ -259,27 +275,40 @@ def test_criterion_6_appendix_lemmas():
     print(f"  Weyl-Lipschitz violations: {bad} / 10000")
     if bad:
         failures.append(f"{bad} eigenvalue Lipschitz violations")
-    # packing/covering chain, exact, on fixtures
-    circle = np.array(
-        [[math.cos(2 * math.pi * k / 100), math.sin(2 * math.pi * k / 100)] for k in range(100)]
-    )
-    clouds = [circle, np.array([[0.0, 0.0], [1.0, 0.0]]), rng.standard_normal((150, 2))]
-    chain_ok = True
-    for cloud in clouds:
+    # covering/packing chain N(delta) <= D(delta) <= N(delta / 2), exact by
+    # brute force, and the greedy bracket G(2 delta) <= N <= G <= D <= G(delta / 2)
+    small = np.random.default_rng(62)
+    exact_clouds = [np.array([[0.0, 0.0], [1.0, 0.0]]), _circle_points(12),
+                    small.standard_normal((12, 2)), small.standard_normal((12, 2))]
+    bracket_ok = True
+    for cloud in exact_clouds:
         for delta in (0.05, 0.1, 0.4, 1.0):
-            n_half = covering_number(cloud, delta / 2)
-            d_full = packing_number(cloud, delta)
-            n_full = covering_number(cloud, delta)
-            if not (n_half >= d_full >= n_full):
-                chain_ok = False
-                failures.append(f"chain broken at delta {delta}: {n_half}, {d_full}, {n_full}")
-    print(f"  packing/covering chain exact: {chain_ok}")
+            n_full, d_full = _exact_cover_and_packing(cloud, delta)
+            n_half, _ = _exact_cover_and_packing(cloud, delta / 2)
+            g_double, g_full, g_half = (greedy_net(cloud, t) for t in (2 * delta, delta, delta / 2))
+            if not (n_full <= d_full <= n_half and g_double <= n_full <= g_full <= d_full <= g_half):
+                bracket_ok = False
+                failures.append(
+                    f"bracket broken on {len(cloud)} points at delta {delta}: G(2 delta), N, G, D, "
+                    f"G(delta / 2), N(delta / 2) = {g_double}, {n_full}, {g_full}, {d_full}, {g_half}, {n_half}"
+                )
+    print(f"  exact chain and greedy bracket on 2- and 12-point clouds: {bracket_ok}")
+    # beyond brute force the bracket still implies G(2 delta) <= G(delta) <= G(delta / 2)
+    big = (("100-point circle", _circle_points(100)), ("150-point normal", rng.standard_normal((150, 2))))
+    for name, cloud in big:
+        nets = {}
+        for delta in (0.05, 0.1, 0.4, 1.0):
+            g_double, nets[delta], g_half = (greedy_net(cloud, t) for t in (2 * delta, delta, delta / 2))
+            if not g_double <= nets[delta] <= g_half:
+                failures.append(f"greedy net not monotone on the {name} at delta {delta}: "
+                                f"{g_double}, {nets[delta]}, {g_half}")
+        print(f"  greedy net on the {name}: " + ", ".join(f"G({t}) = {g}" for t, g in nets.items()))
     # omega_s closed forms
     for s, val in ((0, 1.0), (1, 2.0), (2, math.pi), (3, 4 * math.pi / 3)):
         if abs(omega_s(s) - val) > 1e-12:
             failures.append(f"omega_{s} off by {abs(omega_s(s) - val):.2e}")
     print("  omega_s exact at s = 0, 1, 2, 3")
-    report(6, "appendix lemmas (segment average, Weyl, packing chain, omega)", failures)
+    report(6, "appendix lemmas (segment average, Weyl, covering/packing bracket, omega)", failures)
 
 
 def test_criterion_7_calibration_suite():

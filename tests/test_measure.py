@@ -27,10 +27,9 @@ from singlab.measure import (
     box_count_dimension,
     circle_cell_membership,
     circle_distance_fn,
-    covering_number,
     distance_cdf,
     filled_box_membership,
-    packing_number,
+    greedy_net,
     point_distance_fn,
     segment_distance_fn,
     tradeoff_experiment,
@@ -44,40 +43,76 @@ CIRCLE_100 = np.array(
 
 
 # ---------------------------------------------------------------------------
-# Packing and covering
+# Greedy nets, covering and packing
 # ---------------------------------------------------------------------------
 
 def test_two_point_cloud():
     cloud = np.array([[0.0, 0.0], [1.0, 0.0]])
-    assert covering_number(cloud, 0.4) == 2
-    assert packing_number(cloud, 0.4) == 2
-    assert covering_number(cloud, 3.0) == 1
-    assert packing_number(cloud, 3.0) == 1
+    assert greedy_net(cloud, 0.4) == 2
+    assert greedy_net(cloud, 3.0) == 1
 
 
 def test_circle_cloud_greedy_pinned():
     # greedy-by-index on the 100-point circle keeps every second point at
     # delta = 0.1 (chord of two steps is 2 sin(2 pi / 100) > 0.1)
-    assert covering_number(CIRCLE_100, 0.1) == 50
-    assert packing_number(CIRCLE_100, 0.1) == 50
+    assert greedy_net(CIRCLE_100, 0.1) == 50
 
 
 def test_packing_covering_chain():
-    # N(delta/2) >= D(delta) >= N(delta), exactly, on all fixtures
+    # G(delta) <= D(delta) <= G(delta / 2), so the greedy count at least
+    # holds its ground when delta halves, on clouds too big for brute force
     rng = np.random.default_rng(51)
     clouds = [CIRCLE_100, np.array([[0.0, 0.0], [1.0, 0.0]]), rng.standard_normal((200, 2)),
               rng.standard_normal((100, 3))]
     for cloud in clouds:
         for delta in (0.05, 0.1, 0.3, 0.9):
-            assert covering_number(cloud, delta / 2) >= packing_number(cloud, delta)
-            assert packing_number(cloud, delta) >= covering_number(cloud, delta)
+            assert greedy_net(cloud, delta / 2) >= greedy_net(cloud, delta)
 
 
 def test_greedy_validation():
     with pytest.raises(ContractViolation):
-        covering_number(np.empty((0, 2)), 0.1)
+        greedy_net(np.empty((0, 2)), 0.1)
+    for delta in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(ContractViolation):
+            greedy_net(CIRCLE_100, delta)
+    cloud = np.random.default_rng(5).standard_normal((50, 2))
+    cloud[17, 1] = math.nan
     with pytest.raises(ContractViolation):
-        packing_number(CIRCLE_100, 0.0)
+        greedy_net(cloud, 0.1)
+
+
+def exact_cover_and_packing(cloud, delta):
+    """Brute-force N(delta), the fewest closed delta-balls centred on cloud
+    points that cover it, and D(delta), the most cloud points pairwise more
+    than delta apart, over all 2^m subsets."""
+    m = len(cloud)
+    near = (np.linalg.norm(cloud[:, None, :] - cloud[None, :, :], axis=2) <= delta).astype(int)
+    members = ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1).astype(int)
+    sizes = members.sum(axis=1)
+    covers = (members @ near > 0).all(axis=1)
+    close_pairs = np.einsum("si,ij,sj->s", members, np.triu(near, 1), members)
+    return int(sizes[covers].min()), int(sizes[close_pairs == 0].max())
+
+
+def test_greedy_net_brackets_exact_counts():
+    # N(delta) <= D(delta) <= N(delta / 2), and the greedy bracket
+    # G(2 delta) <= N(delta) <= G(delta) <= D(delta) <= G(delta / 2)
+    rng = np.random.default_rng(31)
+    grid = np.array([[x, y] for x in range(3) for y in range(4)], dtype=float)  # 1.0 apart, exactly
+    clouds = [grid, grid[:4], *(rng.standard_normal((m, 2)) for m in range(2, 13))]
+    for cloud in clouds:
+        for delta in (0.3, 0.5, 1.0, 1.5, 2.0):
+            n, d = exact_cover_and_packing(cloud, delta)
+            n_half, _ = exact_cover_and_packing(cloud, delta / 2)
+            assert n <= d <= n_half
+            g = [greedy_net(cloud, t) for t in (2 * delta, delta, delta / 2)]
+            assert g[0] <= n <= g[1] <= d <= g[2]
+    # three points 1.0 apart on a line: the greedy count is D by one order
+    # and N by another, so it names neither count in general
+    line = grid[:3]
+    assert exact_cover_and_packing(line, 1.0) == (1, 2)
+    assert greedy_net(line, 1.0) == 2
+    assert greedy_net(line[[1, 0, 2]], 1.0) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +259,19 @@ def test_box_count_preconditions():
         box_count_dimension(np.array([[0.5, 0.5]]), (0, 0), (1, 1), [0.1, 0.08, 0.06, 0.04])
 
 
+def test_box_count_refuses_bad_mesh_sizes():
+    for bad in (math.nan, math.inf, 0.0, -0.002):
+        with pytest.raises(ContractViolation):
+            box_count_dimension(np.array([[0.5, 0.5]]), (0, 0), (1, 1), [0.1, 0.05, 0.01, 0.002, bad])
+
+
+def test_box_count_refuses_a_non_finite_cloud_point():
+    cloud = np.random.default_rng(7).random((200, 2))
+    cloud[123, 0] = math.nan
+    with pytest.raises(ContractViolation):
+        box_count_dimension(cloud, (0, 0), (1, 1), [0.1, 0.05, 0.01, 0.002])
+
+
 # ---------------------------------------------------------------------------
 # Tube volumes
 # ---------------------------------------------------------------------------
@@ -271,6 +319,13 @@ def test_tube_preconditions():
     with pytest.raises(ContractViolation):
         tube_volume(point_distance_fn((0.5, 0.5)), (0, 0), (1, 1), [0.23792354683877923, 0.23792354683877925],
                     10_000, 0)
+
+
+def test_tube_refuses_bad_deltas():
+    # a NaN or negative delta was reported as dropped, an infinite one made the fit NaN
+    for bad in (math.nan, -0.1, 0.0, math.inf):
+        with pytest.raises(ContractViolation):
+            tube_volume(point_distance_fn((0.5, 0.5)), (0, 0), (1, 1), [*DELTAS, bad], 10_000, 0)
 
 
 def peak_bytes(fn):

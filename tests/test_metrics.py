@@ -445,6 +445,17 @@ def test_average_distance_to_point():
     assert abs(average_distance_to_point(seg, (0, 0)) - 1.5) < 1e-9
 
 
+def test_polyline_averages_refuse_degenerate_curves():
+    # one vertex, or two equal ones, has no length to average over
+    p = np.array([0.3, 0.0])
+    fn = lambda us: line_batch(np.full(len(us), 0.4), np.ones(len(us)), np.zeros(len(us), dtype=bool))
+    for curve in ([p], [p, p.copy()]):
+        with pytest.raises(ContractViolation):
+            average_distance_to_point(curve, (0, 0))
+        with pytest.raises(ContractViolation):
+            average_derivative_along_curve(fn, curve, 1e-6)
+
+
 # ---------------------------------------------------------------------------
 # Derivative blow-up profiles
 # ---------------------------------------------------------------------------
