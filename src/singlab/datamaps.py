@@ -9,7 +9,8 @@ rows, so a kernel or any other map returns its formula's arrays and
 ``reason=np.where(undefined, UndefinedReason.X.value, 0)`` (the member works
 too, but numpy takes a slow path for an int subclass).  Kernels are row-wise,
 each row summed in a fixed order, and only evaluate_batch cuts row blocks, so
-a row's outcome does not depend on its batch.  The certifiers and profilers of
+a row's outcome does not depend on its batch, nor on the threads that run
+the blocks of a large LAD batch.  The certifiers and profilers of
 ``topology`` and ``metrics`` take a map in this one form: any callable from
 stacked inputs to their BatchOutcome, such as ``slices.slice_map``.
 ``evaluate`` is the one-row case of evaluate_batch: an :class:`EvalOutcome`
@@ -27,6 +28,8 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -536,9 +539,13 @@ def _lad_batch(points, spec):
     n = points.shape[1]
     i, j = _lad_pairs(n)
     x, y = np.ascontiguousarray(points.transpose(2, 1, 0))
-    dx = x[j] - x[i]
-    slope = (y[j] - y[i]) / dx
-    intercept = y[i] - slope * x[i]
+    xi, yi = x[i], y[i]
+    dx = x[j] - xi
+    slope = y[j] - yi
+    slope /= dx
+    vertical = dx == 0.0
+    intercept = np.subtract(yi, np.multiply(slope, xi, out=dx), out=dx)
+    del xi, yi
     product = np.empty_like(slope)
 
     def residual(k, out):
@@ -547,7 +554,7 @@ def _lad_batch(points, spec):
         return np.abs(out, out=out)
 
     objs = _pairwise_sum(residual, 0, n)
-    objs[dx == 0.0] = np.inf
+    objs[vertical] = np.inf
     return _lad_select(objs, slope)
 
 
@@ -683,17 +690,87 @@ _KERNELS = {
     MapKind.RADIAL_OSCILLATOR: (eval_radial_oscillator, ScalarValue, lambda n: n),
 }
 
+# The kinds whose row blocks run at the same time.  A LAD row costs O(n^3),
+# every pair line against every point, in calls on whole (P, b) arrays; the
+# other kernels' rows cost O(n), mostly in calls on (b,) columns too short
+# to hide a hand-off of the interpreter lock.  On a 2-vCPU VM, two threads
+# ran LS, PC and the oscillator 10-16% slower and the disk and augmented
+# mean no faster, while LAD at n = 4 to 12 ran 1.1-1.5x faster.
+_PARALLEL = frozenset({MapKind.LAD_LINE})
+
 # Bytes of the widest array of a row block, for LAD the (P, b) arrays of P =
 # n(n-1)/2 pair lines by b rows: about ten such arrays stay in a core's L2
 # cache, and small-n batches of a few thousand rows run in one pass.  At 10^5
 # rows and n = 12, budgets of 128 to 256 KB ran the LAD kernel in 0.33-0.40 s
-# against 0.53 s at 512 KB and 0.70 s at 32 KB (on a 2-vCPU Xeon VM).
+# against 0.53 s at 512 KB and 0.70 s at 32 KB (on a 2-vCPU Xeon VM).  Blocks
+# that run at the same time share 3/2 of the budget, so two workers take 3/4
+# each: half-size blocks lose most of the second core to GIL hand-offs.
 _BLOCK_BYTES = 1 << 18
 
 
-def _block_rows(kind: MapKind, shape) -> int:
-    """Rows per block: the kernel's widest array fits _BLOCK_BYTES, or 1 row."""
-    return max(1, _BLOCK_BYTES // (8 * max(1, _KERNELS[kind][2](shape[1]))))
+def _block_rows(kind: MapKind, shape, workers: int = 1) -> int:
+    """Rows per block of one of ``workers`` concurrent workers: the kernel's
+    widest array fits _BLOCK_BYTES alone, or their 3/2 share, or 1 row."""
+    budget = min(_BLOCK_BYTES, 3 * _BLOCK_BYTES // (2 * workers))
+    return max(1, budget // (8 * max(1, _KERNELS[kind][2](shape[1]))))
+
+
+def _worker_count() -> int:
+    """Threads that run the blocks of a batch: one per CPU the process may use."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _run_blocks(kernel, spec: DataMapSpec, inputs: np.ndarray, rows: int, workers: int):
+    """The kernel's (value, gap, reason) on inputs cut into blocks of rows,
+    run by the calling thread and up to ``workers - 1`` helper threads,
+    each taking the next block in turn and writing its rows' slice of the
+    outputs.  A block's exception is raised once every worker has stopped,
+    the calling thread's first; when the calling thread stops early, as on
+    an interrupt, the helpers stop after their current block.  The helpers
+    start with the call: a thread
+    starts in about 70 us, while a pool would import concurrent.futures,
+    about 9 ms, on first use."""
+    m = len(inputs)
+    value, gap, reason = np.empty(m), np.empty(m), np.empty(m, dtype=np.int8)
+    blocks = range(0, m, rows)
+    starts = iter(blocks)
+    lock = threading.Lock()
+    errors = []
+
+    def take():
+        with lock:
+            return next(starts, None)
+
+    def work():
+        # numpy's error state is per thread, so every worker sets its own
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for start in iter(take, None):
+                block = slice(start, start + rows)
+                value[block], gap[block], reason[block] = kernel(inputs[block], spec)
+
+    def helper():
+        try:
+            work()
+        except BaseException as error:
+            errors.append(error)
+
+    helpers = [threading.Thread(target=helper) for _ in range(min(workers, len(blocks)) - 1)]
+    for thread in helpers:
+        thread.start()
+    try:
+        work()
+    finally:
+        with lock:
+            for _ in starts:
+                pass
+        for thread in helpers:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return value, gap, reason
 
 
 def evaluate_batch(spec: DataMapSpec, inputs) -> BatchOutcome:
@@ -701,9 +778,12 @@ def evaluate_batch(spec: DataMapSpec, inputs) -> BatchOutcome:
 
     LS, PC and LAD take plane datasets (m, n, 2), AUG_MEAN circle datasets
     as angles (m, n), DISK_DECISION points (m, 2) and RADIAL_OSCILLATOR
-    vectors (m, d), all finite.  The kernel, row-wise, runs on blocks of
-    ``_block_rows`` rows, or once on a batch that fits one block or has
-    fewer than two axes (which it refuses); its arrays become the
+    vectors (m, d), all finite.  The kernel, row-wise, runs once on a batch
+    that fits one block of ``_block_rows`` rows or has fewer than two axes
+    (which it refuses); a larger batch is cut into blocks, which for the
+    ``_PARALLEL`` kinds run at the same time on every CPU the process may
+    use (``_run_blocks``).  Each block writes its own rows, so no bit
+    depends on the number of CPUs.  The kernel's arrays become the
     BatchOutcome, which masks the Undefined rows.
     """
     kernel, feature, _ = _KERNELS[spec.kind]
@@ -711,13 +791,13 @@ def evaluate_batch(spec: DataMapSpec, inputs) -> BatchOutcome:
     # min and max carry any NaN or inf, and build no input-sized mask
     if inputs.size and not np.isfinite([inputs.min(), inputs.max()]).all():
         raise ContractViolation("map inputs must be finite")
-    rows = _block_rows(spec.kind, inputs.shape) if inputs.ndim > 1 else None
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if rows is None or len(inputs) <= rows:
+    if inputs.ndim < 2 or len(inputs) <= _block_rows(spec.kind, inputs.shape):
+        with np.errstate(divide="ignore", invalid="ignore"):
             value, gap, reason = kernel(inputs, spec)
-        else:
-            blocks = [kernel(inputs[start:start + rows], spec) for start in range(0, len(inputs), rows)]
-            value, gap, reason = (np.concatenate(parts) for parts in zip(*blocks))
+    else:
+        workers = _worker_count() if spec.kind in _PARALLEL else 1
+        rows = _block_rows(spec.kind, inputs.shape, workers)
+        value, gap, reason = _run_blocks(kernel, spec, inputs, rows, workers)
     return BatchOutcome(value=value, gap=gap, reason=reason, feature=feature)
 
 

@@ -36,6 +36,17 @@ def _finite_cloud(cloud) -> np.ndarray:
     return cloud
 
 
+def _domain_box(domain_lo, domain_hi) -> tuple[np.ndarray, np.ndarray]:
+    """The domain box's corners as float arrays (d,), finite with lo < hi on
+    every axis: an inverted or empty axis would give negative or zero
+    volumes and cell counts."""
+    lo = np.asarray(domain_lo, dtype=float)
+    hi = np.asarray(domain_hi, dtype=float)
+    if lo.ndim != 1 or not lo.size or lo.shape != hi.shape or not np.all(np.isfinite(lo) & np.isfinite(hi) & (lo < hi)):
+        raise ContractViolation("domain box must have finite corners lo < hi of one dimension d >= 1")
+    return lo, hi
+
+
 def _positive_sizes(sizes, name: str) -> list[float]:
     """Mesh sizes or deltas as floats, each finite and positive."""
     sizes = [float(s) for s in sizes]
@@ -184,10 +195,10 @@ def box_count_dimension(
     occupied, the first mesh near one domain-sized cell, so in full.  The
     counts then equal those of testing every cell whenever the predicate is
     an exact closed-cell intersection test, as ``circle_cell_membership``
-    and ``filled_box_membership`` are.
+    and ``filled_box_membership`` are.  The domain box must be finite with
+    lo < hi on every axis, and a cloud must have one column per axis.
     """
-    lo = np.asarray(domain_lo, dtype=float)
-    hi = np.asarray(domain_hi, dtype=float)
+    lo, hi = _domain_box(domain_lo, domain_hi)
     mesh_sizes = sorted(_positive_sizes(mesh_sizes, "mesh sizes"), reverse=True)
     if len(mesh_sizes) < 4:
         raise ContractViolation("need at least 4 mesh sizes")
@@ -195,6 +206,8 @@ def box_count_dimension(
         raise ContractViolation("mesh sizes must span at least 1.5 decades")
     if isinstance(membership, np.ndarray):
         cloud = _finite_cloud(membership)
+        if cloud.shape[1] != lo.size:
+            raise ContractViolation(f"a {cloud.shape[1]}-dimensional cloud in a {lo.size}-dimensional box")
         counts = [_cloud_count(cloud, lo, hi, d) for d in mesh_sizes]
     else:
         counts = _predicate_counts(membership, lo, hi, mesh_sizes)
@@ -291,9 +304,9 @@ def tube_volume(
     its hit count (the variance of log f is roughly 1/hits), and a delta
     with zero hits is dropped with a warning entry.  The cloud is counted
     one drawn chunk at a time, so memory is O(chunk), whatever mc_samples.
+    The domain box must be finite with lo < hi on every axis.
     """
-    lo = np.asarray(domain_lo, dtype=float)
-    hi = np.asarray(domain_hi, dtype=float)
+    lo, hi = _domain_box(domain_lo, domain_hi)
     deltas = sorted(_positive_sizes(deltas, "deltas"))
     if mc_samples < 10_000:
         raise ContractViolation("mc_samples must be at least 10^4")

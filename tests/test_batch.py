@@ -3,6 +3,9 @@ scalar references."""
 
 import itertools
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -34,6 +37,7 @@ from singlab.geometry import (
     CirclePoint,
     ContractViolation,
     Decision,
+    DomainError,
     LineDirection,
     PlaneDataset,
     ScalarValue,
@@ -388,6 +392,159 @@ def test_lad_kernel_keeps_no_whole_batch_buffer():
     finally:
         tracemalloc.stop()
     assert peak < 16 * datamaps._BLOCK_BYTES
+
+
+def blocked_batches():
+    """(spec, inputs) of every map kind, each spanning three serial row
+    blocks and a ragged tail, with Undefined rows (boundary points, for the
+    disk decision) every few rows."""
+    rng = np.random.default_rng(11)
+    cases = []
+    for kind, n in ((MapKind.LS_LINE, 4), (MapKind.PC_LINE, 4), (MapKind.LAD_LINE, 12)):
+        points = lad_block_batch(n, 3 * datamaps._block_rows(kind, (1, n, 2)) + 37, seed=n)
+        points[4::7] = points[4::7, :1]  # equal points: every fitter is Undefined
+        cases.append((DataMapSpec(kind=kind), points))
+    spec = DataMapSpec(kind=MapKind.AUG_MEAN, weights=(1.0, 1.0), w0=0.0)
+    phi = rng.uniform(0.0, 2.0 * math.pi, (3 * datamaps._block_rows(spec.kind, (1, 2)) + 37, 2))
+    phi[::5] = (0.0, math.pi)  # opposite unit points: a zero resultant
+    cases.append((spec, phi))
+    spec = DataMapSpec(kind=MapKind.DISK_DECISION, radius=0.5)
+    x = rng.uniform(-1.0, 1.0, (3 * datamaps._block_rows(spec.kind, (1, 2)) + 37, 2))
+    x[::5] = (0.5, 0.0)  # on the circle: bit 0, gap 0
+    cases.append((spec, x))
+    spec = DataMapSpec(kind=MapKind.RADIAL_OSCILLATOR)
+    x = rng.uniform(-0.5, 0.5, (3 * datamaps._block_rows(spec.kind, (1, 3)) + 37, 3))
+    x[::5] = 0.0  # the origin
+    cases.append((spec, x))
+    return cases
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("spec, inputs", [pytest.param(*case, id=case[0].kind.value) for case in blocked_batches()])
+def test_batch_bits_do_not_depend_on_the_worker_count(spec, inputs, monkeypatch):
+    # every kernel runs its blocks on 1, 2 and 4 workers here, not only the
+    # _PARALLEL ones; the outcome equals, bit for bit, the kernel's one pass
+    # over the whole batch, and each worker's 0 / 0 stays silent under the
+    # RuntimeWarning-as-error filter
+    monkeypatch.setattr(datamaps, "_PARALLEL", frozenset(MapKind))
+    with monkeypatch.context() as patch:
+        patch.setattr(datamaps, "_BLOCK_BYTES", 1 << 40)
+        whole = evaluate_batch(spec, inputs)
+    if spec.kind is not MapKind.DISK_DECISION:
+        rows = datamaps._block_rows(spec.kind, inputs.shape, 4)
+        assert all(np.any(whole.reason[start:start + rows]) for start in range(0, len(inputs), rows))
+    for workers in (1, 2, 4):
+        monkeypatch.setattr(datamaps, "_worker_count", lambda: workers)
+        assert len(inputs) > datamaps._block_rows(spec.kind, inputs.shape, workers)
+        assert_outcomes_bit_equal(evaluate_batch(spec, inputs), whole)
+
+
+def _failing_in(kernel, marker):
+    """The kernel, raising ContractViolation on a block holding the marker."""
+    def fail(inputs, spec):
+        if np.any(inputs == marker):
+            raise ContractViolation("a block holds the marker")
+        return kernel(inputs, spec)
+
+    return fail
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_a_block_error_propagates_with_its_type(workers, monkeypatch):
+    # whichever block raises, and on whichever worker, evaluate_batch raises
+    # that error, and the next batch runs as usual
+    monkeypatch.setattr(datamaps, "_worker_count", lambda: workers)
+    monkeypatch.setattr(datamaps, "_PARALLEL", frozenset(MapKind))
+    spec = DataMapSpec(kind=MapKind.RADIAL_OSCILLATOR)
+    kernel, feature, width = datamaps._KERNELS[spec.kind]
+    x = np.full((5 * datamaps._block_rows(spec.kind, (1, 3)) + 37, 3), 0.25)
+    want = evaluate_batch(spec, x)
+    for row in (0, len(x) // 2, len(x) - 1):
+        outside = x.copy()
+        outside[row] = 1.0  # outside the unit ball
+        with pytest.raises(ContractViolation) as raised:
+            evaluate_batch(spec, outside)
+        assert raised.type is DomainError
+        marked = x.copy()
+        marked[row, 0] = 0.125
+        with monkeypatch.context() as patch:
+            patch.setitem(datamaps._KERNELS, spec.kind, (_failing_in(kernel, 0.125), feature, width))
+            with pytest.raises(ContractViolation) as raised:
+                evaluate_batch(spec, marked)
+        assert raised.type is ContractViolation
+        assert_outcomes_bit_equal(evaluate_batch(spec, x), want)
+
+
+def test_a_helper_error_reaches_the_caller(monkeypatch):
+    # the calling thread holds its first block until a helper has raised on
+    # another, so the error can only come back from the helper
+    monkeypatch.setattr(datamaps, "_worker_count", lambda: 2)
+    monkeypatch.setattr(datamaps, "_PARALLEL", frozenset(MapKind))
+    spec = DataMapSpec(kind=MapKind.RADIAL_OSCILLATOR)
+    kernel, feature, width = datamaps._KERNELS[spec.kind]
+    caller, raised_on_helper = threading.get_ident(), threading.Event()
+
+    def fail_on_helpers(inputs, spec):
+        if threading.get_ident() == caller:
+            assert raised_on_helper.wait(30)
+            return kernel(inputs, spec)
+        raised_on_helper.set()
+        raise ContractViolation("raised on a helper")
+
+    monkeypatch.setitem(datamaps._KERNELS, spec.kind, (fail_on_helpers, feature, width))
+    with pytest.raises(ContractViolation, match="raised on a helper"):
+        evaluate_batch(spec, np.full((3 * datamaps._block_rows(spec.kind, (1, 3)), 3), 0.25))
+
+
+def test_helpers_stop_when_the_caller_fails(monkeypatch):
+    # the calling thread raises on its first block; a helper finishes the
+    # block it holds and takes no other, so the error is not held back
+    # while the rest of the batch runs
+    monkeypatch.setattr(datamaps, "_worker_count", lambda: 2)
+    spec = DataMapSpec(kind=MapKind.LAD_LINE)
+    kernel, feature, width = datamaps._KERNELS[spec.kind]
+    caller, helper_blocks = threading.get_ident(), []
+
+    def fail_on_caller(inputs, spec):
+        if threading.get_ident() == caller:
+            raise ContractViolation("raised on the calling thread")
+        helper_blocks.append(len(inputs))
+        time.sleep(0.05)
+        return kernel(inputs, spec)
+
+    monkeypatch.setitem(datamaps._KERNELS, spec.kind, (fail_on_caller, feature, width))
+    points = np.random.default_rng(4).standard_normal((40 * datamaps._block_rows(spec.kind, (1, 4, 2)), 4, 2))
+    with pytest.raises(ContractViolation, match="calling thread"):
+        evaluate_batch(spec, points)
+    assert len(helper_blocks) <= 1
+
+
+def test_every_block_runs_once_under_fast_thread_switches(monkeypatch):
+    # more workers than cores, a thread switch every microsecond and
+    # hundreds of blocks: each block runs exactly once, and the bits are
+    # those of the one-block batch
+    spec = DataMapSpec(kind=MapKind.LAD_LINE)
+    points = np.random.default_rng(2).standard_normal((4000, 4, 2))
+    want = evaluate_batch(spec, points)
+    kernel, feature, _ = datamaps._KERNELS[spec.kind]
+    starts = []
+
+    def recording(inputs, spec):
+        starts.append((inputs.ctypes.data - points.ctypes.data) // points.strides[0])
+        return kernel(inputs, spec)
+
+    monkeypatch.setitem(datamaps._KERNELS, spec.kind, (recording, feature, lambda n: 1 << 10))
+    monkeypatch.setattr(datamaps, "_worker_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = evaluate_batch(spec, points)
+    finally:
+        sys.setswitchinterval(interval)
+    rows = datamaps._block_rows(spec.kind, points.shape, 8)
+    assert len(points) // rows > 200
+    assert sorted(starts) == list(range(0, len(points), rows))
+    assert_outcomes_bit_equal(got, want)
 
 
 def test_pairwise_sum_matches_numpy_sum():

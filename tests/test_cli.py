@@ -520,6 +520,35 @@ def test_lad_cdf_bytes_pinned_across_processes(tmp_path):
     }
 
 
+# One CLI run in a fresh interpreter bound to one CPU, which runs every row
+# block of a batch on the calling thread alone.
+_ONE_CPU = """\
+import os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from singlab import datamaps
+from singlab.cli import main
+assert datamaps._worker_count() == 1
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
+def test_lad_cdf_bytes_pinned_on_one_cpu(tmp_path):
+    # test_lad_cdf_bytes_pinned_across_processes's config and digests, from
+    # a child bound to one CPU: the bytes do not depend on how many CPUs run
+    # the LAD blocks
+    args = ["cdf", "--map", "lad", "--n-points", "12", "--samples", "20000", "--seed", "42"]
+    done = subprocess.run([sys.executable, "-c", _ONE_CPU, *args, "--outdir", str(tmp_path)],
+                          env=_fresh_env(), capture_output=True, text=True)
+    assert done.returncode == EXIT_OK, done.stderr
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("cdf.csv", "cdf.json")}
+    assert digests == {
+        "cdf.csv": "9d14984ebe09f955054b35fbab709e20f62e10f6649ac6fdbc56fab33eb15cc3",
+        "cdf.json": "547c0c8f6db2abe967975afe6f10381658b5a88dcbb1e903053b2ac3ae499f6d",
+    }
+
+
 @pytest.mark.parametrize("args, code, name, digest", [
     (["lfplot", "--map", "lad", "--grid-resolution", "48"], EXIT_OK, "lfplot.csv",
      "8295f33fb2dd754ceef62b05fc9868e75a17ec167d9f6d943cb79730dfd4108f"),

@@ -2,6 +2,7 @@
 
 import ast
 import os
+import subprocess
 import sys
 
 import pytest
@@ -39,3 +40,12 @@ def test_module_level_imports_are_stdlib_numpy_or_singlab(name):
         for root in _roots(stmt):
             assert root in sys.stdlib_module_names or root in ALLOWED, (
                 f"{name}:{stmt.lineno} imports {root!r} at module level")
+
+
+def test_cli_import_starts_no_thread():
+    # the threads that run a batch's row blocks start with the batch, so
+    # start-up starts none and pays for no thread pool module
+    code = "import sys, threading, singlab.cli; print(threading.active_count(), 'concurrent.futures' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [os.path.dirname(SRC), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["1", "False"]

@@ -272,6 +272,35 @@ def test_box_count_refuses_a_non_finite_cloud_point():
         box_count_dimension(cloud, (0, 0), (1, 1), [0.1, 0.05, 0.01, 0.002])
 
 
+# Domain boxes that are not finite with lo < hi on every axis: an inverted
+# axis gave negative tube volumes, an empty one counted cells anyway
+BAD_BOXES = [
+    ((0.0, 1.0), (1.0, 0.0)),
+    ((0.0, 0.0), (1.0, 0.0)),
+    ((0.0, math.nan), (1.0, 1.0)),
+    ((0.0, 0.0), (1.0, math.inf)),
+    ((-math.inf, 0.0), (1.0, 1.0)),
+    ((0.0, 0.0), (1.0, 1.0, 1.0)),
+    ((), ()),
+    ([[0.0, 0.0]], [[1.0, 1.0]]),
+]
+
+
+@pytest.mark.parametrize("lo, hi", BAD_BOXES)
+def test_box_count_refuses_a_bad_domain_box(lo, hi):
+    with pytest.raises(ContractViolation, match="domain box"):
+        box_count_dimension(np.array([[0.5, 0.5]]), lo, hi, [0.1, 0.05, 0.01, 0.002])
+    with pytest.raises(ContractViolation, match="domain box"):
+        box_count_dimension(filled_box_membership((0.2, 0.2), (0.4, 0.4)), lo, hi, [0.1, 0.05, 0.01, 0.002])
+
+
+def test_box_count_refuses_a_cloud_of_another_dimension():
+    # a (50, 3) cloud in a 2-D box died in numpy broadcasting
+    cloud = np.random.default_rng(3).random((50, 3))
+    with pytest.raises(ContractViolation, match="3-dimensional cloud in a 2-dimensional box"):
+        box_count_dimension(cloud, (0, 0), (1, 1), [0.1, 0.05, 0.01, 0.002])
+
+
 # ---------------------------------------------------------------------------
 # Tube volumes
 # ---------------------------------------------------------------------------
@@ -326,6 +355,12 @@ def test_tube_refuses_bad_deltas():
     for bad in (math.nan, -0.1, 0.0, math.inf):
         with pytest.raises(ContractViolation):
             tube_volume(point_distance_fn((0.5, 0.5)), (0, 0), (1, 1), [*DELTAS, bad], 10_000, 0)
+
+
+@pytest.mark.parametrize("lo, hi", BAD_BOXES)
+def test_tube_refuses_a_bad_domain_box(lo, hi):
+    with pytest.raises(ContractViolation, match="domain box"):
+        tube_volume(point_distance_fn((0.5, 0.5)), lo, hi, DELTAS, 10_000, 0)
 
 
 def peak_bytes(fn):
