@@ -6,8 +6,8 @@ infinite floats are rejected, every report echoes the fully resolved
 config, and identical config + seed produce byte-identical output files.
 The ``threads`` key of lfplot, tube and cdf is still accepted and validated
 but has no effect: ``evaluate_batch`` runs the row blocks of a large LAD
-batch on every CPU the process may use, and no output bit depends on their
-number.
+batch on up to two of the CPUs the process may use, and no output bit
+depends on their number.
 
 Each runner returns its exit code, its report's result (None for lfplot,
 which writes no report) and the other files it wrote; ``main`` alone writes

@@ -25,6 +25,7 @@ batches; only the augmented mean's standard, on circle datasets, is scalar.
 
 from __future__ import annotations
 
+import ctypes
 import enum
 import functools
 import math
@@ -715,12 +716,43 @@ def _block_rows(kind: MapKind, shape, workers: int = 1) -> int:
     return max(1, budget // (8 * max(1, _KERNELS[kind][2](shape[1]))))
 
 
+# At most this many threads run the blocks of one batch: the one count whose
+# speed and memory were measured (on a 2-vCPU VM).  More workers would cut
+# the blocks smaller than the budget's sweet spot and contend for the
+# interpreter lock; lift the cap only with measurements on more CPUs.
+_MAX_WORKERS = 2
+
+
 def _worker_count() -> int:
-    """Threads that run the blocks of a batch: one per CPU the process may use."""
+    """Threads that run the blocks of a batch: one per CPU the process may
+    use, at most _MAX_WORKERS."""
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no CPU affinity on this platform
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    return min(_MAX_WORKERS, cpus)
+
+
+@functools.cache
+def _sched_getcpu():
+    """libc's sched_getcpu, the CPU the calling thread runs on, or a
+    stand-in returning -1 where the C library has none."""
+    try:
+        return ctypes.CDLL(None).sched_getcpu
+    except (AttributeError, OSError, TypeError):
+        return lambda: -1
+
+
+def _bind_off(cpu: int) -> None:
+    """Bind the calling thread to the CPUs the process may use other than
+    ``cpu``, if there are any.  It is a placement hint, so a platform
+    without affinity, or a CPU gone offline, leaves the thread where it is."""
+    try:
+        others = os.sched_getaffinity(0) - {cpu}
+        if others:
+            os.sched_setaffinity(0, others)
+    except (AttributeError, OSError):
+        pass
 
 
 def _run_blocks(kernel, spec: DataMapSpec, inputs: np.ndarray, rows: int, workers: int):
@@ -730,15 +762,20 @@ def _run_blocks(kernel, spec: DataMapSpec, inputs: np.ndarray, rows: int, worker
     outputs.  A block's exception is raised once every worker has stopped,
     the calling thread's first; when the calling thread stops early, as on
     an interrupt, the helpers stop after their current block.  The helpers
-    start with the call: a thread
-    starts in about 70 us, while a pool would import concurrent.futures,
-    about 9 ms, on first use."""
+    start with the call: a thread starts in about 70 us, while a pool would
+    import concurrent.futures, about 9 ms, on first use.
+
+    On a 2-vCPU VM, Linux often started a helper on the calling thread's
+    CPU and left both there, taking turns, for the first second of a
+    process, so each helper binds itself off the calling thread's CPU; the
+    calling thread stays free to move."""
     m = len(inputs)
     value, gap, reason = np.empty(m), np.empty(m), np.empty(m, dtype=np.int8)
     blocks = range(0, m, rows)
     starts = iter(blocks)
     lock = threading.Lock()
     errors = []
+    here = _sched_getcpu()()
 
     def take():
         with lock:
@@ -753,6 +790,7 @@ def _run_blocks(kernel, spec: DataMapSpec, inputs: np.ndarray, rows: int, worker
 
     def helper():
         try:
+            _bind_off(here)
             work()
         except BaseException as error:
             errors.append(error)
@@ -781,10 +819,10 @@ def evaluate_batch(spec: DataMapSpec, inputs) -> BatchOutcome:
     vectors (m, d), all finite.  The kernel, row-wise, runs once on a batch
     that fits one block of ``_block_rows`` rows or has fewer than two axes
     (which it refuses); a larger batch is cut into blocks, which for the
-    ``_PARALLEL`` kinds run at the same time on every CPU the process may
-    use (``_run_blocks``).  Each block writes its own rows, so no bit
-    depends on the number of CPUs.  The kernel's arrays become the
-    BatchOutcome, which masks the Undefined rows.
+    ``_PARALLEL`` kinds run at the same time on up to ``_MAX_WORKERS`` of
+    the CPUs the process may use (``_run_blocks``).  Each block writes its
+    own rows, so no bit depends on the number of CPUs.  The kernel's arrays
+    become the BatchOutcome, which masks the Undefined rows.
     """
     kernel, feature, _ = _KERNELS[spec.kind]
     inputs = np.asarray(inputs, dtype=float)

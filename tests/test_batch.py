@@ -3,6 +3,7 @@ scalar references."""
 
 import itertools
 import math
+import os
 import sys
 import threading
 import time
@@ -517,6 +518,58 @@ def test_helpers_stop_when_the_caller_fails(monkeypatch):
     with pytest.raises(ContractViolation, match="calling thread"):
         evaluate_batch(spec, points)
     assert len(helper_blocks) <= 1
+
+
+def test_worker_count_is_capped_at_the_measured_count(monkeypatch):
+    # a host with many CPUs still runs a batch on two threads, the one
+    # count whose speed and memory were measured
+    monkeypatch.setattr(datamaps.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    assert datamaps._worker_count() == 2
+    monkeypatch.setattr(datamaps.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert datamaps._worker_count() == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs CPU affinity and two CPUs")
+def test_a_helper_runs_off_the_calling_threads_cpu(monkeypatch):
+    # the helper binds itself to every CPU but the calling thread's, and
+    # the calling thread's own mask is left as it was
+    cpus = os.sched_getaffinity(0)
+    assert datamaps._sched_getcpu()() in cpus
+    mine = min(cpus)
+    monkeypatch.setattr(datamaps, "_sched_getcpu", lambda: lambda: mine)
+    monkeypatch.setattr(datamaps, "_worker_count", lambda: 2)
+    spec = DataMapSpec(kind=MapKind.LAD_LINE)
+    kernel, feature, width = datamaps._KERNELS[spec.kind]
+    caller, masks = threading.get_ident(), []
+
+    def recording(inputs, spec):
+        if threading.get_ident() != caller:
+            masks.append(os.sched_getaffinity(0))
+        return kernel(inputs, spec)
+
+    monkeypatch.setitem(datamaps._KERNELS, spec.kind, (recording, feature, width))
+    points = np.random.default_rng(5).standard_normal((40 * datamaps._block_rows(spec.kind, (1, 4, 2)), 4, 2))
+    evaluate_batch(spec, points)
+    assert masks and all(mask == cpus - {mine} for mask in masks)
+    assert os.sched_getaffinity(0) == cpus
+
+
+def test_a_failed_binding_leaves_the_bits(monkeypatch):
+    # binding is a placement hint: where the platform refuses it, the
+    # helper runs where it was started
+    def refuse(pid, cpus):
+        raise OSError("no such CPU")
+
+    monkeypatch.setattr(datamaps.os, "sched_setaffinity", refuse, raising=False)
+    monkeypatch.setattr(datamaps, "_sched_getcpu", lambda: lambda: 0)
+    monkeypatch.setattr(datamaps, "_worker_count", lambda: 2)
+    spec = DataMapSpec(kind=MapKind.LAD_LINE)
+    points = np.random.default_rng(6).standard_normal((3 * datamaps._block_rows(spec.kind, (1, 4, 2)) + 5, 4, 2))
+    with monkeypatch.context() as patch:
+        patch.setattr(datamaps, "_BLOCK_BYTES", 1 << 40)
+        whole = evaluate_batch(spec, points)
+    assert_outcomes_bit_equal(evaluate_batch(spec, points), whole)
 
 
 def test_every_block_runs_once_under_fast_thread_switches(monkeypatch):

@@ -507,17 +507,22 @@ def test_tradeoff_byte_reproducible_across_processes(tmp_path):
     assert (tmp_path / "1" / "tradeoff.json").read_bytes() == (tmp_path / "2" / "tradeoff.json").read_bytes()
 
 
+# digests recorded at commit d76ff85, whose LAD kernel ran the whole batch
+# in one pass; 20000 rows span several blocks of today's kernel
+_LAD_CDF_ARGS = ["cdf", "--map", "lad", "--n-points", "12", "--samples", "20000", "--seed", "42"]
+_LAD_CDF_DIGESTS = {
+    "cdf.csv": "9d14984ebe09f955054b35fbab709e20f62e10f6649ac6fdbc56fab33eb15cc3",
+    "cdf.json": "547c0c8f6db2abe967975afe6f10381658b5a88dcbb1e903053b2ac3ae499f6d",
+}
+
+
+def _digests(outdir, names):
+    return {name: hashlib.sha256((outdir / name).read_bytes()).hexdigest() for name in names}
+
+
 def test_lad_cdf_bytes_pinned_across_processes(tmp_path):
-    # digests recorded at commit d76ff85, whose LAD kernel ran the whole
-    # batch in one pass; 20000 rows span several blocks of today's kernel
-    args = ["cdf", "--map", "lad", "--n-points", "12", "--samples", "20000", "--seed", "42"]
-    assert run_in_process(args, tmp_path) == EXIT_OK
-    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-               for name in ("cdf.csv", "cdf.json")}
-    assert digests == {
-        "cdf.csv": "9d14984ebe09f955054b35fbab709e20f62e10f6649ac6fdbc56fab33eb15cc3",
-        "cdf.json": "547c0c8f6db2abe967975afe6f10381658b5a88dcbb1e903053b2ac3ae499f6d",
-    }
+    assert run_in_process(_LAD_CDF_ARGS, tmp_path) == EXIT_OK
+    assert _digests(tmp_path, _LAD_CDF_DIGESTS) == _LAD_CDF_DIGESTS
 
 
 # One CLI run in a fresh interpreter bound to one CPU, which runs every row
@@ -534,19 +539,12 @@ sys.exit(main(sys.argv[1:]))
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
 def test_lad_cdf_bytes_pinned_on_one_cpu(tmp_path):
-    # test_lad_cdf_bytes_pinned_across_processes's config and digests, from
-    # a child bound to one CPU: the bytes do not depend on how many CPUs run
-    # the LAD blocks
-    args = ["cdf", "--map", "lad", "--n-points", "12", "--samples", "20000", "--seed", "42"]
-    done = subprocess.run([sys.executable, "-c", _ONE_CPU, *args, "--outdir", str(tmp_path)],
+    # the pinned LAD run above, from a child bound to one CPU: the bytes do
+    # not depend on how many CPUs run the LAD blocks
+    done = subprocess.run([sys.executable, "-c", _ONE_CPU, *_LAD_CDF_ARGS, "--outdir", str(tmp_path)],
                           env=_fresh_env(), capture_output=True, text=True)
     assert done.returncode == EXIT_OK, done.stderr
-    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-               for name in ("cdf.csv", "cdf.json")}
-    assert digests == {
-        "cdf.csv": "9d14984ebe09f955054b35fbab709e20f62e10f6649ac6fdbc56fab33eb15cc3",
-        "cdf.json": "547c0c8f6db2abe967975afe6f10381658b5a88dcbb1e903053b2ac3ae499f6d",
-    }
+    assert _digests(tmp_path, _LAD_CDF_DIGESTS) == _LAD_CDF_DIGESTS
 
 
 @pytest.mark.parametrize("args, code, name, digest", [
