@@ -1,9 +1,9 @@
 """The concrete data maps: line fitters, circle location, toy decision rules.
 
 ``evaluate_batch`` runs every map, on inputs stacked along a first axis, and
-returns a :class:`BatchOutcome` of value, gap and reason arrays; each map's
-formula, its gap included, lives in one kernel there, and the distances of the
-Monte-Carlo estimators read that gap.  A reason is stored as its
+returns a :class:`BatchOutcome` of value, gap and reason arrays, each map's
+from one kernel; each circle-valued kernel reads its F from ``section``, and
+the Monte-Carlo estimators' distances read the gap.  A reason is stored as its
 :class:`UndefinedReason` code, and a BatchOutcome masks its own Undefined
 rows, so a kernel or any other map returns its formula's arrays and
 ``reason=np.where(undefined, UndefinedReason.X.value, 0)`` (the member works
@@ -175,8 +175,8 @@ class DataMapSpec:
     """Which map to run and its parameters.
 
     AUG_MEAN uses ``weights`` (nonempty, finite and positive), a finite
-    ``w0 >= 0`` and the unit augmentation point ``aug_point``.
-    DISK_DECISION uses a finite ``center`` and a finite ``radius > 0``.
+    ``w0 >= 0`` and the finite unit 2-vector ``aug_point``.
+    DISK_DECISION uses a finite 2-vector ``center`` and a finite ``radius > 0``.
     """
 
     kind: MapKind
@@ -197,13 +197,14 @@ class DataMapSpec:
             if not 0.0 <= self.w0 < math.inf:
                 raise ContractViolation("AUG_MEAN w0 must be finite and nonnegative")
             a = np.asarray(self.aug_point, dtype=float)
-            if abs(np.linalg.norm(a) - 1.0) > 1e-12:
-                raise ContractViolation("augmentation point must be a unit vector")
+            if a.shape != (2,) or not abs(np.linalg.norm(a) - 1.0) <= 1e-12:  # NaN fails <=
+                raise ContractViolation("augmentation point must be a finite unit 2-vector")
             object.__setattr__(self, "weights", w)
             object.__setattr__(self, "aug_point", (float(a[0]), float(a[1])))
         if self.kind is MapKind.DISK_DECISION:
-            if self.radius is None or not 0.0 < self.radius < math.inf or not np.all(np.isfinite(self.center)):
-                raise ContractViolation("DISK_DECISION needs a finite center and a finite radius > 0")
+            finite_center = np.shape(self.center) == (2,) and np.all(np.isfinite(self.center))
+            if self.radius is None or not 0.0 < self.radius < math.inf or not finite_center:
+                raise ContractViolation("DISK_DECISION needs a finite 2-vector center and a finite radius > 0")
 
 
 def uniform_preset(n: int) -> DataMapSpec:
@@ -383,51 +384,54 @@ def evaluate_with_standard(spec: DataMapSpec, x) -> EvalOutcome:
 # Batch kernels: the line fitters over (m, n, 2) point batches
 # ---------------------------------------------------------------------------
 
-def _pc_moments(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(a, b, gap, mean) of a batch: a half the variance difference, b the
-    covariance (1/n normalization), gap = 2 hypot(a, b) = lambda_1 - lambda_2
-    and mean = (lambda_1 + lambda_2) / 2.
+def section(spec: DataMapSpec, inputs) -> tuple[np.ndarray, np.ndarray]:
+    """(re, im) (m,) of each row's F, the complex number whose argument is
+    the feature, for inputs stacked as ``evaluate_batch`` takes them: PC's
+    a + i b, a half the variance difference and b the covariance (1/n
+    normalization); LS's S_xx + i S_xy; AUG_MEAN's resultant r (``_resultant``).
+    Other maps have none.
 
     The sums run over the points axis one column at a time, on strided views
-    of the batch, in the orders numpy's reductions take: the point means add
-    their n terms one after another, as points.mean(axis=1) does over an
-    axis that is not the last, and the second moments add pairwise, as
-    np.sum(axis=1) does over the last axis of the centered products.  So
-    the moments are bit-equal to those reductions.
+    of the batch, in the orders numpy's reductions take, so they are
+    bit-equal to them: PC's point means add their n terms one after another,
+    as points.mean(axis=1) does over an axis that is not the last, LS's
+    pairwise, as a mean over each row's last axis does, and the second
+    moments pairwise, as np.sum(axis=1) does over the centered products.
     """
+    if spec.kind is MapKind.AUG_MEAN:
+        r, _ = _resultant(_as_angle_batch(inputs).T, spec)
+        return r[0], r[1]
+    if spec.kind not in (MapKind.PC_LINE, MapKind.LS_LINE):
+        raise ContractViolation(f"{spec.kind.value} has no section")
+    points = _as_plane_batch(inputs)
     n = points.shape[1]
     x, y = points[..., 0], points[..., 1]
-    mx = _axis_sum(_columns(x), n) / n
-    my = _axis_sum(_columns(y), n) / n
+    pairwise = spec.kind is MapKind.LS_LINE
+    mx = _axis_sum(_columns(x), n, pairwise) / n
+    my = _axis_sum(_columns(y), n, pairwise) / n
+    if pairwise:
+        return _centered_product_sum(x, mx, x, mx), _centered_product_sum(x, mx, y, my)
     cxx = _centered_product_sum(x, mx, x, mx) / n
     cyy = _centered_product_sum(y, my, y, my) / n
-    cxy = _centered_product_sum(x, mx, y, my) / n
-    a = 0.5 * (cxx - cyy)
-    return a, cxy, 2.0 * np.hypot(a, cxy), 0.5 * (cxx + cyy)
+    return 0.5 * (cxx - cyy), _centered_product_sum(x, mx, y, my) / n
 
 
 def _ls_batch(points, spec):
-    """Slope direction of the y-on-x least-squares line.
+    """Slope direction of the y-on-x least-squares line, arg F mod pi.
 
     gap = sqrt(S_xx): the exact R^{2n} distance to the collinear-predictor
     surface {all abscissae equal}, on which the map is undefined.
     """
-    points = _as_plane_batch(points)
-    n = points.shape[1]
-    x, y = points[..., 0], points[..., 1]
-    # mean and np.sum over each row's last axis both add pairwise
-    mx = _axis_sum(_columns(x), n, pairwise=True) / n
-    my = _axis_sum(_columns(y), n, pairwise=True) / n
-    s_xx = _centered_product_sum(x, mx, x, mx)
-    s_xy = _centered_product_sum(x, mx, y, my)
-    undefined = s_xx == 0.0
+    s_xx, s_xy = section(spec, points)
     angle = reduce_mod_pi(np.arctan(s_xy / s_xx))
-    return angle, np.sqrt(s_xx), np.where(undefined, UndefinedReason.COLLINEAR_PREDICTOR.value, 0)
+    return angle, np.sqrt(s_xx), np.where(s_xx == 0.0, UndefinedReason.COLLINEAR_PREDICTOR.value, 0)
 
 
 def _pc_batch(points, spec):
-    """Leading eigenvector direction of the covariance; gap = eigenvalue gap."""
-    a, b, gap, _ = _pc_moments(_as_plane_batch(points))
+    """Leading eigenvector direction of the covariance, arg F / 2; gap =
+    2 |F| = lambda_1 - lambda_2, the eigenvalue gap."""
+    a, b = section(spec, points)
+    gap = 2.0 * np.hypot(a, b)
     angle = reduce_mod_pi(0.5 * np.arctan2(2.0 * b, 2.0 * a))
     return angle, gap, np.where(gap <= TIE_TOL, UndefinedReason.EIGENVALUE_TIE.value, 0)
 
@@ -651,28 +655,32 @@ def _weighted_resultant(terms: np.ndarray, spec: DataMapSpec) -> tuple[np.ndarra
     return r, terms
 
 
-def aug_mean_resultant(angles: np.ndarray, spec: DataMapSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The augmented resultant r of angle configurations (``_resultant``)
-    with its Jacobian in the angles: angles (n,) or (m, n) -> r (2,) or
-    (m, 2) and J (2, n) or (m, 2, n), where column i of J is
-    w_i (-sin phi_i, cos phi_i).
-    """
-    rows = np.atleast_2d(angles)
-    r, terms = _resultant(rows.T, spec)
-    jac = np.empty((len(rows), 2, rows.shape[1]))
-    np.negative(terms[1].T, out=jac[:, 0])
-    jac[:, 1] = terms[0].T
-    return (r.T, jac) if angles.ndim == 2 else (r[:, 0], jac[0])
+def section_jacobian(spec: DataMapSpec, angles) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """AUG_MEAN's section (re, im) of angle configurations (m, n), as
+    ``section`` gives it, with its Jacobian in the angles (d_re, d_im) (m,
+    n), whose column i is w_i (-sin phi_i, cos phi_i).  The Jacobian arrays
+    are transposes of (n, m) buffers, so a caller that stores the angles one
+    row per point passes their transpose and transposes the Jacobian back,
+    copying nothing."""
+    if spec.kind is not MapKind.AUG_MEAN:
+        raise ContractViolation(f"{spec.kind.value} has no section Jacobian")
+    r, (w_cos, w_sin) = _resultant(_as_angle_batch(angles).T, spec)
+    return (r[0], r[1]), (np.negative(w_sin, out=w_sin).T, w_cos.T)
+
+
+def _as_angle_batch(angles) -> np.ndarray:
+    angles = np.asarray(angles, dtype=float)
+    if angles.ndim != 2 or angles.shape[1] < 1:
+        raise ContractViolation("augmented mean needs n >= 1 angles per dataset")
+    return angles
 
 
 def _aug_mean_batch(angles, spec):
     """Direction of the weighted resultant, augmented by a fixed
-    pseudo-observation; gap = |resultant|, undefined where it vanishes."""
-    if angles.ndim != 2 or angles.shape[1] < 1:
-        raise ContractViolation("augmented mean needs n >= 1 angles per dataset")
-    r, _ = _resultant(angles.T, spec)
-    gap = np.hypot(r[0], r[1])
-    return np.arctan2(r[1], r[0]), gap, np.where(gap <= TIE_TOL, UndefinedReason.ZERO_RESULTANT.value, 0)
+    pseudo-observation: arg F; gap = |F|, undefined where it vanishes."""
+    re, im = section(spec, angles)
+    gap = np.hypot(re, im)
+    return np.arctan2(im, re), gap, np.where(gap <= TIE_TOL, UndefinedReason.ZERO_RESULTANT.value, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -32,11 +32,11 @@ from singlab.datamaps import (
     UndefinedReason,
     _axis_sum,
     _batch_outcome,
-    _pc_moments,
-    _resultant,
     as_map_input,
     evaluate_batch,
     oscillator_t,
+    section,
+    section_jacobian,
 )
 from singlab.geometry import ContractViolation, angle_distance, segment_average_norm, wrap_increments
 
@@ -107,13 +107,6 @@ RADIAL_SEGMENTS = 64
 ARC_NUDGE = 1e-9
 
 
-def _jacobian(phi: np.ndarray, spec: DataMapSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The resultant r (2, m) of angles stored one row per point, phi (n, m),
-    and its Jacobian rows jx = -w sin phi, jy = w cos phi (n, m)."""
-    r, (w_cos, w_sin) = _resultant(phi, spec)
-    return r, np.negative(w_sin, out=w_sin), w_cos
-
-
 def _gram_sum(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """sum_i u_i v_i (m,) of vectors stored one row per point, u, v (n, m),
     bit-equal to np.sum(u.T * v.T, axis=1)."""
@@ -144,7 +137,8 @@ def _project_to_zero_resultant(angles: np.ndarray, spec: DataMapSpec) -> np.ndar
     """
     phi = angles.T.copy()
     for _ in range(GAUSS_NEWTON_ITERS):
-        r, jx, jy = _jacobian(phi, spec)
+        r, (jx, jy) = section_jacobian(spec, phi.T)
+        jx, jy = jx.T, jy.T
         moving = np.hypot(r[0], r[1]) >= TIE_TOL
         if not moving.any():
             break
@@ -168,7 +162,8 @@ def _kkt_polish(phi: np.ndarray, phi0: np.ndarray, spec: DataMapSpec) -> np.ndar
     the angles one row per point.
     """
     phi, phi0 = phi.T.copy(), phi0[:, None]
-    r, jx, jy = _jacobian(phi, spec)
+    r, (jx, jy) = section_jacobian(spec, phi.T)
+    jx, jy = jx.T, jy.T
     d = phi - phi0
     mu_x, mu_y = _solve_gram(jx, jy, jx, jy, _gram_sum(jx, d), _gram_sum(jy, d))
     moving = np.ones(phi.shape[1], dtype=bool)
@@ -186,7 +181,8 @@ def _kkt_polish(phi: np.ndarray, phi0: np.ndarray, spec: DataMapSpec) -> np.ndar
         moving &= (size > POLISH_STEP_TOL) & (size <= math.pi)
         if not moving.any():
             break
-        r, jx, jy = _jacobian(phi, spec)
+        r, (jx, jy) = section_jacobian(spec, phi.T)
+        jx, jy = jx.T, jy.T
     return phi.T
 
 
@@ -220,7 +216,7 @@ def nearest_zero_resultant(phi0, spec: DataMapSpec) -> tuple[float, np.ndarray |
     return float(dist[best]), phi0 + d[best]
 
 
-def _pc_tie_distance(points: np.ndarray) -> float:
+def _pc_tie_distance(points: np.ndarray, spec: DataMapSpec) -> float:
     """Exact distance of one plane dataset (n, 2) to the PC eigenvalue ties.
 
     Ties are the datasets whose centered points Q (n x 2) have orthogonal
@@ -232,7 +228,8 @@ def _pc_tie_distance(points: np.ndarray) -> float:
     the singular values come from the SVD of Q, not from the eigenvalues,
     whose smaller one cancels on nearly collinear data.
     """
-    gap = float(_pc_moments(points[None])[2][0])
+    a, b = section(spec, points[None])
+    gap = float(2.0 * np.hypot(a, b)[0])
     if gap == 0.0:
         return 0.0
     sigma = np.linalg.svd(points - points.mean(axis=0), compute_uv=False)
@@ -253,7 +250,7 @@ def distance_to_singular(spec: DataMapSpec, x, refine: bool = False) -> tuple[fl
     if kind not in SINGULAR_DISTANCE:
         raise UnsupportedMapError(f"no distance rule for {kind}")
     if refine and kind is MapKind.PC_LINE:
-        return _pc_tie_distance(x.points), DIST_REFINED
+        return _pc_tie_distance(x.points, spec), DIST_REFINED
     if refine and kind is MapKind.AUG_MEAN:
         return nearest_zero_resultant(x.angles, spec)[0], DIST_REFINED
     distance, tag = SINGULAR_DISTANCE[kind]

@@ -58,6 +58,7 @@ from singlab.topology import (
 )
 
 FITTERS = [DataMapSpec(kind=k) for k in (MapKind.LS_LINE, MapKind.PC_LINE, MapKind.LAD_LINE)]
+LS, PC, LAD = FITTERS
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
 
 # moderate coordinates: values near the underflow threshold would make
@@ -622,14 +623,13 @@ def test_pairwise_sum_matches_numpy_sum():
 
 
 def numpy_pc_moments(points):
-    # the moments by numpy's reductions over the points axis
+    # (a, cxy) of the PC section by numpy's reductions over the points axis
     centered = points - points.mean(axis=1, keepdims=True)
     n = points.shape[1]
     cxx = np.sum(centered[..., 0] ** 2, axis=1) / n
     cyy = np.sum(centered[..., 1] ** 2, axis=1) / n
     cxy = np.sum(centered[..., 0] * centered[..., 1], axis=1) / n
-    a = 0.5 * (cxx - cyy)
-    return a, cxy, 2.0 * np.hypot(a, cxy), 0.5 * (cxx + cyy)
+    return 0.5 * (cxx - cyy), cxy
 
 
 def numpy_ls_sums(points):
@@ -674,19 +674,98 @@ PAIRWISE_BRANCH_NS = (*range(2, 18), 31, 32, 33, 127, 128, 129, 130, 136, 137, 2
 @pytest.mark.parametrize("m, ns", [(1, range(2, 301)), (2, range(2, 301)), (3072, PAIRWISE_BRANCH_NS),
                                    (10**5, (2, 3, 4, 9))], ids=["1", "2", "3072", "100000"])
 def test_moment_kernels_match_numpy_reductions(m, ns):
-    # the PC and LS kernels add over the points axis column by column in
+    # the PC and LS sections add over the points axis column by column in
     # numpy's own order: the PC means one after another, every sum over a
     # row's last axis pairwise, each from +0.0; signed zeros included
     rng = np.random.default_rng(m)
     for n in ns:
         points = moment_batch(m, n, rng)
-        for k, (got, want) in enumerate(zip(datamaps._pc_moments(points), numpy_pc_moments(points))):
-            assert_bits_equal(got, want, f"PC moment {k}, n = {n}")
+        a, cxy = numpy_pc_moments(points)
+        for label, got, want in zip("ab", datamaps.section(PC, points), (a, cxy)):
+            assert_bits_equal(got, want, f"PC section {label}, n = {n}")
+        assert_bits_equal(datamaps._pc_batch(points, PC)[1], 2.0 * np.hypot(a, cxy), f"PC gap, n = {n}")
         s_xx, s_xy = numpy_ls_sums(points)
         with np.errstate(divide="ignore", invalid="ignore"):
-            angle, gap, _ = datamaps._ls_batch(points, None)
+            angle, gap, _ = datamaps._ls_batch(points, LS)
             assert_bits_equal(angle, reduce_mod_pi(np.arctan(s_xy / s_xx)), f"LS angle, n = {n}")
         assert_bits_equal(gap, np.sqrt(s_xx), f"LS gap, n = {n}")
+
+
+def aug_mean_section_batches(rng):
+    """(spec, angles) of AUG_MEAN batches of random rows, the first row of
+    the first two a zero resultant: exactly, 1 + w0 a = 0 at phi = 0, and
+    within TIE_TOL, two opposite points whose cosines round to 6e-17."""
+    exact = DataMapSpec(kind=MapKind.AUG_MEAN, weights=(1.0,), w0=1.0, aug_point=(-1.0, 0.0))
+    opposite = DataMapSpec(kind=MapKind.AUG_MEAN, weights=(1.0, 1.0), w0=0.0)
+    spread = DataMapSpec(kind=MapKind.AUG_MEAN, weights=(0.5, 1.0, 1.5), w0=0.8, aug_point=(0.6, 0.8))
+    return [
+        (exact, np.concatenate([[[0.0]], 2.0 * math.pi * rng.random((64, 1))])),
+        (opposite, np.concatenate([[[0.5 * math.pi, -0.5 * math.pi]], 2.0 * math.pi * rng.random((64, 2))])),
+        (spread, 2.0 * math.pi * rng.random((256, 3))),
+    ]
+
+
+def test_circle_valued_kernels_follow_from_the_section():
+    # PC's angle is arg(F) / 2 and its gap 2|F|, LS's angle arg(F) mod pi
+    # and its gap sqrt(Re F), AUG_MEAN's angle arg F and its gap |F|, bit
+    # for bit, on the special rows of the moment batches and on zero resultants
+    rng = np.random.default_rng(33)
+    for n in (2, 3, 9, 130):
+        points = moment_batch(256, n, rng)
+        re, im = datamaps.section(PC, points)
+        angle, gap, _ = datamaps._pc_batch(points, PC)
+        assert_bits_equal(gap, 2.0 * np.hypot(re, im), f"PC gap, n = {n}")
+        assert_bits_equal(angle, reduce_mod_pi(0.5 * np.arctan2(2.0 * im, 2.0 * re)), f"PC angle, n = {n}")
+        re, im = datamaps.section(LS, points)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            angle, gap, _ = datamaps._ls_batch(points, LS)
+            assert_bits_equal(angle, reduce_mod_pi(np.arctan(im / re)), f"LS angle, n = {n}")
+        assert_bits_equal(gap, np.sqrt(re), f"LS gap, n = {n}")
+    zeros = []
+    for spec, phi in aug_mean_section_batches(rng):
+        re, im = datamaps.section(spec, phi)
+        angle, gap, reason = datamaps._aug_mean_batch(phi, spec)
+        assert_bits_equal(gap, np.hypot(re, im), f"AUG_MEAN gap, n = {phi.shape[1]}")
+        assert_bits_equal(angle, np.arctan2(im, re), f"AUG_MEAN angle, n = {phi.shape[1]}")
+        zeros.append((re[0], im[0], reason[0] == UndefinedReason.ZERO_RESULTANT))
+    assert zeros[0] == (0.0, 0.0, True) and zeros[1][2]
+
+
+@pytest.mark.parametrize("spec, inputs", [
+    (LAD, np.zeros((1, 3, 2))),
+    (DataMapSpec(kind=MapKind.DISK_DECISION, radius=0.5), np.zeros((1, 2))),
+    (DataMapSpec(kind=MapKind.RADIAL_OSCILLATOR), np.full((1, 2), 0.5)),
+    (uniform_preset(3), np.zeros((1, 4))),
+], ids=["lad", "disk", "oscillator", "weights-for-other-n"])
+def test_section_refuses_maps_without_one(spec, inputs):
+    # LAD, the disk and the oscillator take no complex argument, and an
+    # AUG_MEAN section needs one weight per angle
+    with pytest.raises(ContractViolation):
+        datamaps.section(spec, inputs)
+
+
+@pytest.mark.parametrize("n", [1, 3, 17])
+def test_section_jacobian_matches_central_differences(n):
+    # column i of the Jacobian is w_i (-sin phi_i, cos phi_i); the section it
+    # returns is section's, bit for bit, and both Jacobian arrays are views
+    # of one buffer, laid out one row per angle
+    rng = np.random.default_rng((33, n))
+    spec = DataMapSpec(kind=MapKind.AUG_MEAN, weights=tuple(rng.uniform(0.3, 2.0, n)), w0=0.7)
+    phi = 2.0 * math.pi * rng.random((50, n))
+    (re, im), (d_re, d_im) = datamaps.section_jacobian(spec, phi)
+    for got, want in zip((re, im), datamaps.section(spec, phi)):
+        assert_bits_equal(got, want, "section_jacobian's section")
+    assert d_re.shape == d_im.shape == phi.shape
+    assert d_re.T.flags.c_contiguous and d_re.base is d_im.base
+    h = 1e-6
+    for i in range(n):
+        step = np.zeros(n)
+        step[i] = h
+        (re_up, im_up), (re_down, im_down) = datamaps.section(spec, phi + step), datamaps.section(spec, phi - step)
+        assert np.max(np.abs((re_up - re_down) / (2.0 * h) - d_re[:, i])) <= 1e-8
+        assert np.max(np.abs((im_up - im_down) / (2.0 * h) - d_im[:, i])) <= 1e-8
+    with pytest.raises(ContractViolation):
+        datamaps.section_jacobian(PC, phi)
 
 
 @st.composite

@@ -206,10 +206,16 @@ def test_aug_mean_spec_validation():
     {"kind": MapKind.DISK_DECISION, "radius": math.nan},
     {"kind": MapKind.DISK_DECISION, "radius": math.inf},
     {"kind": MapKind.DISK_DECISION, "radius": 1.0, "center": (math.nan, 0.0)},
+    {"kind": MapKind.AUG_MEAN, "weights": (1.0,), "w0": 0.5, "aug_point": (math.nan, 0.0)},
+    {"kind": MapKind.AUG_MEAN, "weights": (1.0,), "w0": 0.5, "aug_point": (0.6, 0.8, 0.0)},
+    {"kind": MapKind.DISK_DECISION, "radius": 1.0, "center": (0.0, 0.0, 0.0)},
 ])
 def test_spec_refuses_non_finite_or_empty_parameters(params):
     # each was accepted, and evaluate_batch then returned Defined rows with a
-    # NaN value and a NaN or infinite gap, or (no weights) failed in the kernel
+    # NaN value and a NaN or infinite gap, or (no weights) failed in the
+    # kernel; a 3-vector augmentation point was cut to its first two
+    # coordinates, and a 3-vector center failed in numpy broadcasting with a
+    # plain ValueError
     with pytest.raises(ContractViolation):
         DataMapSpec(**params)
 

@@ -12,9 +12,9 @@ from singlab import measure
 from singlab.datamaps import (
     DataMapSpec,
     MapKind,
-    aug_mean_resultant,
     concentrated_preset,
     evaluate_batch,
+    section_jacobian,
     uniform_preset,
 )
 from singlab.geometry import ContractViolation
@@ -654,9 +654,7 @@ def fixed_step_projection(angles, spec):
     """Reference Gauss-Newton projection: GAUSS_NEWTON_ITERS steps on every row."""
     phi = angles.copy()
     for _ in range(GAUSS_NEWTON_ITERS):
-        r, jac = aug_mean_resultant(phi, spec)
-        rx, ry = r[:, 0], r[:, 1]
-        jx, jy = jac[:, 0], jac[:, 1]
+        (rx, ry), (jx, jy) = section_jacobian(spec, phi)
         g11 = np.sum(jx * jx, axis=1)
         g12 = np.sum(jx * jy, axis=1)
         g22 = np.sum(jy * jy, axis=1)

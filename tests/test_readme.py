@@ -24,6 +24,12 @@ def test_tour_pc_on_three_points(tour):
     assert abs(out.gap - 2.0 / 3.0) <= 1e-15
 
 
+def test_tour_pc_section(tour):
+    a, b = tour["a"], tour["b"]
+    assert a.tolist() == [1.0 / 3.0] and b.tolist() == [0.0]
+    assert 2.0 * np.hypot(a[0], b[0]) == tour["out"].gap
+
+
 def test_tour_localizer_certifies_both_ties(tour):
     centers = [np.asarray(b.center) for b in tour["boxes"] if b.status == "certified"]
     assert len(centers) == 2
