@@ -363,6 +363,125 @@ def _run_tube(config, outdir):
     return EXIT_OK, asdict(report), []
 
 
+# The record of one value in _format_g12, in 4-byte words: the value's 12
+# significant digits (words 0-2), the text "0.000" and three zero bytes
+# (3-4), the 12 digits again (5-7) and a newline with three zero bytes (8).
+# In bytes: the first copy at 0-11, "0.000" at 12-16 (the point at 13), the
+# second copy at 20-31 and the newline at 32.
+_G12_WORDS = 9
+_G12_NO_ROW = 15 * 12  # the keep row of a value left to Python's %
+
+
+@functools.cache
+def _g12_tables():
+    """Read-only tables of _format_g12, built on first use: the 10^4
+    four-digit groups as ASCII words, the trailing zeros of each group, the
+    keep masks and kept lengths of each record by exponent and trailing
+    zeros, and the exact doubles 10^0..10^17."""
+    d = np.arange(10_000)
+    ascii_digits = np.stack([d // 1000, d // 100 % 10, d // 10 % 10, d % 10], axis=1) + ord("0")
+    groups = ascii_digits.astype(np.uint8).view(np.uint32).ravel()
+    zeros = (d % 10 == 0).astype(np.intp) + (d % 100 == 0) + (d % 1000 == 0) + (d == 0)
+    # A row with exponent e >= 0 keeps digits 0..e of the first copy, the
+    # point and the rest of the second copy; one with e < 0 keeps "0." and
+    # -e-1 zeros, then the second copy.  Either stops at its last nonzero
+    # digit and drops the point when no fraction digit is left.
+    e = np.arange(-4, 11)[:, None, None]
+    last = np.arange(11, -1, -1)[:, None]  # the last nonzero digit, by trailing zeros
+    col = np.arange(4 * _G12_WORDS)
+    first_copy = (col <= e) | ((last > e) & ((col == 13) | ((col >= 21 + e) & (col <= 20 + last))))
+    no_whole = ((col >= 12) & (col <= 12 - e)) | ((col >= 20) & (col <= 20 + last))
+    keep = np.zeros((_G12_NO_ROW + 1, len(col)), dtype=bool)
+    keep[:-1] = (np.where(e >= 0, first_copy, no_whole) | (col == 32)).reshape(_G12_NO_ROW, len(col))
+    lengths = keep.sum(axis=1)
+    keep = (keep * np.uint8(255)).view(np.uint32)
+    template = np.frombuffer(b"0.000\0\0\0" + bytes(12) + b"\n\0\0\0", dtype=np.uint32)
+    pow10 = np.array([float(10**k) for k in range(18)])  # exact, whatever numpy's power does
+    tables = groups, zeros, keep, lengths, template, pow10
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _g12_by_percent(x) -> bytes:
+    """One value's line by Python's %, for a row _format_g12 leaves to it."""
+    return b"%.12g\n" % x
+
+
+def _format_g12(values) -> bytes:
+    """``b"%.12g\\n"`` of every value, concatenated: the bytes Python's %
+    gives, from whole-array numpy.
+
+    %.12g writes a value whose exponent e, after rounding to 12 significant
+    digits, lies in [-4, 10] in fixed notation.  For a finite v in [1e-4,
+    1e11), log10 estimates e and one step corrects it, so that p = v *
+    10^(11-e) lies in [1e11, 1e12).  10^(11-e) is an exact double, so p is
+    v's exact decimal scaled to 12 integer digits, rounded once; log10's last
+    bit, which depends on numpy's SIMD dispatch, only picks e.  As p < 2^40,
+    that rounding moves p by at most 2^-14, so rint(p) is the correctly
+    rounded digit string M of every row whose fraction lies more than 2^-10
+    from one half.  Each row's record holds M twice around "0.000", is
+    masked to the bytes the row keeps and the zero bytes are deleted.
+    Python's % formats the other rows one by one: near-half rows, a carry to
+    10^11, zero, negatives, NaN, infinities and values out of the range.
+    """
+    groups, zeros, keep, lengths, template, pow10 = _g12_tables()
+    v = np.asarray(values, dtype=float).ravel()
+    fast = (v >= 1e-4) & (v < 1e11)  # NaN fails both
+    vs = np.where(fast, v, 1.0)
+    e = np.floor(np.log10(vs)).astype(np.intp)
+    p = vs * pow10.take(11 - e, mode="clip")
+    off = np.flatnonzero((p < 1e11) | (p >= 1e12))  # log10 missed e by one
+    if len(off):
+        e[off] += p[off] >= 1e12
+        e[off] -= p[off] < 1e11
+        p[off] = vs[off] * pow10.take(11 - e[off], mode="clip")
+        fast[off] &= (p[off] >= 1e11) & (p[off] < 1e12)
+    m = np.rint(p)
+    fast &= np.abs(p - m) < 0.5 - 2.0**-10
+    carry = np.flatnonzero(m == 1e12)
+    if len(carry):
+        m[carry] = 1e11
+        e[carry] += 1
+        fast[carry] &= e[carry] <= 10
+    # M's digit groups: hi = M // 10^8, mid, lo = M % 10^4
+    lo = m.astype(np.int64)
+    mid = lo // 10**4
+    lo -= mid * 10**4
+    hi = mid // 10**4
+    mid -= hi * 10**4
+    trailing = zeros.take(lo, mode="clip")
+    more = np.flatnonzero(trailing == 4)
+    if len(more):
+        trailing[more] += zeros.take(mid[more], mode="clip")
+        most = more[trailing[more] == 8]
+        trailing[most] += zeros.take(hi[most], mode="clip")
+    key = e + 4
+    key *= 12
+    key += trailing
+    key[~fast] = _G12_NO_ROW
+    # the first copy's words that some row keeps: none when every e < 0
+    lead = (int(e.max(where=fast, initial=-1)) + 4) // 4
+    rec = np.empty((len(v), lead + 6), dtype=np.uint32)
+    rec[:, lead:] = template
+    for k, part in enumerate((hi, mid, lo)):
+        rec[:, lead + 2 + k] = word = groups.take(part, mode="clip")
+        if k < lead:
+            rec[:, k] = word
+    rec &= keep[:, np.r_[:lead, 3:_G12_WORDS]].take(key, axis=0, mode="clip")
+    text = rec.tobytes().translate(None, b"\0")
+    slow = np.flatnonzero(~fast)
+    if not len(slow):
+        return text
+    ends = np.cumsum(lengths.take(key))[slow].tolist()
+    pieces, start = [], 0
+    for i, end in zip(slow.tolist(), ends):
+        pieces += (text[start:end], _g12_by_percent(v[i]))
+        start = end
+    pieces.append(text[start:])
+    return b"".join(pieces)
+
+
 def _run_cdf(config, outdir):
     if config["map"] == "augmean":
         spec = uniform_preset(config["n_points"])
@@ -377,11 +496,11 @@ def _run_cdf(config, outdir):
     )
     csv_path = _out_path(config["out_csv"], outdir)
     dists = report.sorted_distances
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("distance\n")
-        for start in range(0, len(dists), 1 << 14):  # a slice at a time, never the whole column's text
-            values = dists[start:start + (1 << 14)].tolist()
-            fh.write("%.12g\n" * len(values) % tuple(values))
+    with open(csv_path, "wb") as fh:
+        fh.write(b"distance\n")
+        # one 2^14-row slice's text at a time, never the whole column's
+        for start in range(0, len(dists), 1 << 14):
+            fh.write(_format_g12(dists[start:start + (1 << 14)]))
     return EXIT_OK, report.to_dict(), [csv_path]
 
 

@@ -177,6 +177,7 @@ class DataMapSpec:
     AUG_MEAN uses ``weights`` (nonempty, finite and positive), a finite
     ``w0 >= 0`` and the finite unit 2-vector ``aug_point``.
     DISK_DECISION uses a finite 2-vector ``center`` and a finite ``radius > 0``.
+    Vector parameters are stored as float tuples, so equal specs hash alike.
     """
 
     kind: MapKind
@@ -202,9 +203,11 @@ class DataMapSpec:
             object.__setattr__(self, "weights", w)
             object.__setattr__(self, "aug_point", (float(a[0]), float(a[1])))
         if self.kind is MapKind.DISK_DECISION:
-            finite_center = np.shape(self.center) == (2,) and np.all(np.isfinite(self.center))
-            if self.radius is None or not 0.0 < self.radius < math.inf or not finite_center:
+            c = np.asarray(self.center, dtype=float)
+            if self.radius is None or not 0.0 < self.radius < math.inf or c.shape != (2,) or not np.all(np.isfinite(c)):
                 raise ContractViolation("DISK_DECISION needs a finite 2-vector center and a finite radius > 0")
+            object.__setattr__(self, "center", (float(c[0]), float(c[1])))
+            object.__setattr__(self, "radius", float(self.radius))
 
 
 def uniform_preset(n: int) -> DataMapSpec:

@@ -1,6 +1,7 @@
 """CLI: schema validation, exit codes, byte-level determinism."""
 
 import contextlib
+import decimal
 import hashlib
 import io
 import json
@@ -9,6 +10,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,11 +18,12 @@ from hypothesis import strategies as st
 import singlab
 import singlab.cli
 import singlab.datamaps
+import singlab.measure
 import singlab.metrics
 import singlab.slices
 import singlab.topology
 
-from singlab.cli import EXIT_INCONCLUSIVE, EXIT_INTERNAL, EXIT_OK, EXIT_SCHEMA, main
+from singlab.cli import EXIT_INCONCLUSIVE, EXIT_INTERNAL, EXIT_OK, EXIT_SCHEMA, _format_g12, main
 
 
 def run(args, outdir):
@@ -689,6 +692,136 @@ def test_montecarlo_bytes_pinned_across_processes(montecarlo_outputs, key):
     assert code == EXIT_OK
     digests = _MONTECARLO_PINS[key][1]
     assert {name: hashlib.sha256((outdir / name).read_bytes()).hexdigest() for name in digests} == digests
+
+
+def _percent_g12(values):
+    """What _format_g12 must give: Python's % on each value."""
+    return b"".join(b"%.12g\n" % x for x in np.asarray(values, dtype=float).ravel().tolist())
+
+
+def _assert_formats_like_percent(values, chunk=1 << 16):
+    values = np.asarray(values, dtype=float)
+    for start in range(0, len(values), chunk):
+        part = values[start:start + chunk]
+        assert _format_g12(part) == _percent_g12(part)
+
+
+_G12_FLOATS = st.floats() | st.floats(1e-5, 1e12)
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True)
+@given(x=_G12_FLOATS)
+def test_format_g12_matches_percent_on_one_value(x):
+    # NaN, infinities, signed zeros and subnormals included
+    assert _format_g12([x]) == b"%.12g\n" % x
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(xs=st.lists(_G12_FLOATS, max_size=64))
+def test_format_g12_matches_percent_on_arrays(xs):
+    assert _format_g12(np.array(xs, dtype=float)) == _percent_g12(xs)
+
+
+def _neighbours(x, count=40):
+    """x and its count nearest doubles on each side."""
+    below, above = [x], [x]
+    for _ in range(count):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return below[::-1] + above[1:]
+
+
+def test_format_g12_around_powers_of_ten():
+    # where log10 picks the exponent and where 12 digits carry into the
+    # next power, 10^11 included
+    values = []
+    for k in range(-5, 13):
+        values += _neighbours(10.0**k) + _neighbours((1e12 - 0.5) * 10.0 ** (k - 12))
+    _assert_formats_like_percent(values)
+
+
+def test_format_g12_on_half_way_values():
+    # 12 significant digits and a half: the rows the fast path leaves to %
+    q = np.random.default_rng(3401).integers(10**11, 10**12, 4096).astype(float) + 0.5
+    _assert_formats_like_percent(np.concatenate([q * 10.0**-j for j in range(17)]))
+
+
+def test_format_g12_on_integers():
+    rng = np.random.default_rng(3402)
+    ints = np.concatenate([np.arange(10**4), rng.integers(0, 10**12, 10**5), 10 ** np.arange(12),
+                           10 ** np.arange(1, 13) - 1])
+    _assert_formats_like_percent(ints.astype(float))
+
+
+def test_format_g12_on_random_bit_patterns():
+    rng = np.random.default_rng(3403)
+    _assert_formats_like_percent(rng.integers(0, 2**64, 10**6, dtype=np.uint64).view(float))
+    _assert_formats_like_percent(10.0 ** rng.uniform(-5, 12, 10**6))
+
+
+@pytest.mark.parametrize("name, n_points, seed", [
+    ("ls", 4, 20260810), ("pc", 4, 20260810), ("lad", 4, 20260810), ("augmean", 3, 7), ("lad", 12, 42),
+], ids=["ls", "pc", "lad", "augmean", "lad-12"])
+def test_format_g12_on_cdf_columns(name, n_points, seed):
+    # the sorted distances of the montecarlo workload's cdf configs
+    if name == "augmean":
+        spec = singlab.datamaps.uniform_preset(n_points)
+    else:
+        spec = singlab.datamaps.DataMapSpec(kind=singlab.cli._FITTER_KINDS[name])
+    report = singlab.measure.distance_cdf(spec, n_points, 10**5, seed, quantile_window=(0.002, 0.05))
+    _assert_formats_like_percent(report.sorted_distances)
+
+
+def _needs_percent(x):
+    """Whether x is one of the values _format_g12 may leave to Python's %:
+    outside [1e-4, 1e11), within 2^-9 of a half in its 12th significant
+    digit, or rounded up to 10^11 (from 99999999999.95), all judged on x's
+    exact decimal value."""
+    if not 1e-4 <= x < 1e11:
+        return True
+    scaled = decimal.Decimal(x).scaleb(11 - decimal.Decimal(x).adjusted())
+    return abs(scaled % 1 - decimal.Decimal(0.5)) <= decimal.Decimal(2.0**-9) or x >= 99999999999.95
+
+
+def test_format_g12_leaves_to_percent_only_near_half_rows_and_the_carry(monkeypatch):
+    rng = np.random.default_rng(3405)
+    values = [y for k in range(-4, 12) for y in _neighbours(10.0**k)]
+    values += (10.0 ** rng.uniform(-4, 11, 10**4)).tolist()
+    values += ((rng.integers(10**11, 10**12, 100) + 0.5) * 10.0 ** rng.integers(-15, 0, 100)).tolist()
+    left = []
+
+    def by_percent(x):
+        left.append(float(x))
+        return b"%.12g\n" % x
+
+    monkeypatch.setattr(singlab.cli, "_g12_by_percent", by_percent)
+    assert _format_g12(values) == _percent_g12(values)
+    with decimal.localcontext(decimal.Context(prec=60)):
+        assert [x for x in left if not _needs_percent(x)] == []
+    assert len(left) >= 100
+
+
+# Formats the draw saved at argv[1] and prints the sha256 of the text.
+_G12_DIGEST = """\
+import hashlib, sys
+import numpy as np
+from singlab.cli import _format_g12
+print(hashlib.sha256(_format_g12(np.load(sys.argv[1]))).hexdigest())
+"""
+
+
+def test_format_g12_does_not_depend_on_simd_dispatch(tmp_path):
+    # log10's last bit changes with numpy's SIMD dispatch; it only picks the
+    # exponent, so a process without AVX-512 writes the same bytes
+    draw = 10.0 ** np.random.default_rng(3404).uniform(-5, 12, 10**5)
+    np.save(tmp_path / "draw.npy", draw)
+    native = hashlib.sha256(_format_g12(draw)).hexdigest()
+    assert native == hashlib.sha256(_percent_g12(draw)).hexdigest()
+    done = subprocess.run([sys.executable, "-c", _G12_DIGEST, str(tmp_path / "draw.npy")],
+                          env=_fresh_env(NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL AVX512_SKX X86_V4"),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [native]
 
 
 # digests recorded at commit 5b62a16, whose AUG_MEAN resultant summed through

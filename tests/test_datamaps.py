@@ -220,6 +220,17 @@ def test_spec_refuses_non_finite_or_empty_parameters(params):
         DataMapSpec(**params)
 
 
+@pytest.mark.parametrize("center", [[0.0, 0.0], np.array([0.0, 0.0]), (0, 0)], ids=["list", "array", "ints"])
+def test_disk_spec_stores_center_and_radius_as_floats(center):
+    # a list center was kept as given: the spec was unhashable and unequal
+    # to the same spec built with a tuple
+    spec = DataMapSpec(kind=MapKind.DISK_DECISION, center=center, radius=1)
+    built = DataMapSpec(kind=MapKind.DISK_DECISION, center=(0.0, 0.0), radius=1.0)
+    assert spec == built and hash(spec) == hash(built)
+    assert type(spec.center) is tuple and all(type(c) is float for c in spec.center)
+    assert type(spec.radius) is float
+
+
 @pytest.mark.parametrize("spec, row", [
     (LS, [[0.0, 0.0], [1.0, 0.5], [2.0, 1.0]]),
     (PC, [[0.0, 0.0], [1.0, 0.5], [2.0, 1.0]]),

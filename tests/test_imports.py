@@ -49,3 +49,12 @@ def test_cli_import_starts_no_thread():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [os.path.dirname(SRC), os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert done.stdout.split() == ["1", "False"]
+
+
+def test_cli_import_builds_no_format_table():
+    # the tables of the cdf CSV's number formatter are built on first use,
+    # so start-up does not pay for them
+    code = "import singlab.cli; print(singlab.cli._g12_tables.cache_info().currsize)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [os.path.dirname(SRC), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["0"]
