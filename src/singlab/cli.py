@@ -197,7 +197,9 @@ def resolve_config(command: str, file_config: dict, overrides: dict) -> dict:
     """Merge defaults, config file and flag overrides; validate everything.
 
     Every float, and every float element of a list, must be finite: no run
-    is defined on NaN or infinite sizes, radii or shrinks."""
+    is defined on NaN or infinite sizes, radii or shrinks.  A number key
+    refuses a boolean, and an int key a float that is not integral, such as
+    2.9 or 1.5; an integral float such as 1e5 is taken as that int."""
     schema = SCHEMAS[command]
     for key in file_config:
         if key not in schema:
@@ -209,12 +211,17 @@ def resolve_config(command: str, file_config: dict, overrides: dict) -> dict:
             value = file_config[key]
         if key in overrides and overrides[key] is not None:
             value = overrides[key]
+        elem = typ
+        if typ is list:
+            elem = str if (default and isinstance(default[0], str)) else float
+        # a JSON true is not a 1, and an int key does not round 2.9 to 2
+        items = value if isinstance(value, list) else [value]
+        if elem is not str and any(isinstance(v, bool) for v in items):
+            raise SchemaError(f"key '{key}' must be a number, got {value!r}")
+        if elem is int and isinstance(value, float) and not value.is_integer():
+            raise SchemaError(f"key '{key}' must be an integer, got {value!r}")
         try:
-            if typ is list:
-                elem = str if (default and isinstance(default[0], str)) else float
-                value = [elem(v) for v in value]
-            else:
-                value = typ(value)
+            value = [elem(v) for v in value] if typ is list else elem(value)
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"key '{key}' has invalid value {value!r}: {exc}") from exc
         if not all(math.isfinite(v) for v in (value if typ is list else [value]) if isinstance(v, float)):

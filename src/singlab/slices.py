@@ -55,10 +55,13 @@ class SliceSpec:
             object.__setattr__(self, "center_config", equilateral_center(self.n_points))
         if self.center_config.n != self.n_points:
             raise ContractViolation("center_config size does not match n_points")
-        if self.spread is None:
-            object.__setattr__(self, "spread", tuple(default_spread(self.n_points)))
+        spread = default_spread(self.n_points) if self.spread is None else self.spread
+        object.__setattr__(self, "spread", tuple(map(float, spread)))
         if len(self.spread) != self.n_points:
             raise ContractViolation("spread size does not match n_points")
+        # equal factors put every boundary point at one place, where no line fits
+        if not (all(map(math.isfinite, self.spread)) and len(set(self.spread)) > 1):
+            raise ContractViolation("spread must be finite and not all equal")
         if self.grid_resolution < 4:
             raise ContractViolation("grid_resolution must be >= 4")
         # column index and factors of datasets_at's flat (m, 2n) layout

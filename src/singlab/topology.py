@@ -306,8 +306,8 @@ def localize_singularities(
     """
     if not eps > 0:
         raise ContractViolation("eps must be positive")
-    if not (0 < half_width < math.inf and np.isfinite(center).all()):
-        raise ContractViolation("half_width must be finite and positive, and center finite")
+    if not (0 < half_width < math.inf and np.shape(center) == (2,) and np.isfinite(center).all()):
+        raise ContractViolation("half_width must be finite and positive, and center a finite 2-vector")
 
     def degrees(boxes) -> list:
         """Each box's (center, half_widths) certified boundary degree, or

@@ -30,6 +30,16 @@ def run(args, outdir):
     return main(args + ["--outdir", str(outdir)])
 
 
+@pytest.fixture
+def no_runner(monkeypatch):
+    """Fails the test if a command's runner starts."""
+    def started(*args, **kwargs):
+        raise AssertionError("a runner started on a rejected config")
+
+    for command in singlab.cli._RUNNERS:
+        monkeypatch.setitem(singlab.cli._RUNNERS, command, started)
+
+
 def test_cdf_byte_reproducible(tmp_path):
     args = ["cdf", "--map", "ls", "--n-points", "4", "--samples", "20000", "--seed", "42"]
     assert run(args, tmp_path / "a") == EXIT_OK
@@ -229,17 +239,30 @@ def test_schema_rejects_bad_values(tmp_path, capsys):
     (["tube", "--delta-min", "inf"], "delta_min"),
     (["localize", "--map", "pc", "--half-width", "inf"], "half_width"),
 ])
-def test_schema_rejects_non_finite_values(tmp_path, capsys, monkeypatch, args, key):
+def test_schema_rejects_non_finite_values(tmp_path, capsys, no_runner, args, key):
     # each of these ran out of memory, raised, warned or exited 0 or 3 when
     # it reached its runner: the schema names the key before any runner starts
-    def started(*args, **kwargs):
-        raise AssertionError("a runner started on a rejected config")
-
-    for command in singlab.cli._RUNNERS:
-        monkeypatch.setitem(singlab.cli._RUNNERS, command, started)
     assert run(args, tmp_path) == EXIT_SCHEMA
     assert f"key '{key}' must be finite" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, config, key", [
+    ("cdf", {"samples": 10000.9, "seed": 1.5, "n_points": 4.7}, "n_points"),
+    ("cdf", {"seed": 1.5}, "seed"),
+    ("cdf", {"samples": math.inf}, "samples"),
+    ("localize", {"samples_per_edge": 2.9}, "samples_per_edge"),
+    ("localize", {"half_width": True}, "half_width"),
+    ("tube", {"seed": True}, "seed"),
+    ("oscillate", {"radii": [0.1, True, 0.001]}, "radii"),
+])
+def test_config_file_refuses_booleans_and_fractional_ints(tmp_path, capsys, no_runner, command, config, key):
+    # each ran truncated or with true as 1, or raised OverflowError (inf)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main([command, "--config", str(cfg), "--outdir", str(tmp_path / "out")]) == EXIT_SCHEMA
+    assert capsys.readouterr().err.startswith(f"config error: key '{key}'")
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 def test_cdf_lad_two_points_is_a_contract_error(tmp_path, capsys):
@@ -354,12 +377,14 @@ def test_schema_rejects_malformed_json(tmp_path):
 
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"fixture": "circle", "samples": 20000, "seed": 3}')
+    # an integral float is taken as that int
+    cfg.write_text('{"fixture": "circle", "samples": 2e4, "seed": 3}')
     assert main(
         ["tube", "--config", str(cfg), "--seed", "4", "--outdir", str(tmp_path)]
     ) == EXIT_OK
     payload = json.loads((tmp_path / "tube.json").read_text())
     assert payload["config"]["fixture"] == "circle"
+    assert payload["config"]["samples"] == 20000
     assert payload["config"]["seed"] == 4  # flag wins over file
 
 
@@ -410,14 +435,8 @@ def _fresh_env(**env):
     return dict(os.environ, **env, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
-def run_in_process(args, outdir, **env):
-    """Exit code of the CLI run in a fresh interpreter, with extra env vars."""
-    cmd = [sys.executable, "-m", "singlab.cli", *args, "--outdir", str(outdir)]
-    return subprocess.run(cmd, env=_fresh_env(**env), capture_output=True).returncode
-
-
-# The CLI runs of one fresh interpreter, in order: each prints the files it
-# wrote, and the last line is the list of exit codes.
+# The CLI runs of one fresh interpreter, in order, after the given prelude:
+# each prints the files it wrote, and the last line is the list of exit codes.
 _SEQUENCE = """\
 import json, sys
 from singlab.cli import main
@@ -426,14 +445,170 @@ print(json.dumps([main(args + ["--outdir", outdir]) for args, outdir in runs]))
 """
 
 
-def run_sequence_in_process(runs, **env):
+def run_sequence_in_process(runs, prelude="", **env):
     """Exit codes of CLI runs (args, outdir) made one after another by one
-    fresh interpreter, with extra env vars, which pays the import once for
-    all of them."""
+    fresh interpreter, after the prelude and with extra env vars, which pays
+    the import once for all of them."""
     runs = [(list(args), str(outdir)) for args, outdir in runs]
-    done = subprocess.run([sys.executable, "-c", _SEQUENCE, json.dumps(runs)], env=_fresh_env(**env),
-                          capture_output=True, text=True, check=True)
+    done = subprocess.run([sys.executable, "-c", prelude + _SEQUENCE, json.dumps(runs)], env=_fresh_env(**env),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
+
+
+def _digests(outdir, names):
+    return {name: hashlib.sha256((outdir / name).read_bytes()).hexdigest() for name in names}
+
+
+# The byte pins: each row maps a key to a CLI argv, its exit code and the
+# sha256 of each file the run writes.  A rewrite must keep these bytes.
+_PINS = {
+    # digests recorded at commit d76ff85, whose LAD kernel ran the whole batch
+    # in one pass; 20000 rows span several blocks of today's kernel
+    "cdf-lad-12": (["cdf", "--map", "lad", "--n-points", "12", "--samples", "20000", "--seed", "42"], EXIT_OK,
+                   {"cdf.csv": "9d14984ebe09f955054b35fbab709e20f62e10f6649ac6fdbc56fab33eb15cc3",
+                    "cdf.json": "547c0c8f6db2abe967975afe6f10381658b5a88dcbb1e903053b2ac3ae499f6d"}),
+    # digests recorded at commit 9daa629, whose LAD kernel added each row's
+    # residuals with np.sum; the n = 3 slice datasets run the small-n path
+    "lfplot-lad": (["lfplot", "--map", "lad", "--grid-resolution", "48"], EXIT_OK,
+                   {"lfplot.csv": "8295f33fb2dd754ceef62b05fc9868e75a17ec167d9f6d943cb79730dfd4108f",
+                    # recorded at commit 01d8e60, with the grid rows below
+                    "lfplot.svg": "784ad306cf28786521cf4e9f896f8120089810979e9f88709bfe0527de4064c5"}),
+    "localize-lad": (["localize", "--map", "lad"], EXIT_INCONCLUSIVE,
+                     {"localize.json": "cf8cf9a8ab053a58c4f0273fb0ceddf2b8f17c907579957bac24f90eb6effea5"}),
+    # digests recorded at commit 01d8e60, before the line-field grid read its
+    # rows straight off the batch and the scalar plane standard became a
+    # one-row view of the batched one
+    "lfplot-pc": (["lfplot", "--map", "pc", "--grid-resolution", "48"], EXIT_OK,
+                  {"lfplot.csv": "41c97bbee65585ccbb088e3dc51ad3217e7808dcdc6a59e793f3bb57c630e573",
+                   "lfplot.svg": "a1c50f682cbf899619770e47c1cc7ab730a578182ef8a60cad18a28fa1a0d0c6"}),
+    "winding-standard": (["winding", "--target", "standard", "--samples", "2048"], EXIT_OK,
+                         {"winding.json": "1731f4cd2a4bd85820aaa8688f9a8ba494af435503d4b4f29409d1a284ce17eb"}),
+    "winding-lad": (["winding", "--target", "lad", "--shrink", "0.99", "--samples", "2048"], EXIT_OK,
+                    {"winding.json": "d58bbaba317c46fd8bd69328ac759d60363ae467a7e1b373020de52c8701225a"}),
+    # digests recorded at commit 4b3557a, whose localizer lifted one child box
+    # at a time and walked the jitter ladder one cross-hair at a time; the two
+    # root boxes were drawn once from numpy's default_rng(1307)
+    "localize-pc": (["localize", "--map", "pc"], EXIT_OK,
+                    {"localize.json": "ef42fbd44d2c39aa7c2de506bfe4b7133326216e3b9b172bbe966109d3ef36cc"}),
+    "localize-pc-eps": (["localize", "--map", "pc", "--eps", "1e-4"], EXIT_OK,
+                        {"localize.json": "1d8c5bc963cd180ac507fac485d7d8f32d37657166329d5d76ea47e55b374572"}),
+    "localize-ls": (["localize", "--map", "ls"], EXIT_INCONCLUSIVE,
+                    {"localize.json": "5aaa6dee165734f10542d41710b72b2cbe3a0bf89536de286450cd8bb1a7fca0"}),
+    "localize-lad-root": (["localize", "--map", "lad", "--half-width", "0.5"], EXIT_INCONCLUSIVE,
+                          {"localize.json": "6d6c608ce37b1a5976b0b68e5c34c0c2a75d78eca18a5bbd5f45675eea3635ae"}),
+    "localize-pc-box": (["localize", "--map", "pc", "--center-x=-0.07523628010317189",
+                         "--center-y=-0.33399085703281434", "--half-width=0.34497395554501975"], EXIT_OK,
+                        {"localize.json": "36849ab58081826d9aa1327f63eb99249db9224b5739e570c7b45d41e65217ab"}),
+    "localize-lad-box": (["localize", "--map", "lad", "--center-x=-0.0040473673926858435",
+                          "--center-y=0.04556852545510367", "--half-width=0.8771029422583467"], EXIT_INCONCLUSIVE,
+                         {"localize.json": "beb82e2e0d4bee22fe3695933d6d3837054d50b85d365a23fbfd9587f14944d0"}),
+    "winding-ls": (["winding", "--target", "ls", "--shrink", "0.999"], EXIT_OK,
+                   {"winding.json": "d49b02b392953914d489a39370a5830dc53e51d54d66d2f6825e5f4181d8daad"}),
+    "winding-pc": (["winding", "--target", "pc", "--shrink", "0.999"], EXIT_OK,
+                   {"winding.json": "10e823d40b0eecc1b162fd5d6d6983edada866aece14c6d7e19dfcaed448b7f2"}),
+    # digests recorded at commit 594692c, whose draws were concatenated chunk
+    # by chunk, whose tube fixtures took np.linalg.norm and whose PC and LS
+    # kernels reduced over the points axis with numpy; these are the
+    # montecarlo workload's configs, plus LS on the line-field grid
+    "tube-point": (["tube", "--fixture", "point", "--samples", "1000000"], EXIT_OK,
+                   {"tube.json": "f4138d3a81d7bacce89b2d061c9bd1cadc3dc8b45058102195ddb6d8ec612445"}),
+    "tube-segment": (["tube", "--fixture", "segment", "--samples", "1000000"], EXIT_OK,
+                     {"tube.json": "4bca9aeb28aa2ba591bd67329deee0d2ef530554195d519ef458c0e92e7d109c"}),
+    "tube-circle": (["tube", "--fixture", "circle", "--samples", "1000000"], EXIT_OK,
+                    {"tube.json": "d0cb6a88fcb03e7237991acfd328eb7db11a0dd6c59eb2f4d758437f95455902"}),
+    "cdf-ls": (["cdf", "--map", "ls", "--n-points", "4"], EXIT_OK,
+               {"cdf.csv": "3283b22f22007d1b083ea72b4c62e06e3573dddebe0b53901ce640f68ce5f173",
+                "cdf.json": "df831d6904849f8856a6e8abbb30615e35321416f7cbd5265290e9ecfb746794"}),
+    "cdf-pc": (["cdf", "--map", "pc", "--n-points", "4"], EXIT_OK,
+               {"cdf.csv": "bc85a0617e397ba0edebf9da7e91ec294b31850f8995e28fadc2804939918f27",
+                "cdf.json": "56a752ea3d48ebd74ed75fd547b931f1415dbb6506d8bcbc2e62f752005a5c70"}),
+    "cdf-lad": (["cdf", "--map", "lad", "--n-points", "4"], EXIT_OK,
+                {"cdf.csv": "b77561ce698785658ca75a6a337e820720d65a43d89eb1c4c5917ddcc9e3d131",
+                 "cdf.json": "eccbba3dbdb1a63d46a7d36fec5299c10bcd20357cab75307a92a585fd7b35ad"}),
+    "cdf-augmean": (["cdf", "--map", "augmean", "--n-points", "3", "--seed", "7"], EXIT_OK,
+                    {"cdf.csv": "4c70105b2fcc71ace9749693c57b1eaff0b89f3005f7854b55d4a1c54c73faf2",
+                     "cdf.json": "848631ec38e558c240703e297671594199ef5e08660bcc1515b8c587715865e9"}),
+    "lfplot-ls": (["lfplot", "--map", "ls", "--grid-resolution", "48"], EXIT_OK,
+                  {"lfplot.csv": "581f5b865257a70666f01ef4fdf9e7166b001c9ada7cc1e209730b52503c09fc",
+                   "lfplot.svg": "1f8e0f10c1c9ae3aed3b1b5a0fb4bf9c36f9a48b01f7d38efedc8eb0cd91e1e8"}),
+    # digests recorded at commit 5b62a16, whose AUG_MEAN resultant summed
+    # through a BLAS product and whose LAD kernel cut its own row blocks; these
+    # are the refine workload's oscillation, derivative-profile and
+    # box-counting configs, which run evaluate_batch on oscillation batches
+    # and derivative stencils
+    "oscillate-pc": (["oscillate", "--map", "pc", "--k-samples", "1024"], EXIT_OK,
+                     {"oscillation.json": "bb8777a9e40ed091d9cab19d56094a720621687f39e8af9739e613c8f7d2add0"}),
+    "severity-lad": (["severity", "--map", "lad", "--k-samples", "512"], EXIT_OK,
+                     {"severity.json": "e27fa508ca20c37e497e9c34e14ee858bb31dfb7dcfeb025361e3436d8ed901a"}),
+    "derivprofile-pc": (["derivprofile", "--map", "pc", "--eta-count", "13"], EXIT_OK,
+                        {"derivprofile.csv": "2680ebcb39f36c71356eab44e50c0785e269eb44ef91ae02d947a5279693df6e",
+                         "derivprofile.json": "9561fcd1c3965f96581792b497bb029f7f5230f319dcc21a45b2ac0f26f81381"}),
+    "derivprofile-lad": (["derivprofile", "--map", "lad", "--eta-count", "13"], EXIT_OK,
+                         {"derivprofile.csv": "b577d0046e70b3775d6b1f89b64d66a160c66561cef787bb14937555337eecfc",
+                          "derivprofile.json": "d09b4433c23b18acbc405a3bad06f7866bdceffad253b358c7d0854c435c9fc7"}),
+    "derivprofile-synthetic": (["derivprofile", "--map", "synthetic", "--eta-count", "13"], EXIT_OK,
+                               {"derivprofile.csv": "29afd60209549d7069d7a3433221a25711314dca813428df3fe2fab974e229d9",
+                                "derivprofile.json": "3f75eaa0a41f37eedc2588db7500c44e05f03472c3454e9617aa838c4b9de95e"}),
+    "dimension-circle": (["dimension", "--fixture", "circle", "--mesh-min", "0.0005"], EXIT_OK,
+                         {"dimension.json": "33038b6842a24b8602041c9f932a8948953698988fe4a5f3b59e5df8b60d564b"}),
+    # recorded once the measure became the slice-count bracket (measure_lower,
+    # measure_upper, measure_stderr); dist_S_to_P kept its bits
+    "tradeoff": (["tradeoff", "--n-points", "3", "--presets", "uniform,concentrated,moderate"], EXIT_OK,
+                 {"tradeoff.json": "341e13b62c7f8495deed37ec03c7eb537d7b401c47586fb9b297caa2f0c9680b"}),
+    # recorded again once each polished row stopped by its own step size:
+    # CONCENTRATED's dist_S_to_P moved in its last digit
+    "tradeoff-17": (["tradeoff", "--n-points", "17", "--presets", "uniform,concentrated,moderate"], EXIT_OK,
+                    {"tradeoff.json": "8add5e793afa6a83adf211bd0e780df7e22ea44f490987541e31bc7556b5958c"}),
+    # digests recorded at commit a69ad36: the filled-box predicate (square)
+    # and the point-cloud count (point) at the default meshes; their counts
+    # are exact, so a rewrite of box counting must keep these bytes
+    "dimension-square": (["dimension", "--fixture", "square"], EXIT_OK,
+                         {"dimension.json": "7e8a4ca111db4394baf2fe34d7dc7ed934e85962947bbc8ed91cec1af9b2abc1"}),
+    "dimension-point": (["dimension", "--fixture", "point"], EXIT_OK,
+                        {"dimension.json": "c1b178baa8ee8f3a4996b72f13aa432d32b665e126ddcfdaf6b59c398af93b65"}),
+}
+
+
+# Binds the interpreter to one CPU, which runs every row block of a batch on
+# the calling thread alone.
+_ONE_CPU = """\
+import os
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from singlab import datamaps
+assert datamaps._worker_count() == 1
+"""
+
+# Each environment runs the whole table in one fresh interpreter: (env vars,
+# prelude, backwards).  Two str hash seeds, the second running the table
+# backwards so that each config runs both early and late in a process; one CPU.
+_PIN_ENVIRONMENTS = [
+    pytest.param(({"PYTHONHASHSEED": "1"}, "", False), id="hashseed-1"),
+    pytest.param(({"PYTHONHASHSEED": "2"}, "", True), id="hashseed-2"),
+    pytest.param(({}, _ONE_CPU, False), id="one-cpu",
+                 marks=pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                                          reason="no CPU affinity on this platform")),
+]
+
+
+@pytest.fixture(scope="module")
+def pinned_outputs(request, tmp_path_factory):
+    """Output directory and exit code of each row of _PINS, all run by one
+    fresh interpreter in the environment request.param."""
+    env, prelude, backwards = request.param
+    base = tmp_path_factory.mktemp("pinned")
+    keys = list(reversed(_PINS)) if backwards else list(_PINS)
+    codes = run_sequence_in_process([(_PINS[key][0], base / key) for key in keys], prelude, **env)
+    return {key: (base / key, code) for key, code in zip(keys, codes)}
+
+
+@pytest.mark.parametrize("pinned_outputs", _PIN_ENVIRONMENTS, indirect=True)
+@pytest.mark.parametrize("key", list(_PINS))
+def test_cli_bytes_pinned(pinned_outputs, key):
+    _, code, digests = _PINS[key]
+    outdir, exit_code = pinned_outputs[key]
+    assert exit_code == code
+    assert _digests(outdir, digests) == digests
 
 
 # A fresh interpreter runs the given CLI runs and prints, as JSON, their exit
@@ -502,115 +677,6 @@ def test_monte_carlo_peak_rss_does_not_grow_with_the_draw(args, tmp_path):
     assert peak_kib * 1024 < 150e6
 
 
-def test_tradeoff_byte_reproducible_across_processes(tmp_path):
-    # str hashes are salted per process; the preset seeds must not depend on them
-    args = ["tradeoff", "--presets", "uniform,moderate", "--cloud-size", "2000"]
-    for salt in ("1", "2"):
-        assert run_in_process(args, tmp_path / salt, PYTHONHASHSEED=salt) == EXIT_OK
-    assert (tmp_path / "1" / "tradeoff.json").read_bytes() == (tmp_path / "2" / "tradeoff.json").read_bytes()
-
-
-# digests recorded at commit d76ff85, whose LAD kernel ran the whole batch
-# in one pass; 20000 rows span several blocks of today's kernel
-_LAD_CDF_ARGS = ["cdf", "--map", "lad", "--n-points", "12", "--samples", "20000", "--seed", "42"]
-_LAD_CDF_DIGESTS = {
-    "cdf.csv": "9d14984ebe09f955054b35fbab709e20f62e10f6649ac6fdbc56fab33eb15cc3",
-    "cdf.json": "547c0c8f6db2abe967975afe6f10381658b5a88dcbb1e903053b2ac3ae499f6d",
-}
-
-
-def _digests(outdir, names):
-    return {name: hashlib.sha256((outdir / name).read_bytes()).hexdigest() for name in names}
-
-
-def test_lad_cdf_bytes_pinned_across_processes(tmp_path):
-    assert run_in_process(_LAD_CDF_ARGS, tmp_path) == EXIT_OK
-    assert _digests(tmp_path, _LAD_CDF_DIGESTS) == _LAD_CDF_DIGESTS
-
-
-# One CLI run in a fresh interpreter bound to one CPU, which runs every row
-# block of a batch on the calling thread alone.
-_ONE_CPU = """\
-import os, sys
-os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-from singlab import datamaps
-from singlab.cli import main
-assert datamaps._worker_count() == 1
-sys.exit(main(sys.argv[1:]))
-"""
-
-
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
-def test_lad_cdf_bytes_pinned_on_one_cpu(tmp_path):
-    # the pinned LAD run above, from a child bound to one CPU: the bytes do
-    # not depend on how many CPUs run the LAD blocks
-    done = subprocess.run([sys.executable, "-c", _ONE_CPU, *_LAD_CDF_ARGS, "--outdir", str(tmp_path)],
-                          env=_fresh_env(), capture_output=True, text=True)
-    assert done.returncode == EXIT_OK, done.stderr
-    assert _digests(tmp_path, _LAD_CDF_DIGESTS) == _LAD_CDF_DIGESTS
-
-
-@pytest.mark.parametrize("args, code, name, digest", [
-    (["lfplot", "--map", "lad", "--grid-resolution", "48"], EXIT_OK, "lfplot.csv",
-     "8295f33fb2dd754ceef62b05fc9868e75a17ec167d9f6d943cb79730dfd4108f"),
-    (["localize", "--map", "lad"], EXIT_INCONCLUSIVE, "localize.json",
-     "cf8cf9a8ab053a58c4f0273fb0ceddf2b8f17c907579957bac24f90eb6effea5"),
-], ids=["lfplot", "localize"])
-def test_small_n_lad_bytes_pinned_across_processes(tmp_path, args, code, name, digest):
-    # digests recorded at commit 9daa629, whose LAD kernel added each row's
-    # residuals with np.sum; the n = 3 slice datasets run the small-n path
-    assert run_in_process(args, tmp_path) == code
-    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
-
-
-@pytest.mark.parametrize("args, digests", [
-    (["lfplot", "--map", "pc", "--grid-resolution", "48"],
-     {"lfplot.csv": "41c97bbee65585ccbb088e3dc51ad3217e7808dcdc6a59e793f3bb57c630e573",
-      "lfplot.svg": "a1c50f682cbf899619770e47c1cc7ab730a578182ef8a60cad18a28fa1a0d0c6"}),
-    (["lfplot", "--map", "lad", "--grid-resolution", "48"],
-     {"lfplot.svg": "784ad306cf28786521cf4e9f896f8120089810979e9f88709bfe0527de4064c5"}),
-    (["winding", "--target", "standard", "--samples", "2048"],
-     {"winding.json": "1731f4cd2a4bd85820aaa8688f9a8ba494af435503d4b4f29409d1a284ce17eb"}),
-    (["winding", "--target", "lad", "--shrink", "0.99", "--samples", "2048"],
-     {"winding.json": "d58bbaba317c46fd8bd69328ac759d60363ae467a7e1b373020de52c8701225a"}),
-], ids=["lfplot-pc", "lfplot-lad-svg", "winding-standard", "winding-lad"])
-def test_grid_and_standard_bytes_pinned_across_processes(tmp_path, args, digests):
-    # digests recorded at commit 01d8e60, before the line-field grid read its
-    # rows straight off the batch and the scalar plane standard became a
-    # one-row view of the batched one
-    assert run_in_process(args, tmp_path) == EXIT_OK
-    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in digests} == digests
-
-
-@pytest.mark.parametrize("args, code, name, digest", [
-    (["localize", "--map", "pc"], EXIT_OK, "localize.json",
-     "ef42fbd44d2c39aa7c2de506bfe4b7133326216e3b9b172bbe966109d3ef36cc"),
-    (["localize", "--map", "pc", "--eps", "1e-4"], EXIT_OK, "localize.json",
-     "1d8c5bc963cd180ac507fac485d7d8f32d37657166329d5d76ea47e55b374572"),
-    (["localize", "--map", "ls"], EXIT_INCONCLUSIVE, "localize.json",
-     "5aaa6dee165734f10542d41710b72b2cbe3a0bf89536de286450cd8bb1a7fca0"),
-    (["localize", "--map", "lad", "--half-width", "0.5"], EXIT_INCONCLUSIVE, "localize.json",
-     "6d6c608ce37b1a5976b0b68e5c34c0c2a75d78eca18a5bbd5f45675eea3635ae"),
-    (["localize", "--map", "pc", "--center-x=-0.07523628010317189", "--center-y=-0.33399085703281434",
-      "--half-width=0.34497395554501975"], EXIT_OK, "localize.json",
-     "36849ab58081826d9aa1327f63eb99249db9224b5739e570c7b45d41e65217ab"),
-    (["localize", "--map", "lad", "--center-x=-0.0040473673926858435", "--center-y=0.04556852545510367",
-      "--half-width=0.8771029422583467"], EXIT_INCONCLUSIVE, "localize.json",
-     "beb82e2e0d4bee22fe3695933d6d3837054d50b85d365a23fbfd9587f14944d0"),
-    (["winding", "--target", "ls", "--shrink", "0.999"], EXIT_OK, "winding.json",
-     "d49b02b392953914d489a39370a5830dc53e51d54d66d2f6825e5f4181d8daad"),
-    (["winding", "--target", "pc", "--shrink", "0.999"], EXIT_OK, "winding.json",
-     "10e823d40b0eecc1b162fd5d6d6983edada866aece14c6d7e19dfcaed448b7f2"),
-], ids=["localize-pc", "localize-pc-eps", "localize-ls", "localize-lad-root", "localize-pc-box",
-        "localize-lad-box", "winding-ls", "winding-pc"])
-def test_certify_bytes_pinned_across_processes(tmp_path, args, code, name, digest):
-    # digests recorded at commit 4b3557a, whose localizer lifted one child
-    # box at a time and walked the jitter ladder one cross-hair at a time;
-    # the two root boxes were drawn once from numpy's default_rng(1307)
-    assert run_in_process(args, tmp_path) == code
-    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
-
-
 def test_localize_root_box_failure_exit_code(tmp_path):
     # the LAD root boundary at half-width 0.5 cannot be certified
     assert run(["localize", "--map", "lad", "--half-width", "0.5"], tmp_path) == EXIT_INCONCLUSIVE
@@ -634,64 +700,14 @@ def test_reused_parser_keeps_no_state(tmp_path, capsys):
     assert singlab.cli._build_parser() is singlab.cli._build_parser()
     bogus = ["lfplot", "--bogus"]
     assert _usage_and_help(main, bogus, capsys)[0] == EXIT_SCHEMA
-    # the pins of localize-pc and winding-standard above
-    assert run(["localize", "--map", "pc"], tmp_path / "a") == EXIT_OK
-    assert hashlib.sha256((tmp_path / "a" / "localize.json").read_bytes()).hexdigest() == (
-        "ef42fbd44d2c39aa7c2de506bfe4b7133326216e3b9b172bbe966109d3ef36cc")
-    assert run(["winding", "--target", "standard", "--samples", "2048"], tmp_path / "b") == EXIT_OK
-    assert hashlib.sha256((tmp_path / "b" / "winding.json").read_bytes()).hexdigest() == (
-        "1731f4cd2a4bd85820aaa8688f9a8ba494af435503d4b4f29409d1a284ce17eb")
+    for key in ("localize-pc", "winding-standard"):
+        args, code, digests = _PINS[key]
+        assert run(args, tmp_path / key) == code
+        assert _digests(tmp_path / key, digests) == digests
     capsys.readouterr()
     # usage errors exit 2 and --help exits 0 with the text of a fresh parser
     for argv in (bogus, ["--help"], ["lfplot", "--help"], []):
         assert _usage_and_help(main, argv, capsys) == _usage_and_help(fresh().parse_args, argv, capsys)
-
-
-# digests recorded at commit 594692c, whose draws were concatenated chunk by
-# chunk, whose tube fixtures took np.linalg.norm and whose PC and LS kernels
-# reduced over the points axis with numpy; these are the montecarlo
-# workload's configs, plus LS on the line-field grid
-_MONTECARLO_PINS = {
-    "tube-point": (["tube", "--fixture", "point", "--samples", "1000000"],
-                   {"tube.json": "f4138d3a81d7bacce89b2d061c9bd1cadc3dc8b45058102195ddb6d8ec612445"}),
-    "tube-segment": (["tube", "--fixture", "segment", "--samples", "1000000"],
-                     {"tube.json": "4bca9aeb28aa2ba591bd67329deee0d2ef530554195d519ef458c0e92e7d109c"}),
-    "tube-circle": (["tube", "--fixture", "circle", "--samples", "1000000"],
-                    {"tube.json": "d0cb6a88fcb03e7237991acfd328eb7db11a0dd6c59eb2f4d758437f95455902"}),
-    "cdf-ls": (["cdf", "--map", "ls", "--n-points", "4"],
-               {"cdf.csv": "3283b22f22007d1b083ea72b4c62e06e3573dddebe0b53901ce640f68ce5f173",
-                "cdf.json": "df831d6904849f8856a6e8abbb30615e35321416f7cbd5265290e9ecfb746794"}),
-    "cdf-pc": (["cdf", "--map", "pc", "--n-points", "4"],
-               {"cdf.csv": "bc85a0617e397ba0edebf9da7e91ec294b31850f8995e28fadc2804939918f27",
-                "cdf.json": "56a752ea3d48ebd74ed75fd547b931f1415dbb6506d8bcbc2e62f752005a5c70"}),
-    "cdf-lad": (["cdf", "--map", "lad", "--n-points", "4"],
-                {"cdf.csv": "b77561ce698785658ca75a6a337e820720d65a43d89eb1c4c5917ddcc9e3d131",
-                 "cdf.json": "eccbba3dbdb1a63d46a7d36fec5299c10bcd20357cab75307a92a585fd7b35ad"}),
-    "cdf-augmean": (["cdf", "--map", "augmean", "--n-points", "3", "--seed", "7"],
-                    {"cdf.csv": "4c70105b2fcc71ace9749693c57b1eaff0b89f3005f7854b55d4a1c54c73faf2",
-                     "cdf.json": "848631ec38e558c240703e297671594199ef5e08660bcc1515b8c587715865e9"}),
-    "lfplot-ls": (["lfplot", "--map", "ls", "--grid-resolution", "48"],
-                  {"lfplot.csv": "581f5b865257a70666f01ef4fdf9e7166b001c9ada7cc1e209730b52503c09fc",
-                   "lfplot.svg": "1f8e0f10c1c9ae3aed3b1b5a0fb4bf9c36f9a48b01f7d38efedc8eb0cd91e1e8"}),
-}
-
-
-@pytest.fixture(scope="module")
-def montecarlo_outputs(tmp_path_factory):
-    """Output directory and exit code of each pinned run, all made in one
-    fresh interpreter."""
-    base = tmp_path_factory.mktemp("pinned")
-    runs = [(args, base / key) for key, (args, _) in _MONTECARLO_PINS.items()]
-    codes = run_sequence_in_process(runs)
-    return {key: (base / key, code) for key, code in zip(_MONTECARLO_PINS, codes)}
-
-
-@pytest.mark.parametrize("key", list(_MONTECARLO_PINS))
-def test_montecarlo_bytes_pinned_across_processes(montecarlo_outputs, key):
-    outdir, code = montecarlo_outputs[key]
-    assert code == EXIT_OK
-    digests = _MONTECARLO_PINS[key][1]
-    assert {name: hashlib.sha256((outdir / name).read_bytes()).hexdigest() for name in digests} == digests
 
 
 def _percent_g12(values):
@@ -822,72 +838,6 @@ def test_format_g12_does_not_depend_on_simd_dispatch(tmp_path):
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == [native]
-
-
-# digests recorded at commit 5b62a16, whose AUG_MEAN resultant summed through
-# a BLAS product and whose LAD kernel cut its own row blocks; these are the
-# refine workload's oscillation, derivative-profile and box-counting configs,
-# which run evaluate_batch on oscillation batches and derivative stencils
-_REFINE_PINS = {
-    "oscillate-pc": (["oscillate", "--map", "pc", "--k-samples", "1024"],
-                     {"oscillation.json": "bb8777a9e40ed091d9cab19d56094a720621687f39e8af9739e613c8f7d2add0"}),
-    "severity-lad": (["severity", "--map", "lad", "--k-samples", "512"],
-                     {"severity.json": "e27fa508ca20c37e497e9c34e14ee858bb31dfb7dcfeb025361e3436d8ed901a"}),
-    "derivprofile-pc": (["derivprofile", "--map", "pc", "--eta-count", "13"],
-                        {"derivprofile.csv": "2680ebcb39f36c71356eab44e50c0785e269eb44ef91ae02d947a5279693df6e",
-                         "derivprofile.json": "9561fcd1c3965f96581792b497bb029f7f5230f319dcc21a45b2ac0f26f81381"}),
-    "derivprofile-lad": (["derivprofile", "--map", "lad", "--eta-count", "13"],
-                         {"derivprofile.csv": "b577d0046e70b3775d6b1f89b64d66a160c66561cef787bb14937555337eecfc",
-                          "derivprofile.json": "d09b4433c23b18acbc405a3bad06f7866bdceffad253b358c7d0854c435c9fc7"}),
-    "derivprofile-synthetic": (["derivprofile", "--map", "synthetic", "--eta-count", "13"],
-                               {"derivprofile.csv": "29afd60209549d7069d7a3433221a25711314dca813428df3fe2fab974e229d9",
-                                "derivprofile.json": "3f75eaa0a41f37eedc2588db7500c44e05f03472c3454e9617aa838c4b9de95e"}),
-    "dimension-circle": (["dimension", "--fixture", "circle", "--mesh-min", "0.0005"],
-                         {"dimension.json": "33038b6842a24b8602041c9f932a8948953698988fe4a5f3b59e5df8b60d564b"}),
-    # recorded once the measure became the slice-count bracket (measure_lower,
-    # measure_upper, measure_stderr); dist_S_to_P kept its bits
-    "tradeoff": (["tradeoff", "--n-points", "3", "--presets", "uniform,concentrated,moderate"],
-                 {"tradeoff.json": "341e13b62c7f8495deed37ec03c7eb537d7b401c47586fb9b297caa2f0c9680b"}),
-    # recorded again once each polished row stopped by its own step size:
-    # CONCENTRATED's dist_S_to_P moved in its last digit
-    "tradeoff-17": (["tradeoff", "--n-points", "17", "--presets", "uniform,concentrated,moderate"],
-                    {"tradeoff.json": "8add5e793afa6a83adf211bd0e780df7e22ea44f490987541e31bc7556b5958c"}),
-}
-
-
-@pytest.fixture(scope="module")
-def refine_outputs(tmp_path_factory):
-    """Output directory and exit code of each pinned run, per hash seed: the
-    runs of one seed are made in one fresh interpreter."""
-    base = tmp_path_factory.mktemp("refine")
-    outputs = {}
-    for salt in ("1", "2"):
-        runs = [(args, base / salt / key) for key, (args, _) in _REFINE_PINS.items()]
-        codes = run_sequence_in_process(runs, PYTHONHASHSEED=salt)
-        outputs.update({(key, salt): (base / salt / key, code) for key, code in zip(_REFINE_PINS, codes)})
-    return outputs
-
-
-@pytest.mark.parametrize("key", list(_REFINE_PINS))
-def test_refine_bytes_pinned_across_processes(refine_outputs, key):
-    digests = _REFINE_PINS[key][1]
-    for salt in ("1", "2"):
-        outdir, code = refine_outputs[key, salt]
-        assert code == EXIT_OK
-        assert {name: hashlib.sha256((outdir / name).read_bytes()).hexdigest() for name in digests} == digests
-
-
-@pytest.mark.parametrize("fixture, digest", [
-    ("square", "7e8a4ca111db4394baf2fe34d7dc7ed934e85962947bbc8ed91cec1af9b2abc1"),
-    ("point", "c1b178baa8ee8f3a4996b72f13aa432d32b665e126ddcfdaf6b59c398af93b65"),
-])
-def test_dimension_bytes_pinned_across_processes(tmp_path, fixture, digest):
-    # digests recorded at commit a69ad36: the filled-box predicate (square)
-    # and the point-cloud count (point) at the default meshes; their counts
-    # are exact, so a rewrite of box counting must keep these bytes
-    for salt in ("1", "2"):
-        assert run_in_process(["dimension", "--fixture", fixture], tmp_path / salt, PYTHONHASHSEED=salt) == EXIT_OK
-        assert hashlib.sha256((tmp_path / salt / "dimension.json").read_bytes()).hexdigest() == digest
 
 
 # Installs perfbench's tracer on the package in a fresh interpreter, runs the

@@ -292,3 +292,17 @@ def test_slice_spec_validation():
         SliceSpec(grid_resolution=3)
     with pytest.raises(ContractViolation):
         SliceSpec(n_points=3, center_config=PlaneDataset([(0, 0), (1, 1)]))
+
+
+@pytest.mark.parametrize("spread", [(math.nan, 0.0, 1.0), (1.0, 1.0, 1.0), (0.0, -0.0, 0.0)])
+def test_slice_spec_refuses_a_spread_whose_boundary_fits_no_line(spread):
+    # each was accepted and failed at the first boundary loop: samples not
+    # finite, no perfect fit through one point, samples not distinct
+    with pytest.raises(ContractViolation, match="spread must be finite and not all equal"):
+        SliceSpec(spread=spread)
+
+
+def test_slice_spec_stores_its_spread_as_floats():
+    spec = SliceSpec(spread=np.array([-1, 0, 2]))
+    assert [(s, type(s)) for s in spec.spread] == [(-1.0, float), (0.0, float), (2.0, float)]
+    assert type(spec.spread) is tuple

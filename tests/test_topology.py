@@ -253,14 +253,15 @@ def test_localizer_refuses_eps_that_is_not_positive(eps):
 
 @pytest.mark.parametrize("center, half_width", [
     ((0.0, 0.0), math.inf), ((0.0, 0.0), math.nan), ((0.0, 0.0), -0.5), ((0.0, 0.0), 0.0),
-    ((math.nan, 0.0), 0.9), ((0.0, math.inf), 0.9),
+    ((math.nan, 0.0), 0.9), ((0.0, math.inf), 0.9), ((0.0, 0.0, 5.0), 0.9), ((0.0,), 0.9),
 ])
 def test_localizer_refuses_bad_root_box(center, half_width):
     # refused before any loop is built: unchecked, an infinite half-width
-    # warns in _rectangle_points, a zero one fails the loop check, and a
-    # negative one comes back certified with its negative half-width
+    # warns in _rectangle_points, a zero one fails the loop check, a
+    # negative one comes back certified with its negative half-width, a
+    # third coordinate is dropped and a one-coordinate centre raises IndexError
     fn = slice_map(SliceSpec(), DataMapSpec(kind=MapKind.PC_LINE))
-    with pytest.raises(ContractViolation, match="half_width must be finite and positive, and center finite"):
+    with pytest.raises(ContractViolation, match="half_width must be finite and positive, and center a finite 2-vector"):
         localize_singularities(fn, center, half_width, 1e-2)
 
 
