@@ -507,6 +507,15 @@ _PINS = {
                    {"winding.json": "d49b02b392953914d489a39370a5830dc53e51d54d66d2f6825e5f4181d8daad"}),
     "winding-pc": (["winding", "--target", "pc", "--shrink", "0.999"], EXIT_OK,
                    {"winding.json": "10e823d40b0eecc1b162fd5d6d6983edada866aece14c6d7e19dfcaed448b7f2"}),
+    # digests recorded at commit 9c5a0d8, whose lift evaluated one bisection
+    # depth per call: these loops bisect, so they pin samples_used, min_gap,
+    # max_depth and the INCONCLUSIVE detail after bisection
+    "winding-lad-bisect": (["winding", "--target", "lad", "--samples", "16", "--shrink", "0.5"], EXIT_INCONCLUSIVE,
+                           {"winding.json": "58f10e44524887a369b31278b6ecba25299d0fa4adaea467ee732b8f1ee46f5a"}),
+    "winding-pc-bisect": (["winding", "--target", "pc", "--samples", "3"], EXIT_OK,
+                          {"winding.json": "a784099c6b8e8421508290d6fbd32ae033a144e035774f22fd4fbf8d4f65d72b"}),
+    "winding-ls-bisect": (["winding", "--target", "ls", "--samples", "5", "--shrink", "0.9"], EXIT_OK,
+                          {"winding.json": "cdd22438aef55549c13c712bc76c26d858b226ab7dd150c7e6f28cfa2d4c0567"}),
     # digests recorded at commit 594692c, whose draws were concatenated chunk
     # by chunk, whose tube fixtures took np.linalg.norm and whose PC and LS
     # kernels reduced over the points axis with numpy; these are the
