@@ -199,7 +199,9 @@ def resolve_config(command: str, file_config: dict, overrides: dict) -> dict:
     Every float, and every float element of a list, must be finite: no run
     is defined on NaN or infinite sizes, radii or shrinks.  A number key
     refuses a boolean, and an int key a float that is not integral, such as
-    2.9 or 1.5; an integral float such as 1e5 is taken as that int."""
+    2.9 or 1.5; an integral float such as 1e5 is taken as that int.  A str
+    key, and each element of a list of strings, refuses any other JSON
+    value, and a list key refuses anything but a list."""
     schema = SCHEMAS[command]
     for key in file_config:
         if key not in schema:
@@ -214,8 +216,13 @@ def resolve_config(command: str, file_config: dict, overrides: dict) -> dict:
         elem = typ
         if typ is list:
             elem = str if (default and isinstance(default[0], str)) else float
-        # a JSON true is not a 1, and an int key does not round 2.9 to 2
-        items = value if isinstance(value, list) else [value]
+            if not isinstance(value, list):
+                raise SchemaError(f"key '{key}' must be a list, got {value!r}")
+        # a JSON true is not a 1 nor a "True", and an int key does not round
+        # 2.9 to 2
+        items = value if typ is list else [value]
+        if elem is str and not all(isinstance(v, str) for v in items):
+            raise SchemaError(f"key '{key}' must hold strings, got {value!r}")
         if elem is not str and any(isinstance(v, bool) for v in items):
             raise SchemaError(f"key '{key}' must be a number, got {value!r}")
         if elem is int and isinstance(value, float) and not value.is_integer():

@@ -9,18 +9,23 @@ bisected until the short-arc condition holds, and the tool reports
 INCONCLUSIVE rather than an uncertifiable integer.
 
 A map here is any callable from samples stacked on a first axis to their
-``BatchOutcome``; a result of another type is refused.  The lift runs level
-by level, and one lift serves any number of loops: the samples of every
-loop are evaluated in one call, then, one bisection depth per call, the
-affine midpoints of every edge not yet short, over the loops still alive.
-That evaluates exactly the points a depth-first bisection would, so a
-certified degree, samples_used, refined and max_depth do not depend on the
-order.  On a loop that fails, the order decides the error: an Undefined
-midpoint at any depth raises LoopHitsSingularityError before an edge that
-reaches depth MAX_REFINE raises InconclusiveDegreeError.  Each loop keeps
-its own outcome, a report or the error it would raise alone:
-``winding_number`` is the one-loop case, and the localizer lifts the boxes
-of one quadtree depth together.
+``BatchOutcome``; a result of another type is refused.  A row's outcome must
+not depend on the batch it is evaluated in, and the map may be called on
+points of an edge that bisection never visits.  The lift runs level by
+level, and one lift serves any number of loops: the samples of every loop
+are evaluated in one call, then the affine midpoints of every edge not yet
+short, over the loops still alive, one bisection depth at a time.  One call
+evaluates the open edges' midpoints several depths ahead, as many as
+LOOKAHEAD_ROWS allows, and a point counts only at the depth where bisection
+reaches it.  So the lift reports exactly what a depth-first bisection
+reports, though it may evaluate points ahead of it: a certified degree,
+samples_used, min_gap, refined and max_depth do not depend on the order.
+On a loop that fails, the order decides the error: an Undefined midpoint at
+any depth raises LoopHitsSingularityError before an edge that reaches depth
+MAX_REFINE raises InconclusiveDegreeError.  Each loop keeps its own outcome,
+a report or the error it would raise alone: ``winding_number`` is the
+one-loop case, and the localizer lifts the boxes of one quadtree depth
+together.
 """
 
 from __future__ import annotations
@@ -38,6 +43,14 @@ from singlab.geometry import ContractViolation, wrap_increments
 STEP_FRACTION = 0.25
 # Bisections per loop edge before the degree is declared inconclusive.
 MAX_REFINE = 24
+# Rows of one look-ahead call of the lift: the open edges' subtrees take the
+# most depths whose rows fit, and at least one.  A slice evaluation costs
+# about 100-150 us per call at 2-64 rows, against about 0.3 us per extra row.
+# On `localize --map lad`, budgets of 64, 256, 1 024 and 4 096 rows made 58,
+# 37, 28 and 25 kernel calls and took 19.0, 16.6, 17.2 and 26.0 ms, against
+# 151 calls and 28.8 ms at one depth per call (min of 40 interleaved runs on
+# a 2-vCPU Xeon VM).
+LOOKAHEAD_ROWS = 256
 
 
 class LoopHitsSingularityError(RuntimeError):
@@ -107,11 +120,20 @@ def _lift(points: np.ndarray, lengths, evaluate_fn) -> list:
     lengths gives each loop's sample count and evaluate_fn maps stacked
     samples to their BatchOutcome.  The result holds, loop by loop, the
     WindingReport of ``winding_number`` or the error it would raise.  Edges
-    keep their per-loop order, so each loop evaluates the same points at the
+    keep their per-loop order, so each loop counts the same points at the
     same depths as it would on its own, and raises the same error first;
     the lift residual is checked after the MAX_REFINE budget.  Each loop's
     lift steps are added in edge order; their rounding is far below the
     residual tolerance.
+
+    When the open edges must be split and no evaluated midpoints are left,
+    one call evaluates the dyadic subtrees of their next depths, as many as
+    ``_lookahead_depths`` allows.  The evaluated points are nodes of flat
+    arrays, an edge is a pair of node indices (ia, ib), and its midpoint is
+    node ``(ia + ib) >> 1``.  A node counts in samples_used, min_gap and
+    the Undefined check only at the depth where bisection reaches it, in
+    bisection's edge order, so a node that bisection never reaches moves no
+    output.
     """
     lengths = np.asarray(lengths, dtype=np.intp)
     n_loops = len(lengths)
@@ -120,43 +142,44 @@ def _lift(points: np.ndarray, lengths, evaluate_fn) -> list:
     samples_used = lengths.copy()
     min_gap = np.full(n_loops, math.inf)
 
-    def evaluate(points: np.ndarray, owner: np.ndarray):
-        """The outcome on points; a loop with an Undefined row dies here."""
-        outcome = _batch_outcome(evaluate_fn(points))
-        np.minimum.at(min_gap, owner, outcome.gap)
-        undefined = np.flatnonzero(outcome.reason)
+    def reach(gap: np.ndarray, reason: np.ndarray, owner: np.ndarray) -> None:
+        """Takes in the gaps of samples that bisection reached, of the loops
+        in owner; a loop with an Undefined sample dies here."""
+        np.minimum.at(min_gap, owner, gap)
+        undefined = np.flatnonzero(reason)
         if not undefined.size:
-            return outcome
+            return
         # each loop's first Undefined sample, in its own order
         loops, first = np.unique(owner[undefined], return_index=True)
         for i, k in zip(loops, undefined[first]):
-            reason = UndefinedReason(outcome.reason[k])
-            results[i] = LoopHitsSingularityError(f"loop sample evaluated Undefined ({reason.name})")
+            name = UndefinedReason(reason[k]).name
+            results[i] = LoopHitsSingularityError(f"loop sample evaluated Undefined ({name})")
         alive[loops] = False
-        return outcome
 
     owner = np.repeat(np.arange(n_loops), lengths)
-    outcome = evaluate(points, owner)
+    outcome = _batch_outcome(evaluate_fn(points))
+    reach(outcome.gap, outcome.reason, owner)
     period = outcome.period
     if period is None:
         error = UnsupportedFeatureError(f"{outcome.feature.__name__} features carry no winding number")
         return [error if ok else r for ok, r in zip(alive, results)]
     threshold = STEP_FRACTION * period
-    # the open edges: endpoints p_a -> p_b with their feature angles, the
-    # last sample of each loop closing back to its first
-    after = np.arange(1, len(points) + 1)
+    # the nodes are the loop samples, and the open edges ia -> ib join
+    # them, the last sample of each loop closing back to its first
+    nodes, value = points, outcome.value
+    ia = np.arange(len(points))
+    ib = ia + 1
     ends = np.cumsum(lengths)
-    after[ends - 1] = ends - lengths
-    p_a, a, p_b, b = points, outcome.value, points[after], outcome.value[after]
+    ib[ends - 1] = ends - lengths
     total = np.zeros(n_loops)
-    depth = 0
+    depth = ahead = 0  # ahead: depths of the nodes' subtrees not yet bisected
     while True:
-        # evaluate only marks the loops that hit S; their edges go here
+        # reach only marks the loops that hit S; their edges go here
         live = alive[owner]
         if not live.all():
-            p_a, a, p_b, b, owner = (x[live] for x in (p_a, a, p_b, b, owner))
+            ia, ib, owner = ia[live], ib[live], owner[live]
         # |wrapped step| is the angle distance, bit for bit
-        step = wrap_increments(b - a, period)
+        step = wrap_increments(value[ib] - value[ia], period)
         short = np.abs(step) < threshold
         total += np.bincount(owner, np.where(short, step, 0.0), n_loops)
         split = ~short
@@ -170,13 +193,52 @@ def _lift(points: np.ndarray, lengths, evaluate_fn) -> list:
             for i in np.flatnonzero(alive):
                 results[i] = InconclusiveDegreeError(f"edge not short-arc after {MAX_REFINE} bisections")
             return results
-        p_a, a, p_b, b, owner = p_a[split], a[split], p_b[split], b[split], owner[split]
-        p_m = 0.5 * (p_a + p_b)
+        ia, ib, owner = ia[split], ib[split], owner[split]
+        if not ahead:
+            ahead = _lookahead_depths(len(ia), depth)
+            nodes, value, gap, reason = _subtrees(nodes[ia], nodes[ib], value[ia], value[ib], ahead, evaluate_fn)
+            ia = np.arange(len(ia)) * ((1 << ahead) + 1)
+            ib = ia + (1 << ahead)
+        im = (ia + ib) >> 1
         samples_used += open_edges
-        m = evaluate(p_m, owner).value
+        reach(gap[im], reason[im], owner)
         depth += 1
-        p_a, a, p_b, b = (np.concatenate(pair) for pair in ((p_a, p_m), (a, m), (p_m, p_b), (m, b)))
+        ahead -= 1
+        ia, ib = np.concatenate((ia, im)), np.concatenate((im, ib))
         owner = np.concatenate((owner, owner))
+
+
+def _lookahead_depths(edges: int, depth: int) -> int:
+    """The most depths, at least one, whose subtrees of edges open edges
+    fit LOOKAHEAD_ROWS rows without passing MAX_REFINE from depth."""
+    depths = 1
+    while depths < MAX_REFINE - depth and edges * ((2 << depths) - 1) <= LOOKAHEAD_ROWS:
+        depths += 1
+    return depths
+
+
+def _subtrees(p_a, p_b, a, b, depths: int, evaluate_fn):
+    """The nodes of each edge p_a -> p_b's dyadic subtree of the given depths,
+    flat, edge by edge, with their feature values, gaps and reasons: the
+    2^depths - 1 interior points, each the affine midpoint of its two
+    neighbours a depth up as bisection computes it, evaluated in one call.
+    The end nodes carry the values a and b, gap 0 and reason 0."""
+    span = 1 << depths
+    nodes = np.empty((len(p_a), span + 1, *p_a.shape[1:]))
+    nodes[:, 0], nodes[:, span] = p_a, p_b
+    h = span >> 1
+    while h:
+        nodes[:, h::2 * h] = 0.5 * (nodes[:, :-1:2 * h] + nodes[:, 2 * h::2 * h])
+        h >>= 1
+    outcome = _batch_outcome(evaluate_fn(nodes[:, 1:-1].reshape(-1, *p_a.shape[1:])))
+    value = np.empty((len(p_a), span + 1), dtype=np.result_type(a, b, outcome.value))
+    gap = np.zeros((len(p_a), span + 1), dtype=outcome.gap.dtype)
+    reason = np.zeros((len(p_a), span + 1), dtype=outcome.reason.dtype)
+    value[:, 0], value[:, span] = a, b
+    value[:, 1:-1] = outcome.value.reshape(len(p_a), -1)
+    gap[:, 1:-1] = outcome.gap.reshape(len(p_a), -1)
+    reason[:, 1:-1] = outcome.reason.reshape(len(p_a), -1)
+    return nodes.reshape(-1, *p_a.shape[1:]), value.ravel(), gap.ravel(), reason.ravel()
 
 
 def _report(total: float, period: float, samples_used: int, min_gap: float, depth: int):
@@ -198,8 +260,8 @@ def winding_number(loop: Loop, evaluate_fn) -> WindingReport:
     """Degree of a feature-valued map along a closed loop.
 
     evaluate_fn maps the loop's stacked samples, vectors (m, d) or the
-    points (m, n, 2) of its datasets, to their BatchOutcome.  Every
-    evaluated point must be Defined.  An edge whose endpoint features are at
+    points (m, n, 2) of its datasets, to their BatchOutcome.  Every sample
+    and every midpoint that bisection reaches must be Defined.  An edge whose endpoint features are at
     least STEP_FRACTION of a period apart is bisected at its affine midpoint,
     level by level as the module docstring tells, up to MAX_REFINE times
     before the computation is declared inconclusive.

@@ -255,9 +255,15 @@ def test_schema_rejects_non_finite_values(tmp_path, capsys, no_runner, args, key
     ("localize", {"half_width": True}, "half_width"),
     ("tube", {"seed": True}, "seed"),
     ("oscillate", {"radii": [0.1, True, 0.001]}, "radii"),
+    ("dimension", {"out": True, "fixture": "point"}, "out"),
+    ("tradeoff", {"presets": "uniform"}, "presets"),
+    ("tradeoff", {"presets": ["uniform", 3]}, "presets"),
+    ("localize", {"map": ["pc"]}, "map"),
 ])
 def test_config_file_refuses_booleans_and_fractional_ints(tmp_path, capsys, no_runner, command, config, key):
-    # each ran truncated or with true as 1, or raised OverflowError (inf)
+    # each ran truncated or with true as 1, or raised OverflowError (inf);
+    # a str key took the str of any JSON value (out true wrote a file named
+    # True), and a list key given a string split it into characters
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     assert main([command, "--config", str(cfg), "--outdir", str(tmp_path / "out")]) == EXIT_SCHEMA

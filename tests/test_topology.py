@@ -555,14 +555,19 @@ def counting_slice_map(kind):
     return counted, calls
 
 
-@pytest.mark.parametrize("kind, eps, bound", [
-    (MapKind.LAD_LINE, 1e-3, 151),  # 537 calls with one child lifted at a time
-    (MapKind.PC_LINE, 1e-4, 17),  # 110 calls with one child lifted at a time
+@pytest.mark.parametrize("kind, eps, bound, rows", [
+    # 537 calls with one child lifted at a time, 151 with one bisection
+    # depth per call, over 12 352 rows
+    (MapKind.LAD_LINE, 1e-3, 37, 2 * 12352),
+    # 110 calls with one child lifted at a time, over 17 026 rows
+    (MapKind.PC_LINE, 1e-4, 17, 2 * 17026),
 ], ids=["lad", "pc"])
-def test_localizer_lifts_each_split_in_one_batch(kind, eps, bound):
+def test_localizer_lifts_each_split_in_one_batch(kind, eps, bound, rows):
+    # the look-ahead saves calls without multiplying the rows evaluated
     fn, calls = counting_slice_map(kind)
     boxes = localize_singularities(fn, (0.0, 0.0), 0.9, eps)
     assert len(calls) <= bound
+    assert sum(calls) <= rows
     assert boxes == sequential_localize(fn, (0.0, 0.0), 0.9, eps)
 
 
@@ -593,6 +598,27 @@ def disks_map(disks):
         return origin_batch(reduce_mod_pi(angle), gap, gap <= 0.0)
 
     return fn
+
+
+def test_lookahead_rows_bisection_never_reaches_move_no_output():
+    # a triangle about a degree-1 point: each edge is split once, and its
+    # halves are short.  A degree-0 disk, Undefined but winding nothing,
+    # covers the quarter point of the first edge, away from its midpoint and
+    # ends: the lift evaluates that point ahead, but bisection never reaches it
+    corners = np.array([(math.cos(t), math.sin(t)) for t in np.radians((90.0, 210.0, 330.0))])
+    quarter = 0.5 * (corners[0] + 0.5 * (corners[0] + corners[1]))
+    fn = disks_map([((0.0, 0.0), 1, 0.0), (tuple(quarter), 0, 0.1)])
+    evaluated = []
+
+    def recorded(us):
+        evaluated.append(np.array(us))
+        return fn(us)
+
+    (report,) = assert_lift_matches_alone([polygon(corners)], recorded)
+    assert any((rows == quarter).all(axis=1).any() for rows in evaluated)
+    assert fn(quarter[None]).reason[0] == UndefinedReason.ORIGIN
+    assert (report.degree, report.samples_used, report.max_depth) == (1, 6, 1)
+    assert report.min_gap > 0.0
 
 
 def test_localizer_returns_depth_first_order_on_an_uneven_tree():
