@@ -56,7 +56,7 @@ def openblas_core():
             get = ctypes.CDLL(path).scipy_openblas_get_corename64_
         except (OSError, AttributeError):
             continue
-        get.restype = ctypes.c_char_p
+        get.argtypes, get.restype = [], ctypes.c_char_p
         return get().decode()
     return None
 
@@ -122,9 +122,8 @@ def main(argv=None) -> int:
         json.dump(summary, fh, indent=1, sort_keys=True)
         fh.write("\n")
     for name, w in summary["workloads"].items():
-        wall = w["metrics"].get("wall_s", {})
-        print(f"{name}: {w['runs']} runs, wall_s median {wall.get('median', float('nan')):.4g} "
-              f"[{wall.get('q1', float('nan')):.4g}-{wall.get('q3', float('nan')):.4g}] s, "
+        wall = w["metrics"]["wall_s"]
+        print(f"{name}: {w['runs']} runs, wall_s median {wall['median']:.4g} [{wall['q1']:.4g}-{wall['q3']:.4g}] s, "
               f"failed {w['failed_of_attempted']}")
     print(f"wrote {out}")
     return 0

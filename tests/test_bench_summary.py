@@ -1,0 +1,43 @@
+"""scripts/bench_summary.py: the BENCH_<tag>.json summary of perfbench records."""
+
+import importlib.util
+import json
+import os
+
+import pytest
+
+_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "scripts", "bench_summary.py")
+_SPEC = importlib.util.spec_from_file_location("bench_summary", _PATH)
+bench_summary = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_summary)
+
+
+def record(workload, seed, wall_s, failed=0, trace=0):
+    return {"workload": workload, "seed": seed, "seconds": 32, "trace": trace, "attempted": 120, "failed": failed,
+            "measured_passes": 6, "probe_median_s": 0.008 + seed * 1e-4,
+            "machine": {"nproc": 2, "cpu_model": "test"}, "op_medians_s": {"op": wall_s / 2},
+            "metrics": {"wall_s": {"value": wall_s, "unit": "s"}, "peak_rss_mb": {"value": 40.0, "unit": "MB"}}}
+
+
+def test_summary_reads_untraced_records_per_workload(tmp_path):
+    results = tmp_path / "results"
+    results.mkdir()
+    runs = [record("certify", 1, 0.10), record("certify", 2, 0.30, failed=1), record("certify", 3, 0.20),
+            record("certify", 4, 0.40), record("refine", 1, 0.5), record("certify", 5, 9.0, trace=1)]
+    for r in runs:
+        (results / f"{r['workload']}-seed{r['seed']}-trace{r['trace']}.json").write_text(json.dumps(r))
+    out = tmp_path / "BENCH_x.json"
+    assert bench_summary.main(["--results", str(results), "--tag", "x", "--commit", "abc", "--out", str(out)]) == 0
+    summary = json.loads(out.read_text())
+    assert summary["commit"] == "abc" and set(summary["workloads"]) == {"certify", "refine"}
+    certify = summary["workloads"]["certify"]
+    assert certify["runs"] == 4 and certify["seeds"] == [1, 2, 3, 4]
+    assert certify["failed_of_attempted"] == "1/480"
+    wall = certify["metrics"]["wall_s"]
+    assert wall["unit"] == "s"
+    assert [wall[k] for k in ("q1", "median", "q3", "iqr")] == pytest.approx([0.175, 0.25, 0.325, 0.15], abs=1e-15)
+    assert certify["op_medians_s"] == {"op": 0.125}
+    assert certify["machine"] == [{"nproc": 2, "cpu_model": "test"}]
+    refine = summary["workloads"]["refine"]["metrics"]["wall_s"]
+    assert (refine["q1"], refine["median"], refine["q3"], refine["iqr"]) == (0.5, 0.5, 0.5, 0.0)
+    assert "baseline" in summary["numpy"]["simd"]
