@@ -199,31 +199,34 @@ def resolve_config(command: str, file_config: dict, overrides: dict) -> dict:
     Every float, and every float element of a list, must be finite: no run
     is defined on NaN or infinite sizes, radii or shrinks.  A number key
     refuses a boolean, and an int key a float that is not integral, such as
-    2.9 or 1.5; an integral float such as 1e5 is taken as that int.  A str
-    key, and each element of a list of strings, refuses any other JSON
-    value, and a list key refuses anything but a list."""
+    2.9 or 1.5; an integral float such as 1e5 is taken as that int.  A
+    number key, and each element of a list of numbers, refuses a string from
+    the config file, where "0.5" is a JSON string and not a number; flags
+    arrive as strings and are parsed.  A str key, and each element of a list
+    of strings, refuses any other JSON value, and a list key refuses
+    anything but a list."""
     schema = SCHEMAS[command]
     for key in file_config:
         if key not in schema:
             raise SchemaError(f"unknown key '{key}' for command '{command}'")
     config = {}
     for key, (typ, default, check) in schema.items():
-        value = default
-        if key in file_config:
+        value, from_file = default, key in file_config
+        if from_file:
             value = file_config[key]
         if key in overrides and overrides[key] is not None:
-            value = overrides[key]
+            value, from_file = overrides[key], False
         elem = typ
         if typ is list:
             elem = str if (default and isinstance(default[0], str)) else float
             if not isinstance(value, list):
                 raise SchemaError(f"key '{key}' must be a list, got {value!r}")
-        # a JSON true is not a 1 nor a "True", and an int key does not round
-        # 2.9 to 2
+        # a JSON true is not a 1 nor a "True", a JSON "0.5" is not a number,
+        # and an int key does not round 2.9 to 2
         items = value if typ is list else [value]
         if elem is str and not all(isinstance(v, str) for v in items):
             raise SchemaError(f"key '{key}' must hold strings, got {value!r}")
-        if elem is not str and any(isinstance(v, bool) for v in items):
+        if elem is not str and any(isinstance(v, bool) or (from_file and isinstance(v, str)) for v in items):
             raise SchemaError(f"key '{key}' must be a number, got {value!r}")
         if elem is int and isinstance(value, float) and not value.is_integer():
             raise SchemaError(f"key '{key}' must be an integer, got {value!r}")

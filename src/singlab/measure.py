@@ -120,25 +120,31 @@ def _cloud_count(cloud: np.ndarray, lo: np.ndarray, hi: np.ndarray, delta: float
 
 def _overlapping_cells(occupied: np.ndarray, coarse: float, delta: float, counts: np.ndarray) -> np.ndarray:
     """Indices (k, d) of the delta-cells that overlap an occupied coarse cell,
-    in the row-major order of np.argwhere.
+    in row-major order, as an intp array laid out column by column, the
+    order and layout of np.argwhere; (0, d) when none does.
 
-    ``occupied`` holds the occupied coarse cells' indices (k, d).  Along each
-    axis, coarse cell k overlaps the fine cells floor(k coarse / delta) to
-    floor((k + 1) coarse / delta), padded here by one on each side so
-    rounding never drops one, and clipped to the grid.  One axis at a time,
-    each cell marked in a mask of the fine grid (whose shape holds every
-    coarse index too) is replaced by its padded fine range along that axis.
-    The index arithmetic grows with the occupied cells and their children,
-    and only the mask's byte-wide scans touch the whole grid; the mask drops
-    the repeats after each axis, so a filled set never pays for the product
-    of its ranges.
+    ``occupied`` holds the occupied coarse cells' distinct indices (k, d).
+    Along each axis, coarse cell k overlaps the fine cells floor(k coarse /
+    delta) to floor((k + 1) coarse / delta), padded here by one on each side
+    so rounding never drops one, and clipped to the grid.  One axis at a
+    time, each cell marked in a mask of the fine grid (whose shape holds
+    every coarse index too) is replaced by its padded fine range along that
+    axis; the first axis starts from the occupied cells' flat keys, which
+    are distinct already, so it needs no mark and scan.  The index
+    arithmetic grows with the occupied cells and their children, and only
+    the mask's byte-wide scans touch the whole grid; the mask drops the
+    repeats after each axis, so a filled set never pays for the product of
+    its ranges.  The marked cells come out of one scan of the flat mask; the
+    loop's index arrays are freed before it and the mask after it, before
+    the cells' flat keys are split into indices.
     """
     strides = np.cumprod((1, *counts[:0:-1]))[::-1]
     mask = np.zeros(int(np.prod(counts)), dtype=bool)
-    mask[occupied @ strides] = True
-    for stride, n in zip(strides, counts):
-        flat = np.flatnonzero(mask)
-        mask[:] = False
+    flat = occupied @ strides
+    for axis, (stride, n) in enumerate(zip(strides, counts)):
+        if axis:
+            flat = np.flatnonzero(mask)
+            mask[:] = False
         k = flat // stride % n
         first = np.maximum(np.floor(k * coarse / delta).astype(int) - 1, 0)
         span = np.minimum(np.floor((k + 1) * coarse / delta).astype(int) + 1, n - 1) - first
@@ -146,7 +152,14 @@ def _overlapping_cells(occupied: np.ndarray, coarse: float, delta: float, counts
         for t in range(np.max(span, initial=-1) + 1):
             flat, span = flat[span >= t], span[span >= t]
             mask[flat + t * stride] = True
-    return np.argwhere(mask.reshape(counts))
+    del flat, k, first, span
+    flat = np.flatnonzero(mask)
+    del mask
+    cells = np.empty((counts.size, flat.size), dtype=np.intp)
+    for axis in range(counts.size - 1, 0, -1):
+        np.divmod(flat, int(counts[axis]), out=(flat, cells[axis]))
+    cells[0] = flat
+    return cells.T
 
 
 def _predicate_counts(pred, lo: np.ndarray, hi: np.ndarray, mesh_sizes) -> list[int]:

@@ -91,9 +91,11 @@ POLISH_ITERS = 10
 POLISH_STEP_TOL = 1e-13
 
 # Derivative blow-up profiles: finite-difference step as a share of eta,
-# and arc-template shifts tried per eta before the entry is flagged.
+# arc-template shifts tried per eta before the entry is flagged, and the
+# quadrature nodes per chord of an arc.
 H_FD_FACTOR = 1e-5
 MAX_JITTERS = 8
+NODES_PER_SEGMENT = 8
 # Candidate y2 whose feature separation from y1 is within this of the
 # largest count as tied, and the first of them is taken.  The candidates
 # come in mirror-image pairs that tie exactly on a symmetric map, so without
@@ -381,26 +383,27 @@ def classify_severity(profile: OscillationProfile, mesh: float) -> str:
     return UNDECIDED
 
 
-def _grad_norms(batch_fn, nodes: np.ndarray, h: float) -> np.ndarray:
-    """Operator norms of the finite-difference Jacobian of u -> feature at
-    each node of a stack (k, dim).
+def _grad_norms(batch_fn, nodes: np.ndarray, h) -> tuple[np.ndarray, np.ndarray]:
+    """Operator norms (k,) of the finite-difference Jacobian of u -> feature
+    at each node of a stack (k, dim), and whether each node's stencil was
+    Defined, at step h: one for all nodes or one per node (k,).
 
     Central differences per coordinate, all 2 dim k stencil points in one
     batch; increments measured in the feature metric with the sign of the
     short way.  For a real- or angle-valued feature the operator norm is the
-    Euclidean norm of the gradient.
+    Euclidean norm of the gradient.  A node whose stencil is not Defined
+    gets a meaningless norm, for the caller to discard.
     """
     k, dim = nodes.shape
-    e = h * np.eye(dim)
+    e = np.asarray(h)[..., None, None] * np.eye(dim)
     stencil = np.concatenate([(nodes[:, None, :] + e).reshape(-1, dim),
                               (nodes[:, None, :] - e).reshape(-1, dim)])
     out = _batch_outcome(batch_fn(stencil))
-    if not out.defined.all():
-        raise CurveHitsSingularityError("finite-difference stencil hit the singular set")
     steps = out.value[:k * dim] - out.value[k * dim:]
     if out.period is not None:
         steps = wrap_increments(steps, out.period)
-    return np.linalg.norm(steps.reshape(k, dim) / (2.0 * h), axis=1)
+    norms = np.linalg.norm(steps.reshape(k, dim) / (2.0 * np.asarray(h)[..., None]), axis=1)
+    return norms, out.defined.reshape(2, k, dim).all(axis=(0, 2))
 
 
 def _segments(curve) -> list[tuple[np.ndarray, np.ndarray, float]]:
@@ -415,31 +418,46 @@ def _segments(curve) -> list[tuple[np.ndarray, np.ndarray, float]]:
     return segments
 
 
+def _midpoint_nodes(segments, nodes_per_segment: int) -> np.ndarray:
+    """The quadrature nodes of the segments, equally spaced interior
+    midpoints, nodes_per_segment per segment in order, stacked (k, dim)."""
+    ts = (np.arange(nodes_per_segment) + 0.5) / nodes_per_segment
+    return np.concatenate([a + ts[:, None] * (b - a) for a, b, _ in segments])
+
+
+def _midpoint_average(segments, norms: np.ndarray) -> float:
+    """Composite midpoint quadrature: each segment's length times the mean
+    of its nodes' norms, summed and divided by the total length."""
+    total_len = 0.0
+    total_int = 0.0
+    for (_, _, seg), vals in zip(segments, norms.reshape(len(segments), -1)):
+        total_len += seg
+        total_int += seg * float(np.mean(vals))
+    return total_int / total_len
+
+
 def average_derivative_along_curve(
     outcome_fn,
     curve,
     h_fd: float,
-    nodes_per_segment: int = 8,
+    nodes_per_segment: int = NODES_PER_SEGMENT,
 ) -> float:
     """Average operator norm of the derivative along a polyline.
 
     Composite midpoint quadrature: each segment contributes its length times
-    the mean |D(feature)| over equally spaced interior midpoints.
-    ``outcome_fn`` maps stacked points (m, dim) to their BatchOutcome; the
-    stencils of every node of the curve go to it as one batch.
+    the mean |D(feature)| over equally spaced interior midpoints, each from
+    ``_grad_norms``.  ``outcome_fn`` maps stacked points (m, dim) to their
+    BatchOutcome; the stencils of every node of the curve go to it as one
+    batch.  ``derivative_blowup_profile`` shares the nodes, norms and
+    quadrature, with the stencils of many curves in one batch.
     """
     segments = _segments(curve)
     if h_fd <= 0:
         raise ContractViolation("h_fd must be positive")
-    ts = (np.arange(nodes_per_segment) + 0.5) / nodes_per_segment
-    nodes = np.concatenate([a + ts[:, None] * (b - a) for a, b, _ in segments])
-    norms = _grad_norms(outcome_fn, nodes, h_fd).reshape(len(segments), nodes_per_segment)
-    total_len = 0.0
-    total_int = 0.0
-    for (_, _, seg), vals in zip(segments, norms):
-        total_len += seg
-        total_int += seg * float(np.mean(vals))
-    return total_int / total_len
+    norms, defined = _grad_norms(outcome_fn, _midpoint_nodes(segments, nodes_per_segment), h_fd)
+    if not defined.all():
+        raise CurveHitsSingularityError("finite-difference stencil hit the singular set")
+    return _midpoint_average(segments, norms)
 
 
 def average_distance_to_point(curve, x0) -> float:
@@ -487,51 +505,64 @@ def derivative_blowup_profile(
     have distinct logs.
 
     ``outcome_fn`` maps stacked points (m, 2) to their BatchOutcome, such as
-    ``slices.slice_map``.  Each attempt evaluates its y1, y2 candidates and
-    y3 as one batch, and each arc its stencils as another.
+    ``slices.slice_map``.  The attempts run round by round over every eta
+    still open: a round evaluates the y1, y2 candidates and y3 of all of
+    them as one batch, then the finite-difference stencils of every arc it
+    built as another, so a profile whose arcs all hold at the first attempt
+    makes two calls.  A map's rows must not depend on their batch; then each
+    eta sees the attempts, points and arithmetic of a profile of it alone,
+    and its arc's average derivative is ``average_derivative_along_curve``'s
+    at step H_FD_FACTOR eta.
     """
     x0 = np.asarray(singular_point, dtype=float)
     etas = tuple(float(e) for e in etas)
     if not all(a > b for a, b in zip(etas, etas[1:])):
         raise ContractViolation("etas must be strictly decreasing")
+    if not all(0.0 < e < math.inf for e in etas):
+        raise ContractViolation("etas must be finite and positive")
     rng = np.random.default_rng(seed)
     # seeded template directions, shared across etas
     phi1 = rng.uniform(0.0, 2 * math.pi)
     phi3 = phi1 + rng.uniform(0.5, 1.2)
     candidate_phis = phi1 + np.linspace(0.3, 2 * math.pi - 0.3, 24)
-    # rows of one attempt's batch: y1, the candidate y2, then y3
+    # rows of one eta's attempt: y1, the candidate y2, then y3
     scales = np.concatenate([[0.45], np.full(candidate_phis.size, 0.45), [0.9]])
 
-    avg_d = []
-    avg_r = []
-    flagged = []
-    for eta in etas:
-        ok = False
-        for attempt in range(MAX_JITTERS):
-            shift = 0.02 * attempt
-            phis = np.concatenate([[phi1], candidate_phis, [phi3]]) + shift
-            ys = x0 + (scales * eta)[:, None] * np.stack([np.cos(phis), np.sin(phis)], axis=1)
-            out = _batch_outcome(outcome_fn(ys))
-            candidates = out.defined[1:-1]
-            if not (out.defined[0] and candidates.any() and out.defined[-1]):
+    avg_d = [math.nan] * len(etas)
+    avg_r = [math.nan] * len(etas)
+    flagged = [True] * len(etas)
+    pending = list(range(len(etas)))
+    for attempt in range(MAX_JITTERS):
+        if not pending:
+            break
+        phis = np.concatenate([[phi1], candidate_phis, [phi3]]) + 0.02 * attempt
+        units = np.stack([np.cos(phis), np.sin(phis)], axis=1)
+        ys = np.stack([x0 + (scales * etas[i])[:, None] * units for i in pending])
+        out = _batch_outcome(outcome_fn(ys.reshape(-1, 2)))
+        defined = out.defined.reshape(len(pending), -1)
+        values = out.value.reshape(len(pending), -1)
+        arcs = []  # (eta index, curve, its segments)
+        for i, y, ok, value in zip(pending, ys, defined, values):
+            candidates = ok[1:-1]
+            if not (ok[0] and candidates.any() and ok[-1]):
                 continue
             # the first candidate tied for farthest from y1 in the feature metric
-            sep = np.where(candidates, _value_distances(out.value[1:-1], out.value[0], out.period), -np.inf)
+            sep = np.where(candidates, _value_distances(value[1:-1], value[0], out.period), -np.inf)
             farthest = int(np.argmax(sep >= sep.max() - SEPARATION_TIE))
-            curve = [ys[0], ys[1 + farthest], ys[-1]]
-            try:
-                d = average_derivative_along_curve(outcome_fn, curve, h_fd=H_FD_FACTOR * eta)
-            except CurveHitsSingularityError:
-                continue
-            avg_d.append(d)
-            avg_r.append(average_distance_to_point(curve, x0))
-            flagged.append(False)
-            ok = True
-            break
-        if not ok:
-            avg_d.append(math.nan)
-            avg_r.append(math.nan)
-            flagged.append(True)
+            curve = [y[0], y[1 + farthest], y[-1]]
+            arcs.append((i, curve, _segments(curve)))
+        if arcs:
+            nodes = [_midpoint_nodes(segments, NODES_PER_SEGMENT) for _, _, segments in arcs]
+            sizes = [len(n) for n in nodes]
+            ends = np.cumsum(sizes).tolist()
+            h = np.repeat([H_FD_FACTOR * etas[i] for i, _, _ in arcs], sizes)
+            norms, node_ok = _grad_norms(outcome_fn, np.concatenate(nodes), h)
+            for (i, curve, segments), start, end in zip(arcs, [0, *ends], ends):
+                if node_ok[start:end].all():
+                    avg_d[i] = _midpoint_average(segments, norms[start:end])
+                    avg_r[i] = average_distance_to_point(curve, x0)
+                    flagged[i] = False
+        pending = [i for i in pending if flagged[i]]
     good = [i for i, f in enumerate(flagged) if not f]
     logs = np.log([etas[i] for i in good])
     if len(set(logs.tolist())) >= 2:  # not np.unique, which imports numpy.ma (~1.6 MB of RSS)

@@ -23,7 +23,8 @@ import singlab.metrics
 import singlab.slices
 import singlab.topology
 
-from singlab.cli import EXIT_INCONCLUSIVE, EXIT_INTERNAL, EXIT_OK, EXIT_SCHEMA, _format_g12, main
+from singlab.cli import EXIT_INCONCLUSIVE, EXIT_INTERNAL, EXIT_OK, EXIT_SCHEMA, _format_g12, main, resolve_config
+from singlab.slices import slice_map
 
 
 def run(args, outdir):
@@ -259,11 +260,15 @@ def test_schema_rejects_non_finite_values(tmp_path, capsys, no_runner, args, key
     ("tradeoff", {"presets": "uniform"}, "presets"),
     ("tradeoff", {"presets": ["uniform", 3]}, "presets"),
     ("localize", {"map": ["pc"]}, "map"),
+    ("localize", {"half_width": "0.5", "samples_per_edge": "8"}, "half_width"),
+    ("localize", {"samples_per_edge": "8"}, "samples_per_edge"),
+    ("oscillate", {"radii": ["0.1", 0.01, 0.001]}, "radii"),
 ])
 def test_config_file_refuses_booleans_and_fractional_ints(tmp_path, capsys, no_runner, command, config, key):
     # each ran truncated or with true as 1, or raised OverflowError (inf);
     # a str key took the str of any JSON value (out true wrote a file named
-    # True), and a list key given a string split it into characters
+    # True), a list key given a string split it into characters, and a
+    # number key parsed a JSON string ("0.5" ran as 0.5)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     assert main([command, "--config", str(cfg), "--outdir", str(tmp_path / "out")]) == EXIT_SCHEMA
@@ -421,6 +426,36 @@ def test_derivprofile_command(tmp_path):
     assert abs(payload["result"]["fitted_exponent"] + 1.0) < 0.1
     csv = (tmp_path / "derivprofile.csv").read_text()
     assert csv.splitlines()[0] == "eta,avg_derivative,avg_distance"
+
+
+def test_derivprofile_evaluates_each_attempt_round_in_two_calls(tmp_path, monkeypatch):
+    # the 13 etas made 26 calls one at a time, a batch of rows and one of
+    # stencils per eta; every arc holds at the first attempt, so the rows of
+    # all of them go in one call and their stencils in another, 26 and 64
+    # rows per eta as before
+    calls = []
+
+    def counting_slice_map(*args):
+        fn = slice_map(*args)
+
+        def counted(us):
+            calls.append(len(us))
+            return fn(us)
+
+        return counted
+
+    monkeypatch.setattr(singlab.cli, "slice_map", counting_slice_map)
+    assert run(["derivprofile", "--map", "pc", "--eta-count", "13"], tmp_path) == EXIT_OK
+    assert calls == [13 * 26, 13 * 64]
+
+
+def test_config_numbers_from_flags_are_strings():
+    # flags arrive as strings and are parsed; a config file's numbers are
+    # numbers, and a flag overrides a file's value before it is checked
+    resolved = resolve_config("localize", {"samples_per_edge": 8}, {"half_width": "0.5", "eps": "1e-4"})
+    assert (resolved["half_width"], resolved["eps"], resolved["samples_per_edge"]) == (0.5, 1e-4, 8)
+    assert resolve_config("localize", {"half_width": "0.5"}, {"half_width": "0.25"})["half_width"] == 0.25
+    assert resolve_config("oscillate", {}, {"radii": ["0.2", "0.02", "0.002"]})["radii"] == [0.2, 0.02, 0.002]
 
 
 def test_tradeoff_command(tmp_path):

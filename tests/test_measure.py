@@ -210,10 +210,14 @@ def test_sparse_box_counts_equal_dense_filled_box(domain, corners):
        ratio=st.floats(1.2, 4.0), bits=st.lists(st.booleans(), min_size=125, max_size=125))
 @example(spans=[2.5, 3.0], coarse=0.1, ratio=2.0, bits=[False] * 125)
 @example(spans=[5.0, 5.0, 5.0], coarse=0.3, ratio=4.0, bits=[True] * 125)
+@example(spans=[4.5], coarse=0.2, ratio=3.0, bits=[True, False, False, True] + [False] * 121)
+@example(spans=[0.5], coarse=0.2, ratio=1.5, bits=[False] * 125)
 def test_overlapping_cells_match_brute_force(spans, coarse, ratio, bits):
     # fine cell j is kept when some occupied coarse cell k has
     # floor(k coarse / delta) - 1 <= j <= floor((k + 1) coarse / delta) + 1
-    # on every axis; the coarse grid has at most 5 cells per axis
+    # on every axis; the coarse grid has at most 5 cells per axis.  The
+    # cells come as np.argwhere gives them: intp, laid out column by column,
+    # (0, d) when no coarse cell is occupied
     lo = np.zeros(len(spans))
     hi = coarse * np.array(spans)
     delta = coarse / ratio
@@ -226,8 +230,12 @@ def test_overlapping_cells_match_brute_force(spans, coarse, ratio, bits):
     last = np.floor((occupied + 1) * coarse / delta) + 1
     inside = (first[None] <= fine[:, None]) & (fine[:, None] <= last[None])
     want = fine[np.any(np.all(inside, axis=2), axis=1)]
+    assert got.dtype == np.intp
     assert got.shape == want.shape
     assert np.array_equal(got, want)
+    assert got.flags.f_contiguous
+    if not occupied.size:
+        assert got.shape == (0, len(spans))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)

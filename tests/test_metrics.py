@@ -31,16 +31,22 @@ from singlab.geometry import (
     reduce_mod_pi,
     wrap_increments,
 )
+from singlab.cli import _synthetic_batch
 from singlab.measure import aug_mean_singular_set_nonempty
 from singlab.metrics import (
     NON_SEVERE,
     SEVERE,
     UNDECIDED,
+    H_FD_FACTOR,
+    MAX_JITTERS,
+    SEPARATION_TIE,
     CurveHitsSingularityError,
+    DerivativeProfile,
     OscillationProfile,
     UnsupportedMapError,
     _kkt_polish,
     _project_to_zero_resultant,
+    _value_distances,
     average_derivative_along_curve,
     average_distance_to_point,
     classify_severity,
@@ -496,6 +502,19 @@ def test_blowup_arcs_do_not_depend_on_the_last_bit():
     assert abs(numpy.fitted_exponent + 1.0) <= 1e-9
 
 
+@pytest.mark.parametrize("etas, message", [
+    ((0.1, 0.1), "strictly decreasing"),
+    ((0.1, 0.0), "finite and positive"),
+    ((0.1, -0.1), "finite and positive"),
+    ((math.inf, 0.1), "finite and positive"),
+])
+def test_blowup_refuses_etas_out_of_order_or_not_positive(etas, message):
+    # eta 0 put every row on the singular point and flagged the entry; a
+    # negative eta reached the stencil and failed there, on h_fd
+    with pytest.raises(ContractViolation, match=message):
+        derivative_blowup_profile(half_angle_batch, (0, 0), etas, seed=3)
+
+
 def test_profilers_refuse_pointwise_callable():
     # a callable mapping one point to an EvalOutcome is not a map: the
     # profilers say which return type they expect
@@ -516,6 +535,122 @@ def test_blowup_distance_bracket():
                 continue
             assert profile.constant_c * eta <= r + 1e-12
             assert r <= eta + 1e-12
+
+
+def _reference_profile(outcome_fn, singular_point, etas, seed):
+    """The eta-major loop: every attempt of one eta before the next eta,
+    each attempt's rows in one call and its arc's stencils in another.
+    Returns the profile and the attempts each eta took (MAX_JITTERS when it
+    was flagged)."""
+    x0 = np.asarray(singular_point, dtype=float)
+    etas = tuple(float(e) for e in etas)
+    rng = np.random.default_rng(seed)
+    phi1 = rng.uniform(0.0, 2 * math.pi)
+    phi3 = phi1 + rng.uniform(0.5, 1.2)
+    candidate_phis = phi1 + np.linspace(0.3, 2 * math.pi - 0.3, 24)
+    scales = np.concatenate([[0.45], np.full(candidate_phis.size, 0.45), [0.9]])
+    avg_d, avg_r, flagged, attempts = [], [], [], []
+    for eta in etas:
+        for attempt in range(MAX_JITTERS):
+            phis = np.concatenate([[phi1], candidate_phis, [phi3]]) + 0.02 * attempt
+            ys = x0 + (scales * eta)[:, None] * np.stack([np.cos(phis), np.sin(phis)], axis=1)
+            out = outcome_fn(ys)
+            candidates = out.defined[1:-1]
+            if not (out.defined[0] and candidates.any() and out.defined[-1]):
+                continue
+            sep = np.where(candidates, _value_distances(out.value[1:-1], out.value[0], out.period), -np.inf)
+            farthest = int(np.argmax(sep >= sep.max() - SEPARATION_TIE))
+            curve = [ys[0], ys[1 + farthest], ys[-1]]
+            try:
+                d = average_derivative_along_curve(outcome_fn, curve, h_fd=H_FD_FACTOR * eta)
+            except CurveHitsSingularityError:
+                continue
+            avg_d.append(d)
+            avg_r.append(average_distance_to_point(curve, x0))
+            flagged.append(False)
+            attempts.append(attempt + 1)
+            break
+        else:
+            avg_d.append(math.nan)
+            avg_r.append(math.nan)
+            flagged.append(True)
+            attempts.append(MAX_JITTERS)
+    good = [i for i, f in enumerate(flagged) if not f]
+    logs = np.log([etas[i] for i in good])
+    if len(set(logs.tolist())) >= 2:
+        exponent = float(np.polyfit(logs, np.log([avg_d[i] for i in good]), 1)[0])
+        c = float(min(avg_r[i] / etas[i] for i in good))
+    else:
+        exponent = c = math.nan
+    profile = DerivativeProfile(etas=etas, avg_derivative=tuple(avg_d), avg_distance=tuple(avg_r),
+                                fitted_exponent=exponent, constant_c=c, flagged=tuple(flagged))
+    return profile, attempts
+
+
+_PROFILE_MAPS = {
+    "pc": pc_on_slice,
+    "lad": slice_map(SPEC, LAD),
+    "ls": slice_map(SPEC, LS),
+    "synthetic": _synthetic_batch,
+}
+
+
+@pytest.mark.parametrize("name", list(_PROFILE_MAPS))
+def test_blowup_profile_matches_eta_major_reference(name):
+    # the rounds batch the rows of many etas; each eta keeps its attempts
+    # and its bits, NaNs included
+    fn = _PROFILE_MAPS[name]
+    for center in ((0.0, 0.0), (0.3, -0.2), (-0.55, 0.4), (1.2, 0.1)):
+        for seed in (0, 3, 11):
+            for etas in (np.geomspace(0.1, 0.001, 13), np.geomspace(0.6, 1e-4, 5), (0.02, 0.019)):
+                want, _ = _reference_profile(fn, center, etas, seed)
+                assert repr(derivative_blowup_profile(fn, center, etas, seed=seed)) == repr(want)
+
+
+def _stencil_point_of_first_attempt(fn, eta, seed):
+    """A stencil point of the first attempt's arc of one eta, near y3."""
+    batches = []
+
+    def recording(us):
+        batches.append(us.copy())
+        return fn(us)
+
+    _reference_profile(recording, (0.0, 0.0), (eta,), seed)
+    k = len(batches[1]) // 4  # nodes; the last node's first + stencil point
+    return batches[1][2 * k - 2]
+
+
+def test_blowup_profile_retries_and_flags_like_the_reference():
+    # Undefined rows force later attempts: on etas[2] y1's first position is
+    # Undefined, on etas[5] one point of the first arc's stencil, and etas[8]
+    # has y3 Undefined at every attempt, so it is flagged
+    etas = np.geomspace(0.1, 0.001, 11)
+    seed = 3
+    phi1 = np.random.default_rng(seed).uniform(0.0, 2 * math.pi)
+    y1 = 0.45 * etas[2] * np.array([math.cos(phi1), math.sin(phi1)])
+    p = _stencil_point_of_first_attempt(half_angle_batch, etas[5], seed)
+
+    def holes(us):
+        out = half_angle_batch(us)
+        r = np.linalg.norm(us, axis=1)
+        undefined = ((np.linalg.norm(us - y1, axis=1) < 1e-3 * etas[2])
+                     | (np.linalg.norm(us - p, axis=1) < 0.5 * H_FD_FACTOR * etas[5])
+                     | (np.abs(r - 0.9 * etas[8]) < 1e-9 * etas[8]))
+        return line_batch(out.value, out.gap, ~out.defined | undefined)
+
+    want, attempts = _reference_profile(holes, (0.0, 0.0), etas, seed)
+    assert attempts == [1, 1, 2, 1, 1, 2, 1, 1, MAX_JITTERS, 1, 1]
+    assert want.flagged == tuple(i == 8 for i in range(11))
+    calls = []
+
+    def counted(us):
+        calls.append(len(us))
+        return holes(us)
+
+    assert repr(derivative_blowup_profile(counted, (0.0, 0.0), etas, seed=seed)) == repr(want)
+    # a round evaluates the rows of the etas still open, then the stencils
+    # of the arcs it built, if any: 26 rows per eta and 64 per arc
+    assert calls == [11 * 26, 9 * 64, 3 * 26, 2 * 64] + [26] * (MAX_JITTERS - 2)
 
 
 def test_oscillator_arc_average_derivative():
