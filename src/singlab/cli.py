@@ -5,9 +5,8 @@ file plus command-line flags (flags win).  Unknown config keys and NaN or
 infinite floats are rejected, every report echoes the fully resolved
 config, and identical config + seed produce byte-identical output files.
 The ``threads`` key of lfplot, tube and cdf is still accepted and validated
-but has no effect: ``evaluate_batch`` runs the row blocks of a large LAD
-batch on up to two of the CPUs the process may use, and no output bit
-depends on their number.
+but has no effect: ``cdf`` runs its Monte-Carlo chunks on up to two of the
+CPUs the process may use, and no output bit depends on their number.
 
 Each runner returns its exit code, its report's result (None for lfplot,
 which writes no report) and the other files it wrote; ``main`` alone writes

@@ -9,10 +9,10 @@ rows, so a kernel or any other map returns its formula's arrays and
 ``reason=np.where(undefined, UndefinedReason.X.value, 0)`` (the member works
 too, but numpy takes a slow path for an int subclass).  Kernels are row-wise,
 each row summed in a fixed order, and only evaluate_batch cuts row blocks, so
-a row's outcome does not depend on its batch, nor on the threads that run
-the blocks of a large LAD batch.  The certifiers and profilers of
-``topology`` and ``metrics`` take a map in this one form: any callable from
-stacked inputs to their BatchOutcome, such as ``slices.slice_map``.
+a row's outcome does not depend on its batch, nor on the thread that runs
+it.  The certifiers and profilers of ``topology`` and ``metrics`` take a map
+in this one form: any callable from stacked inputs to their BatchOutcome,
+such as ``slices.slice_map``.
 ``evaluate`` is the one-row case of evaluate_batch: an :class:`EvalOutcome`
 carrying either a feature or a reason it is undefined, plus a nonnegative
 ``gap`` that vanishes exactly on the map's (surrogate) singular surface.  ``evaluate_with_standard``
@@ -25,12 +25,9 @@ batches; only the augmented mean's standard, on circle datasets, is scalar.
 
 from __future__ import annotations
 
-import ctypes
 import enum
 import functools
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -702,124 +699,20 @@ _KERNELS = {
     MapKind.RADIAL_OSCILLATOR: (eval_radial_oscillator, ScalarValue, lambda n: n),
 }
 
-# The kinds whose row blocks run at the same time.  A LAD row costs O(n^3),
-# every pair line against every point, in calls on whole (P, b) arrays; the
-# other kernels' rows cost O(n), mostly in calls on (b,) columns too short
-# to hide a hand-off of the interpreter lock.  On a 2-vCPU VM, two threads
-# ran LS, PC and the oscillator 10-16% slower and the disk and augmented
-# mean no faster, while LAD at n = 4 to 12 ran 1.1-1.5x faster.
-_PARALLEL = frozenset({MapKind.LAD_LINE})
-
 # Bytes of the widest array of a row block, for LAD the (P, b) arrays of P =
 # n(n-1)/2 pair lines by b rows: about ten such arrays stay in a core's L2
 # cache, and small-n batches of a few thousand rows run in one pass.  At 10^5
 # rows and n = 12, budgets of 128 to 256 KB ran the LAD kernel in 0.33-0.40 s
-# against 0.53 s at 512 KB and 0.70 s at 32 KB (on a 2-vCPU Xeon VM).  Blocks
-# that run at the same time share 3/2 of the budget, so two workers take 3/4
-# each: half-size blocks lose most of the second core to GIL hand-offs.
-_BLOCK_BYTES = 1 << 18
+# against 0.53 s at 512 KB and 0.70 s at 32 KB (on a 2-vCPU Xeon VM); with a
+# Monte-Carlo chunk on each of two CPUs (``measure._run_chunks``), 256 KB
+# blocks ran the montecarlo op list no faster than 192 KB and peaked 0.6 MB
+# higher.
+_BLOCK_BYTES = 192 << 10
 
 
-def _block_rows(kind: MapKind, shape, workers: int = 1) -> int:
-    """Rows per block of one of ``workers`` concurrent workers: the kernel's
-    widest array fits _BLOCK_BYTES alone, or their 3/2 share, or 1 row."""
-    budget = min(_BLOCK_BYTES, 3 * _BLOCK_BYTES // (2 * workers))
-    return max(1, budget // (8 * max(1, _KERNELS[kind][2](shape[1]))))
-
-
-# At most this many threads run the blocks of one batch: the one count whose
-# speed and memory were measured (on a 2-vCPU VM).  More workers would cut
-# the blocks smaller than the budget's sweet spot and contend for the
-# interpreter lock; lift the cap only with measurements on more CPUs.
-_MAX_WORKERS = 2
-
-
-def _worker_count() -> int:
-    """Threads that run the blocks of a batch: one per CPU the process may
-    use, at most _MAX_WORKERS."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        cpus = os.cpu_count() or 1
-    return min(_MAX_WORKERS, cpus)
-
-
-@functools.cache
-def _sched_getcpu():
-    """libc's sched_getcpu, the CPU the calling thread runs on, or a
-    stand-in returning -1 where the C library has none."""
-    try:
-        return ctypes.CDLL(None).sched_getcpu
-    except (AttributeError, OSError, TypeError):
-        return lambda: -1
-
-
-def _bind_off(cpu: int) -> None:
-    """Bind the calling thread to the CPUs the process may use other than
-    ``cpu``, if there are any.  It is a placement hint, so a platform
-    without affinity, or a CPU gone offline, leaves the thread where it is."""
-    try:
-        others = os.sched_getaffinity(0) - {cpu}
-        if others:
-            os.sched_setaffinity(0, others)
-    except (AttributeError, OSError):
-        pass
-
-
-def _run_blocks(kernel, spec: DataMapSpec, inputs: np.ndarray, rows: int, workers: int):
-    """The kernel's (value, gap, reason) on inputs cut into blocks of rows,
-    run by the calling thread and up to ``workers - 1`` helper threads,
-    each taking the next block in turn and writing its rows' slice of the
-    outputs.  A block's exception is raised once every worker has stopped,
-    the calling thread's first; when the calling thread stops early, as on
-    an interrupt, the helpers stop after their current block.  The helpers
-    start with the call: a thread starts in about 70 us, while a pool would
-    import concurrent.futures, about 9 ms, on first use.
-
-    On a 2-vCPU VM, Linux often started a helper on the calling thread's
-    CPU and left both there, taking turns, for the first second of a
-    process, so each helper binds itself off the calling thread's CPU; the
-    calling thread stays free to move."""
-    m = len(inputs)
-    value, gap, reason = np.empty(m), np.empty(m), np.empty(m, dtype=np.int8)
-    blocks = range(0, m, rows)
-    starts = iter(blocks)
-    lock = threading.Lock()
-    errors = []
-    here = _sched_getcpu()()
-
-    def take():
-        with lock:
-            return next(starts, None)
-
-    def work():
-        # numpy's error state is per thread, so every worker sets its own
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for start in iter(take, None):
-                block = slice(start, start + rows)
-                value[block], gap[block], reason[block] = kernel(inputs[block], spec)
-
-    def helper():
-        try:
-            _bind_off(here)
-            work()
-        except BaseException as error:
-            errors.append(error)
-
-    helpers = [threading.Thread(target=helper) for _ in range(min(workers, len(blocks)) - 1)]
-    for thread in helpers:
-        thread.start()
-    try:
-        work()
-    finally:
-        with lock:
-            for _ in starts:
-                pass
-        for thread in helpers:
-            thread.join()
-    if errors:
-        raise errors[0]
-    return value, gap, reason
+def _block_rows(kind: MapKind, shape) -> int:
+    """Rows per block: the kernel's widest array fits _BLOCK_BYTES, or 1 row."""
+    return max(1, _BLOCK_BYTES // (8 * max(1, _KERNELS[kind][2](shape[1]))))
 
 
 def evaluate_batch(spec: DataMapSpec, inputs) -> BatchOutcome:
@@ -829,24 +722,26 @@ def evaluate_batch(spec: DataMapSpec, inputs) -> BatchOutcome:
     as angles (m, n), DISK_DECISION points (m, 2) and RADIAL_OSCILLATOR
     vectors (m, d), all finite.  The kernel, row-wise, runs once on a batch
     that fits one block of ``_block_rows`` rows or has fewer than two axes
-    (which it refuses); a larger batch is cut into blocks, which for the
-    ``_PARALLEL`` kinds run at the same time on up to ``_MAX_WORKERS`` of
-    the CPUs the process may use (``_run_blocks``).  Each block writes its
-    own rows, so no bit depends on the number of CPUs.  The kernel's arrays
-    become the BatchOutcome, which masks the Undefined rows.
+    (which it refuses); a larger batch is cut into blocks, which run one
+    after another on the calling thread, each writing its own rows.  It
+    starts no thread: the Monte-Carlo CDF runs its chunks, each one batch,
+    on two CPUs (``measure._run_chunks``).  The kernel's arrays become the
+    BatchOutcome, which masks the Undefined rows.
     """
     kernel, feature, _ = _KERNELS[spec.kind]
     inputs = np.asarray(inputs, dtype=float)
     # min and max carry any NaN or inf, and build no input-sized mask
     if inputs.size and not np.isfinite([inputs.min(), inputs.max()]).all():
         raise ContractViolation("map inputs must be finite")
-    if inputs.ndim < 2 or len(inputs) <= _block_rows(spec.kind, inputs.shape):
-        with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if inputs.ndim < 2 or len(inputs) <= (rows := _block_rows(spec.kind, inputs.shape)):
             value, gap, reason = kernel(inputs, spec)
-    else:
-        workers = _worker_count() if spec.kind in _PARALLEL else 1
-        rows = _block_rows(spec.kind, inputs.shape, workers)
-        value, gap, reason = _run_blocks(kernel, spec, inputs, rows, workers)
+        else:
+            m = len(inputs)
+            value, gap, reason = np.empty(m), np.empty(m), np.empty(m, dtype=np.int8)
+            for start in range(0, m, rows):
+                block = slice(start, start + rows)
+                value[block], gap[block], reason[block] = kernel(inputs[block], spec)
     return BatchOutcome(value=value, gap=gap, reason=reason, feature=feature)
 
 

@@ -10,13 +10,19 @@ coordinate torus slices.
 
 Tube and CDF draws come in chunks of 2^14 rows, each from its own generator
 seeded by (seed, first row of the chunk) and reduced before the next is
-drawn into the same buffer, so no estimator holds the whole draw; the
+drawn into the same buffer, so no estimator holds the whole draw.  Tube
+chunks run one after another; CDF chunks run on the calling thread and up to
+one helper thread (``_run_chunks``), each worker with its own buffer.  The
 tradeoff's one (n, m) draw comes from ``default_rng(seed)``.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -284,22 +290,143 @@ class TubeReport:
     seed: int
 
 
+# Rows per Monte-Carlo chunk, each drawn from its own generator.
+_CHUNK = 1 << 14
+
+
 def _chunked_draw(total: int, shape: tuple, seed: int, draw):
     """``total`` rows of the given shape, yielded in chunks of 2^14 rows,
-    each from its own derived seed.
+    each from its own derived seed, one after another on the calling thread.
 
     ``draw(rng, out)`` fills one chunk of rows in place, through the
     generator's ``out=`` argument; the chunk starting at row k uses
     ``default_rng((seed, k))``.  Every chunk is a view of one reused
     (min(total, 2^14), *shape) buffer, so a chunk is valid only until the
-    next one is drawn: copy or reduce it before then.
+    next one is drawn: copy or reduce it before then.  ``_drawn_distances``
+    draws the same chunks on two CPUs.
     """
-    chunk = 1 << 14
-    buf = np.empty((min(total, chunk), *shape))
-    for start in range(0, total, chunk):
+    buf = np.empty((min(total, _CHUNK), *shape))
+    for start in range(0, total, _CHUNK):
         out = buf[:total - start]
         draw(np.random.default_rng((seed, start)), out)
         yield out
+
+
+# At most this many threads run the chunks of one CDF: the one count whose
+# speed and memory were measured (on a 2-vCPU VM).  More workers would each
+# hold a chunk buffer and contend for the interpreter lock; lift the cap
+# only with measurements on more CPUs.
+_MAX_WORKERS = 2
+
+
+def _worker_count() -> int:
+    """Threads that run the chunks of a CDF: one per CPU the process may
+    use, at most _MAX_WORKERS."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        cpus = os.cpu_count() or 1
+    return min(_MAX_WORKERS, cpus)
+
+
+@functools.cache
+def _sched_getcpu():
+    """libc's sched_getcpu, the CPU the calling thread runs on, or a
+    stand-in returning -1 where the C library has none."""
+    try:
+        return ctypes.CDLL(None).sched_getcpu
+    except (AttributeError, OSError, TypeError):
+        return lambda: -1
+
+
+def _bind_off(cpu: int) -> None:
+    """Bind the calling thread to the CPUs the process may use other than
+    ``cpu``, if there are any.  It is a placement hint, so a platform
+    without affinity, or a CPU gone offline, leaves the thread where it is."""
+    try:
+        others = os.sched_getaffinity(0) - {cpu}
+        if others:
+            os.sched_setaffinity(0, others)
+    except (AttributeError, OSError):
+        pass
+
+
+def _run_chunks(starts, buffers, run) -> None:
+    """``run(start, buffer)`` for every chunk start, run by the calling
+    thread with ``buffers[0]`` and by one helper thread per further buffer,
+    each worker taking the next start in turn and passing its own buffer.
+    A chunk's exception is raised once every worker has stopped, the calling
+    thread's first; when the calling thread stops early, as on an interrupt,
+    the helpers stop after their current chunk.  The caller allocates the
+    buffers, so they come from its heap, not from a helper's arena.  The
+    helpers start with the call: a thread starts in about 70 us, while a
+    pool would import concurrent.futures, about 9 ms, on first use.
+
+    On a 2-vCPU VM, Linux often started a helper on the calling thread's
+    CPU and left both there, taking turns, for the first second of a
+    process, so each helper binds itself off the calling thread's CPU; the
+    calling thread stays free to move."""
+    starts = iter(starts)
+    lock = threading.Lock()
+    errors = []
+    here = _sched_getcpu()()
+
+    def take():
+        with lock:
+            return next(starts, None)
+
+    def work(buffer):
+        for start in iter(take, None):
+            run(start, buffer)
+
+    def helper(buffer):
+        try:
+            _bind_off(here)
+            work(buffer)
+        except BaseException as error:
+            errors.append(error)
+
+    helpers = [threading.Thread(target=helper, args=(buffer,)) for buffer in buffers[1:]]
+    for thread in helpers:
+        thread.start()
+    try:
+        work(buffers[0])
+    finally:
+        with lock:
+            for _ in starts:
+                pass
+        for thread in helpers:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
+def _drawn_distances(total: int, shape: tuple, seed: int, draw, distance) -> np.ndarray:
+    """``distance(chunk)`` of the chunks ``_chunked_draw`` draws, as one
+    (total,) array.
+
+    The chunks run on up to ``_worker_count()`` threads (``_run_chunks``),
+    each worker drawing into its own (min(total, 2^14), *shape) buffer and
+    writing its chunk's distances into their rows.  A chunk's stream and
+    rows do not depend on the worker that takes it, so neither does any bit.
+    Memory is 8 bytes a row plus, per worker, one chunk buffer and the
+    distance's working set.  The buffers are one array: glibc trims a freed
+    heap top larger than twice its largest freed mmap, so two separate
+    buffers were trimmed after every CDF and faulted back in by the next
+    one (the montecarlo op list took 23.5k minor faults that way, 9.8k with
+    one array and 20.1k with the one buffer of a serial draw).
+    """
+    starts = range(0, total, _CHUNK)
+    dists = np.empty(total)
+    buffers = np.empty((min(_worker_count(), len(starts)), min(total, _CHUNK), *shape))
+
+    def run(start, buffer):
+        out = buffer[:total - start]
+        draw(np.random.default_rng((seed, start)), out)
+        dists[start:start + len(out)] = distance(out)
+
+    _run_chunks(starts, buffers, run)
+    return dists
 
 
 def tube_volume(
@@ -468,8 +595,10 @@ def distance_cdf(
     draws iid uniform circle points.  The exponent is the least-squares
     slope of log F-hat against log t between the window quantiles; fewer
     than two positive distances there cannot be fitted.  The distances are
-    taken one drawn chunk at a time into one sorted array, so memory is
-    8 bytes times n_samples plus O(chunk).
+    taken one drawn chunk at a time, on up to two CPUs, into one sorted
+    array (``_drawn_distances``), so memory is 8 bytes times n_samples plus
+    one chunk and its kernel blocks per worker.  The bits do not depend on
+    the number of CPUs.
     """
     if n_samples < 10_000:
         raise ContractViolation("n_samples must be at least 10^4")
@@ -478,17 +607,13 @@ def distance_cdf(
         raise ContractViolation("quantile window must satisfy 0 < q_lo < q_hi <= 0.1")
     kind = spec.kind
     if kind is MapKind.AUG_MEAN:
-        chunks = _chunked_draw(n_samples, (n_points,), seed,
-                               lambda rng, out: np.multiply(rng.random(out=out), 2.0 * math.pi, out=out))
+        shape, draw = (n_points,), lambda rng, out: np.multiply(rng.random(out=out), 2.0 * math.pi, out=out)
     elif kind in (MapKind.LS_LINE, MapKind.PC_LINE, MapKind.LAD_LINE):
-        chunks = _chunked_draw(n_samples, (n_points, 2), seed, lambda rng, out: rng.standard_normal(out=out))
+        shape, draw = (n_points, 2), lambda rng, out: rng.standard_normal(out=out)
     else:
         raise ContractViolation(f"no CDF sampler for map kind {kind}")
     distance, tag = SINGULAR_DISTANCE[kind]
-    dists, start = np.empty(n_samples), 0
-    for batch in chunks:
-        dists[start:start + len(batch)] = distance(batch, spec)
-        start += len(batch)
+    dists = _drawn_distances(n_samples, shape, seed, draw, lambda batch: distance(batch, spec))
     dists.sort()
     i_lo = max(int(n_samples * q_lo), 1)
     i_hi = max(int(n_samples * q_hi), i_lo + 2)

@@ -1,5 +1,6 @@
 """Batch kernels, array diameters and level-by-level winding against their
-scalar references."""
+scalar references, and the chunk runner that spreads the kernel calls of a
+Monte-Carlo CDF over two CPUs."""
 
 import itertools
 import math
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singlab import datamaps
+from singlab import datamaps, measure
 from singlab.datamaps import (
     PERFECT_FIT_TOL,
     TIE_TOL,
@@ -46,6 +47,7 @@ from singlab.geometry import (
     feature_distance,
     reduce_mod_pi,
 )
+from singlab.measure import distance_cdf
 from singlab.metrics import SINGULAR_DISTANCE, batch_diameter
 from singlab.slices import SliceSpec, slice_map
 from singlab.topology import (
@@ -397,9 +399,9 @@ def test_lad_kernel_keeps_no_whole_batch_buffer():
 
 
 def blocked_batches():
-    """(spec, inputs) of every map kind, each spanning three serial row
-    blocks and a ragged tail, with Undefined rows (boundary points, for the
-    disk decision) every few rows."""
+    """(spec, inputs) of every map kind, each spanning three row blocks of
+    evaluate_batch and a ragged tail, with Undefined rows (boundary points,
+    for the disk decision) every few rows."""
     rng = np.random.default_rng(11)
     cases = []
     for kind, n in ((MapKind.LS_LINE, 4), (MapKind.PC_LINE, 4), (MapKind.LAD_LINE, 12)):
@@ -423,111 +425,117 @@ def blocked_batches():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("spec, inputs", [pytest.param(*case, id=case[0].kind.value) for case in blocked_batches()])
-def test_batch_bits_do_not_depend_on_the_worker_count(spec, inputs, monkeypatch):
-    # every kernel runs its blocks on 1, 2 and 4 workers here, not only the
-    # _PARALLEL ones; the outcome equals, bit for bit, the kernel's one pass
-    # over the whole batch, and each worker's 0 / 0 stays silent under the
-    # RuntimeWarning-as-error filter
-    monkeypatch.setattr(datamaps, "_PARALLEL", frozenset(MapKind))
-    with monkeypatch.context() as patch:
+def test_batch_bits_do_not_depend_on_the_worker_count(spec, inputs):
+    # the chunk runner evaluates chunks of the batch, each two blocks and a
+    # few rows, on 1, 2 and 4 workers, and evaluate_batch cuts each chunk
+    # into blocks on its worker's thread; the outcome equals, bit for bit,
+    # the kernel's one pass over the whole batch, and each worker's 0 / 0
+    # stays silent under the RuntimeWarning-as-error filter
+    with pytest.MonkeyPatch.context() as patch:
         patch.setattr(datamaps, "_BLOCK_BYTES", 1 << 40)
         whole = evaluate_batch(spec, inputs)
+    rows = datamaps._block_rows(spec.kind, inputs.shape)
     if spec.kind is not MapKind.DISK_DECISION:
-        rows = datamaps._block_rows(spec.kind, inputs.shape, 4)
         assert all(np.any(whole.reason[start:start + rows]) for start in range(0, len(inputs), rows))
+    chunk = 2 * rows + 5
     for workers in (1, 2, 4):
-        monkeypatch.setattr(datamaps, "_worker_count", lambda: workers)
-        assert len(inputs) > datamaps._block_rows(spec.kind, inputs.shape, workers)
-        assert_outcomes_bit_equal(evaluate_batch(spec, inputs), whole)
+        parts = {}
+
+        def run(start, buffer):
+            parts[start] = evaluate_batch(spec, inputs[start:start + chunk])
+
+        measure._run_chunks(range(0, len(inputs), chunk), [None] * workers, run)
+        assert_outcomes_bit_equal(concat_outcomes([parts[start] for start in sorted(parts)]), whole)
 
 
-def _failing_in(kernel, marker):
-    """The kernel, raising ContractViolation on a block holding the marker."""
-    def fail(inputs, spec):
-        if np.any(inputs == marker):
-            raise ContractViolation("a block holds the marker")
-        return kernel(inputs, spec)
+CHUNK_SEED = 23
+
+
+def chunk_first_row(start, shape):
+    """The first standard-normal row of the CDF chunk starting at row start."""
+    return np.random.default_rng((CHUNK_SEED, start)).standard_normal((1, *shape))[0]
+
+
+def _failing_on(distance, start, shape, error):
+    """The distance, raising error on the CDF chunk starting at row start."""
+    first = chunk_first_row(start, shape)
+
+    def fail(batch, spec):
+        if np.array_equal(batch[0], first):
+            raise error
+        return distance(batch, spec)
 
     return fail
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
-def test_a_block_error_propagates_with_its_type(workers, monkeypatch):
-    # whichever block raises, and on whichever worker, evaluate_batch raises
-    # that error, and the next batch runs as usual
-    monkeypatch.setattr(datamaps, "_worker_count", lambda: workers)
-    monkeypatch.setattr(datamaps, "_PARALLEL", frozenset(MapKind))
-    spec = DataMapSpec(kind=MapKind.RADIAL_OSCILLATOR)
-    kernel, feature, width = datamaps._KERNELS[spec.kind]
-    x = np.full((5 * datamaps._block_rows(spec.kind, (1, 3)) + 37, 3), 0.25)
-    want = evaluate_batch(spec, x)
-    for row in (0, len(x) // 2, len(x) - 1):
-        outside = x.copy()
-        outside[row] = 1.0  # outside the unit ball
-        with pytest.raises(ContractViolation) as raised:
-            evaluate_batch(spec, outside)
-        assert raised.type is DomainError
-        marked = x.copy()
-        marked[row, 0] = 0.125
-        with monkeypatch.context() as patch:
-            patch.setitem(datamaps._KERNELS, spec.kind, (_failing_in(kernel, 0.125), feature, width))
-            with pytest.raises(ContractViolation) as raised:
-                evaluate_batch(spec, marked)
-        assert raised.type is ContractViolation
-        assert_outcomes_bit_equal(evaluate_batch(spec, x), want)
+def test_a_chunk_error_propagates_with_its_type(workers, monkeypatch):
+    # whichever chunk raises, the first, one in the middle or the ragged
+    # last, and on whichever worker, distance_cdf raises that error with its
+    # type, and the next CDF runs as usual
+    monkeypatch.setattr(measure, "_worker_count", lambda: workers)
+    spec, total = DataMapSpec(kind=MapKind.LS_LINE), 5 * (1 << 14) + 37
+    distance, tag = SINGULAR_DISTANCE[spec.kind]
+    want = distance_cdf(spec, 4, total, CHUNK_SEED)
+    for start in (0, 2 << 14, 5 << 14):
+        for error in (DomainError("outside the domain"), ContractViolation("a chunk holds the marker")):
+            with monkeypatch.context() as patch:
+                patch.setitem(SINGULAR_DISTANCE, spec.kind, (_failing_on(distance, start, (4, 2), error), tag))
+                with pytest.raises(ContractViolation) as raised:
+                    distance_cdf(spec, 4, total, CHUNK_SEED)
+            assert raised.value is error
+        assert_bits_equal(distance_cdf(spec, 4, total, CHUNK_SEED).sorted_distances, want.sorted_distances, "distances")
 
 
 def test_a_helper_error_reaches_the_caller(monkeypatch):
-    # the calling thread holds its first block until a helper has raised on
+    # the calling thread holds its first chunk until a helper has raised on
     # another, so the error can only come back from the helper
-    monkeypatch.setattr(datamaps, "_worker_count", lambda: 2)
-    monkeypatch.setattr(datamaps, "_PARALLEL", frozenset(MapKind))
-    spec = DataMapSpec(kind=MapKind.RADIAL_OSCILLATOR)
-    kernel, feature, width = datamaps._KERNELS[spec.kind]
+    monkeypatch.setattr(measure, "_worker_count", lambda: 2)
+    spec = DataMapSpec(kind=MapKind.LS_LINE)
+    distance, tag = SINGULAR_DISTANCE[spec.kind]
     caller, raised_on_helper = threading.get_ident(), threading.Event()
 
-    def fail_on_helpers(inputs, spec):
+    def fail_on_helpers(batch, spec):
         if threading.get_ident() == caller:
             assert raised_on_helper.wait(30)
-            return kernel(inputs, spec)
+            return distance(batch, spec)
         raised_on_helper.set()
         raise ContractViolation("raised on a helper")
 
-    monkeypatch.setitem(datamaps._KERNELS, spec.kind, (fail_on_helpers, feature, width))
+    monkeypatch.setitem(SINGULAR_DISTANCE, spec.kind, (fail_on_helpers, tag))
     with pytest.raises(ContractViolation, match="raised on a helper"):
-        evaluate_batch(spec, np.full((3 * datamaps._block_rows(spec.kind, (1, 3)), 3), 0.25))
+        distance_cdf(spec, 4, 3 * (1 << 14) + 5, CHUNK_SEED)
 
 
 def test_helpers_stop_when_the_caller_fails(monkeypatch):
-    # the calling thread raises on its first block; a helper finishes the
-    # block it holds and takes no other, so the error is not held back
-    # while the rest of the batch runs
-    monkeypatch.setattr(datamaps, "_worker_count", lambda: 2)
-    spec = DataMapSpec(kind=MapKind.LAD_LINE)
-    kernel, feature, width = datamaps._KERNELS[spec.kind]
-    caller, helper_blocks = threading.get_ident(), []
+    # the calling thread raises on its first chunk; a helper finishes the
+    # chunk it holds and takes no other, so the error is not held back
+    # while the rest of the draw runs
+    monkeypatch.setattr(measure, "_worker_count", lambda: 2)
+    spec = DataMapSpec(kind=MapKind.LS_LINE)
+    distance, tag = SINGULAR_DISTANCE[spec.kind]
+    caller, helper_chunks = threading.get_ident(), []
 
-    def fail_on_caller(inputs, spec):
+    def fail_on_caller(batch, spec):
         if threading.get_ident() == caller:
             raise ContractViolation("raised on the calling thread")
-        helper_blocks.append(len(inputs))
+        helper_chunks.append(len(batch))
         time.sleep(0.05)
-        return kernel(inputs, spec)
+        return distance(batch, spec)
 
-    monkeypatch.setitem(datamaps._KERNELS, spec.kind, (fail_on_caller, feature, width))
-    points = np.random.default_rng(4).standard_normal((40 * datamaps._block_rows(spec.kind, (1, 4, 2)), 4, 2))
+    monkeypatch.setitem(SINGULAR_DISTANCE, spec.kind, (fail_on_caller, tag))
     with pytest.raises(ContractViolation, match="calling thread"):
-        evaluate_batch(spec, points)
-    assert len(helper_blocks) <= 1
+        distance_cdf(spec, 2, 40 * (1 << 14) + 37, CHUNK_SEED)
+    assert len(helper_chunks) <= 1
 
 
 def test_worker_count_is_capped_at_the_measured_count(monkeypatch):
-    # a host with many CPUs still runs a batch on two threads, the one
-    # count whose speed and memory were measured
-    monkeypatch.setattr(datamaps.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
-    assert datamaps._worker_count() == 2
-    monkeypatch.setattr(datamaps.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert datamaps._worker_count() == 1
+    # a host with many CPUs still runs a CDF on two threads, the one count
+    # whose speed and memory were measured
+    monkeypatch.setattr(measure.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    assert measure._worker_count() == 2
+    monkeypatch.setattr(measure.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert measure._worker_count() == 1
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
@@ -536,22 +544,21 @@ def test_a_helper_runs_off_the_calling_threads_cpu(monkeypatch):
     # the helper binds itself to every CPU but the calling thread's, and
     # the calling thread's own mask is left as it was
     cpus = os.sched_getaffinity(0)
-    assert datamaps._sched_getcpu()() in cpus
+    assert measure._sched_getcpu()() in cpus
     mine = min(cpus)
-    monkeypatch.setattr(datamaps, "_sched_getcpu", lambda: lambda: mine)
-    monkeypatch.setattr(datamaps, "_worker_count", lambda: 2)
-    spec = DataMapSpec(kind=MapKind.LAD_LINE)
-    kernel, feature, width = datamaps._KERNELS[spec.kind]
+    monkeypatch.setattr(measure, "_sched_getcpu", lambda: lambda: mine)
+    monkeypatch.setattr(measure, "_worker_count", lambda: 2)
+    spec = DataMapSpec(kind=MapKind.LS_LINE)
+    distance, tag = SINGULAR_DISTANCE[spec.kind]
     caller, masks = threading.get_ident(), []
 
-    def recording(inputs, spec):
+    def recording(batch, spec):
         if threading.get_ident() != caller:
             masks.append(os.sched_getaffinity(0))
-        return kernel(inputs, spec)
+        return distance(batch, spec)
 
-    monkeypatch.setitem(datamaps._KERNELS, spec.kind, (recording, feature, width))
-    points = np.random.default_rng(5).standard_normal((40 * datamaps._block_rows(spec.kind, (1, 4, 2)), 4, 2))
-    evaluate_batch(spec, points)
+    monkeypatch.setitem(SINGULAR_DISTANCE, spec.kind, (recording, tag))
+    distance_cdf(spec, 4, 40 * (1 << 14), CHUNK_SEED)
     assert masks and all(mask == cpus - {mine} for mask in masks)
     assert os.sched_getaffinity(0) == cpus
 
@@ -562,43 +569,43 @@ def test_a_failed_binding_leaves_the_bits(monkeypatch):
     def refuse(pid, cpus):
         raise OSError("no such CPU")
 
-    monkeypatch.setattr(datamaps.os, "sched_setaffinity", refuse, raising=False)
-    monkeypatch.setattr(datamaps, "_sched_getcpu", lambda: lambda: 0)
-    monkeypatch.setattr(datamaps, "_worker_count", lambda: 2)
-    spec = DataMapSpec(kind=MapKind.LAD_LINE)
-    points = np.random.default_rng(6).standard_normal((3 * datamaps._block_rows(spec.kind, (1, 4, 2)) + 5, 4, 2))
-    with monkeypatch.context() as patch:
-        patch.setattr(datamaps, "_BLOCK_BYTES", 1 << 40)
-        whole = evaluate_batch(spec, points)
-    assert_outcomes_bit_equal(evaluate_batch(spec, points), whole)
+    spec, total = DataMapSpec(kind=MapKind.LAD_LINE), 3 * (1 << 14) + 5
+    monkeypatch.setattr(measure, "_worker_count", lambda: 1)
+    want = distance_cdf(spec, 4, total, CHUNK_SEED)
+    monkeypatch.setattr(measure.os, "sched_setaffinity", refuse, raising=False)
+    monkeypatch.setattr(measure, "_sched_getcpu", lambda: lambda: 0)
+    monkeypatch.setattr(measure, "_worker_count", lambda: 2)
+    assert_bits_equal(distance_cdf(spec, 4, total, CHUNK_SEED).sorted_distances, want.sorted_distances, "distances")
 
 
-def test_every_block_runs_once_under_fast_thread_switches(monkeypatch):
+def test_every_chunk_runs_once_under_fast_thread_switches(monkeypatch):
     # more workers than cores, a thread switch every microsecond and
-    # hundreds of blocks: each block runs exactly once, and the bits are
-    # those of the one-block batch
-    spec = DataMapSpec(kind=MapKind.LAD_LINE)
-    points = np.random.default_rng(2).standard_normal((4000, 4, 2))
-    want = evaluate_batch(spec, points)
-    kernel, feature, _ = datamaps._KERNELS[spec.kind]
-    starts = []
+    # hundreds of chunks of 37 rows: each chunk runs exactly once, and the
+    # distances are those of the same chunks on one worker
+    spec, total = DataMapSpec(kind=MapKind.LAD_LINE), 10_007
+    monkeypatch.setattr(measure, "_CHUNK", 37)
+    monkeypatch.setattr(measure, "_worker_count", lambda: 1)
+    want = distance_cdf(spec, 4, total, CHUNK_SEED)
+    run_chunks, starts = measure._run_chunks, []
 
-    def recording(inputs, spec):
-        starts.append((inputs.ctypes.data - points.ctypes.data) // points.strides[0])
-        return kernel(inputs, spec)
+    def recording(chunk_starts, buffers, run):
+        def record(start, buffer):
+            starts.append(start)
+            run(start, buffer)
 
-    monkeypatch.setitem(datamaps._KERNELS, spec.kind, (recording, feature, lambda n: 1 << 10))
-    monkeypatch.setattr(datamaps, "_worker_count", lambda: 8)
+        run_chunks(chunk_starts, buffers, record)
+
+    monkeypatch.setattr(measure, "_run_chunks", recording)
+    monkeypatch.setattr(measure, "_worker_count", lambda: 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = evaluate_batch(spec, points)
+        got = distance_cdf(spec, 4, total, CHUNK_SEED)
     finally:
         sys.setswitchinterval(interval)
-    rows = datamaps._block_rows(spec.kind, points.shape, 8)
-    assert len(points) // rows > 200
-    assert sorted(starts) == list(range(0, len(points), rows))
-    assert_outcomes_bit_equal(got, want)
+    assert len(starts) > 200
+    assert sorted(starts) == list(range(0, total, 37))
+    assert_bits_equal(got.sorted_distances, want.sorted_distances, "distances")
 
 
 def test_pairwise_sum_matches_numpy_sum():

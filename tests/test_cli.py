@@ -620,13 +620,13 @@ _PINS = {
 }
 
 
-# Binds the interpreter to one CPU, which runs every row block of a batch on
-# the calling thread alone.
+# Binds the interpreter to one CPU, which runs every Monte-Carlo chunk of a
+# CDF on the calling thread alone.
 _ONE_CPU = """\
 import os
 os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-from singlab import datamaps
-assert datamaps._worker_count() == 1
+from singlab import measure
+assert measure._worker_count() == 1
 """
 
 # Each environment runs the whole table in one fresh interpreter: (env vars,

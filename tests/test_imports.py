@@ -43,8 +43,8 @@ def test_module_level_imports_are_stdlib_numpy_or_singlab(name):
 
 
 def test_cli_import_starts_no_thread():
-    # the threads that run a batch's row blocks start with the batch, so
-    # start-up starts none and pays for no thread pool module
+    # the threads that run a CDF's chunks start with the CDF, so start-up
+    # starts none and pays for no thread pool module
     code = "import sys, threading, singlab.cli; print(threading.active_count(), 'concurrent.futures' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [os.path.dirname(SRC), os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)

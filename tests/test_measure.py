@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from singlab import measure
+from singlab import datamaps, measure
 from singlab.datamaps import (
     DataMapSpec,
     MapKind,
@@ -505,8 +505,35 @@ def test_pc_cdf_memory_bound():
 
 def test_cdf_holds_its_distances_and_one_chunk():
     # 3.2 MB of sorted distances plus one drawn chunk and its kernel's
-    # arrays; the whole 4 * 10^5-row draw and its outcome peaked at 49.6 MiB
+    # arrays per worker; the whole 4 * 10^5-row draw and its outcome peaked
+    # at 49.6 MiB
     assert peak_bytes(lambda: distance_cdf(PC, 4, 4 * 10**5, CDF_SEED)) <= 8 * 2**20
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_lad_cdf_holds_its_distances_and_one_chunk_per_worker(workers, monkeypatch):
+    # at n = 12 a chunk buffer takes 3 MiB: the peak is the 0.8 MB of
+    # distances plus, per worker, one chunk buffer and the LAD kernel's
+    # blocks (at most 16 block budgets, as for one batch alone); a second
+    # buffer per worker, or the whole 19.2 MB draw, would exceed it
+    monkeypatch.setattr(measure, "_worker_count", lambda: workers)
+    total, chunk = 10**5, (1 << 14) * 12 * 2 * 8
+    bound = 8 * total + workers * (chunk + 16 * datamaps._BLOCK_BYTES)
+    assert peak_bytes(lambda: distance_cdf(LAD, 12, total, CDF_SEED)) <= bound
+
+
+@pytest.mark.parametrize("spec, n", [(LS, 4), (PC, 4), (LAD, 4), (LAD, 12), (uniform_preset(3), 3)],
+                         ids=["ls", "pc", "lad", "lad-12", "augmean"])
+def test_cdf_bits_do_not_depend_on_the_worker_count(spec, n, monkeypatch):
+    # a sample count off the chunk grid, so the last chunk is ragged: 1, 2
+    # and 4 workers give the same distances and fit, bit for bit
+    reports = []
+    for workers in (1, 2, 4):
+        monkeypatch.setattr(measure, "_worker_count", lambda: workers)
+        reports.append(distance_cdf(spec, n, 3 * (1 << 14) + 5, CDF_SEED))
+    for got in reports[1:]:
+        assert np.array_equal(got.sorted_distances.view(np.int64), reports[0].sorted_distances.view(np.int64))
+        assert got.exponent.hex() == reports[0].exponent.hex()
 
 
 def whole_draw(total, shape, seed, draw):
@@ -519,16 +546,24 @@ def whole_draw(total, shape, seed, draw):
     yield out
 
 
+def whole_distances(total, shape, seed, draw, distance):
+    """The distances of the whole draw, taken in one call."""
+    return distance(next(whole_draw(total, shape, seed, draw)))
+
+
 @pytest.mark.parametrize("total", [16_385, 49_153])
 def test_streamed_estimators_equal_the_whole_draw(total, monkeypatch):
     # sample counts off the chunk grid: the last chunk is one row long, and
-    # the reduced chunks must give the bits of reducing the whole cloud
+    # the reduced chunks must give the bits of reducing the whole cloud;
+    # tubes draw through _chunked_draw and CDFs through _drawn_distances,
+    # each replaced here by the whole array
     fixtures = [point_distance_fn((0.5, 0.5)), segment_distance_fn((0.25, 0.5), (0.75, 0.5)),
                 circle_distance_fn((0.5, 0.5), 0.2)]
     cdfs = [(LS, 4), (PC, 4), (LAD, 4), (uniform_preset(3), 3)]
     streamed = ([tube_volume(fn, (0, 0), (1, 1), DELTAS, total, TUBE_SEED) for fn in fixtures],
                 [distance_cdf(spec, n, total, CDF_SEED) for spec, n in cdfs])
     monkeypatch.setattr(measure, "_chunked_draw", whole_draw)
+    monkeypatch.setattr(measure, "_drawn_distances", whole_distances)
     whole = ([tube_volume(fn, (0, 0), (1, 1), DELTAS, total, TUBE_SEED) for fn in fixtures],
              [distance_cdf(spec, n, total, CDF_SEED) for spec, n in cdfs])
     for got, want in zip(streamed[0], whole[0]):
