@@ -451,14 +451,10 @@ def test_batch_bits_do_not_depend_on_the_worker_count(spec, inputs):
 CHUNK_SEED = 23
 
 
-def chunk_first_row(start, shape):
-    """The first standard-normal row of the CDF chunk starting at row start."""
-    return np.random.default_rng((CHUNK_SEED, start)).standard_normal((1, *shape))[0]
-
-
 def _failing_on(distance, start, shape, error):
-    """The distance, raising error on the CDF chunk starting at row start."""
-    first = chunk_first_row(start, shape)
+    """The distance, raising error on the standard-normal CDF chunk starting
+    at row start, which it knows by its first row."""
+    first = np.random.default_rng((CHUNK_SEED, start)).standard_normal((1, *shape))[0]
 
     def fail(batch, spec):
         if np.array_equal(batch[0], first):
