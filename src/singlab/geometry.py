@@ -4,10 +4,12 @@ Datasets are ordered lists of points: relabeling is never quotiented out, so
 plane datasets embed isometrically into R^{2n} and circle datasets carry the
 L2 product of arc-length metrics.  Features are a small tagged union (line
 direction mod pi, circle point, binary decision, scalar value), each with its
-own metric.  The module also houses two analytic utilities: the average norm
-along a segment, which ``metrics`` leans on, and sorted symmetric eigenvalues,
-which no module of the package calls; it is exported for the appendix's
-eigenvalue-Lipschitz (Weyl) check.
+own metric.  The module also houses three analytic utilities: the average
+norm along a segment, which ``metrics`` leans on; ``loglog_fit``, the one
+slope behind every fitted exponent; and sorted symmetric eigenvalues, which
+no module of the package calls; it is exported for the appendix's
+eigenvalue-Lipschitz (Weyl) check.  The first two call no BLAS or LAPACK,
+so their bits do not depend on the OpenBLAS kernels loaded.
 """
 
 from __future__ import annotations
@@ -243,14 +245,34 @@ def segment_average_norm(x, y) -> float:
     if x.shape != y.shape or x.ndim != 1 or x.size < 1:
         raise ContractViolation("x and y must be equal-length vectors")
     diff = y - x
-    length = float(np.linalg.norm(diff))
+    # math.fsum of elementwise products, not BLAS's norm and dot, which may
+    # fuse a multiply and an add depending on the kernels loaded
+    length = math.sqrt(math.fsum(diff * diff))
     if length == 0.0:
         raise DegenerateSegmentError("segment endpoints coincide")
     u = diff / length
-    b = float(np.dot(x, u))
+    b = math.fsum(x * u)
     perp = x - b * u
-    q = float(np.dot(perp, perp))
+    q = math.fsum(perp * perp)
     return (_norm_antiderivative(b + length, q) - _norm_antiderivative(b, q)) / length
+
+
+def loglog_fit(x, y, weights=None) -> float:
+    """Least-squares slope of y against x, each point weighted (unit weights
+    when none are given); the callers pass logs, so this is a log-log slope.
+
+    Closed form with np.sum: xm = sum(w x) / sum(w), ym likewise, and the
+    slope sum(w (x - xm)(y - ym)) / sum(w (x - xm)^2).  NaN when x holds
+    fewer than two distinct values.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.size < 2 or x.min() == x.max():
+        return math.nan
+    y = np.asarray(y, dtype=float)
+    w = np.ones_like(x) if weights is None else np.asarray(weights, dtype=float)
+    xm = np.sum(w * x) / np.sum(w)
+    ym = np.sum(w * y) / np.sum(w)
+    return float(np.sum(w * (x - xm) * (y - ym)) / np.sum(w * (x - xm) ** 2))
 
 
 def sorted_eigenvalues(m) -> np.ndarray:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from singlab.datamaps import DataMapSpec, MapKind, _axis_sum, _pairwise_sum, _weighted_resultant
-from singlab.geometry import ContractViolation, omega_s
+from singlab.geometry import ContractViolation, loglog_fit, omega_s
 from singlab.metrics import DIST_SURROGATE, SINGULAR_DISTANCE, nearest_zero_resultant
 
 DEFAULT_QUANTILE_WINDOW = (0.002, 0.05)
@@ -231,11 +231,7 @@ def box_count_dimension(
     else:
         counts = _predicate_counts(membership, lo, hi, mesh_sizes)
     degenerate = len(set(counts)) == 1
-    if degenerate:
-        dimension = 0.0
-    else:
-        slope = np.polyfit(np.log(1.0 / np.asarray(mesh_sizes)), np.log(counts), 1)[0]
-        dimension = float(slope)
+    dimension = 0.0 if degenerate else loglog_fit(np.log(1.0 / np.asarray(mesh_sizes)), np.log(counts))
     s = float(round(dimension)) if measure_s is None else float(measure_s)
     return DimensionEstimate(
         mesh_sizes=tuple(mesh_sizes),
@@ -469,14 +465,9 @@ def tube_volume(
         hits_kept.append(hits)
         vols.append(box_vol * frac)
         errs.append(box_vol * math.sqrt(frac * (1.0 - frac) / mc_samples))
-    x = np.log(kept)
-    if len(set(x.tolist())) < 2:  # not np.unique, which imports numpy.ma (~1.6 MB of RSS)
+    slope = loglog_fit(np.log(kept), np.log(vols), weights=hits_kept)
+    if math.isnan(slope):
         raise ContractViolation("fewer than two distinct deltas produced hits")
-    w = np.asarray(hits_kept, dtype=float)
-    y = np.log(vols)
-    xm = np.average(x, weights=w)
-    ym = np.average(y, weights=w)
-    slope = float(np.sum(w * (x - xm) * (y - ym)) / np.sum(w * (x - xm) ** 2))
     return TubeReport(
         deltas=tuple(kept),
         volumes=tuple(vols),
@@ -511,14 +502,15 @@ def segment_distance_fn(a, b):
     """Distances xs (m, d) -> (m,) to the closed segment from a to b.
 
     The projection parameter t adds its d products column by column,
-    bit-equal to np.sum((xs - a) * (b - a), axis=1) / |b - a|^2.  A BLAS
-    product (xs - a) @ (b - a) may fuse a multiply and an add, so it can
-    differ in the last bit; on the CLI's segment, b - a = (0.5, 0), it does not.
+    bit-equal to np.sum((xs - a) * (b - a), axis=1) / |b - a|^2, with
+    |b - a|^2 by math.fsum.  A BLAS product, (xs - a) @ (b - a) or
+    np.dot(b - a, b - a), may fuse a multiply and an add, so it can differ in
+    the last bit; on the CLI's segment, b - a = (0.5, 0), it does not.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     ab = b - a
-    len2 = float(np.dot(ab, ab))
+    len2 = math.fsum(ab * ab)
 
     def fn(xs):
         def product(k, out):
@@ -623,9 +615,7 @@ def distance_cdf(
     mask = t > 0
     if np.count_nonzero(mask) < 2:
         raise ContractViolation("fewer than two positive distances in the quantile window")
-    x = np.log(t[mask])
-    y = np.log(f_hat[mask])
-    slope = float(np.polyfit(x, y, 1)[0])
+    slope = loglog_fit(np.log(t[mask]), np.log(f_hat[mask]))
     # Hill-style tail uncertainty: order statistics are strongly dependent,
     # so an OLS residual stderr would be wildly optimistic here.
     stderr = abs(slope) / math.sqrt(n_samples * q_hi)
@@ -633,7 +623,7 @@ def distance_cdf(
         sorted_distances=dists,
         n_samples=n_samples,
         map_kind=kind.value,
-        exponent=float(slope),
+        exponent=slope,
         stderr=stderr,
         quantile_window=(q_lo, q_hi),
         seed=seed,

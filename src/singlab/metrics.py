@@ -38,7 +38,7 @@ from singlab.datamaps import (
     section,
     section_jacobian,
 )
-from singlab.geometry import ContractViolation, angle_distance, segment_average_norm, wrap_increments
+from singlab.geometry import ContractViolation, angle_distance, loglog_fit, segment_average_norm, wrap_increments
 
 
 def __getattr__(name: str):
@@ -411,7 +411,8 @@ def _segments(curve) -> list[tuple[np.ndarray, np.ndarray, float]]:
     pts = [np.asarray(p, dtype=float) for p in curve]
     if len(pts) < 2:
         raise ContractViolation("curve needs at least 2 vertices")
-    segments = [(a, b, float(np.linalg.norm(b - a))) for a, b in zip(pts, pts[1:])]
+    # math.fsum of squares, not np.linalg.norm, whose 1-D case is a BLAS dot
+    segments = [(a, b, math.sqrt(math.fsum(np.square(b - a)))) for a, b in zip(pts, pts[1:])]
     segments = [(a, b, seg) for a, b, seg in segments if seg != 0.0]
     if not segments:
         raise ContractViolation("curve has zero length")
@@ -564,14 +565,8 @@ def derivative_blowup_profile(
                     flagged[i] = False
         pending = [i for i in pending if flagged[i]]
     good = [i for i, f in enumerate(flagged) if not f]
-    logs = np.log([etas[i] for i in good])
-    if len(set(logs.tolist())) >= 2:  # not np.unique, which imports numpy.ma (~1.6 MB of RSS)
-        logd = np.log([avg_d[i] for i in good])
-        exponent = float(np.polyfit(logs, logd, 1)[0])
-        c = float(min(avg_r[i] / etas[i] for i in good))
-    else:
-        exponent = math.nan
-        c = math.nan
+    exponent = loglog_fit(np.log([etas[i] for i in good]), np.log([avg_d[i] for i in good]))
+    c = math.nan if math.isnan(exponent) else float(min(avg_r[i] / etas[i] for i in good))
     return DerivativeProfile(
         etas=etas,
         avg_derivative=tuple(avg_d),

@@ -23,12 +23,14 @@ from singlab.geometry import (
     angle_distance,
     dataset_distance,
     feature_distance,
+    loglog_fit,
     omega_s,
     segment_average_norm,
     sorted_eigenvalues,
     wrap_increments,
 )
-from singlab.metrics import oscillator_arc
+from singlab.measure import segment_distance_fn
+from singlab.metrics import _segments, oscillator_arc
 
 # Frozen from a 10^6-step Riemann-sum oracle (test_riemann_oracle cross-checks).
 SEG_AVG_UNIT_DIAGONAL = 0.8116126200701153
@@ -208,6 +210,67 @@ def test_segment_average_norm_lower_bound():
             avg = segment_average_norm(x, y)
             bound = max(np.linalg.norm(x), np.linalg.norm(y)) / 8.0
             assert avg >= bound
+
+
+def test_segment_primitives_call_no_blas(monkeypatch):
+    # a 1-D np.linalg.norm or np.dot is a BLAS call, whose bits depend on the
+    # OpenBLAS kernels loaded; these primitives add their sums in order
+    def refuse(*args, **kwargs):
+        raise AssertionError("BLAS call")
+
+    monkeypatch.setattr(np, "dot", refuse)
+    monkeypatch.setattr(np.linalg, "norm", refuse)
+    assert segment_average_norm((3.0, 0.0), (3.0, 4.0)) > 0.0
+    assert [seg for _, _, seg in _segments([(0.0, 0.0), (3.0, 4.0), (3.0, 4.0), (3.0, 0.0)])] == [5.0, 4.0]
+    assert segment_distance_fn((0.0, 0.0), (2.0, 0.0))(np.array([[1.0, 1.0], [3.0, 0.0]])).tolist() == [1.0, 1.0]
+
+
+def _average_slope(x, y, w):
+    """The weighted slope by np.average, as tube_volume computed it before
+    every fit became loglog_fit."""
+    xm = np.average(x, weights=w)
+    ym = np.average(y, weights=w)
+    return float(np.sum(w * (x - xm) * (y - ym)) / np.sum(w * (x - xm) ** 2))
+
+
+def test_loglog_fit_recovers_a_line_on_dyadic_points():
+    # every sum and quotient is exact on dyadic points, so the slope is too
+    x = np.arange(8) / 4.0
+    y = -1.5 * x + 0.25
+    assert loglog_fit(x, y) == -1.5
+    assert loglog_fit(x, y, weights=[1, 2, 3, 4, 4, 3, 2, 1]) == -1.5
+    assert loglog_fit(x.tolist(), (3.0 * x).tolist()) == 3.0
+
+
+def test_loglog_fit_is_the_average_formula_bit_for_bit():
+    rng = np.random.default_rng(25)
+    for m in (2, 3, 13, 700, 4_800):
+        x = np.log(rng.uniform(1e-4, 1.0, m))
+        y = 2.0 * x + rng.standard_normal(m)
+        hits = rng.integers(1, 10**6, m).astype(float)
+        spread = rng.uniform(0.1, 10.0, m)
+        for w in (hits, spread):
+            assert loglog_fit(x, y, weights=w) == _average_slope(x, y, w)
+        assert loglog_fit(x, y) == loglog_fit(x, y, weights=np.ones(m)) == _average_slope(x, y, np.ones(m))
+
+
+def test_loglog_fit_reads_nan_without_two_distinct_abscissae():
+    assert math.isnan(loglog_fit([], []))
+    assert math.isnan(loglog_fit([0.5], [1.0]))
+    assert math.isnan(loglog_fit([0.1] * 5, [1.0, 2.0, 3.0, 4.0, 5.0]))
+    assert math.isnan(loglog_fit([0.1] * 3, [1.0, 2.0, 3.0], weights=[1.0, 2.0, 3.0]))
+
+
+def test_loglog_fit_loads_no_numpy_ma():
+    # np.unique on floats would load numpy.ma (~1.6 MB of RSS); a first load
+    # at the numpy import itself is not the fit's
+    src = os.path.dirname(os.path.dirname(singlab.__file__))
+    code = ("import sys; from singlab.geometry import loglog_fit; at_import = 'numpy.ma' in sys.modules; "
+            "loglog_fit([1.0, 2.0, 2.0], [0.0, 1.0, 3.0]); loglog_fit([1.0, 2.0], [0.0, 1.0], weights=[2, 3]); "
+            "loglog_fit([1.0, 1.0], [0.0, 1.0]); print(at_import or 'numpy.ma' not in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "True"
 
 
 def test_sorted_eigenvalues_examples():

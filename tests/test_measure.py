@@ -420,12 +420,13 @@ def test_chunked_draw_holds_one_chunk():
 
 def norm_fixtures(d, rng):
     """(name, new fixture, formula of np.linalg.norm) of each tube fixture in
-    dimension d."""
+    dimension d.  The segment's squared length is math.fsum's, not the BLAS
+    np.dot(ab, ab), whose bits depend on the OpenBLAS kernels loaded."""
     p, a, b = rng.random((3, d))
     ab = b - a
 
     def segment(xs):
-        t = np.clip(np.sum((xs - a[None, :]) * ab[None, :], axis=1) / float(np.dot(ab, ab)), 0.0, 1.0)
+        t = np.clip(np.sum((xs - a[None, :]) * ab[None, :], axis=1) / math.fsum(ab * ab), 0.0, 1.0)
         return np.linalg.norm(xs - (a[None, :] + t[:, None] * ab[None, :]), axis=1)
 
     return [

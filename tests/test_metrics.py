@@ -28,6 +28,7 @@ from singlab.geometry import (
     ContractViolation,
     LineDirection,
     PlaneDataset,
+    loglog_fit,
     reduce_mod_pi,
     wrap_increments,
 )
@@ -578,7 +579,7 @@ def _reference_profile(outcome_fn, singular_point, etas, seed):
     good = [i for i, f in enumerate(flagged) if not f]
     logs = np.log([etas[i] for i in good])
     if len(set(logs.tolist())) >= 2:
-        exponent = float(np.polyfit(logs, np.log([avg_d[i] for i in good]), 1)[0])
+        exponent = loglog_fit(logs, np.log([avg_d[i] for i in good]))
         c = float(min(avg_r[i] / etas[i] for i in good))
     else:
         exponent = c = math.nan
