@@ -195,7 +195,7 @@ class DataMapSpec:
             if not 0.0 <= self.w0 < math.inf:
                 raise ContractViolation("AUG_MEAN w0 must be finite and nonnegative")
             a = np.asarray(self.aug_point, dtype=float)
-            if a.shape != (2,) or not abs(np.linalg.norm(a) - 1.0) <= 1e-12:  # NaN fails <=
+            if a.shape != (2,) or not abs(math.sqrt(math.fsum(a * a)) - 1.0) <= 1e-12:  # NaN fails <=
                 raise ContractViolation("augmentation point must be a finite unit 2-vector")
             object.__setattr__(self, "weights", w)
             object.__setattr__(self, "aug_point", (float(a[0]), float(a[1])))
@@ -336,7 +336,7 @@ def _circle_standard(dataset: CircleDataset) -> EvalOutcome | None:
     if spread > PERFECT_FIT_TOL:
         return None
     u = dataset.points[0]
-    return EvalOutcome.of(CirclePoint(u / np.linalg.norm(u)), dataset_span(dataset) + 1.0)
+    return EvalOutcome.of(CirclePoint(u / math.sqrt(math.fsum(u * u))), dataset_span(dataset) + 1.0)
 
 
 def eval_perfect_fit_standard(dataset) -> Feature:

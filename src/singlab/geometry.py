@@ -126,7 +126,7 @@ class CirclePoint:
         arr = np.array(self.u, dtype=float)
         if arr.shape != (2,) or not np.all(np.isfinite(arr)):
             raise ContractViolation("circle point must be a finite 2-vector")
-        if abs(np.linalg.norm(arr) - 1.0) > UNIT_NORM_TOL:
+        if abs(math.sqrt(math.fsum(arr * arr)) - 1.0) > UNIT_NORM_TOL:
             raise ContractViolation("circle point must be a unit vector")
         arr.flags.writeable = False
         object.__setattr__(self, "u", arr)
@@ -179,7 +179,8 @@ def dataset_distance(a: Dataset, b: Dataset) -> float:
     if a.n != b.n:
         raise ContractViolation(f"dataset sizes differ: {a.n} vs {b.n}")
     if isinstance(a, PlaneDataset):
-        return float(np.linalg.norm(a.points - b.points))
+        diff = a.points - b.points
+        return math.sqrt(math.fsum((diff * diff).ravel()))
     return float(np.sqrt(np.sum(angle_distance(a.angles, b.angles, 2.0 * math.pi) ** 2)))
 
 

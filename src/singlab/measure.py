@@ -8,11 +8,12 @@ augmented means, whose distance comes from the zero-resultant projector of
 ``singlab.metrics`` and whose measure is bracketed by zero counts on
 coordinate torus slices.
 
-Tube and CDF draws come in chunks of 2^14 rows, each from its own generator
-seeded by (seed, first row of the chunk) and reduced before the next is
-drawn into the same buffer, so no estimator holds the whole draw.  Tube
-chunks run one after another; CDF chunks run on the calling thread and up to
-one helper thread (``_run_chunks``), each worker with its own buffer.  The
+Tube and CDF draws come through one drawer, ``_drawn_chunks``, in chunks
+of 2^14 rows, each from its own generator seeded by (seed, first row of the
+chunk) and reduced before the next is drawn into the same buffer, so no
+estimator holds the whole draw.  Its chunks run on the calling thread and up
+to one helper thread (``_run_chunks``), each worker with its own buffer; tube
+chunks run on the calling thread alone, where a helper bought no speed.  The
 tradeoff's one (n, m) draw comes from ``default_rng(seed)``.
 """
 
@@ -290,28 +291,10 @@ class TubeReport:
 _CHUNK = 1 << 14
 
 
-def _chunked_draw(total: int, shape: tuple, seed: int, draw):
-    """``total`` rows of the given shape, yielded in chunks of 2^14 rows,
-    each from its own derived seed, one after another on the calling thread.
-
-    ``draw(rng, out)`` fills one chunk of rows in place, through the
-    generator's ``out=`` argument; the chunk starting at row k uses
-    ``default_rng((seed, k))``.  Every chunk is a view of one reused
-    (min(total, 2^14), *shape) buffer, so a chunk is valid only until the
-    next one is drawn: copy or reduce it before then.  ``_drawn_distances``
-    draws the same chunks on two CPUs.
-    """
-    buf = np.empty((min(total, _CHUNK), *shape))
-    for start in range(0, total, _CHUNK):
-        out = buf[:total - start]
-        draw(np.random.default_rng((seed, start)), out)
-        yield out
-
-
-# At most this many threads run the chunks of one CDF: the one count whose
-# speed and memory were measured (on a 2-vCPU VM).  More workers would each
-# hold a chunk buffer and contend for the interpreter lock; lift the cap
-# only with measurements on more CPUs.
+# At most this many threads run the chunks of one CDF (tubes run on one):
+# the one count whose speed and memory were measured (on a 2-vCPU VM).
+# More workers would each hold a chunk buffer and contend for the
+# interpreter lock; lift the cap only with measurements on more CPUs.
 _MAX_WORKERS = 2
 
 
@@ -397,32 +380,31 @@ def _run_chunks(starts, buffers, run) -> None:
         raise errors[0]
 
 
-def _drawn_distances(total: int, shape: tuple, seed: int, draw, distance) -> np.ndarray:
-    """``distance(chunk)`` of the chunks ``_chunked_draw`` draws, as one
-    (total,) array.
+def _drawn_chunks(total: int, shape: tuple, seed: int, draw, reduce, workers: int) -> None:
+    """``reduce(start, chunk)`` on each of the 2^14-row chunks of ``total``
+    rows of the given shape, run on up to ``workers`` threads
+    (``_run_chunks``).
 
-    The chunks run on up to ``_worker_count()`` threads (``_run_chunks``),
-    each worker drawing into its own (min(total, 2^14), *shape) buffer and
-    writing its chunk's distances into their rows.  A chunk's stream and
-    rows do not depend on the worker that takes it, so neither does any bit.
-    Memory is 8 bytes a row plus, per worker, one chunk buffer and the
-    distance's working set.  The buffers are one array: glibc trims a freed
-    heap top larger than twice its largest freed mmap, so two separate
-    buffers were trimmed after every CDF and faulted back in by the next
-    one (the montecarlo op list took 23.5k minor faults that way, 9.8k with
-    one array and 20.1k with the one buffer of a serial draw).
+    ``draw(rng, out)`` fills a chunk in place, through the generator's
+    ``out=`` argument; the chunk starting at row k uses
+    ``default_rng((seed, k))``, so a chunk's stream and rows do not depend
+    on the worker that takes it.  Each worker draws into its own
+    (min(total, 2^14), *shape) buffer, so a chunk is valid only until
+    ``reduce`` returns.  The buffers are one array: glibc trims a freed heap
+    top larger than twice its largest freed mmap, so two separate buffers
+    were trimmed after every CDF and faulted back in by the next one (the
+    montecarlo op list took 23.5k minor faults that way, 9.8k with one
+    array and 20.1k with the one buffer of a serial draw).
     """
     starts = range(0, total, _CHUNK)
-    dists = np.empty(total)
-    buffers = np.empty((min(_worker_count(), len(starts)), min(total, _CHUNK), *shape))
+    buffers = np.empty((min(workers, len(starts)), min(total, _CHUNK), *shape))
 
     def run(start, buffer):
         out = buffer[:total - start]
         draw(np.random.default_rng((seed, start)), out)
-        dists[start:start + len(out)] = distance(out)
+        reduce(start, out)
 
     _run_chunks(starts, buffers, run)
-    return dists
 
 
 def tube_volume(
@@ -439,24 +421,34 @@ def tube_volume(
     exactly monotone in delta.  The codimension fit weights each point by
     its hit count (the variance of log f is roughly 1/hits), and a delta
     with zero hits is dropped with a warning entry.  The cloud is counted
-    one drawn chunk at a time, so memory is O(chunk), whatever mc_samples.
-    The domain box must be finite with lo < hi on every axis.
+    one drawn chunk at a time on the calling thread (``_drawn_chunks``),
+    each chunk's hits in its own row, so memory is one chunk plus 8 bytes
+    per delta and chunk.  The domain box must be finite with lo < hi on
+    every axis.
     """
     lo, hi = _domain_box(domain_lo, domain_hi)
     deltas = sorted(_positive_sizes(deltas, "deltas"))
     if mc_samples < 10_000:
         raise ContractViolation("mc_samples must be at least 10^4")
     box_vol = float(np.prod(hi - lo))
-    hit_counts = np.zeros(len(deltas), dtype=np.int64)
-    for pts in _chunked_draw(mc_samples, lo.shape, seed, lambda rng, out: rng.random(out=out)):
+    hits_per_chunk = np.zeros((-(-mc_samples // _CHUNK), len(deltas)), dtype=np.int64)
+
+    def count(start, pts):
         for a in range(lo.size):
             pts[:, a] *= hi[a] - lo[a]
             pts[:, a] += lo[a]
         d = np.asarray(dist_fn(pts), dtype=float)
-        hit_counts += [np.count_nonzero(d <= delta) for delta in deltas]
+        hits_per_chunk[start // _CHUNK] = [np.count_nonzero(d <= delta) for delta in deltas]
+
+    # One worker: a tube chunk's calls are short (about 0.3 ms a chunk), and
+    # a helper only contends for the interpreter lock.  Best of 15 at 10^6
+    # samples, in three fresh processes per count on a 2-vCPU Xeon VM, one
+    # worker read point 16.7, segment 22.7 and circle 15.7 ms, two workers
+    # 16.3, 23.1 and 19.5 ms.  The bits do not depend on the count.
+    _drawn_chunks(mc_samples, lo.shape, seed, lambda rng, out: rng.random(out=out), count, workers=1)
     kept, vols, errs, dropped = [], [], [], []
     hits_kept = []
-    for delta, hits in zip(deltas, hit_counts.tolist()):
+    for delta, hits in zip(deltas, hits_per_chunk.sum(axis=0).tolist()):
         if hits == 0:
             dropped.append(delta)
             continue
@@ -587,10 +579,10 @@ def distance_cdf(
     draws iid uniform circle points.  The exponent is the least-squares
     slope of log F-hat against log t between the window quantiles; fewer
     than two positive distances there cannot be fitted.  The distances are
-    taken one drawn chunk at a time, on up to two CPUs, into one sorted
-    array (``_drawn_distances``), so memory is 8 bytes times n_samples plus
-    one chunk and its kernel blocks per worker.  The bits do not depend on
-    the number of CPUs.
+    taken one drawn chunk at a time, on up to two CPUs (``_drawn_chunks``),
+    each chunk's into its own rows of one array, which is then sorted, so
+    memory is 8 bytes times n_samples plus one chunk and its kernel blocks
+    per worker.  The bits do not depend on the number of CPUs.
     """
     if n_samples < 10_000:
         raise ContractViolation("n_samples must be at least 10^4")
@@ -605,7 +597,12 @@ def distance_cdf(
     else:
         raise ContractViolation(f"no CDF sampler for map kind {kind}")
     distance, tag = SINGULAR_DISTANCE[kind]
-    dists = _drawn_distances(n_samples, shape, seed, draw, lambda batch: distance(batch, spec))
+    dists = np.empty(n_samples)
+
+    def take(start, chunk):
+        dists[start:start + len(chunk)] = distance(chunk, spec)
+
+    _drawn_chunks(n_samples, shape, seed, draw, take, _worker_count())
     dists.sort()
     i_lo = max(int(n_samples * q_lo), 1)
     i_hi = max(int(n_samples * q_hi), i_lo + 2)

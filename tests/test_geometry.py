@@ -10,6 +10,7 @@ import pytest
 from scipy.integrate import quad
 
 import singlab
+from singlab.datamaps import DataMapSpec, MapKind, eval_perfect_fit_standard
 from singlab.geometry import (
     CircleDataset,
     CirclePoint,
@@ -223,6 +224,30 @@ def test_segment_primitives_call_no_blas(monkeypatch):
     assert segment_average_norm((3.0, 0.0), (3.0, 4.0)) > 0.0
     assert [seg for _, _, seg in _segments([(0.0, 0.0), (3.0, 4.0), (3.0, 4.0), (3.0, 0.0)])] == [5.0, 4.0]
     assert segment_distance_fn((0.0, 0.0), (2.0, 0.0))(np.array([[1.0, 1.0], [3.0, 0.0]])).tolist() == [1.0, 1.0]
+
+
+def test_unit_norms_and_dataset_distance_call_no_blas(monkeypatch):
+    # the unit-norm checks, the all-equal circle dataset's standard and the
+    # plane dataset distance add their squares by math.fsum: np.dot, and an
+    # np.linalg.norm over the whole array (a BLAS dot), refuse to run here
+    def refuse(*args, **kwargs):
+        raise AssertionError("BLAS call")
+
+    norm = np.linalg.norm
+
+    def norm_along_axis(x, ord=None, axis=None, keepdims=False):
+        if axis is None:
+            refuse()
+        return norm(x, ord, axis, keepdims)
+
+    monkeypatch.setattr(np, "dot", refuse)
+    monkeypatch.setattr(np.linalg, "norm", norm_along_axis)
+    spec = DataMapSpec(kind=MapKind.AUG_MEAN, weights=(1.0, 1.0), w0=0.5, aug_point=(0.6, 0.8))
+    assert spec.aug_point == (0.6, 0.8)
+    assert CirclePoint((0.6, 0.8)).angle == math.atan2(0.8, 0.6)
+    u = eval_perfect_fit_standard(CircleDataset([(0.6, 0.8)] * 3)).u
+    assert u.tolist() == [0.6 / math.sqrt(math.fsum([0.36, 0.64])), 0.8 / math.sqrt(math.fsum([0.36, 0.64]))]
+    assert dataset_distance(PlaneDataset([(0, 0), (1, 2)]), PlaneDataset([(3, 4), (1, 2)])) == 5.0
 
 
 def _average_slope(x, y, w):

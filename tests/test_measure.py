@@ -20,7 +20,7 @@ from singlab.datamaps import (
 from singlab.geometry import ContractViolation
 from singlab.measure import (
     _cell_counts,
-    _chunked_draw,
+    _drawn_chunks,
     _cloud_count,
     _overlapping_cells,
     aug_mean_singular_set_nonempty,
@@ -387,35 +387,41 @@ def concatenated_draw(total, seed, draw):
                            for start in range(0, total, 1 << 14)], axis=0)
 
 
-def copied_chunks(total, shape, seed, draw):
-    # each yielded chunk copied before the next one overwrites its buffer
-    return np.concatenate([chunk.copy() for chunk in _chunked_draw(total, shape, seed, draw)], axis=0)
+def copied_chunks(total, shape, seed, draw, workers=1):
+    # each chunk copied into its rows before its buffer takes the next chunk
+    out = np.empty((total, *shape))
+
+    def copy(start, chunk):
+        out[start:start + len(chunk)] = chunk
+
+    _drawn_chunks(total, shape, seed, draw, copy, workers)
+    return out
 
 
 @pytest.mark.parametrize("total", [1, 16_383, 16_384, 16_385, 100_007])
 def test_chunked_draw_matches_concatenated_chunks(total):
     # the chunks are written in place through the generators' out= argument:
-    # the same streams, so the same bits as drawing each chunk and joining them
-    got = copied_chunks(total, (2,), 11, lambda rng, out: rng.random(out=out))
-    want = concatenated_draw(total, 11, lambda rng, k: rng.random((k, 2)))
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    got = copied_chunks(total, (3, 2), 11, lambda rng, out: rng.standard_normal(out=out))
-    want = concatenated_draw(total, 11, lambda rng, k: rng.standard_normal((k, 3, 2)))
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # the same streams, so the same bits as drawing each chunk and joining
+    # them, on one worker or two
+    for workers in (1, 2):
+        got = copied_chunks(total, (2,), 11, lambda rng, out: rng.random(out=out), workers)
+        want = concatenated_draw(total, 11, lambda rng, k: rng.random((k, 2)))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        got = copied_chunks(total, (3, 2), 11, lambda rng, out: rng.standard_normal(out=out), workers)
+        want = concatenated_draw(total, 11, lambda rng, k: rng.standard_normal((k, 3, 2)))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_chunked_draw_holds_one_chunk():
-    # every chunk is drawn into one reused buffer: a draw that allocated a
-    # buffer per chunk, or the whole (10^5, 12, 2) array, would peak higher
-    sizes = []
-
-    def consume():
-        for chunk in _chunked_draw(10**5, (12, 2), 3, lambda rng, out: rng.standard_normal(out=out)):
-            sizes.append(chunk.nbytes)
-
-    peak = peak_bytes(consume)
-    assert max(sizes) == (1 << 14) * 12 * 2 * 8
-    assert peak <= 1.1 * max(sizes)
+    # each worker draws every chunk it takes into its own reused buffer: a
+    # draw that allocated a buffer per chunk, or the whole (10^5, 12, 2)
+    # array, would peak higher
+    for workers in (1, 2):
+        sizes = []
+        peak = peak_bytes(lambda: _drawn_chunks(10**5, (12, 2), 3, lambda rng, out: rng.standard_normal(out=out),
+                                                lambda start, chunk: sizes.append(chunk.nbytes), workers))
+        assert max(sizes) == (1 << 14) * 12 * 2 * 8
+        assert peak <= 1.1 * workers * max(sizes)
 
 
 def norm_fixtures(d, rng):
@@ -537,34 +543,28 @@ def test_cdf_bits_do_not_depend_on_the_worker_count(spec, n, monkeypatch):
         assert got.exponent.hex() == reports[0].exponent.hex()
 
 
-def whole_draw(total, shape, seed, draw):
+def whole_draw(total, shape, seed, draw, reduce, workers):
     """The draw as one (total, *shape) array, filled chunk by chunk in place,
-    yielded as a single chunk: the estimators then reduce the whole cloud at
+    reduced as a single chunk: the estimators then reduce the whole cloud at
     once."""
     out = np.empty((total, *shape))
     for start in range(0, total, 1 << 14):
         draw(np.random.default_rng((seed, start)), out[start:start + (1 << 14)])
-    yield out
-
-
-def whole_distances(total, shape, seed, draw, distance):
-    """The distances of the whole draw, taken in one call."""
-    return distance(next(whole_draw(total, shape, seed, draw)))
+    reduce(0, out)
 
 
 @pytest.mark.parametrize("total", [16_385, 49_153])
 def test_streamed_estimators_equal_the_whole_draw(total, monkeypatch):
     # sample counts off the chunk grid: the last chunk is one row long, and
     # the reduced chunks must give the bits of reducing the whole cloud;
-    # tubes draw through _chunked_draw and CDFs through _drawn_distances,
-    # each replaced here by the whole array
+    # tubes and CDFs both draw through _drawn_chunks, replaced here by the
+    # whole array
     fixtures = [point_distance_fn((0.5, 0.5)), segment_distance_fn((0.25, 0.5), (0.75, 0.5)),
                 circle_distance_fn((0.5, 0.5), 0.2)]
     cdfs = [(LS, 4), (PC, 4), (LAD, 4), (uniform_preset(3), 3)]
     streamed = ([tube_volume(fn, (0, 0), (1, 1), DELTAS, total, TUBE_SEED) for fn in fixtures],
                 [distance_cdf(spec, n, total, CDF_SEED) for spec, n in cdfs])
-    monkeypatch.setattr(measure, "_chunked_draw", whole_draw)
-    monkeypatch.setattr(measure, "_drawn_distances", whole_distances)
+    monkeypatch.setattr(measure, "_drawn_chunks", whole_draw)
     whole = ([tube_volume(fn, (0, 0), (1, 1), DELTAS, total, TUBE_SEED) for fn in fixtures],
              [distance_cdf(spec, n, total, CDF_SEED) for spec, n in cdfs])
     for got, want in zip(streamed[0], whole[0]):
@@ -573,6 +573,21 @@ def test_streamed_estimators_equal_the_whole_draw(total, monkeypatch):
         assert np.array_equal(got.sorted_distances.view(np.int64), want.sorted_distances.view(np.int64))
         assert got.to_dict() == want.to_dict()
         assert got.exponent.hex() == want.exponent.hex() and got.stderr.hex() == want.stderr.hex()
+
+
+@pytest.mark.parametrize("fixture", [point_distance_fn((0.5, 0.5)), segment_distance_fn((0.25, 0.5), (0.75, 0.5)),
+                                     circle_distance_fn((0.5, 0.5), 0.2)], ids=["point", "segment", "circle"])
+def test_tube_bits_do_not_depend_on_the_worker_count(fixture, monkeypatch):
+    # tubes run on one worker for speed alone: on 1, 2 and 4 workers, with a
+    # ragged last chunk, every count, volume and the fit keep their bits
+    drawn_chunks, reports = measure._drawn_chunks, []
+    for count in (1, 2, 4):
+        def on_count(total, shape, seed, draw, reduce, workers, count=count):
+            drawn_chunks(total, shape, seed, draw, reduce, count)
+
+        monkeypatch.setattr(measure, "_drawn_chunks", on_count)
+        reports.append(repr(tube_volume(fixture, (0, 0), (1, 1), DELTAS, 3 * (1 << 14) + 5, TUBE_SEED)))
+    assert reports[1:] == reports[:1] * 2
 
 
 def test_cdf_preconditions():
