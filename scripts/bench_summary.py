@@ -1,6 +1,8 @@
-"""Summarize perfbench run records into one small BENCH_<tag>.json.
+"""Summarize perfbench run records into one small BENCH_<tag>.json, or
+compare two such files.
 
     python3 scripts/bench_summary.py --results perfbench/results --tag 9c5a0d8
+    python3 scripts/bench_summary.py --compare BENCH_9c5a0d8.json BENCH_ec5c955.json
 
 ``perfbench/run.py`` writes one record per run, named
 ``<workload>-seed<seed>-trace<trace>.json``, under ``perfbench/results/``.
@@ -9,7 +11,8 @@ the results directory and writes, per workload,
 
 - the median, first and third quartiles and IQR of each end-to-end metric
   (quartiles as ``statistics.quantiles(..., method="inclusive")``, which is
-  numpy's default linear interpolation), over the runs;
+  numpy's default linear interpolation), over the runs, and each run's
+  value by its seed (``by_seed``);
 - the run count, the seeds, the measured passes, and failed/attempted ops;
 - the median of the runs' probe medians, and each op's median over the
   runs' op medians (seconds at the probe's nominal host speed);
@@ -19,6 +22,12 @@ It adds numpy's SIMD targets and the core name of numpy's bundled OpenBLAS,
 as this interpreter sees them, and the git commit the runs measured: give it
 with ``--commit`` when the results come from a copy that is not a git
 checkout.
+
+``--compare PARENT CHANGE`` reads two such files and writes nothing.  Per
+workload and end-to-end metric in both, it prints the two medians, the
+change in percent, the parent's IQR, and on how many of the seeds run on
+both sides the change read lower (ties count for neither side).  A file
+written before runs were kept by seed gives "pairs: n/a".
 """
 
 from __future__ import annotations
@@ -66,6 +75,33 @@ def git_commit(directory: str):
     return done.stdout.strip() if done.returncode == 0 else None
 
 
+def metric(records: list, name: str) -> dict:
+    """One metric's quartiles, unit and value by seed over the runs that
+    report it."""
+    values = [r["metrics"][name]["value"] for r in records]
+    return dict(quartiles(values), unit=records[0]["metrics"][name]["unit"],
+                by_seed={str(r["seed"]): value for r, value in zip(records, values)})
+
+
+def compare(parent: dict, change: dict) -> list:
+    """The lines ``--compare`` prints, as the module docstring lists."""
+    lines = []
+    for name in sorted(set(parent["workloads"]) & set(change["workloads"])):
+        before, after = parent["workloads"][name]["metrics"], change["workloads"][name]["metrics"]
+        for key in sorted(set(before) & set(after)):
+            p, c = before[key], after[key]
+            if "by_seed" in p and "by_seed" in c:
+                seeds = set(p["by_seed"]) & set(c["by_seed"])
+                lower = sum(c["by_seed"][s] < p["by_seed"][s] for s in seeds)
+                pairs = f"{lower}/{len(seeds)} lower"
+            else:
+                pairs = "n/a"
+            lines.append(f"{name} {key}: {p['median']:.4g} -> {c['median']:.4g} {p['unit']} "
+                         f"({100.0 * (c['median'] - p['median']) / p['median']:+.1f}%), "
+                         f"parent IQR {p['iqr']:.3g}, pairs: {pairs}")
+    return lines
+
+
 def summarize(records: list) -> dict:
     """One workload's runs, as the module docstring lists."""
     names = sorted({name for r in records for name in r["metrics"]})
@@ -81,8 +117,7 @@ def summarize(records: list) -> dict:
         "attempted": attempted,
         "failed": failed,
         "failed_of_attempted": f"{failed}/{attempted}",
-        "metrics": {name: dict(quartiles([r["metrics"][name]["value"] for r in records if name in r["metrics"]]),
-                               unit=records[0]["metrics"][name]["unit"]) for name in names},
+        "metrics": {name: metric([r for r in records if name in r["metrics"]], name) for name in names},
         "probe_median_s": statistics.median(r["probe_median_s"] for r in records),
         "op_medians_s": {op: statistics.median(r["op_medians_s"][op] for r in records if op in r["op_medians_s"])
                          for op in ops},
@@ -94,10 +129,21 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--results", default=os.path.join("perfbench", "results"),
                         help="directory of perfbench/run.py records (default: perfbench/results)")
-    parser.add_argument("--tag", required=True, help="names the output BENCH_<tag>.json")
+    parser.add_argument("--tag", help="names the output BENCH_<tag>.json")
     parser.add_argument("--commit", help="the commit the runs measured (default: HEAD of the results' checkout)")
     parser.add_argument("--out", help="output path (default: BENCH_<tag>.json in the current directory)")
+    parser.add_argument("--compare", nargs=2, metavar=("PARENT", "CHANGE"),
+                        help="compare two BENCH files by workload and metric; writes nothing")
     args = parser.parse_args(argv)
+    if args.compare:
+        files = []
+        for path in args.compare:
+            with open(path, encoding="utf-8") as fh:
+                files.append(json.load(fh))
+        print("\n".join(compare(*files)))
+        return 0
+    if not args.tag:
+        parser.error("give --tag, or --compare")
     commit = args.commit or git_commit(args.results)
     if not commit:
         parser.error(f"{args.results} is not in a git checkout: give --commit")

@@ -41,3 +41,47 @@ def test_summary_reads_untraced_records_per_workload(tmp_path):
     refine = summary["workloads"]["refine"]["metrics"]["wall_s"]
     assert (refine["q1"], refine["median"], refine["q3"], refine["iqr"]) == (0.5, 0.5, 0.5, 0.0)
     assert "baseline" in summary["numpy"]["simd"]
+
+
+def write_bench(tmp_path, tag, runs):
+    """A BENCH file from synthetic certify records, runs as (seed, wall_s)."""
+    results = tmp_path / tag
+    results.mkdir()
+    for seed, wall_s in runs:
+        (results / f"certify-seed{seed}-trace0.json").write_text(json.dumps(record("certify", seed, wall_s)))
+    out = tmp_path / f"BENCH_{tag}.json"
+    assert bench_summary.main(["--results", str(results), "--tag", tag, "--commit", tag, "--out", str(out)]) == 0
+    return out
+
+
+def test_summary_keeps_each_runs_value_by_seed(tmp_path):
+    out = write_bench(tmp_path, "p", [(1, 0.25), (2, 0.5), (3, 0.125)])
+    wall = json.loads(out.read_text())["workloads"]["certify"]["metrics"]["wall_s"]
+    assert wall["by_seed"] == {"1": 0.25, "2": 0.5, "3": 0.125}
+    assert wall["median"] == 0.25
+
+
+def test_compare_prints_medians_iqr_and_seed_pairs(tmp_path, capsys):
+    # seeds 1-4 run on both sides, seed 5 on the parent alone: the change
+    # reads lower on seeds 1 and 3, ties on seed 2 and reads higher on seed 4
+    parent = write_bench(tmp_path, "p", [(1, 0.5), (2, 0.25), (3, 0.75), (4, 0.25), (5, 1.0)])
+    change = write_bench(tmp_path, "c", [(1, 0.25), (2, 0.25), (3, 0.5), (4, 0.5)])
+    capsys.readouterr()
+    assert bench_summary.main(["--compare", str(parent), str(change)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["certify peak_rss_mb: 40 -> 40 MB (+0.0%), parent IQR 0, pairs: 0/4 lower",
+                     "certify wall_s: 0.5 -> 0.375 s (-25.0%), parent IQR 0.5, pairs: 2/4 lower"]
+    assert sorted(path.name for path in tmp_path.glob("BENCH_*.json")) == ["BENCH_c.json", "BENCH_p.json"]
+
+
+def test_compare_reads_older_files_without_runs_by_seed(tmp_path, capsys):
+    parent = write_bench(tmp_path, "p", [(1, 0.5), (2, 0.25)])
+    summary = json.loads(parent.read_text())
+    for metric in summary["workloads"]["certify"]["metrics"].values():
+        del metric["by_seed"]
+    parent.write_text(json.dumps(summary))
+    change = write_bench(tmp_path, "c", [(1, 0.25), (2, 0.25)])
+    capsys.readouterr()
+    assert bench_summary.main(["--compare", str(parent), str(change)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        "certify wall_s: 0.375 -> 0.25 s (-33.3%), parent IQR 0.125, pairs: n/a"

@@ -387,7 +387,7 @@ def concatenated_draw(total, seed, draw):
                            for start in range(0, total, 1 << 14)], axis=0)
 
 
-def copied_chunks(total, shape, seed, draw, workers=1):
+def copied_chunks(total, shape, seed, draw, workers):
     # each chunk copied into its rows before its buffer takes the next chunk
     out = np.empty((total, *shape))
 
