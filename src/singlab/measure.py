@@ -111,18 +111,13 @@ def _cell_counts(lo: np.ndarray, hi: np.ndarray, delta: float) -> np.ndarray:
 
 
 def _cloud_count(cloud: np.ndarray, lo: np.ndarray, hi: np.ndarray, delta: float) -> int:
-    """Number of delta-cells of the domain box holding a point of the cloud,
-    counted over sorted row-major int64 cell keys (Liebovitch & Toth 1989).
-    Partial keys are ranked before a column would push their bound past 2^62,
-    so even a 315^17-cell grid of a 17-dimensional cloud cannot overflow."""
-    counts = _cell_counts(lo, hi, delta)
-    idx = np.clip(np.floor((cloud - lo[None, :]) / delta).astype(int), 0, counts - 1)
-    key, bound = np.zeros(len(idx), dtype=np.int64), 1
-    for column, n in zip(idx.T, counts.tolist()):
-        if bound * n > 2**62:
-            key, bound = np.unique(key, return_inverse=True)[1], len(key)
-        key, bound = key * n + column, bound * n
-    return int(np.count_nonzero(np.diff(np.sort(key), prepend=-1)))  # 1 + key changes, 0 if empty
+    """Number of delta-cells of the domain box holding a point of the cloud
+    (Liebovitch & Toth 1989): the distinct rows of the points' cell indices,
+    1 plus the rows that differ from the row before after one np.lexsort, so
+    no dimension or cell count can overflow."""
+    idx = np.clip(np.floor((cloud - lo[None, :]) / delta).astype(int), 0, _cell_counts(lo, hi, delta) - 1)
+    idx = idx[np.lexsort(idx.T)]
+    return int(len(idx) and 1 + np.count_nonzero(np.any(idx[1:] != idx[:-1], axis=1)))
 
 
 def _overlapping_cells(occupied: np.ndarray, coarse: float, delta: float, counts: np.ndarray) -> np.ndarray:

@@ -111,7 +111,9 @@ ARC_NUDGE = 1e-9
 
 def _gram_sum(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """sum_i u_i v_i (m,) of vectors stored one row per point, u, v (n, m),
-    bit-equal to np.sum(u.T * v.T, axis=1)."""
+    bit-equal to np.sum(np.ascontiguousarray(u.T * v.T), axis=1): numpy adds a
+    C-ordered product's n terms pairwise, but those of the F-ordered
+    u.T * v.T one after another, which differs from n = 8 on."""
     return _axis_sum(lambda i, out: np.multiply(u[i], v[i], out=out), len(u), pairwise=True)
 
 

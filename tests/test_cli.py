@@ -687,8 +687,9 @@ print(json.dumps([codes, at_import, "numpy.ma" in sys.modules]))
 
 def test_no_command_loads_numpy_ma(tmp_path):
     # a first load of numpy.ma costs ~1.6 MB of peak RSS.  A plain np.unique
-    # of floats loads it, the integer np.unique calls of the PC localizer (a
-    # jitter ladder's loops hit S) and the 8-point tradeoff's key re-rank do not
+    # of floats loads it, and so does np.unique(axis=0); the integer np.unique
+    # call of the PC localizer (a jitter ladder's loops hit S) and the np.lexsort
+    # of the dimension cloud's cell rows do not
     runs = [
         (["lfplot", "--map", "pc", "--grid-resolution", "8"], EXIT_OK),
         (["winding", "--target", "standard", "--samples", "64"], EXIT_OK),

@@ -246,11 +246,13 @@ def test_overlapping_cells_match_brute_force(spans, coarse, ratio, bits):
 @example(d=17, delta=2 * math.pi / 1024, rows=200, pool=40, varying=1, seed=0)
 @example(d=17, delta=0.005, rows=300, pool=40, varying=17, seed=1)
 @example(d=3, delta=0.02, rows=0, pool=1, varying=3, seed=2)
+@example(d=17, delta=2 * math.pi / 1024, rows=20000, pool=5000, varying=2, seed=3)
 def test_cloud_count_matches_distinct_cells(d, delta, rows, pool, varying, seed):
     # the rows repeat: each is drawn from a pool of points that differ only in
-    # their first `varying` coordinates.  With 2^k cells per axis, rows that
-    # differ only in their first coordinate share one wrapped int64 row-major
-    # key unless the partial keys are ranked before they overflow
+    # their first `varying` coordinates, so equal rows must count once and
+    # rows that differ in their first coordinate alone must count apart, on
+    # grids of up to 1024^17 cells.  The 20 000-row example is a cloud of the
+    # size and grid the tradeoff once box-counted
     rng = np.random.default_rng(seed)
     points = np.tile(2 * math.pi * rng.random(d), (pool, 1))
     points[:, :varying] = 2 * math.pi * rng.random((pool, min(varying, d)))
