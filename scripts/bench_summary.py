@@ -27,7 +27,20 @@ checkout.
 workload and end-to-end metric in both, it prints the two medians, the
 change in percent, the parent's IQR, and on how many of the seeds run on
 both sides the change read lower (ties count for neither side).  A file
-written before runs were kept by seed gives "pairs: n/a".
+written before runs were kept by seed gives "pairs: n/a".  Each metric that
+the repository's ``BENCHMARK.json`` lists under ``end_to_end`` also gets one
+verdict, its ``bound`` read as a fraction of the parent median:
+
+- ``worse``: the change median is worse than the parent median by more than
+  the bound;
+- ``unresolved``: the parent IQR exceeds the bound, and not every change run
+  beats every parent run;
+- ``gain``: the change is better on at least 9 in 10 of the seeds run on
+  both sides, and its median by more than the parent IQR;
+- ``within bound``: any other case.
+
+A file without runs by seed never gives ``gain``.  The exit status is 1 when
+any verdict is ``worse``.
 """
 
 from __future__ import annotations
@@ -42,6 +55,8 @@ import subprocess
 import sys
 
 import numpy as np
+
+BENCHMARK = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "BENCHMARK.json")
 
 
 def quartiles(values) -> dict:
@@ -83,8 +98,34 @@ def metric(records: list, name: str) -> dict:
                 by_seed={str(r["seed"]): value for r, value in zip(records, values)})
 
 
-def compare(parent: dict, change: dict) -> list:
-    """The lines ``--compare`` prints, as the module docstring lists."""
+def end_to_end_bounds(path: str = BENCHMARK) -> dict:
+    """Each end-to-end metric's (bound, better) from a BENCHMARK.json."""
+    with open(path, encoding="utf-8") as fh:
+        return {e["name"]: (e["bound"], e["better"]) for e in json.load(fh)["end_to_end"]}
+
+
+def verdict(p: dict, c: dict, bound: float, better: str) -> str:
+    """One metric's verdict, parent p against change c, as the module
+    docstring lists; values are negated where higher is better."""
+    sign = 1.0 if better == "lower" else -1.0
+    slack = bound * abs(p["median"])
+    if sign * (c["median"] - p["median"]) > slack:
+        return "worse"
+    runs = "by_seed" in p and "by_seed" in c
+    if p["iqr"] > slack and not (runs and max(sign * v for v in c["by_seed"].values())
+                                 < min(sign * v for v in p["by_seed"].values())):
+        return "unresolved"
+    if runs:
+        seeds = set(p["by_seed"]) & set(c["by_seed"])
+        better_on = sum(sign * c["by_seed"][s] < sign * p["by_seed"][s] for s in seeds)
+        if seeds and 10 * better_on >= 9 * len(seeds) and sign * (p["median"] - c["median"]) > p["iqr"]:
+            return "gain"
+    return "within bound"
+
+
+def compare(parent: dict, change: dict, bounds: dict) -> list:
+    """The lines ``--compare`` prints, as the module docstring lists, given
+    ``end_to_end_bounds``."""
     lines = []
     for name in sorted(set(parent["workloads"]) & set(change["workloads"])):
         before, after = parent["workloads"][name]["metrics"], change["workloads"][name]["metrics"]
@@ -96,9 +137,12 @@ def compare(parent: dict, change: dict) -> list:
                 pairs = f"{lower}/{len(seeds)} lower"
             else:
                 pairs = "n/a"
-            lines.append(f"{name} {key}: {p['median']:.4g} -> {c['median']:.4g} {p['unit']} "
-                         f"({100.0 * (c['median'] - p['median']) / p['median']:+.1f}%), "
-                         f"parent IQR {p['iqr']:.3g}, pairs: {pairs}")
+            line = (f"{name} {key}: {p['median']:.4g} -> {c['median']:.4g} {p['unit']} "
+                    f"({100.0 * (c['median'] - p['median']) / p['median']:+.1f}%), "
+                    f"parent IQR {p['iqr']:.3g}, pairs: {pairs}")
+            if key in bounds:
+                line += f", verdict: {verdict(p, c, *bounds[key])}"
+            lines.append(line)
     return lines
 
 
@@ -133,15 +177,17 @@ def main(argv=None) -> int:
     parser.add_argument("--commit", help="the commit the runs measured (default: HEAD of the results' checkout)")
     parser.add_argument("--out", help="output path (default: BENCH_<tag>.json in the current directory)")
     parser.add_argument("--compare", nargs=2, metavar=("PARENT", "CHANGE"),
-                        help="compare two BENCH files by workload and metric; writes nothing")
+                        help="compare two BENCH files by workload and metric, with a verdict per end-to-end "
+                             "metric; writes nothing, exits 1 on a worse one")
     args = parser.parse_args(argv)
     if args.compare:
         files = []
         for path in args.compare:
             with open(path, encoding="utf-8") as fh:
                 files.append(json.load(fh))
-        print("\n".join(compare(*files)))
-        return 0
+        lines = compare(*files, end_to_end_bounds())
+        print("\n".join(lines))
+        return int(any(line.endswith("verdict: worse") for line in lines))
     if not args.tag:
         parser.error("give --tag, or --compare")
     commit = args.commit or git_commit(args.results)

@@ -69,8 +69,8 @@ def test_compare_prints_medians_iqr_and_seed_pairs(tmp_path, capsys):
     capsys.readouterr()
     assert bench_summary.main(["--compare", str(parent), str(change)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines == ["certify peak_rss_mb: 40 -> 40 MB (+0.0%), parent IQR 0, pairs: 0/4 lower",
-                     "certify wall_s: 0.5 -> 0.375 s (-25.0%), parent IQR 0.5, pairs: 2/4 lower"]
+    assert lines == ["certify peak_rss_mb: 40 -> 40 MB (+0.0%), parent IQR 0, pairs: 0/4 lower, verdict: within bound",
+                     "certify wall_s: 0.5 -> 0.375 s (-25.0%), parent IQR 0.5, pairs: 2/4 lower, verdict: unresolved"]
     assert sorted(path.name for path in tmp_path.glob("BENCH_*.json")) == ["BENCH_c.json", "BENCH_p.json"]
 
 
@@ -84,4 +84,61 @@ def test_compare_reads_older_files_without_runs_by_seed(tmp_path, capsys):
     capsys.readouterr()
     assert bench_summary.main(["--compare", str(parent), str(change)]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == \
-        "certify wall_s: 0.375 -> 0.25 s (-33.3%), parent IQR 0.125, pairs: n/a"
+        "certify wall_s: 0.375 -> 0.25 s (-33.3%), parent IQR 0.125, pairs: n/a, verdict: unresolved"
+
+
+PARENT = [(seed, 1.0 + 0.01 * seed) for seed in range(1, 11)]
+
+
+def compare_wall(tmp_path, capsys, change, parent=PARENT, by_seed=True):
+    """--compare's exit status and wall_s verdict for synthetic certify runs
+    (seed, wall_s) on each side, against the repository's BENCHMARK.json."""
+    tmp_path.mkdir(exist_ok=True)
+    paths = [write_bench(tmp_path, tag, runs) for tag, runs in (("p", parent), ("c", change))]
+    if not by_seed:
+        summary = json.loads(paths[0].read_text())
+        del summary["workloads"]["certify"]["metrics"]["wall_s"]["by_seed"]
+        paths[0].write_text(json.dumps(summary))
+    capsys.readouterr()
+    status = bench_summary.main(["--compare", *map(str, paths)])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith("verdict: within bound")  # peak_rss_mb, 40 MB on both sides
+    return status, lines[1].rpartition("verdict: ")[2]
+
+
+def test_compare_bounds_are_the_benchmarks():
+    bounds = bench_summary.end_to_end_bounds()
+    assert set(bounds) == {"setup_s", "wall_s", "peak_rss_mb"}
+    assert bounds["wall_s"] == (0.25, "lower")
+
+
+def test_compare_gives_worse_past_the_bound_and_exits_1(tmp_path, capsys):
+    # parent median 1.055 s: the bound is 25% of it, 0.264 s
+    assert compare_wall(tmp_path, capsys, [(s, w + 0.30) for s, w in PARENT]) == (1, "worse")
+
+
+def test_compare_stays_within_bound_on_a_small_rise(tmp_path, capsys):
+    assert compare_wall(tmp_path, capsys, [(s, w + 0.20) for s, w in PARENT]) == (0, "within bound")
+
+
+def test_compare_gives_gain_on_nine_of_ten_pairs_past_the_iqr(tmp_path, capsys):
+    # parent IQR 0.045 s; nine seeds read 0.1 s lower and seed 10 reads higher
+    change = [(s, w - 0.1) for s, w in PARENT[:9]] + [(10, 1.2)]
+    assert compare_wall(tmp_path, capsys, change) == (0, "gain")
+    change = [(s, w - 0.1) for s, w in PARENT[:8]] + [(9, 1.2), (10, 1.2)]
+    assert compare_wall(tmp_path / "eight", capsys, change) == (0, "within bound")
+    change = [(s, w - 0.04) for s, w in PARENT]
+    assert compare_wall(tmp_path / "small", capsys, change) == (0, "within bound")
+
+
+def test_compare_never_gives_gain_without_runs_by_seed(tmp_path, capsys):
+    change = [(s, w - 0.1) for s, w in PARENT]
+    assert compare_wall(tmp_path, capsys, change, by_seed=False) == (0, "within bound")
+
+
+def test_compare_gives_unresolved_when_the_parent_spreads_past_the_bound(tmp_path, capsys):
+    # parent IQR 0.45 s against a bound of 0.31 s: unresolved unless every
+    # change run beats every parent run
+    parent = [(seed, 0.5 + 0.1 * seed) for seed in range(1, 11)]
+    assert compare_wall(tmp_path, capsys, [(s, 1.0) for s, _ in parent], parent) == (0, "unresolved")
+    assert compare_wall(tmp_path / "all", capsys, [(s, 0.55) for s, _ in parent], parent) == (0, "gain")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from singlab import datamaps, measure
 from singlab.datamaps import (
@@ -346,6 +347,27 @@ def test_tube_circle_fixture():
         assert v >= 0.5 * 2.0 * d * (2 * math.pi * 0.2)
 
 
+# Exact areas of the fixtures' delta-tubes, all inside the unit square for
+# every delta of DELTAS: a disk, a stadium around the segment of length 1/2
+# and an annulus around the circle of radius 0.2 (ROADMAP item 20)
+TUBE_AREAS = [
+    (point_distance_fn((0.5, 0.5)), lambda d: math.pi * d**2),
+    (segment_distance_fn((0.25, 0.5), (0.75, 0.5)), lambda d: 2 * 0.5 * d + math.pi * d**2),
+    (circle_distance_fn((0.5, 0.5), 0.2), lambda d: 4 * math.pi * 0.2 * d),
+]
+
+
+@pytest.mark.parametrize("samples, seed", [(10**5, TUBE_SEED), (10**6, TUBE_SEED), (10**6, 3)])
+@pytest.mark.parametrize("fixture", range(len(TUBE_AREAS)))
+def test_tube_volumes_match_exact_areas(fixture, samples, seed):
+    # every kept delta's volume lies within 4 standard errors of the exact area
+    fn, area = TUBE_AREAS[fixture]
+    rep = tube_volume(fn, (0, 0), (1, 1), DELTAS, samples, seed)
+    assert len(rep.deltas) >= 4
+    for d, v, se in zip(rep.deltas, rep.volumes, rep.std_errors):
+        assert abs(v - area(d)) <= 4 * se, (d, v, area(d), se)
+
+
 def test_tube_monotone_volumes():
     rep = tube_volume(point_distance_fn((0.5, 0.5)), (0, 0), (1, 1), DELTAS, 10**4 * 2, TUBE_SEED)
     assert all(b >= a for a, b in zip(rep.volumes, rep.volumes[1:]))
@@ -490,6 +512,14 @@ def test_cdf_codim_tail_law():
     assert abs(pc.exponent - 2.0) <= 0.3
     assert abs(lad.exponent - 1.0) <= 0.3
     assert not ls.surrogate and pc.surrogate and lad.surrogate
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_ls_cdf_matches_chi_square(n):
+    # the LS distance is sqrt(S_xx), and S_xx of n standard-normal abscissae
+    # is chi-square with n - 1 degrees of freedom (ROADMAP item 20)
+    rep = distance_cdf(LS, n, 10**5, CDF_SEED)
+    assert stats.kstest(rep.sorted_distances ** 2, "chi2", args=(n - 1,)).pvalue >= 1e-3
 
 
 def test_cdf_consistency_under_doubling():
@@ -713,6 +743,9 @@ def test_tradeoff_measure_separates_presets(n):
 
 def fixed_step_projection(angles, spec):
     """Reference Gauss-Newton projection: GAUSS_NEWTON_ITERS steps on every row."""
+    # section_jacobian's arrays are F-ordered, so these np.sum calls add each
+    # row's n terms one after another, where metrics._gram_sum adds them
+    # pairwise; the two orders agree below n = 8, and the callers use n = 3, 5
     phi = angles.copy()
     for _ in range(GAUSS_NEWTON_ITERS):
         (rx, ry), (jx, jy) = section_jacobian(spec, phi)
