@@ -120,43 +120,78 @@ def _cloud_count(cloud: np.ndarray, lo: np.ndarray, hi: np.ndarray, delta: float
     return int(len(idx) and 1 + np.count_nonzero(np.any(idx[1:] != idx[:-1], axis=1)))
 
 
+# Bytes of fine-grid mask that _overlapping_cells marks at a time: a band of
+# whole rows along axis 0, at least one row.
+_BAND_BYTES = 1 << 18
+
+# Cells per predicate call in _predicate_counts.
+_PREDICATE_CELLS = 1 << 13
+
+
+def _fine_range(k: np.ndarray, coarse: float, delta: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """First and last fine cells, along one axis of n fine cells, that coarse
+    cells k overlap: floor(k coarse / delta) to floor((k + 1) coarse /
+    delta), padded by one on each side so rounding never drops one, and
+    clipped to the grid."""
+    first = np.maximum(np.floor(k * coarse / delta).astype(int) - 1, 0)
+    return first, np.minimum(np.floor((k + 1) * coarse / delta).astype(int) + 1, n - 1)
+
+
 def _overlapping_cells(occupied: np.ndarray, coarse: float, delta: float, counts: np.ndarray) -> np.ndarray:
     """Indices (k, d) of the delta-cells that overlap an occupied coarse cell,
     in row-major order, as an intp array laid out column by column, the
     order and layout of np.argwhere; (0, d) when none does.
 
-    ``occupied`` holds the occupied coarse cells' distinct indices (k, d).
-    Along each axis, coarse cell k overlaps the fine cells floor(k coarse /
-    delta) to floor((k + 1) coarse / delta), padded here by one on each side
-    so rounding never drops one, and clipped to the grid.  One axis at a
-    time, each cell marked in a mask of the fine grid (whose shape holds
-    every coarse index too) is replaced by its padded fine range along that
-    axis; the first axis starts from the occupied cells' flat keys, which
-    are distinct already, so it needs no mark and scan.  The index
-    arithmetic grows with the occupied cells and their children, and only
-    the mask's byte-wide scans touch the whole grid; the mask drops the
-    repeats after each axis, so a filled set never pays for the product of
-    its ranges.  The marked cells come out of one scan of the flat mask; the
-    loop's index arrays are freed before it and the mask after it, before
-    the cells' flat keys are split into indices.
+    ``occupied`` holds the occupied coarse cells' distinct indices (k, d),
+    sorted by their first index, as row-major order is.  Along each axis a
+    coarse cell overlaps the fine cells of ``_fine_range``.  The fine grid
+    is marked one band of rows along axis 0 at a time, in a mask of at most
+    _BAND_BYTES or one row; the bands run in increasing order, so their
+    cells come out row-major.  A band takes the occupied cells whose fine
+    range along axis 0 meets it, a contiguous run found by two binary
+    searches, and marks each one's rows in the band, from the cell's flat
+    key.  Then, one axis at a time, each cell marked in the band (whose
+    shape holds every coarse index too) is replaced by its padded fine range
+    along that axis.  The index arithmetic grows with the occupied cells and
+    their children, and the byte-wide scans with the bands that meet them;
+    the mask drops the repeats after each axis, so a filled set never pays
+    for the product of its ranges.  So memory grows with the occupied cells
+    plus one band, not with the grid.  A band's marked cells come out of one
+    scan of it as flat keys, which are split into indices once every band
+    is done.
     """
     strides = np.cumprod((1, *counts[:0:-1]))[::-1]
-    mask = np.zeros(int(np.prod(counts)), dtype=bool)
-    flat = occupied @ strides
-    for axis, (stride, n) in enumerate(zip(strides, counts)):
-        if axis:
-            flat = np.flatnonzero(mask)
-            mask[:] = False
-        k = flat // stride % n
-        first = np.maximum(np.floor(k * coarse / delta).astype(int) - 1, 0)
-        span = np.minimum(np.floor((k + 1) * coarse / delta).astype(int) + 1, n - 1) - first
-        flat += (first - k) * stride
-        for t in range(np.max(span, initial=-1) + 1):
-            flat, span = flat[span >= t], span[span >= t]
-            mask[flat + t * stride] = True
-    del flat, k, first, span
-    flat = np.flatnonzero(mask)
-    del mask
+    row, n0 = int(strides[0]), int(counts[0])
+    rows = max(1, _BAND_BYTES // row)
+    mask = np.zeros(min(rows, n0) * row, dtype=bool)
+    first0, last0 = _fine_range(occupied[:, 0], coarse, delta, n0)
+    rest = occupied[:, 1:] @ strides[1:]
+    keys = [np.empty(0, dtype=np.intp)]
+    for top in range(0, n0, rows):
+        bottom = min(top + rows, n0)
+        # first0 and last0 do not decrease, so the cells that meet the band are a run
+        i, j = np.searchsorted(last0, top), np.searchsorted(first0, bottom)
+        if i >= j:
+            continue
+        band = mask[:(bottom - top) * row]
+        for axis, (stride, n) in enumerate(zip(strides, counts)):
+            if axis:
+                flat = np.flatnonzero(band)
+                band[:] = False
+                k = flat // stride % n
+                first, last = _fine_range(k, coarse, delta, n)
+                flat += (first - k) * stride
+            else:
+                first, last = np.maximum(first0[i:j], top), np.minimum(last0[i:j], bottom - 1)
+                flat = (first - top) * row + rest[i:j]
+            span = last - first
+            for t in range(np.max(span, initial=-1) + 1):
+                flat, span = flat[span >= t], span[span >= t]
+                band[flat + t * stride] = True
+        keys.append(np.flatnonzero(band) + top * row)
+        band[:] = False
+    flat = np.concatenate(keys)
+    del keys
     cells = np.empty((counts.size, flat.size), dtype=np.intp)
     for axis in range(counts.size - 1, 0, -1):
         np.divmod(flat, int(counts[axis]), out=(flat, cells[axis]))
@@ -173,16 +208,26 @@ def _predicate_counts(pred, lo: np.ndarray, hi: np.ndarray, mesh_sizes) -> list[
     max(hi - lo), which are all of its cells.  A point of the set in a fine
     cell lies in some coarse cell, which is then occupied, so no occupied
     fine cell is skipped.  The occupied cells of a mesh are carried as their
-    indices (k, d), never as a mask of the whole grid.
+    indices (k, d), never as a mask of the whole grid.  The predicate sees
+    the candidate cells in consecutive slices of at most _PREDICATE_CELLS,
+    so it must answer each row on its own, and the cells' bounds and the
+    predicate's temporaries are bounded by one slice: memory grows with the
+    occupied cells plus one band of ``_overlapping_cells``, not with the
+    grid.
     """
     counts = []
     occupied, coarse = np.zeros((1, lo.size), dtype=np.intp), float(np.max(hi - lo))
     for delta in mesh_sizes:
         n_cells = _cell_counts(lo, hi, delta)
         cells = _overlapping_cells(occupied, coarse, delta, n_cells)
-        c_lo = lo[None, :] + cells * delta
-        c_hi = np.minimum(c_lo + delta, hi[None, :])
-        occupied = cells[pred(c_lo, c_hi)]
+        hit = np.empty(len(cells), dtype=bool)
+        for start in range(0, len(cells), _PREDICATE_CELLS):
+            part = slice(start, start + _PREDICATE_CELLS)
+            c_lo = lo[None, :] + cells[part] * delta
+            c_hi = np.minimum(c_lo + delta, hi[None, :])
+            hit[part] = pred(c_lo, c_hi)
+        occupied = cells[hit]
+        del cells, hit  # before the next mesh builds its cells
         coarse = delta
         counts.append(len(occupied))
     return counts
@@ -210,8 +255,12 @@ def box_count_dimension(
     occupied, the first mesh near one domain-sized cell, so in full.  The
     counts then equal those of testing every cell whenever the predicate is
     an exact closed-cell intersection test, as ``circle_cell_membership``
-    and ``filled_box_membership`` are.  The domain box must be finite with
-    lo < hi on every axis, and a cloud must have one column per axis.
+    and ``filled_box_membership`` are.  The predicate is called on
+    consecutive slices of the cells to test, so it must answer each row
+    on its own.  Memory grows with the occupied cells plus one band of the
+    fine grid's mask (``_overlapping_cells``), not with the grid.  The
+    domain box must be finite with lo < hi on every axis, and a cloud must
+    have one column per axis.
     """
     lo, hi = _domain_box(domain_lo, domain_hi)
     mesh_sizes = sorted(_positive_sizes(mesh_sizes, "mesh sizes"), reverse=True)
@@ -687,17 +736,25 @@ def _aug_mean_dist_to_perfect(spec: DataMapSpec) -> float:
     return nearest_zero_resultant(np.full(len(spec.weights), math.atan2(-a_y, -a_x)), spec)[0]
 
 
+# Configurations per block of _slice_zero_counts.
+_TRADEOFF_CONFIGS = 1 << 12
+
+
 def _slice_zero_counts(units: np.ndarray, spec: DataMapSpec) -> np.ndarray:
     """Per configuration, given by its unit points (cos phi, sin phi) (2, n, m),
     the resultant's zeros on its C(n, 2) coordinate slices: two with phi_i,
     phi_j free if |w_i - w_j| < |c| < w_i + w_j, c the other terms plus w0 a,
-    else none (up to a null set)."""
+    else none (up to a null set).  The configurations are counted
+    _TRADEOFF_CONFIGS at a time, so the temporaries do not grow with m; a
+    configuration's count does not depend on the others."""
     w = np.asarray(spec.weights, dtype=float)[:, None]
-    r, terms = _weighted_resultant(units.copy(), spec)
-    counts = np.zeros(r.shape[1], dtype=np.int64)
-    for i in range(len(w) - 1):
-        c2 = np.sum(np.square((r - terms[:, i])[:, None] - terms[:, i + 1:]), axis=0)  # |c|^2, (n - 1 - i, m)
-        counts += 2 * np.count_nonzero(((w[i] - w[i + 1:]) ** 2 < c2) & (c2 < (w[i] + w[i + 1:]) ** 2), axis=0)
+    counts = np.zeros(units.shape[2], dtype=np.int64)
+    for start in range(0, units.shape[2], _TRADEOFF_CONFIGS):
+        block = slice(start, start + _TRADEOFF_CONFIGS)
+        r, terms = _weighted_resultant(units[:, :, block].copy(), spec)
+        for i in range(len(w) - 1):
+            c2 = np.sum(np.square((r - terms[:, i])[:, None] - terms[:, i + 1:]), axis=0)  # |c|^2, (n - 1 - i, block)
+            counts[block] += 2 * np.count_nonzero(((w[i] - w[i + 1:]) ** 2 < c2) & (c2 < (w[i] + w[i + 1:]) ** 2), axis=0)
     return counts
 
 
@@ -720,8 +777,14 @@ def tradeoff_experiment(
     """
     if cloud_size < 1:
         raise ContractViolation("cloud_size must be at least 1")
-    angles = 2.0 * math.pi * np.random.default_rng(seed).random((n_points, cloud_size))
-    units = np.stack([np.cos(angles), np.sin(angles)])  # one trig pass for every preset
+    # One trig pass for every preset, into one (2, n, m) array: the angles are
+    # drawn into its second half, scaled there, and replaced by their sines
+    # once their cosines are in the first, so the draw holds no other array.
+    units = np.empty((2, n_points, cloud_size))
+    angles = np.random.default_rng(seed).random(out=units[1])
+    angles *= 2.0 * math.pi
+    np.cos(angles, out=units[0])
+    np.sin(angles, out=angles)
     scale = (2.0 * math.pi) ** (n_points - 2)
     entries = []
     for name, spec in presets.items():

@@ -184,6 +184,7 @@ def test_refine_commands_stay_batched(tmp_path, monkeypatch):
     counts = json.loads((tmp_path / "dimension.json").read_text())["result"]["occupied_counts"]
     assert counts == [44, 112, 332, 960, 2772, 8008]
     assert sum(cells) < 10**5
+    assert max(cells) <= singlab.measure._PREDICATE_CELLS
 
 
 def test_localize_pc_report(tmp_path):

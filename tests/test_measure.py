@@ -213,6 +213,7 @@ def test_sparse_box_counts_equal_dense_filled_box(domain, corners):
 @example(spans=[5.0, 5.0, 5.0], coarse=0.3, ratio=4.0, bits=[True] * 125)
 @example(spans=[4.5], coarse=0.2, ratio=3.0, bits=[True, False, False, True] + [False] * 121)
 @example(spans=[0.5], coarse=0.2, ratio=1.5, bits=[False] * 125)
+@example(spans=[3.0, 2.5, 4.0], coarse=0.2, ratio=2.5, bits=[True, False, False] * 41 + [True, True])
 def test_overlapping_cells_match_brute_force(spans, coarse, ratio, bits):
     # fine cell j is kept when some occupied coarse cell k has
     # floor(k coarse / delta) - 1 <= j <= floor((k + 1) coarse / delta) + 1
@@ -237,6 +238,27 @@ def test_overlapping_cells_match_brute_force(spans, coarse, ratio, bits):
     assert got.flags.f_contiguous
     if not occupied.size:
         assert got.shape == (0, len(spans))
+
+
+@pytest.mark.parametrize("test", [test_overlapping_cells_match_brute_force, test_sparse_box_counts_equal_dense_circle,
+                                  test_sparse_box_counts_equal_dense_filled_box],
+                         ids=["overlapping_cells", "circle", "filled_box"])
+def test_box_counts_hold_in_one_row_bands(test, monkeypatch):
+    # the least band budget marks one fine row at a time, so every grid of
+    # more than one row along axis 0 crosses bands
+    monkeypatch.setattr(measure, "_BAND_BYTES", 1)
+    test()
+
+
+def test_box_count_memory_grows_with_the_occupied_cells():
+    # 40 014 occupied cells on a 10 000 x 10 000 grid: a mask of the whole
+    # fine grid alone would take 95 MiB, and about 101 MiB were traced with it
+    circle = circle_cell_membership((0.5, 0.5), 0.5)
+    estimates = []
+    peak = peak_bytes(lambda: estimates.append(
+        box_count_dimension(circle, (0, 0), (1, 1), np.geomspace(0.1, 1e-4, 6))))
+    assert estimates[0].occupied_counts == (44, 156, 632, 2520, 10044, 40014)
+    assert peak <= 16 * 2**20
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
