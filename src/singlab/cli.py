@@ -78,7 +78,6 @@ class SchemaError(ValueError):
     """Bad config: the message names the offending key."""
 
 
-# Per-command schema: key -> (type, default, validator or None)
 def _positive(name):
     def check(v):
         if any(x <= 0 for x in (v if isinstance(v, list) else [v])):
@@ -94,28 +93,50 @@ def _at_least(name, bound):
 
 
 def _choice(name, options):
+    """A check that a value, or every element of a list value, is one of the
+    options, the names in the table its runner reads."""
     def check(v):
-        if v not in options:
+        if any(x not in options for x in (v if isinstance(v, list) else [v])):
             raise SchemaError(f"key '{name}' must be one of {sorted(options)}, got {v!r}")
     return check
 
 
+# The tables behind the fixture and preset choices: each maps a name to what
+# the runner builds from it
+_TUBE_FIXTURES = {
+    "point": lambda: point_distance_fn((0.5, 0.5)),
+    "segment": lambda: segment_distance_fn((0.25, 0.5), (0.75, 0.5)),
+    "circle": lambda: circle_distance_fn((0.5, 0.5), 0.2),
+}
+_DIMENSION_FIXTURES = {
+    "circle": lambda config: circle_cell_membership((0.5, 0.5), config["radius"]),
+    "square": lambda config: filled_box_membership((0.0, 0.0), (1.0, 1.0)),
+    "point": lambda config: np.array([[0.5, 0.5]]),
+}
+_PRESETS = {
+    "uniform": uniform_preset,
+    "concentrated": concentrated_preset,
+    "moderate": lambda n: DataMapSpec(kind=MapKind.AUG_MEAN, weights=(1.0,) * n, w0=2.0),
+}
+
+
+# Per-command schema: key -> (type, default, validator or None)
 SCHEMAS = {
     "lfplot": {
-        "map": (str, "pc", _choice("map", set(_FITTER_KINDS))),
+        "map": (str, "pc", _choice("map", _FITTER_KINDS)),
         "grid_resolution": (int, 16, _at_least("grid_resolution", 4)),
         "threads": (int, 1, _positive("threads")),
         "out_csv": (str, "lfplot.csv", None),
         "out_svg": (str, "lfplot.svg", None),
     },
     "winding": {
-        "target": (str, "standard", _choice("target", {"standard", "ls", "pc", "lad"})),
+        "target": (str, "standard", _choice("target", {*_FITTER_KINDS, "standard"})),
         "samples": (int, 512, _at_least("samples", 3)),
         "shrink": (float, 1.0, _positive("shrink")),
         "out": (str, "winding.json", None),
     },
     "localize": {
-        "map": (str, "pc", _choice("map", set(_FITTER_KINDS))),
+        "map": (str, "pc", _choice("map", _FITTER_KINDS)),
         "center_x": (float, 0.0, None),
         "center_y": (float, 0.0, None),
         "half_width": (float, 0.9, _positive("half_width")),
@@ -124,7 +145,7 @@ SCHEMAS = {
         "out": (str, "localize.json", None),
     },
     "oscillate": {
-        "map": (str, "pc", _choice("map", set(_FITTER_KINDS))),
+        "map": (str, "pc", _choice("map", _FITTER_KINDS)),
         "at_x": (float, 0.0, None),
         "at_y": (float, 0.0, None),
         "radii": (list, [0.1, 0.01, 0.001], _positive("radii")),
@@ -133,7 +154,7 @@ SCHEMAS = {
         "out": (str, "oscillation.json", None),
     },
     "severity": {
-        "map": (str, "pc", _choice("map", set(_FITTER_KINDS))),
+        "map": (str, "pc", _choice("map", _FITTER_KINDS)),
         "at_x": (float, 0.0, None),
         "at_y": (float, 0.0, None),
         "radii": (list, [0.1, 0.01, 0.001], _positive("radii")),
@@ -143,7 +164,7 @@ SCHEMAS = {
         "out": (str, "severity.json", None),
     },
     "derivprofile": {
-        "map": (str, "pc", _choice("map", {"ls", "pc", "lad", "synthetic"})),
+        "map": (str, "pc", _choice("map", {*_FITTER_KINDS, "synthetic"})),
         "at_x": (float, 0.0, None),
         "at_y": (float, 0.0, None),
         "eta_max": (float, 0.1, _positive("eta_max")),
@@ -154,7 +175,7 @@ SCHEMAS = {
         "out_csv": (str, "derivprofile.csv", None),
     },
     "tube": {
-        "fixture": (str, "point", _choice("fixture", {"point", "segment", "circle"})),
+        "fixture": (str, "point", _choice("fixture", _TUBE_FIXTURES)),
         "delta_min": (float, 1e-3, _positive("delta_min")),
         "delta_max": (float, 1e-1, _positive("delta_max")),
         "delta_count": (int, 9, _at_least("delta_count", 2)),
@@ -164,7 +185,7 @@ SCHEMAS = {
         "out": (str, "tube.json", None),
     },
     "cdf": {
-        "map": (str, "ls", _choice("map", {"ls", "pc", "lad", "augmean"})),
+        "map": (str, "ls", _choice("map", {*_FITTER_KINDS, "augmean"})),
         "n_points": (int, 4, _at_least("n_points", 1)),
         "samples": (int, 10**5, _at_least("samples", 10**4)),
         "seed": (int, 20260810, None),
@@ -175,7 +196,7 @@ SCHEMAS = {
         "out_csv": (str, "cdf.csv", None),
     },
     "dimension": {
-        "fixture": (str, "circle", _choice("fixture", {"circle", "square", "point"})),
+        "fixture": (str, "circle", _choice("fixture", _DIMENSION_FIXTURES)),
         "radius": (float, 0.5, _positive("radius")),
         "mesh_max": (float, 0.1, _positive("mesh_max")),
         "mesh_min": (float, 0.002, _positive("mesh_min")),
@@ -184,7 +205,7 @@ SCHEMAS = {
     },
     "tradeoff": {
         "n_points": (int, 3, _at_least("n_points", 1)),
-        "presets": (list, ["uniform", "concentrated"], None),
+        "presets": (list, ["uniform", "concentrated"], _choice("presets", _PRESETS)),
         "seed": (int, 11, None),
         "cloud_size": (int, 20000, _at_least("cloud_size", 100)),
         "out": (str, "tradeoff.json", None),
@@ -242,8 +263,12 @@ def resolve_config(command: str, file_config: dict, overrides: dict) -> dict:
 
 
 def _out_path(config_value: str, outdir: str | None) -> str:
-    if os.path.isabs(config_value) or outdir is None:
+    """Where an output file goes: a relative path lands under outdir, which
+    is created here, when a runner resolves a path it is about to write, so
+    no config error leaves an empty output directory."""
+    if os.path.isabs(config_value) or not outdir:
         return config_value
+    os.makedirs(outdir, exist_ok=True)
     return os.path.join(outdir, config_value)
 
 
@@ -357,13 +382,6 @@ def _run_derivprofile(config, outdir):
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     return EXIT_OK, asdict(profile), [csv_path]
-
-
-_TUBE_FIXTURES = {
-    "point": lambda: point_distance_fn((0.5, 0.5)),
-    "segment": lambda: segment_distance_fn((0.25, 0.5), (0.75, 0.5)),
-    "circle": lambda: circle_distance_fn((0.5, 0.5), 0.2),
-}
 
 
 def _run_tube(config, outdir):
@@ -522,29 +540,13 @@ def _run_cdf(config, outdir):
 
 def _run_dimension(config, outdir):
     meshes = np.geomspace(config["mesh_max"], config["mesh_min"], config["mesh_count"])
-    fixture = config["fixture"]
-    if fixture == "circle":
-        membership = circle_cell_membership((0.5, 0.5), config["radius"])
-    elif fixture == "square":
-        membership = filled_box_membership((0.0, 0.0), (1.0, 1.0))
-    else:
-        membership = np.array([[0.5, 0.5]])
+    membership = _DIMENSION_FIXTURES[config["fixture"]](config)
     return EXIT_OK, asdict(box_count_dimension(membership, (0.0, 0.0), (1.0, 1.0), meshes)), []
 
 
 def _run_tradeoff(config, outdir):
     n = config["n_points"]
-    named = {
-        "uniform": uniform_preset(n),
-        "concentrated": concentrated_preset(n),
-        "moderate": DataMapSpec(kind=MapKind.AUG_MEAN, weights=(1.0,) * n, w0=2.0),
-    }
-    presets = {}
-    for name in config["presets"]:
-        key = str(name)
-        if key not in named:
-            raise SchemaError(f"key 'presets' contains unknown preset {key!r}")
-        presets[key.upper()] = named[key]
+    presets = {name.upper(): _PRESETS[name](n) for name in config["presets"]}
     return EXIT_OK, tradeoff_experiment(presets, n, config["seed"], cloud_size=config["cloud_size"]).to_dict(), []
 
 
@@ -613,8 +615,6 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     outdir = args.outdir or os.environ.get("SINGLAB_OUTDIR")
-    if outdir:
-        os.makedirs(outdir, exist_ok=True)
     try:
         code, result, files = _RUNNERS[command](config, outdir)
         if result is not None:

@@ -734,6 +734,9 @@ def evaluate_batch(spec: DataMapSpec, inputs) -> BatchOutcome:
     if inputs.size and not np.isfinite([inputs.min(), inputs.max()]).all():
         raise ContractViolation("map inputs must be finite")
     with np.errstate(divide="ignore", invalid="ignore"):
+        # a batch of one block takes the kernel's arrays whole: through the
+        # block loop a 256-row PC or LAD call read 1-3 us slower, and certify
+        # makes hundreds of such calls a pass (ROADMAP, measured keeps)
         if inputs.ndim < 2 or len(inputs) <= (rows := _block_rows(spec.kind, inputs.shape)):
             value, gap, reason = kernel(inputs, spec)
         else:

@@ -9,7 +9,9 @@ norm along a segment, which ``metrics`` leans on; ``loglog_fit``, the one
 slope behind every fitted exponent; and sorted symmetric eigenvalues, which
 no module of the package calls; it is exported for the appendix's
 eigenvalue-Lipschitz (Weyl) check.  The first two call no BLAS or LAPACK,
-so their bits do not depend on the OpenBLAS kernels loaded.
+so their bits do not depend on the OpenBLAS kernels loaded.  The private
+``_positive_sizes`` is the one check of every size ``measure`` and
+``metrics`` take: finite and positive.
 """
 
 from __future__ import annotations
@@ -256,6 +258,15 @@ def segment_average_norm(x, y) -> float:
     perp = x - b * u
     q = math.fsum(perp * perp)
     return (_norm_antiderivative(b + length, q) - _norm_antiderivative(b, q)) / length
+
+
+def _positive_sizes(sizes, name: str) -> list[float]:
+    """Sizes (mesh sizes, deltas, etas, steps) as floats, each finite and
+    positive: the one size check of ``measure`` and ``metrics``."""
+    sizes = [float(s) for s in sizes]
+    if not all(0.0 < s < math.inf for s in sizes):
+        raise ContractViolation(f"{name} must be finite and positive")
+    return sizes
 
 
 def loglog_fit(x, y, weights=None) -> float:

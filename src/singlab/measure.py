@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from singlab.datamaps import DataMapSpec, MapKind, _axis_sum, _pairwise_sum, _weighted_resultant
-from singlab.geometry import ContractViolation, loglog_fit, omega_s
+from singlab.geometry import ContractViolation, _positive_sizes, loglog_fit, omega_s
 from singlab.metrics import DIST_SURROGATE, SINGULAR_DISTANCE, nearest_zero_resultant
 
 DEFAULT_QUANTILE_WINDOW = (0.002, 0.05)
@@ -52,14 +52,6 @@ def _domain_box(domain_lo, domain_hi) -> tuple[np.ndarray, np.ndarray]:
     if lo.ndim != 1 or not lo.size or lo.shape != hi.shape or not np.all(np.isfinite(lo) & np.isfinite(hi) & (lo < hi)):
         raise ContractViolation("domain box must have finite corners lo < hi of one dimension d >= 1")
     return lo, hi
-
-
-def _positive_sizes(sizes, name: str) -> list[float]:
-    """Mesh sizes or deltas as floats, each finite and positive."""
-    sizes = [float(s) for s in sizes]
-    if not all(0.0 < s < math.inf for s in sizes):
-        raise ContractViolation(f"{name} must be finite and positive")
-    return sizes
 
 
 # ---------------------------------------------------------------------------

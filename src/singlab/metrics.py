@@ -38,7 +38,14 @@ from singlab.datamaps import (
     section,
     section_jacobian,
 )
-from singlab.geometry import ContractViolation, angle_distance, loglog_fit, segment_average_norm, wrap_increments
+from singlab.geometry import (
+    ContractViolation,
+    _positive_sizes,
+    angle_distance,
+    loglog_fit,
+    segment_average_norm,
+    wrap_increments,
+)
 
 
 def __getattr__(name: str):
@@ -371,11 +378,11 @@ def classify_severity(profile: OscillationProfile, mesh: float) -> str:
     The diameters are of sampled images, so each is a lower bound on the
     true oscillation.  SEVERE is therefore sound, but NON_SEVERE is a
     sampled verdict, not a certificate: the true diameter may be larger.
+    The mesh must be finite and positive.
     """
     if len(profile.radii) < 3:
         raise ContractViolation("severity needs a profile with >= 3 radii")
-    if mesh <= 0:
-        raise ContractViolation("mesh must be positive")
+    _positive_sizes([mesh], "mesh")
     d_small = profile.diameters[-1]
     if not math.isnan(d_small) and d_small >= 2.0 * mesh:
         return SEVERE
@@ -421,22 +428,37 @@ def _segments(curve) -> list[tuple[np.ndarray, np.ndarray, float]]:
     return segments
 
 
-def _midpoint_nodes(segments, nodes_per_segment: int) -> np.ndarray:
-    """The quadrature nodes of the segments, equally spaced interior
-    midpoints, nodes_per_segment per segment in order, stacked (k, dim)."""
-    ts = (np.arange(nodes_per_segment) + 0.5) / nodes_per_segment
-    return np.concatenate([a + ts[:, None] * (b - a) for a, b, _ in segments])
-
-
-def _midpoint_average(segments, norms: np.ndarray) -> float:
-    """Composite midpoint quadrature: each segment's length times the mean
-    of its nodes' norms, summed and divided by the total length."""
+def _length_weighted_mean(segments, values) -> float:
+    """Each segment's length times its value, summed and divided by the
+    total length."""
     total_len = 0.0
     total_int = 0.0
-    for (_, _, seg), vals in zip(segments, norms.reshape(len(segments), -1)):
+    for (_, _, seg), value in zip(segments, values):
         total_len += seg
-        total_int += seg * float(np.mean(vals))
+        total_int += seg * value
     return total_int / total_len
+
+
+def _arc_averages(outcome_fn, arcs, steps, nodes_per_segment: int = NODES_PER_SEGMENT) -> list[float | None]:
+    """Composite midpoint quadrature of |D(feature)| along each arc, given
+    as its segments, at its own finite-difference step.
+
+    Each segment's nodes are nodes_per_segment equally spaced interior
+    midpoints; the stencils of every node of every arc go to ``outcome_fn``
+    in one ``_grad_norms`` call.  An arc's average is each segment's length
+    times the mean of its nodes' norms, summed and divided by the arc's
+    length, or None where a stencil was Undefined.
+    """
+    ts = (np.arange(nodes_per_segment) + 0.5) / nodes_per_segment
+    nodes = np.concatenate([a + ts[:, None] * (b - a) for segments in arcs for a, b, _ in segments])
+    sizes = [len(segments) * nodes_per_segment for segments in arcs]
+    norms, defined = _grad_norms(outcome_fn, nodes, np.repeat(steps, sizes))
+    bounds = np.cumsum(sizes)[:-1]
+    averages = []
+    for segments, n, ok in zip(arcs, np.split(norms, bounds), np.split(defined, bounds)):
+        means = [float(np.mean(v)) for v in n.reshape(len(segments), -1)]
+        averages.append(_length_weighted_mean(segments, means) if ok.all() else None)
+    return averages
 
 
 def average_derivative_along_curve(
@@ -451,27 +473,22 @@ def average_derivative_along_curve(
     the mean |D(feature)| over equally spaced interior midpoints, each from
     ``_grad_norms``.  ``outcome_fn`` maps stacked points (m, dim) to their
     BatchOutcome; the stencils of every node of the curve go to it as one
-    batch.  ``derivative_blowup_profile`` shares the nodes, norms and
-    quadrature, with the stencils of many curves in one batch.
+    batch.  It is the one-arc case of ``_arc_averages``, the quadrature
+    ``derivative_blowup_profile`` runs on many arcs at once; h_fd must be
+    finite and positive.
     """
     segments = _segments(curve)
-    if h_fd <= 0:
-        raise ContractViolation("h_fd must be positive")
-    norms, defined = _grad_norms(outcome_fn, _midpoint_nodes(segments, nodes_per_segment), h_fd)
-    if not defined.all():
+    (average,) = _arc_averages(outcome_fn, [segments], _positive_sizes([h_fd], "h_fd"), nodes_per_segment)
+    if average is None:
         raise CurveHitsSingularityError("finite-difference stencil hit the singular set")
-    return _midpoint_average(segments, norms)
+    return average
 
 
 def average_distance_to_point(curve, x0) -> float:
     """Length-weighted average of |y - x0| along a polyline, by quadrature."""
     x0 = np.asarray(x0, dtype=float)
-    total_len = 0.0
-    total_int = 0.0
-    for a, b, seg in _segments(curve):
-        total_len += seg
-        total_int += seg * segment_average_norm(a - x0, b - x0)
-    return total_int / total_len
+    segments = _segments(curve)
+    return _length_weighted_mean(segments, [segment_average_norm(a - x0, b - x0) for a, b, _ in segments])
 
 
 @dataclass(frozen=True)
@@ -515,14 +532,14 @@ def derivative_blowup_profile(
     makes two calls.  A map's rows must not depend on their batch; then each
     eta sees the attempts, points and arithmetic of a profile of it alone,
     and its arc's average derivative is ``average_derivative_along_curve``'s
-    at step H_FD_FACTOR eta.
+    at step H_FD_FACTOR eta: both run the one arc quadrature,
+    ``_arc_averages``, here on every arc of a round at once.  The etas must
+    be finite, positive and strictly decreasing.
     """
     x0 = np.asarray(singular_point, dtype=float)
-    etas = tuple(float(e) for e in etas)
+    etas = tuple(_positive_sizes(etas, "etas"))
     if not all(a > b for a, b in zip(etas, etas[1:])):
         raise ContractViolation("etas must be strictly decreasing")
-    if not all(0.0 < e < math.inf for e in etas):
-        raise ContractViolation("etas must be finite and positive")
     rng = np.random.default_rng(seed)
     # seeded template directions, shared across etas
     phi1 = rng.uniform(0.0, 2 * math.pi)
@@ -544,7 +561,7 @@ def derivative_blowup_profile(
         out = _batch_outcome(outcome_fn(ys.reshape(-1, 2)))
         defined = out.defined.reshape(len(pending), -1)
         values = out.value.reshape(len(pending), -1)
-        arcs = []  # (eta index, curve, its segments)
+        arcs = []  # (eta index, curve)
         for i, y, ok, value in zip(pending, ys, defined, values):
             candidates = ok[1:-1]
             if not (ok[0] and candidates.any() and ok[-1]):
@@ -552,17 +569,13 @@ def derivative_blowup_profile(
             # the first candidate tied for farthest from y1 in the feature metric
             sep = np.where(candidates, _value_distances(value[1:-1], value[0], out.period), -np.inf)
             farthest = int(np.argmax(sep >= sep.max() - SEPARATION_TIE))
-            curve = [y[0], y[1 + farthest], y[-1]]
-            arcs.append((i, curve, _segments(curve)))
+            arcs.append((i, [y[0], y[1 + farthest], y[-1]]))
         if arcs:
-            nodes = [_midpoint_nodes(segments, NODES_PER_SEGMENT) for _, _, segments in arcs]
-            sizes = [len(n) for n in nodes]
-            ends = np.cumsum(sizes).tolist()
-            h = np.repeat([H_FD_FACTOR * etas[i] for i, _, _ in arcs], sizes)
-            norms, node_ok = _grad_norms(outcome_fn, np.concatenate(nodes), h)
-            for (i, curve, segments), start, end in zip(arcs, [0, *ends], ends):
-                if node_ok[start:end].all():
-                    avg_d[i] = _midpoint_average(segments, norms[start:end])
+            steps = [H_FD_FACTOR * etas[i] for i, _ in arcs]
+            averages = _arc_averages(outcome_fn, [_segments(curve) for _, curve in arcs], steps)
+            for (i, curve), average in zip(arcs, averages):
+                if average is not None:
+                    avg_d[i] = average
                     avg_r[i] = average_distance_to_point(curve, x0)
                     flagged[i] = False
         pending = [i for i in pending if flagged[i]]

@@ -264,6 +264,7 @@ def test_schema_rejects_non_finite_values(tmp_path, capsys, no_runner, args, key
     ("localize", {"half_width": "0.5", "samples_per_edge": "8"}, "half_width"),
     ("localize", {"samples_per_edge": "8"}, "samples_per_edge"),
     ("oscillate", {"radii": ["0.1", 0.01, 0.001]}, "radii"),
+    ("tradeoff", {"presets": ["bogus"]}, "presets"),
 ])
 def test_config_file_refuses_booleans_and_fractional_ints(tmp_path, capsys, no_runner, command, config, key):
     # each ran truncated or with true as 1, or raised OverflowError (inf);
@@ -291,11 +292,14 @@ def test_cdf_lad_two_points_is_a_contract_error(tmp_path, capsys):
     # the schema refuses the config before any run starts
     (["tube", "--delta-min", "-0.01"], "config error: key 'delta_min'"),
     (["winding", "--target", "standard", "--shrink", "0.5"], "config error: key 'shrink'"),
+    (["tradeoff", "--presets", "uniform,bogus"], "config error: key 'presets'"),
 ])
 def test_run_errors_and_config_errors_are_told_apart(tmp_path, capsys, args, prefix):
-    assert run(args, tmp_path) == EXIT_SCHEMA
+    # the output directory is made only when a file is about to be written
+    # there, so none of these leaves an empty one behind
+    assert run(args, tmp_path / "out") == EXIT_SCHEMA
     assert capsys.readouterr().err.startswith(prefix)
-    assert not list(tmp_path.iterdir())
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("args", [

@@ -30,8 +30,16 @@ from singlab.geometry import (
     sorted_eigenvalues,
     wrap_increments,
 )
-from singlab.measure import segment_distance_fn
-from singlab.metrics import _segments, oscillator_arc
+from singlab.cli import _synthetic_batch
+from singlab.measure import box_count_dimension, greedy_net, point_distance_fn, segment_distance_fn, tube_volume
+from singlab.metrics import (
+    OscillationProfile,
+    _segments,
+    average_derivative_along_curve,
+    classify_severity,
+    derivative_blowup_profile,
+    oscillator_arc,
+)
 
 # Frozen from a 10^6-step Riemann-sum oracle (test_riemann_oracle cross-checks).
 SEG_AVG_UNIT_DIAGONAL = 0.8116126200701153
@@ -330,3 +338,26 @@ def test_eigenvalue_weyl_lipschitz():
             lam = sorted_eigenvalues(m)
             lam_p = sorted_eigenvalues(m + e)
             assert np.max(np.abs(lam_p - lam)) <= np.linalg.norm(e, "fro") + 1e-10
+
+
+_PROFILE = OscillationProfile(radii=(0.1, 0.01, 0.001), diameters=(1.0, 1.0, 1.0), samples_per_radius=16, seed=0)
+_SIZED = {
+    "greedy_net(delta)": lambda size: greedy_net(np.zeros((3, 2)), size),
+    "box_count_dimension(mesh_sizes)": lambda size: box_count_dimension(
+        np.array([[0.5, 0.5]]), (0.0, 0.0), (1.0, 1.0), [0.1, size]),
+    "tube_volume(deltas)": lambda size: tube_volume(
+        point_distance_fn((0.5, 0.5)), (0.0, 0.0), (1.0, 1.0), [0.1, size], 10**4, 0),
+    "derivative_blowup_profile(etas)": lambda size: derivative_blowup_profile(_synthetic_batch, (0.0, 0.0), [size]),
+    "classify_severity(mesh)": lambda size: classify_severity(_PROFILE, size),
+    "average_derivative_along_curve(h_fd)": lambda size: average_derivative_along_curve(
+        _synthetic_batch, [(0.1, 0.1), (0.2, 0.3)], h_fd=size),
+}
+
+
+@pytest.mark.parametrize("size", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("call", sorted(_SIZED))
+def test_every_size_must_be_finite_and_positive(call, size):
+    # one check for every size: a NaN mesh read UNDECIDED and an infinite
+    # one NON_SEVERE, and a NaN h_fd averaged to NaN
+    with pytest.raises(ContractViolation, match="must be finite and positive"):
+        _SIZED[call](size)
