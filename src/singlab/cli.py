@@ -4,8 +4,8 @@ One subcommand per experiment; parameters come from an optional JSON config
 file plus command-line flags (flags win).  Unknown config keys and NaN or
 infinite floats are rejected, every report echoes the fully resolved
 config, and identical config + seed produce byte-identical output files.
-The ``threads`` key of lfplot, tube and cdf is still accepted and validated
-but has no effect: ``cdf`` runs its Monte-Carlo chunks on up to two of the
+The ``threads`` key of tube and cdf is still accepted and validated but
+has no effect: ``cdf`` runs its Monte-Carlo chunks on up to two of the
 CPUs the process may use, and no output bit depends on their number.
 
 Each runner returns its exit code, its report's result (None for lfplot,
@@ -125,7 +125,6 @@ SCHEMAS = {
     "lfplot": {
         "map": (str, "pc", _choice("map", _FITTER_KINDS)),
         "grid_resolution": (int, 16, _at_least("grid_resolution", 4)),
-        "threads": (int, 1, _positive("threads")),
         "out_csv": (str, "lfplot.csv", None),
         "out_svg": (str, "lfplot.svg", None),
     },

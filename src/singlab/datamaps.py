@@ -16,11 +16,13 @@ such as ``slices.slice_map``.
 ``evaluate`` is the one-row case of evaluate_batch: an :class:`EvalOutcome`
 carrying either a feature or a reason it is undefined, plus a nonnegative
 ``gap`` that vanishes exactly on the map's (surrogate) singular surface.  ``evaluate_with_standard``
-wraps a map with the calibration standard: exact perfect fits are answered by
-the canonical feature, which extends the fitters continuously through inputs
-(vertical lines) the raw formulas cannot represent.  For the line fitters it
-is the one-row case of ``evaluate_with_standard_batch`` over (m, n, 2) point
-batches; only the augmented mean's standard, on circle datasets, is scalar.
+wraps a line fitter with the calibration standard: exact perfect fits are
+answered by the canonical feature, which extends the fitters continuously
+through inputs (vertical lines) the raw formulas cannot represent; it is the
+one-row case of ``evaluate_with_standard_batch`` over (m, n, 2) point
+batches.  Every other map is evaluated raw: the augmented mean is already
+continuous at circle perfect fits, where its pseudo-observation pulls it off
+the data's common point, so answering them by the standard would make it jump.
 """
 
 from __future__ import annotations
@@ -323,38 +325,24 @@ def spanning_lines(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return residual, theta, span
 
 
-def _circle_standard(dataset: CircleDataset) -> EvalOutcome | None:
-    """The standard's outcome on a circle dataset whose points are all
-    equal, None otherwise: that point, with gap the span plus one.
-
-    It stays scalar, not a row of a BatchOutcome: a row stores the point's
-    angle, and the point rebuilt from it is off in the last bit (cos(pi/2) =
-    6.1e-17 where the data have 0), while the standard returns the data's
-    point itself.
-    """
-    spread = float(np.max(np.linalg.norm(dataset.points - dataset.points[0], axis=1)))
-    if spread > PERFECT_FIT_TOL:
-        return None
-    u = dataset.points[0]
-    return EvalOutcome.of(CirclePoint(u / math.sqrt(math.fsum(u * u))), dataset_span(dataset) + 1.0)
-
-
 def eval_perfect_fit_standard(dataset) -> Feature:
     """The canonical feature of a perfect fit (the standard Sigma).
 
     Plane datasets must span a unique line exactly, and get its direction
-    from ``standard_batch``; circle datasets must have all points equal.
-    Anything else raises NotPerfectFitError (a one-point plane dataset, which
-    no line fitter takes, a ContractViolation).
+    from ``standard_batch``; circle datasets must have all points equal, and
+    get that point itself, not one rebuilt from its angle, which is off in
+    the last bit (cos(pi/2) = 6.1e-17 where the data have 0).  Anything else
+    raises NotPerfectFitError (a one-point plane dataset, which no line
+    fitter takes, a ContractViolation).
     """
     if isinstance(dataset, PlaneDataset):
         return standard_batch(dataset.points[None]).outcome(0).feature
     if not isinstance(dataset, CircleDataset):
         raise ContractViolation(f"no perfect-fit standard for {type(dataset).__name__}")
-    outcome = _circle_standard(dataset)
-    if outcome is None:
+    if np.max(np.linalg.norm(dataset.points - dataset.points[0], axis=1)) > PERFECT_FIT_TOL:
         raise NotPerfectFitError("CircleDataset is not an exact perfect fit")
-    return outcome.feature
+    u = dataset.points[0]
+    return CirclePoint(u / math.sqrt(math.fsum(u * u)))
 
 
 def dataset_span(dataset) -> float:
@@ -363,20 +351,19 @@ def dataset_span(dataset) -> float:
 
 
 def evaluate_with_standard(spec: DataMapSpec, x) -> EvalOutcome:
-    """Evaluate a map, answering exact perfect fits by the standard.
+    """Evaluate a map, answering a line fitter's exact perfect fits by the
+    standard.
 
-    This is the unique continuous extension of each fitter through perfect
-    fits: in particular it gives the vertical direction on vertical collinear
-    data, where the raw LS and LAD formulas are undefined or unrepresentable.
-    Off perfect fits it is the raw map.  A line fitter on a plane dataset is
-    the one-row case of ``evaluate_with_standard_batch``.
+    This is the unique continuous extension of each line fitter through
+    perfect fits: in particular it gives the vertical direction on vertical
+    collinear data, where the raw LS and LAD formulas are undefined or
+    unrepresentable.  A line fitter on a plane dataset is the one-row case
+    of ``evaluate_with_standard_batch``.  Off perfect fits, and for every
+    other map, it is the raw map (``evaluate``): the augmented mean needs no
+    extension, and the standard disagrees with it at circle perfect fits.
     """
     if isinstance(x, PlaneDataset) and _KERNELS[spec.kind][1] is LineDirection:
         return evaluate_with_standard_batch(spec, x.points[None]).outcome(0)
-    if isinstance(x, CircleDataset) and spec.kind is MapKind.AUG_MEAN:
-        outcome = _circle_standard(x)
-        if outcome is not None:
-            return outcome
     return evaluate(spec, x)
 
 

@@ -8,10 +8,11 @@ own metric.  The module also houses three analytic utilities: the average
 norm along a segment, which ``metrics`` leans on; ``loglog_fit``, the one
 slope behind every fitted exponent; and sorted symmetric eigenvalues, which
 no module of the package calls; it is exported for the appendix's
-eigenvalue-Lipschitz (Weyl) check.  The first two call no BLAS or LAPACK,
-so their bits do not depend on the OpenBLAS kernels loaded.  The private
-``_positive_sizes`` is the one check of every size ``measure`` and
-``metrics`` take: finite and positive.
+eigenvalue-Lipschitz (Weyl) check and is LAPACK's at every size (the PC
+kernel reads its 2x2 eigenvalue gap off ``datamaps.section`` instead).  The
+first two call no BLAS or LAPACK, so their bits do not depend on the
+OpenBLAS kernels loaded.  The private ``_positive_sizes`` is the one check
+of every size ``measure`` and ``metrics`` take: finite and positive.
 """
 
 from __future__ import annotations
@@ -288,10 +289,9 @@ def loglog_fit(x, y, weights=None) -> float:
 
 
 def sorted_eigenvalues(m) -> np.ndarray:
-    """Eigenvalues of a symmetric real matrix in nonincreasing order.
-
-    Closed form for 2x2 input, LAPACK otherwise.  Input must be symmetric to
-    within 1e-12 entrywise.
+    """Eigenvalues of a symmetric real matrix in nonincreasing order, from
+    LAPACK's ``eigvalsh`` at every size.  Input must be symmetric to within
+    1e-12 entrywise.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -300,11 +300,4 @@ def sorted_eigenvalues(m) -> np.ndarray:
         raise ContractViolation("matrix must be finite")
     if np.max(np.abs(m - m.T)) > SYMMETRY_TOL:
         raise ContractViolation("matrix is not symmetric within 1e-12")
-    q = m.shape[0]
-    if q == 1:
-        return np.array([m[0, 0]])
-    if q == 2:
-        mean = 0.5 * (m[0, 0] + m[1, 1])
-        spread = math.hypot(0.5 * (m[0, 0] - m[1, 1]), m[0, 1])
-        return np.array([mean + spread, mean - spread])
     return np.linalg.eigvalsh(m)[::-1].copy()

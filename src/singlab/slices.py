@@ -114,9 +114,8 @@ def slice_map(spec: SliceSpec, map_spec: DataMapSpec):
 
 
 def boundary_loop(spec: SliceSpec, m: int) -> Loop:
-    """m equally spaced boundary datasets; every sample is a perfect fit."""
-    if m < 3:
-        raise ContractViolation("a loop needs at least 3 samples")
+    """m equally spaced boundary datasets; every sample is a perfect fit.
+    ``Loop`` refuses m < 3."""
     return Loop(spec._boundary_points(2.0 * math.pi * np.arange(m) / m))
 
 

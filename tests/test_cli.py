@@ -87,6 +87,19 @@ def test_winding_report(tmp_path):
     assert (result["degree"], result["samples_used"], result["max_depth"]) == (2, 10, 1)
 
 
+@pytest.mark.parametrize("target, shrink, status, detail", [
+    # shrunk to within 1e-13 of the slice center, PC's eigenvalue tie, every
+    # sample is Undefined; at half the radius a LAD edge stays a long arc
+    ("pc", "1e-13", "LOOP_HITS_SINGULARITY", "loop sample evaluated Undefined (EIGENVALUE_TIE)"),
+    ("lad", "0.5", "INCONCLUSIVE", "edge not short-arc after 24 bisections"),
+])
+def test_winding_reports_inconclusive_loops(tmp_path, target, shrink, status, detail):
+    args = ["winding", "--target", target, "--shrink", shrink, "--samples", "64"]
+    assert run(args, tmp_path) == EXIT_INCONCLUSIVE
+    result = json.loads((tmp_path / "winding.json").read_text())["result"]
+    assert result == {"status": status, "detail": detail}
+
+
 def test_winding_standard_rejects_shrink(tmp_path, capsys, monkeypatch):
     # the standard is defined only on perfect fits, which a shrunk loop
     # leaves: the key is named before anything is evaluated
@@ -385,10 +398,13 @@ def test_cli_never_exits_internal_on_accepted_configs(tmp_path_factory, drawn, d
     assert code in (EXIT_OK, EXIT_SCHEMA, EXIT_INCONCLUSIVE), err.getvalue()
 
 
-def test_schema_rejects_malformed_json(tmp_path):
+def test_schema_rejects_malformed_json(tmp_path, capsys):
     cfg = tmp_path / "broken.json"
     cfg.write_text("{not json")
     assert main(["cdf", "--config", str(cfg), "--outdir", str(tmp_path)]) == EXIT_SCHEMA
+    cfg.write_text("[1, 2]")
+    assert main(["cdf", "--config", str(cfg), "--outdir", str(tmp_path)]) == EXIT_SCHEMA
+    assert "config error: config file must contain a JSON object" in capsys.readouterr().err
 
 
 def test_config_file_with_flag_override(tmp_path):

@@ -322,6 +322,21 @@ def test_perfect_fit_standard_examples():
         eval_perfect_fit_standard(PlaneDataset([(1, 1), (1, 1), (1, 1)]))  # no unique line
 
 
+def test_augmented_mean_is_not_patched_at_circle_perfect_fits():
+    # the raw augmented mean is continuous through a circle perfect fit; the
+    # standard there (the common point, with its own gap) would make it jump
+    spec = uniform_preset(3)
+    for phi in ((0.0, 0.0, 0.0), (0.0, 0.0, 1e-9)):
+        ds = CircleDataset(np.stack([np.cos(phi), np.sin(phi)], axis=1))
+        patched, raw = evaluate_with_standard(spec, ds), evaluate(spec, ds)
+        assert (patched.feature.angle, patched.gap) == (raw.feature.angle, raw.gap)
+        assert abs(patched.feature.angle + 0.165149) < 1e-6 and abs(patched.gap - 3.0414) < 1e-4
+    # the standard itself still answers with the data's own point
+    assert eval_perfect_fit_standard(CircleDataset([(0.0, 1.0)] * 5)).u.tolist() == [0.0, 1.0]
+    with pytest.raises(NotPerfectFitError):
+        eval_perfect_fit_standard(CircleDataset([(0.0, 1.0), (1.0, 0.0)]))
+
+
 def random_collinear(rng, n=3, force_theta=None):
     theta = force_theta if force_theta is not None else rng.uniform(0, math.pi)
     direction = np.array([math.cos(theta), math.sin(theta)])

@@ -649,6 +649,8 @@ def test_cdf_preconditions():
         distance_cdf(LS, 4, 5000, 0)
     with pytest.raises(ContractViolation):
         distance_cdf(LS, 4, 10**4, 0, quantile_window=(0.05, 0.2))
+    with pytest.raises(ContractViolation, match="no CDF sampler"):
+        distance_cdf(DataMapSpec(kind=MapKind.DISK_DECISION, radius=0.5), 4, 10**4, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -811,6 +813,15 @@ def test_tradeoff_refuses_an_empty_draw():
     # a mean over no draws is NaN, with a RuntimeWarning
     with pytest.raises(ContractViolation, match="cloud_size"):
         tradeoff_experiment({"UNIFORM": uniform_preset(3)}, 3, seed=11, cloud_size=0)
+
+
+@pytest.mark.parametrize("spec, message", [
+    (PC, "must be AUG_MEAN specs"),
+    (uniform_preset(4), "has 4 weights for n=3"),
+])
+def test_tradeoff_refuses_a_preset_it_cannot_run(spec, message):
+    with pytest.raises(ContractViolation, match=message):
+        tradeoff_experiment({"BAD": spec}, 3, seed=11, cloud_size=100)
 
 
 def test_tradeoff_single_point_sanity():

@@ -28,6 +28,7 @@ from singlab.geometry import (
     ContractViolation,
     LineDirection,
     PlaneDataset,
+    ScalarValue,
     loglog_fit,
     reduce_mod_pi,
     wrap_increments,
@@ -175,6 +176,13 @@ def test_aug_mean_distance():
     refined, tag = distance_to_singular(spec, ds, refine=True)
     assert tag == "REFINED"
     assert refined > 0
+
+
+def test_aug_mean_refined_distance_to_an_empty_singular_set():
+    # w0 = 5 outweighs the two unit weights, so no resultant vanishes and no
+    # projector start lands
+    spec = DataMapSpec(kind=MapKind.AUG_MEAN, weights=(1.0, 1.0), w0=5.0)
+    assert distance_to_singular(spec, CircleDataset([(1.0, 0.0), (0.0, 1.0)]), refine=True) == (math.inf, "REFINED")
 
 
 def test_aug_mean_refined_distance_off_the_symmetry_saddle():
@@ -475,6 +483,19 @@ def test_blowup_synthetic_exponent_minus_one():
     profile = derivative_blowup_profile(half_angle_batch, (0, 0), ETAS, seed=3)
     assert not any(profile.flagged)
     assert abs(profile.fitted_exponent + 1.0) <= 0.05
+
+
+def test_blowup_of_a_scalar_map_reads_its_gradient_norm():
+    # |u| has gradient norm 1 off the origin: scalar values are compared by
+    # their absolute difference, and nothing blows up
+    def radius(us):
+        r = np.linalg.norm(us, axis=1)
+        return BatchOutcome(value=r, gap=r, reason=np.where(r == 0.0, UndefinedReason.ORIGIN, 0), feature=ScalarValue)
+
+    profile = derivative_blowup_profile(radius, (0, 0), ETAS, seed=3)
+    assert not any(profile.flagged)
+    assert np.allclose(profile.avg_derivative, 1.0, rtol=0.0, atol=1e-9)
+    assert abs(profile.fitted_exponent) <= 1e-9
 
 
 def test_blowup_etas_of_one_log_fit_nothing():

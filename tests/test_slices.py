@@ -74,6 +74,12 @@ def test_boundary_loop_angles():
         )
 
 
+@pytest.mark.parametrize("m", [-3, 0, 1, 2])
+def test_boundary_loop_refuses_fewer_than_three_samples(m):
+    with pytest.raises(ContractViolation, match="a loop needs at least 3 samples"):
+        boundary_loop(SPEC, m)
+
+
 def test_boundary_loop_exactly_collinear():
     loop = boundary_loop(SPEC, 64)
     residual, _, _ = spanning_lines(loop.points)
