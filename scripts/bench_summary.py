@@ -3,6 +3,8 @@ compare two such files.
 
     python3 scripts/bench_summary.py --results perfbench/results --tag 9c5a0d8
     python3 scripts/bench_summary.py --compare BENCH_9c5a0d8.json BENCH_ec5c955.json
+    python3 scripts/bench_summary.py --trajectory BENCH_9c5a0d8.json BENCH_ec5c955.json \
+        BENCH_ec5c955.json BENCH_26c116e.json
 
 ``perfbench/run.py`` writes one record per run, named
 ``<workload>-seed<seed>-trace<trace>.json``, under ``perfbench/results/``.
@@ -41,6 +43,14 @@ verdict, its ``bound`` read as a fraction of the parent median:
 
 A file without runs by seed never gives ``gain``.  The exit status is 1 when
 any verdict is ``worse``.
+
+``--trajectory PARENT CHANGE [PARENT CHANGE ...]`` reads such files as
+pairs, in the order given, and writes nothing.  Per workload and
+end-to-end metric in every file, it prints the product of the pairs'
+change/parent median ratios, and beside it the sum of the parents'
+IQR/median as its spread.  The figures are indicative: each pair was run
+in its own session, so a product cannot tell drift from noise, and the
+output's first line says so.  An odd number of files exits 2.
 """
 
 from __future__ import annotations
@@ -146,6 +156,29 @@ def compare(parent: dict, change: dict, bounds: dict) -> list:
     return lines
 
 
+def trajectory(files: list, names) -> list:
+    """The lines ``--trajectory`` prints, as the module docstring lists,
+    given the files as parent, change, parent, change, ... and the metric
+    names to read."""
+    pairs = list(zip(files[::2], files[1::2]))
+    lines = [f"indicative only: products over {len(pairs)} pairs, each from its own session, "
+             "so they cannot tell drift from noise"]
+    for name in sorted(set.intersection(*(set(f["workloads"]) for f in files))):
+        metrics = [f["workloads"][name]["metrics"] for f in files]
+        for key in sorted(set(names).intersection(*metrics)):
+            ratio, spread = 1.0, 0.0
+            for parent, change in zip(metrics[::2], metrics[1::2]):
+                ratio *= change[key]["median"] / parent[key]["median"]
+                spread += parent[key]["iqr"] / parent[key]["median"]
+            lines.append(f"{name} {key}: x{ratio:.4g} ({100.0 * (ratio - 1.0):+.1f}%), spread {spread:.3g}")
+    return lines
+
+
+def load(path: str) -> dict:
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def summarize(records: list) -> dict:
     """One workload's runs, as the module docstring lists."""
     names = sorted({name for r in records for name in r["metrics"]})
@@ -179,17 +212,21 @@ def main(argv=None) -> int:
     parser.add_argument("--compare", nargs=2, metavar=("PARENT", "CHANGE"),
                         help="compare two BENCH files by workload and metric, with a verdict per end-to-end "
                              "metric; writes nothing, exits 1 on a worse one")
+    parser.add_argument("--trajectory", nargs="+", metavar="FILE",
+                        help="PARENT CHANGE [PARENT CHANGE ...]: the product of the pairs' median ratios per "
+                             "end-to-end metric, indicative only; writes nothing")
     args = parser.parse_args(argv)
     if args.compare:
-        files = []
-        for path in args.compare:
-            with open(path, encoding="utf-8") as fh:
-                files.append(json.load(fh))
-        lines = compare(*files, end_to_end_bounds())
+        lines = compare(*map(load, args.compare), end_to_end_bounds())
         print("\n".join(lines))
         return int(any(line.endswith("verdict: worse") for line in lines))
+    if args.trajectory:
+        if len(args.trajectory) % 2:
+            parser.error("--trajectory takes PARENT CHANGE pairs, an even number of files")
+        print("\n".join(trajectory([load(path) for path in args.trajectory], end_to_end_bounds())))
+        return 0
     if not args.tag:
-        parser.error("give --tag, or --compare")
+        parser.error("give --tag, --compare or --trajectory")
     commit = args.commit or git_commit(args.results)
     if not commit:
         parser.error(f"{args.results} is not in a git checkout: give --commit")

@@ -78,26 +78,26 @@ class SchemaError(ValueError):
     """Bad config: the message names the offending key."""
 
 
-def _positive(name):
-    def check(v):
-        if any(x <= 0 for x in (v if isinstance(v, list) else [v])):
-            raise SchemaError(f"key '{name}' must be positive, got {v}")
-    return check
+# Schema checks: each takes the key and its resolved value, and raises a
+# SchemaError that names the key
+def _positive(key, v):
+    if any(x <= 0 for x in (v if isinstance(v, list) else [v])):
+        raise SchemaError(f"key '{key}' must be positive, got {v}")
 
 
-def _at_least(name, bound):
-    def check(v):
+def _at_least(bound):
+    def check(key, v):
         if v < bound:
-            raise SchemaError(f"key '{name}' must be >= {bound}, got {v}")
+            raise SchemaError(f"key '{key}' must be >= {bound}, got {v}")
     return check
 
 
-def _choice(name, options):
+def _choice(options):
     """A check that a value, or every element of a list value, is one of the
     options, the names in the table its runner reads."""
-    def check(v):
+    def check(key, v):
         if any(x not in options for x in (v if isinstance(v, list) else [v])):
-            raise SchemaError(f"key '{name}' must be one of {sorted(options)}, got {v!r}")
+            raise SchemaError(f"key '{key}' must be one of {sorted(options)}, got {v!r}")
     return check
 
 
@@ -120,93 +120,93 @@ _PRESETS = {
 }
 
 
-# Per-command schema: key -> (type, default, validator or None)
+# Per-command schema: key -> (type, default, check(key, value) or None)
 SCHEMAS = {
     "lfplot": {
-        "map": (str, "pc", _choice("map", _FITTER_KINDS)),
-        "grid_resolution": (int, 16, _at_least("grid_resolution", 4)),
+        "map": (str, "pc", _choice(_FITTER_KINDS)),
+        "grid_resolution": (int, 16, _at_least(4)),
         "out_csv": (str, "lfplot.csv", None),
         "out_svg": (str, "lfplot.svg", None),
     },
     "winding": {
-        "target": (str, "standard", _choice("target", {*_FITTER_KINDS, "standard"})),
-        "samples": (int, 512, _at_least("samples", 3)),
-        "shrink": (float, 1.0, _positive("shrink")),
+        "target": (str, "standard", _choice({*_FITTER_KINDS, "standard"})),
+        "samples": (int, 512, _at_least(3)),
+        "shrink": (float, 1.0, _positive),
         "out": (str, "winding.json", None),
     },
     "localize": {
-        "map": (str, "pc", _choice("map", _FITTER_KINDS)),
+        "map": (str, "pc", _choice(_FITTER_KINDS)),
         "center_x": (float, 0.0, None),
         "center_y": (float, 0.0, None),
-        "half_width": (float, 0.9, _positive("half_width")),
-        "eps": (float, 1e-3, _positive("eps")),
-        "samples_per_edge": (int, 32, _at_least("samples_per_edge", 2)),
+        "half_width": (float, 0.9, _positive),
+        "eps": (float, 1e-3, _positive),
+        "samples_per_edge": (int, 32, _at_least(2)),
         "out": (str, "localize.json", None),
     },
     "oscillate": {
-        "map": (str, "pc", _choice("map", _FITTER_KINDS)),
+        "map": (str, "pc", _choice(_FITTER_KINDS)),
         "at_x": (float, 0.0, None),
         "at_y": (float, 0.0, None),
-        "radii": (list, [0.1, 0.01, 0.001], _positive("radii")),
-        "k_samples": (int, 64, _at_least("k_samples", 16)),
+        "radii": (list, [0.1, 0.01, 0.001], _positive),
+        "k_samples": (int, 64, _at_least(16)),
         "seed": (int, 0, None),
         "out": (str, "oscillation.json", None),
     },
     "severity": {
-        "map": (str, "pc", _choice("map", _FITTER_KINDS)),
+        "map": (str, "pc", _choice(_FITTER_KINDS)),
         "at_x": (float, 0.0, None),
         "at_y": (float, 0.0, None),
-        "radii": (list, [0.1, 0.01, 0.001], _positive("radii")),
-        "k_samples": (int, 64, _at_least("k_samples", 16)),
-        "mesh": (float, 0.3, _positive("mesh")),
+        "radii": (list, [0.1, 0.01, 0.001], _positive),
+        "k_samples": (int, 64, _at_least(16)),
+        "mesh": (float, 0.3, _positive),
         "seed": (int, 0, None),
         "out": (str, "severity.json", None),
     },
     "derivprofile": {
-        "map": (str, "pc", _choice("map", {*_FITTER_KINDS, "synthetic"})),
+        "map": (str, "pc", _choice({*_FITTER_KINDS, "synthetic"})),
         "at_x": (float, 0.0, None),
         "at_y": (float, 0.0, None),
-        "eta_max": (float, 0.1, _positive("eta_max")),
-        "eta_min": (float, 0.001, _positive("eta_min")),
-        "eta_count": (int, 7, _at_least("eta_count", 2)),
+        "eta_max": (float, 0.1, _positive),
+        "eta_min": (float, 0.001, _positive),
+        "eta_count": (int, 7, _at_least(2)),
         "seed": (int, 0, None),
         "out": (str, "derivprofile.json", None),
         "out_csv": (str, "derivprofile.csv", None),
     },
     "tube": {
-        "fixture": (str, "point", _choice("fixture", _TUBE_FIXTURES)),
-        "delta_min": (float, 1e-3, _positive("delta_min")),
-        "delta_max": (float, 1e-1, _positive("delta_max")),
-        "delta_count": (int, 9, _at_least("delta_count", 2)),
-        "samples": (int, 10**5, _at_least("samples", 10**4)),
+        "fixture": (str, "point", _choice(_TUBE_FIXTURES)),
+        "delta_min": (float, 1e-3, _positive),
+        "delta_max": (float, 1e-1, _positive),
+        "delta_count": (int, 9, _at_least(2)),
+        "samples": (int, 10**5, _at_least(10**4)),
         "seed": (int, 7, None),
-        "threads": (int, 1, _positive("threads")),
+        "threads": (int, 1, _positive),
         "out": (str, "tube.json", None),
     },
     "cdf": {
-        "map": (str, "ls", _choice("map", {*_FITTER_KINDS, "augmean"})),
-        "n_points": (int, 4, _at_least("n_points", 1)),
-        "samples": (int, 10**5, _at_least("samples", 10**4)),
+        "map": (str, "ls", _choice({*_FITTER_KINDS, "augmean"})),
+        "n_points": (int, 4, _at_least(1)),
+        "samples": (int, 10**5, _at_least(10**4)),
         "seed": (int, 20260810, None),
-        "q_lo": (float, 0.002, _positive("q_lo")),
-        "q_hi": (float, 0.05, _positive("q_hi")),
-        "threads": (int, 1, _positive("threads")),
+        "q_lo": (float, 0.002, _positive),
+        "q_hi": (float, 0.05, _positive),
+        "threads": (int, 1, _positive),
         "out": (str, "cdf.json", None),
         "out_csv": (str, "cdf.csv", None),
     },
     "dimension": {
-        "fixture": (str, "circle", _choice("fixture", _DIMENSION_FIXTURES)),
-        "radius": (float, 0.5, _positive("radius")),
-        "mesh_max": (float, 0.1, _positive("mesh_max")),
-        "mesh_min": (float, 0.002, _positive("mesh_min")),
-        "mesh_count": (int, 6, _at_least("mesh_count", 4)),
+        "fixture": (str, "circle", _choice(_DIMENSION_FIXTURES)),
+        "radius": (float, 0.5, _positive),
+        "mesh_max": (float, 0.1, _positive),
+        "mesh_min": (float, 0.002, _positive),
+        "mesh_count": (int, 6, _at_least(4)),
         "out": (str, "dimension.json", None),
     },
     "tradeoff": {
-        "n_points": (int, 3, _at_least("n_points", 1)),
-        "presets": (list, ["uniform", "concentrated"], _choice("presets", _PRESETS)),
+        "n_points": (int, 3, _at_least(1)),
+        "presets": (list, ["uniform", "concentrated"], _choice(_PRESETS)),
         "seed": (int, 11, None),
-        "cloud_size": (int, 20000, _at_least("cloud_size", 100)),
+        "cloud_size": (int, 20000, _at_least(100)),
         "out": (str, "tradeoff.json", None),
     },
 }
@@ -256,7 +256,7 @@ def resolve_config(command: str, file_config: dict, overrides: dict) -> dict:
         if not all(math.isfinite(v) for v in (value if typ is list else [value]) if isinstance(v, float)):
             raise SchemaError(f"key '{key}' must be finite, got {value!r}")
         if check is not None:
-            check(value)
+            check(key, value)
         config[key] = value
     return config
 

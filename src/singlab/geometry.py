@@ -18,7 +18,7 @@ of every size ``measure`` and ``metrics`` take: finite and positive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -51,8 +51,27 @@ def _as_point_array(points, name: str = "points") -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class PlaneDataset:
+class _ArrayValue:
+    """Compares and hashes a one-array dataclass by value: instances of one
+    class are equal when their arrays are (``np.array_equal``), and equal
+    ones hash alike, -0.0 and 0.0 included, since adding 0.0 turns -0.0
+    into 0.0 before the bytes are hashed."""
+
+    def _array(self) -> np.ndarray:
+        (field,) = fields(self)
+        return getattr(self, field.name)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return np.array_equal(self._array(), other._array())
+
+    def __hash__(self):
+        return hash((self._array() + 0.0).tobytes())
+
+
+@dataclass(frozen=True, eq=False)
+class PlaneDataset(_ArrayValue):
     """Ordered list of n points in the plane, metrized as one point of R^{2n}."""
 
     points: np.ndarray
@@ -73,8 +92,8 @@ class PlaneDataset:
         return self.points[:, 1]
 
 
-@dataclass(frozen=True)
-class CircleDataset:
+@dataclass(frozen=True, eq=False)
+class CircleDataset(_ArrayValue):
     """Ordered list of n unit vectors; metric is the L2 product of arc lengths."""
 
     points: np.ndarray
@@ -119,8 +138,8 @@ class LineDirection:
         object.__setattr__(self, "theta", reduce_mod_pi(float(self.theta)))
 
 
-@dataclass(frozen=True)
-class CirclePoint:
+@dataclass(frozen=True, eq=False)
+class CirclePoint(_ArrayValue):
     """A point of the unit circle."""
 
     u: np.ndarray
@@ -290,12 +309,12 @@ def loglog_fit(x, y, weights=None) -> float:
 
 def sorted_eigenvalues(m) -> np.ndarray:
     """Eigenvalues of a symmetric real matrix in nonincreasing order, from
-    LAPACK's ``eigvalsh`` at every size.  Input must be symmetric to within
-    1e-12 entrywise.
+    LAPACK's ``eigvalsh`` at every size.  Input must be non-empty and
+    symmetric to within 1e-12 entrywise.
     """
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ContractViolation(f"matrix must be square, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+        raise ContractViolation(f"matrix must be square and non-empty, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ContractViolation("matrix must be finite")
     if np.max(np.abs(m - m.T)) > SYMMETRY_TOL:

@@ -12,15 +12,14 @@ Tube and CDF draws come through one drawer, ``_drawn_chunks``, in chunks
 of 2^14 rows, each from its own generator seeded by (seed, first row of the
 chunk) and reduced before the next is drawn into the same buffer, so no
 estimator holds the whole draw.  Its chunks run on the calling thread and up
-to one helper thread (``_run_chunks``), each worker with its own buffer; tube
-chunks run on the calling thread alone, where a helper bought no speed.  The
-tradeoff's one (n, m) draw comes from ``default_rng(seed)``.
+to one helper thread (``_run_chunks``), placed by the OS, each worker with
+its own buffer; tube chunks run on the calling thread alone, where a helper
+bought no speed.  The tradeoff's one (n, m) draw comes from
+``default_rng(seed)``.
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import math
 import os
 import threading
@@ -344,28 +343,6 @@ def _worker_count() -> int:
     return min(_MAX_WORKERS, cpus)
 
 
-@functools.cache
-def _sched_getcpu():
-    """libc's sched_getcpu, the CPU the calling thread runs on, or a
-    stand-in returning -1 where the C library has none."""
-    try:
-        return ctypes.CDLL(None).sched_getcpu
-    except (AttributeError, OSError, TypeError):
-        return lambda: -1
-
-
-def _bind_off(cpu: int) -> None:
-    """Bind the calling thread to the CPUs the process may use other than
-    ``cpu``, if there are any.  It is a placement hint, so a platform
-    without affinity, or a CPU gone offline, leaves the thread where it is."""
-    try:
-        others = os.sched_getaffinity(0) - {cpu}
-        if others:
-            os.sched_setaffinity(0, others)
-    except (AttributeError, OSError):
-        pass
-
-
 def _run_chunks(starts, buffers, run) -> None:
     """``run(start, buffer)`` for every chunk start, run by the calling
     thread with ``buffers[0]`` and by one helper thread per further buffer,
@@ -375,16 +352,12 @@ def _run_chunks(starts, buffers, run) -> None:
     the helpers stop after their current chunk.  The caller allocates the
     buffers, so they come from its heap, not from a helper's arena.  The
     helpers start with the call: a thread starts in about 70 us, while a
-    pool would import concurrent.futures, about 9 ms, on first use.
-
-    On a 2-vCPU VM, Linux often started a helper on the calling thread's
-    CPU and left both there, taking turns, for the first second of a
-    process, so each helper binds itself off the calling thread's CPU; the
-    calling thread stays free to move."""
+    pool would import concurrent.futures, about 9 ms, on first use.  The
+    OS places every thread: binding the helper off the calling thread's CPU
+    measured no faster on a 2-vCPU VM."""
     starts = iter(starts)
     lock = threading.Lock()
     errors = []
-    here = _sched_getcpu()()
 
     def take():
         with lock:
@@ -396,7 +369,6 @@ def _run_chunks(starts, buffers, run) -> None:
 
     def helper(buffer):
         try:
-            _bind_off(here)
             work(buffer)
         except BaseException as error:
             errors.append(error)

@@ -534,50 +534,11 @@ def test_worker_count_is_capped_at_the_measured_count(monkeypatch):
     assert measure._worker_count() == 1
 
 
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
-                    reason="needs CPU affinity and two CPUs")
-def test_a_helper_runs_off_the_calling_threads_cpu(monkeypatch):
-    # the helper binds itself to every CPU but the calling thread's, and
-    # the calling thread's own mask is left as it was
-    cpus = os.sched_getaffinity(0)
-    assert measure._sched_getcpu()() in cpus
-    mine = min(cpus)
-    monkeypatch.setattr(measure, "_sched_getcpu", lambda: lambda: mine)
-    monkeypatch.setattr(measure, "_worker_count", lambda: 2)
-    spec = DataMapSpec(kind=MapKind.LS_LINE)
-    distance, tag = SINGULAR_DISTANCE[spec.kind]
-    caller, masks = threading.get_ident(), []
-
-    def recording(batch, spec):
-        if threading.get_ident() != caller:
-            masks.append(os.sched_getaffinity(0))
-        return distance(batch, spec)
-
-    monkeypatch.setitem(SINGULAR_DISTANCE, spec.kind, (recording, tag))
-    distance_cdf(spec, 4, 40 * (1 << 14), CHUNK_SEED)
-    assert masks and all(mask == cpus - {mine} for mask in masks)
-    assert os.sched_getaffinity(0) == cpus
-
-
-def test_a_failed_binding_leaves_the_bits(monkeypatch):
-    # binding is a placement hint: where the platform refuses it, the
-    # helper runs where it was started
-    def refuse(pid, cpus):
-        raise OSError("no such CPU")
-
-    spec, total = DataMapSpec(kind=MapKind.LAD_LINE), 3 * (1 << 14) + 5
-    monkeypatch.setattr(measure, "_worker_count", lambda: 1)
-    want = distance_cdf(spec, 4, total, CHUNK_SEED)
-    monkeypatch.setattr(measure.os, "sched_setaffinity", refuse, raising=False)
-    monkeypatch.setattr(measure, "_sched_getcpu", lambda: lambda: 0)
-    monkeypatch.setattr(measure, "_worker_count", lambda: 2)
-    assert_bits_equal(distance_cdf(spec, 4, total, CHUNK_SEED).sorted_distances, want.sorted_distances, "distances")
-
-
 def test_every_chunk_runs_once_under_fast_thread_switches(monkeypatch):
     # more workers than cores, a thread switch every microsecond and
-    # hundreds of chunks of 37 rows: each chunk runs exactly once, and the
-    # distances are those of the same chunks on one worker
+    # hundreds of chunks of 37 rows: each chunk runs exactly once, the
+    # distances are those of the same chunks on one worker, and the CDF
+    # leaves the process's CPU affinity as it found it
     spec, total = DataMapSpec(kind=MapKind.LAD_LINE), 10_007
     monkeypatch.setattr(measure, "_CHUNK", 37)
     monkeypatch.setattr(measure, "_worker_count", lambda: 1)
@@ -593,6 +554,8 @@ def test_every_chunk_runs_once_under_fast_thread_switches(monkeypatch):
 
     monkeypatch.setattr(measure, "_run_chunks", recording)
     monkeypatch.setattr(measure, "_worker_count", lambda: 8)
+    affinity = getattr(os, "sched_getaffinity", lambda pid: None)
+    cpus = affinity(0)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -602,6 +565,7 @@ def test_every_chunk_runs_once_under_fast_thread_switches(monkeypatch):
     assert len(starts) > 200
     assert sorted(starts) == list(range(0, total, 37))
     assert_bits_equal(got.sorted_distances, want.sorted_distances, "distances")
+    assert affinity(0) == cpus
 
 
 def test_pairwise_sum_matches_numpy_sum():

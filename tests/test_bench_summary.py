@@ -142,3 +142,29 @@ def test_compare_gives_unresolved_when_the_parent_spreads_past_the_bound(tmp_pat
     parent = [(seed, 0.5 + 0.1 * seed) for seed in range(1, 11)]
     assert compare_wall(tmp_path, capsys, [(s, 1.0) for s, _ in parent], parent) == (0, "unresolved")
     assert compare_wall(tmp_path / "all", capsys, [(s, 0.55) for s, _ in parent], parent) == (0, "gain")
+
+
+def test_trajectory_multiplies_the_pairs_median_ratios(tmp_path, capsys):
+    # three chained pairs whose certify wall_s medians move x0.5, x1.5 and
+    # x0.8: the product is 0.6; each parent's IQR/median adds to the spread
+    steps = [(1.0, 0.5), (0.5, 0.75), (0.75, 0.6)]
+    files = []
+    for i, (before, after) in enumerate(steps):
+        for tag, median in ((f"p{i}", before), (f"c{i}", after)):
+            files.append(write_bench(tmp_path, tag, [(1, 0.75 * median), (2, median), (3, 1.25 * median)]))
+    capsys.readouterr()
+    assert bench_summary.main(["--trajectory", *map(str, files)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("indicative only: products over 3 pairs")
+    # quartiles of (0.75, 1, 1.25) x median are 0.875 and 1.125, so each
+    # parent's IQR/median is 0.25 and three of them add to 0.75
+    assert lines[1:] == ["certify peak_rss_mb: x1 (+0.0%), spread 0", "certify wall_s: x0.6 (-40.0%), spread 0.75"]
+    assert len(list(tmp_path.glob("BENCH_*.json"))) == 6
+
+
+def test_trajectory_refuses_an_odd_number_of_files(tmp_path, capsys):
+    parent = write_bench(tmp_path, "p", [(1, 0.5)])
+    with pytest.raises(SystemExit) as raised:
+        bench_summary.main(["--trajectory", str(parent)])
+    assert raised.value.code == 2
+    assert "even number of files" in capsys.readouterr().err

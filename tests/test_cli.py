@@ -328,6 +328,71 @@ def test_schema_refuses_radii_that_are_not_positive(tmp_path, capsys, args):
     assert not list(tmp_path.iterdir())
 
 
+# One out-of-range value for every schema row that has a check, and the
+# message its check gives
+_FITTERS = "['lad', 'ls', 'pc']"
+_CHECKED_ROWS = [
+    ("lfplot", "map", "nope", f"must be one of {_FITTERS}, got 'nope'"),
+    ("lfplot", "grid_resolution", "3", "must be >= 4, got 3"),
+    ("winding", "target", "nope", "must be one of ['lad', 'ls', 'pc', 'standard'], got 'nope'"),
+    ("winding", "samples", "2", "must be >= 3, got 2"),
+    ("winding", "shrink", "0", "must be positive, got 0.0"),
+    ("localize", "map", "nope", f"must be one of {_FITTERS}, got 'nope'"),
+    ("localize", "half_width", "0", "must be positive, got 0.0"),
+    ("localize", "eps", "-1", "must be positive, got -1.0"),
+    ("localize", "samples_per_edge", "1", "must be >= 2, got 1"),
+    ("oscillate", "map", "nope", f"must be one of {_FITTERS}, got 'nope'"),
+    ("oscillate", "radii", "0.1,0", "must be positive, got [0.1, 0.0]"),
+    ("oscillate", "k_samples", "15", "must be >= 16, got 15"),
+    ("severity", "map", "nope", f"must be one of {_FITTERS}, got 'nope'"),
+    ("severity", "radii", "-0.1", "must be positive, got [-0.1]"),
+    ("severity", "k_samples", "15", "must be >= 16, got 15"),
+    ("severity", "mesh", "0", "must be positive, got 0.0"),
+    ("derivprofile", "map", "nope", "must be one of ['lad', 'ls', 'pc', 'synthetic'], got 'nope'"),
+    ("derivprofile", "eta_max", "0", "must be positive, got 0.0"),
+    ("derivprofile", "eta_min", "-1e-3", "must be positive, got -0.001"),
+    ("derivprofile", "eta_count", "1", "must be >= 2, got 1"),
+    ("tube", "fixture", "nope", "must be one of ['circle', 'point', 'segment'], got 'nope'"),
+    ("tube", "delta_min", "0", "must be positive, got 0.0"),
+    ("tube", "delta_max", "0", "must be positive, got 0.0"),
+    ("tube", "delta_count", "1", "must be >= 2, got 1"),
+    ("tube", "samples", "9999", "must be >= 10000, got 9999"),
+    ("tube", "threads", "0", "must be positive, got 0"),
+    ("cdf", "map", "nope", "must be one of ['augmean', 'lad', 'ls', 'pc'], got 'nope'"),
+    ("cdf", "n_points", "0", "must be >= 1, got 0"),
+    ("cdf", "samples", "9999", "must be >= 10000, got 9999"),
+    ("cdf", "q_lo", "0", "must be positive, got 0.0"),
+    ("cdf", "q_hi", "0", "must be positive, got 0.0"),
+    ("cdf", "threads", "0", "must be positive, got 0"),
+    ("dimension", "fixture", "nope", "must be one of ['circle', 'point', 'square'], got 'nope'"),
+    ("dimension", "radius", "0", "must be positive, got 0.0"),
+    ("dimension", "mesh_max", "0", "must be positive, got 0.0"),
+    ("dimension", "mesh_min", "0", "must be positive, got 0.0"),
+    ("dimension", "mesh_count", "3", "must be >= 4, got 3"),
+    ("tradeoff", "n_points", "0", "must be >= 1, got 0"),
+    ("tradeoff", "presets", "uniform,bogus",
+     "must be one of ['concentrated', 'moderate', 'uniform'], got ['uniform', 'bogus']"),
+    ("tradeoff", "cloud_size", "99", "must be >= 100, got 99"),
+]
+
+
+def test_every_checked_schema_row_has_an_out_of_range_case():
+    checked = {(command, key) for command, schema in singlab.cli.SCHEMAS.items()
+               for key, (_, _, check) in schema.items() if check is not None}
+    assert sorted(row[:2] for row in _CHECKED_ROWS) == sorted(checked)
+
+
+@pytest.mark.parametrize("command, key, value, message", _CHECKED_ROWS,
+                         ids=[f"{row[0]}-{row[1]}" for row in _CHECKED_ROWS])
+def test_each_schema_check_names_its_key(tmp_path, capsys, no_runner, command, key, value, message):
+    # each check reads its key from the row it guards, so the message names
+    # the key it refused, and no runner starts
+    flag = "--" + key.replace("_", "-")
+    assert run([command, f"{flag}={value}"], tmp_path) == EXIT_SCHEMA
+    assert capsys.readouterr().err == f"config error: key '{key}' {message}\n"
+    assert not list(tmp_path.iterdir())
+
+
 _MAPS = st.sampled_from(["ls", "pc", "lad"])
 
 

@@ -10,7 +10,7 @@ import pytest
 from scipy.integrate import quad
 
 import singlab
-from singlab.datamaps import DataMapSpec, MapKind, eval_perfect_fit_standard
+from singlab.datamaps import DataMapSpec, MapKind, eval_perfect_fit_standard, evaluate, uniform_preset
 from singlab.geometry import (
     CircleDataset,
     CirclePoint,
@@ -306,12 +306,41 @@ def test_loglog_fit_loads_no_numpy_ma():
     assert out.stdout.strip() == "True"
 
 
+@pytest.mark.parametrize("make, same, other, negative_zero", [
+    (CirclePoint, (0.6, 0.8), (0.8, 0.6), (1.0, -0.0)),
+    (PlaneDataset, [(0, 1), (1, 0)], [(0, 1), (2, 4)], [(-0.0, 1), (1, 0)]),
+    (CircleDataset, [(0, 1), (1, 0)], [(0, 1), (0, -1)], [(1, -0.0), (0, 1)]),
+], ids=["CirclePoint", "PlaneDataset", "CircleDataset"])
+def test_array_values_compare_and_hash_by_value(make, same, other, negative_zero):
+    # equal arrays make equal values that hash alike, -0.0 and 0.0 included;
+    # unequal arrays, or another class on the same array, compare unequal
+    a, b = make(same), make(same)
+    assert a == b and not a != b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != make(other) and not a == make(other)
+    zero = np.abs(np.asarray(negative_zero, dtype=float))
+    assert make(negative_zero) == make(zero) and hash(make(negative_zero)) == hash(make(zero))
+    stranger = PlaneDataset if make is not PlaneDataset else CircleDataset
+    assert a != stranger(np.atleast_2d(same)) and a != same
+
+
+def test_circle_outcomes_compare_by_value():
+    # two evaluations on the same angles carry equal CirclePoints, so the
+    # outcomes compare and hash alike; a moved angle compares unequal
+    angles = np.array([0.3, 1.1, -2.0])
+    first, second = evaluate(uniform_preset(3), angles), evaluate(uniform_preset(3), angles.copy())
+    assert isinstance(first.feature, CirclePoint)
+    assert first == second and hash(first) == hash(second)
+    assert first != evaluate(uniform_preset(3), angles + [0, 0, 1e-9])
+
+
 def test_sorted_eigenvalues_examples():
     np.testing.assert_allclose(sorted_eigenvalues(np.diag([2 / 3, 0])), [2 / 3, 0])
     np.testing.assert_allclose(sorted_eigenvalues(np.eye(2)), [1, 1])
     np.testing.assert_allclose(sorted_eigenvalues([[0, 1], [1, 0]]), [1, -1])
     with pytest.raises(ContractViolation):
         sorted_eigenvalues([[0, 1], [1.001, 0]])
+    with pytest.raises(ContractViolation, match=r"non-empty, got shape \(0, 0\)"):
+        sorted_eigenvalues(np.zeros((0, 0)))
 
 
 def test_sorted_eigenvalues_matches_lapack():
