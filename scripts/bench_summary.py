@@ -161,8 +161,8 @@ def trajectory(files: list, names) -> list:
     given the files as parent, change, parent, change, ... and the metric
     names to read."""
     pairs = list(zip(files[::2], files[1::2]))
-    lines = [f"indicative only: products over {len(pairs)} pairs, each from its own session, "
-             "so they cannot tell drift from noise"]
+    lines = [f"indicative only: pairs {len(pairs)}, each from its own session, "
+             "so a product cannot tell drift from noise"]
     for name in sorted(set.intersection(*(set(f["workloads"]) for f in files))):
         metrics = [f["workloads"][name]["metrics"] for f in files]
         for key in sorted(set(names).intersection(*metrics)):

@@ -4,15 +4,17 @@ Datasets are ordered lists of points: relabeling is never quotiented out, so
 plane datasets embed isometrically into R^{2n} and circle datasets carry the
 L2 product of arc-length metrics.  Features are a small tagged union (line
 direction mod pi, circle point, binary decision, scalar value), each with its
-own metric.  The module also houses three analytic utilities: the average
-norm along a segment, which ``metrics`` leans on; ``loglog_fit``, the one
-slope behind every fitted exponent; and sorted symmetric eigenvalues, which
-no module of the package calls; it is exported for the appendix's
-eigenvalue-Lipschitz (Weyl) check and is LAPACK's at every size (the PC
-kernel reads its 2x2 eigenvalue gap off ``datamaps.section`` instead).  The
-first two call no BLAS or LAPACK, so their bits do not depend on the
-OpenBLAS kernels loaded.  The private ``_positive_sizes`` is the one check
-of every size ``measure`` and ``metrics`` take: finite and positive.
+own metric.  The array-valued ones (``PlaneDataset``, ``CircleDataset``,
+``CirclePoint``) compare and hash by value.  The module also houses three
+analytic utilities: the average norm along a segment, which ``metrics``
+leans on; ``loglog_fit``, the one slope behind every fitted exponent; and
+sorted symmetric eigenvalues, which no module of the package calls; it is
+exported for the appendix's eigenvalue-Lipschitz (Weyl) check, refuses an
+empty matrix and is LAPACK's at every size (the PC kernel reads its 2x2
+eigenvalue gap off ``datamaps.section`` instead).  The first two call no
+BLAS or LAPACK, so their bits do not depend on the OpenBLAS kernels loaded.
+The private ``_positive_sizes`` is the one check of every size ``measure``
+and ``metrics`` take: finite and positive.
 """
 
 from __future__ import annotations

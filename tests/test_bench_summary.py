@@ -155,7 +155,7 @@ def test_trajectory_multiplies_the_pairs_median_ratios(tmp_path, capsys):
     capsys.readouterr()
     assert bench_summary.main(["--trajectory", *map(str, files)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].startswith("indicative only: products over 3 pairs")
+    assert lines[0].startswith("indicative only: pairs 3,")
     # quartiles of (0.75, 1, 1.25) x median are 0.875 and 1.125, so each
     # parent's IQR/median is 0.25 and three of them add to 0.75
     assert lines[1:] == ["certify peak_rss_mb: x1 (+0.0%), spread 0", "certify wall_s: x0.6 (-40.0%), spread 0.75"]
