@@ -318,15 +318,13 @@ def _run_winding(config, outdir):
         # leaves them
         raise SchemaError(f"key 'shrink' must be 1.0 for target 'standard', got {config['shrink']}")
     slice_spec = SliceSpec()
-    loop = boundary_loop(slice_spec, config["samples"])
+    shrink = config["shrink"]
+    loop = Loop((1.0 - shrink) * slice_spec.center_config.points
+                + shrink * boundary_loop(slice_spec, config["samples"]).points)
     if config["target"] == "standard":
         fn = standard_batch
     else:
         fn = functools.partial(evaluate_with_standard_batch, DataMapSpec(kind=_FITTER_KINDS[config["target"]]))
-    if config["shrink"] != 1.0:
-        shrink = config["shrink"]
-        center = slice_spec.center_config.points
-        loop = Loop((1.0 - shrink) * center + shrink * loop.points)
     try:
         return EXIT_OK, {**asdict(winding_number(loop, fn)), "status": "ok"}, []
     except LoopHitsSingularityError as exc:

@@ -435,7 +435,7 @@ def tube_volume(
     every axis.
     """
     lo, hi = _domain_box(domain_lo, domain_hi)
-    deltas = sorted(_positive_sizes(deltas, "deltas"))
+    deltas = np.sort(_positive_sizes(deltas, "deltas"))
     if mc_samples < 10_000:
         raise ContractViolation("mc_samples must be at least 10^4")
     box_vol = float(np.prod(hi - lo))
@@ -454,25 +454,19 @@ def tube_volume(
     # worker read point 16.7, segment 22.7 and circle 15.7 ms, two workers
     # 16.3, 23.1 and 19.5 ms.  The bits do not depend on the count.
     _drawn_chunks(mc_samples, lo.shape, seed, lambda rng, out: rng.random(out=out), count, workers=1)
-    kept, vols, errs, dropped = [], [], [], []
-    hits_kept = []
-    for delta, hits in zip(deltas, hits_per_chunk.sum(axis=0).tolist()):
-        if hits == 0:
-            dropped.append(delta)
-            continue
-        frac = hits / mc_samples
-        kept.append(delta)
-        hits_kept.append(hits)
-        vols.append(box_vol * frac)
-        errs.append(box_vol * math.sqrt(frac * (1.0 - frac) / mc_samples))
-    slope = loglog_fit(np.log(kept), np.log(vols), weights=hits_kept)
+    hits = hits_per_chunk.sum(axis=0)
+    kept = hits > 0
+    frac = hits[kept] / mc_samples
+    vols = box_vol * frac
+    errs = box_vol * np.sqrt(frac * (1.0 - frac) / mc_samples)
+    slope = loglog_fit(np.log(deltas[kept]), np.log(vols), weights=hits[kept])
     if math.isnan(slope):
         raise ContractViolation("fewer than two distinct deltas produced hits")
     return TubeReport(
-        deltas=tuple(kept),
-        volumes=tuple(vols),
-        std_errors=tuple(errs),
-        dropped_deltas=tuple(dropped),
+        deltas=tuple(deltas[kept].tolist()),
+        volumes=tuple(vols.tolist()),
+        std_errors=tuple(errs.tolist()),
+        dropped_deltas=tuple(deltas[~kept].tolist()),
         fitted_codim=slope,
         mc_samples=mc_samples,
         seed=seed,

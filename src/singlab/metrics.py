@@ -431,12 +431,7 @@ def _segments(curve) -> list[tuple[np.ndarray, np.ndarray, float]]:
 def _length_weighted_mean(segments, values) -> float:
     """Each segment's length times its value, summed and divided by the
     total length."""
-    total_len = 0.0
-    total_int = 0.0
-    for (_, _, seg), value in zip(segments, values):
-        total_len += seg
-        total_int += seg * value
-    return total_int / total_len
+    return sum(seg * value for (_, _, seg), value in zip(segments, values)) / sum(seg for _, _, seg in segments)
 
 
 def _arc_averages(outcome_fn, arcs, steps, nodes_per_segment: int = NODES_PER_SEGMENT) -> list[float | None]:

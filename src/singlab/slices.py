@@ -212,17 +212,14 @@ def write_field_svg(grid: GridField, path, cell_size: float) -> None:
     theta = grid.batch.value
     drawn = (grid.batch.reason == 0) & ~np.isnan(theta)
     shown = theta[drawn].tolist()
-    dx = 0.5 * seg_len * np.array([math.cos(t) for t in shown]) * scale
-    dy = 0.5 * seg_len * np.array([math.sin(t) for t in shown]) * scale
-    # a segment takes four numbers (x1, y1, x2, y2) and a dot two (cx, cy)
-    width = np.where(drawn, 4, 2)
-    start = np.cumsum(width) - width
-    numbers = np.empty(int(width.sum()))
-    at = start[drawn]
-    numbers[at], numbers[at + 1] = px[drawn] - dx, py[drawn] + dy
-    numbers[at + 2], numbers[at + 3] = px[drawn] + dx, py[drawn] - dy
-    at = start[~drawn]
-    numbers[at], numbers[at + 1] = px[~drawn], py[~drawn]
+    dx, dy = np.zeros(len(theta)), np.zeros(len(theta))
+    dx[drawn] = 0.5 * seg_len * np.array([math.cos(t) for t in shown]) * scale
+    dy[drawn] = 0.5 * seg_len * np.array([math.sin(t) for t in shown]) * scale
+    # a segment takes four numbers (x1, y1, x2, y2) and a dot, a segment of
+    # length 0, the first two: px - 0.0 is px, and py + 0.0 is py, which is
+    # never -0.0
+    ends = np.column_stack([px - dx, py + dy, px + dx, py - dy])
+    numbers = ends[drawn[:, None] | [True, True, False, False]]
     body = "".join([_SVG_DOT, _SVG_LINE][d] for d in drawn.tolist()) % tuple(numbers.tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(
