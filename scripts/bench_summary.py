@@ -5,6 +5,7 @@ compare two such files.
     python3 scripts/bench_summary.py --compare BENCH_9c5a0d8.json BENCH_ec5c955.json
     python3 scripts/bench_summary.py --trajectory BENCH_9c5a0d8.json BENCH_ec5c955.json \
         BENCH_ec5c955.json BENCH_26c116e.json
+    python3 scripts/bench_summary.py --trajectory
 
 ``perfbench/run.py`` writes one record per run, named
 ``<workload>-seed<seed>-trace<trace>.json``, under ``perfbench/results/``.
@@ -51,11 +52,20 @@ change/parent median ratios, and beside it the sum of the parents'
 IQR/median as its spread.  The figures are indicative: each pair was run
 in its own session, so a product cannot tell drift from noise, and the
 output's first line says so.  An odd number of files exits 2.
+
+``--trajectory`` with no files reads every ``BENCH_*.json`` at the root of
+this repository and pairs each with the file of its commit's nearest
+ancestor commit that has one, when the program differs between the two
+commits: some file under ``src/`` differs other than by docstrings and
+comments.  So a second session on the same program pairs with nothing.  It
+prints each pair to stderr, and then the trajectory of the pairs, taken in
+git ancestry order.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import ctypes
 import glob
 import json
@@ -66,7 +76,8 @@ import sys
 
 import numpy as np
 
-BENCHMARK = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "BENCHMARK.json")
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+BENCHMARK = os.path.join(ROOT, "BENCHMARK.json")
 
 
 def quartiles(values) -> dict:
@@ -174,6 +185,50 @@ def trajectory(files: list, names) -> list:
     return lines
 
 
+def _git(root: str, *args: str):
+    """A git command's stdout in the repository at root, or None when it fails."""
+    done = subprocess.run(["git", "-C", root, *args], capture_output=True, text=True)
+    return done.stdout if done.returncode == 0 else None
+
+
+def _program(root: str, commit: str, path: str):
+    """A file at a commit as what runs: a Python file's syntax tree without
+    docstrings (comments never reach it), any other file's text; None when
+    the commit has no such file."""
+    text = _git(root, "show", f"{commit}:{path}")
+    if text is None or not path.endswith(".py"):
+        return text
+    tree = ast.parse(text)
+    scopes = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in ast.walk(tree):
+        if isinstance(node, scopes) and ast.get_docstring(node):
+            node.body = node.body[1:]
+    return ast.dump(tree)
+
+
+def committed_pairs(root: str = ROOT) -> list:
+    """The (parent, change) paths of the BENCH files at root, as the module
+    docstring lists, in git ancestry order."""
+    commits = {}
+    for path in sorted(glob.glob(os.path.join(root, "BENCH_*.json"))):
+        sha = _git(root, "rev-parse", "--verify", "--quiet", load(path)["commit"] + "^{commit}")
+        if sha is None:
+            print(f"skipped {os.path.basename(path)}: its commit is not in this repository", file=sys.stderr)
+        else:
+            commits[path] = sha.strip()
+    ancestors = {path: set(_git(root, "rev-list", sha).split()) for path, sha in commits.items()}
+    pairs = []
+    for change, sha in commits.items():
+        older = [path for path in commits if commits[path] != sha and commits[path] in ancestors[change]]
+        if not older:
+            continue
+        parent = max(older, key=lambda path: len(ancestors[path]))
+        changed = _git(root, "diff", "--name-only", commits[parent], sha, "--", "src").split()
+        if any(_program(root, commits[parent], f) != _program(root, sha, f) for f in changed):
+            pairs.append((parent, change))
+    return sorted(pairs, key=lambda pair: len(ancestors[pair[1]]))
+
+
 def load(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
@@ -212,18 +267,27 @@ def main(argv=None) -> int:
     parser.add_argument("--compare", nargs=2, metavar=("PARENT", "CHANGE"),
                         help="compare two BENCH files by workload and metric, with a verdict per end-to-end "
                              "metric; writes nothing, exits 1 on a worse one")
-    parser.add_argument("--trajectory", nargs="+", metavar="FILE",
+    parser.add_argument("--trajectory", nargs="*", metavar="FILE",
                         help="PARENT CHANGE [PARENT CHANGE ...]: the product of the pairs' median ratios per "
-                             "end-to-end metric, indicative only; writes nothing")
+                             "end-to-end metric, indicative only; with no files, the pairs of the repository's "
+                             "BENCH files; writes nothing")
     args = parser.parse_args(argv)
     if args.compare:
         lines = compare(*map(load, args.compare), end_to_end_bounds())
         print("\n".join(lines))
         return int(any(line.endswith("verdict: worse") for line in lines))
-    if args.trajectory:
+    if args.trajectory is not None:
         if len(args.trajectory) % 2:
             parser.error("--trajectory takes PARENT CHANGE pairs, an even number of files")
-        print("\n".join(trajectory([load(path) for path in args.trajectory], end_to_end_bounds())))
+        files = args.trajectory
+        if not files:
+            pairs = committed_pairs()
+            if not pairs:
+                parser.error("--trajectory found no BENCH file pairs in this repository")
+            for parent, change in pairs:
+                print(f"pair {os.path.basename(parent)} -> {os.path.basename(change)}", file=sys.stderr)
+            files = [path for pair in pairs for path in pair]
+        print("\n".join(trajectory([load(path) for path in files], end_to_end_bounds())))
         return 0
     if not args.tag:
         parser.error("give --tag, --compare or --trajectory")

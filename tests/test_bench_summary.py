@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import subprocess
 
 import pytest
 
@@ -168,3 +169,25 @@ def test_trajectory_refuses_an_odd_number_of_files(tmp_path, capsys):
         bench_summary.main(["--trajectory", str(parent)])
     assert raised.value.code == 2
     assert "even number of files" in capsys.readouterr().err
+
+
+def test_trajectory_without_files_pairs_each_file_with_its_nearest_ancestors(tmp_path):
+    # four commits: the program changes, changes, gains only a docstring and
+    # a comment, and changes; one BENCH file per commit, named so that name
+    # order is the reverse of git order
+    def git(*args):
+        return subprocess.run(["git", "-C", str(tmp_path), *args], check=True, capture_output=True, text=True).stdout
+
+    git("init", "-q")
+    (tmp_path / "src").mkdir()
+    files = []
+    for tag, program in (("d", "x = 1\n"), ("c", "x = 2\n"), ("b", '"""Doc."""\nx = 2  # why\n'), ("a", "x = 3\n")):
+        (tmp_path / "src" / "m.py").write_text(program)
+        git("add", "src")
+        git("-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q", "-m", tag)
+        out = write_bench(tmp_path, tag, [(1, 0.5)])
+        data = json.loads(out.read_text())
+        out.write_text(json.dumps(dict(data, commit=git("rev-parse", "--short", "HEAD").strip())))
+        files.append(str(out))
+    d, c, b, a = files
+    assert bench_summary.committed_pairs(str(tmp_path)) == [(d, c), (b, a)]

@@ -7,8 +7,6 @@ import io
 import json
 import math
 import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -25,6 +23,8 @@ import singlab.topology
 
 from singlab.cli import EXIT_INCONCLUSIVE, EXIT_INTERNAL, EXIT_OK, EXIT_SCHEMA, _format_g12, main, resolve_config
 from singlab.slices import slice_map
+
+from fresh_python import run_python
 
 
 def run(args, outdir):
@@ -557,11 +557,6 @@ def test_tradeoff_command(tmp_path):
         assert e["measure_stderr"] >= 0.0
 
 
-def _fresh_env(**env):
-    src = os.path.dirname(os.path.dirname(os.path.abspath(singlab.__file__)))
-    return dict(os.environ, **env, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-
-
 # The CLI runs of one fresh interpreter, in order, after the given prelude:
 # each prints the files it wrote, and the last line is the list of exit codes.
 _SEQUENCE = """\
@@ -577,8 +572,7 @@ def run_sequence_in_process(runs, prelude="", **env):
     fresh interpreter, after the prelude and with extra env vars, which pays
     the import once for all of them."""
     runs = [(list(args), str(outdir)) for args, outdir in runs]
-    done = subprocess.run([sys.executable, "-c", prelude + _SEQUENCE, json.dumps(runs)], env=_fresh_env(**env),
-                          capture_output=True, text=True)
+    done = run_python(prelude + _SEQUENCE, json.dumps(runs), **env)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
 
@@ -790,8 +784,7 @@ def test_no_command_loads_numpy_ma(tmp_path):
     ]
     assert sorted(args[0] for args, _ in runs) == sorted(singlab.cli.SCHEMAS)
     argv = [(args, str(tmp_path / args[0])) for args, _ in runs]
-    done = subprocess.run([sys.executable, "-c", _MA_CHECK, json.dumps(argv)], env=_fresh_env(),
-                          capture_output=True, text=True, check=True)
+    done = run_python(_MA_CHECK, json.dumps(argv), check=True)
     codes, at_import, after = json.loads(done.stdout.splitlines()[-1])
     assert codes == [code for _, code in runs]
     assert at_import or not after
@@ -819,8 +812,7 @@ def test_monte_carlo_peak_rss_does_not_grow_with_the_draw(args, tmp_path):
     # the tube counts its hits one 2^14-row chunk at a time and the cdf keeps
     # only its 16 MB of distances: with the whole draw in memory these read
     # 427 and 260 MB, streamed 38 and 64 MB (2-vCPU VM, numpy 2.4)
-    done = subprocess.run([sys.executable, "-c", _PEAK_RSS, json.dumps([*args, "--outdir", str(tmp_path)])],
-                          env=_fresh_env(), capture_output=True, text=True, check=True)
+    done = run_python(_PEAK_RSS, json.dumps([*args, "--outdir", str(tmp_path)]), check=True)
     code, peak_kib = json.loads(done.stdout.splitlines()[-1])
     assert code == EXIT_OK
     assert peak_kib * 1024 < 150e6
@@ -982,9 +974,8 @@ def test_format_g12_does_not_depend_on_simd_dispatch(tmp_path):
     np.save(tmp_path / "draw.npy", draw)
     native = hashlib.sha256(_format_g12(draw)).hexdigest()
     assert native == hashlib.sha256(_percent_g12(draw)).hexdigest()
-    done = subprocess.run([sys.executable, "-c", _G12_DIGEST, str(tmp_path / "draw.npy")],
-                          env=_fresh_env(NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL AVX512_SKX X86_V4"),
-                          capture_output=True, text=True)
+    done = run_python(_G12_DIGEST, str(tmp_path / "draw.npy"),
+                      NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL AVX512_SKX X86_V4")
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == [native]
 
@@ -1021,8 +1012,7 @@ def test_benchmark_tracer_installs_on_the_package():
     # boundary_family, binds measure's signatures and reads each localizer
     # box's status: install() raises, or a hook does, when one of them is gone
     perfbench = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
-    done = subprocess.run([sys.executable, "-c", _TRACER_CHECK, perfbench], env=_fresh_env(),
-                          capture_output=True, text=True)
+    done = run_python(_TRACER_CHECK, perfbench)
     assert done.returncode == 0, done.stderr
     counters = json.loads(done.stdout.splitlines()[-1])
     assert counters["measure.samples"] == 2 * 10**4

@@ -16,6 +16,7 @@ from singlab.datamaps import (
     evaluate,
     evaluate_batch,
     evaluate_with_standard,
+    oscillator_f,
     oscillator_g,
     oscillator_g_prime_abs,
     oscillator_t,
@@ -455,3 +456,26 @@ def test_outcome_contract():
     with pytest.raises(ContractViolation):
         EvalOutcome(feature=None, gap=0.5, reason=UndefinedReason.ORIGIN)
 
+
+
+@pytest.mark.parametrize("make, error, message", [
+    pytest.param(lambda: EvalOutcome(feature=LineDirection(0.0), gap=0.0, reason=UndefinedReason.ORIGIN),
+                 ContractViolation, "defined outcome cannot carry a reason", id="outcome-feature-and-reason"),
+    pytest.param(lambda: DataMapSpec(kind=MapKind.AUG_MEAN, w0=0.5),
+                 ContractViolation, "AUG_MEAN needs weights and w0", id="aug-mean-without-weights"),
+    pytest.param(lambda: DataMapSpec(kind=MapKind.AUG_MEAN, weights=(1.0, 1.0)),
+                 ContractViolation, "AUG_MEAN needs weights and w0", id="aug-mean-without-w0"),
+    pytest.param(lambda: oscillator_f([0.5, 1.5]), DomainError, "f is defined on (0, 1], got 1.5", id="f-above-1"),
+    pytest.param(lambda: oscillator_f(0.0), DomainError, "f is defined on (0, 1], got 0.0", id="f-at-0"),
+    pytest.param(lambda: oscillator_t(-1), DomainError, "branch index must be nonnegative", id="t-negative-branch"),
+    pytest.param(lambda: oscillator_g_prime_abs(0.0), DomainError, "g' is defined on (0, 1], got 0.0",
+                 id="g-prime-at-0"),
+    pytest.param(lambda: oscillator_g_prime_abs(1.5), DomainError, "g' is defined on (0, 1], got 1.5",
+                 id="g-prime-above-1"),
+    pytest.param(lambda: eval_perfect_fit_standard(np.zeros((3, 2))),
+                 ContractViolation, "no perfect-fit standard for ndarray", id="standard-of-a-non-dataset"),
+])
+def test_datamaps_refuse_bad_input_by_name(make, error, message):
+    with pytest.raises(error) as raised:
+        make()
+    assert type(raised.value) is error and str(raised.value) == message

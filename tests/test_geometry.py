@@ -1,15 +1,11 @@
 """Geometry primitives: metrics, unit-ball volumes, appendix utilities."""
 
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-import singlab
 from singlab.datamaps import DataMapSpec, MapKind, eval_perfect_fit_standard, evaluate, uniform_preset
 from singlab.geometry import (
     CircleDataset,
@@ -40,6 +36,8 @@ from singlab.metrics import (
     derivative_blowup_profile,
     oscillator_arc,
 )
+
+from fresh_python import run_python
 
 # Frozen from a 10^6-step Riemann-sum oracle (test_riemann_oracle cross-checks).
 SEG_AVG_UNIT_DIAGONAL = 0.8116126200701153
@@ -199,12 +197,10 @@ def test_segment_average_norm_matches_quadrature():
 def test_cli_import_leaves_out_quadrature():
     # start-up loads no scipy: the CLI and every layer module import without
     # putting any scipy* module in sys.modules
-    src = os.path.dirname(os.path.dirname(singlab.__file__))
     layers = ("cli", "slices", "datamaps", "topology", "geometry", "metrics", "measure")
     code = (f"import sys, {', '.join(f'singlab.{layer}' for layer in layers)}; "
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": src})
+    out = run_python(code, check=True)
     assert out.stdout.strip() == "[]"
 
 
@@ -297,12 +293,10 @@ def test_loglog_fit_reads_nan_without_two_distinct_abscissae():
 def test_loglog_fit_loads_no_numpy_ma():
     # np.unique on floats would load numpy.ma (~1.6 MB of RSS); a first load
     # at the numpy import itself is not the fit's
-    src = os.path.dirname(os.path.dirname(singlab.__file__))
     code = ("import sys; from singlab.geometry import loglog_fit; at_import = 'numpy.ma' in sys.modules; "
             "loglog_fit([1.0, 2.0, 2.0], [0.0, 1.0, 3.0]); loglog_fit([1.0, 2.0], [0.0, 1.0], weights=[2, 3]); "
             "loglog_fit([1.0, 1.0], [0.0, 1.0]); print(at_import or 'numpy.ma' not in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": src})
+    out = run_python(code, check=True)
     assert out.stdout.strip() == "True"
 
 
@@ -390,3 +384,32 @@ def test_every_size_must_be_finite_and_positive(call, size):
     # one NON_SEVERE, and a NaN h_fd averaged to NaN
     with pytest.raises(ContractViolation, match="must be finite and positive"):
         _SIZED[call](size)
+
+
+@pytest.mark.parametrize("make, message", [
+    pytest.param(lambda: PlaneDataset([1.0, 2.0]), "points must have shape (n, 2), got (2,)",
+                 id="points-not-n-by-2"),
+    pytest.param(lambda: PlaneDataset(np.zeros((0, 2))), "points must contain at least one point",
+                 id="points-empty"),
+    pytest.param(lambda: LineDirection(math.nan), "direction angle must be finite",
+                 id="direction-nan"),
+    pytest.param(lambda: CirclePoint((1.0, 0.0, 0.0)), "circle point must be a finite 2-vector",
+                 id="circle-point-shape"),
+    pytest.param(lambda: CirclePoint((2.0, 0.0)), "circle point must be a unit vector",
+                 id="circle-point-norm"),
+    pytest.param(lambda: Decision(2), "decision bit must be 0 or 1", id="decision-bit"),
+    pytest.param(lambda: ScalarValue(math.inf), "scalar feature must be finite", id="scalar-inf"),
+    pytest.param(lambda: segment_average_norm(np.zeros(2), np.zeros(3)),
+                 "x and y must be equal-length vectors", id="segment-shapes"),
+    pytest.param(lambda: sorted_eigenvalues([[math.nan, 0.0], [0.0, 1.0]]),
+                 "matrix must be finite", id="eigenvalues-nan"),
+])
+def test_geometry_refuses_bad_input_by_name(make, message):
+    with pytest.raises(ContractViolation) as raised:
+        make()
+    assert type(raised.value) is ContractViolation and str(raised.value) == message
+
+
+def test_plane_dataset_columns_are_its_coordinates():
+    ds = PlaneDataset([(0.0, 1.0), (2.0, 3.0)])
+    assert ds.x.tolist() == [0.0, 2.0] and ds.y.tolist() == [1.0, 3.0]

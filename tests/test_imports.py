@@ -2,12 +2,13 @@
 
 import ast
 import os
-import subprocess
 import sys
 
 import pytest
 
 import singlab
+
+from fresh_python import run_python
 
 SRC = os.path.dirname(os.path.abspath(singlab.__file__))
 ALLOWED = {"numpy", "singlab"}
@@ -46,8 +47,7 @@ def test_cli_import_starts_no_thread():
     # the threads that run a CDF's chunks start with the CDF, so start-up
     # starts none and pays for no thread pool module
     code = "import sys, threading, singlab.cli; print(threading.active_count(), 'concurrent.futures' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [os.path.dirname(SRC), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    done = run_python(code, check=True)
     assert done.stdout.split() == ["1", "False"]
 
 
@@ -55,6 +55,5 @@ def test_cli_import_builds_no_format_table():
     # the tables of the cdf CSV's number formatter are built on first use,
     # so start-up does not pay for them
     code = "import singlab.cli; print(singlab.cli._g12_tables.cache_info().currsize)"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [os.path.dirname(SRC), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    done = run_python(code, check=True)
     assert done.stdout.split() == ["0"]

@@ -1,15 +1,11 @@
 """Distance to the singular set, oscillation, severity, derivative blow-up."""
 
 import math
-import os
-import subprocess
-import sys
 import warnings
 
 import numpy as np
 import pytest
 
-import singlab
 from singlab.datamaps import (
     BatchOutcome,
     DataMapSpec,
@@ -59,6 +55,8 @@ from singlab.metrics import (
     oscillator_arc,
 )
 from singlab.slices import SliceSpec, slice_map
+
+from fresh_python import run_python
 
 LS = DataMapSpec(kind=MapKind.LS_LINE)
 PC = DataMapSpec(kind=MapKind.PC_LINE)
@@ -300,10 +298,8 @@ print(digest.hexdigest())
 
 
 def test_nearest_zero_resultant_pinned_across_processes():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(singlab.__file__)))
     for salt in ("1", "2"):
-        done = subprocess.run([sys.executable, "-c", _PROJECTOR_PIN], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": salt})
+        done = run_python(_PROJECTOR_PIN, PYTHONHASHSEED=salt)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "34fb4ef957c902cf35145c92e93e3f858dcdf0e9d4a7896bb0644e986b54b13c"
 
@@ -715,7 +711,21 @@ else:
 
 
 def test_minimize_shim_is_lazy_and_ignores_patches():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(singlab.__file__)))
-    done = subprocess.run([sys.executable, "-c", _MINIMIZE_SHIM_CHECK], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src})
+    done = run_python(_MINIMIZE_SHIM_CHECK)
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("make, message", [
+    pytest.param(lambda: OscillationProfile(radii=(0.2, 0.1), diameters=(0.1,), samples_per_radius=16, seed=0),
+                 "radii and diameters must have equal length", id="profile-lengths"),
+    pytest.param(lambda: OscillationProfile(radii=(0.1, 0.2), diameters=(0.1, 0.1), samples_per_radius=16, seed=0),
+                 "radii must be strictly decreasing", id="profile-order"),
+    pytest.param(lambda: oscillation(PC, SPEC.dataset_at((0.0, 0.0)), (0.1, 0.01), k_samples=15, seed=0),
+                 "k_samples must be >= 16", id="oscillation-k-samples"),
+    pytest.param(lambda: classify_severity(OscillationProfile((0.2, 0.1), (0.1, 0.1), 16, 0), 0.1),
+                 "severity needs a profile with >= 3 radii", id="severity-radii"),
+])
+def test_metrics_refuse_bad_input_by_name(make, message):
+    with pytest.raises(ContractViolation) as raised:
+        make()
+    assert type(raised.value) is ContractViolation and str(raised.value) == message

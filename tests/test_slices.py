@@ -312,3 +312,27 @@ def test_slice_spec_stores_its_spread_as_floats():
     spec = SliceSpec(spread=np.array([-1, 0, 2]))
     assert [(s, type(s)) for s in spec.spread] == [(-1.0, float), (0.0, float), (2.0, float)]
     assert type(spec.spread) is tuple
+
+
+@pytest.mark.parametrize("make, message", [
+    pytest.param(lambda: SliceSpec(n_points=1), "slice needs n_points >= 2", id="n-points"),
+    pytest.param(lambda: SliceSpec(spread=(1.0, 2.0)), "spread size does not match n_points", id="spread-size"),
+    pytest.param(lambda: SPEC.datasets_at(np.zeros((2, 3))), "slice parameters must be finite 2-vectors",
+                 id="datasets-at-shape"),
+    pytest.param(lambda: SPEC.datasets_at([[math.nan, 0.0]]), "slice parameters must be finite 2-vectors",
+                 id="datasets-at-nan"),
+    pytest.param(lambda: SPEC.dataset_at((0.0, 0.0, 0.0)), "slice parameter must be a finite 2-vector",
+                 id="dataset-at-shape"),
+])
+def test_slices_refuse_bad_input_by_name(make, message):
+    with pytest.raises(ContractViolation) as raised:
+        make()
+    assert type(raised.value) is ContractViolation and str(raised.value) == message
+
+
+def test_boundary_family_is_the_boundary_loops_dataset():
+    # boundary_loop's sample k is the family at psi = 2 pi k / m, bit for bit
+    loop = boundary_loop(SPEC, 8)
+    for k in range(8):
+        dataset = SPEC.boundary_family(2.0 * math.pi * np.arange(8)[k] / 8)
+        assert dataset.points.tobytes() == loop.points[k].tobytes()

@@ -768,3 +768,13 @@ def test_pc_localizer_boxes_hold_the_closed_form_zeros():
             found += 1
             assert any(np.all(np.abs(zero - box.center) <= box.half_width) for box in boxes), (spec, zero)
     assert certified > 25 and found > 25, (certified, found)
+
+
+@pytest.mark.parametrize("points", [
+    pytest.param([(0.0, 0.0), (1.0, 0.0), (1.0, 0.0)], id="equal-neighbours"),
+    pytest.param([(0.0, 0.0), (1.0, 0.0), (0.0, 0.0)], id="equal-across-the-closure"),
+])
+def test_loop_refuses_equal_consecutive_samples_by_name(points):
+    with pytest.raises(ContractViolation) as raised:
+        Loop(points)
+    assert type(raised.value) is ContractViolation and str(raised.value) == "consecutive loop samples must be distinct"
