@@ -54,12 +54,15 @@ in its own session, so a product cannot tell drift from noise, and the
 output's first line says so.  An odd number of files exits 2.
 
 ``--trajectory`` with no files reads every ``BENCH_*.json`` at the root of
-this repository and pairs each with the file of its commit's nearest
-ancestor commit that has one, when the program differs between the two
-commits: some file under ``src/`` differs other than by docstrings and
-comments.  So a second session on the same program pairs with nothing.  It
-prints each pair to stderr, and then the trajectory of the pairs, taken in
-git ancestry order.
+this repository, one file per commit: the one whose tag is a prefix of its
+commit, as a PR's own ``BENCH_<commit>.json`` is.  It names any other file
+of that commit on stderr as skipped, such as an anchor pair's summary, whose
+parent is an older anchor and not the commit's parent.  It pairs each file
+with the file of its commit's nearest ancestor commit that has one, when
+the program differs between the two commits: some file under ``src/``
+differs other than by docstrings and comments.  So a second session on the
+same program pairs with nothing.  It prints each pair to stderr, and then
+the trajectory of the pairs, taken in git ancestry order.
 """
 
 from __future__ import annotations
@@ -211,11 +214,15 @@ def committed_pairs(root: str = ROOT) -> list:
     docstring lists, in git ancestry order."""
     commits = {}
     for path in sorted(glob.glob(os.path.join(root, "BENCH_*.json"))):
-        sha = _git(root, "rev-parse", "--verify", "--quiet", load(path)["commit"] + "^{commit}")
-        if sha is None:
+        bench = load(path)
+        sha = (_git(root, "rev-parse", "--verify", "--quiet", bench["commit"] + "^{commit}") or "").strip()
+        if not sha:
             print(f"skipped {os.path.basename(path)}: its commit is not in this repository", file=sys.stderr)
+        elif not sha.startswith(bench["tag"]) or sha in commits.values():
+            print(f"skipped {os.path.basename(path)}: not the one file tagged with its commit {bench['commit']}",
+                  file=sys.stderr)
         else:
-            commits[path] = sha.strip()
+            commits[path] = sha
     ancestors = {path: set(_git(root, "rev-list", sha).split()) for path, sha in commits.items()}
     pairs = []
     for change, sha in commits.items():

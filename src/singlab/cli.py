@@ -120,6 +120,15 @@ _PRESETS = {
 }
 
 
+# The keys of an oscillation profile, which oscillate and severity extend
+_PROFILE = {
+    "map": (str, "pc", _choice(_FITTER_KINDS)),
+    "at_x": (float, 0.0, None),
+    "at_y": (float, 0.0, None),
+    "radii": (list, [0.1, 0.01, 0.001], _positive),
+    "k_samples": (int, 64, _at_least(16)),
+}
+
 # Per-command schema: key -> (type, default, check(key, value) or None)
 SCHEMAS = {
     "lfplot": {
@@ -144,20 +153,12 @@ SCHEMAS = {
         "out": (str, "localize.json", None),
     },
     "oscillate": {
-        "map": (str, "pc", _choice(_FITTER_KINDS)),
-        "at_x": (float, 0.0, None),
-        "at_y": (float, 0.0, None),
-        "radii": (list, [0.1, 0.01, 0.001], _positive),
-        "k_samples": (int, 64, _at_least(16)),
+        **_PROFILE,
         "seed": (int, 0, None),
         "out": (str, "oscillation.json", None),
     },
     "severity": {
-        "map": (str, "pc", _choice(_FITTER_KINDS)),
-        "at_x": (float, 0.0, None),
-        "at_y": (float, 0.0, None),
-        "radii": (list, [0.1, 0.01, 0.001], _positive),
-        "k_samples": (int, 64, _at_least(16)),
+        **_PROFILE,
         "mesh": (float, 0.3, _positive),
         "seed": (int, 0, None),
         "out": (str, "severity.json", None),

@@ -23,12 +23,12 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from singlab.datamaps import DataMapSpec, MapKind, _axis_sum, _pairwise_sum, _weighted_resultant
-from singlab.geometry import ContractViolation, _positive_sizes, loglog_fit, omega_s
+from singlab.geometry import ContractViolation, DegenerateSegmentError, _positive_sizes, loglog_fit, omega_s
 from singlab.metrics import DIST_SURROGATE, SINGULAR_DISTANCE, nearest_zero_resultant
 
 DEFAULT_QUANTILE_WINDOW = (0.002, 0.05)
@@ -51,6 +51,14 @@ def _domain_box(domain_lo, domain_hi) -> tuple[np.ndarray, np.ndarray]:
     if lo.ndim != 1 or not lo.size or lo.shape != hi.shape or not np.all(np.isfinite(lo) & np.isfinite(hi) & (lo < hi)):
         raise ContractViolation("domain box must have finite corners lo < hi of one dimension d >= 1")
     return lo, hi
+
+
+def _finite_point(point, name: str) -> np.ndarray:
+    """A fixture's point, center or corner as a finite float vector (d,)."""
+    point = np.asarray(point, dtype=float)
+    if point.ndim != 1 or not point.size or not np.isfinite(point).all():
+        raise ContractViolation(f"{name} must be a finite vector")
+    return point
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +259,7 @@ def box_count_dimension(
     on its own.  Memory grows with the occupied cells plus one band of the
     fine grid's mask (``_overlapping_cells``), not with the grid.  The
     domain box must be finite with lo < hi on every axis, and a cloud must
-    have one column per axis.
+    have one column per axis and lie in the closed box.
     """
     lo, hi = _domain_box(domain_lo, domain_hi)
     mesh_sizes = sorted(_positive_sizes(mesh_sizes, "mesh sizes"), reverse=True)
@@ -263,6 +271,8 @@ def box_count_dimension(
         cloud = _finite_cloud(membership)
         if cloud.shape[1] != lo.size:
             raise ContractViolation(f"a {cloud.shape[1]}-dimensional cloud in a {lo.size}-dimensional box")
+        if not np.all((lo <= cloud) & (cloud <= hi)):
+            raise ContractViolation("a cloud point lies outside the domain box")
         counts = [_cloud_count(cloud, lo, hi, d) for d in mesh_sizes]
     else:
         counts = _predicate_counts(membership, lo, hi, mesh_sizes)
@@ -280,8 +290,10 @@ def box_count_dimension(
 
 
 def circle_cell_membership(center, radius: float):
-    """Vectorized cell predicate: does the circle intersect the cell?"""
-    c = np.asarray(center, dtype=float)
+    """Vectorized cell predicate: does the circle intersect the cell?  The
+    center must be finite and the radius finite and positive."""
+    c = _finite_point(center, "circle center")
+    [radius] = _positive_sizes([radius], "circle radius")
 
     def pred(lo, hi):
         nearest = np.clip(c[None, :], lo, hi)
@@ -295,9 +307,12 @@ def circle_cell_membership(center, radius: float):
 
 
 def filled_box_membership(lo_set, hi_set):
-    """Vectorized cell predicate for a filled axis-aligned box."""
-    lo_set = np.asarray(lo_set, dtype=float)
-    hi_set = np.asarray(hi_set, dtype=float)
+    """Vectorized cell predicate for a filled axis-aligned box, whose
+    corners must be finite with lo <= hi on every axis."""
+    lo_set = _finite_point(lo_set, "box corner lo")
+    hi_set = _finite_point(hi_set, "box corner hi")
+    if lo_set.shape != hi_set.shape or not np.all(lo_set <= hi_set):
+        raise ContractViolation("box corners must have lo <= hi on every axis of one dimension")
 
     def pred(lo, hi):
         return np.all(hi >= lo_set[None, :], axis=1) & np.all(lo <= hi_set[None, :], axis=1)
@@ -487,8 +502,9 @@ def _row_norms(diff, d: int) -> np.ndarray:
 
 
 def point_distance_fn(point):
-    """Distances xs (m, d) -> (m,) to one point, the codimension-d fixture."""
-    p = np.asarray(point, dtype=float)
+    """Distances xs (m, d) -> (m,) to one point, the codimension-d fixture;
+    the point must be finite."""
+    p = _finite_point(point, "point")
     return lambda xs: _row_norms(lambda k, out: np.subtract(xs[:, k], p[k], out=out), p.size)
 
 
@@ -499,12 +515,15 @@ def segment_distance_fn(a, b):
     bit-equal to np.sum((xs - a) * (b - a), axis=1) / |b - a|^2, with
     |b - a|^2 by math.fsum.  A BLAS product, (xs - a) @ (b - a) or
     np.dot(b - a, b - a), may fuse a multiply and an add, so it can differ in
-    the last bit; on the CLI's segment, b - a = (0.5, 0), it does not.
+    the last bit; on the CLI's segment, b - a = (0.5, 0), it does not.  The
+    endpoints must be finite and distinct.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a = _finite_point(a, "segment endpoint a")
+    b = _finite_point(b, "segment endpoint b")
     ab = b - a
     len2 = math.fsum(ab * ab)
+    if len2 == 0.0:
+        raise DegenerateSegmentError("segment endpoints coincide")
 
     def fn(xs):
         def product(k, out):
@@ -526,8 +545,10 @@ def segment_distance_fn(a, b):
     return fn
 
 def circle_distance_fn(center, radius: float):
-    """Distances xs (m, 2) -> (m,) to the circle of this center and radius."""
-    to_center = point_distance_fn(center)
+    """Distances xs (m, 2) -> (m,) to the circle of this center and radius,
+    the center finite and the radius finite and positive."""
+    to_center = point_distance_fn(_finite_point(center, "circle center"))
+    [radius] = _positive_sizes([radius], "circle radius")
 
     def fn(xs):
         d = to_center(xs)
@@ -580,7 +601,8 @@ def distance_cdf(
     Plane fitters draw iid standard-normal coordinates, the augmented mean
     draws iid uniform circle points.  The exponent is the least-squares
     slope of log F-hat against log t between the window quantiles; fewer
-    than two positive distances there cannot be fitted.  The distances are
+    than two positive distances there cannot be fitted, nor an augmented
+    mean whose singular set is empty.  The distances are
     taken one drawn chunk at a time, on up to two CPUs (``_drawn_chunks``),
     each chunk's into its own rows of one array, which is then sorted, so
     memory is 8 bytes times n_samples plus one chunk and its kernel blocks
@@ -593,6 +615,8 @@ def distance_cdf(
         raise ContractViolation("quantile window must satisfy 0 < q_lo < q_hi <= 0.1")
     kind = spec.kind
     if kind is MapKind.AUG_MEAN:
+        if not aug_mean_singular_set_nonempty(spec):
+            raise ContractViolation("the augmented mean's singular set is empty for these weights and w0")
         shape, draw = (n_points,), lambda rng, out: np.multiply(rng.random(out=out), 2.0 * math.pi, out=out)
     elif kind in (MapKind.LS_LINE, MapKind.PC_LINE, MapKind.LAD_LINE):
         shape, draw = (n_points, 2), lambda rng, out: rng.standard_normal(out=out)
@@ -645,15 +669,9 @@ class TradeoffEntry:
     feasible: bool
 
     def to_dict(self) -> dict:
-        return {
-            "preset_name": self.preset_name,
-            "w0": self.w0,
-            "dist_S_to_P": self.dist_s_to_p if math.isfinite(self.dist_s_to_p) else "inf",
-            "measure_lower": self.measure_lower,
-            "measure_upper": self.measure_upper,
-            "measure_stderr": self.measure_stderr,
-            "feasible": self.feasible,
-        }
+        d = asdict(self)
+        dist = d.pop("dist_s_to_p")
+        return {**d, "dist_S_to_P": dist if math.isfinite(dist) else "inf"}
 
 
 @dataclass(frozen=True)
@@ -663,11 +681,7 @@ class TradeoffReport:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "entries": [e.to_dict() for e in self.entries],
-            "n_points": self.n_points,
-            "seed": self.seed,
-        }
+        return {**asdict(self), "entries": [e.to_dict() for e in self.entries]}
 
 
 def aug_mean_singular_set_nonempty(spec: DataMapSpec) -> bool:

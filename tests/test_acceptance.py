@@ -5,18 +5,14 @@ several parts) and then asserts.  Tolerances are the contract values, fixed
 here and nowhere else.
 """
 
-import json
 import math
 import time
 
 import numpy as np
-import pytest
 
 from singlab.datamaps import (
-    BatchOutcome,
     DataMapSpec,
     MapKind,
-    UndefinedReason,
     eval_perfect_fit_standard,
     evaluate,
     evaluate_batch,
@@ -26,11 +22,9 @@ from singlab.datamaps import (
     standard_batch,
 )
 from singlab.geometry import (
-    LineDirection,
     PlaneDataset,
     feature_distance,
     omega_s,
-    reduce_mod_pi,
     segment_average_norm,
     sorted_eigenvalues,
 )
@@ -49,10 +43,11 @@ from singlab.metrics import (
     derivative_blowup_profile,
     oscillator_arc,
 )
-from singlab.slices import SliceSpec, boundary_loop, slice_map
+from singlab.slices import boundary_loop
 from singlab.topology import Loop, localize_singularities, winding_number
 
-SLICE = SliceSpec()
+from oracles import SLICE, exact_cover_and_packing, fitter_on_slice, half_angle_map
+
 CDF_SEED = 20260810
 TUBE_SEED = 7
 
@@ -84,10 +79,6 @@ def test_criterion_1_codim_tail_law():
     report(1, "codim tail law (LS cubic, PC quadratic, LAD linear)", failures)
 
 
-def _fitter_on_slice(kind):
-    return slice_map(SLICE, DataMapSpec(kind=kind))
-
-
 def test_criterion_2_degree_obstruction():
     t0 = time.time()
     failures = []
@@ -105,13 +96,13 @@ def test_criterion_2_degree_obstruction():
         )
     )
     for kind in (MapKind.LS_LINE, MapKind.PC_LINE, MapKind.LAD_LINE):
-        rep = winding_number(shrunk, _fitter_on_slice(kind))
+        rep = winding_number(shrunk, fitter_on_slice(kind))
         print(f"  {kind.value} shrunk-boundary winding: {rep.degree} (min_gap {rep.min_gap:.2e})")
         if rep.degree != 2:
             failures.append(f"{kind.value} winding {rep.degree} != 2")
     # localizer: at least one certified box per fitter, PC box at the center
     for kind in (MapKind.LS_LINE, MapKind.PC_LINE, MapKind.LAD_LINE):
-        boxes = localize_singularities(_fitter_on_slice(kind), (0.0, 0.0), 0.9, 1e-3)
+        boxes = localize_singularities(fitter_on_slice(kind), (0.0, 0.0), 0.9, 1e-3)
         certified = [b for b in boxes if b.status == "certified"]
         print(f"  {kind.value} localizer: {len(certified)} certified / {len(boxes)} boxes")
         if not certified:
@@ -184,20 +175,11 @@ def test_criterion_5_derivative_blowup():
     failures = []
     etas = np.geomspace(1e-1, 1e-3, 7)
 
-    def synthetic(us):
-        r = np.linalg.norm(us, axis=1)
-        return BatchOutcome(
-            value=reduce_mod_pi(0.5 * np.arctan2(us[:, 1], us[:, 0])),
-            gap=r,
-            reason=np.where(r == 0.0, UndefinedReason.ORIGIN, 0),
-            feature=LineDirection,
-        )
-
-    prof = derivative_blowup_profile(synthetic, (0, 0), etas, seed=3)
+    prof = derivative_blowup_profile(half_angle_map(), (0, 0), etas, seed=3)
     print(f"  synthetic exponent {prof.fitted_exponent:.4f} (target -1 +- 0.05)")
     if abs(prof.fitted_exponent + 1.0) > 0.05:
         failures.append(f"synthetic exponent {prof.fitted_exponent:.4f}")
-    pc_prof = derivative_blowup_profile(_fitter_on_slice(MapKind.PC_LINE), (0, 0), etas, seed=3)
+    pc_prof = derivative_blowup_profile(fitter_on_slice(MapKind.PC_LINE), (0, 0), etas, seed=3)
     print(f"  PC-at-center exponent {pc_prof.fitted_exponent:.4f} (target [-1.2, -0.8])")
     if not (-1.2 <= pc_prof.fitted_exponent <= -0.8):
         failures.append(f"PC exponent {pc_prof.fitted_exponent:.4f}")
@@ -230,19 +212,6 @@ def test_criterion_5_derivative_blowup():
 
 def _circle_points(k):
     return np.array([[math.cos(2 * math.pi * j / k), math.sin(2 * math.pi * j / k)] for j in range(k)])
-
-
-def _exact_cover_and_packing(cloud, delta):
-    """Brute-force N(delta), the fewest closed delta-balls centred on cloud
-    points that cover it, and D(delta), the most cloud points pairwise more
-    than delta apart, over all 2^m subsets."""
-    m = len(cloud)
-    near = (np.linalg.norm(cloud[:, None, :] - cloud[None, :, :], axis=2) <= delta).astype(int)
-    members = ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1).astype(int)
-    sizes = members.sum(axis=1)
-    covers = (members @ near > 0).all(axis=1)
-    close_pairs = np.einsum("si,ij,sj->s", members, np.triu(near, 1), members)
-    return int(sizes[covers].min()), int(sizes[close_pairs == 0].max())
 
 
 def test_criterion_6_appendix_lemmas():
@@ -283,8 +252,8 @@ def test_criterion_6_appendix_lemmas():
     bracket_ok = True
     for cloud in exact_clouds:
         for delta in (0.05, 0.1, 0.4, 1.0):
-            n_full, d_full = _exact_cover_and_packing(cloud, delta)
-            n_half, _ = _exact_cover_and_packing(cloud, delta / 2)
+            n_full, d_full = exact_cover_and_packing(cloud, delta)
+            n_half, _ = exact_cover_and_packing(cloud, delta / 2)
             g_double, g_full, g_half = (greedy_net(cloud, t) for t in (2 * delta, delta, delta / 2))
             if not (n_full <= d_full <= n_half and g_double <= n_full <= g_full <= d_full <= g_half):
                 bracket_ok = False

@@ -49,7 +49,7 @@ from singlab.geometry import (
 )
 from singlab.measure import distance_cdf
 from singlab.metrics import SINGULAR_DISTANCE, batch_diameter
-from singlab.slices import SliceSpec, slice_map
+from singlab.slices import slice_map
 from singlab.topology import (
     MAX_REFINE,
     STEP_FRACTION,
@@ -59,8 +59,9 @@ from singlab.topology import (
     winding_number,
 )
 
-FITTERS = [DataMapSpec(kind=k) for k in (MapKind.LS_LINE, MapKind.PC_LINE, MapKind.LAD_LINE)]
-LS, PC, LAD = FITTERS
+from oracles import LAD, LS, PC, SLICE
+
+FITTERS = [LS, PC, LAD]
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
 
 # moderate coordinates: values near the underflow threshold would make
@@ -367,7 +368,7 @@ def test_lad_rows_match_reference_across_blocks(n):
     # reference and its sorted tie gap; n = 17 takes two rounds of the eight
     # accumulators of the pairwise objective sums
     points = lad_block_batch(n, 2 * datamaps._block_rows(MapKind.LAD_LINE, (1, n, 2)) + 37, seed=n)
-    spec = DataMapSpec(kind=MapKind.LAD_LINE)
+    spec = LAD
     outcomes = [reference_lad(p) for p in points]
     reasons = {None, UndefinedReason.COLLINEAR_PREDICTOR}
     if n > 2:
@@ -391,7 +392,7 @@ def test_lad_kernel_keeps_no_whole_batch_buffer():
     points = lad_block_batch(n, m, seed=0)
     tracemalloc.start()
     try:
-        evaluate_batch(DataMapSpec(kind=MapKind.LAD_LINE), points)
+        evaluate_batch(LAD, points)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -470,7 +471,7 @@ def test_a_chunk_error_propagates_with_its_type(workers, monkeypatch):
     # last, and on whichever worker, distance_cdf raises that error with its
     # type, and the next CDF runs as usual
     monkeypatch.setattr(measure, "_worker_count", lambda: workers)
-    spec, total = DataMapSpec(kind=MapKind.LS_LINE), 5 * (1 << 14) + 37
+    spec, total = LS, 5 * (1 << 14) + 37
     distance, tag = SINGULAR_DISTANCE[spec.kind]
     want = distance_cdf(spec, 4, total, CHUNK_SEED)
     for start in (0, 2 << 14, 5 << 14):
@@ -487,7 +488,7 @@ def test_a_helper_error_reaches_the_caller(monkeypatch):
     # the calling thread holds its first chunk until a helper has raised on
     # another, so the error can only come back from the helper
     monkeypatch.setattr(measure, "_worker_count", lambda: 2)
-    spec = DataMapSpec(kind=MapKind.LS_LINE)
+    spec = LS
     distance, tag = SINGULAR_DISTANCE[spec.kind]
     caller, raised_on_helper = threading.get_ident(), threading.Event()
 
@@ -508,7 +509,7 @@ def test_helpers_stop_when_the_caller_fails(monkeypatch):
     # chunk it holds and takes no other, so the error is not held back
     # while the rest of the draw runs
     monkeypatch.setattr(measure, "_worker_count", lambda: 2)
-    spec = DataMapSpec(kind=MapKind.LS_LINE)
+    spec = LS
     distance, tag = SINGULAR_DISTANCE[spec.kind]
     caller, helper_chunks = threading.get_ident(), []
 
@@ -539,7 +540,7 @@ def test_every_chunk_runs_once_under_fast_thread_switches(monkeypatch):
     # hundreds of chunks of 37 rows: each chunk runs exactly once, the
     # distances are those of the same chunks on one worker, and the CDF
     # leaves the process's CPU affinity as it found it
-    spec, total = DataMapSpec(kind=MapKind.LAD_LINE), 10_007
+    spec, total = LAD, 10_007
     monkeypatch.setattr(measure, "_CHUNK", 37)
     monkeypatch.setattr(measure, "_worker_count", lambda: 1)
     want = distance_cdf(spec, 4, total, CHUNK_SEED)
@@ -935,7 +936,7 @@ def test_rotation_equivariance(n, data, alpha, weights, w0, beta):
     flat = data.draw(st.lists(unit_coords, min_size=2 * m * n, max_size=2 * m * n))
     points = np.array(flat).reshape(m, n, 2)
     c, s = math.cos(alpha), math.sin(alpha)
-    pc = DataMapSpec(kind=MapKind.PC_LINE)
+    pc = PC
     before = evaluate_batch(pc, points)
     after = evaluate_batch(pc, points @ np.array([[c, s], [-s, c]]))
     keep = before.gap > 1e-6
@@ -1105,13 +1106,12 @@ def test_slice_map_rows_equal_pointwise_evaluate():
     # the batched slice evaluator gives, row for row and bit for bit, what
     # one dataset embedded and evaluated on its own gives, inside the disk
     # and outside it
-    slc = SliceSpec()
     us = np.random.default_rng(15).uniform(-1.2, 1.2, (400, 2))
     us[:4] = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (-0.6, 1.0)]
     assert (np.linalg.norm(us, axis=1) <= 1.0).any() and (np.linalg.norm(us, axis=1) > 1.0).any()
     for spec in FITTERS:
-        batch = slice_map(slc, spec)(us)
-        rows = [evaluate(spec, slc.dataset_at(u, allow_outside_disk=True)) for u in us]
+        batch = slice_map(SLICE, spec)(us)
+        rows = [evaluate(spec, SLICE.dataset_at(u, allow_outside_disk=True)) for u in us]
         value = np.array([row.feature.theta if row.defined else np.nan for row in rows])
         reason = np.array([row.reason or 0 for row in rows])
         assert_bits_equal(batch.value, value, spec.kind.value)

@@ -171,23 +171,35 @@ def test_trajectory_refuses_an_odd_number_of_files(tmp_path, capsys):
     assert "even number of files" in capsys.readouterr().err
 
 
-def test_trajectory_without_files_pairs_each_file_with_its_nearest_ancestors(tmp_path):
+def test_trajectory_without_files_pairs_each_file_with_its_nearest_ancestors(tmp_path, capsys):
     # four commits: the program changes, changes, gains only a docstring and
-    # a comment, and changes; one BENCH file per commit, named so that name
-    # order is the reverse of git order
+    # a comment, and changes; one BENCH file per commit, tagged with it and
+    # named so that name order is the reverse of git order
     def git(*args):
         return subprocess.run(["git", "-C", str(tmp_path), *args], check=True, capture_output=True, text=True).stdout
 
+    def retag(out, commit, tag):
+        out.write_text(json.dumps(dict(json.loads(out.read_text()), commit=commit, tag=tag)))
+
     git("init", "-q")
     (tmp_path / "src").mkdir()
-    files = []
-    for tag, program in (("d", "x = 1\n"), ("c", "x = 2\n"), ("b", '"""Doc."""\nx = 2  # why\n'), ("a", "x = 3\n")):
+    files, commits = [], []
+    for name, program in (("d", "x = 1\n"), ("c", "x = 2\n"), ("b", '"""Doc."""\nx = 2  # why\n'), ("a", "x = 3\n")):
         (tmp_path / "src" / "m.py").write_text(program)
         git("add", "src")
-        git("-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q", "-m", tag)
-        out = write_bench(tmp_path, tag, [(1, 0.5)])
-        data = json.loads(out.read_text())
-        out.write_text(json.dumps(dict(data, commit=git("rev-parse", "--short", "HEAD").strip())))
+        git("-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q", "-m", name)
+        out = write_bench(tmp_path, name, [(1, 0.5)])
+        commits.append(git("rev-parse", "--short", "HEAD").strip())
+        retag(out, commits[-1], commits[-1])
         files.append(str(out))
     d, c, b, a = files
     assert bench_summary.committed_pairs(str(tmp_path)) == [(d, c), (b, a)]
+    # a second and a third file of commit c: an anchor pair's summary, whose
+    # tag names no commit and whose name sorts first, and a file tagged with
+    # a shorter prefix of c's commit; neither is chained
+    retag(write_bench(tmp_path, "c-anchor", [(1, 0.6)]), commits[1], "c-anchor")
+    retag(write_bench(tmp_path, "x", [(1, 0.6)]), commits[1], commits[1][:4])
+    capsys.readouterr()
+    assert bench_summary.committed_pairs(str(tmp_path)) == [(d, c), (b, a)]
+    skipped = "skipped {}: not the one file tagged with its commit " + commits[1]
+    assert capsys.readouterr().err.splitlines() == [skipped.format("BENCH_c-anchor.json"), skipped.format("BENCH_x.json")]

@@ -291,6 +291,14 @@ def test_config_file_refuses_booleans_and_fractional_ints(tmp_path, capsys, no_r
     assert list(tmp_path.iterdir()) == [cfg]
 
 
+def test_cdf_of_an_augmented_mean_without_singular_set_is_a_run_error(tmp_path, capsys):
+    # one point and w0 = 0.5 leave the singular set empty: the run exited 0
+    # with a tail exponent of 86.15 over "distances" all >= 0.5
+    assert run(["cdf", "--map", "augmean", "--n-points", "1"], tmp_path / "out") == EXIT_SCHEMA
+    assert capsys.readouterr().err.startswith("run error: the augmented mean's singular set is empty")
+    assert not (tmp_path / "out").exists()
+
+
 def test_cdf_lad_two_points_is_a_contract_error(tmp_path, capsys):
     # two points have one candidate line, so every LAD tie-gap surrogate is
     # 0 and no distance in the quantile window can be fitted

@@ -24,7 +24,6 @@ from singlab.datamaps import (
 )
 from singlab.geometry import (
     CircleDataset,
-    CirclePoint,
     ContractViolation,
     DomainError,
     LineDirection,
@@ -32,9 +31,8 @@ from singlab.geometry import (
     feature_distance,
 )
 
-LS = DataMapSpec(kind=MapKind.LS_LINE)
-PC = DataMapSpec(kind=MapKind.PC_LINE)
-LAD = DataMapSpec(kind=MapKind.LAD_LINE)
+from oracles import LAD, LS, PC
+
 OSCILLATOR = DataMapSpec(kind=MapKind.RADIAL_OSCILLATOR)
 
 EQUILATERAL = PlaneDataset(

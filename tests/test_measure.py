@@ -18,7 +18,7 @@ from singlab.datamaps import (
     section_jacobian,
     uniform_preset,
 )
-from singlab.geometry import ContractViolation
+from singlab.geometry import ContractViolation, DegenerateSegmentError
 from singlab.measure import (
     _cell_counts,
     _drawn_chunks,
@@ -37,6 +37,8 @@ from singlab.measure import (
     tube_volume,
 )
 from singlab.metrics import GAUSS_NEWTON_ITERS, _project_to_zero_resultant
+
+from oracles import LAD, LS, PC, exact_cover_and_packing
 
 CIRCLE_100 = np.array(
     [[math.cos(2 * math.pi * k / 100), math.sin(2 * math.pi * k / 100)] for k in range(100)]
@@ -80,19 +82,6 @@ def test_greedy_validation():
     cloud[17, 1] = math.nan
     with pytest.raises(ContractViolation):
         greedy_net(cloud, 0.1)
-
-
-def exact_cover_and_packing(cloud, delta):
-    """Brute-force N(delta), the fewest closed delta-balls centred on cloud
-    points that cover it, and D(delta), the most cloud points pairwise more
-    than delta apart, over all 2^m subsets."""
-    m = len(cloud)
-    near = (np.linalg.norm(cloud[:, None, :] - cloud[None, :, :], axis=2) <= delta).astype(int)
-    members = ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1).astype(int)
-    sizes = members.sum(axis=1)
-    covers = (members @ near > 0).all(axis=1)
-    close_pairs = np.einsum("si,ij,sj->s", members, np.triu(near, 1), members)
-    return int(sizes[covers].min()), int(sizes[close_pairs == 0].max())
 
 
 def test_greedy_net_brackets_exact_counts():
@@ -334,6 +323,17 @@ def test_box_count_refuses_a_cloud_of_another_dimension():
         box_count_dimension(cloud, (0, 0), (1, 1), [0.1, 0.05, 0.01, 0.002])
 
 
+def test_box_count_refuses_a_cloud_point_outside_the_box():
+    # such a point was clipped into an edge cell: (5, 5) in the unit box read
+    # one occupied cell at every mesh and a measure of 1.0; a point on hi is
+    # in the closed box
+    meshes = np.geomspace(0.1, 0.002, 5)
+    for point in ((5.0, 5.0), (0.5, -1e-9)):
+        with pytest.raises(ContractViolation, match="a cloud point lies outside the domain box"):
+            box_count_dimension(np.array([point]), (0, 0), (1, 1), meshes)
+    assert box_count_dimension(np.array([[1.0, 1.0]]), (0, 0), (1, 1), meshes).occupied_counts == (1,) * 5
+
+
 # ---------------------------------------------------------------------------
 # Tube volumes
 # ---------------------------------------------------------------------------
@@ -409,6 +409,43 @@ def test_tube_refuses_bad_deltas():
     for bad in (math.nan, -0.1, 0.0, math.inf):
         with pytest.raises(ContractViolation):
             tube_volume(point_distance_fn((0.5, 0.5)), (0, 0), (1, 1), [*DELTAS, bad], 10_000, 0)
+
+
+@pytest.mark.parametrize("make, error, message", [
+    # equal ends gave NaN distances with "invalid value encountered in
+    # divide", and a NaN point gave NaN distances, which tube_volume blamed on
+    # its deltas
+    pytest.param(lambda: segment_distance_fn((0.5, 0.5), (0.5, 0.5)), DegenerateSegmentError,
+                 "segment endpoints coincide", id="segment-equal-ends"),
+    pytest.param(lambda: segment_distance_fn((0.25, 0.5), (math.inf, 0.5)), ContractViolation,
+                 "segment endpoint b must be a finite vector", id="segment-infinite-end"),
+    pytest.param(lambda: point_distance_fn((math.nan, 0.5)), ContractViolation,
+                 "point must be a finite vector", id="point-nan"),
+    pytest.param(lambda: point_distance_fn(()), ContractViolation, "point must be a finite vector", id="point-empty"),
+    # a negative radius measured |d| + 0.2, and gave the cell predicate an
+    # all-zero "degenerate" estimate
+    pytest.param(lambda: circle_distance_fn((0.5, 0.5), -0.2), ContractViolation,
+                 "circle radius must be finite and positive", id="circle-negative-radius"),
+    pytest.param(lambda: circle_distance_fn((0.5, math.nan), 0.2), ContractViolation,
+                 "circle center must be a finite vector", id="circle-nan-center"),
+    pytest.param(lambda: circle_cell_membership((0.5, 0.5), -0.2), ContractViolation,
+                 "circle radius must be finite and positive", id="cells-negative-radius"),
+    pytest.param(lambda: circle_cell_membership((0.5, 0.5), math.inf), ContractViolation,
+                 "circle radius must be finite and positive", id="cells-infinite-radius"),
+    pytest.param(lambda: circle_cell_membership((math.inf, 0.5), 0.2), ContractViolation,
+                 "circle center must be a finite vector", id="cells-infinite-center"),
+    # an inverted box gave an all-zero "degenerate" estimate
+    pytest.param(lambda: filled_box_membership((0.4, 0.2), (0.2, 0.4)), ContractViolation,
+                 "box corners must have lo <= hi on every axis of one dimension", id="box-inverted"),
+    pytest.param(lambda: filled_box_membership((0.2, 0.2), (0.4, 0.4, 0.4)), ContractViolation,
+                 "box corners must have lo <= hi on every axis of one dimension", id="box-dimensions"),
+    pytest.param(lambda: filled_box_membership((0.2, math.nan), (0.4, 0.4)), ContractViolation,
+                 "box corner lo must be a finite vector", id="box-nan-corner"),
+])
+def test_fixtures_refuse_what_they_cannot_measure(make, error, message):
+    with pytest.raises(ContractViolation) as raised:
+        make()
+    assert type(raised.value) is error and str(raised.value) == message
 
 
 @pytest.mark.parametrize("lo, hi", BAD_BOXES)
@@ -521,9 +558,6 @@ def test_tube_volume_holds_one_chunk():
 # ---------------------------------------------------------------------------
 
 CDF_SEED = 20260810
-LS = DataMapSpec(kind=MapKind.LS_LINE)
-PC = DataMapSpec(kind=MapKind.PC_LINE)
-LAD = DataMapSpec(kind=MapKind.LAD_LINE)
 
 
 def test_cdf_codim_tail_law():
@@ -651,6 +685,15 @@ def test_cdf_preconditions():
         distance_cdf(LS, 4, 10**4, 0, quantile_window=(0.05, 0.2))
     with pytest.raises(ContractViolation, match="no CDF sampler"):
         distance_cdf(DataMapSpec(kind=MapKind.DISK_DECISION, radius=0.5), 4, 10**4, 0)
+
+
+@pytest.mark.parametrize("spec", [uniform_preset(1), concentrated_preset(3)], ids=["one-point", "concentrated"])
+def test_cdf_refuses_an_augmented_mean_without_singular_set(spec):
+    # with one point and w0 = 0.5, |r| >= 0.5 for every draw: the "distances"
+    # were all >= 0.5 and read a tail exponent of 86.15
+    assert not aug_mean_singular_set_nonempty(spec)
+    with pytest.raises(ContractViolation, match="the augmented mean's singular set is empty for these weights and w0"):
+        distance_cdf(spec, len(spec.weights), 10**4, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from singlab.datamaps import (
-    BatchOutcome,
     DataMapSpec,
     EvalOutcome,
     MapKind,
@@ -54,33 +53,12 @@ from singlab.metrics import (
     oscillation,
     oscillator_arc,
 )
-from singlab.slices import SliceSpec, slice_map
+from singlab.slices import slice_map
 
 from fresh_python import run_python
+from oracles import LAD, LS, PC, SLICE, half_angle_map, origin_batch
 
-LS = DataMapSpec(kind=MapKind.LS_LINE)
-PC = DataMapSpec(kind=MapKind.PC_LINE)
-LAD = DataMapSpec(kind=MapKind.LAD_LINE)
-SPEC = SliceSpec()
-
-EQUILATERAL = SPEC.center_config
-
-
-def line_batch(value, gap, undefined):
-    """A LineDirection BatchOutcome, Undefined (ORIGIN) where undefined is set."""
-    return BatchOutcome(value=value, gap=gap, reason=np.where(undefined, UndefinedReason.ORIGIN, 0),
-                        feature=LineDirection)
-
-
-def half_angle_map(atan2=np.arctan2):
-    """u -> LineDirection(arg(u) / 2) on stacked points (m, 2), gap |u|,
-    with the given two-argument arctangent."""
-
-    def fn(us):
-        r = np.linalg.norm(us, axis=1)
-        return line_batch(reduce_mod_pi(0.5 * atan2(us[:, 1], us[:, 0])), r, r == 0.0)
-
-    return fn
+EQUILATERAL = SLICE.center_config
 
 
 def libm_atan2(y, x):
@@ -89,7 +67,7 @@ def libm_atan2(y, x):
 
 
 half_angle_batch = half_angle_map()
-pc_on_slice = slice_map(SPEC, PC)
+pc_on_slice = slice_map(SLICE, PC)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +410,7 @@ def circle_polyline(radius, m=96):
 
 
 def test_average_derivative_constant_map():
-    fn = lambda us: line_batch(np.full(len(us), 0.4), np.ones(len(us)), np.zeros(len(us), dtype=bool))
+    fn = lambda us: origin_batch(np.full(len(us), 0.4), np.ones(len(us)), np.zeros(len(us), dtype=bool))
     assert average_derivative_along_curve(fn, circle_polyline(0.5), 1e-6) == 0.0
 
 
@@ -445,7 +423,7 @@ def test_average_derivative_half_angle_closed_form():
 
 def test_average_derivative_curve_hits_singularity():
     def left_half_undefined(us):
-        return line_batch(reduce_mod_pi(us[:, 0]), np.ones(len(us)), us[:, 0] < 0)
+        return origin_batch(reduce_mod_pi(us[:, 0]), np.ones(len(us)), us[:, 0] < 0)
 
     segment = [np.array([-0.1, 0.0]), np.array([0.1, 0.0])]
     with pytest.raises(CurveHitsSingularityError):
@@ -460,7 +438,7 @@ def test_average_distance_to_point():
 def test_polyline_averages_refuse_degenerate_curves():
     # one vertex, or two equal ones, has no length to average over
     p = np.array([0.3, 0.0])
-    fn = lambda us: line_batch(np.full(len(us), 0.4), np.ones(len(us)), np.zeros(len(us), dtype=bool))
+    fn = lambda us: origin_batch(np.full(len(us), 0.4), np.ones(len(us)), np.zeros(len(us), dtype=bool))
     for curve in ([p], [p, p.copy()]):
         with pytest.raises(ContractViolation):
             average_distance_to_point(curve, (0, 0))
@@ -486,7 +464,7 @@ def test_blowup_of_a_scalar_map_reads_its_gradient_norm():
     # their absolute difference, and nothing blows up
     def radius(us):
         r = np.linalg.norm(us, axis=1)
-        return BatchOutcome(value=r, gap=r, reason=np.where(r == 0.0, UndefinedReason.ORIGIN, 0), feature=ScalarValue)
+        return origin_batch(r, r, r == 0.0, ScalarValue)
 
     profile = derivative_blowup_profile(radius, (0, 0), ETAS, seed=3)
     assert not any(profile.flagged)
@@ -512,8 +490,8 @@ def test_blowup_arcs_do_not_depend_on_the_last_bit():
     # that tie exactly; libm's and numpy's arctangent differ in the last
     # bit, and both must pick the same arcs
     etas = np.geomspace(1e-1, 1e-3, 13)
-    libm = derivative_blowup_profile(half_angle_map(libm_atan2), (0, 0), etas, seed=0)
-    numpy = derivative_blowup_profile(half_angle_map(np.arctan2), (0, 0), etas, seed=0)
+    libm = derivative_blowup_profile(half_angle_map(atan2=libm_atan2), (0, 0), etas, seed=0)
+    numpy = derivative_blowup_profile(half_angle_map(atan2=np.arctan2), (0, 0), etas, seed=0)
     assert libm.flagged == numpy.flagged and not any(libm.flagged)
     assert libm.avg_distance == numpy.avg_distance
     assert abs(libm.fitted_exponent + 1.0) <= 1e-9
@@ -607,8 +585,8 @@ def _reference_profile(outcome_fn, singular_point, etas, seed):
 
 _PROFILE_MAPS = {
     "pc": pc_on_slice,
-    "lad": slice_map(SPEC, LAD),
-    "ls": slice_map(SPEC, LS),
+    "lad": slice_map(SLICE, LAD),
+    "ls": slice_map(SLICE, LS),
     "synthetic": _synthetic_batch,
 }
 
@@ -654,7 +632,7 @@ def test_blowup_profile_retries_and_flags_like_the_reference():
         undefined = ((np.linalg.norm(us - y1, axis=1) < 1e-3 * etas[2])
                      | (np.linalg.norm(us - p, axis=1) < 0.5 * H_FD_FACTOR * etas[5])
                      | (np.abs(r - 0.9 * etas[8]) < 1e-9 * etas[8]))
-        return line_batch(out.value, out.gap, ~out.defined | undefined)
+        return origin_batch(out.value, out.gap, ~out.defined | undefined)
 
     want, attempts = _reference_profile(holes, (0.0, 0.0), etas, seed)
     assert attempts == [1, 1, 2, 1, 1, 2, 1, 1, MAX_JITTERS, 1, 1]
@@ -720,7 +698,7 @@ def test_minimize_shim_is_lazy_and_ignores_patches():
                  "radii and diameters must have equal length", id="profile-lengths"),
     pytest.param(lambda: OscillationProfile(radii=(0.1, 0.2), diameters=(0.1, 0.1), samples_per_radius=16, seed=0),
                  "radii must be strictly decreasing", id="profile-order"),
-    pytest.param(lambda: oscillation(PC, SPEC.dataset_at((0.0, 0.0)), (0.1, 0.01), k_samples=15, seed=0),
+    pytest.param(lambda: oscillation(PC, SLICE.dataset_at((0.0, 0.0)), (0.1, 0.01), k_samples=15, seed=0),
                  "k_samples must be >= 16", id="oscillation-k-samples"),
     pytest.param(lambda: classify_severity(OscillationProfile((0.2, 0.1), (0.1, 0.1), 16, 0), 0.1),
                  "severity needs a profile with >= 3 radii", id="severity-radii"),

@@ -25,46 +25,46 @@ from singlab.slices import (
     write_field_svg,
 )
 
-SPEC = SliceSpec()
+from oracles import LS, PC, SLICE
 
 
 def test_embed_center():
-    ds = SPEC.dataset_at((0, 0))
-    np.testing.assert_allclose(ds.points, SPEC.center_config.points)
+    ds = SLICE.dataset_at((0, 0))
+    np.testing.assert_allclose(ds.points, SLICE.center_config.points)
 
 
 def test_embed_boundary_horizontal():
-    ds = SPEC.dataset_at((1, 0))
+    ds = SLICE.dataset_at((1, 0))
     np.testing.assert_allclose(ds.points, [(-1, 0), (0, 0), (1, 0)], atol=1e-15)
 
 
 def test_embed_boundary_vertical():
-    ds = SPEC.dataset_at((0, 1))
+    ds = SLICE.dataset_at((0, 1))
     np.testing.assert_allclose(ds.points, [(0, -1), (0, 0), (0, 1)], atol=1e-15)
 
 
 def test_embed_domain_error():
     with pytest.raises(DomainError):
-        SPEC.dataset_at((1.2, 0))
+        SLICE.dataset_at((1.2, 0))
     # the extended affine formula is available explicitly
-    SPEC.dataset_at((1.2, 0), allow_outside_disk=True)
+    SLICE.dataset_at((1.2, 0), allow_outside_disk=True)
 
 
 def test_embed_lipschitz_bound():
     # affine interpolation bound: constant <= max(|center|, 2 sqrt(n))
-    bound = max(np.linalg.norm(SPEC.center_config.points), 2 * math.sqrt(SPEC.n_points))
+    bound = max(np.linalg.norm(SLICE.center_config.points), 2 * math.sqrt(SLICE.n_points))
     rng = np.random.default_rng(21)
     for _ in range(1_000):
         u = rng.uniform(-1, 1, 2)
         v = rng.uniform(-1, 1, 2)
         if np.linalg.norm(u) > 1 or np.linalg.norm(v) > 1 or np.allclose(u, v):
             continue
-        d = np.linalg.norm(SPEC.dataset_at(u).points - SPEC.dataset_at(v).points)
+        d = np.linalg.norm(SLICE.dataset_at(u).points - SLICE.dataset_at(v).points)
         assert d <= bound * np.linalg.norm(u - v) + 1e-9
 
 
 def test_boundary_loop_angles():
-    loop = boundary_loop(SPEC, 4)
+    loop = boundary_loop(SLICE, 4)
     expected = [0.0, math.pi / 2, math.pi, 3 * math.pi / 2]
     for points, psi in zip(loop.points, expected):
         np.testing.assert_allclose(
@@ -77,11 +77,11 @@ def test_boundary_loop_angles():
 @pytest.mark.parametrize("m", [-3, 0, 1, 2])
 def test_boundary_loop_refuses_fewer_than_three_samples(m):
     with pytest.raises(ContractViolation, match="a loop needs at least 3 samples"):
-        boundary_loop(SPEC, m)
+        boundary_loop(SLICE, m)
 
 
 def test_boundary_loop_exactly_collinear():
-    loop = boundary_loop(SPEC, 64)
+    loop = boundary_loop(SLICE, 64)
     residual, _, _ = spanning_lines(loop.points)
     assert np.all(residual == 0.0)  # exactly zero, not just small
     for points in loop.points:
@@ -92,7 +92,7 @@ def test_boundary_standard_sweeps_two_half_turns():
     # direct angle-lift oracle: Sigma on the boundary is psi mod pi, which
     # sweeps two half turns over a full boundary revolution
     m = 256
-    loop = boundary_loop(SPEC, m)
+    loop = boundary_loop(SLICE, m)
     thetas = [eval_perfect_fit_standard(PlaneDataset(p)).theta for p in loop.points]
     total = 0.0
     for i in range(m):
@@ -113,7 +113,7 @@ def test_polar_grid_in_disk():
 
 def test_lf_field_pc_center_tie():
     spec = SliceSpec(grid_resolution=16)
-    grid = render_lf_field(spec, DataMapSpec(kind=MapKind.PC_LINE))
+    grid = render_lf_field(spec, PC)
     # the r = 0 cells are the equilateral center: eigenvalue tie
     rows = list(grid.rows())
     center_rows = [r for r, u in zip(rows, grid.us) if np.linalg.norm(u) == 0.0]
@@ -123,7 +123,7 @@ def test_lf_field_pc_center_tie():
 
 def test_lf_field_ls_undefined_cells_match_sxx():
     spec = SliceSpec(grid_resolution=16)
-    grid = render_lf_field(spec, DataMapSpec(kind=MapKind.LS_LINE))
+    grid = render_lf_field(spec, LS)
     # undefined exactly where the embedded abscissae coincide (S_xx = 0)
     for i, u in enumerate(grid.us):
         out = grid.batch.outcome(i)
@@ -139,7 +139,7 @@ def test_lf_field_ls_undefined_cells_match_sxx():
         if abs(abs(u[1]) - 1.0) < 1e-12 and abs(u[0]) < 1e-12:
             assert out.gap < 1e-15
     exact_vertical = PlaneDataset([(0, -1), (0, 0), (0, 1)])
-    assert not evaluate(DataMapSpec(kind=MapKind.LS_LINE), exact_vertical).defined
+    assert not evaluate(LS, exact_vertical).defined
 
 
 def test_lf_field_boundary_ring_calibrated():
@@ -161,7 +161,7 @@ def test_lf_field_files(tmp_path):
     csv_path = tmp_path / "field.csv"
     svg_path = tmp_path / "field.svg"
     grid = render_lf_field(
-        spec, DataMapSpec(kind=MapKind.PC_LINE), csv_path=csv_path, svg_path=svg_path
+        spec, PC, csv_path=csv_path, svg_path=svg_path
     )
     text = csv_path.read_text()
     lines = text.strip().split("\n")
@@ -317,11 +317,11 @@ def test_slice_spec_stores_its_spread_as_floats():
 @pytest.mark.parametrize("make, message", [
     pytest.param(lambda: SliceSpec(n_points=1), "slice needs n_points >= 2", id="n-points"),
     pytest.param(lambda: SliceSpec(spread=(1.0, 2.0)), "spread size does not match n_points", id="spread-size"),
-    pytest.param(lambda: SPEC.datasets_at(np.zeros((2, 3))), "slice parameters must be finite 2-vectors",
+    pytest.param(lambda: SLICE.datasets_at(np.zeros((2, 3))), "slice parameters must be finite 2-vectors",
                  id="datasets-at-shape"),
-    pytest.param(lambda: SPEC.datasets_at([[math.nan, 0.0]]), "slice parameters must be finite 2-vectors",
+    pytest.param(lambda: SLICE.datasets_at([[math.nan, 0.0]]), "slice parameters must be finite 2-vectors",
                  id="datasets-at-nan"),
-    pytest.param(lambda: SPEC.dataset_at((0.0, 0.0, 0.0)), "slice parameter must be a finite 2-vector",
+    pytest.param(lambda: SLICE.dataset_at((0.0, 0.0, 0.0)), "slice parameter must be a finite 2-vector",
                  id="dataset-at-shape"),
 ])
 def test_slices_refuse_bad_input_by_name(make, message):
@@ -332,7 +332,7 @@ def test_slices_refuse_bad_input_by_name(make, message):
 
 def test_boundary_family_is_the_boundary_loops_dataset():
     # boundary_loop's sample k is the family at psi = 2 pi k / m, bit for bit
-    loop = boundary_loop(SPEC, 8)
+    loop = boundary_loop(SLICE, 8)
     for k in range(8):
-        dataset = SPEC.boundary_family(2.0 * math.pi * np.arange(8)[k] / 8)
+        dataset = SLICE.boundary_family(2.0 * math.pi * np.arange(8)[k] / 8)
         assert dataset.points.tobytes() == loop.points[k].tobytes()

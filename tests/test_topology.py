@@ -43,7 +43,7 @@ from singlab.topology import (
     _lift,
 )
 
-SPEC = SliceSpec()
+from oracles import PC, SLICE, fitter_on_slice, half_angle_map, origin_batch
 
 
 def circle_loop(center, radius, m):
@@ -55,28 +55,9 @@ def circle_loop(center, radius, m):
     )
 
 
-def origin_batch(value, gap, origin, feature=LineDirection):
-    """A BatchOutcome of the given values and gaps, Undefined (ORIGIN) on
-    the rows where origin is set."""
-    return BatchOutcome(value=value, gap=gap, reason=np.where(origin, UndefinedReason.ORIGIN, 0), feature=feature)
-
-
 def constant_map(theta):
     """Every point mapped to LineDirection(theta), gap 1."""
     return lambda us: origin_batch(np.full(len(us), theta), np.ones(len(us)), np.zeros(len(us), dtype=bool))
-
-
-def half_angle_map(k=1, singularity=(0.0, 0.0)):
-    """Synthetic map u -> LineDirection(k * arg(u - x0) / 2) on stacked
-    points (m, 2), gap |u - x0|: degree k."""
-    x0 = np.asarray(singularity, dtype=float)
-
-    def fn(us):
-        v = np.asarray(us, dtype=float) - x0
-        r = np.linalg.norm(v, axis=1)
-        return origin_batch(reduce_mod_pi(0.5 * k * np.arctan2(v[:, 1], v[:, 0])), r, r == 0.0)
-
-    return fn
 
 
 def identity_circle_map(us):
@@ -85,16 +66,12 @@ def identity_circle_map(us):
     return origin_batch(np.arctan2(us[:, 1], us[:, 0]), r, r == 0.0, CirclePoint)
 
 
-def fitter_on_slice(kind):
-    return slice_map(SPEC, DataMapSpec(kind=kind))
-
-
 # ---------------------------------------------------------------------------
 # Winding numbers
 # ---------------------------------------------------------------------------
 
 def test_boundary_sigma_winding_is_two():
-    report = winding_number(boundary_loop(SPEC, 64), standard_batch)
+    report = winding_number(boundary_loop(SLICE, 64), standard_batch)
     assert report.degree == 2
     assert report.min_gap > 0
     assert not report.refined
@@ -260,7 +237,7 @@ def test_localizer_refuses_bad_root_box(center, half_width):
     # warns in _rectangle_points, a zero one fails the loop check, a
     # negative one comes back certified with its negative half-width, a
     # third coordinate is dropped and a one-coordinate centre raises IndexError
-    fn = slice_map(SliceSpec(), DataMapSpec(kind=MapKind.PC_LINE))
+    fn = fitter_on_slice(MapKind.PC_LINE)
     with pytest.raises(ContractViolation, match="half_width must be finite and positive, and center a finite 2-vector"):
         localize_singularities(fn, center, half_width, 1e-2)
 
@@ -492,7 +469,7 @@ def test_multi_loop_lift_outcome_kinds():
     assert results[0].degree == -1 and not results[0].refined
     assert results[1].degree == -1 and results[1].refined and results[1].samples_used > 3
 
-    lad = slice_map(SPEC, DataMapSpec(kind=MapKind.LAD_LINE))
+    lad = fitter_on_slice(MapKind.LAD_LINE)
     boxes = [rectangle_loop((0.0, 0.0), (hw, hw), 32) for hw in (0.9, 0.5, 0.1)]
     results = assert_lift_matches_alone(boxes, lad)
     assert [type(r) for r in results] == [WindingReport, InconclusiveDegreeError, WindingReport]
@@ -545,7 +522,7 @@ def sequential_localize(outcome_fn, center, half_width, eps, samples_per_edge=32
 
 
 def counting_slice_map(kind):
-    fn = slice_map(SPEC, DataMapSpec(kind=kind))
+    fn = fitter_on_slice(kind)
     calls = []
 
     def counted(us):
@@ -574,7 +551,7 @@ def test_localizer_lifts_each_split_in_one_batch(kind, eps, bound, rows):
 def test_localizer_matches_sequential_reference_on_random_boxes():
     rng = np.random.default_rng(1307)
     for kind in SLICE_S:
-        fn = slice_map(SPEC, DataMapSpec(kind=kind))
+        fn = fitter_on_slice(kind)
         for _ in range(4):
             radius, angle = 0.4 * math.sqrt(rng.random()), 2.0 * math.pi * rng.random()
             center = (radius * math.cos(angle), radius * math.sin(angle))
@@ -661,7 +638,7 @@ def test_degree_additivity_under_random_cuts(box_and_cut, k, target):
     # children, lifted in one batch, sum to its own
     box, split = box_and_cut
     if target == "pc":
-        fn, s_points = slice_map(SPEC, DataMapSpec(kind=MapKind.PC_LINE)), [(0.0, 0.0), U_STAR]
+        fn, s_points = fitter_on_slice(MapKind.PC_LINE), [(0.0, 0.0), U_STAR]
     else:
         fn, s_points = half_angle_map(k, singularity=(0.05, -0.1)), [(0.05, -0.1)]
     assume_off(s_points, box, split, 0.02 * box[1])
@@ -693,7 +670,6 @@ def test_degree_additivity_under_random_cuts(box_and_cut, k, target):
 # disk is the number of zeros it encloses.  Outside the disk the extended
 # embedding has other zeros, so every loop here stays inside it.
 
-PC = DataMapSpec(kind=MapKind.PC_LINE)
 ORACLE_DISK = 0.98
 _SIGNS = np.array([(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)])
 
@@ -719,7 +695,7 @@ def in_disk(center, half_widths):
 
 
 def test_pc_slice_zeros_on_the_standard_slice():
-    zeros = pc_slice_zeros(SPEC)
+    zeros = pc_slice_zeros(SLICE)
     assert np.allclose(sorted(map(tuple, zeros)), sorted([(0.0, 0.0), U_STAR]), atol=1e-12)
 
 
