@@ -42,8 +42,11 @@ verdict, its ``bound`` read as a fraction of the parent median:
   both sides, and its median by more than the parent IQR;
 - ``within bound``: any other case.
 
-A file without runs by seed never gives ``gain``.  The exit status is 1 when
-any verdict is ``worse``.
+A file without runs by seed never gives ``gain``.  After those lines it
+prints, per workload, each op's median in both files (``op_medians_s``),
+parent -> change in milliseconds with the change in percent; a file
+without op medians gives no such lines.  The exit status is 1 when any
+verdict is ``worse``, and the op medians never set it.
 
 ``--trajectory PARENT CHANGE [PARENT CHANGE ...]`` reads such files as
 pairs, in the order given, and writes nothing.  Per workload and
@@ -167,6 +170,12 @@ def compare(parent: dict, change: dict, bounds: dict) -> list:
             if key in bounds:
                 line += f", verdict: {verdict(p, c, *bounds[key])}"
             lines.append(line)
+    for name in sorted(set(parent["workloads"]) & set(change["workloads"])):
+        before = parent["workloads"][name].get("op_medians_s", {})
+        after = change["workloads"][name].get("op_medians_s", {})
+        for op in sorted(set(before) & set(after)):
+            p, c = before[op], after[op]
+            lines.append(f"{name} op {op}: {1e3 * p:.4g} -> {1e3 * c:.4g} ms ({100.0 * (c - p) / p:+.1f}%)")
     return lines
 
 

@@ -687,14 +687,19 @@ _KERNELS = {
 }
 
 # Bytes of the widest array of a row block, for LAD the (P, b) arrays of P =
-# n(n-1)/2 pair lines by b rows: about ten such arrays stay in a core's L2
-# cache, and small-n batches of a few thousand rows run in one pass.  At 10^5
-# rows and n = 12, budgets of 128 to 256 KB ran the LAD kernel in 0.33-0.40 s
-# against 0.53 s at 512 KB and 0.70 s at 32 KB (on a 2-vCPU Xeon VM); with a
-# Monte-Carlo chunk on each of two CPUs (``measure._run_chunks``), 256 KB
-# blocks ran the montecarlo op list no faster than 192 KB and peaked 0.6 MB
-# higher.
-_BLOCK_BYTES = 192 << 10
+# n(n-1)/2 pair lines by b rows; small-n batches of a few thousand rows run
+# in one pass.  The budget is sized for the Monte-Carlo CDF's two workers
+# (``measure._run_chunks``), not for one core's L2: a LAD block makes about a
+# hundred short numpy calls, and the two threads trade the interpreter lock
+# at each, so fewer, larger blocks trade it less often.  Over ten runs of the
+# montecarlo op list (on a 2-vCPU Xeon VM), budgets of 192, 256, 320, 384 and
+# 512 KB read wall_s 0.517, 0.499, 0.477, 0.484 and 0.478 s and peak RSS
+# 50.1, 50.6, 52.1, 52.4 and 54.1 MB; 320 KB is the smallest budget on that
+# plateau, and it halves a LAD n = 12 CDF's voluntary context switches (4.9k
+# to 2.5k) and costs one thread nothing.  Larger blocks fault more: the
+# first such CDF in a fresh process took 47k, 69k and 105k minor faults at
+# 192, 320 and 768 KB, and at 768 KB the op list read 0.603 s and 58.6 MB.
+_BLOCK_BYTES = 320 << 10
 
 
 def _block_rows(kind: MapKind, shape) -> int:

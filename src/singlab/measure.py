@@ -501,11 +501,22 @@ def _row_norms(diff, d: int) -> np.ndarray:
     return np.sqrt(_pairwise_sum(term, 0, d))
 
 
+def _same_dimension(xs, d: int) -> None:
+    """Refuse points xs (m, ·) that are not d-dimensional, d the fixture's."""
+    if xs.shape[1] != d:
+        raise ContractViolation(f"a {d}-dimensional fixture cannot measure {xs.shape[1]}-dimensional points")
+
+
 def point_distance_fn(point):
     """Distances xs (m, d) -> (m,) to one point, the codimension-d fixture;
-    the point must be finite."""
+    the point must be finite, and xs of its dimension."""
     p = _finite_point(point, "point")
-    return lambda xs: _row_norms(lambda k, out: np.subtract(xs[:, k], p[k], out=out), p.size)
+
+    def fn(xs):
+        _same_dimension(xs, p.size)
+        return _row_norms(lambda k, out: np.subtract(xs[:, k], p[k], out=out), p.size)
+
+    return fn
 
 
 def segment_distance_fn(a, b):
@@ -516,16 +527,20 @@ def segment_distance_fn(a, b):
     |b - a|^2 by math.fsum.  A BLAS product, (xs - a) @ (b - a) or
     np.dot(b - a, b - a), may fuse a multiply and an add, so it can differ in
     the last bit; on the CLI's segment, b - a = (0.5, 0), it does not.  The
-    endpoints must be finite and distinct.
+    endpoints must be finite, distinct and of one dimension, and xs of theirs.
     """
     a = _finite_point(a, "segment endpoint a")
     b = _finite_point(b, "segment endpoint b")
+    if a.shape != b.shape:
+        raise ContractViolation(f"segment endpoints a and b must have one dimension, not {a.size} and {b.size}")
     ab = b - a
     len2 = math.fsum(ab * ab)
     if len2 == 0.0:
         raise DegenerateSegmentError("segment endpoints coincide")
 
     def fn(xs):
+        _same_dimension(xs, a.size)
+
         def product(k, out):
             out = np.subtract(xs[:, k], a[k], out=out)
             return np.multiply(out, ab[k], out=out)
@@ -544,9 +559,11 @@ def segment_distance_fn(a, b):
 
     return fn
 
+
 def circle_distance_fn(center, radius: float):
     """Distances xs (m, 2) -> (m,) to the circle of this center and radius,
-    the center finite and the radius finite and positive."""
+    the center finite and the radius finite and positive, and xs of the
+    center's dimension."""
     to_center = point_distance_fn(_finite_point(center, "circle center"))
     [radius] = _positive_sizes([radius], "circle radius")
 

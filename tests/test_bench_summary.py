@@ -71,7 +71,8 @@ def test_compare_prints_medians_iqr_and_seed_pairs(tmp_path, capsys):
     assert bench_summary.main(["--compare", str(parent), str(change)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines == ["certify peak_rss_mb: 40 -> 40 MB (+0.0%), parent IQR 0, pairs: 0/4 lower, verdict: within bound",
-                     "certify wall_s: 0.5 -> 0.375 s (-25.0%), parent IQR 0.5, pairs: 2/4 lower, verdict: unresolved"]
+                     "certify wall_s: 0.5 -> 0.375 s (-25.0%), parent IQR 0.5, pairs: 2/4 lower, verdict: unresolved",
+                     "certify op op: 250 -> 187.5 ms (-25.0%)"]
     assert sorted(path.name for path in tmp_path.glob("BENCH_*.json")) == ["BENCH_c.json", "BENCH_p.json"]
 
 
@@ -84,8 +85,45 @@ def test_compare_reads_older_files_without_runs_by_seed(tmp_path, capsys):
     change = write_bench(tmp_path, "c", [(1, 0.25), (2, 0.25)])
     capsys.readouterr()
     assert bench_summary.main(["--compare", str(parent), str(change)]) == 0
-    assert capsys.readouterr().out.splitlines()[-1] == \
-        "certify wall_s: 0.375 -> 0.25 s (-33.3%), parent IQR 0.125, pairs: n/a, verdict: unresolved"
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "certify wall_s: 0.375 -> 0.25 s (-33.3%), parent IQR 0.125, pairs: n/a, verdict: unresolved",
+        "certify op op: 187.5 -> 125 ms (-33.3%)"]
+
+
+def bench_file(path, workloads):
+    """A BENCH file of workloads {name: (wall_s median, op medians or None)},
+    one wall_s run by seed each; None leaves out op_medians_s, as in a file
+    written before op medians were kept."""
+    summary = {"workloads": {}}
+    for name, (wall_s, ops) in workloads.items():
+        wall = {"median": wall_s, "q1": wall_s, "q3": wall_s, "iqr": 0.0, "unit": "s", "by_seed": {"1": wall_s}}
+        summary["workloads"][name] = {"metrics": {"wall_s": wall}}
+        if ops is not None:
+            summary["workloads"][name]["op_medians_s"] = ops
+    path.write_text(json.dumps(summary))
+    return str(path)
+
+
+def test_compare_prints_each_ops_median_after_the_end_to_end_lines(tmp_path, capsys):
+    # ops in both files only, by workload and op name, in ms; refine's change
+    # file has no op medians, so refine gets none; an op that doubles does
+    # not make the exit status
+    parent = bench_file(tmp_path / "p.json", {"montecarlo": (0.5, {"cdf b": 0.3, "tube": 0.02, "gone": 0.1}),
+                                              "certify": (0.1, {"winding": 0.004}),
+                                              "refine": (0.08, {"tradeoff": 0.02})})
+    change = bench_file(tmp_path / "c.json", {"montecarlo": (0.46, {"cdf b": 0.255, "tube": 0.04, "new": 0.1}),
+                                              "certify": (0.1, {"winding": 0.004}),
+                                              "refine": (0.08, None)})
+    capsys.readouterr()
+    assert bench_summary.main(["--compare", parent, change]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:3]] == ["certify wall_s", "montecarlo wall_s", "refine wall_s"]
+    assert lines[3:] == ["certify op winding: 4 -> 4 ms (+0.0%)",
+                         "montecarlo op cdf b: 300 -> 255 ms (-15.0%)",
+                         "montecarlo op tube: 20 -> 40 ms (+100.0%)"]
+    worse = bench_file(tmp_path / "w.json", {"montecarlo": (0.7, {"cdf b": 0.15})})
+    assert bench_summary.main(["--compare", parent, worse]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "montecarlo op cdf b: 300 -> 150 ms (-50.0%)"
 
 
 PARENT = [(seed, 1.0 + 0.01 * seed) for seed in range(1, 11)]

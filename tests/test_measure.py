@@ -441,6 +441,23 @@ def test_tube_refuses_bad_deltas():
                  "box corners must have lo <= hi on every axis of one dimension", id="box-dimensions"),
     pytest.param(lambda: filled_box_membership((0.2, math.nan), (0.4, 0.4)), ContractViolation,
                  "box corner lo must be a finite vector", id="box-nan-corner"),
+    # numpy raised a broadcasting ValueError
+    pytest.param(lambda: segment_distance_fn((0, 0), (1, 1, 1)), ContractViolation,
+                 "segment endpoints a and b must have one dimension, not 2 and 3", id="segment-dimensions"),
+    # a fixture measures points of its own dimension: in the unit square the
+    # 1-D point and segment read fitted_codim 1.039 and 0.111, distances to
+    # the line x = 0.5 and the strip 0.2 <= x <= 0.8, and the 3-D point died
+    # with an IndexError
+    pytest.param(lambda: tube_volume(point_distance_fn((0.5,)), (0, 0), (1, 1), [0.01, 0.1], 10**4, 0),
+                 ContractViolation, "a 1-dimensional fixture cannot measure 2-dimensional points", id="point-1d"),
+    pytest.param(lambda: tube_volume(segment_distance_fn((0.2,), (0.8,)), (0, 0), (1, 1), [0.01, 0.1], 10**4, 0),
+                 ContractViolation, "a 1-dimensional fixture cannot measure 2-dimensional points", id="segment-1d"),
+    pytest.param(lambda: tube_volume(point_distance_fn((0.5, 0.5, 0.5)), (0, 0), (1, 1), [0.01, 0.1], 10**4, 0),
+                 ContractViolation, "a 3-dimensional fixture cannot measure 2-dimensional points", id="point-3d"),
+    pytest.param(lambda: segment_distance_fn((0, 0, 0), (1, 1, 1))(np.zeros((4, 2))), ContractViolation,
+                 "a 3-dimensional fixture cannot measure 2-dimensional points", id="segment-3d"),
+    pytest.param(lambda: circle_distance_fn((0.5, 0.5), 0.2)(np.zeros((4, 3))), ContractViolation,
+                 "a 2-dimensional fixture cannot measure 3-dimensional points", id="circle-3d"),
 ])
 def test_fixtures_refuse_what_they_cannot_measure(make, error, message):
     with pytest.raises(ContractViolation) as raised:
@@ -625,6 +642,23 @@ def test_cdf_bits_do_not_depend_on_the_worker_count(spec, n, monkeypatch):
     reports = []
     for workers in (1, 2, 4):
         monkeypatch.setattr(measure, "_worker_count", lambda: workers)
+        reports.append(distance_cdf(spec, n, 3 * (1 << 14) + 5, CDF_SEED))
+    for got in reports[1:]:
+        assert np.array_equal(got.sorted_distances.view(np.int64), reports[0].sorted_distances.view(np.int64))
+        assert got.exponent.hex() == reports[0].exponent.hex()
+
+
+@pytest.mark.parametrize("spec, n", [(LS, 4), (LS, 12), (PC, 4), (PC, 12), (LAD, 4), (LAD, 12),
+                                     (uniform_preset(3), 3)],
+                         ids=["ls", "ls-12", "pc", "pc-12", "lad", "lad-12", "augmean"])
+def test_cdf_bits_do_not_depend_on_the_block_budget(spec, n, monkeypatch):
+    # evaluate_batch cuts each chunk into row blocks of _BLOCK_BYTES: the
+    # old 192 KB budget, the current one, and 20 000 bytes, whose blocks
+    # leave every chunk a ragged last block, give the same distances and
+    # fit, bit for bit
+    reports = []
+    for budget in (192 << 10, datamaps._BLOCK_BYTES, 20_000):
+        monkeypatch.setattr(datamaps, "_BLOCK_BYTES", budget)
         reports.append(distance_cdf(spec, n, 3 * (1 << 14) + 5, CDF_SEED))
     for got in reports[1:]:
         assert np.array_equal(got.sorted_distances.view(np.int64), reports[0].sorted_distances.view(np.int64))
