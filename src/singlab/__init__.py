@@ -15,11 +15,9 @@ from singlab.geometry import (
     LineDirection,
     PlaneDataset,
     ScalarValue,
-    dataset_distance,
     feature_distance,
     omega_s,
     segment_average_norm,
-    sorted_eigenvalues,
 )
 
 __all__ = [
@@ -31,11 +29,9 @@ __all__ = [
     "LineDirection",
     "PlaneDataset",
     "ScalarValue",
-    "dataset_distance",
     "feature_distance",
     "omega_s",
     "segment_average_norm",
-    "sorted_eigenvalues",
 ]
 
 __version__ = "0.1.0"

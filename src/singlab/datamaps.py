@@ -345,11 +345,6 @@ def eval_perfect_fit_standard(dataset) -> Feature:
     return CirclePoint(u / math.sqrt(math.fsum(u * u)))
 
 
-def dataset_span(dataset) -> float:
-    """Diameter of the dataset's point set (distance from degenerate configs)."""
-    return float(math.sqrt(np.max(_pairwise_sq_distances(dataset.points))))
-
-
 def evaluate_with_standard(spec: DataMapSpec, x) -> EvalOutcome:
     """Evaluate a map, answering a line fitter's exact perfect fits by the
     standard.

@@ -5,14 +5,11 @@ plane datasets embed isometrically into R^{2n} and circle datasets carry the
 L2 product of arc-length metrics.  Features are a small tagged union (line
 direction mod pi, circle point, binary decision, scalar value), each with its
 own metric.  The array-valued ones (``PlaneDataset``, ``CircleDataset``,
-``CirclePoint``) compare and hash by value.  The module also houses three
+``CirclePoint``) compare and hash by value.  The module also houses two
 analytic utilities: the average norm along a segment, which ``metrics``
-leans on; ``loglog_fit``, the one slope behind every fitted exponent; and
-sorted symmetric eigenvalues, which no module of the package calls; it is
-exported for the appendix's eigenvalue-Lipschitz (Weyl) check, refuses an
-empty matrix and is LAPACK's at every size (the PC kernel reads its 2x2
-eigenvalue gap off ``datamaps.section`` instead).  The first two call no
-BLAS or LAPACK, so their bits do not depend on the OpenBLAS kernels loaded.
+leans on, and ``loglog_fit``, the one slope behind every fitted exponent.
+Both call no BLAS or LAPACK, so their bits do not depend on the OpenBLAS
+kernels loaded.
 The private ``_positive_sizes`` is the one check of every size ``measure``
 and ``metrics`` take: finite and positive.
 """
@@ -38,7 +35,6 @@ class DegenerateSegmentError(ContractViolation):
 
 
 UNIT_NORM_TOL = 1e-12
-SYMMETRY_TOL = 1e-12
 
 
 def _as_point_array(points, name: str = "points") -> np.ndarray:
@@ -107,10 +103,6 @@ class CircleDataset(_ArrayValue):
             worst = float(np.max(np.abs(norms - 1.0)))
             raise ContractViolation(f"circle points must be unit vectors (off by {worst:.3e})")
         object.__setattr__(self, "points", arr)
-
-    @property
-    def n(self) -> int:
-        return self.points.shape[0]
 
     @property
     def angles(self) -> np.ndarray:
@@ -189,23 +181,6 @@ class ScalarValue:
 
 
 Feature = LineDirection | CirclePoint | Decision | ScalarValue
-Dataset = PlaneDataset | CircleDataset
-
-
-def dataset_distance(a: Dataset, b: Dataset) -> float:
-    """Distance between two datasets of the same variant and size.
-
-    Plane datasets use the Euclidean metric of R^{2n}; circle datasets the
-    square root of summed squared arc lengths.
-    """
-    if type(a) is not type(b):
-        raise ContractViolation(f"dataset variants differ: {type(a).__name__} vs {type(b).__name__}")
-    if a.n != b.n:
-        raise ContractViolation(f"dataset sizes differ: {a.n} vs {b.n}")
-    if isinstance(a, PlaneDataset):
-        diff = a.points - b.points
-        return math.sqrt(math.fsum((diff * diff).ravel()))
-    return float(np.sqrt(np.sum(angle_distance(a.angles, b.angles, 2.0 * math.pi) ** 2)))
 
 
 def angle_distance(a, b, period: float):
@@ -263,12 +238,14 @@ def segment_average_norm(x, y) -> float:
     distance from the origin to the segment's line, |x + s u|^2 = (s + b)^2
     + q, so the average over s in [0, L] is (F(b + L) - F(b)) / L for the
     antiderivative F above.  The result is never smaller than
-    max(|x|, |y|) / 8.
+    max(|x|, |y|) / 8.  x and y must be finite vectors of one length.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1 or x.size < 1:
         raise ContractViolation("x and y must be equal-length vectors")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ContractViolation("x and y must be finite")
     diff = y - x
     # math.fsum of elementwise products, not BLAS's norm and dot, which may
     # fuse a multiply and an add depending on the kernels loaded
@@ -307,18 +284,3 @@ def loglog_fit(x, y, weights=None) -> float:
     xm = np.sum(w * x) / np.sum(w)
     ym = np.sum(w * y) / np.sum(w)
     return float(np.sum(w * (x - xm) * (y - ym)) / np.sum(w * (x - xm) ** 2))
-
-
-def sorted_eigenvalues(m) -> np.ndarray:
-    """Eigenvalues of a symmetric real matrix in nonincreasing order, from
-    LAPACK's ``eigvalsh`` at every size.  Input must be non-empty and
-    symmetric to within 1e-12 entrywise.
-    """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
-        raise ContractViolation(f"matrix must be square and non-empty, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ContractViolation("matrix must be finite")
-    if np.max(np.abs(m - m.T)) > SYMMETRY_TOL:
-        raise ContractViolation("matrix is not symmetric within 1e-12")
-    return np.linalg.eigvalsh(m)[::-1].copy()

@@ -255,17 +255,21 @@ def distance_to_singular(spec: DataMapSpec, x, refine: bool = False) -> tuple[fl
     PC by its closed-form distance to the tie variety, AUG_MEAN by the
     wrapped arc distance to the nearest zero-resultant configuration that
     ``nearest_zero_resultant`` finds, the distance to a point of the set
-    (inf when no start lands).  LAD reports the tie-gap surrogate.
+    (inf when no start lands).  LAD reports the tie-gap surrogate.  The
+    surrogate is computed on every path, so a refined call takes and
+    refuses the inputs an unrefined one does.
     """
     kind = spec.kind
     if kind not in SINGULAR_DISTANCE:
         raise UnsupportedMapError(f"no distance rule for {kind}")
-    if refine and kind is MapKind.PC_LINE:
-        return _pc_tie_distance(x.points, spec), DIST_REFINED
-    if refine and kind is MapKind.AUG_MEAN:
-        return nearest_zero_resultant(x.angles, spec)[0], DIST_REFINED
     distance, tag = SINGULAR_DISTANCE[kind]
-    return float(distance(as_map_input(x)[None], spec)[0]), tag
+    x = as_map_input(x)
+    surrogate = float(distance(x[None], spec)[0])
+    if refine and kind is MapKind.PC_LINE:
+        return _pc_tie_distance(x, spec), DIST_REFINED
+    if refine and kind is MapKind.AUG_MEAN:
+        return nearest_zero_resultant(x, spec)[0], DIST_REFINED
+    return surrogate, tag
 
 
 @dataclass(frozen=True)
@@ -416,10 +420,13 @@ def _grad_norms(batch_fn, nodes: np.ndarray, h) -> tuple[np.ndarray, np.ndarray]
 
 
 def _segments(curve) -> list[tuple[np.ndarray, np.ndarray, float]]:
-    """The polyline's segments (a, b, |b - a|) of nonzero length, in order."""
+    """The polyline's segments (a, b, |b - a|) of nonzero length, in order;
+    its vertices must be finite vectors of one dimension."""
     pts = [np.asarray(p, dtype=float) for p in curve]
     if len(pts) < 2:
         raise ContractViolation("curve needs at least 2 vertices")
+    if len({p.shape for p in pts}) != 1 or pts[0].ndim != 1 or not np.isfinite(np.concatenate(pts)).all():
+        raise ContractViolation("curve vertices must be finite vectors of one dimension")
     # math.fsum of squares, not np.linalg.norm, whose 1-D case is a BLAS dot
     segments = [(a, b, math.sqrt(math.fsum(np.square(b - a)))) for a, b in zip(pts, pts[1:])]
     segments = [(a, b, seg) for a, b, seg in segments if seg != 0.0]
@@ -480,9 +487,12 @@ def average_derivative_along_curve(
 
 
 def average_distance_to_point(curve, x0) -> float:
-    """Length-weighted average of |y - x0| along a polyline, by quadrature."""
+    """Length-weighted average of |y - x0| along a polyline, by quadrature;
+    x0 must be a finite point of the curve's dimension."""
     x0 = np.asarray(x0, dtype=float)
     segments = _segments(curve)
+    if x0.shape != segments[0][0].shape or not np.isfinite(x0).all():
+        raise ContractViolation("x0 must be a finite point of the curve's dimension")
     return _length_weighted_mean(segments, [segment_average_norm(a - x0, b - x0) for a, b, _ in segments])
 
 
@@ -529,9 +539,12 @@ def derivative_blowup_profile(
     and its arc's average derivative is ``average_derivative_along_curve``'s
     at step H_FD_FACTOR eta: both run the one arc quadrature,
     ``_arc_averages``, here on every arc of a round at once.  The etas must
-    be finite, positive and strictly decreasing.
+    be finite, positive and strictly decreasing, and the singular point a
+    finite 2-vector.
     """
     x0 = np.asarray(singular_point, dtype=float)
+    if x0.shape != (2,) or not np.isfinite(x0).all():
+        raise ContractViolation("singular_point must be a finite 2-vector")
     etas = tuple(_positive_sizes(etas, "etas"))
     if not all(a > b for a, b in zip(etas, etas[1:])):
         raise ContractViolation("etas must be strictly decreasing")

@@ -304,8 +304,13 @@ def _rectangle_points(centers: np.ndarray, half_widths: np.ndarray, samples_per_
 
 
 def rectangle_loop(center, half_widths, samples_per_edge: int) -> Loop:
-    """Counterclockwise samples along the boundary of an axis-aligned box."""
+    """Counterclockwise samples along the boundary of an axis-aligned box.
+    The half-widths must be two finite positive numbers, since a negative
+    one would reverse the loop, and the center a finite 2-vector."""
     centers, half_widths = np.array([center], dtype=float), np.array([half_widths], dtype=float)
+    if not (centers.shape == half_widths.shape == (1, 2) and np.isfinite(centers).all()
+            and ((0 < half_widths) & (half_widths < math.inf)).all()):
+        raise ContractViolation("half_widths must be two finite positive numbers, and center a finite 2-vector")
     return Loop(_rectangle_points(centers, half_widths, samples_per_edge)[0])
 
 

@@ -25,7 +25,6 @@ from singlab.datamaps import (
     MapKind,
     NotPerfectFitError,
     UndefinedReason,
-    dataset_span,
     eval_perfect_fit_standard,
     evaluate,
     evaluate_batch,
@@ -254,18 +253,23 @@ def half_integer_grid(n):
     return _rows(n, st.integers(-8, 8).map(lambda v: v / 2.0))
 
 
+def assert_feature_close(got, want):
+    """Features within 1e-12 in the feature metric (mod the period for angles)."""
+    if isinstance(want, (LineDirection, CirclePoint)):
+        angle, period = _angle_of(want)
+        d = abs(_angle_of(got)[0] - angle) % period
+        assert min(d, period - d) <= 1e-12
+    else:
+        assert feature_distance(got, want) <= 1e-12
+
+
 def assert_close(got, want):
-    """Same reason; features within 1e-12 in the feature metric (mod the
-    period for angles) and gaps within 1e-12 relative."""
+    """Same reason; features as ``assert_feature_close`` and gaps within
+    1e-12 relative."""
     assert got.reason == want.reason
     if not want.defined:
         return
-    if isinstance(want.feature, (LineDirection, CirclePoint)):
-        angle, period = _angle_of(want.feature)
-        d = abs(_angle_of(got.feature)[0] - angle) % period
-        assert min(d, period - d) <= 1e-12
-    else:
-        assert feature_distance(got.feature, want.feature) <= 1e-12
+    assert_feature_close(got.feature, want.feature)
     assert abs(got.gap - want.gap) <= 1e-12 * max(1.0, want.gap)
 
 
@@ -875,8 +879,7 @@ def test_standard_batch_matches_scalar(rows):
     outcomes = [reference_standard(p) for p in points]
     assert_rows_match(standard_batch(points), outcomes)
     for p, want in zip(points, outcomes):
-        ds = PlaneDataset(p)
-        assert_close(EvalOutcome.of(eval_perfect_fit_standard(ds), dataset_span(ds)), want)
+        assert_feature_close(eval_perfect_fit_standard(PlaneDataset(p)), want.feature)
 
 
 def test_standard_batch_rejects_non_perfect_fits():

@@ -18,12 +18,10 @@ from singlab.geometry import (
     PlaneDataset,
     ScalarValue,
     angle_distance,
-    dataset_distance,
     feature_distance,
     loglog_fit,
     omega_s,
     segment_average_norm,
-    sorted_eigenvalues,
     wrap_increments,
 )
 from singlab.cli import _synthetic_batch
@@ -41,22 +39,6 @@ from fresh_python import run_python
 
 # Frozen from a 10^6-step Riemann-sum oracle (test_riemann_oracle cross-checks).
 SEG_AVG_UNIT_DIAGONAL = 0.8116126200701153
-
-
-def test_dataset_distance_examples():
-    a = PlaneDataset([(0, 0), (1, 2), (3, -1)])
-    assert dataset_distance(a, a) == 0.0
-    assert dataset_distance(PlaneDataset([(0, 0)]), PlaneDataset([(3, 4)])) == 5.0
-    c1 = CircleDataset([(1, 0)])
-    c2 = CircleDataset([(0, 1)])
-    assert abs(dataset_distance(c1, c2) - math.pi / 2) < 1e-15
-
-
-def test_dataset_distance_contract_errors():
-    with pytest.raises(ContractViolation):
-        dataset_distance(PlaneDataset([(0, 0)]), PlaneDataset([(0, 0), (1, 1)]))
-    with pytest.raises(ContractViolation):
-        dataset_distance(PlaneDataset([(1, 0)]), CircleDataset([(1, 0)]))
 
 
 def test_dataset_validation():
@@ -87,9 +69,6 @@ def test_circle_distances_keep_their_digits_near_zero(base, t):
         return (math.cos(a), math.sin(a))
 
     assert abs(feature_distance(CirclePoint(unit(base)), CirclePoint(unit(base + t))) - t) <= 1e-15
-    a = CircleDataset([unit(0.3), unit(base), unit(-1.1)])
-    b = CircleDataset([unit(0.3), unit(base + t), unit(-1.1)])
-    assert abs(dataset_distance(a, b) - t) <= 1e-15
 
 
 def test_line_direction_reduced_mod_pi():
@@ -120,24 +99,6 @@ def test_metric_axioms_line_directions():
         d21 = feature_distance(f2, f1)
         assert d12 == d21
         assert d12 <= feature_distance(f1, f3) + feature_distance(f3, f2) + 1e-12
-
-
-def test_metric_axioms_datasets():
-    rng = np.random.default_rng(6)
-    n = 3
-    for _ in range(2_000):
-        a, b, c = (PlaneDataset(rng.standard_normal((n, 2))) for _ in range(3))
-        dab = dataset_distance(a, b)
-        assert dab == dataset_distance(b, a)
-        assert dab <= dataset_distance(a, c) + dataset_distance(c, b) + 1e-12
-    for _ in range(2_000):
-        angs = rng.uniform(0, 2 * math.pi, size=(3, n))
-        a, b, c = (
-            CircleDataset(np.stack([np.cos(t), np.sin(t)], axis=1)) for t in angs
-        )
-        dab = dataset_distance(a, b)
-        assert dab == dataset_distance(b, a)
-        assert dab <= dataset_distance(a, c) + dataset_distance(c, b) + 1e-12
 
 
 def test_omega_closed_forms():
@@ -230,10 +191,10 @@ def test_segment_primitives_call_no_blas(monkeypatch):
     assert segment_distance_fn((0.0, 0.0), (2.0, 0.0))(np.array([[1.0, 1.0], [3.0, 0.0]])).tolist() == [1.0, 1.0]
 
 
-def test_unit_norms_and_dataset_distance_call_no_blas(monkeypatch):
-    # the unit-norm checks, the all-equal circle dataset's standard and the
-    # plane dataset distance add their squares by math.fsum: np.dot, and an
-    # np.linalg.norm over the whole array (a BLAS dot), refuse to run here
+def test_unit_norms_call_no_blas(monkeypatch):
+    # the unit-norm checks and the all-equal circle dataset's standard add
+    # their squares by math.fsum: np.dot, and an np.linalg.norm over the
+    # whole array (a BLAS dot), refuse to run here
     def refuse(*args, **kwargs):
         raise AssertionError("BLAS call")
 
@@ -251,7 +212,6 @@ def test_unit_norms_and_dataset_distance_call_no_blas(monkeypatch):
     assert CirclePoint((0.6, 0.8)).angle == math.atan2(0.8, 0.6)
     u = eval_perfect_fit_standard(CircleDataset([(0.6, 0.8)] * 3)).u
     assert u.tolist() == [0.6 / math.sqrt(math.fsum([0.36, 0.64])), 0.8 / math.sqrt(math.fsum([0.36, 0.64]))]
-    assert dataset_distance(PlaneDataset([(0, 0), (1, 2)]), PlaneDataset([(3, 4), (1, 2)])) == 5.0
 
 
 def _average_slope(x, y, w):
@@ -327,42 +287,6 @@ def test_circle_outcomes_compare_by_value():
     assert first != evaluate(uniform_preset(3), angles + [0, 0, 1e-9])
 
 
-def test_sorted_eigenvalues_examples():
-    np.testing.assert_allclose(sorted_eigenvalues(np.diag([2 / 3, 0])), [2 / 3, 0])
-    np.testing.assert_allclose(sorted_eigenvalues(np.eye(2)), [1, 1])
-    np.testing.assert_allclose(sorted_eigenvalues([[0, 1], [1, 0]]), [1, -1])
-    with pytest.raises(ContractViolation):
-        sorted_eigenvalues([[0, 1], [1.001, 0]])
-    with pytest.raises(ContractViolation, match=r"non-empty, got shape \(0, 0\)"):
-        sorted_eigenvalues(np.zeros((0, 0)))
-
-
-def test_sorted_eigenvalues_matches_lapack():
-    rng = np.random.default_rng(8)
-    for q in (2, 3, 5):
-        for _ in range(200):
-            a = rng.standard_normal((q, q))
-            m = (a + a.T) / 2
-            np.testing.assert_allclose(
-                sorted_eigenvalues(m), np.linalg.eigvalsh(m)[::-1], atol=1e-10
-            )
-
-
-def test_eigenvalue_weyl_lipschitz():
-    # |lambda_i(M+E) - lambda_i(M)| <= ||E||_F, the quantitative form of
-    # eigenvalue continuity
-    rng = np.random.default_rng(9)
-    for q, trials in ((2, 8_000), (5, 2_000)):
-        for _ in range(trials):
-            a = rng.standard_normal((q, q))
-            m = (a + a.T) / 2
-            e = rng.standard_normal((q, q)) * rng.choice([1e-3, 0.1, 1.0])
-            e = (e + e.T) / 2
-            lam = sorted_eigenvalues(m)
-            lam_p = sorted_eigenvalues(m + e)
-            assert np.max(np.abs(lam_p - lam)) <= np.linalg.norm(e, "fro") + 1e-10
-
-
 _PROFILE = OscillationProfile(radii=(0.1, 0.01, 0.001), diameters=(1.0, 1.0, 1.0), samples_per_radius=16, seed=0)
 _SIZED = {
     "greedy_net(delta)": lambda size: greedy_net(np.zeros((3, 2)), size),
@@ -401,8 +325,10 @@ def test_every_size_must_be_finite_and_positive(call, size):
     pytest.param(lambda: ScalarValue(math.inf), "scalar feature must be finite", id="scalar-inf"),
     pytest.param(lambda: segment_average_norm(np.zeros(2), np.zeros(3)),
                  "x and y must be equal-length vectors", id="segment-shapes"),
-    pytest.param(lambda: sorted_eigenvalues([[math.nan, 0.0], [0.0, 1.0]]),
-                 "matrix must be finite", id="eigenvalues-nan"),
+    pytest.param(lambda: segment_average_norm((math.nan, 0.0), (1.0, 0.0)),
+                 "x and y must be finite", id="segment-nan"),
+    pytest.param(lambda: segment_average_norm((1.0, 0.0), (math.inf, 0.0)),
+                 "x and y must be finite", id="segment-inf"),
 ])
 def test_geometry_refuses_bad_input_by_name(make, message):
     with pytest.raises(ContractViolation) as raised:

@@ -1,7 +1,10 @@
-"""Start-up stays light: singlab imports only the standard library and numpy."""
+"""Start-up stays light: singlab imports only the standard library and
+numpy; and every public function of the package has a caller or a reason."""
 
 import ast
 import os
+import pathlib
+import re
 import sys
 
 import pytest
@@ -12,6 +15,8 @@ from fresh_python import run_python
 
 SRC = os.path.dirname(os.path.abspath(singlab.__file__))
 ALLOWED = {"numpy", "singlab"}
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+KEPT_HEADING = "### Library API that no command runs"
 
 
 def _module_level_imports(node):
@@ -57,3 +62,33 @@ def test_cli_import_builds_no_format_table():
     code = "import singlab.cli; print(singlab.cli._g12_tables.cache_info().currsize)"
     done = run_python(code, check=True)
     assert done.stdout.split() == ["0"]
+
+
+def _names_used(tree):
+    """Every name, attribute and imported name in a module's code (not in
+    its docstrings or strings)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from (alias.name.rpartition(".")[2] for alias in node.names)
+
+
+def test_every_public_name_has_a_caller_or_a_reason():
+    # a public function that no module, benchmark op or script names is
+    # reached by its own tests alone: README's list says why each such
+    # function stays, so a new one, or a stale entry there, fails here
+    modules = {path: ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted((ROOT / "src" / "singlab").glob("*.py")) if path.name != "__init__.py"}
+    callers = [ast.parse(path.read_text(encoding="utf-8"))
+               for path in [*(ROOT / "perfbench").glob("*.py"), *(ROOT / "scripts").glob("*.py")]]
+    used = {name for tree in [*modules.values(), *callers] for name in _names_used(tree)}
+    unused = {f"{path.stem}.{node.name}" for path, tree in modules.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and not node.name.startswith("_") and node.name not in used}
+    section = (ROOT / "README.md").read_text(encoding="utf-8").partition(KEPT_HEADING)[2].partition("\n#")[0]
+    listed = set(re.findall(r"`(\w+\.\w+)`", section))
+    assert unused == listed, (f"called by tests alone, not in README: {sorted(unused - listed)}; "
+                              f"in README, called elsewhere or gone: {sorted(listed - unused)}")

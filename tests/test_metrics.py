@@ -282,6 +282,30 @@ def test_nearest_zero_resultant_pinned_across_processes():
         assert done.stdout.strip() == "34fb4ef957c902cf35145c92e93e3f858dcdf0e9d4a7896bb0644e986b54b13c"
 
 
+@pytest.mark.parametrize("spec, x", [
+    pytest.param(PC, CircleDataset([(1, 0), (0, 1), (1, 0)]), id="pc-circle-dataset"),
+    pytest.param(uniform_preset(3), PlaneDataset([(0, 0), (1, 0), (0, 1)]), id="augmean-plane-dataset"),
+])
+def test_refined_distance_refuses_what_the_surrogate_refuses(spec, x):
+    # the refined path read x.points or x.angles unchecked: PC measured the
+    # circle points as a plane dataset, and AUG_MEAN died on a PlaneDataset
+    with pytest.raises(ContractViolation) as unrefined:
+        distance_to_singular(spec, x)
+    with pytest.raises(ContractViolation) as refined:
+        distance_to_singular(spec, x, refine=True)
+    assert type(refined.value) is type(unrefined.value) is ContractViolation
+    assert str(refined.value) == str(unrefined.value)
+
+
+def test_refined_distance_takes_plain_arrays():
+    # as the surrogate does: a plane dataset's points, a circle dataset's angles
+    ds = PlaneDataset([(0.0, 0.0), (1.0, 0.2), (2.0, -0.1)])
+    assert distance_to_singular(PC, ds.points.tolist(), refine=True) == distance_to_singular(PC, ds, refine=True)
+    circle = CircleDataset([(1.0, 0.0), (0.0, 1.0), (-0.6, -0.8)])
+    aug = uniform_preset(3)
+    assert distance_to_singular(aug, circle.angles, refine=True) == distance_to_singular(aug, circle, refine=True)
+
+
 def test_unsupported_map_kind():
     with pytest.raises(UnsupportedMapError):
         distance_to_singular(DataMapSpec(kind=MapKind.RADIAL_OSCILLATOR), np.array([0.5, 0.0]))
@@ -702,6 +726,18 @@ def test_minimize_shim_is_lazy_and_ignores_patches():
                  "k_samples must be >= 16", id="oscillation-k-samples"),
     pytest.param(lambda: classify_severity(OscillationProfile((0.2, 0.1), (0.1, 0.1), 16, 0), 0.1),
                  "severity needs a profile with >= 3 radii", id="severity-radii"),
+    pytest.param(lambda: derivative_blowup_profile(_synthetic_batch, (math.nan, 0.0), ETAS),
+                 "singular_point must be a finite 2-vector", id="blowup-point-nan"),
+    pytest.param(lambda: derivative_blowup_profile(_synthetic_batch, (0.0, 0.0, 0.0), ETAS),
+                 "singular_point must be a finite 2-vector", id="blowup-point-3d"),
+    pytest.param(lambda: average_derivative_along_curve(_synthetic_batch, [(0.1, 0.1), (math.nan, 0.3)], 1e-6),
+                 "curve vertices must be finite vectors of one dimension", id="derivative-curve-nan"),
+    pytest.param(lambda: average_distance_to_point([(0.1, 0.1), (math.inf, 0.3)], (0.0, 0.0)),
+                 "curve vertices must be finite vectors of one dimension", id="distance-curve-inf"),
+    pytest.param(lambda: average_distance_to_point([(0.1, 0.1), (0.2, 0.3)], (0.0, 0.0, 0.0)),
+                 "x0 must be a finite point of the curve's dimension", id="distance-x0-3d"),
+    pytest.param(lambda: average_distance_to_point([(0.1, 0.1), (0.2, 0.3)], (math.nan, 0.0)),
+                 "x0 must be a finite point of the curve's dimension", id="distance-x0-nan"),
 ])
 def test_metrics_refuse_bad_input_by_name(make, message):
     with pytest.raises(ContractViolation) as raised:

@@ -242,6 +242,20 @@ def test_localizer_refuses_bad_root_box(center, half_width):
         localize_singularities(fn, center, half_width, 1e-2)
 
 
+@pytest.mark.parametrize("center, half_widths", [
+    ((0.0, 0.0), (-0.5, 0.5)), ((0.0, 0.0), (0.5, 0.0)), ((0.0, 0.0), (math.inf, 0.5)),
+    ((0.0, 0.0), (0.5, math.nan)), ((0.0, 0.0), (0.5,)), ((0.0, 0.0), (0.5, 0.5, 0.5)),
+    ((math.nan, 0.0), (0.5, 0.5)), ((0.0, -math.inf), (0.5, 0.5)), ((0.0, 0.0, 0.0), (0.5, 0.5)),
+], ids=["negative", "zero", "inf", "nan", "one-width", "three-widths", "center-nan", "center-inf", "center-3d"])
+def test_rectangle_loop_refuses_bad_box(center, half_widths):
+    # unchecked, a negative half-width ran the loop clockwise, so a map of
+    # degree 1 read -1 around it, and an infinite one warned in the corners
+    with pytest.raises(ContractViolation) as raised:
+        rectangle_loop(center, half_widths, 8)
+    assert type(raised.value) is ContractViolation and str(raised.value) == (
+        "half_widths must be two finite positive numbers, and center a finite 2-vector")
+
+
 def test_localizer_pc_finds_both_ties():
     # the standard slice has exactly two PC eigenvalue ties: the center and
     # u* = ((3 - sqrt(3)) / 2) * (-1/2, sqrt(3)/2)
