@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from singlab.geometry import (
+    UNIT_NORM_TOL,
     CircleDataset,
     CirclePoint,
     ContractViolation,
@@ -44,6 +45,7 @@ from singlab.geometry import (
     LineDirection,
     PlaneDataset,
     ScalarValue,
+    _finite_vector,
     angle_distance,
     reduce_mod_pi,
 )
@@ -196,15 +198,15 @@ class DataMapSpec:
                 raise ContractViolation("AUG_MEAN weights must be nonempty, finite and positive")
             if not 0.0 <= self.w0 < math.inf:
                 raise ContractViolation("AUG_MEAN w0 must be finite and nonnegative")
-            a = np.asarray(self.aug_point, dtype=float)
-            if a.shape != (2,) or not abs(math.sqrt(math.fsum(a * a)) - 1.0) <= 1e-12:  # NaN fails <=
-                raise ContractViolation("augmentation point must be a finite unit 2-vector")
+            a = _finite_vector(self.aug_point, "aug_point", 2)
+            if abs(math.sqrt(math.fsum(a * a)) - 1.0) > UNIT_NORM_TOL:
+                raise ContractViolation("aug_point must be a unit vector")
             object.__setattr__(self, "weights", w)
             object.__setattr__(self, "aug_point", (float(a[0]), float(a[1])))
         if self.kind is MapKind.DISK_DECISION:
-            c = np.asarray(self.center, dtype=float)
-            if self.radius is None or not 0.0 < self.radius < math.inf or c.shape != (2,) or not np.all(np.isfinite(c)):
-                raise ContractViolation("DISK_DECISION needs a finite 2-vector center and a finite radius > 0")
+            c = _finite_vector(self.center, "center", 2)
+            if self.radius is None or not 0.0 < self.radius < math.inf:
+                raise ContractViolation("radius must be finite and positive")
             object.__setattr__(self, "center", (float(c[0]), float(c[1])))
             object.__setattr__(self, "radius", float(self.radius))
 
@@ -373,12 +375,13 @@ def section(spec: DataMapSpec, inputs) -> tuple[np.ndarray, np.ndarray]:
     normalization); LS's S_xx + i S_xy; AUG_MEAN's resultant r (``_resultant``).
     Other maps have none.
 
-    The sums run over the points axis one column at a time, on strided views
-    of the batch, in the orders numpy's reductions take, so they are
-    bit-equal to them: PC's point means add their n terms one after another,
-    as points.mean(axis=1) does over an axis that is not the last, LS's
-    pairwise, as a mean over each row's last axis does, and the second
-    moments pairwise, as np.sum(axis=1) does over the centered products.
+    Every sum, the point means and the second moments of PC and LS alike,
+    runs over the points axis one column at a time, on strided views of the
+    batch, in one order, numpy's pairwise summation (``_axis_sum``), so each
+    is bit-equal to numpy's reduction over the last axis of each coordinate's
+    (m, n) array: x.mean(axis=1), and np.sum(axis=1) of the centered
+    products.  Pairwise summation is also the more accurate order (Higham,
+    SIAM J. Sci. Comput. 14, 1993).
     """
     if spec.kind is MapKind.AUG_MEAN:
         r, _ = _resultant(_as_angle_batch(inputs).T, spec)
@@ -388,10 +391,9 @@ def section(spec: DataMapSpec, inputs) -> tuple[np.ndarray, np.ndarray]:
     points = _as_plane_batch(inputs)
     n = points.shape[1]
     x, y = points[..., 0], points[..., 1]
-    pairwise = spec.kind is MapKind.LS_LINE
-    mx = _axis_sum(_columns(x), n, pairwise) / n
-    my = _axis_sum(_columns(y), n, pairwise) / n
-    if pairwise:
+    mx = _axis_sum(_columns(x), n) / n
+    my = _axis_sum(_columns(y), n) / n
+    if spec.kind is MapKind.LS_LINE:
         return _centered_product_sum(x, mx, x, mx), _centered_product_sum(x, mx, y, my)
     cxx = _centered_product_sum(x, mx, x, mx) / n
     cyy = _centered_product_sum(y, my, y, my) / n
@@ -475,13 +477,12 @@ def _pairwise_sum(term, lo: int, hi: int) -> np.ndarray:
     return _sum_in_order(term, range(stop, hi), total)
 
 
-def _axis_sum(term, n: int, pairwise: bool = False) -> np.ndarray:
-    """term(0) + ... + term(n - 1) bit-equal to np.sum over an axis of n
-    values: pairwise (``_pairwise_sum``) when the axis is the array's last,
-    strided or not, and one after another when it is not.  np.sum starts
-    from +0.0, so terms that are all -0.0 sum to +0.0, which adding +0.0
-    last reproduces: it changes no other sum."""
-    total = _pairwise_sum(term, 0, n) if pairwise else _sum_in_order(term, range(n))
+def _axis_sum(term, n: int) -> np.ndarray:
+    """term(0) + ... + term(n - 1) bit-equal to np.sum over the last axis of
+    an array of n values, strided or not: pairwise (``_pairwise_sum``).
+    np.sum starts from +0.0, so terms that are all -0.0 sum to +0.0, which
+    adding +0.0 last reproduces: it changes no other sum."""
+    total = _pairwise_sum(term, 0, n)
     total += 0.0
     return total
 
@@ -505,7 +506,7 @@ def _centered_product_sum(u, mu, v, mv) -> np.ndarray:
         out *= np.subtract(v[:, k], mv, out=scratch)
         return out
 
-    return _axis_sum(term, u.shape[1], pairwise=True)
+    return _axis_sum(term, u.shape[1])
 
 
 def _lad_batch(points, spec):

@@ -11,7 +11,8 @@ leans on, and ``loglog_fit``, the one slope behind every fitted exponent.
 Both call no BLAS or LAPACK, so their bits do not depend on the OpenBLAS
 kernels loaded.
 The private ``_positive_sizes`` is the one check of every size ``measure``
-and ``metrics`` take: finite and positive.
+and ``metrics`` take: finite and positive; beside it, ``_finite_vector`` is
+the one check of every point, center and corner a caller passes as a vector.
 """
 
 from __future__ import annotations
@@ -81,14 +82,6 @@ class PlaneDataset(_ArrayValue):
     def n(self) -> int:
         return self.points.shape[0]
 
-    @property
-    def x(self) -> np.ndarray:
-        return self.points[:, 0]
-
-    @property
-    def y(self) -> np.ndarray:
-        return self.points[:, 1]
-
 
 @dataclass(frozen=True, eq=False)
 class CircleDataset(_ArrayValue):
@@ -139,9 +132,7 @@ class CirclePoint(_ArrayValue):
     u: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.u, dtype=float)
-        if arr.shape != (2,) or not np.all(np.isfinite(arr)):
-            raise ContractViolation("circle point must be a finite 2-vector")
+        arr = _finite_vector(self.u, "circle point", 2)
         if abs(math.sqrt(math.fsum(arr * arr)) - 1.0) > UNIT_NORM_TOL:
             raise ContractViolation("circle point must be a unit vector")
         arr.flags.writeable = False
@@ -266,6 +257,17 @@ def _positive_sizes(sizes, name: str) -> list[float]:
     if not all(0.0 < s < math.inf for s in sizes):
         raise ContractViolation(f"{name} must be finite and positive")
     return sizes
+
+
+def _finite_vector(value, name: str, size: int | None = None) -> np.ndarray:
+    """value as a fresh float vector, nonempty and finite, of size entries
+    when a size is given: the one point check beside ``_positive_sizes``.
+    The refusal reads "<name> must be a finite vector", or "a finite
+    <size>-vector"."""
+    arr = np.array(value, dtype=float)
+    if arr.ndim != 1 or not arr.size or (size is not None and arr.size != size) or not np.isfinite(arr).all():
+        raise ContractViolation(f"{name} must be a finite {'' if size is None else f'{size}-'}vector")
+    return arr
 
 
 def loglog_fit(x, y, weights=None) -> float:

@@ -28,7 +28,14 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from singlab.datamaps import DataMapSpec, MapKind, _axis_sum, _pairwise_sum, _weighted_resultant
-from singlab.geometry import ContractViolation, DegenerateSegmentError, _positive_sizes, loglog_fit, omega_s
+from singlab.geometry import (
+    ContractViolation,
+    DegenerateSegmentError,
+    _finite_vector,
+    _positive_sizes,
+    loglog_fit,
+    omega_s,
+)
 from singlab.metrics import DIST_SURROGATE, SINGULAR_DISTANCE, nearest_zero_resultant
 
 DEFAULT_QUANTILE_WINDOW = (0.002, 0.05)
@@ -51,14 +58,6 @@ def _domain_box(domain_lo, domain_hi) -> tuple[np.ndarray, np.ndarray]:
     if lo.ndim != 1 or not lo.size or lo.shape != hi.shape or not np.all(np.isfinite(lo) & np.isfinite(hi) & (lo < hi)):
         raise ContractViolation("domain box must have finite corners lo < hi of one dimension d >= 1")
     return lo, hi
-
-
-def _finite_point(point, name: str) -> np.ndarray:
-    """A fixture's point, center or corner as a finite float vector (d,)."""
-    point = np.asarray(point, dtype=float)
-    if point.ndim != 1 or not point.size or not np.isfinite(point).all():
-        raise ContractViolation(f"{name} must be a finite vector")
-    return point
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +291,7 @@ def box_count_dimension(
 def circle_cell_membership(center, radius: float):
     """Vectorized cell predicate: does the circle intersect the cell?  The
     center must be finite and the radius finite and positive."""
-    c = _finite_point(center, "circle center")
+    c = _finite_vector(center, "circle center")
     [radius] = _positive_sizes([radius], "circle radius")
 
     def pred(lo, hi):
@@ -309,8 +308,8 @@ def circle_cell_membership(center, radius: float):
 def filled_box_membership(lo_set, hi_set):
     """Vectorized cell predicate for a filled axis-aligned box, whose
     corners must be finite with lo <= hi on every axis."""
-    lo_set = _finite_point(lo_set, "box corner lo")
-    hi_set = _finite_point(hi_set, "box corner hi")
+    lo_set = _finite_vector(lo_set, "box corner lo")
+    hi_set = _finite_vector(hi_set, "box corner hi")
     if lo_set.shape != hi_set.shape or not np.all(lo_set <= hi_set):
         raise ContractViolation("box corners must have lo <= hi on every axis of one dimension")
 
@@ -510,7 +509,7 @@ def _same_dimension(xs, d: int) -> None:
 def point_distance_fn(point):
     """Distances xs (m, d) -> (m,) to one point, the codimension-d fixture;
     the point must be finite, and xs of its dimension."""
-    p = _finite_point(point, "point")
+    p = _finite_vector(point, "point")
 
     def fn(xs):
         _same_dimension(xs, p.size)
@@ -529,8 +528,8 @@ def segment_distance_fn(a, b):
     the last bit; on the CLI's segment, b - a = (0.5, 0), it does not.  The
     endpoints must be finite, distinct and of one dimension, and xs of theirs.
     """
-    a = _finite_point(a, "segment endpoint a")
-    b = _finite_point(b, "segment endpoint b")
+    a = _finite_vector(a, "segment endpoint a")
+    b = _finite_vector(b, "segment endpoint b")
     if a.shape != b.shape:
         raise ContractViolation(f"segment endpoints a and b must have one dimension, not {a.size} and {b.size}")
     ab = b - a
@@ -545,7 +544,7 @@ def segment_distance_fn(a, b):
             out = np.subtract(xs[:, k], a[k], out=out)
             return np.multiply(out, ab[k], out=out)
 
-        t = _axis_sum(product, a.size, pairwise=True)
+        t = _axis_sum(product, a.size)
         t /= len2
         np.clip(t, 0.0, 1.0, out=t)
 
@@ -564,7 +563,7 @@ def circle_distance_fn(center, radius: float):
     """Distances xs (m, 2) -> (m,) to the circle of this center and radius,
     the center finite and the radius finite and positive, and xs of the
     center's dimension."""
-    to_center = point_distance_fn(_finite_point(center, "circle center"))
+    to_center = point_distance_fn(_finite_vector(center, "circle center"))
     [radius] = _positive_sizes([radius], "circle radius")
 
     def fn(xs):

@@ -35,11 +35,11 @@ from singlab.datamaps import (
     as_map_input,
     evaluate_batch,
     oscillator_t,
-    section,
     section_jacobian,
 )
 from singlab.geometry import (
     ContractViolation,
+    _finite_vector,
     _positive_sizes,
     angle_distance,
     loglog_fit,
@@ -121,7 +121,7 @@ def _gram_sum(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     bit-equal to np.sum(np.ascontiguousarray(u.T * v.T), axis=1): numpy adds a
     C-ordered product's n terms pairwise, but those of the F-ordered
     u.T * v.T one after another, which differs from n = 8 on."""
-    return _axis_sum(lambda i, out: np.multiply(u[i], v[i], out=out), len(u), pairwise=True)
+    return _axis_sum(lambda i, out: np.multiply(u[i], v[i], out=out), len(u))
 
 
 def _solve_gram(ux, uy, jx, jy, b1, b2):
@@ -227,8 +227,9 @@ def nearest_zero_resultant(phi0, spec: DataMapSpec) -> tuple[float, np.ndarray |
     return float(dist[best]), phi0 + d[best]
 
 
-def _pc_tie_distance(points: np.ndarray, spec: DataMapSpec) -> float:
-    """Exact distance of one plane dataset (n, 2) to the PC eigenvalue ties.
+def _pc_tie_distance(points: np.ndarray, gap: float) -> float:
+    """Exact distance of one plane dataset (n, 2), whose PC eigenvalue gap
+    is gap, to the PC eigenvalue ties.
 
     Ties are the datasets whose centered points Q (n x 2) have orthogonal
     columns of equal norm.  The nearest such Q is s U V^T with s = (sigma1 +
@@ -237,10 +238,10 @@ def _pc_tie_distance(points: np.ndarray, spec: DataMapSpec) -> float:
     the distance is (sigma1 - sigma2) / sqrt(2).  With sigma1^2 - sigma2^2 =
     n gap that is n gap / (sqrt(2) (sigma1 + sigma2)), free of cancellation:
     the singular values come from the SVD of Q, not from the eigenvalues,
-    whose smaller one cancels on nearly collinear data.
+    whose smaller one cancels on nearly collinear data.  The gap is the
+    map's own, 0 where ``_pc_batch``'s tie rule makes PC Undefined, and so
+    is the distance.
     """
-    a, b = section(spec, points[None])
-    gap = float(2.0 * np.hypot(a, b)[0])
     if gap == 0.0:
         return 0.0
     sigma = np.linalg.svd(points - points.mean(axis=0), compute_uv=False)
@@ -252,7 +253,8 @@ def distance_to_singular(spec: DataMapSpec, x, refine: bool = False) -> tuple[fl
 
     LS and DISK_DECISION have exact analytic projections.  PC and AUG_MEAN
     report surrogates with a two-sided constant bound, optionally refined:
-    PC by its closed-form distance to the tie variety, AUG_MEAN by the
+    PC by its closed-form distance to the tie variety, from the gap its
+    surrogate read, so 0 wherever PC is Undefined, AUG_MEAN by the
     wrapped arc distance to the nearest zero-resultant configuration that
     ``nearest_zero_resultant`` finds, the distance to a point of the set
     (inf when no start lands).  LAD reports the tie-gap surrogate.  The
@@ -266,7 +268,8 @@ def distance_to_singular(spec: DataMapSpec, x, refine: bool = False) -> tuple[fl
     x = as_map_input(x)
     surrogate = float(distance(x[None], spec)[0])
     if refine and kind is MapKind.PC_LINE:
-        return _pc_tie_distance(x, spec), DIST_REFINED
+        # the PC surrogate is gap / 2, so doubling it gives back the gap exactly
+        return _pc_tie_distance(x, 2.0 * surrogate), DIST_REFINED
     if refine and kind is MapKind.AUG_MEAN:
         return nearest_zero_resultant(x, spec)[0], DIST_REFINED
     return surrogate, tag
@@ -350,7 +353,7 @@ def oscillation(spec: DataMapSpec, x, radii, k_samples: int, seed: int) -> Oscil
     k samples of each radius go to the map as one batch.  A radius where
     every sample is Undefined records a NaN diameter.
     """
-    radii = tuple(float(r) for r in radii)
+    radii = tuple(_positive_sizes(radii, "radii"))
     if k_samples < 16:
         raise ContractViolation("k_samples must be >= 16")
     rng = np.random.default_rng(seed)
@@ -486,14 +489,22 @@ def average_derivative_along_curve(
     return average
 
 
+def _average_distance(segments, x0: np.ndarray) -> float:
+    """Length-weighted average of |y - x0| along an arc, given as its
+    segments, each segment's from ``segment_average_norm``."""
+    return _length_weighted_mean(segments, [segment_average_norm(a - x0, b - x0) for a, b, _ in segments])
+
+
 def average_distance_to_point(curve, x0) -> float:
-    """Length-weighted average of |y - x0| along a polyline, by quadrature;
-    x0 must be a finite point of the curve's dimension."""
+    """Length-weighted average of |y - x0| along a polyline:
+    ``_average_distance`` of its segments, as ``derivative_blowup_profile``
+    reads each of its arcs; x0 must be a finite point of the curve's
+    dimension."""
     x0 = np.asarray(x0, dtype=float)
     segments = _segments(curve)
     if x0.shape != segments[0][0].shape or not np.isfinite(x0).all():
         raise ContractViolation("x0 must be a finite point of the curve's dimension")
-    return _length_weighted_mean(segments, [segment_average_norm(a - x0, b - x0) for a, b, _ in segments])
+    return _average_distance(segments, x0)
 
 
 @dataclass(frozen=True)
@@ -538,13 +549,14 @@ def derivative_blowup_profile(
     eta sees the attempts, points and arithmetic of a profile of it alone,
     and its arc's average derivative is ``average_derivative_along_curve``'s
     at step H_FD_FACTOR eta: both run the one arc quadrature,
-    ``_arc_averages``, here on every arc of a round at once.  The etas must
-    be finite, positive and strictly decreasing, and the singular point a
+    ``_arc_averages``, here on every arc of a round at once.  Each arc is
+    built once, as the segments that quadrature reads, and its average
+    distance to the singular point is ``average_distance_to_point``'s, read
+    off the same segments by ``_average_distance``.  The etas must be
+    finite, positive and strictly decreasing, and the singular point a
     finite 2-vector.
     """
-    x0 = np.asarray(singular_point, dtype=float)
-    if x0.shape != (2,) or not np.isfinite(x0).all():
-        raise ContractViolation("singular_point must be a finite 2-vector")
+    x0 = _finite_vector(singular_point, "singular_point", 2)
     etas = tuple(_positive_sizes(etas, "etas"))
     if not all(a > b for a, b in zip(etas, etas[1:])):
         raise ContractViolation("etas must be strictly decreasing")
@@ -569,7 +581,7 @@ def derivative_blowup_profile(
         out = _batch_outcome(outcome_fn(ys.reshape(-1, 2)))
         defined = out.defined.reshape(len(pending), -1)
         values = out.value.reshape(len(pending), -1)
-        arcs = []  # (eta index, curve)
+        arcs = []  # (eta index, segments)
         for i, y, ok, value in zip(pending, ys, defined, values):
             candidates = ok[1:-1]
             if not (ok[0] and candidates.any() and ok[-1]):
@@ -577,14 +589,14 @@ def derivative_blowup_profile(
             # the first candidate tied for farthest from y1 in the feature metric
             sep = np.where(candidates, _value_distances(value[1:-1], value[0], out.period), -np.inf)
             farthest = int(np.argmax(sep >= sep.max() - SEPARATION_TIE))
-            arcs.append((i, [y[0], y[1 + farthest], y[-1]]))
+            arcs.append((i, _segments([y[0], y[1 + farthest], y[-1]])))
         if arcs:
             steps = [H_FD_FACTOR * etas[i] for i, _ in arcs]
-            averages = _arc_averages(outcome_fn, [_segments(curve) for _, curve in arcs], steps)
-            for (i, curve), average in zip(arcs, averages):
+            averages = _arc_averages(outcome_fn, [segments for _, segments in arcs], steps)
+            for (i, segments), average in zip(arcs, averages):
                 if average is not None:
                     avg_d[i] = average
-                    avg_r[i] = average_distance_to_point(curve, x0)
+                    avg_r[i] = _average_distance(segments, x0)
                     flagged[i] = False
         pending = [i for i in pending if flagged[i]]
     good = [i for i, f in enumerate(flagged) if not f]

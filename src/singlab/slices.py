@@ -17,7 +17,7 @@ from itertools import chain
 import numpy as np
 
 from singlab.datamaps import BatchOutcome, DataMapSpec, UndefinedReason, evaluate_batch
-from singlab.geometry import ContractViolation, DomainError, PlaneDataset
+from singlab.geometry import ContractViolation, DomainError, PlaneDataset, _finite_vector
 from singlab.topology import Loop
 
 SVG_SIZE_PX = 640  # width and height of line-field plots
@@ -100,9 +100,7 @@ class SliceSpec:
 
     def dataset_at(self, u, allow_outside_disk: bool = False) -> PlaneDataset:
         """Embed one slice parameter into data space (see ``datasets_at``)."""
-        u = np.asarray(u, dtype=float)
-        if u.shape != (2,):
-            raise ContractViolation("slice parameter must be a finite 2-vector")
+        u = _finite_vector(u, "slice parameter", 2)
         return PlaneDataset(self.datasets_at(u[None], allow_outside_disk)[0])
 
 

@@ -595,12 +595,14 @@ def test_pairwise_sum_matches_numpy_sum():
 
 
 def numpy_pc_moments(points):
-    # (a, cxy) of the PC section by numpy's reductions over the points axis
-    centered = points - points.mean(axis=1, keepdims=True)
+    # (a, cxy) of the PC section by numpy's reductions over each row, each
+    # coordinate's mean over the last axis, as numpy_ls_sums takes it
+    x, y = points[..., 0], points[..., 1]
+    xc, yc = x - x.mean(axis=1, keepdims=True), y - y.mean(axis=1, keepdims=True)
     n = points.shape[1]
-    cxx = np.sum(centered[..., 0] ** 2, axis=1) / n
-    cyy = np.sum(centered[..., 1] ** 2, axis=1) / n
-    cxy = np.sum(centered[..., 0] * centered[..., 1], axis=1) / n
+    cxx = np.sum(xc ** 2, axis=1) / n
+    cyy = np.sum(yc ** 2, axis=1) / n
+    cxy = np.sum(xc * yc, axis=1) / n
     return 0.5 * (cxx - cyy), cxy
 
 
@@ -647,8 +649,8 @@ PAIRWISE_BRANCH_NS = (*range(2, 18), 31, 32, 33, 127, 128, 129, 130, 136, 137, 2
                                    (10**5, (2, 3, 4, 9))], ids=["1", "2", "3072", "100000"])
 def test_moment_kernels_match_numpy_reductions(m, ns):
     # the PC and LS sections add over the points axis column by column in
-    # numpy's own order: the PC means one after another, every sum over a
-    # row's last axis pairwise, each from +0.0; signed zeros included
+    # numpy's own order, every sum, means included, pairwise over a row's
+    # last axis, each from +0.0; signed zeros included
     rng = np.random.default_rng(m)
     for n in ns:
         points = moment_batch(m, n, rng)

@@ -334,8 +334,3 @@ def test_geometry_refuses_bad_input_by_name(make, message):
     with pytest.raises(ContractViolation) as raised:
         make()
     assert type(raised.value) is ContractViolation and str(raised.value) == message
-
-
-def test_plane_dataset_columns_are_its_coordinates():
-    ds = PlaneDataset([(0.0, 1.0), (2.0, 3.0)])
-    assert ds.x.tolist() == [0.0, 2.0] and ds.y.tolist() == [1.0, 3.0]

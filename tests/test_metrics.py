@@ -28,6 +28,7 @@ from singlab.geometry import (
     reduce_mod_pi,
     wrap_increments,
 )
+from singlab import metrics
 from singlab.cli import _synthetic_batch
 from singlab.measure import aug_mean_singular_set_nonempty
 from singlab.metrics import (
@@ -113,6 +114,16 @@ def test_pc_refined_distance_is_the_svd_closed_form():
             want = (sigma[0] - sigma[1]) / math.sqrt(2.0)
             assert abs(refined - want) <= 1e-12 * want
     assert distance_to_singular(PC, PlaneDataset([(1, 1)] * 3), refine=True) == (0.0, "REFINED")
+
+
+def test_pc_refined_distance_is_zero_where_pc_is_undefined():
+    # a square with one abscissa moved by 1e-13 has an eigenvalue gap within
+    # TIE_TOL: PC reads it as a tie, and the refined distance, which reads
+    # the map's own gap, is 0 like the surrogate, not 5e-14
+    ds = PlaneDataset([(1.0 + 1e-13, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)])
+    assert evaluate(PC, ds).reason is UndefinedReason.EIGENVALUE_TIE
+    assert distance_to_singular(PC, ds) == (0.0, "SURROGATE")
+    assert distance_to_singular(PC, ds, refine=True) == (0.0, "REFINED")
 
 
 def test_pc_refined_distance_nearly_collinear():
@@ -412,7 +423,16 @@ def test_severity_classification():
 def test_oscillation_refuses_radii_that_are_not_positive(radii):
     with pytest.raises(ContractViolation, match="radii must be positive"):
         OscillationProfile(radii=radii, diameters=(0.4, 0.2, 0.1), samples_per_radius=16, seed=0)
-    with pytest.raises(ContractViolation, match="radii must be positive"):
+    with pytest.raises(ContractViolation, match="radii must be finite and positive"):
+        oscillation(PC, EQUILATERAL, radii, 16, seed=0)
+
+
+@pytest.mark.parametrize("radii", [(0.1, math.nan, 0.001), (math.inf, 0.1, 0.01), (0.1, 0.01, -math.inf)])
+def test_oscillation_checks_radii_before_it_samples(monkeypatch, radii):
+    # a NaN or infinite radius was refused only by the map, as "map inputs
+    # must be finite", after the draw
+    monkeypatch.setattr(metrics, "evaluate_batch", lambda *args: pytest.fail("the map was called"))
+    with pytest.raises(ContractViolation, match="radii must be finite and positive"):
         oscillation(PC, EQUILATERAL, radii, 16, seed=0)
 
 
@@ -555,6 +575,20 @@ def test_blowup_distance_bracket():
                 continue
             assert profile.constant_c * eta <= r + 1e-12
             assert r <= eta + 1e-12
+
+
+def test_blowup_builds_each_arc_once(monkeypatch):
+    # an arc's segments feed both its quadrature and its average distance,
+    # so each arc is built, and its vertices checked, once
+    built, quadrature_arcs = [], []
+    segments, arc_averages = metrics._segments, metrics._arc_averages
+    monkeypatch.setattr(metrics, "_segments", lambda curve: built.append(1) or segments(curve))
+    monkeypatch.setattr(metrics, "_arc_averages",
+                        lambda fn, arcs, steps: quadrature_arcs.extend(arcs) or arc_averages(fn, arcs, steps))
+    monkeypatch.setattr(metrics, "average_distance_to_point", lambda *args: pytest.fail("the arc was built again"))
+    profile = derivative_blowup_profile(pc_on_slice, (0, 0), ETAS, seed=3)
+    assert not any(profile.flagged)
+    assert len(built) == len(quadrature_arcs) >= len(ETAS)
 
 
 def _reference_profile(outcome_fn, singular_point, etas, seed):

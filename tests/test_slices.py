@@ -128,7 +128,8 @@ def test_lf_field_ls_undefined_cells_match_sxx():
     for i, u in enumerate(grid.us):
         out = grid.batch.outcome(i)
         ds = spec.dataset_at(u)
-        xc = ds.x - ds.x.mean()
+        x = ds.points[:, 0]
+        xc = x - x.mean()
         s_xx = float(np.dot(xc, xc))
         assert out.defined == (s_xx > 0.0)
     # componentwise solve puts the surface at u = (0, +-1) exactly; the grid
@@ -323,6 +324,8 @@ def test_slice_spec_stores_its_spread_as_floats():
                  id="datasets-at-nan"),
     pytest.param(lambda: SLICE.dataset_at((0.0, 0.0, 0.0)), "slice parameter must be a finite 2-vector",
                  id="dataset-at-shape"),
+    pytest.param(lambda: SLICE.dataset_at((math.nan, 0.0)), "slice parameter must be a finite 2-vector",
+                 id="dataset-at-nan"),
 ])
 def test_slices_refuse_bad_input_by_name(make, message):
     with pytest.raises(ContractViolation) as raised:
