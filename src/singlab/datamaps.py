@@ -35,7 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from singlab.geometry import (
-    UNIT_NORM_TOL,
     CircleDataset,
     CirclePoint,
     ContractViolation,
@@ -45,7 +44,9 @@ from singlab.geometry import (
     LineDirection,
     PlaneDataset,
     ScalarValue,
-    _finite_vector,
+    _finite_array,
+    _positive_sizes,
+    _unit_vector,
     angle_distance,
     reduce_mod_pi,
 )
@@ -193,22 +194,19 @@ class DataMapSpec:
         if self.kind is MapKind.AUG_MEAN:
             if self.weights is None or self.w0 is None:
                 raise ContractViolation("AUG_MEAN needs weights and w0")
-            w = tuple(float(v) for v in self.weights)
-            if not w or not all(0.0 < v < math.inf for v in w):
-                raise ContractViolation("AUG_MEAN weights must be nonempty, finite and positive")
+            w = tuple(_positive_sizes(self.weights, "weights"))
+            if not w:
+                raise ContractViolation("weights must be nonempty")
             if not 0.0 <= self.w0 < math.inf:
                 raise ContractViolation("AUG_MEAN w0 must be finite and nonnegative")
-            a = _finite_vector(self.aug_point, "aug_point", 2)
-            if abs(math.sqrt(math.fsum(a * a)) - 1.0) > UNIT_NORM_TOL:
-                raise ContractViolation("aug_point must be a unit vector")
+            a = _unit_vector(self.aug_point, "aug_point")
             object.__setattr__(self, "weights", w)
             object.__setattr__(self, "aug_point", (float(a[0]), float(a[1])))
         if self.kind is MapKind.DISK_DECISION:
-            c = _finite_vector(self.center, "center", 2)
-            if self.radius is None or not 0.0 < self.radius < math.inf:
-                raise ContractViolation("radius must be finite and positive")
+            c = _finite_array(self.center, "center", (2,))
+            [radius] = _positive_sizes([self.radius], "radius")
             object.__setattr__(self, "center", (float(c[0]), float(c[1])))
-            object.__setattr__(self, "radius", float(self.radius))
+            object.__setattr__(self, "radius", radius)
 
 
 def uniform_preset(n: int) -> DataMapSpec:

@@ -10,9 +10,13 @@ analytic utilities: the average norm along a segment, which ``metrics``
 leans on, and ``loglog_fit``, the one slope behind every fitted exponent.
 Both call no BLAS or LAPACK, so their bits do not depend on the OpenBLAS
 kernels loaded.
-The private ``_positive_sizes`` is the one check of every size ``measure``
-and ``metrics`` take: finite and positive; beside it, ``_finite_vector`` is
-the one check of every point, center and corner a caller passes as a vector.
+Four private helpers are the one check of each kind of input a caller
+passes: ``_positive_sizes`` of every size (a number, finite and positive),
+``_decreasing_sizes`` of every shrinking sequence of sizes (radii, etas),
+``_finite_array`` of every point, center, corner, vector and point array
+(finite, nonempty, of a given shape), and ``_unit_vector`` of every unit
+2-vector.  Each refuses with a ``ContractViolation`` that names the
+parameter, never with numpy's ``TypeError`` or ``ValueError``.
 """
 
 from __future__ import annotations
@@ -36,18 +40,6 @@ class DegenerateSegmentError(ContractViolation):
 
 
 UNIT_NORM_TOL = 1e-12
-
-
-def _as_point_array(points, name: str = "points") -> np.ndarray:
-    arr = np.array(points, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ContractViolation(f"{name} must have shape (n, 2), got {arr.shape}")
-    if arr.shape[0] < 1:
-        raise ContractViolation(f"{name} must contain at least one point")
-    if not np.all(np.isfinite(arr)):
-        raise ContractViolation(f"{name} must be finite")
-    arr.flags.writeable = False
-    return arr
 
 
 class _ArrayValue:
@@ -76,7 +68,9 @@ class PlaneDataset(_ArrayValue):
     points: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "points", _as_point_array(self.points))
+        arr = _finite_array(self.points, "points", ("n", 2))
+        arr.flags.writeable = False
+        object.__setattr__(self, "points", arr)
 
     @property
     def n(self) -> int:
@@ -90,11 +84,12 @@ class CircleDataset(_ArrayValue):
     points: np.ndarray
 
     def __post_init__(self):
-        arr = _as_point_array(self.points)
+        arr = _finite_array(self.points, "points", ("n", 2))
         norms = np.linalg.norm(arr, axis=1)
         if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
             worst = float(np.max(np.abs(norms - 1.0)))
             raise ContractViolation(f"circle points must be unit vectors (off by {worst:.3e})")
+        arr.flags.writeable = False
         object.__setattr__(self, "points", arr)
 
     @property
@@ -132,9 +127,7 @@ class CirclePoint(_ArrayValue):
     u: np.ndarray
 
     def __post_init__(self):
-        arr = _finite_vector(self.u, "circle point", 2)
-        if abs(math.sqrt(math.fsum(arr * arr)) - 1.0) > UNIT_NORM_TOL:
-            raise ContractViolation("circle point must be a unit vector")
+        arr = _unit_vector(self.u, "circle point")
         arr.flags.writeable = False
         object.__setattr__(self, "u", arr)
 
@@ -231,12 +224,8 @@ def segment_average_norm(x, y) -> float:
     antiderivative F above.  The result is never smaller than
     max(|x|, |y|) / 8.  x and y must be finite vectors of one length.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1 or x.size < 1:
-        raise ContractViolation("x and y must be equal-length vectors")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ContractViolation("x and y must be finite")
+    x = _finite_array(x, "x")
+    y = _finite_array(y, "y", x.shape)
     diff = y - x
     # math.fsum of elementwise products, not BLAS's norm and dot, which may
     # fuse a multiply and an add depending on the kernels loaded
@@ -251,22 +240,58 @@ def segment_average_norm(x, y) -> float:
 
 
 def _positive_sizes(sizes, name: str) -> list[float]:
-    """Sizes (mesh sizes, deltas, etas, steps) as floats, each finite and
-    positive: the one size check of ``measure`` and ``metrics``."""
-    sizes = [float(s) for s in sizes]
+    """Sizes (mesh sizes, deltas, radii, etas, steps, weights) as floats,
+    each finite and positive: the one size check.  A value that is not a
+    number, or sizes that are not a sequence, read "<name> must be
+    numeric"."""
+    try:
+        sizes = [float(s) for s in sizes]
+    except (TypeError, ValueError):
+        raise ContractViolation(f"{name} must be numeric") from None
     if not all(0.0 < s < math.inf for s in sizes):
         raise ContractViolation(f"{name} must be finite and positive")
     return sizes
 
 
-def _finite_vector(value, name: str, size: int | None = None) -> np.ndarray:
-    """value as a fresh float vector, nonempty and finite, of size entries
-    when a size is given: the one point check beside ``_positive_sizes``.
-    The refusal reads "<name> must be a finite vector", or "a finite
-    <size>-vector"."""
-    arr = np.array(value, dtype=float)
-    if arr.ndim != 1 or not arr.size or (size is not None and arr.size != size) or not np.isfinite(arr).all():
-        raise ContractViolation(f"{name} must be a finite {'' if size is None else f'{size}-'}vector")
+def _decreasing_sizes(sizes, name: str) -> tuple[float, ...]:
+    """``_positive_sizes``, strictly decreasing: the one check of every
+    shrinking sequence of sizes."""
+    sizes = _positive_sizes(sizes, name)
+    if not all(a > b for a, b in zip(sizes, sizes[1:])):
+        raise ContractViolation(f"{name} must be strictly decreasing")
+    return tuple(sizes)
+
+
+def _finite_array(value, name: str, shape: tuple = ("d",)) -> np.ndarray:
+    """value as a fresh float array, finite and nonempty, of the given
+    shape: an int in shape fixes that axis, a str frees it and names it in
+    the refusal.  The one check of every point, center, corner, vector and
+    point array.  The refusal reads "<name> must be a finite vector" (or
+    "a finite 2-vector" where the length is fixed), or for an array
+    "<name> must be a finite (m, 2) array", or "<name> must be nonempty"
+    for an array without entries; a vector without entries, a value that
+    is not a number and rows of unequal lengths get the shape message."""
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError):  # not numbers, or rows of unequal lengths
+        arr = None
+    if (arr is None or arr.ndim != len(shape) or not np.isfinite(arr).all()
+            or any(n != m for n, m in zip(shape, arr.shape) if type(n) is not str) or (arr.ndim == 1 and not arr.size)):
+        if len(shape) > 1:
+            raise ContractViolation(f"{name} must be a finite ({', '.join(map(str, shape))}) array")
+        raise ContractViolation(f"{name} must be a finite {'' if type(shape[0]) is str else f'{shape[0]}-'}vector")
+    if not arr.size:
+        raise ContractViolation(f"{name} must be nonempty")
+    return arr
+
+
+def _unit_vector(value, name: str) -> np.ndarray:
+    """value as a finite 2-vector (``_finite_array``) whose norm, by
+    math.fsum and not BLAS, is 1 within UNIT_NORM_TOL: the one unit-vector
+    check."""
+    arr = _finite_array(value, name, (2,))
+    if abs(math.sqrt(math.fsum(arr * arr)) - 1.0) > UNIT_NORM_TOL:
+        raise ContractViolation(f"{name} must be a unit vector")
     return arr
 
 

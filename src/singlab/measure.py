@@ -31,7 +31,7 @@ from singlab.datamaps import DataMapSpec, MapKind, _axis_sum, _pairwise_sum, _we
 from singlab.geometry import (
     ContractViolation,
     DegenerateSegmentError,
-    _finite_vector,
+    _finite_array,
     _positive_sizes,
     loglog_fit,
     omega_s,
@@ -41,22 +41,14 @@ from singlab.metrics import DIST_SURROGATE, SINGULAR_DISTANCE, nearest_zero_resu
 DEFAULT_QUANTILE_WINDOW = (0.002, 0.05)
 
 
-def _finite_cloud(cloud) -> np.ndarray:
-    """The cloud as a finite (m, d) float array."""
-    cloud = np.asarray(cloud, dtype=float)
-    if cloud.ndim != 2 or not np.isfinite(cloud).all():
-        raise ContractViolation("point cloud must be a finite (m, d) array")
-    return cloud
-
-
 def _domain_box(domain_lo, domain_hi) -> tuple[np.ndarray, np.ndarray]:
     """The domain box's corners as float arrays (d,), finite with lo < hi on
     every axis: an inverted or empty axis would give negative or zero
     volumes and cell counts."""
-    lo = np.asarray(domain_lo, dtype=float)
-    hi = np.asarray(domain_hi, dtype=float)
-    if lo.ndim != 1 or not lo.size or lo.shape != hi.shape or not np.all(np.isfinite(lo) & np.isfinite(hi) & (lo < hi)):
-        raise ContractViolation("domain box must have finite corners lo < hi of one dimension d >= 1")
+    lo = _finite_array(domain_lo, "domain box corner lo")
+    hi = _finite_array(domain_hi, "domain box corner hi", lo.shape)
+    if not np.all(lo < hi):
+        raise ContractViolation("domain box must have corners lo < hi on every axis")
     return lo, hi
 
 
@@ -73,9 +65,7 @@ def greedy_net(cloud, delta: float) -> int:
     more than delta apart, and every point lies within delta of one of them,
     so G(2 delta) <= N(delta) <= G(delta) <= D(delta) <= G(delta / 2).
     """
-    cloud = _finite_cloud(cloud)
-    if len(cloud) == 0:
-        raise ContractViolation("point cloud must be nonempty")
+    cloud = _finite_array(cloud, "point cloud", ("m", "d"))
     _positive_sizes([delta], "delta")
     centers = np.empty_like(cloud)
     count = 0
@@ -258,7 +248,7 @@ def box_count_dimension(
     on its own.  Memory grows with the occupied cells plus one band of the
     fine grid's mask (``_overlapping_cells``), not with the grid.  The
     domain box must be finite with lo < hi on every axis, and a cloud must
-    have one column per axis and lie in the closed box.
+    be nonempty, have one column per axis and lie in the closed box.
     """
     lo, hi = _domain_box(domain_lo, domain_hi)
     mesh_sizes = sorted(_positive_sizes(mesh_sizes, "mesh sizes"), reverse=True)
@@ -267,7 +257,7 @@ def box_count_dimension(
     if mesh_sizes[0] / mesh_sizes[-1] < 10 ** 1.5:
         raise ContractViolation("mesh sizes must span at least 1.5 decades")
     if isinstance(membership, np.ndarray):
-        cloud = _finite_cloud(membership)
+        cloud = _finite_array(membership, "point cloud", ("m", "d"))
         if cloud.shape[1] != lo.size:
             raise ContractViolation(f"a {cloud.shape[1]}-dimensional cloud in a {lo.size}-dimensional box")
         if not np.all((lo <= cloud) & (cloud <= hi)):
@@ -291,7 +281,7 @@ def box_count_dimension(
 def circle_cell_membership(center, radius: float):
     """Vectorized cell predicate: does the circle intersect the cell?  The
     center must be finite and the radius finite and positive."""
-    c = _finite_vector(center, "circle center")
+    c = _finite_array(center, "circle center")
     [radius] = _positive_sizes([radius], "circle radius")
 
     def pred(lo, hi):
@@ -308,10 +298,10 @@ def circle_cell_membership(center, radius: float):
 def filled_box_membership(lo_set, hi_set):
     """Vectorized cell predicate for a filled axis-aligned box, whose
     corners must be finite with lo <= hi on every axis."""
-    lo_set = _finite_vector(lo_set, "box corner lo")
-    hi_set = _finite_vector(hi_set, "box corner hi")
-    if lo_set.shape != hi_set.shape or not np.all(lo_set <= hi_set):
-        raise ContractViolation("box corners must have lo <= hi on every axis of one dimension")
+    lo_set = _finite_array(lo_set, "box corner lo")
+    hi_set = _finite_array(hi_set, "box corner hi", lo_set.shape)
+    if not np.all(lo_set <= hi_set):
+        raise ContractViolation("box corners must have lo <= hi on every axis")
 
     def pred(lo, hi):
         return np.all(hi >= lo_set[None, :], axis=1) & np.all(lo <= hi_set[None, :], axis=1)
@@ -509,7 +499,7 @@ def _same_dimension(xs, d: int) -> None:
 def point_distance_fn(point):
     """Distances xs (m, d) -> (m,) to one point, the codimension-d fixture;
     the point must be finite, and xs of its dimension."""
-    p = _finite_vector(point, "point")
+    p = _finite_array(point, "point")
 
     def fn(xs):
         _same_dimension(xs, p.size)
@@ -528,10 +518,8 @@ def segment_distance_fn(a, b):
     the last bit; on the CLI's segment, b - a = (0.5, 0), it does not.  The
     endpoints must be finite, distinct and of one dimension, and xs of theirs.
     """
-    a = _finite_vector(a, "segment endpoint a")
-    b = _finite_vector(b, "segment endpoint b")
-    if a.shape != b.shape:
-        raise ContractViolation(f"segment endpoints a and b must have one dimension, not {a.size} and {b.size}")
+    a = _finite_array(a, "segment endpoint a")
+    b = _finite_array(b, "segment endpoint b", a.shape)
     ab = b - a
     len2 = math.fsum(ab * ab)
     if len2 == 0.0:
@@ -563,7 +551,7 @@ def circle_distance_fn(center, radius: float):
     """Distances xs (m, 2) -> (m,) to the circle of this center and radius,
     the center finite and the radius finite and positive, and xs of the
     center's dimension."""
-    to_center = point_distance_fn(_finite_vector(center, "circle center"))
+    to_center = point_distance_fn(center)
     [radius] = _positive_sizes([radius], "circle radius")
 
     def fn(xs):

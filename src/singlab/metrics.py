@@ -39,7 +39,8 @@ from singlab.datamaps import (
 )
 from singlab.geometry import (
     ContractViolation,
-    _finite_vector,
+    _decreasing_sizes,
+    _finite_array,
     _positive_sizes,
     angle_distance,
     loglog_fit,
@@ -277,7 +278,8 @@ def distance_to_singular(spec: DataMapSpec, x, refine: bool = False) -> tuple[fl
 
 @dataclass(frozen=True)
 class OscillationProfile:
-    """Feature-space diameters of a map over shrinking balls around a point."""
+    """Feature-space diameters of a map over shrinking balls around a point;
+    the radii must be finite, positive and strictly decreasing."""
 
     radii: tuple[float, ...]
     diameters: tuple[float, ...]
@@ -287,10 +289,7 @@ class OscillationProfile:
     def __post_init__(self):
         if len(self.radii) != len(self.diameters):
             raise ContractViolation("radii and diameters must have equal length")
-        if not all(r1 > r2 for r1, r2 in zip(self.radii, self.radii[1:])):
-            raise ContractViolation("radii must be strictly decreasing")
-        if not all(r > 0 for r in self.radii):
-            raise ContractViolation(f"radii must be positive, got {self.radii}")
+        _decreasing_sizes(self.radii, "radii")
 
     @property
     def all_undefined(self) -> tuple[bool, ...]:
@@ -351,9 +350,10 @@ def oscillation(spec: DataMapSpec, x, radii, k_samples: int, seed: int) -> Oscil
     Plane datasets are perturbed coordinate-wise in R^{2n}; circle datasets
     through per-point tangent angles; bare vectors in their own space.  The
     k samples of each radius go to the map as one batch.  A radius where
-    every sample is Undefined records a NaN diameter.
+    every sample is Undefined records a NaN diameter.  The radii must be
+    finite, positive and strictly decreasing, checked before the first draw.
     """
-    radii = tuple(_positive_sizes(radii, "radii"))
+    radii = _decreasing_sizes(radii, "radii")
     if k_samples < 16:
         raise ContractViolation("k_samples must be >= 16")
     rng = np.random.default_rng(seed)
@@ -424,12 +424,10 @@ def _grad_norms(batch_fn, nodes: np.ndarray, h) -> tuple[np.ndarray, np.ndarray]
 
 def _segments(curve) -> list[tuple[np.ndarray, np.ndarray, float]]:
     """The polyline's segments (a, b, |b - a|) of nonzero length, in order;
-    its vertices must be finite vectors of one dimension."""
-    pts = [np.asarray(p, dtype=float) for p in curve]
+    its vertices must be the rows of a finite (m, d) array."""
+    pts = _finite_array(curve, "curve", ("m", "d"))
     if len(pts) < 2:
         raise ContractViolation("curve needs at least 2 vertices")
-    if len({p.shape for p in pts}) != 1 or pts[0].ndim != 1 or not np.isfinite(np.concatenate(pts)).all():
-        raise ContractViolation("curve vertices must be finite vectors of one dimension")
     # math.fsum of squares, not np.linalg.norm, whose 1-D case is a BLAS dot
     segments = [(a, b, math.sqrt(math.fsum(np.square(b - a)))) for a, b in zip(pts, pts[1:])]
     segments = [(a, b, seg) for a, b, seg in segments if seg != 0.0]
@@ -500,11 +498,8 @@ def average_distance_to_point(curve, x0) -> float:
     ``_average_distance`` of its segments, as ``derivative_blowup_profile``
     reads each of its arcs; x0 must be a finite point of the curve's
     dimension."""
-    x0 = np.asarray(x0, dtype=float)
     segments = _segments(curve)
-    if x0.shape != segments[0][0].shape or not np.isfinite(x0).all():
-        raise ContractViolation("x0 must be a finite point of the curve's dimension")
-    return _average_distance(segments, x0)
+    return _average_distance(segments, _finite_array(x0, "x0", segments[0][0].shape))
 
 
 @dataclass(frozen=True)
@@ -556,10 +551,8 @@ def derivative_blowup_profile(
     finite, positive and strictly decreasing, and the singular point a
     finite 2-vector.
     """
-    x0 = _finite_vector(singular_point, "singular_point", 2)
-    etas = tuple(_positive_sizes(etas, "etas"))
-    if not all(a > b for a, b in zip(etas, etas[1:])):
-        raise ContractViolation("etas must be strictly decreasing")
+    x0 = _finite_array(singular_point, "singular_point", (2,))
+    etas = _decreasing_sizes(etas, "etas")
     rng = np.random.default_rng(seed)
     # seeded template directions, shared across etas
     phi1 = rng.uniform(0.0, 2 * math.pi)

@@ -17,7 +17,7 @@ from itertools import chain
 import numpy as np
 
 from singlab.datamaps import BatchOutcome, DataMapSpec, UndefinedReason, evaluate_batch
-from singlab.geometry import ContractViolation, DomainError, PlaneDataset, _finite_vector
+from singlab.geometry import ContractViolation, DomainError, PlaneDataset
 from singlab.topology import Loop
 
 SVG_SIZE_PX = 640  # width and height of line-field plots
@@ -99,9 +99,9 @@ class SliceSpec:
         return points.reshape(len(us), self.n_points, 2)
 
     def dataset_at(self, u, allow_outside_disk: bool = False) -> PlaneDataset:
-        """Embed one slice parameter into data space (see ``datasets_at``)."""
-        u = _finite_vector(u, "slice parameter", 2)
-        return PlaneDataset(self.datasets_at(u[None], allow_outside_disk)[0])
+        """Embed one slice parameter into data space (see ``datasets_at``,
+        which checks it as a one-row batch)."""
+        return PlaneDataset(self.datasets_at([u], allow_outside_disk)[0])
 
 
 def slice_map(spec: SliceSpec, map_spec: DataMapSpec):
@@ -127,11 +127,6 @@ class GridField:
     def status(self) -> list[str]:
         """Per grid cell, "defined" or the name of its undefined reason."""
         return ["defined" if code == 0 else UndefinedReason(code).name for code in self.batch.reason.tolist()]
-
-    def rows(self):
-        """Yield (u_x, u_y, theta_or_nan, gap, status) per grid cell."""
-        batch = self.batch
-        return zip(*self.us.T.tolist(), batch.value.tolist(), batch.gap.tolist(), self.status())
 
 
 def polar_grid(resolution: int) -> np.ndarray:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from singlab.datamaps import UndefinedReason, _batch_outcome
-from singlab.geometry import ContractViolation, wrap_increments
+from singlab.geometry import ContractViolation, _finite_array, _positive_sizes, wrap_increments
 
 # An edge certifies short when its endpoint features are less than this
 # share of a period apart, so the short way between them is the lift step.
@@ -307,11 +307,9 @@ def rectangle_loop(center, half_widths, samples_per_edge: int) -> Loop:
     """Counterclockwise samples along the boundary of an axis-aligned box.
     The half-widths must be two finite positive numbers, since a negative
     one would reverse the loop, and the center a finite 2-vector."""
-    centers, half_widths = np.array([center], dtype=float), np.array([half_widths], dtype=float)
-    if not (centers.shape == half_widths.shape == (1, 2) and np.isfinite(centers).all()
-            and ((0 < half_widths) & (half_widths < math.inf)).all()):
-        raise ContractViolation("half_widths must be two finite positive numbers, and center a finite 2-vector")
-    return Loop(_rectangle_points(centers, half_widths, samples_per_edge)[0])
+    center = _finite_array(center, "center", (2,))
+    half_widths = _positive_sizes(_finite_array(half_widths, "half_widths", (2,)), "half_widths")
+    return Loop(_rectangle_points(center[None], np.array([half_widths]), samples_per_edge)[0])
 
 
 # Deterministic jitter ladder for subdivision cross-hairs, as fractions of
@@ -370,11 +368,12 @@ def localize_singularities(
     those of a depth-first walk that lifts one child at a time.  Each box
     carries the path of child indices that led to it, and none is an
     ancestor of another, so sorting by path returns that walk's order.
+    The center must be a finite 2-vector, and half_width and eps finite and
+    positive.
     """
-    if not eps > 0:
-        raise ContractViolation("eps must be positive")
-    if not (0 < half_width < math.inf and np.shape(center) == (2,) and np.isfinite(center).all()):
-        raise ContractViolation("half_width must be finite and positive, and center a finite 2-vector")
+    center = _finite_array(center, "center", (2,))
+    [half_width] = _positive_sizes([half_width], "half_width")
+    [eps] = _positive_sizes([eps], "eps")
 
     def degrees(boxes) -> list:
         """Each box's (center, half_widths) certified boundary degree, or
@@ -391,7 +390,7 @@ def localize_singularities(
         return [result.degree if isinstance(result, WindingReport) else None for result in results]
 
     c0 = (float(center[0]), float(center[1]))
-    h0 = (float(half_width), float(half_width))
+    h0 = (half_width, half_width)
     (root,) = degrees([(c0, h0)])
     if root is None:
         return [LocalizerBox(c0, h0[0], None, 0, "inconclusive")]

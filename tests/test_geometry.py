@@ -25,17 +25,30 @@ from singlab.geometry import (
     wrap_increments,
 )
 from singlab.cli import _synthetic_batch
-from singlab.measure import box_count_dimension, greedy_net, point_distance_fn, segment_distance_fn, tube_volume
+from singlab.measure import (
+    box_count_dimension,
+    circle_cell_membership,
+    circle_distance_fn,
+    filled_box_membership,
+    greedy_net,
+    point_distance_fn,
+    segment_distance_fn,
+    tube_volume,
+)
 from singlab.metrics import (
     OscillationProfile,
     _segments,
     average_derivative_along_curve,
+    average_distance_to_point,
     classify_severity,
     derivative_blowup_profile,
+    oscillation,
     oscillator_arc,
 )
+from singlab.topology import localize_singularities, rectangle_loop
 
 from fresh_python import run_python
+from oracles import PC, SLICE
 
 # Frozen from a 10^6-step Riemann-sum oracle (test_riemann_oracle cross-checks).
 SEG_AVG_UNIT_DIAGONAL = 0.8116126200701153
@@ -311,9 +324,9 @@ def test_every_size_must_be_finite_and_positive(call, size):
 
 
 @pytest.mark.parametrize("make, message", [
-    pytest.param(lambda: PlaneDataset([1.0, 2.0]), "points must have shape (n, 2), got (2,)",
+    pytest.param(lambda: PlaneDataset([1.0, 2.0]), "points must be a finite (n, 2) array",
                  id="points-not-n-by-2"),
-    pytest.param(lambda: PlaneDataset(np.zeros((0, 2))), "points must contain at least one point",
+    pytest.param(lambda: PlaneDataset(np.zeros((0, 2))), "points must be nonempty",
                  id="points-empty"),
     pytest.param(lambda: LineDirection(math.nan), "direction angle must be finite",
                  id="direction-nan"),
@@ -324,13 +337,104 @@ def test_every_size_must_be_finite_and_positive(call, size):
     pytest.param(lambda: Decision(2), "decision bit must be 0 or 1", id="decision-bit"),
     pytest.param(lambda: ScalarValue(math.inf), "scalar feature must be finite", id="scalar-inf"),
     pytest.param(lambda: segment_average_norm(np.zeros(2), np.zeros(3)),
-                 "x and y must be equal-length vectors", id="segment-shapes"),
+                 "y must be a finite 2-vector", id="segment-shapes"),
     pytest.param(lambda: segment_average_norm((math.nan, 0.0), (1.0, 0.0)),
-                 "x and y must be finite", id="segment-nan"),
+                 "x must be a finite vector", id="segment-nan"),
     pytest.param(lambda: segment_average_norm((1.0, 0.0), (math.inf, 0.0)),
-                 "x and y must be finite", id="segment-inf"),
+                 "y must be a finite 2-vector", id="segment-inf"),
 ])
 def test_geometry_refuses_bad_input_by_name(make, message):
     with pytest.raises(ContractViolation) as raised:
         make()
+    assert type(raised.value) is ContractViolation and str(raised.value) == message
+
+
+def _never_called(*args):
+    pytest.fail("the map was called")
+
+
+_FINITE_POSITIVE = "{name} must be finite and positive"
+_NUMERIC = "{name} must be numeric"
+_SHAPE = "{name} must be a finite {shape}"
+# the bad inputs of each kind of check: (label, value, message)
+_BAD = {
+    "size": [("nan", math.nan, _FINITE_POSITIVE), ("inf", math.inf, _FINITE_POSITIVE),
+             ("shape", [0.5], _NUMERIC), ("empty", [], _NUMERIC), ("text", "abc", _NUMERIC)],
+    "sizes": [("nan", (0.1, math.nan), _FINITE_POSITIVE), ("inf", (math.inf, 0.1), _FINITE_POSITIVE),
+              ("shape", [[0.1, 0.01]], _NUMERIC), ("text", ("abc",), _NUMERIC)],
+    "vector": [("nan", (math.nan, 0.5), _SHAPE), ("inf", (0.5, math.inf), _SHAPE),
+               ("shape", [[0.5, 0.5]], _SHAPE), ("empty", (), _SHAPE), ("text", "ab", _SHAPE)],
+    "array": [("nan", [[0.5, math.nan]], _SHAPE), ("inf", [[math.inf, 0.5]], _SHAPE),
+              ("shape", [0.5, 0.5], _SHAPE), ("empty", np.zeros((0, 2)), "{name} must be nonempty"),
+              ("text", "ab", _SHAPE)],
+}
+_BAD["unit"] = [*_BAD["vector"], ("norm", (0.6, 0.6), "{name} must be a unit vector")]
+_MESHES = [0.1, 0.05, 0.01, 0.002]
+_AUG = {"kind": MapKind.AUG_MEAN, "weights": (1.0,), "w0": 0.5}
+_DISK = {"kind": MapKind.DISK_DECISION, "radius": 1.0}
+# each checked input: (site, call on the bad value, the name its refusal
+# reads, kind of check, the shape its refusal reads)
+_CHECKED = [
+    ("spec-weights", lambda v: DataMapSpec(**{**_AUG, "weights": v}), "weights", "sizes", None),
+    ("spec-radius", lambda v: DataMapSpec(**{**_DISK, "radius": v}), "radius", "size", None),
+    ("spec-center", lambda v: DataMapSpec(**_DISK, center=v), "center", "vector", "2-vector"),
+    ("spec-aug-point", lambda v: DataMapSpec(**_AUG, aug_point=v), "aug_point", "unit", "2-vector"),
+    ("circle-point", CirclePoint, "circle point", "unit", "2-vector"),
+    ("plane-dataset", PlaneDataset, "points", "array", "(n, 2) array"),
+    ("circle-dataset", CircleDataset, "points", "array", "(n, 2) array"),
+    ("segment-x", lambda v: segment_average_norm(v, (1.0, 0.0)), "x", "vector", "vector"),
+    ("segment-y", lambda v: segment_average_norm((0.0, 0.0), v), "y", "vector", "2-vector"),
+    ("localize-eps", lambda v: localize_singularities(_never_called, (0.0, 0.0), 0.7, v), "eps", "size", None),
+    ("localize-half-width", lambda v: localize_singularities(_never_called, (0.0, 0.0), v, 1e-2),
+     "half_width", "size", None),
+    ("localize-center", lambda v: localize_singularities(_never_called, v, 0.7, 1e-2), "center", "vector",
+     "2-vector"),
+    ("rectangle-center", lambda v: rectangle_loop(v, (0.5, 0.5), 8), "center", "vector", "2-vector"),
+    ("rectangle-half-widths", lambda v: rectangle_loop((0.0, 0.0), v, 8), "half_widths", "vector", "2-vector"),
+    ("greedy-cloud", lambda v: greedy_net(v, 0.1), "point cloud", "array", "(m, d) array"),
+    ("greedy-delta", lambda v: greedy_net(np.zeros((3, 2)), v), "delta", "size", None),
+    ("box-count-cloud", lambda v: box_count_dimension(np.asarray(v), (0.0, 0.0), (1.0, 1.0), _MESHES),
+     "point cloud", "array", "(m, d) array"),
+    ("box-count-lo", lambda v: box_count_dimension(np.array([[0.5, 0.5]]), v, (1.0, 1.0), _MESHES),
+     "domain box corner lo", "vector", "vector"),
+    ("box-count-meshes", lambda v: box_count_dimension(np.array([[0.5, 0.5]]), (0.0, 0.0), (1.0, 1.0), v),
+     "mesh sizes", "sizes", None),
+    ("tube-hi", lambda v: tube_volume(point_distance_fn((0.5, 0.5)), (0.0, 0.0), v, [0.1, 0.01], 10**4, 0),
+     "domain box corner hi", "vector", "2-vector"),
+    ("tube-deltas", lambda v: tube_volume(point_distance_fn((0.5, 0.5)), (0.0, 0.0), (1.0, 1.0), v, 10**4, 0),
+     "deltas", "sizes", None),
+    ("point-fixture", point_distance_fn, "point", "vector", "vector"),
+    ("segment-fixture-b", lambda v: segment_distance_fn((0.0, 0.0), v), "segment endpoint b", "vector", "2-vector"),
+    ("circle-fixture-radius", lambda v: circle_distance_fn((0.5, 0.5), v), "circle radius", "size", None),
+    ("cells-center", lambda v: circle_cell_membership(v, 0.2), "circle center", "vector", "vector"),
+    ("cells-radius", lambda v: circle_cell_membership((0.5, 0.5), v), "circle radius", "size", None),
+    ("box-fixture-hi", lambda v: filled_box_membership((0.2, 0.2), v), "box corner hi", "vector", "2-vector"),
+    ("curve", lambda v: average_derivative_along_curve(_never_called, v, 1e-6), "curve", "array", "(m, d) array"),
+    ("curve-h-fd", lambda v: average_derivative_along_curve(_never_called, [(0.1, 0.1), (0.2, 0.3)], v),
+     "h_fd", "size", None),
+    ("distance-x0", lambda v: average_distance_to_point([(0.1, 0.1), (0.2, 0.3)], v), "x0", "vector", "2-vector"),
+    ("blowup-etas", lambda v: derivative_blowup_profile(_never_called, (0.0, 0.0), v), "etas", "sizes", None),
+    ("blowup-point", lambda v: derivative_blowup_profile(_never_called, v, [0.1, 0.01]), "singular_point",
+     "vector", "2-vector"),
+    ("oscillation-radii", lambda v: oscillation(PC, SLICE.center_config, v, 16, 0), "radii", "sizes", None),
+    ("profile-radii", lambda v: OscillationProfile(radii=v, diameters=(1.0,) * len(v), samples_per_radius=16,
+                                                   seed=0), "radii", "sizes", None),
+    ("severity-mesh", lambda v: classify_severity(_PROFILE, v), "mesh", "size", None),
+]
+_REFUSALS = [pytest.param(call, value, message.format(name=name, shape=shape), id=f"{site}-{label}")
+             for site, call, name, kind, shape in _CHECKED for label, value, message in _BAD[kind]]
+_REFUSALS.append(pytest.param(lambda v: DataMapSpec(**{**_AUG, "weights": v}), (), "weights must be nonempty",
+                              id="spec-weights-empty"))
+
+
+@pytest.mark.parametrize("call, value, message", _REFUSALS)
+def test_every_checked_input_is_refused_by_name(call, value, message):
+    # each input passes one of geometry's checks (sizes, decreasing sizes,
+    # finite arrays, unit vectors), which refuses NaN, infinite, misshapen,
+    # empty and non-numeric values with a ContractViolation that names the
+    # parameter, before any map is called; a radius "abc" raised a bare
+    # TypeError, weights ("abc",) a bare ValueError, and eps = inf certified
+    # the root box at depth 0
+    with pytest.raises(ContractViolation) as raised:
+        call(value)
     assert type(raised.value) is ContractViolation and str(raised.value) == message

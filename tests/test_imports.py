@@ -1,5 +1,6 @@
 """Start-up stays light: singlab imports only the standard library and
-numpy; and every public function of the package has a caller or a reason."""
+numpy; and every public function and method of the package has a caller or
+a reason."""
 
 import ast
 import os
@@ -76,19 +77,33 @@ def _names_used(tree):
             yield from (alias.name.rpartition(".")[2] for alias in node.names)
 
 
+def _public_defs(tree):
+    """(qualified name, is a method) of each public module-level function
+    and each public method or property of a public class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_"):
+            yield node.name, False
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            yield from ((f"{node.name}.{item.name}", True) for item in node.body
+                        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_"))
+
+
 def test_every_public_name_has_a_caller_or_a_reason():
-    # a public function that no module, benchmark op or script names is
-    # reached by its own tests alone: README's list says why each such
-    # function stays, so a new one, or a stale entry there, fails here
+    # a public function or method that no module, benchmark op or script
+    # names is reached by its own tests alone: README's list says why each
+    # such name stays, so a new one, or a stale entry there, fails here.  A
+    # method counts as called only where some code reads an attribute of
+    # its name, since a bare name of that spelling is not the method
     modules = {path: ast.parse(path.read_text(encoding="utf-8"))
                for path in sorted((ROOT / "src" / "singlab").glob("*.py")) if path.name != "__init__.py"}
     callers = [ast.parse(path.read_text(encoding="utf-8"))
                for path in [*(ROOT / "perfbench").glob("*.py"), *(ROOT / "scripts").glob("*.py")]]
-    used = {name for tree in [*modules.values(), *callers] for name in _names_used(tree)}
-    unused = {f"{path.stem}.{node.name}" for path, tree in modules.items() for node in tree.body
-              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-              and not node.name.startswith("_") and node.name not in used}
+    trees = [*modules.values(), *callers]
+    used = {name for tree in trees for name in _names_used(tree)}
+    attributes = {node.attr for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    unused = {f"{path.stem}.{name}" for path, tree in modules.items() for name, method in _public_defs(tree)
+              if name.rpartition(".")[2] not in (attributes if method else used)}
     section = (ROOT / "README.md").read_text(encoding="utf-8").partition(KEPT_HEADING)[2].partition("\n#")[0]
-    listed = set(re.findall(r"`(\w+\.\w+)`", section))
+    listed = set(re.findall(r"`(\w+(?:\.\w+)+)`", section))
     assert unused == listed, (f"called by tests alone, not in README: {sorted(unused - listed)}; "
                               f"in README, called elsewhere or gone: {sorted(listed - unused)}")

@@ -287,6 +287,12 @@ def test_box_count_refuses_bad_mesh_sizes():
             box_count_dimension(np.array([[0.5, 0.5]]), (0, 0), (1, 1), [0.1, 0.05, 0.01, 0.002, bad])
 
 
+def test_box_count_refuses_an_empty_cloud():
+    # it read a degenerate estimate of dimension 0.0 and measure 0.0
+    with pytest.raises(ContractViolation, match="point cloud must be nonempty"):
+        box_count_dimension(np.zeros((0, 2)), (0, 0), (1, 1), [0.1, 0.05, 0.01, 0.002])
+
+
 def test_box_count_refuses_a_non_finite_cloud_point():
     cloud = np.random.default_rng(7).random((200, 2))
     cloud[123, 0] = math.nan
@@ -418,7 +424,7 @@ def test_tube_refuses_bad_deltas():
     pytest.param(lambda: segment_distance_fn((0.5, 0.5), (0.5, 0.5)), DegenerateSegmentError,
                  "segment endpoints coincide", id="segment-equal-ends"),
     pytest.param(lambda: segment_distance_fn((0.25, 0.5), (math.inf, 0.5)), ContractViolation,
-                 "segment endpoint b must be a finite vector", id="segment-infinite-end"),
+                 "segment endpoint b must be a finite 2-vector", id="segment-infinite-end"),
     pytest.param(lambda: point_distance_fn((math.nan, 0.5)), ContractViolation,
                  "point must be a finite vector", id="point-nan"),
     pytest.param(lambda: point_distance_fn(()), ContractViolation, "point must be a finite vector", id="point-empty"),
@@ -427,7 +433,7 @@ def test_tube_refuses_bad_deltas():
     pytest.param(lambda: circle_distance_fn((0.5, 0.5), -0.2), ContractViolation,
                  "circle radius must be finite and positive", id="circle-negative-radius"),
     pytest.param(lambda: circle_distance_fn((0.5, math.nan), 0.2), ContractViolation,
-                 "circle center must be a finite vector", id="circle-nan-center"),
+                 "point must be a finite vector", id="circle-nan-center"),
     pytest.param(lambda: circle_cell_membership((0.5, 0.5), -0.2), ContractViolation,
                  "circle radius must be finite and positive", id="cells-negative-radius"),
     pytest.param(lambda: circle_cell_membership((0.5, 0.5), math.inf), ContractViolation,
@@ -436,14 +442,14 @@ def test_tube_refuses_bad_deltas():
                  "circle center must be a finite vector", id="cells-infinite-center"),
     # an inverted box gave an all-zero "degenerate" estimate
     pytest.param(lambda: filled_box_membership((0.4, 0.2), (0.2, 0.4)), ContractViolation,
-                 "box corners must have lo <= hi on every axis of one dimension", id="box-inverted"),
+                 "box corners must have lo <= hi on every axis", id="box-inverted"),
     pytest.param(lambda: filled_box_membership((0.2, 0.2), (0.4, 0.4, 0.4)), ContractViolation,
-                 "box corners must have lo <= hi on every axis of one dimension", id="box-dimensions"),
+                 "box corner hi must be a finite 2-vector", id="box-dimensions"),
     pytest.param(lambda: filled_box_membership((0.2, math.nan), (0.4, 0.4)), ContractViolation,
                  "box corner lo must be a finite vector", id="box-nan-corner"),
     # numpy raised a broadcasting ValueError
     pytest.param(lambda: segment_distance_fn((0, 0), (1, 1, 1)), ContractViolation,
-                 "segment endpoints a and b must have one dimension, not 2 and 3", id="segment-dimensions"),
+                 "segment endpoint b must be a finite 2-vector", id="segment-dimensions"),
     # a fixture measures points of its own dimension: in the unit square the
     # 1-D point and segment read fitted_codim 1.039 and 0.111, distances to
     # the line x = 0.5 and the strip 0.2 <= x <= 0.8, and the 3-D point died

@@ -421,7 +421,7 @@ def test_severity_classification():
 
 @pytest.mark.parametrize("radii", [(-0.1, -0.2, -0.3), (0.1, 0.01, -0.001), (0.1, 0.01, 0.0)])
 def test_oscillation_refuses_radii_that_are_not_positive(radii):
-    with pytest.raises(ContractViolation, match="radii must be positive"):
+    with pytest.raises(ContractViolation, match="radii must be finite and positive"):
         OscillationProfile(radii=radii, diameters=(0.4, 0.2, 0.1), samples_per_radius=16, seed=0)
     with pytest.raises(ContractViolation, match="radii must be finite and positive"):
         oscillation(PC, EQUILATERAL, radii, 16, seed=0)
@@ -434,6 +434,14 @@ def test_oscillation_checks_radii_before_it_samples(monkeypatch, radii):
     monkeypatch.setattr(metrics, "evaluate_batch", lambda *args: pytest.fail("the map was called"))
     with pytest.raises(ContractViolation, match="radii must be finite and positive"):
         oscillation(PC, EQUILATERAL, radii, 16, seed=0)
+
+
+def test_oscillation_checks_radii_order_before_it_samples(monkeypatch):
+    # increasing radii were refused by OscillationProfile, after every
+    # radius had been sampled
+    monkeypatch.setattr(metrics, "evaluate_batch", lambda *args: pytest.fail("the map was called"))
+    with pytest.raises(ContractViolation, match="radii must be strictly decreasing"):
+        oscillation(PC, EQUILATERAL, [0.001, 0.01, 0.1], 64, seed=0)
 
 
 def test_oscillation_profile_all_undefined_is_derived():
@@ -765,13 +773,13 @@ def test_minimize_shim_is_lazy_and_ignores_patches():
     pytest.param(lambda: derivative_blowup_profile(_synthetic_batch, (0.0, 0.0, 0.0), ETAS),
                  "singular_point must be a finite 2-vector", id="blowup-point-3d"),
     pytest.param(lambda: average_derivative_along_curve(_synthetic_batch, [(0.1, 0.1), (math.nan, 0.3)], 1e-6),
-                 "curve vertices must be finite vectors of one dimension", id="derivative-curve-nan"),
+                 "curve must be a finite (m, d) array", id="derivative-curve-nan"),
     pytest.param(lambda: average_distance_to_point([(0.1, 0.1), (math.inf, 0.3)], (0.0, 0.0)),
-                 "curve vertices must be finite vectors of one dimension", id="distance-curve-inf"),
+                 "curve must be a finite (m, d) array", id="distance-curve-inf"),
     pytest.param(lambda: average_distance_to_point([(0.1, 0.1), (0.2, 0.3)], (0.0, 0.0, 0.0)),
-                 "x0 must be a finite point of the curve's dimension", id="distance-x0-3d"),
+                 "x0 must be a finite 2-vector", id="distance-x0-3d"),
     pytest.param(lambda: average_distance_to_point([(0.1, 0.1), (0.2, 0.3)], (math.nan, 0.0)),
-                 "x0 must be a finite point of the curve's dimension", id="distance-x0-nan"),
+                 "x0 must be a finite 2-vector", id="distance-x0-nan"),
 ])
 def test_metrics_refuse_bad_input_by_name(make, message):
     with pytest.raises(ContractViolation) as raised:

@@ -115,10 +115,9 @@ def test_lf_field_pc_center_tie():
     spec = SliceSpec(grid_resolution=16)
     grid = render_lf_field(spec, PC)
     # the r = 0 cells are the equilateral center: eigenvalue tie
-    rows = list(grid.rows())
-    center_rows = [r for r, u in zip(rows, grid.us) if np.linalg.norm(u) == 0.0]
-    assert center_rows
-    assert all(r[4] == "EIGENVALUE_TIE" for r in center_rows)
+    center_status = [s for s, u in zip(grid.status(), grid.us) if np.linalg.norm(u) == 0.0]
+    assert center_status
+    assert all(s == "EIGENVALUE_TIE" for s in center_status)
 
 
 def test_lf_field_ls_undefined_cells_match_sxx():
@@ -195,7 +194,8 @@ def test_field_csv_prints_angles_next_to_pi_as_zero(tmp_path):
 def _reference_csv(grid, path):
     # the row-by-row writer the one-call formatting replaced
     lines = ["u_x,u_y,theta_or_nan,gap,status"]
-    for ux, uy, theta, gap, status in grid.rows():
+    for (ux, uy), theta, gap, status in zip(grid.us.tolist(), grid.batch.value.tolist(), grid.batch.gap.tolist(),
+                                            grid.status()):
         theta_text = f"{theta:.12g}"
         if theta_text == f"{math.pi:.12g}":
             theta_text = "0"
@@ -219,7 +219,8 @@ def _reference_svg(grid, path, cell_size):
         f'width="{SVG_SIZE_PX}" height="{SVG_SIZE_PX}" viewBox="0 0 {SVG_SIZE_PX} {SVG_SIZE_PX}">',
         f'<rect width="{SVG_SIZE_PX}" height="{SVG_SIZE_PX}" fill="white"/>',
     ]
-    for ux, uy, theta, gap, status in grid.rows():
+    for (ux, uy), theta, gap, status in zip(grid.us.tolist(), grid.batch.value.tolist(), grid.batch.gap.tolist(),
+                                            grid.status()):
         px, py = to_px(ux, uy)
         if status == "defined" and not math.isnan(theta):
             dx = 0.5 * seg_len * math.cos(theta) * scale
@@ -322,9 +323,9 @@ def test_slice_spec_stores_its_spread_as_floats():
                  id="datasets-at-shape"),
     pytest.param(lambda: SLICE.datasets_at([[math.nan, 0.0]]), "slice parameters must be finite 2-vectors",
                  id="datasets-at-nan"),
-    pytest.param(lambda: SLICE.dataset_at((0.0, 0.0, 0.0)), "slice parameter must be a finite 2-vector",
+    pytest.param(lambda: SLICE.dataset_at((0.0, 0.0, 0.0)), "slice parameters must be finite 2-vectors",
                  id="dataset-at-shape"),
-    pytest.param(lambda: SLICE.dataset_at((math.nan, 0.0)), "slice parameter must be a finite 2-vector",
+    pytest.param(lambda: SLICE.dataset_at((math.nan, 0.0)), "slice parameters must be finite 2-vectors",
                  id="dataset-at-nan"),
 ])
 def test_slices_refuse_bad_input_by_name(make, message):

@@ -224,7 +224,7 @@ def test_localizer_root_box_failure_is_inconclusive():
 
 @pytest.mark.parametrize("eps", [0.0, -1e-3, math.nan])
 def test_localizer_refuses_eps_that_is_not_positive(eps):
-    with pytest.raises(ContractViolation, match="eps must be positive"):
+    with pytest.raises(ContractViolation, match="eps must be finite and positive"):
         localize_singularities(identity_circle_map, (0.0, 0.0), 0.7, eps)
 
 
@@ -236,24 +236,38 @@ def test_localizer_refuses_bad_root_box(center, half_width):
     # refused before any loop is built: unchecked, an infinite half-width
     # warns in _rectangle_points, a zero one fails the loop check, a
     # negative one comes back certified with its negative half-width, a
-    # third coordinate is dropped and a one-coordinate centre raises IndexError
+    # third coordinate is dropped and a one-coordinate centre raises IndexError;
+    # each refusal names the one parameter at fault
     fn = fitter_on_slice(MapKind.PC_LINE)
-    with pytest.raises(ContractViolation, match="half_width must be finite and positive, and center a finite 2-vector"):
+    bad_center = len(center) != 2 or not all(map(math.isfinite, center))
+    with pytest.raises(ContractViolation) as raised:
         localize_singularities(fn, center, half_width, 1e-2)
+    assert type(raised.value) is ContractViolation and str(raised.value) == (
+        "center must be a finite 2-vector" if bad_center else "half_width must be finite and positive")
 
 
-@pytest.mark.parametrize("center, half_widths", [
-    ((0.0, 0.0), (-0.5, 0.5)), ((0.0, 0.0), (0.5, 0.0)), ((0.0, 0.0), (math.inf, 0.5)),
-    ((0.0, 0.0), (0.5, math.nan)), ((0.0, 0.0), (0.5,)), ((0.0, 0.0), (0.5, 0.5, 0.5)),
-    ((math.nan, 0.0), (0.5, 0.5)), ((0.0, -math.inf), (0.5, 0.5)), ((0.0, 0.0, 0.0), (0.5, 0.5)),
-], ids=["negative", "zero", "inf", "nan", "one-width", "three-widths", "center-nan", "center-inf", "center-3d"])
-def test_rectangle_loop_refuses_bad_box(center, half_widths):
+_NOT_POSITIVE = "half_widths must be finite and positive"
+_NOT_TWO = "half_widths must be a finite 2-vector"
+_BAD_CENTER = "center must be a finite 2-vector"
+
+
+@pytest.mark.parametrize("center, half_widths, message", [
+    pytest.param((0.0, 0.0), (-0.5, 0.5), _NOT_POSITIVE, id="negative"),
+    pytest.param((0.0, 0.0), (0.5, 0.0), _NOT_POSITIVE, id="zero"),
+    pytest.param((0.0, 0.0), (math.inf, 0.5), _NOT_TWO, id="inf"),
+    pytest.param((0.0, 0.0), (0.5, math.nan), _NOT_TWO, id="nan"),
+    pytest.param((0.0, 0.0), (0.5,), _NOT_TWO, id="one-width"),
+    pytest.param((0.0, 0.0), (0.5, 0.5, 0.5), _NOT_TWO, id="three-widths"),
+    pytest.param((math.nan, 0.0), (0.5, 0.5), _BAD_CENTER, id="center-nan"),
+    pytest.param((0.0, -math.inf), (0.5, 0.5), _BAD_CENTER, id="center-inf"),
+    pytest.param((0.0, 0.0, 0.0), (0.5, 0.5), _BAD_CENTER, id="center-3d"),
+])
+def test_rectangle_loop_refuses_bad_box(center, half_widths, message):
     # unchecked, a negative half-width ran the loop clockwise, so a map of
     # degree 1 read -1 around it, and an infinite one warned in the corners
     with pytest.raises(ContractViolation) as raised:
         rectangle_loop(center, half_widths, 8)
-    assert type(raised.value) is ContractViolation and str(raised.value) == (
-        "half_widths must be two finite positive numbers, and center a finite 2-vector")
+    assert type(raised.value) is ContractViolation and str(raised.value) == message
 
 
 def test_localizer_pc_finds_both_ties():
