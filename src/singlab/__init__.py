@@ -8,28 +8,18 @@ tube-volume, distance-CDF and box-counting estimators.
 
 from singlab.geometry import (
     CircleDataset,
-    CirclePoint,
     ContractViolation,
-    Decision,
     DomainError,
-    LineDirection,
     PlaneDataset,
-    ScalarValue,
-    feature_distance,
     omega_s,
     segment_average_norm,
 )
 
 __all__ = [
     "CircleDataset",
-    "CirclePoint",
     "ContractViolation",
-    "Decision",
     "DomainError",
-    "LineDirection",
     "PlaneDataset",
-    "ScalarValue",
-    "feature_distance",
     "omega_s",
     "segment_average_norm",
 ]

@@ -40,7 +40,7 @@ from singlab.datamaps import (
     standard_batch,
     uniform_preset,
 )
-from singlab.geometry import ContractViolation, LineDirection, reduce_mod_pi
+from singlab.geometry import ContractViolation, reduce_mod_pi
 from singlab.measure import (
     box_count_dimension,
     circle_cell_membership,
@@ -291,7 +291,7 @@ def _synthetic_batch(us: np.ndarray) -> BatchOutcome:
         value=reduce_mod_pi(0.5 * np.arctan2(us[:, 1], us[:, 0])),
         gap=r,
         reason=np.where(r == 0.0, UndefinedReason.ORIGIN.value, 0),
-        feature=LineDirection,
+        period=math.pi,
     )
 
 

@@ -13,16 +13,16 @@ a row's outcome does not depend on its batch, nor on the thread that runs
 it.  The certifiers and profilers of ``topology`` and ``metrics`` take a map
 in this one form: any callable from stacked inputs to their BatchOutcome,
 such as ``slices.slice_map``.
-``evaluate`` is the one-row case of evaluate_batch: an :class:`EvalOutcome`
-carrying either a feature or a reason it is undefined, plus a nonnegative
-``gap`` that vanishes exactly on the map's (surrogate) singular surface.  ``evaluate_with_standard``
-wraps a line fitter with the calibration standard: exact perfect fits are
-answered by the canonical feature, which extends the fitters continuously
-through inputs (vertical lines) the raw formulas cannot represent; it is the
-one-row case of ``evaluate_with_standard_batch`` over (m, n, 2) point
-batches.  Every other map is evaluated raw: the augmented mean is already
-continuous at circle perfect fits, where its pseudo-observation pulls it off
-the data's common point, so answering them by the standard would make it jump.
+A BatchOutcome's ``period`` is the one fact about the feature space that
+they read: pi for line directions (RP^1), 2 pi for the angles of circle
+points (S^1), None for decisions and scalars.
+``evaluate_with_standard_batch`` wraps a line fitter with the calibration
+standard: exact perfect fits are answered by the canonical feature
+(``standard_batch``), which extends the fitters continuously through inputs
+(vertical lines) the raw formulas cannot represent.  Every other map is
+evaluated raw: the augmented mean is already continuous at circle perfect
+fits, where its pseudo-observation pulls it off the data's common point, so
+answering them by the standard would make it jump.
 """
 
 from __future__ import annotations
@@ -36,15 +36,11 @@ import numpy as np
 
 from singlab.geometry import (
     CircleDataset,
-    CirclePoint,
     ContractViolation,
-    Decision,
     DomainError,
-    Feature,
-    LineDirection,
     PlaneDataset,
-    ScalarValue,
     _finite_array,
+    _numbers,
     _positive_sizes,
     _unit_vector,
     angle_distance,
@@ -82,61 +78,24 @@ class UndefinedReason(enum.IntEnum):
 
 
 @dataclass(frozen=True)
-class EvalOutcome:
-    """Result of applying a data map: Defined(feature) or Undefined(reason).
-
-    ``gap`` is a map-specific nonnegative proximity-to-singularity scalar;
-    it is zero whenever the outcome is Undefined.
-    """
-
-    feature: Feature | None
-    gap: float
-    reason: UndefinedReason | None = None
-
-    def __post_init__(self):
-        if self.feature is None and self.reason is None:
-            raise ContractViolation("undefined outcome needs a reason")
-        if self.feature is not None and self.reason is not None:
-            raise ContractViolation("defined outcome cannot carry a reason")
-        if self.gap < 0 or not math.isfinite(self.gap):
-            raise ContractViolation("gap must be finite and nonnegative")
-        if self.feature is None and self.gap != 0.0:
-            raise ContractViolation("undefined outcome must have gap 0")
-
-    @property
-    def defined(self) -> bool:
-        return self.feature is not None
-
-    @staticmethod
-    def of(feature: Feature, gap: float) -> "EvalOutcome":
-        return EvalOutcome(feature=feature, gap=float(gap))
-
-    @staticmethod
-    def undefined(reason: UndefinedReason) -> "EvalOutcome":
-        return EvalOutcome(feature=None, gap=0.0, reason=reason)
-
-
-# The period of each angle-valued feature variant.
-_PERIODS = {LineDirection: math.pi, CirclePoint: 2.0 * math.pi}
-
-
-@dataclass(frozen=True)
 class BatchOutcome:
     """Outcomes of one map on a batch of inputs, as arrays.
 
-    ``value`` (m,) holds each Defined row's feature of variant ``feature`` as
-    a number: the angle mod pi of a LineDirection, the angle of a
-    CirclePoint, the bit of a Decision or the value of a ScalarValue; it is
-    NaN where undefined.  ``gap`` (m,) is the map's gap, 0 where undefined;
-    ``reason`` (m,) holds int8 UndefinedReason codes, 0 where defined.  A
-    map states each row's reason once: construction casts ``reason`` to
-    int8 and masks ``value`` to NaN and ``gap`` to 0 on its Undefined rows.
+    ``value`` (m,) holds each Defined row's feature as a number: a line's
+    direction angle mod pi, a circle point's angle, a decision's bit or a
+    scalar; it is NaN where undefined.  ``period`` is the feature space's:
+    pi for line directions, 2 pi for circle points, None for decisions and
+    scalars, whose distance is the absolute difference.  ``gap`` (m,) is
+    the map's gap, 0 where undefined; ``reason`` (m,) holds int8
+    UndefinedReason codes, 0 where defined.  A map states each row's reason
+    once: construction casts ``reason`` to int8 and masks ``value`` to NaN
+    and ``gap`` to 0 on its Undefined rows.
     """
 
     value: np.ndarray
     gap: np.ndarray
     reason: np.ndarray
-    feature: type
+    period: float | None
 
     def __post_init__(self):
         reason = np.asarray(self.reason).astype(np.int8)
@@ -146,23 +105,8 @@ class BatchOutcome:
         object.__setattr__(self, "reason", reason)
 
     @property
-    def period(self) -> float | None:
-        """The angle period (pi or 2 pi), None for decisions and scalars."""
-        return _PERIODS.get(self.feature)
-
-    @property
     def defined(self) -> np.ndarray:
         return self.reason == 0
-
-    def outcome(self, i: int) -> EvalOutcome:
-        """Row i as an EvalOutcome."""
-        code = int(self.reason[i])
-        if code:
-            return EvalOutcome.undefined(UndefinedReason(code))
-        value = float(self.value[i])
-        if self.feature is CirclePoint:
-            return EvalOutcome.of(CirclePoint((math.cos(value), math.sin(value))), self.gap[i])
-        return EvalOutcome.of(self.feature(value), self.gap[i])
 
 
 def _batch_outcome(result) -> BatchOutcome:
@@ -197,10 +141,12 @@ class DataMapSpec:
             w = tuple(_positive_sizes(self.weights, "weights"))
             if not w:
                 raise ContractViolation("weights must be nonempty")
-            if not 0.0 <= self.w0 < math.inf:
+            [w0] = _numbers([self.w0], "w0")
+            if not 0.0 <= w0 < math.inf:
                 raise ContractViolation("AUG_MEAN w0 must be finite and nonnegative")
             a = _unit_vector(self.aug_point, "aug_point")
             object.__setattr__(self, "weights", w)
+            object.__setattr__(self, "w0", w0)
             object.__setattr__(self, "aug_point", (float(a[0]), float(a[1])))
         if self.kind is MapKind.DISK_DECISION:
             c = _finite_array(self.center, "center", (2,))
@@ -323,43 +269,6 @@ def spanning_lines(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
         residual = np.where(equal, np.inf, np.max(np.abs(cross), axis=1) / span)
     theta = np.where(equal, 0.0, reduce_mod_pi(np.arctan2(d[:, 1], d[:, 0])))
     return residual, theta, span
-
-
-def eval_perfect_fit_standard(dataset) -> Feature:
-    """The canonical feature of a perfect fit (the standard Sigma).
-
-    Plane datasets must span a unique line exactly, and get its direction
-    from ``standard_batch``; circle datasets must have all points equal, and
-    get that point itself, not one rebuilt from its angle, which is off in
-    the last bit (cos(pi/2) = 6.1e-17 where the data have 0).  Anything else
-    raises NotPerfectFitError (a one-point plane dataset, which no line
-    fitter takes, a ContractViolation).
-    """
-    if isinstance(dataset, PlaneDataset):
-        return standard_batch(dataset.points[None]).outcome(0).feature
-    if not isinstance(dataset, CircleDataset):
-        raise ContractViolation(f"no perfect-fit standard for {type(dataset).__name__}")
-    if np.max(np.linalg.norm(dataset.points - dataset.points[0], axis=1)) > PERFECT_FIT_TOL:
-        raise NotPerfectFitError("CircleDataset is not an exact perfect fit")
-    u = dataset.points[0]
-    return CirclePoint(u / math.sqrt(math.fsum(u * u)))
-
-
-def evaluate_with_standard(spec: DataMapSpec, x) -> EvalOutcome:
-    """Evaluate a map, answering a line fitter's exact perfect fits by the
-    standard.
-
-    This is the unique continuous extension of each line fitter through
-    perfect fits: in particular it gives the vertical direction on vertical
-    collinear data, where the raw LS and LAD formulas are undefined or
-    unrepresentable.  A line fitter on a plane dataset is the one-row case
-    of ``evaluate_with_standard_batch``.  Off perfect fits, and for every
-    other map, it is the raw map (``evaluate``): the augmented mean needs no
-    extension, and the standard disagrees with it at circle perfect fits.
-    """
-    if isinstance(x, PlaneDataset) and _KERNELS[spec.kind][1] is LineDirection:
-        return evaluate_with_standard_batch(spec, x.points[None]).outcome(0)
-    return evaluate(spec, x)
 
 
 # ---------------------------------------------------------------------------
@@ -586,12 +495,15 @@ def standard_batch(points) -> BatchOutcome:
     residual, theta, span = spanning_lines(_as_plane_batch(points))
     if not np.all(residual <= PERFECT_FIT_TOL):
         raise NotPerfectFitError("a dataset of the batch is not an exact perfect fit")
-    return BatchOutcome(value=theta, gap=span, reason=np.zeros(len(theta)), feature=LineDirection)
+    return BatchOutcome(value=theta, gap=span, reason=np.zeros(len(theta)), period=math.pi)
 
 
 def evaluate_with_standard_batch(spec: DataMapSpec, points) -> BatchOutcome:
-    """``evaluate_with_standard`` for a line fitter on a batch (m, n, 2):
-    exact perfect fits get the standard, the other rows the raw fitter."""
+    """A line fitter on a batch (m, n, 2), its exact perfect fits answered
+    by the standard: the unique continuous extension of the fitter through
+    perfect fits.  In particular it gives the vertical direction on vertical
+    collinear data, where the raw LS and LAD formulas are undefined or
+    unrepresentable.  The other rows get the raw fitter."""
     points = _as_plane_batch(points)
     residual, theta, span = spanning_lines(points)
     perfect = residual <= PERFECT_FIT_TOL
@@ -600,7 +512,7 @@ def evaluate_with_standard_batch(spec: DataMapSpec, points) -> BatchOutcome:
         value=np.where(perfect, theta, raw.value),
         gap=np.where(perfect, span, raw.gap),
         reason=np.where(perfect, 0, raw.reason),
-        feature=LineDirection,
+        period=math.pi,
     )
 
 
@@ -668,16 +580,16 @@ def _aug_mean_batch(angles, spec):
 # Evaluation: every map through its one kernel
 # ---------------------------------------------------------------------------
 
-# Map kind -> (kernel, feature variant, width).  A kernel checks one row
+# Map kind -> (kernel, feature period, width).  A kernel checks one row
 # block and returns (value, gap, reason) arrays, which BatchOutcome masks.
 # width(n) counts the doubles per row of its widest array, n = shape[1].
 _KERNELS = {
-    MapKind.LS_LINE: (_ls_batch, LineDirection, lambda n: 2 * n),
-    MapKind.PC_LINE: (_pc_batch, LineDirection, lambda n: 2 * n),
-    MapKind.LAD_LINE: (_lad_batch, LineDirection, lambda n: n * (n - 1) // 2),
-    MapKind.AUG_MEAN: (_aug_mean_batch, CirclePoint, lambda n: n),
-    MapKind.DISK_DECISION: (eval_disk_decision, Decision, lambda n: n),
-    MapKind.RADIAL_OSCILLATOR: (eval_radial_oscillator, ScalarValue, lambda n: n),
+    MapKind.LS_LINE: (_ls_batch, math.pi, lambda n: 2 * n),
+    MapKind.PC_LINE: (_pc_batch, math.pi, lambda n: 2 * n),
+    MapKind.LAD_LINE: (_lad_batch, math.pi, lambda n: n * (n - 1) // 2),
+    MapKind.AUG_MEAN: (_aug_mean_batch, 2.0 * math.pi, lambda n: n),
+    MapKind.DISK_DECISION: (eval_disk_decision, None, lambda n: n),
+    MapKind.RADIAL_OSCILLATOR: (eval_radial_oscillator, None, lambda n: n),
 }
 
 # Bytes of the widest array of a row block, for LAD the (P, b) arrays of P =
@@ -714,7 +626,7 @@ def evaluate_batch(spec: DataMapSpec, inputs) -> BatchOutcome:
     on two CPUs (``measure._run_chunks``).  The kernel's arrays become the
     BatchOutcome, which masks the Undefined rows.
     """
-    kernel, feature, _ = _KERNELS[spec.kind]
+    kernel, period, _ = _KERNELS[spec.kind]
     inputs = np.asarray(inputs, dtype=float)
     # min and max carry any NaN or inf, and build no input-sized mask
     if inputs.size and not np.isfinite([inputs.min(), inputs.max()]).all():
@@ -731,7 +643,7 @@ def evaluate_batch(spec: DataMapSpec, inputs) -> BatchOutcome:
             for start in range(0, m, rows):
                 block = slice(start, start + rows)
                 value[block], gap[block], reason[block] = kernel(inputs[block], spec)
-    return BatchOutcome(value=value, gap=gap, reason=reason, feature=feature)
+    return BatchOutcome(value=value, gap=gap, reason=reason, period=period)
 
 
 def as_map_input(x) -> np.ndarray:
@@ -742,8 +654,3 @@ def as_map_input(x) -> np.ndarray:
     if isinstance(x, CircleDataset):
         return x.angles
     return np.asarray(x, dtype=float)
-
-
-def evaluate(spec: DataMapSpec, x) -> EvalOutcome:
-    """The map on one input: the one-row case of ``evaluate_batch``."""
-    return evaluate_batch(spec, as_map_input(x)[None]).outcome(0)

@@ -2,20 +2,21 @@
 
 Datasets are ordered lists of points: relabeling is never quotiented out, so
 plane datasets embed isometrically into R^{2n} and circle datasets carry the
-L2 product of arc-length metrics.  Features are a small tagged union (line
-direction mod pi, circle point, binary decision, scalar value), each with its
-own metric.  The array-valued ones (``PlaneDataset``, ``CircleDataset``,
-``CirclePoint``) compare and hash by value.  The module also houses two
+L2 product of arc-length metrics; both compare and hash by value.  A
+feature is a number, and the feature space is known by its period: pi for
+line directions, 2 pi for the angles of circle points, none for decisions
+and scalars.  ``angle_distance`` is the metric of the periodic ones, the
+absolute difference that of the others.  The module also houses two
 analytic utilities: the average norm along a segment, which ``metrics``
 leans on, and ``loglog_fit``, the one slope behind every fitted exponent.
 Both call no BLAS or LAPACK, so their bits do not depend on the OpenBLAS
 kernels loaded.
-Four private helpers are the one check of each kind of input a caller
-passes: ``_positive_sizes`` of every size (a number, finite and positive),
-``_decreasing_sizes`` of every shrinking sequence of sizes (radii, etas),
-``_finite_array`` of every point, center, corner, vector and point array
-(finite, nonempty, of a given shape), and ``_unit_vector`` of every unit
-2-vector.  Each refuses with a ``ContractViolation`` that names the
+Five private helpers are the one check of each kind of input a caller
+passes: ``_numbers`` of every number, ``_positive_sizes`` of every size (a
+number, finite and positive), ``_decreasing_sizes`` of every shrinking
+sequence of sizes (radii, etas), ``_finite_array`` of every point, center,
+corner, vector and point array (finite, nonempty, of a given shape), and
+``_unit_vector`` of every unit 2-vector.  Each refuses with a ``ContractViolation`` that names the
 parameter, never with numpy's ``TypeError`` or ``ValueError``.
 """
 
@@ -108,65 +109,6 @@ def reduce_mod_pi(theta):
     return r * (r != math.pi)
 
 
-@dataclass(frozen=True)
-class LineDirection:
-    """Undirected line direction: an angle reduced mod pi into [0, pi)."""
-
-    theta: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.theta):
-            raise ContractViolation("direction angle must be finite")
-        object.__setattr__(self, "theta", reduce_mod_pi(float(self.theta)))
-
-
-@dataclass(frozen=True, eq=False)
-class CirclePoint(_ArrayValue):
-    """A point of the unit circle."""
-
-    u: np.ndarray
-
-    def __post_init__(self):
-        arr = _unit_vector(self.u, "circle point")
-        arr.flags.writeable = False
-        object.__setattr__(self, "u", arr)
-
-    @property
-    def angle(self) -> float:
-        return math.atan2(self.u[1], self.u[0])
-
-
-@dataclass(frozen=True)
-class Decision:
-    """A binary decision (F is the two-point space {0, 1})."""
-
-    bit: int
-
-    def __post_init__(self):
-        if self.bit not in (0, 1):
-            raise ContractViolation("decision bit must be 0 or 1")
-        object.__setattr__(self, "bit", int(self.bit))
-
-
-@dataclass(frozen=True)
-class ScalarValue:
-    """A real feature value with the absolute-value metric.
-
-    Used only by the radial-oscillator map, whose feature space is an
-    interval rather than a circle.
-    """
-
-    value: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise ContractViolation("scalar feature must be finite")
-        object.__setattr__(self, "value", float(self.value))
-
-
-Feature = LineDirection | CirclePoint | Decision | ScalarValue
-
-
 def angle_distance(a, b, period: float):
     """Mod-period metric between angles, elementwise: the length of the
     short way from a to b on a circle of circumference ``period``."""
@@ -179,23 +121,6 @@ def wrap_increments(delta, period: float):
     delta = np.fmod(delta, period)
     delta = np.where(delta > 0.5 * period, delta - period, delta)
     return np.where(delta <= -0.5 * period, delta + period, delta)
-
-
-def feature_distance(f: Feature, g: Feature) -> float:
-    """Metric on the feature space, defined per variant.
-
-    Line directions use the mod-pi metric, circle points arc length,
-    decisions the discrete 0/1 metric, scalars absolute difference.
-    """
-    if type(f) is not type(g):
-        raise ContractViolation(f"feature variants differ: {type(f).__name__} vs {type(g).__name__}")
-    if isinstance(f, LineDirection):
-        return float(angle_distance(f.theta, g.theta, math.pi))
-    if isinstance(f, CirclePoint):
-        return float(angle_distance(f.angle, g.angle, 2.0 * math.pi))
-    if isinstance(f, Decision):
-        return 0.0 if f.bit == g.bit else 1.0
-    return abs(f.value - g.value)
 
 
 def omega_s(s: float) -> float:
@@ -239,15 +164,20 @@ def segment_average_norm(x, y) -> float:
     return (_norm_antiderivative(b + length, q) - _norm_antiderivative(b, q)) / length
 
 
-def _positive_sizes(sizes, name: str) -> list[float]:
-    """Sizes (mesh sizes, deltas, radii, etas, steps, weights) as floats,
-    each finite and positive: the one size check.  A value that is not a
-    number, or sizes that are not a sequence, read "<name> must be
+def _numbers(values, name: str) -> list[float]:
+    """values as floats: the one number check.  A value that is not a
+    number, or values that are not a sequence, read "<name> must be
     numeric"."""
     try:
-        sizes = [float(s) for s in sizes]
+        return [float(v) for v in values]
     except (TypeError, ValueError):
         raise ContractViolation(f"{name} must be numeric") from None
+
+
+def _positive_sizes(sizes, name: str) -> list[float]:
+    """Sizes (mesh sizes, deltas, radii, etas, steps, weights) as floats
+    (``_numbers``), each finite and positive: the one size check."""
+    sizes = _numbers(sizes, name)
     if not all(0.0 < s < math.inf for s in sizes):
         raise ContractViolation(f"{name} must be finite and positive")
     return sizes

@@ -85,8 +85,11 @@ class SliceSpec:
         affine formula extends to all of R^2; by default inputs outside the
         closed unit disk are rejected.
         """
-        us = np.asarray(us, dtype=float)
-        if us.ndim != 2 or us.shape[1] != 2 or not np.isfinite(us).all():
+        try:
+            us = np.asarray(us, dtype=float)
+        except (TypeError, ValueError):  # not numbers, or rows of unequal lengths
+            us = None
+        if us is None or us.ndim != 2 or us.shape[1] != 2 or not np.isfinite(us).all():
             raise ContractViolation("slice parameters must be finite 2-vectors")
         # what np.linalg.norm(us, axis=1) computes for real input
         r = np.sqrt(np.add.reduce(us * us, axis=1))

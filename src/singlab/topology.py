@@ -62,7 +62,8 @@ class InconclusiveDegreeError(RuntimeError):
 
 
 class UnsupportedFeatureError(TypeError):
-    """The feature variant carries no winding (decisions, scalars)."""
+    """The map's features have no period, so no winding (decisions,
+    scalars)."""
 
 
 def _check_loops(points: np.ndarray) -> None:
@@ -102,8 +103,8 @@ class Loop:
 class WindingReport:
     """Certified degree of a feature-valued map along a loop.
 
-    degree counts half turns for line directions and full turns for circle
-    points.  min_gap is the smallest singularity gap seen at any sample, and
+    degree counts turns of the feature's period: half turns for line
+    directions (period pi), full turns for circle points (2 pi).  min_gap is the smallest singularity gap seen at any sample, and
     max_depth the deepest bisection level used (0 when no edge was bisected).
     """
 
@@ -161,7 +162,7 @@ def _lift(points: np.ndarray, lengths, evaluate_fn) -> list:
     reach(outcome.gap, outcome.reason, owner)
     period = outcome.period
     if period is None:
-        error = UnsupportedFeatureError(f"{outcome.feature.__name__} features carry no winding number")
+        error = UnsupportedFeatureError("the map's features have no period, so no winding number")
         return [error if ok else r for ok, r in zip(alive, results)]
     threshold = STEP_FRACTION * period
     # the nodes are the loop samples, and the open edges ia -> ib join

@@ -2,10 +2,12 @@
 specs, the default slice, a brute-force cover and packing count, and
 synthetic maps on stacked slice points (m, 2)."""
 
+import math
+
 import numpy as np
 
 from singlab.datamaps import BatchOutcome, DataMapSpec, MapKind, UndefinedReason
-from singlab.geometry import LineDirection, reduce_mod_pi
+from singlab.geometry import reduce_mod_pi
 from singlab.slices import SliceSpec, slice_map
 
 LS = DataMapSpec(kind=MapKind.LS_LINE)
@@ -32,14 +34,15 @@ def fitter_on_slice(kind):
     return slice_map(SLICE, DataMapSpec(kind=kind))
 
 
-def origin_batch(value, gap, origin, feature=LineDirection):
-    """A BatchOutcome of the given values and gaps, Undefined (ORIGIN) on
-    the rows where origin is set."""
-    return BatchOutcome(value=value, gap=gap, reason=np.where(origin, UndefinedReason.ORIGIN, 0), feature=feature)
+def origin_batch(value, gap, origin, period=math.pi):
+    """A BatchOutcome of the given values and gaps, line directions unless
+    another period is given, Undefined (ORIGIN) on the rows where origin is
+    set."""
+    return BatchOutcome(value=value, gap=gap, reason=np.where(origin, UndefinedReason.ORIGIN, 0), period=period)
 
 
 def half_angle_map(k=1, singularity=(0.0, 0.0), atan2=np.arctan2):
-    """Synthetic map u -> LineDirection(k * arg(u - x0) / 2) on stacked
+    """Synthetic map u -> the line direction k * arg(u - x0) / 2 on stacked
     points (m, 2), gap |u - x0|: degree k, with the given two-argument
     arctangent."""
     x0 = np.asarray(singularity, dtype=float)

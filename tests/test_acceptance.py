@@ -13,20 +13,13 @@ import numpy as np
 from singlab.datamaps import (
     DataMapSpec,
     MapKind,
-    eval_perfect_fit_standard,
-    evaluate,
     evaluate_batch,
-    evaluate_with_standard,
+    evaluate_with_standard_batch,
     oscillator_g_prime_abs,
     oscillator_t,
     standard_batch,
 )
-from singlab.geometry import (
-    PlaneDataset,
-    feature_distance,
-    omega_s,
-    segment_average_norm,
-)
+from singlab.geometry import angle_distance, omega_s, segment_average_norm
 from singlab.measure import (
     box_count_dimension,
     circle_cell_membership,
@@ -285,6 +278,7 @@ def test_criterion_7_calibration_suite():
     specs = {kind: DataMapSpec(kind=kind) for kind in (MapKind.LS_LINE, MapKind.PC_LINE, MapKind.LAD_LINE)}
     worst_raw = 0.0
     worst_std = 0.0
+    datasets, vertical = [], []
     for trial in range(1_000):
         if trial % 20 == 0:
             theta = math.pi / 2  # exact verticals throughout the batch
@@ -292,35 +286,31 @@ def test_criterion_7_calibration_suite():
             theta = 0.0
         else:
             theta = rng.uniform(0, math.pi)
-        vertical = theta == math.pi / 2
+        vertical.append(theta == math.pi / 2)
         direction = np.array([math.cos(theta), math.sin(theta)])
         base = rng.standard_normal(2)
         ts = np.sort(rng.standard_normal(3) * 2)
         if np.min(np.diff(ts)) < 1e-3:
             ts = np.array([-1.0, 0.1, 1.2])
-        ds = PlaneDataset(base[None, :] + ts[:, None] * direction[None, :])
-        sigma = eval_perfect_fit_standard(ds)
-        for kind, spec in specs.items():
-            # the standard evaluator (Theta extension) covers everything,
-            # including verticals where the raw LS/LAD formulas cannot go
-            out = evaluate_with_standard(spec, ds)
-            if not out.defined:
-                failures.append(f"{kind.value} undefined on a perfect fit (trial {trial})")
-                continue
-            dist = feature_distance(out.feature, sigma)
-            worst_std = max(worst_std, dist)
-            if dist > 1e-9:
-                failures.append(f"{kind.value} off Sigma by {dist:.2e} (trial {trial})")
-            # raw formulas agree off the vertical surface
-            if not vertical:
-                raw = evaluate(spec, ds)
-                if not raw.defined:
-                    failures.append(f"raw {kind.value} undefined on a sloped perfect fit (trial {trial})")
-                    continue
-                dist = feature_distance(raw.feature, sigma)
-                worst_raw = max(worst_raw, dist)
-                if dist > 1e-9:
-                    failures.append(f"raw {kind.value} off Sigma by {dist:.2e} (trial {trial})")
+        datasets.append(base[None, :] + ts[:, None] * direction[None, :])
+    points, sloped = np.stack(datasets), ~np.array(vertical)
+    trials = np.arange(len(points))
+    sigma = standard_batch(points).value
+
+    def check(label, out, rows):
+        """The worst distance to Sigma of a fitter's outcomes on the given
+        trials; each Undefined row and each distance above 1e-9 fails."""
+        failures.extend(f"{label} undefined on a perfect fit (trial {t})" for t in rows[~out.defined])
+        dist = angle_distance(out.value, sigma[rows], math.pi)[out.defined]
+        failures.extend(f"{label} off Sigma by {d:.2e} (trial {t})" for d, t in zip(dist, rows[out.defined]) if d > 1e-9)
+        return dist.max(initial=0.0)
+
+    for kind, spec in specs.items():
+        # the standard evaluator (Theta extension) covers everything,
+        # including verticals where the raw LS/LAD formulas cannot go
+        worst_std = max(worst_std, check(kind.value, evaluate_with_standard_batch(spec, points), trials))
+        # raw formulas agree off the vertical surface
+        worst_raw = max(worst_raw, check(f"raw {kind.value}", evaluate_batch(spec, points[sloped]), trials[sloped]))
     print(f"  worst standard-evaluator distance to Sigma: {worst_std:.2e}")
     print(f"  worst raw-fitter distance to Sigma (sloped fits): {worst_raw:.2e}")
     report(7, "calibration on perfect fits (including verticals)", failures)

@@ -21,31 +21,16 @@ from singlab.datamaps import (
     TIE_TOL,
     BatchOutcome,
     DataMapSpec,
-    EvalOutcome,
     MapKind,
     NotPerfectFitError,
     UndefinedReason,
-    eval_perfect_fit_standard,
-    evaluate,
     evaluate_batch,
-    evaluate_with_standard,
     evaluate_with_standard_batch,
     oscillator_g,
     standard_batch,
     uniform_preset,
 )
-from singlab.geometry import (
-    CirclePoint,
-    ContractViolation,
-    Decision,
-    DomainError,
-    LineDirection,
-    PlaneDataset,
-    ScalarValue,
-    angle_distance,
-    feature_distance,
-    reduce_mod_pi,
-)
+from singlab.geometry import ContractViolation, DomainError, angle_distance, reduce_mod_pi
 from singlab.measure import distance_cdf
 from singlab.metrics import SINGULAR_DISTANCE, batch_diameter
 from singlab.slices import slice_map
@@ -71,15 +56,9 @@ angles = st.floats(0.0, 2.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------
-# Scalar reference maps, one input at a time
+# Scalar reference maps, one input at a time, each returning the row's
+# (value, gap, reason): NaN, 0 and the UndefinedReason where Undefined
 # ---------------------------------------------------------------------------
-
-def _angle_of(feature):
-    """(angle, period) of a line direction or circle point."""
-    if isinstance(feature, LineDirection):
-        return feature.theta, math.pi
-    return feature.angle, 2.0 * math.pi
-
 
 def _wrap_increment(delta, period):
     """Reduce one angle increment into (-period/2, period/2]."""
@@ -97,8 +76,8 @@ def reference_ls(pts):
     s_xx = float(np.dot(xc, xc))
     s_xy = float(np.dot(xc, pts[:, 1] - pts[:, 1].mean()))
     if s_xx == 0.0:
-        return EvalOutcome.undefined(UndefinedReason.COLLINEAR_PREDICTOR)
-    return EvalOutcome.of(LineDirection(math.atan(s_xy / s_xx)), math.sqrt(s_xx))
+        return math.nan, 0.0, UndefinedReason.COLLINEAR_PREDICTOR
+    return reduce_mod_pi(math.atan(s_xy / s_xx)), math.sqrt(s_xx), 0
 
 
 def reference_pc(pts):
@@ -109,8 +88,8 @@ def reference_pc(pts):
     b = c[0, 1]
     gap = 2.0 * math.hypot(a, b)
     if gap <= TIE_TOL:
-        return EvalOutcome.undefined(UndefinedReason.EIGENVALUE_TIE)
-    return EvalOutcome.of(LineDirection(0.5 * math.atan2(2.0 * b, 2.0 * a)), gap)
+        return math.nan, 0.0, UndefinedReason.EIGENVALUE_TIE
+    return reduce_mod_pi(0.5 * math.atan2(2.0 * b, 2.0 * a)), gap, 0
 
 
 def reference_lad(pts):
@@ -125,15 +104,15 @@ def reference_lad(pts):
         intercept = pts[i, 1] - slope * pts[i, 0]
         cands.append((float(np.sum(np.abs(pts[:, 1] - intercept - slope * pts[:, 0]))), slope))
     if not cands:
-        return EvalOutcome.undefined(UndefinedReason.COLLINEAR_PREDICTOR)
+        return math.nan, 0.0, UndefinedReason.COLLINEAR_PREDICTOR
     cands.sort(key=lambda c: c[0])
-    feature = LineDirection(math.atan(cands[0][1]))
+    theta = reduce_mod_pi(math.atan(cands[0][1]))
     if len(cands) == 1:
-        return EvalOutcome.of(feature, 0.0)
+        return theta, 0.0, 0
     gap = cands[1][0] - cands[0][0]
-    if gap <= TIE_TOL and feature_distance(feature, LineDirection(math.atan(cands[1][1]))) > TIE_TOL:
-        return EvalOutcome.undefined(UndefinedReason.OBJECTIVE_TIE)
-    return EvalOutcome.of(feature, gap)
+    if gap <= TIE_TOL and angle_distance(theta, reduce_mod_pi(math.atan(cands[1][1])), math.pi) > TIE_TOL:
+        return math.nan, 0.0, UndefinedReason.OBJECTIVE_TIE
+    return theta, gap, 0
 
 
 def reference_lad_gap(points):
@@ -162,25 +141,26 @@ def reference_aug_mean(points, spec):
     rho = np.asarray(spec.weights) @ points + spec.w0 * np.asarray(spec.aug_point)
     norm = float(np.linalg.norm(rho))
     if norm <= TIE_TOL:
-        return EvalOutcome.undefined(UndefinedReason.ZERO_RESULTANT)
-    return EvalOutcome.of(CirclePoint(rho / norm), norm)
+        return math.nan, 0.0, UndefinedReason.ZERO_RESULTANT
+    u = rho / norm
+    return math.atan2(u[1], u[0]), norm, 0
 
 
 def reference_oscillator(x):
     """g(|x|) on the punctured unit ball, one branch at a time."""
     r = math.hypot(*x)
     if r == 0.0:
-        return EvalOutcome.undefined(UndefinedReason.ORIGIN)
+        return math.nan, 0.0, UndefinedReason.ORIGIN
     f = math.log(1.0 - math.log(min(r, 1.0)))
     n = math.floor(f)
-    return EvalOutcome.of(ScalarValue(f - n if n % 2 == 0 else (n + 1) - f), r)
+    return f - n if n % 2 == 0 else (n + 1) - f, r, 0
 
 
 def reference_standard(pts):
     """The calibration standard on one plane dataset, None off perfect fits:
     the line through the first most distant pair of points, when each
     point's cross product with it, over the span, is within PERFECT_FIT_TOL;
-    its atan2 direction, gap the span."""
+    its atan2 direction mod pi, gap the span."""
     pts = pts.tolist()
     pair, span2 = None, 0.0
     for i, j in itertools.product(range(len(pts)), repeat=2):
@@ -194,7 +174,7 @@ def reference_standard(pts):
     dx, dy, span = bx - ax, by - ay, math.sqrt(span2)
     if max(abs((x - ax) * dy - (y - ay) * dx) for x, y in pts) / span > PERFECT_FIT_TOL:
         return None
-    return EvalOutcome.of(LineDirection(math.atan2(dy, dx)), span)
+    return reduce_mod_pi(math.atan2(dy, dx)), span, 0
 
 
 REFERENCE = {MapKind.LS_LINE: reference_ls, MapKind.PC_LINE: reference_pc, MapKind.LAD_LINE: reference_lad}
@@ -253,42 +233,36 @@ def half_integer_grid(n):
     return _rows(n, st.integers(-8, 8).map(lambda v: v / 2.0))
 
 
-def assert_feature_close(got, want):
-    """Features within 1e-12 in the feature metric (mod the period for angles)."""
-    if isinstance(want, (LineDirection, CirclePoint)):
-        angle, period = _angle_of(want)
-        d = abs(_angle_of(got)[0] - angle) % period
-        assert min(d, period - d) <= 1e-12
-    else:
-        assert feature_distance(got, want) <= 1e-12
-
-
-def assert_close(got, want):
-    """Same reason; features as ``assert_feature_close`` and gaps within
-    1e-12 relative."""
-    assert got.reason == want.reason
-    if not want.defined:
+def assert_close(batch, i, want):
+    """Row i of a batch against a reference (value, gap, reason): the same
+    reason; where Defined, values within 1e-12 in the feature metric (mod
+    the period for angles) and gaps within 1e-12 relative."""
+    value, gap, reason = want
+    assert batch.reason[i] == reason
+    if reason:
         return
-    assert_feature_close(got.feature, want.feature)
-    assert abs(got.gap - want.gap) <= 1e-12 * max(1.0, want.gap)
+    if batch.period is None:
+        assert abs(batch.value[i] - value) <= 1e-12
+    else:
+        d = abs(batch.value[i] - value) % batch.period
+        assert min(d, batch.period - d) <= 1e-12
+    assert abs(batch.gap[i] - gap) <= 1e-12 * max(1.0, gap)
 
 
 def assert_rows_match(batch, outcomes):
-    assert batch.defined.tolist() == [o.defined for o in outcomes]
+    assert batch.defined.tolist() == [not reason for _, _, reason in outcomes]
     assert np.all(batch.gap[~batch.defined] == 0.0)
     for i, want in enumerate(outcomes):
-        assert_close(batch.outcome(i), want)
+        assert_close(batch, i, want)
 
 
 @PROPERTY
 @given(batches())
 def test_evaluate_batch_matches_scalar(points):
-    # the batch and its one-row case against the scalar reference fitters
+    # the batch against the scalar reference fitters
     for spec in FITTERS:
         outcomes = [REFERENCE[spec.kind](p) for p in points]
         assert_rows_match(evaluate_batch(spec, points), outcomes)
-        for p, want in zip(points, outcomes):
-            assert_close(evaluate(spec, PlaneDataset(p)), want)
 
 
 @PROPERTY
@@ -311,7 +285,7 @@ def test_disk_and_oscillator_batches_match_reference(rows):
     outcomes = []
     for p in x:
         d = math.hypot(p[0] - 0.1, p[1] + 0.2)
-        outcomes.append(EvalOutcome.of(Decision(1 if d < 0.5 else 0), abs(d - 0.5)))
+        outcomes.append((1 if d < 0.5 else 0, abs(d - 0.5), 0))
     assert_rows_match(evaluate_batch(disk, x), outcomes)
     oscillator = DataMapSpec(kind=MapKind.RADIAL_OSCILLATOR)
     assert_rows_match(evaluate_batch(oscillator, x), [reference_oscillator(p) for p in x])
@@ -341,7 +315,7 @@ def test_singular_distance_matches_reference_formulas(points, rows, w0):
     lam = np.linalg.eigvalsh(np.einsum("mni,mnj->mij", centered, centered) / points.shape[1])
     pc = distance(MapKind.PC_LINE, points)
     assert np.allclose(pc, (lam[:, 1] - lam[:, 0]) / 2.0, rtol=0.0, atol=1e-12 * max(1.0, lam.max()))
-    defined = np.array([reference_lad(p).defined for p in points])
+    defined = np.array([not reference_lad(p)[2] for p in points])
     lad = np.where(defined, reference_lad_gap(points), 0.0)
     assert np.array_equal(distance(MapKind.LAD_LINE, points).view(np.int64), lad.view(np.int64))
     phi = np.array(rows)
@@ -374,15 +348,15 @@ def test_lad_rows_match_reference_across_blocks(n):
     points = lad_block_batch(n, 2 * datamaps._block_rows(MapKind.LAD_LINE, (1, n, 2)) + 37, seed=n)
     spec = LAD
     outcomes = [reference_lad(p) for p in points]
-    reasons = {None, UndefinedReason.COLLINEAR_PREDICTOR}
+    reasons = {0, UndefinedReason.COLLINEAR_PREDICTOR}
     if n > 2:
         reasons.add(UndefinedReason.OBJECTIVE_TIE)
-    assert {o.reason for o in outcomes} >= reasons
+    assert {reason for _, _, reason in outcomes} >= reasons
     assert_rows_match(evaluate_batch(spec, points), outcomes)
     for start in range(4):
         for rows in (1, 2):
             assert_rows_match(evaluate_batch(spec, points[start:start + rows]), outcomes[start:start + rows])
-    defined = np.array([o.defined for o in outcomes])
+    defined = np.array([not reason for _, _, reason in outcomes])
     want = np.where(defined, reference_lad_gap(points), 0.0)
     got = SINGULAR_DISTANCE[MapKind.LAD_LINE][0](points, spec)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -772,27 +746,24 @@ def map_batches(draw):
 @given(map_batches())
 def test_batch_outcome_invariants(case):
     # finite nonnegative gaps; gap 0 and value NaN exactly on the undefined
-    # rows; every row a valid EvalOutcome (its constructor checks the rest)
-    # whose feature gives back the row's value: exactly, but for a circle
-    # point, whose angle comes back through (cos, sin)
+    # rows; the map's period, and Defined values in its feature space: line
+    # directions in [0, pi), circle angles in [-pi, pi], decision bits 0 or
+    # 1 and finite scalars
     spec, inputs = case
     batch = evaluate_batch(spec, inputs)
     undefined = batch.reason != 0
     assert np.all(np.isfinite(batch.gap)) and np.all(batch.gap >= 0.0)
     assert np.array_equal(np.isnan(batch.value), undefined)
     assert np.all(batch.gap[undefined] == 0.0)
-    field = {LineDirection: "theta", Decision: "bit", ScalarValue: "value"}.get(batch.feature)
-    for i in range(len(inputs)):
-        outcome = batch.outcome(i)
-        assert outcome.defined == (not undefined[i])
-        assert outcome.gap == batch.gap[i]
-        if undefined[i]:
-            continue
-        assert type(outcome.feature) is batch.feature
-        if field is None:
-            assert angle_distance(outcome.feature.angle, batch.value[i], 2.0 * math.pi) <= 1e-15
-        else:
-            assert getattr(outcome.feature, field) == batch.value[i]
+    value = batch.value[~undefined]
+    if spec.kind in REFERENCE:
+        assert batch.period == math.pi and np.all((0.0 <= value) & (value < math.pi))
+    elif spec.kind is MapKind.AUG_MEAN:
+        assert batch.period == 2.0 * math.pi and np.all(np.abs(value) <= math.pi)
+    else:
+        assert batch.period is None and np.all(np.isfinite(value))
+        if spec.kind is MapKind.DISK_DECISION:
+            assert set(value.tolist()) <= {0.0, 1.0}
 
 
 @st.composite
@@ -827,11 +798,11 @@ def concat_outcomes(parts, length=None):
     arrays = (np.concatenate([(b.value, b.gap, b.reason)[k] for b in parts]) for k in range(3))
     if length is not None:
         arrays = (np.resize(a, length) for a in arrays)
-    return BatchOutcome(*arrays, feature=parts[0].feature)
+    return BatchOutcome(*arrays, period=parts[0].period)
 
 
 def assert_outcomes_bit_equal(got, want):
-    assert got.feature is want.feature
+    assert got.period == want.period
     assert_bits_equal(got.value, want.value, "value")
     assert_bits_equal(got.gap, want.gap, "gap")
     assert np.array_equal(got.reason, want.reason)
@@ -870,8 +841,6 @@ def test_evaluate_with_standard_batch_matches_scalar(points):
     for spec in FITTERS:
         outcomes = [reference_standard(p) or REFERENCE[spec.kind](p) for p in points]
         assert_rows_match(evaluate_with_standard_batch(spec, points), outcomes)
-        for p, want in zip(points, outcomes):
-            assert_close(evaluate_with_standard(spec, PlaneDataset(p)), want)
 
 
 @PROPERTY
@@ -880,8 +849,6 @@ def test_standard_batch_matches_scalar(rows):
     points = np.stack(rows)
     outcomes = [reference_standard(p) for p in points]
     assert_rows_match(standard_batch(points), outcomes)
-    for p, want in zip(points, outcomes):
-        assert_feature_close(eval_perfect_fit_standard(PlaneDataset(p)), want.feature)
 
 
 def test_standard_batch_rejects_non_perfect_fits():
@@ -903,22 +870,20 @@ def test_degenerate_examples():
     for pts, kind, reason in cases:
         batch = evaluate_batch(DataMapSpec(kind=kind), np.array([pts], dtype=float))
         assert batch.reason[0] == (reason or 0)
-        assert batch.outcome(0) == evaluate(DataMapSpec(kind=kind), PlaneDataset(pts))
-        assert_close(batch.outcome(0), REFERENCE[kind](np.array(pts, dtype=float)))
+        assert_close(batch, 0, REFERENCE[kind](np.array(pts, dtype=float)))
 
 
 def test_line_angles_stay_below_pi():
     # a tiny negative angle mod pi rounds up to pi itself; it is direction 0
-    assert LineDirection(-1e-17).theta == 0.0
-    assert LineDirection(math.pi).theta == 0.0
-    assert LineDirection(-1e-15).theta == -1e-15 % math.pi < math.pi
+    assert reduce_mod_pi(-1e-17) == 0.0
+    assert reduce_mod_pi(math.pi) == 0.0
+    assert reduce_mod_pi(-1e-15) == -1e-15 % math.pi < math.pi
     got = reduce_mod_pi(np.array([-1e-17, -0.0, 0.0, math.pi, 4.0]))
     assert got.tolist() == [0.0, 0.0, 0.0, 0.0, 4.0 - math.pi]
-    # a fitted direction of slope -1e-17 is 0, in the kernel as in the feature
+    # a fitted direction of slope -1e-17 is 0
     points = np.array([[(0.0, 0.0), (1.0, -1e-17)]])
     for spec in FITTERS:
-        batch = evaluate_batch(spec, points)
-        assert batch.value[0] == 0.0 and batch.outcome(0).feature.theta == 0.0
+        assert evaluate_batch(spec, points).value[0] == 0.0
 
 
 unit_coords = st.floats(-1.0, 1.0)
@@ -967,40 +932,43 @@ _NEAR_ENDS = st.floats(0.0, 1e-12)
 
 @st.composite
 def feature_batches(draw):
-    """A BatchOutcome of one feature variant with duplicated values, angles
-    near 0 and near the period, and any number of Undefined rows."""
-    feature = draw(st.sampled_from([LineDirection, CirclePoint, Decision, ScalarValue]))
-    if feature is LineDirection:
+    """A BatchOutcome of one feature space (line directions, circle points,
+    decisions or scalars) with duplicated values, angles near 0 and near
+    the period, and any number of Undefined rows."""
+    space = draw(st.sampled_from(["line", "circle", "decision", "scalar"]))
+    if space == "line":
         pool = st.floats(0.0, math.pi) | _NEAR_ENDS | _NEAR_ENDS.map(lambda d: math.pi - d)
-    elif feature is CirclePoint:
+    elif space == "circle":
         pool = (st.floats(-math.pi, math.pi) | _NEAR_ENDS | _NEAR_ENDS.map(lambda d: -d)
                 | _NEAR_ENDS.map(lambda d: math.pi - d) | _NEAR_ENDS.map(lambda d: d - math.pi))
-    elif feature is Decision:
+    elif space == "decision":
         pool = st.sampled_from([0.0, 1.0])
     else:
         pool = st.floats(-5.0, 5.0)
     base = draw(st.lists(pool, min_size=1, max_size=12))
     values = np.array(draw(st.lists(st.sampled_from(base), min_size=1, max_size=40)))
-    if feature is LineDirection:
+    if space == "line":
         values = reduce_mod_pi(values)
     defined = np.array(draw(st.lists(st.booleans(), min_size=len(values), max_size=len(values))))
     return BatchOutcome(value=np.where(defined, values, np.nan), gap=np.where(defined, 1.0, 0.0),
-                        reason=np.where(defined, 0, 1).astype(np.int8), feature=feature)
+                        reason=np.where(defined, 0, 1).astype(np.int8),
+                        period={"line": math.pi, "circle": 2.0 * math.pi}.get(space))
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(feature_batches())
 def test_batch_diameter_matches_pairwise(batch):
-    features = [batch.outcome(i).feature for i in np.flatnonzero(batch.defined)]
+    values = batch.value[batch.defined].tolist()
     got = batch_diameter(batch)
-    if not features:
+    if not values:
         assert math.isnan(got)
         return
-    want = max((feature_distance(f, g) for f, g in itertools.combinations(features, 2)), default=0.0)
-    if batch.feature is CirclePoint:
-        # feature_distance takes angle_distance of the angles that
-        # atan2(sin v, cos v) rebuilds, each within ulp(pi) of v, and each
-        # side's mod-2pi arithmetic rounds by up to ulp(2pi) / 2 = ulp(pi)
+    period = batch.period
+    want = max((abs(f - g) if period is None else float(angle_distance(f, g, period))
+                for f, g in itertools.combinations(values, 2)), default=0.0)
+    if period == 2.0 * math.pi:
+        # each side's mod-2pi arithmetic rounds by up to ulp(2pi) / 2 =
+        # ulp(pi), and batch_diameter's on angles it first reduces mod 2pi
         assert abs(got - want) <= 4 * math.ulp(math.pi)
     else:
         assert abs(got - want) <= 4e-16
@@ -1009,21 +977,20 @@ def test_batch_diameter_matches_pairwise(batch):
 def test_batch_outcome_masks_its_undefined_rows():
     # a map states each row's reason once; the outcome masks value and gap
     batch = BatchOutcome(value=[0.3, 0.7], gap=[1.0, 2.0], reason=[0, UndefinedReason.ORIGIN],
-                         feature=LineDirection)
+                         period=math.pi)
     np.testing.assert_array_equal(batch.value, [0.3, np.nan])
     np.testing.assert_array_equal(batch.gap, [1.0, 0.0])
     assert batch.reason.dtype == np.int8
     np.testing.assert_array_equal(batch.reason, [0, 5])
-    assert batch.outcome(1).reason is UndefinedReason.ORIGIN
-    assert batch.outcome(0) == EvalOutcome.of(LineDirection(0.3), 1.0)
+    assert batch.defined.tolist() == [True, False] and batch.period == math.pi
 
 
 def test_batch_diameter_single_sample_and_all_undefined():
     one = BatchOutcome(value=np.array([np.nan, 0.3]), gap=np.array([0.0, 1.0]),
-                       reason=np.array([1, 0], dtype=np.int8), feature=LineDirection)
+                       reason=np.array([1, 0], dtype=np.int8), period=math.pi)
     assert batch_diameter(one) == 0.0
     none = BatchOutcome(value=np.array([np.nan]), gap=np.array([0.0]),
-                        reason=np.array([1], dtype=np.int8), feature=CirclePoint)
+                        reason=np.array([1], dtype=np.int8), period=2.0 * math.pi)
     assert math.isnan(batch_diameter(none))
 
 
@@ -1036,19 +1003,20 @@ def recursive_winding(points, fn):
     state = {"samples": 0, "min_gap": math.inf, "depth": 0}
 
     def eval_at(p):
-        outcome = fn(p[None]).outcome(0)
-        if not outcome.defined:
-            raise LoopHitsSingularityError(outcome.reason.name)
+        outcome = fn(p[None])
+        if outcome.reason[0]:
+            raise LoopHitsSingularityError(UndefinedReason(outcome.reason[0]).name)
         state["samples"] += 1
-        state["min_gap"] = min(state["min_gap"], outcome.gap)
-        return outcome.feature
+        state["min_gap"] = min(state["min_gap"], float(outcome.gap[0]))
+        state["period"] = outcome.period
+        return float(outcome.value[0])
 
     features = [eval_at(p) for p in points]
-    _, period = _angle_of(features[0])
+    period = state["period"]
 
     def lift_edge(p_a, f_a, p_b, f_b, depth):
-        if feature_distance(f_a, f_b) < STEP_FRACTION * period:
-            return _wrap_increment(_angle_of(f_b)[0] - _angle_of(f_a)[0], period)
+        if angle_distance(f_a, f_b, period) < STEP_FRACTION * period:
+            return _wrap_increment(f_b - f_a, period)
         if depth >= MAX_REFINE:
             raise InconclusiveDegreeError("edge not short-arc")
         state["depth"] = max(state["depth"], depth + 1)
@@ -1075,10 +1043,10 @@ def wobbly_map(k, singularity, wobble, circle_valued):
         t = np.arctan2(v[:, 1], v[:, 0])
         phase = k * t + wobble * np.sin(3.0 * t)
         if circle_valued:
-            value, feature = np.arctan2(np.sin(phase), np.cos(phase)), CirclePoint
+            value, period = np.arctan2(np.sin(phase), np.cos(phase)), 2.0 * math.pi
         else:
-            value, feature = reduce_mod_pi(0.5 * phase), LineDirection
-        return BatchOutcome(value=value, gap=r, reason=np.where(r == 0.0, UndefinedReason.ORIGIN, 0), feature=feature)
+            value, period = reduce_mod_pi(0.5 * phase), math.pi
+        return BatchOutcome(value=value, gap=r, reason=np.where(r == 0.0, UndefinedReason.ORIGIN, 0), period=period)
 
     return fn
 
@@ -1116,10 +1084,8 @@ def test_slice_map_rows_equal_pointwise_evaluate():
     assert (np.linalg.norm(us, axis=1) <= 1.0).any() and (np.linalg.norm(us, axis=1) > 1.0).any()
     for spec in FITTERS:
         batch = slice_map(SLICE, spec)(us)
-        rows = [evaluate(spec, SLICE.dataset_at(u, allow_outside_disk=True)) for u in us]
-        value = np.array([row.feature.theta if row.defined else np.nan for row in rows])
-        reason = np.array([row.reason or 0 for row in rows])
-        assert_bits_equal(batch.value, value, spec.kind.value)
-        assert_bits_equal(batch.gap, np.array([row.gap for row in rows]), spec.kind.value)
-        np.testing.assert_array_equal(batch.reason, reason)
-        assert batch.feature is LineDirection
+        rows = [evaluate_batch(spec, SLICE.dataset_at(u, allow_outside_disk=True).points[None]) for u in us]
+        assert_bits_equal(batch.value, np.concatenate([row.value for row in rows]), spec.kind.value)
+        assert_bits_equal(batch.gap, np.concatenate([row.gap for row in rows]), spec.kind.value)
+        np.testing.assert_array_equal(batch.reason, np.concatenate([row.reason for row in rows]))
+        assert batch.period == math.pi

@@ -122,19 +122,29 @@ def test_os_errors_exit_by_stage(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("internal error: FileNotFoundError")
 
 
+def refuse_one_row_batches(monkeypatch):
+    """evaluate_batch, wherever the package calls it, made to fail on a
+    one-row batch: per-sample evaluation would make such calls."""
+    evaluate_batch = singlab.datamaps.evaluate_batch
+
+    def whole_batches_only(spec, inputs):
+        if len(inputs) == 1:
+            raise AssertionError("one-row evaluation on a batched path")
+        return evaluate_batch(spec, inputs)
+
+    for module in (singlab.datamaps, singlab.metrics, singlab.slices):
+        monkeypatch.setattr(module, "evaluate_batch", whole_batches_only)
+
+
 def test_certify_commands_stay_batched(tmp_path, monkeypatch):
     # localize, winding and lfplot evaluate whole batches and read their
-    # results off the arrays: a fall back to per-sample evaluation, slice
-    # embedding or outcome objects would hit these
+    # results off the arrays: a fall back to per-sample evaluation or slice
+    # embedding would hit these
     def scalar_path(*args, **kwargs):
         raise AssertionError("scalar evaluation on a batched path")
 
-    scalar_evaluate = singlab.datamaps.evaluate
-    for module in (singlab.datamaps, singlab.cli, singlab.metrics, singlab.slices, singlab.topology):
-        if getattr(module, "evaluate", None) is scalar_evaluate:
-            monkeypatch.setattr(module, "evaluate", scalar_path)
+    refuse_one_row_batches(monkeypatch)
     monkeypatch.setattr(singlab.slices.SliceSpec, "dataset_at", scalar_path)
-    monkeypatch.setattr(singlab.datamaps.BatchOutcome, "outcome", scalar_path)
     runs = [
         (["localize", "--map", "pc", "--eps", "0.01"], EXIT_OK),
         (["localize", "--map", "lad", "--eps", "0.01"], EXIT_INCONCLUSIVE),
@@ -148,16 +158,8 @@ def test_certify_commands_stay_batched(tmp_path, monkeypatch):
 
 def test_oscillate_and_severity_stay_batched(tmp_path, monkeypatch):
     # oscillation evaluates each radius's samples as one batch and takes the
-    # diameter on arrays: per-sample evaluation or pairwise feature
-    # distances would hit these
-    def scalar_path(*args, **kwargs):
-        raise AssertionError("per-sample work on a batched path")
-
-    scalar_evaluate = singlab.datamaps.evaluate
-    for module in (singlab.datamaps, singlab.cli, singlab.metrics):
-        if getattr(module, "evaluate", None) is scalar_evaluate:
-            monkeypatch.setattr(module, "evaluate", scalar_path)
-    monkeypatch.setattr(singlab.metrics, "feature_distance", scalar_path, raising=False)
+    # diameter on arrays: per-sample evaluation would hit this
+    refuse_one_row_batches(monkeypatch)
     assert run(["oscillate", "--map", "pc"], tmp_path) == EXIT_OK
     assert run(["severity", "--map", "lad"], tmp_path) == EXIT_OK
     profile = json.loads((tmp_path / "severity.json").read_text())["result"]["profile"]
@@ -171,10 +173,7 @@ def test_refine_commands_stay_batched(tmp_path, monkeypatch):
     def scalar_path(*args, **kwargs):
         raise AssertionError("scalar evaluation on a batched path")
 
-    scalar_evaluate = singlab.datamaps.evaluate
-    for module in (singlab.datamaps, singlab.cli, singlab.metrics, singlab.slices, singlab.topology):
-        if getattr(module, "evaluate", None) is scalar_evaluate:
-            monkeypatch.setattr(module, "evaluate", scalar_path)
+    refuse_one_row_batches(monkeypatch)
     monkeypatch.setattr(singlab.slices.SliceSpec, "dataset_at", scalar_path)
     for m in ("pc", "lad", "synthetic"):
         assert run(["derivprofile", "--map", m, "--eta-count", "13"], tmp_path) == EXIT_OK, m

@@ -7,29 +7,20 @@ import pytest
 
 from singlab.datamaps import (
     DataMapSpec,
-    EvalOutcome,
     MapKind,
     NotPerfectFitError,
     UndefinedReason,
     concentrated_preset,
-    eval_perfect_fit_standard,
-    evaluate,
     evaluate_batch,
-    evaluate_with_standard,
+    evaluate_with_standard_batch,
     oscillator_f,
     oscillator_g,
     oscillator_g_prime_abs,
     oscillator_t,
+    standard_batch,
     uniform_preset,
 )
-from singlab.geometry import (
-    CircleDataset,
-    ContractViolation,
-    DomainError,
-    LineDirection,
-    PlaneDataset,
-    feature_distance,
-)
+from singlab.geometry import ContractViolation, DomainError, PlaneDataset, angle_distance
 
 from oracles import LAD, LS, PC
 
@@ -51,28 +42,28 @@ def rotate(dataset: PlaneDataset, phi: float) -> PlaneDataset:
 # ---------------------------------------------------------------------------
 
 def test_ls_perfect_diagonal():
-    out = evaluate(LS, PlaneDataset([(0, 0), (1, 1), (2, 2), (3, 3)]))
-    assert out.defined
-    assert abs(out.feature.theta - math.pi / 4) < 1e-12
-    assert abs(out.gap - math.sqrt(5)) < 1e-12
+    out = evaluate_batch(LS, [[(0, 0), (1, 1), (2, 2), (3, 3)]])
+    assert out.defined[0]
+    assert abs(out.value[0] - math.pi / 4) < 1e-12
+    assert abs(out.gap[0] - math.sqrt(5)) < 1e-12
 
 
 def test_ls_vertical_undefined():
-    out = evaluate(LS, PlaneDataset([(1, 0), (1, 1), (1, 2)]))
-    assert not out.defined
-    assert out.reason is UndefinedReason.COLLINEAR_PREDICTOR
-    assert out.gap == 0.0
+    out = evaluate_batch(LS, [[(1, 0), (1, 1), (1, 2)]])
+    assert not out.defined[0]
+    assert out.reason[0] == UndefinedReason.COLLINEAR_PREDICTOR
+    assert out.gap[0] == 0.0
 
 
 def test_ls_normal_equations():
-    out = evaluate(LS, PlaneDataset([(0, 0), (1, 0), (2, 1)]))
-    assert abs(out.feature.theta - math.atan(0.5)) < 1e-12
-    assert abs(out.gap - math.sqrt(2)) < 1e-12
+    out = evaluate_batch(LS, [[(0, 0), (1, 0), (2, 1)]])
+    assert abs(out.value[0] - math.atan(0.5)) < 1e-12
+    assert abs(out.gap[0] - math.sqrt(2)) < 1e-12
 
 
 def test_ls_needs_two_points():
     with pytest.raises(ContractViolation):
-        evaluate(LS, PlaneDataset([(0, 0)]))
+        evaluate_batch(LS, [[(0, 0)]])
 
 
 # ---------------------------------------------------------------------------
@@ -80,29 +71,29 @@ def test_ls_needs_two_points():
 # ---------------------------------------------------------------------------
 
 def test_pc_horizontal():
-    out = evaluate(PC, PlaneDataset([(1, 0), (-1, 0), (0, 0)]))
-    assert out.defined
-    assert out.feature.theta == 0.0
-    assert abs(out.gap - 2 / 3) < 1e-12
+    out = evaluate_batch(PC, [[(1, 0), (-1, 0), (0, 0)]])
+    assert out.defined[0]
+    assert out.value[0] == 0.0
+    assert abs(out.gap[0] - 2 / 3) < 1e-12
 
 
 def test_pc_equilateral_tie():
-    out = evaluate(PC, EQUILATERAL)
-    assert not out.defined
-    assert out.reason is UndefinedReason.EIGENVALUE_TIE
+    out = evaluate_batch(PC, EQUILATERAL.points[None])
+    assert not out.defined[0]
+    assert out.reason[0] == UndefinedReason.EIGENVALUE_TIE
 
 
 def test_pc_against_lapack_oracle():
     pts = np.array([(0, 0), (2, 0), (0, 1)], dtype=float)
-    out = evaluate(PC, PlaneDataset(pts))
+    out = evaluate_batch(PC, pts[None])
     centered = pts - pts.mean(axis=0)
     cov = centered.T @ centered / 3
     evals, evecs = np.linalg.eigh(cov)
     lead = evecs[:, -1]
-    assert abs(out.gap - (evals[1] - evals[0])) < 1e-12
-    assert feature_distance(out.feature, LineDirection(math.atan2(lead[1], lead[0]))) < 1e-12
+    assert abs(out.gap[0] - (evals[1] - evals[0])) < 1e-12
+    assert angle_distance(out.value[0], math.atan2(lead[1], lead[0]), math.pi) < 1e-12
     # closed form: gap = 2 sqrt(13) / 9 for this configuration
-    assert abs(out.gap - 2 * math.sqrt(13) / 9) < 1e-12
+    assert abs(out.gap[0] - 2 * math.sqrt(13) / 9) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -121,71 +112,76 @@ def lad_grid_oracle(points, lim=3.0, steps=401):
 
 
 def test_lad_enumeration_example():
-    out = evaluate(LAD, PlaneDataset([(0, 0), (1, 0), (2, 1)]))
-    assert out.defined
-    assert abs(out.feature.theta - math.atan(0.5)) < 1e-12
-    assert abs(out.gap - 0.5) < 1e-12
+    out = evaluate_batch(LAD, [[(0, 0), (1, 0), (2, 1)]])
+    assert out.defined[0]
+    assert abs(out.value[0] - math.atan(0.5)) < 1e-12
+    assert abs(out.gap[0] - 0.5) < 1e-12
     # grid oracle confirms the enumerated optimum
     assert abs(lad_grid_oracle([(0, 0), (1, 0), (2, 1)]) - 0.5) < 2e-2
 
 
 def test_lad_collinear_perfect_fit():
-    out = evaluate(LAD, PlaneDataset([(0, 1), (1, 4), (2, 7)]))
-    assert out.defined
-    assert abs(out.feature.theta - math.atan(3)) < 1e-12
-    assert out.gap == 0.0  # all candidates are the same line
+    out = evaluate_batch(LAD, [[(0, 1), (1, 4), (2, 7)]])
+    assert out.defined[0]
+    assert abs(out.value[0] - math.atan(3)) < 1e-12
+    assert out.gap[0] == 0.0  # all candidates are the same line
 
 
 def test_lad_v_configuration_is_defined():
     # The symmetric V has a unique optimum: the horizontal line through the
     # two top points wins (objective 1 versus 2 for the mirror candidates),
     # confirmed by the dense grid oracle.
-    out = evaluate(LAD, PlaneDataset([(-1, 1), (0, 0), (1, 1)]))
-    assert out.defined
-    assert out.feature.theta == 0.0
-    assert abs(out.gap - 1.0) < 1e-12
+    out = evaluate_batch(LAD, [[(-1, 1), (0, 0), (1, 1)]])
+    assert out.defined[0]
+    assert out.value[0] == 0.0
+    assert abs(out.gap[0] - 1.0) < 1e-12
     assert abs(lad_grid_oracle([(-1, 1), (0, 0), (1, 1)]) - 1.0) < 2e-2
 
 
 def test_lad_objective_tie():
     # two candidates with equal objective and different directions
-    out = evaluate(LAD, PlaneDataset([(0, 0), (1, 1), (1, -1)]))
-    assert not out.defined
-    assert out.reason is UndefinedReason.OBJECTIVE_TIE
+    out = evaluate_batch(LAD, [[(0, 0), (1, 1), (1, -1)]])
+    assert not out.defined[0]
+    assert out.reason[0] == UndefinedReason.OBJECTIVE_TIE
 
 
 def test_lad_all_vertical():
-    out = evaluate(LAD, PlaneDataset([(1, 0), (1, 1), (1, 2)]))
-    assert not out.defined
-    assert out.reason is UndefinedReason.COLLINEAR_PREDICTOR
+    out = evaluate_batch(LAD, [[(1, 0), (1, 1), (1, 2)]])
+    assert not out.defined[0]
+    assert out.reason[0] == UndefinedReason.COLLINEAR_PREDICTOR
 
 
 # ---------------------------------------------------------------------------
-# Augmented mean
+# Augmented mean, on the angles of circle points
 # ---------------------------------------------------------------------------
+
+def unit(angle):
+    """The circle point of an angle, (cos, sin)."""
+    return [math.cos(angle), math.sin(angle)]
+
 
 def test_augmented_mean_seventeen_points():
     spec = DataMapSpec(kind=MapKind.AUG_MEAN, weights=(1.0,) * 17, w0=0.5)
-    out = evaluate(spec, CircleDataset([(0.0, 1.0)] * 17))
-    assert out.defined
-    # the map reads angles, and cos(pi / 2) is 6.1e-17 in floating point
-    np.testing.assert_allclose(out.feature.u, [0.0, 1.0], atol=1e-15)
-    assert abs(out.gap - 16.5) < 1e-12
+    out = evaluate_batch(spec, [[math.pi / 2] * 17])
+    assert out.defined[0]
+    # cos(pi / 2) is 6.1e-17 in floating point
+    np.testing.assert_allclose(unit(out.value[0]), [0.0, 1.0], atol=1e-15)
+    assert abs(out.gap[0] - 16.5) < 1e-12
 
 
 def test_augmented_mean_cancellation():
     spec = DataMapSpec(kind=MapKind.AUG_MEAN, weights=(1.0,), w0=1.0)
-    out = evaluate(spec, CircleDataset([(0.0, 1.0)]))
-    assert not out.defined
-    assert out.reason is UndefinedReason.ZERO_RESULTANT
+    out = evaluate_batch(spec, [[math.pi / 2]])
+    assert not out.defined[0]
+    assert out.reason[0] == UndefinedReason.ZERO_RESULTANT
 
 
 def test_augmented_mean_horizontal_pair():
     spec = DataMapSpec(kind=MapKind.AUG_MEAN, weights=(1.0, 1.0), w0=0.5)
-    out = evaluate(spec, CircleDataset([(1.0, 0.0), (-1.0, 0.0)]))
-    assert out.defined
-    np.testing.assert_allclose(out.feature.u, [0.0, -1.0], atol=1e-15)
-    assert abs(out.gap - 0.5) < 1e-12
+    out = evaluate_batch(spec, [[0.0, math.pi]])
+    assert out.defined[0]
+    np.testing.assert_allclose(unit(out.value[0]), [0.0, -1.0], atol=1e-15)
+    assert abs(out.gap[0] - 0.5) < 1e-12
 
 
 def test_aug_mean_spec_validation():
@@ -257,13 +253,12 @@ def test_evaluate_batch_refuses_non_finite_inputs(spec, row, bad):
 
 def test_disk_decision_examples():
     spec = DataMapSpec(kind=MapKind.DISK_DECISION, center=(0.0, 0.0), radius=0.5)
-    center = evaluate(spec, (0, 0))
-    assert center.feature.bit == 1 and center.gap == 0.5
-    boundary = evaluate(spec, (0.5, 0))
-    assert boundary.feature.bit == 0 and boundary.gap == 0.0
-    outside = evaluate(spec, (1, 1))
-    assert outside.feature.bit == 0
-    assert abs(outside.gap - (math.sqrt(2) - 0.5)) < 1e-12
+    out = evaluate_batch(spec, [(0, 0), (0.5, 0), (1, 1)])
+    assert out.defined.all() and out.period is None
+    assert out.value[0] == 1 and out.gap[0] == 0.5  # the center
+    assert out.value[1] == 0 and out.gap[1] == 0.0  # the boundary
+    assert out.value[2] == 0  # outside
+    assert abs(out.gap[2] - (math.sqrt(2) - 0.5)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -297,12 +292,11 @@ def test_oscillator_range_and_derivative():
 
 
 def test_oscillator_eval():
-    out = evaluate(OSCILLATOR, np.array([1.0, 0.0]))
-    assert out.defined and out.feature.value == 0.0 and out.gap == 1.0
-    origin = evaluate(OSCILLATOR, np.array([0.0, 0.0]))
-    assert not origin.defined and origin.reason is UndefinedReason.ORIGIN
+    out = evaluate_batch(OSCILLATOR, [[1.0, 0.0], [0.0, 0.0]])
+    assert out.defined[0] and out.value[0] == 0.0 and out.gap[0] == 1.0 and out.period is None
+    assert not out.defined[1] and out.reason[1] == UndefinedReason.ORIGIN
     with pytest.raises(DomainError):
-        evaluate(OSCILLATOR, np.array([1.5, 0.0]))
+        evaluate_batch(OSCILLATOR, [[1.5, 0.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -310,30 +304,21 @@ def test_oscillator_eval():
 # ---------------------------------------------------------------------------
 
 def test_perfect_fit_standard_examples():
-    assert eval_perfect_fit_standard(PlaneDataset([(-1, 0), (0, 0), (1, 0)])).theta == 0.0
-    vert = eval_perfect_fit_standard(PlaneDataset([(0, -1), (0, 0), (0, 1)]))
-    assert abs(vert.theta - math.pi / 2) < 1e-15
-    common = eval_perfect_fit_standard(CircleDataset([(0.0, 1.0)] * 5))
-    np.testing.assert_allclose(common.u, [0.0, 1.0])
+    out = standard_batch([[(-1, 0), (0, 0), (1, 0)], [(0, -1), (0, 0), (0, 1)]])
+    assert out.value[0] == 0.0
+    assert abs(out.value[1] - math.pi / 2) < 1e-15
+    assert out.period == math.pi
     with pytest.raises(NotPerfectFitError):
-        eval_perfect_fit_standard(PlaneDataset([(0, 0), (1, 1), (2, 1)]))
+        standard_batch([[(0, 0), (1, 1), (2, 1)]])
     with pytest.raises(NotPerfectFitError):
-        eval_perfect_fit_standard(PlaneDataset([(1, 1), (1, 1), (1, 1)]))  # no unique line
+        standard_batch([[(1, 1), (1, 1), (1, 1)]])  # no unique line
 
 
 def test_augmented_mean_is_not_patched_at_circle_perfect_fits():
     # the raw augmented mean is continuous through a circle perfect fit; the
     # standard there (the common point, with its own gap) would make it jump
-    spec = uniform_preset(3)
-    for phi in ((0.0, 0.0, 0.0), (0.0, 0.0, 1e-9)):
-        ds = CircleDataset(np.stack([np.cos(phi), np.sin(phi)], axis=1))
-        patched, raw = evaluate_with_standard(spec, ds), evaluate(spec, ds)
-        assert (patched.feature.angle, patched.gap) == (raw.feature.angle, raw.gap)
-        assert abs(patched.feature.angle + 0.165149) < 1e-6 and abs(patched.gap - 3.0414) < 1e-4
-    # the standard itself still answers with the data's own point
-    assert eval_perfect_fit_standard(CircleDataset([(0.0, 1.0)] * 5)).u.tolist() == [0.0, 1.0]
-    with pytest.raises(NotPerfectFitError):
-        eval_perfect_fit_standard(CircleDataset([(0.0, 1.0), (1.0, 0.0)]))
+    out = evaluate_batch(uniform_preset(3), [(0.0, 0.0, 0.0), (0.0, 0.0, 1e-9)])
+    assert np.all(np.abs(out.value + 0.165149) < 1e-6) and np.all(np.abs(out.gap - 3.0414) < 1e-4)
 
 
 def random_collinear(rng, n=3, force_theta=None):
@@ -351,23 +336,17 @@ def test_calibration_all_fitters():
     # collinear data, including exactly vertical lines; the raw formulas
     # agree wherever the abscissae are distinct
     rng = np.random.default_rng(11)
-    specs = (LS, PC, LAD)
-    for trial in range(300):
-        force = None
-        if trial % 10 == 0:
-            force = math.pi / 2  # exact vertical
-        elif trial % 10 == 5:
-            force = 0.0
-        ds, theta = random_collinear(rng, force_theta=force)
-        sigma = eval_perfect_fit_standard(ds)
-        for spec in specs:
-            out = evaluate_with_standard(spec, ds)
-            assert out.defined, (spec.kind, ds.points)
-            assert feature_distance(out.feature, sigma) <= 1e-9
-            if force != math.pi / 2:
-                raw = evaluate(spec, ds)
-                assert raw.defined
-                assert feature_distance(raw.feature, sigma) <= 1e-9
+    forced = [math.pi / 2 if trial % 10 == 0 else 0.0 if trial % 10 == 5 else None for trial in range(300)]
+    points = np.stack([random_collinear(rng, force_theta=force)[0].points for force in forced])
+    vertical = np.array([force == math.pi / 2 for force in forced])  # exact vertical
+    sigma = standard_batch(points).value
+    for spec in (LS, PC, LAD):
+        out = evaluate_with_standard_batch(spec, points)
+        assert out.defined.all(), (spec.kind, points[~out.defined])
+        assert np.all(angle_distance(out.value, sigma, math.pi) <= 1e-9)
+        raw = evaluate_batch(spec, points[~vertical])
+        assert raw.defined.all()
+        assert np.all(angle_distance(raw.value, sigma[~vertical], math.pi) <= 1e-9)
 
 
 def test_continuity_off_singular_set():
@@ -377,27 +356,26 @@ def test_continuity_off_singular_set():
     for spec in (LS, PC, LAD):
         checked = 0
         while checked < 250:
-            ds = PlaneDataset(rng.standard_normal((4, 2)))
-            out = evaluate(spec, ds)
-            if not out.defined or out.gap <= 0.1:
+            pts = rng.standard_normal((4, 2))
+            out = evaluate_batch(spec, pts[None])
+            if not out.defined[0] or out.gap[0] <= 0.1:
                 continue
             pert = rng.standard_normal((4, 2))
             pert *= 1e-6 / np.linalg.norm(pert)
-            out2 = evaluate(spec, PlaneDataset(ds.points + pert))
-            assert out2.defined
-            assert feature_distance(out.feature, out2.feature) <= 1e-3
+            out2 = evaluate_batch(spec, (pts + pert)[None])
+            assert out2.defined[0]
+            assert angle_distance(out.value[0], out2.value[0], math.pi) <= 1e-3
             checked += 1
     aug = uniform_preset(4)
     checked = 0
     while checked < 250:
         ang = rng.uniform(0, 2 * math.pi, 4)
-        ds = CircleDataset(np.stack([np.cos(ang), np.sin(ang)], axis=1))
-        out = evaluate(aug, ds)
-        if not out.defined or out.gap <= 0.1:
+        out = evaluate_batch(aug, ang[None])
+        if not out.defined[0] or out.gap[0] <= 0.1:
             continue
         ang2 = ang + rng.standard_normal(4) * 1e-7
-        out2 = evaluate(aug, CircleDataset(np.stack([np.cos(ang2), np.sin(ang2)], axis=1)))
-        assert feature_distance(out.feature, out2.feature) <= 1e-3
+        out2 = evaluate_batch(aug, ang2[None])
+        assert angle_distance(out.value[0], out2.value[0], 2 * math.pi) <= 1e-3
         checked += 1
 
 
@@ -409,19 +387,18 @@ def test_rotation_equivariance():
         phi = rng.uniform(0, math.pi)
         rotated = rotate(ds, phi)
         for spec in (LS, PC, LAD):
-            f0 = evaluate_with_standard(spec, ds).feature
-            f1 = evaluate_with_standard(spec, rotated).feature
-            assert feature_distance(LineDirection(f0.theta + phi), f1) <= 1e-9
+            f0, f1 = evaluate_with_standard_batch(spec, [ds.points, rotated.points]).value
+            assert angle_distance(f0 + phi, f1, math.pi) <= 1e-9
     # PC is rotation-equivariant on all defined inputs
     for _ in range(200):
         ds = PlaneDataset(rng.standard_normal((4, 2)))
-        out = evaluate(PC, ds)
-        if not out.defined:
+        out = evaluate_batch(PC, ds.points[None])
+        if not out.defined[0]:
             continue
         phi = rng.uniform(0, math.pi)
-        out_r = evaluate(PC, rotate(ds, phi))
-        assert out_r.defined
-        assert feature_distance(LineDirection(out.feature.theta + phi), out_r.feature) <= 1e-9
+        out_r = evaluate_batch(PC, rotate(ds, phi).points[None])
+        assert out_r.defined[0]
+        assert angle_distance(out.value[0] + phi, out_r.value[0], math.pi) <= 1e-9
 
 
 def test_gap_zero_iff_on_singular_surface():
@@ -432,33 +409,20 @@ def test_gap_zero_iff_on_singular_surface():
         (LAD, PlaneDataset([(0, 0), (1, 1), (1, -1)])),
     ]
     for spec, ds in on_surface:
-        out = evaluate(spec, ds)
-        assert not out.defined and out.gap == 0.0
+        out = evaluate_batch(spec, ds.points[None])
+        assert not out.defined[0] and out.gap[0] == 0.0
     zero = DataMapSpec(kind=MapKind.AUG_MEAN, weights=(1.0,), w0=1.0)
-    out = evaluate(zero, CircleDataset([(0.0, 1.0)]))
-    assert not out.defined and out.gap == 0.0
+    out = evaluate_batch(zero, [[math.pi / 2]])
+    assert not out.defined[0] and out.gap[0] == 0.0
     # generic datasets are Defined with strictly positive gap
     rng = np.random.default_rng(14)
-    for _ in range(200):
-        ds = PlaneDataset(rng.standard_normal((4, 2)))
-        for spec in (LS, PC, LAD):
-            out = evaluate(spec, ds)
-            assert out.defined and out.gap > 0.0
-
-
-def test_outcome_contract():
-    with pytest.raises(ContractViolation):
-        EvalOutcome(feature=None, gap=0.0, reason=None)
-    with pytest.raises(ContractViolation):
-        EvalOutcome(feature=LineDirection(0), gap=-1.0)
-    with pytest.raises(ContractViolation):
-        EvalOutcome(feature=None, gap=0.5, reason=UndefinedReason.ORIGIN)
-
+    points = rng.standard_normal((200, 4, 2))
+    for spec in (LS, PC, LAD):
+        out = evaluate_batch(spec, points)
+        assert out.defined.all() and np.all(out.gap > 0.0)
 
 
 @pytest.mark.parametrize("make, error, message", [
-    pytest.param(lambda: EvalOutcome(feature=LineDirection(0.0), gap=0.0, reason=UndefinedReason.ORIGIN),
-                 ContractViolation, "defined outcome cannot carry a reason", id="outcome-feature-and-reason"),
     pytest.param(lambda: DataMapSpec(kind=MapKind.AUG_MEAN, w0=0.5),
                  ContractViolation, "AUG_MEAN needs weights and w0", id="aug-mean-without-weights"),
     pytest.param(lambda: DataMapSpec(kind=MapKind.AUG_MEAN, weights=(1.0, 1.0)),
@@ -470,8 +434,8 @@ def test_outcome_contract():
                  id="g-prime-at-0"),
     pytest.param(lambda: oscillator_g_prime_abs(1.5), DomainError, "g' is defined on (0, 1], got 1.5",
                  id="g-prime-above-1"),
-    pytest.param(lambda: eval_perfect_fit_standard(np.zeros((3, 2))),
-                 ContractViolation, "no perfect-fit standard for ndarray", id="standard-of-a-non-dataset"),
+    pytest.param(lambda: standard_batch(np.zeros((3, 2))), ContractViolation,
+                 "a plane dataset batch has shape (m, n, 2), got (3, 2)", id="standard-of-a-non-dataset"),
 ])
 def test_datamaps_refuse_bad_input_by_name(make, error, message):
     with pytest.raises(error) as raised:

@@ -6,21 +6,17 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from singlab.datamaps import DataMapSpec, MapKind, eval_perfect_fit_standard, evaluate, uniform_preset
+from singlab.datamaps import DataMapSpec, MapKind
 from singlab.geometry import (
     CircleDataset,
-    CirclePoint,
     ContractViolation,
-    Decision,
     DegenerateSegmentError,
     DomainError,
-    LineDirection,
     PlaneDataset,
-    ScalarValue,
     angle_distance,
-    feature_distance,
     loglog_fit,
     omega_s,
+    reduce_mod_pi,
     segment_average_norm,
     wrap_increments,
 )
@@ -63,30 +59,27 @@ def test_dataset_validation():
 
 
 def test_feature_distance_examples():
-    assert feature_distance(LineDirection(0.1), LineDirection(0.1)) == 0.0
-    assert abs(feature_distance(LineDirection(0), LineDirection(3 * math.pi / 4)) - math.pi / 4) < 1e-15
-    assert feature_distance(Decision(0), Decision(1)) == 1.0
-    assert feature_distance(Decision(1), Decision(1)) == 0.0
-    assert abs(feature_distance(CirclePoint((1, 0)), CirclePoint((0, 1))) - math.pi / 2) < 1e-12
-    assert feature_distance(ScalarValue(0.25), ScalarValue(1.0)) == 0.75
-    with pytest.raises(ContractViolation):
-        feature_distance(LineDirection(0), Decision(0))
+    # line directions are angles mod pi, circle points angles mod 2 pi
+    assert angle_distance(0.1, 0.1, math.pi) == 0.0
+    assert abs(angle_distance(0.0, 3 * math.pi / 4, math.pi) - math.pi / 4) < 1e-15
+    assert abs(angle_distance(0.0, math.pi / 2, 2 * math.pi) - math.pi / 2) < 1e-12
 
 
 @pytest.mark.parametrize("t", [1e-9, 1e-7, 1e-5])
 @pytest.mark.parametrize("base", [0.0, 0.7, -2.0])
 def test_circle_distances_keep_their_digits_near_zero(base, t):
     # arccos of a dot product reads 1.49e-8 for points 1e-9 apart; the
-    # difference of their angles is exact to the last bits
-    def unit(a):
-        return (math.cos(a), math.sin(a))
+    # difference of their angles, as atan2 reads them back from the
+    # points, is exact to the last bits
+    def angle(a):
+        return math.atan2(math.sin(a), math.cos(a))
 
-    assert abs(feature_distance(CirclePoint(unit(base)), CirclePoint(unit(base + t))) - t) <= 1e-15
+    assert abs(angle_distance(angle(base), angle(base + t), 2 * math.pi) - t) <= 1e-15
 
 
 def test_line_direction_reduced_mod_pi():
-    assert abs(LineDirection(math.pi + 0.3).theta - 0.3) < 1e-12
-    assert abs(LineDirection(-0.3).theta - (math.pi - 0.3)) < 1e-12
+    assert abs(reduce_mod_pi(math.pi + 0.3) - 0.3) < 1e-12
+    assert abs(reduce_mod_pi(-0.3) - (math.pi - 0.3)) < 1e-12
 
 
 def test_wrapped_step_length_is_angle_distance():
@@ -105,13 +98,11 @@ def test_wrapped_step_length_is_angle_distance():
 
 def test_metric_axioms_line_directions():
     rng = np.random.default_rng(5)
-    thetas = rng.uniform(-10, 10, size=(10_000, 3))
-    for t1, t2, t3 in thetas:
-        f1, f2, f3 = LineDirection(t1), LineDirection(t2), LineDirection(t3)
-        d12 = feature_distance(f1, f2)
-        d21 = feature_distance(f2, f1)
-        assert d12 == d21
-        assert d12 <= feature_distance(f1, f3) + feature_distance(f3, f2) + 1e-12
+    t1, t2, t3 = reduce_mod_pi(rng.uniform(-10, 10, size=(10_000, 3))).T
+    d12 = angle_distance(t1, t2, math.pi)
+    d21 = angle_distance(t2, t1, math.pi)
+    assert np.array_equal(d12, d21)
+    assert np.all(d12 <= angle_distance(t1, t3, math.pi) + angle_distance(t3, t2, math.pi) + 1e-12)
 
 
 def test_omega_closed_forms():
@@ -205,9 +196,8 @@ def test_segment_primitives_call_no_blas(monkeypatch):
 
 
 def test_unit_norms_call_no_blas(monkeypatch):
-    # the unit-norm checks and the all-equal circle dataset's standard add
-    # their squares by math.fsum: np.dot, and an np.linalg.norm over the
-    # whole array (a BLAS dot), refuse to run here
+    # the unit-norm check adds its squares by math.fsum: np.dot, and an
+    # np.linalg.norm over the whole array (a BLAS dot), refuse to run here
     def refuse(*args, **kwargs):
         raise AssertionError("BLAS call")
 
@@ -222,9 +212,6 @@ def test_unit_norms_call_no_blas(monkeypatch):
     monkeypatch.setattr(np.linalg, "norm", norm_along_axis)
     spec = DataMapSpec(kind=MapKind.AUG_MEAN, weights=(1.0, 1.0), w0=0.5, aug_point=(0.6, 0.8))
     assert spec.aug_point == (0.6, 0.8)
-    assert CirclePoint((0.6, 0.8)).angle == math.atan2(0.8, 0.6)
-    u = eval_perfect_fit_standard(CircleDataset([(0.6, 0.8)] * 3)).u
-    assert u.tolist() == [0.6 / math.sqrt(math.fsum([0.36, 0.64])), 0.8 / math.sqrt(math.fsum([0.36, 0.64]))]
 
 
 def _average_slope(x, y, w):
@@ -274,10 +261,9 @@ def test_loglog_fit_loads_no_numpy_ma():
 
 
 @pytest.mark.parametrize("make, same, other, negative_zero", [
-    (CirclePoint, (0.6, 0.8), (0.8, 0.6), (1.0, -0.0)),
     (PlaneDataset, [(0, 1), (1, 0)], [(0, 1), (2, 4)], [(-0.0, 1), (1, 0)]),
     (CircleDataset, [(0, 1), (1, 0)], [(0, 1), (0, -1)], [(1, -0.0), (0, 1)]),
-], ids=["CirclePoint", "PlaneDataset", "CircleDataset"])
+], ids=["PlaneDataset", "CircleDataset"])
 def test_array_values_compare_and_hash_by_value(make, same, other, negative_zero):
     # equal arrays make equal values that hash alike, -0.0 and 0.0 included;
     # unequal arrays, or another class on the same array, compare unequal
@@ -288,16 +274,6 @@ def test_array_values_compare_and_hash_by_value(make, same, other, negative_zero
     assert make(negative_zero) == make(zero) and hash(make(negative_zero)) == hash(make(zero))
     stranger = PlaneDataset if make is not PlaneDataset else CircleDataset
     assert a != stranger(np.atleast_2d(same)) and a != same
-
-
-def test_circle_outcomes_compare_by_value():
-    # two evaluations on the same angles carry equal CirclePoints, so the
-    # outcomes compare and hash alike; a moved angle compares unequal
-    angles = np.array([0.3, 1.1, -2.0])
-    first, second = evaluate(uniform_preset(3), angles), evaluate(uniform_preset(3), angles.copy())
-    assert isinstance(first.feature, CirclePoint)
-    assert first == second and hash(first) == hash(second)
-    assert first != evaluate(uniform_preset(3), angles + [0, 0, 1e-9])
 
 
 _PROFILE = OscillationProfile(radii=(0.1, 0.01, 0.001), diameters=(1.0, 1.0, 1.0), samples_per_radius=16, seed=0)
@@ -328,14 +304,6 @@ def test_every_size_must_be_finite_and_positive(call, size):
                  id="points-not-n-by-2"),
     pytest.param(lambda: PlaneDataset(np.zeros((0, 2))), "points must be nonempty",
                  id="points-empty"),
-    pytest.param(lambda: LineDirection(math.nan), "direction angle must be finite",
-                 id="direction-nan"),
-    pytest.param(lambda: CirclePoint((1.0, 0.0, 0.0)), "circle point must be a finite 2-vector",
-                 id="circle-point-shape"),
-    pytest.param(lambda: CirclePoint((2.0, 0.0)), "circle point must be a unit vector",
-                 id="circle-point-norm"),
-    pytest.param(lambda: Decision(2), "decision bit must be 0 or 1", id="decision-bit"),
-    pytest.param(lambda: ScalarValue(math.inf), "scalar feature must be finite", id="scalar-inf"),
     pytest.param(lambda: segment_average_norm(np.zeros(2), np.zeros(3)),
                  "y must be a finite 2-vector", id="segment-shapes"),
     pytest.param(lambda: segment_average_norm((math.nan, 0.0), (1.0, 0.0)),
@@ -369,6 +337,9 @@ _BAD = {
               ("text", "ab", _SHAPE)],
 }
 _BAD["unit"] = [*_BAD["vector"], ("norm", (0.6, 0.6), "{name} must be a unit vector")]
+_NONNEGATIVE = "AUG_MEAN {name} must be finite and nonnegative"
+_BAD["nonnegative"] = [("nan", math.nan, _NONNEGATIVE), ("inf", math.inf, _NONNEGATIVE),
+                       ("negative", -1.0, _NONNEGATIVE), ("text", "abc", _NUMERIC)]
 _MESHES = [0.1, 0.05, 0.01, 0.002]
 _AUG = {"kind": MapKind.AUG_MEAN, "weights": (1.0,), "w0": 0.5}
 _DISK = {"kind": MapKind.DISK_DECISION, "radius": 1.0}
@@ -379,7 +350,7 @@ _CHECKED = [
     ("spec-radius", lambda v: DataMapSpec(**{**_DISK, "radius": v}), "radius", "size", None),
     ("spec-center", lambda v: DataMapSpec(**_DISK, center=v), "center", "vector", "2-vector"),
     ("spec-aug-point", lambda v: DataMapSpec(**_AUG, aug_point=v), "aug_point", "unit", "2-vector"),
-    ("circle-point", CirclePoint, "circle point", "unit", "2-vector"),
+    ("spec-w0", lambda v: DataMapSpec(**{**_AUG, "w0": v}), "w0", "nonnegative", None),
     ("plane-dataset", PlaneDataset, "points", "array", "(n, 2) array"),
     ("circle-dataset", CircleDataset, "points", "array", "(n, 2) array"),
     ("segment-x", lambda v: segment_average_norm(v, (1.0, 0.0)), "x", "vector", "vector"),
@@ -429,12 +400,12 @@ _REFUSALS.append(pytest.param(lambda v: DataMapSpec(**{**_AUG, "weights": v}), (
 
 @pytest.mark.parametrize("call, value, message", _REFUSALS)
 def test_every_checked_input_is_refused_by_name(call, value, message):
-    # each input passes one of geometry's checks (sizes, decreasing sizes,
-    # finite arrays, unit vectors), which refuses NaN, infinite, misshapen,
-    # empty and non-numeric values with a ContractViolation that names the
-    # parameter, before any map is called; a radius "abc" raised a bare
-    # TypeError, weights ("abc",) a bare ValueError, and eps = inf certified
-    # the root box at depth 0
+    # each input passes one of geometry's checks (numbers, sizes, decreasing
+    # sizes, finite arrays, unit vectors), which refuses NaN, infinite,
+    # misshapen, empty and non-numeric values with a ContractViolation that
+    # names the parameter, before any map is called; a radius or w0 "abc"
+    # raised a bare TypeError, weights ("abc",) a bare ValueError, and eps =
+    # inf certified the root box at depth 0
     with pytest.raises(ContractViolation) as raised:
         call(value)
     assert type(raised.value) is ContractViolation and str(raised.value) == message

@@ -8,10 +8,8 @@ import pytest
 
 from singlab.datamaps import (
     DataMapSpec,
-    EvalOutcome,
     MapKind,
     UndefinedReason,
-    evaluate,
     evaluate_batch,
     oscillator_g_prime_abs,
     oscillator_t,
@@ -21,9 +19,7 @@ from singlab.datamaps import (
 from singlab.geometry import (
     CircleDataset,
     ContractViolation,
-    LineDirection,
     PlaneDataset,
-    ScalarValue,
     loglog_fit,
     reduce_mod_pi,
     wrap_increments,
@@ -121,7 +117,7 @@ def test_pc_refined_distance_is_zero_where_pc_is_undefined():
     # TIE_TOL: PC reads it as a tie, and the refined distance, which reads
     # the map's own gap, is 0 like the surrogate, not 5e-14
     ds = PlaneDataset([(1.0 + 1e-13, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)])
-    assert evaluate(PC, ds).reason is UndefinedReason.EIGENVALUE_TIE
+    assert evaluate_batch(PC, ds.points[None]).reason[0] == UndefinedReason.EIGENVALUE_TIE
     assert distance_to_singular(PC, ds) == (0.0, "SURROGATE")
     assert distance_to_singular(PC, ds, refine=True) == (0.0, "REFINED")
 
@@ -394,7 +390,7 @@ def test_oscillation_monotone_at_smooth_points():
     checked = 0
     while checked < 20:
         ds = PlaneDataset(rng.standard_normal((4, 2)))
-        if evaluate(PC, ds).gap < 0.5:
+        if evaluate_batch(PC, ds.points[None]).gap[0] < 0.5:
             continue
         profile = oscillation(PC, ds, RADII, 64, seed=9)
         d = profile.diameters
@@ -516,7 +512,7 @@ def test_blowup_of_a_scalar_map_reads_its_gradient_norm():
     # their absolute difference, and nothing blows up
     def radius(us):
         r = np.linalg.norm(us, axis=1)
-        return origin_batch(r, r, r == 0.0, ScalarValue)
+        return origin_batch(r, r, r == 0.0, period=None)
 
     profile = derivative_blowup_profile(radius, (0, 0), ETAS, seed=3)
     assert not any(profile.flagged)
@@ -564,12 +560,12 @@ def test_blowup_refuses_etas_out_of_order_or_not_positive(etas, message):
 
 
 def test_profilers_refuse_pointwise_callable():
-    # a callable mapping one point to an EvalOutcome is not a map: the
-    # profilers say which return type they expect
-    pointwise = lambda u: EvalOutcome.of(LineDirection(0.4), 1.0)
-    with pytest.raises(ContractViolation, match="must return a BatchOutcome .* got EvalOutcome"):
+    # a callable mapping one point to its (value, gap, reason) is not a
+    # map: the profilers say which return type they expect
+    pointwise = lambda u: (0.4, 1.0, 0)
+    with pytest.raises(ContractViolation, match="must return a BatchOutcome .* got tuple"):
         derivative_blowup_profile(pointwise, (0, 0), ETAS, seed=3)
-    with pytest.raises(ContractViolation, match="must return a BatchOutcome .* got EvalOutcome"):
+    with pytest.raises(ContractViolation, match="must return a BatchOutcome .* got tuple"):
         average_derivative_along_curve(pointwise, circle_polyline(0.5), 1e-6)
 
 

@@ -20,14 +20,14 @@ def tour():
 
 def test_tour_pc_on_three_points(tour):
     out = tour["out"]
-    assert out.feature.theta == 0.0
-    assert abs(out.gap - 2.0 / 3.0) <= 1e-15
+    assert out.value.tolist() == [0.0]
+    assert abs(out.gap[0] - 2.0 / 3.0) <= 1e-15
 
 
 def test_tour_pc_section(tour):
     a, b = tour["a"], tour["b"]
     assert a.tolist() == [1.0 / 3.0] and b.tolist() == [0.0]
-    assert 2.0 * np.hypot(a[0], b[0]) == tour["out"].gap
+    assert 2.0 * np.hypot(a[0], b[0]) == tour["out"].gap[0]
 
 
 def test_tour_localizer_certifies_both_ties(tour):

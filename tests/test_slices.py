@@ -10,11 +10,11 @@ from singlab.datamaps import (
     DataMapSpec,
     MapKind,
     UndefinedReason,
-    eval_perfect_fit_standard,
-    evaluate,
+    evaluate_batch,
     spanning_lines,
+    standard_batch,
 )
-from singlab.geometry import ContractViolation, DomainError, LineDirection, PlaneDataset
+from singlab.geometry import ContractViolation, DomainError, PlaneDataset, angle_distance, reduce_mod_pi
 from singlab.slices import (
     GridField,
     SliceSpec,
@@ -84,8 +84,7 @@ def test_boundary_loop_exactly_collinear():
     loop = boundary_loop(SLICE, 64)
     residual, _, _ = spanning_lines(loop.points)
     assert np.all(residual == 0.0)  # exactly zero, not just small
-    for points in loop.points:
-        eval_perfect_fit_standard(PlaneDataset(points))
+    standard_batch(loop.points)  # refuses a batch with any row off a perfect fit
 
 
 def test_boundary_standard_sweeps_two_half_turns():
@@ -93,7 +92,7 @@ def test_boundary_standard_sweeps_two_half_turns():
     # sweeps two half turns over a full boundary revolution
     m = 256
     loop = boundary_loop(SLICE, m)
-    thetas = [eval_perfect_fit_standard(PlaneDataset(p)).theta for p in loop.points]
+    thetas = standard_batch(loop.points).value.tolist()
     total = 0.0
     for i in range(m):
         d = math.fmod(thetas[(i + 1) % m] - thetas[i], math.pi)
@@ -125,35 +124,29 @@ def test_lf_field_ls_undefined_cells_match_sxx():
     grid = render_lf_field(spec, LS)
     # undefined exactly where the embedded abscissae coincide (S_xx = 0)
     for i, u in enumerate(grid.us):
-        out = grid.batch.outcome(i)
         ds = spec.dataset_at(u)
         x = ds.points[:, 0]
         xc = x - x.mean()
         s_xx = float(np.dot(xc, xc))
-        assert out.defined == (s_xx > 0.0)
+        assert grid.batch.defined[i] == (s_xx > 0.0)
     # componentwise solve puts the surface at u = (0, +-1) exactly; the grid
     # lands within rounding of it (gap below 1e-15 at the vertical cells),
     # and the exact vertical dataset is Undefined
     for i, u in enumerate(grid.us):
-        out = grid.batch.outcome(i)
         if abs(abs(u[1]) - 1.0) < 1e-12 and abs(u[0]) < 1e-12:
-            assert out.gap < 1e-15
-    exact_vertical = PlaneDataset([(0, -1), (0, 0), (0, 1)])
-    assert not evaluate(LS, exact_vertical).defined
+            assert grid.batch.gap[i] < 1e-15
+    exact_vertical = [(0, -1), (0, 0), (0, 1)]
+    assert not evaluate_batch(LS, [exact_vertical]).defined[0]
 
 
 def test_lf_field_boundary_ring_calibrated():
     spec = SliceSpec(grid_resolution=16)
     for kind in (MapKind.LS_LINE, MapKind.PC_LINE, MapKind.LAD_LINE):
         grid = render_lf_field(spec, DataMapSpec(kind=kind))
-        for i, u in enumerate(grid.us):
-            out = grid.batch.outcome(i)
-            if abs(np.linalg.norm(u) - 1.0) > 1e-12 or not out.defined:
-                continue
-            sigma = eval_perfect_fit_standard(spec.dataset_at(u))
-            from singlab.geometry import feature_distance
-
-            assert feature_distance(out.feature, sigma) <= 1e-6
+        rows = (np.abs(np.linalg.norm(grid.us, axis=1) - 1.0) <= 1e-12) & grid.batch.defined
+        assert rows.any()
+        sigma = standard_batch(spec.datasets_at(grid.us[rows])).value
+        assert np.all(angle_distance(grid.batch.value[rows], sigma, math.pi) <= 1e-6)
 
 
 def test_lf_field_files(tmp_path):
@@ -181,10 +174,10 @@ def test_field_csv_prints_angles_next_to_pi_as_zero(tmp_path):
     # pi - 4.4e-16 and 4.4e-16 are the same direction up to the last bit
     # (the LAD slice center sits at pi - 4.4e-16); neither may print as pi
     thetas = (math.pi - 4.4e-16, 4.4e-16, 3.14159265358)
-    value = np.array([LineDirection(t).theta for t in thetas])
+    value = reduce_mod_pi(np.array(thetas))
     reason = np.zeros(3, dtype=np.int8)
     grid = GridField(us=np.zeros((3, 2)),
-                     batch=BatchOutcome(value=value, gap=np.ones(3), reason=reason, feature=LineDirection))
+                     batch=BatchOutcome(value=value, gap=np.ones(3), reason=reason, period=math.pi))
     path = tmp_path / "field.csv"
     write_field_csv(grid, path)
     column = [row.split(",")[2] for row in path.read_text().splitlines()[1:]]
@@ -255,7 +248,7 @@ def _hard_grid(rng):
     us[:8] = [(0.0, 0.0), (-0.0, -0.0), (tiny, -tiny), (1.0, -1.0), (-1.0, 1e-300),
               (0.0050000000000000001, -0.004999999999999999), (1e-17, 0.125), (2.0 / 3.0, -1.0 / 3.0)]
     rows = rng.permutation(m)
-    batch = BatchOutcome(value=value[rows], gap=gap[rows], reason=reason[rows], feature=LineDirection)
+    batch = BatchOutcome(value=value[rows], gap=gap[rows], reason=reason[rows], period=math.pi)
     return GridField(us=us[rows], batch=batch)
 
 
@@ -327,6 +320,10 @@ def test_slice_spec_stores_its_spread_as_floats():
                  id="dataset-at-shape"),
     pytest.param(lambda: SLICE.dataset_at((math.nan, 0.0)), "slice parameters must be finite 2-vectors",
                  id="dataset-at-nan"),
+    pytest.param(lambda: SLICE.datasets_at([["a", 0.0]]), "slice parameters must be finite 2-vectors",
+                 id="datasets-at-text"),
+    pytest.param(lambda: SLICE.dataset_at("ab"), "slice parameters must be finite 2-vectors",
+                 id="dataset-at-text"),
 ])
 def test_slices_refuse_bad_input_by_name(make, message):
     with pytest.raises(ContractViolation) as raised:

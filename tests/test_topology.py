@@ -11,16 +11,13 @@ from hypothesis import strategies as st
 from singlab.datamaps import (
     BatchOutcome,
     DataMapSpec,
-    EvalOutcome,
     MapKind,
     UndefinedReason,
     evaluate_batch,
     standard_batch,
 )
 from singlab.geometry import (
-    CirclePoint,
     ContractViolation,
-    LineDirection,
     PlaneDataset,
     angle_distance,
     reduce_mod_pi,
@@ -56,14 +53,14 @@ def circle_loop(center, radius, m):
 
 
 def constant_map(theta):
-    """Every point mapped to LineDirection(theta), gap 1."""
+    """Every point mapped to the line direction theta, gap 1."""
     return lambda us: origin_batch(np.full(len(us), theta), np.ones(len(us)), np.zeros(len(us), dtype=bool))
 
 
 def identity_circle_map(us):
     """u -> the circle point u / |u|, gap |u|: degree 1."""
     r = np.linalg.norm(us, axis=1)
-    return origin_batch(np.arctan2(us[:, 1], us[:, 0]), r, r == 0.0, CirclePoint)
+    return origin_batch(np.arctan2(us[:, 1], us[:, 0]), r, r == 0.0, 2.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +127,7 @@ def test_decision_features_unsupported():
     spec = DataMapSpec(kind=MapKind.DISK_DECISION, radius=0.5)
     loop = circle_loop((0, 0), 0.9, 16)
     disk = lambda us: evaluate_batch(spec, us)
-    with pytest.raises(UnsupportedFeatureError):
+    with pytest.raises(UnsupportedFeatureError, match="^the map's features have no period, so no winding number$"):
         winding_number(loop, disk)
     # r = 0 features are outside the degree machinery in the localizer too
     with pytest.raises(UnsupportedFeatureError):
@@ -138,12 +135,12 @@ def test_decision_features_unsupported():
 
 
 def test_pointwise_callable_is_refused():
-    # a callable mapping one point to an EvalOutcome is not a map: the
-    # certifiers say which return type they expect
-    pointwise = lambda u: EvalOutcome.of(LineDirection(0.7), 1.0)
-    with pytest.raises(ContractViolation, match="must return a BatchOutcome .* got EvalOutcome"):
+    # a callable mapping one point to its (value, gap, reason) is not a
+    # map: the certifiers say which return type they expect
+    pointwise = lambda u: (0.7, 1.0, 0)
+    with pytest.raises(ContractViolation, match="must return a BatchOutcome .* got tuple"):
         winding_number(circle_loop((0, 0), 1.0, 16), pointwise)
-    with pytest.raises(ContractViolation, match="must return a BatchOutcome .* got EvalOutcome"):
+    with pytest.raises(ContractViolation, match="must return a BatchOutcome .* got tuple"):
         localize_singularities(pointwise, (0, 0), 0.9, 0.1)
 
 
@@ -365,7 +362,7 @@ def reference_winding(loop, fn):
         outcome = evaluate(loop.points)
         period = outcome.period
         if period is None:
-            raise UnsupportedFeatureError(f"{outcome.feature.__name__} features carry no winding number")
+            raise UnsupportedFeatureError("the map's features have no period, so no winding number")
         p_a, a = loop.points, outcome.value
         p_b, b = np.roll(p_a, -1, axis=0), np.roll(a, -1)
         total, depth = 0.0, 0
@@ -452,7 +449,7 @@ def one_row_at_a_time(fn):
     def rows(inputs):
         outs = [fn(inputs[i:i + 1]) for i in range(len(inputs))]
         return BatchOutcome(*(np.concatenate([getattr(out, name) for out in outs])
-                              for name in ("value", "gap", "reason")), feature=outs[0].feature)
+                              for name in ("value", "gap", "reason")), period=outs[0].period)
 
     return rows
 
@@ -588,7 +585,7 @@ def test_localizer_matches_sequential_reference_on_random_boxes():
 
 
 def disks_map(disks):
-    """Synthetic map u -> LineDirection(sum_k d_k arg(u - x_k) / 2) for
+    """Synthetic map u -> the line direction sum_k d_k arg(u - x_k) / 2 for
     disks (x_k, d_k, r_k): Undefined (ORIGIN) on each closed disk of radius
     r_k about x_k, gap the distance to the nearest disk.  The degree of a
     loop off the disks is the sum of the d_k it encloses."""
