@@ -3,7 +3,9 @@
 ``evaluate_batch`` runs every map, on inputs stacked along a first axis, and
 returns a :class:`BatchOutcome` of value, gap and reason arrays, each map's
 from one kernel; each circle-valued kernel reads its F from ``section``, and
-the Monte-Carlo estimators' distances read the gap.  A reason is stored as its
+the Monte-Carlo estimators' distances read the gap.  What a map kind is, its
+kernel, period, block width, distance rule and Monte-Carlo draw, is one row
+of ``_KINDS``.  A reason is stored as its
 :class:`UndefinedReason` code, and a BatchOutcome masks its own Undefined
 rows, so a kernel or any other map returns its formula's arrays and
 ``reason=np.where(undefined, UndefinedReason.X.value, 0)`` (the member works
@@ -30,6 +32,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +54,9 @@ PERFECT_FIT_TOL = 1e-10
 # Gap at or below which a PC eigenvalue tie, a LAD objective tie or a zero
 # AUG_MEAN resultant counts as Undefined.
 TIE_TOL = 1e-12
+
+# Method tags of a distance to the singular set.
+DIST_EXACT, DIST_SURROGATE, DIST_REFINED = "EXACT", "SURROGATE", "REFINED"
 
 
 class NotPerfectFitError(ContractViolation):
@@ -580,16 +586,45 @@ def _aug_mean_batch(angles, spec):
 # Evaluation: every map through its one kernel
 # ---------------------------------------------------------------------------
 
-# Map kind -> (kernel, feature period, width).  A kernel checks one row
-# block and returns (value, gap, reason) arrays, which BatchOutcome masks.
-# width(n) counts the doubles per row of its widest array, n = shape[1].
-_KERNELS = {
-    MapKind.LS_LINE: (_ls_batch, math.pi, lambda n: 2 * n),
-    MapKind.PC_LINE: (_pc_batch, math.pi, lambda n: 2 * n),
-    MapKind.LAD_LINE: (_lad_batch, math.pi, lambda n: n * (n - 1) // 2),
-    MapKind.AUG_MEAN: (_aug_mean_batch, 2.0 * math.pi, lambda n: n),
-    MapKind.DISK_DECISION: (eval_disk_decision, None, lambda n: n),
-    MapKind.RADIAL_OSCILLATOR: (eval_radial_oscillator, None, lambda n: n),
+@dataclass(frozen=True)
+class _Kind:
+    """What one map kind is, its parameters aside (``DataMapSpec``).
+
+    ``kernel`` checks one row block and returns (value, gap, reason) arrays,
+    which BatchOutcome masks; ``period`` is the feature period; ``width(n)``
+    counts the doubles per row of the kernel's widest array, n = shape[1].
+    The distance to the singular set is the gap over ``divisor(spec)``
+    (``_singular_distance``), reported with ``tag``; a kind without a tag has
+    no distance rule.  The Monte-Carlo CDF draws rows of ``shape(n)`` for n
+    points, each chunk filled in place by ``draw(rng, out)``; a kind without
+    a draw has no CDF sampler.
+    """
+
+    kernel: Callable
+    period: float | None
+    width: Callable[[int], int]
+    tag: str | None = None
+    divisor: Callable[[DataMapSpec], float] = lambda spec: 1.0
+    shape: Callable[[int], tuple] | None = None
+    draw: Callable | None = None
+
+
+# The plane fitters' CDF rows: n points of iid standard-normal coordinates.
+_PLANE_ROW = {"shape": lambda n: (n, 2), "draw": lambda rng, out: rng.standard_normal(out=out)}
+
+# LS and DISK_DECISION's distances are exact; PC's (lambda1 - lambda2) / 2,
+# AUG_MEAN's |rho| / sum(w) and LAD's objective tie gap are surrogates, each
+# within constants of the true distance.
+_KINDS = {
+    MapKind.LS_LINE: _Kind(_ls_batch, math.pi, lambda n: 2 * n, DIST_EXACT, **_PLANE_ROW),
+    MapKind.PC_LINE: _Kind(_pc_batch, math.pi, lambda n: 2 * n, DIST_SURROGATE, lambda spec: 2.0, **_PLANE_ROW),
+    MapKind.LAD_LINE: _Kind(_lad_batch, math.pi, lambda n: n * (n - 1) // 2, DIST_SURROGATE, **_PLANE_ROW),
+    # iid uniform circle points
+    MapKind.AUG_MEAN: _Kind(_aug_mean_batch, 2.0 * math.pi, lambda n: n, DIST_SURROGATE,
+                            lambda spec: float(np.sum(spec.weights)), lambda n: (n,),
+                            lambda rng, out: np.multiply(rng.random(out=out), 2.0 * math.pi, out=out)),
+    MapKind.DISK_DECISION: _Kind(eval_disk_decision, None, lambda n: n, DIST_EXACT),
+    MapKind.RADIAL_OSCILLATOR: _Kind(eval_radial_oscillator, None, lambda n: n),
 }
 
 # Bytes of the widest array of a row block, for LAD the (P, b) arrays of P =
@@ -610,7 +645,7 @@ _BLOCK_BYTES = 320 << 10
 
 def _block_rows(kind: MapKind, shape) -> int:
     """Rows per block: the kernel's widest array fits _BLOCK_BYTES, or 1 row."""
-    return max(1, _BLOCK_BYTES // (8 * max(1, _KERNELS[kind][2](shape[1]))))
+    return max(1, _BLOCK_BYTES // (8 * max(1, _KINDS[kind].width(shape[1]))))
 
 
 def evaluate_batch(spec: DataMapSpec, inputs) -> BatchOutcome:
@@ -618,7 +653,8 @@ def evaluate_batch(spec: DataMapSpec, inputs) -> BatchOutcome:
 
     LS, PC and LAD take plane datasets (m, n, 2), AUG_MEAN circle datasets
     as angles (m, n), DISK_DECISION points (m, 2) and RADIAL_OSCILLATOR
-    vectors (m, d), all finite.  The kernel, row-wise, runs once on a batch
+    vectors (m, d), all finite.  The kernel and period are those of the
+    kind's row of ``_KINDS``.  The kernel, row-wise, runs once on a batch
     that fits one block of ``_block_rows`` rows or has fewer than two axes
     (which it refuses); a larger batch is cut into blocks, which run one
     after another on the calling thread, each writing its own rows.  It
@@ -626,7 +662,7 @@ def evaluate_batch(spec: DataMapSpec, inputs) -> BatchOutcome:
     on two CPUs (``measure._run_chunks``).  The kernel's arrays become the
     BatchOutcome, which masks the Undefined rows.
     """
-    kernel, period, _ = _KERNELS[spec.kind]
+    row = _KINDS[spec.kind]
     inputs = np.asarray(inputs, dtype=float)
     # min and max carry any NaN or inf, and build no input-sized mask
     if inputs.size and not np.isfinite([inputs.min(), inputs.max()]).all():
@@ -636,14 +672,22 @@ def evaluate_batch(spec: DataMapSpec, inputs) -> BatchOutcome:
         # block loop a 256-row PC or LAD call read 1-3 us slower, and certify
         # makes hundreds of such calls a pass (ROADMAP, measured keeps)
         if inputs.ndim < 2 or len(inputs) <= (rows := _block_rows(spec.kind, inputs.shape)):
-            value, gap, reason = kernel(inputs, spec)
+            value, gap, reason = row.kernel(inputs, spec)
         else:
             m = len(inputs)
             value, gap, reason = np.empty(m), np.empty(m), np.empty(m, dtype=np.int8)
             for start in range(0, m, rows):
                 block = slice(start, start + rows)
-                value[block], gap[block], reason[block] = kernel(inputs[block], spec)
-    return BatchOutcome(value=value, gap=gap, reason=reason, period=period)
+                value[block], gap[block], reason[block] = row.kernel(inputs[block], spec)
+    return BatchOutcome(value=value, gap=gap, reason=reason, period=row.period)
+
+
+def _singular_distance(spec: DataMapSpec, inputs) -> np.ndarray:
+    """Distances (m,) to the map's singular set of inputs stacked as
+    ``evaluate_batch`` takes them: each row's gap divided by the divisor in
+    its kind's row of ``_KINDS``.  It divides: multiplying by the reciprocal
+    would move AUG_MEAN's bits."""
+    return evaluate_batch(spec, inputs).gap / _KINDS[spec.kind].divisor(spec)
 
 
 def as_map_input(x) -> np.ndarray:

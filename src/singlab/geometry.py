@@ -11,9 +11,10 @@ analytic utilities: the average norm along a segment, which ``metrics``
 leans on, and ``loglog_fit``, the one slope behind every fitted exponent.
 Both call no BLAS or LAPACK, so their bits do not depend on the OpenBLAS
 kernels loaded.
-Five private helpers are the one check of each kind of input a caller
+Six private helpers are the one check of each kind of input a caller
 passes: ``_numbers`` of every number, ``_positive_sizes`` of every size (a
-number, finite and positive), ``_decreasing_sizes`` of every shrinking
+number, finite and positive), ``_count`` of every count (an integer, at
+least a minimum), ``_decreasing_sizes`` of every shrinking
 sequence of sizes (radii, etas), ``_finite_array`` of every point, center,
 corner, vector and point array (finite, nonempty, of a given shape), and
 ``_unit_vector`` of every unit 2-vector.  Each refuses with a ``ContractViolation`` that names the
@@ -181,6 +182,19 @@ def _positive_sizes(sizes, name: str) -> list[float]:
     if not all(0.0 < s < math.inf for s in sizes):
         raise ContractViolation(f"{name} must be finite and positive")
     return sizes
+
+
+def _count(value, name: str, minimum: int, bound: str = "") -> int:
+    """value as an int of at least ``minimum``: the one count check (points,
+    samples, draws).  Python and numpy integers pass; a bool, a float or
+    text reads "<name> must be an integer", and a smaller value "<name> must
+    be at least <minimum>", or "<name> must be <bound>" where the caller
+    words its bound."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ContractViolation(f"{name} must be an integer")
+    if value < minimum:
+        raise ContractViolation(f"{name} must be {bound or f'at least {minimum}'}")
+    return int(value)
 
 
 def _decreasing_sizes(sizes, name: str) -> tuple[float, ...]:

@@ -27,16 +27,18 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from singlab.datamaps import DataMapSpec, MapKind, _axis_sum, _pairwise_sum, _weighted_resultant
+from singlab.datamaps import (DIST_SURROGATE, DataMapSpec, MapKind, _axis_sum, _KINDS, _pairwise_sum,
+                              _singular_distance, _weighted_resultant)
 from singlab.geometry import (
     ContractViolation,
     DegenerateSegmentError,
+    _count,
     _finite_array,
     _positive_sizes,
     loglog_fit,
     omega_s,
 )
-from singlab.metrics import DIST_SURROGATE, SINGULAR_DISTANCE, nearest_zero_resultant
+from singlab.metrics import nearest_zero_resultant
 
 DEFAULT_QUANTILE_WINDOW = (0.002, 0.05)
 
@@ -440,8 +442,7 @@ def tube_volume(
     """
     lo, hi = _domain_box(domain_lo, domain_hi)
     deltas = np.sort(_positive_sizes(deltas, "deltas"))
-    if mc_samples < 10_000:
-        raise ContractViolation("mc_samples must be at least 10^4")
+    mc_samples = _count(mc_samples, "mc_samples", 10_000, "at least 10^4")
     box_vol = float(np.prod(hi - lo))
     hits_per_chunk = np.zeros((-(-mc_samples // _CHUNK), len(deltas)), dtype=np.int64)
 
@@ -602,37 +603,35 @@ def distance_cdf(
 ) -> CdfReport:
     """Distance-to-S CDF from random datasets; tail slope identifies codim S.
 
-    Plane fitters draw iid standard-normal coordinates, the augmented mean
-    draws iid uniform circle points.  The exponent is the least-squares
-    slope of log F-hat against log t between the window quantiles; fewer
-    than two positive distances there cannot be fitted, nor an augmented
-    mean whose singular set is empty.  The distances are
-    taken one drawn chunk at a time, on up to two CPUs (``_drawn_chunks``),
-    each chunk's into its own rows of one array, which is then sorted, so
-    memory is 8 bytes times n_samples plus one chunk and its kernel blocks
-    per worker.  The bits do not depend on the number of CPUs.
+    The draw is the one in the kind's row of ``datamaps._KINDS``: its row
+    shape for n points and its sampler, iid standard-normal coordinates for
+    the plane fitters and iid uniform circle points for the augmented mean;
+    a kind whose row has no sampler is refused.  The distances are
+    ``_singular_distance``'s, tagged as the row says.  The counts are
+    checked before the first draw.  The exponent is the least-squares slope
+    of log F-hat against log t between the window quantiles; fewer than two
+    positive distances there cannot be fitted, nor an augmented mean whose
+    singular set is empty.  The distances are taken one drawn chunk at a
+    time, on up to two CPUs (``_drawn_chunks``), each chunk's into its own
+    rows of one array, which is then sorted, so memory is 8 bytes times
+    n_samples plus one chunk and its kernel blocks per worker.  The bits do not depend on the number of CPUs.
     """
-    if n_samples < 10_000:
-        raise ContractViolation("n_samples must be at least 10^4")
+    n_points = _count(n_points, "n_points", 1)
+    n_samples = _count(n_samples, "n_samples", 10_000, "at least 10^4")
     q_lo, q_hi = quantile_window
     if not (0.0 < q_lo < q_hi <= 0.1):
         raise ContractViolation("quantile window must satisfy 0 < q_lo < q_hi <= 0.1")
     kind = spec.kind
-    if kind is MapKind.AUG_MEAN:
-        if not aug_mean_singular_set_nonempty(spec):
-            raise ContractViolation("the augmented mean's singular set is empty for these weights and w0")
-        shape, draw = (n_points,), lambda rng, out: np.multiply(rng.random(out=out), 2.0 * math.pi, out=out)
-    elif kind in (MapKind.LS_LINE, MapKind.PC_LINE, MapKind.LAD_LINE):
-        shape, draw = (n_points, 2), lambda rng, out: rng.standard_normal(out=out)
-    else:
+    if kind is MapKind.AUG_MEAN and not aug_mean_singular_set_nonempty(spec):
+        raise ContractViolation("the augmented mean's singular set is empty for these weights and w0")
+    if (row := _KINDS[kind]).draw is None:
         raise ContractViolation(f"no CDF sampler for map kind {kind}")
-    distance, tag = SINGULAR_DISTANCE[kind]
     dists = np.empty(n_samples)
 
     def take(start, chunk):
-        dists[start:start + len(chunk)] = distance(chunk, spec)
+        dists[start:start + len(chunk)] = _singular_distance(spec, chunk)
 
-    _drawn_chunks(n_samples, shape, seed, draw, take, _worker_count())
+    _drawn_chunks(n_samples, row.shape(n_points), seed, row.draw, take, _worker_count())
     dists.sort()
     i_lo = max(int(n_samples * q_lo), 1)
     i_hi = max(int(n_samples * q_hi), i_lo + 2)
@@ -654,7 +653,7 @@ def distance_cdf(
         stderr=stderr,
         quantile_window=(q_lo, q_hi),
         seed=seed,
-        surrogate=tag == DIST_SURROGATE,
+        surrogate=row.tag == DIST_SURROGATE,
     )
 
 
@@ -751,8 +750,8 @@ def tradeoff_experiment(
     have an empty singular set; they are flagged infeasible with infinite
     distance and zero measure.  Entries are sorted by distance.
     """
-    if cloud_size < 1:
-        raise ContractViolation("cloud_size must be at least 1")
+    n_points = _count(n_points, "n_points", 1)
+    cloud_size = _count(cloud_size, "cloud_size", 1)
     # One trig pass for every preset, into one (2, n, m) array: the angles are
     # drawn into its second half, scaled there, and replaced by their sines
     # once their cosines are in the first, so the draw holds no other array.

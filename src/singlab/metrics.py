@@ -25,6 +25,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from singlab.datamaps import (
+    DIST_REFINED,
     TIE_TOL,
     BatchOutcome,
     DataMapSpec,
@@ -32,6 +33,8 @@ from singlab.datamaps import (
     UndefinedReason,
     _axis_sum,
     _batch_outcome,
+    _KINDS,
+    _singular_distance,
     as_map_input,
     evaluate_batch,
     oscillator_t,
@@ -39,6 +42,7 @@ from singlab.datamaps import (
 )
 from singlab.geometry import (
     ContractViolation,
+    _count,
     _decreasing_sizes,
     _finite_array,
     _positive_sizes,
@@ -68,26 +72,6 @@ class UnsupportedMapError(ContractViolation):
 class CurveHitsSingularityError(RuntimeError):
     """A quadrature or finite-difference node evaluated Undefined."""
 
-
-DIST_EXACT = "EXACT"
-DIST_SURROGATE = "SURROGATE"
-DIST_REFINED = "REFINED"
-
-# Map kind -> (batched distance to the singular set, method tag), each the
-# map's gap over a constant.  Inputs are stacked as evaluate_batch takes
-# them.  LS and DISK_DECISION are exact; PC reports (lambda1 - lambda2) / 2,
-# AUG_MEAN |rho| / sum(w) and LAD the objective tie gap, each within
-# constants of the true distance.
-SINGULAR_DISTANCE = {
-    MapKind.LS_LINE: (lambda batch, spec: evaluate_batch(spec, batch).gap, DIST_EXACT),
-    MapKind.PC_LINE: (lambda batch, spec: evaluate_batch(spec, batch).gap / 2.0, DIST_SURROGATE),
-    MapKind.LAD_LINE: (lambda batch, spec: evaluate_batch(spec, batch).gap, DIST_SURROGATE),
-    MapKind.AUG_MEAN: (
-        lambda batch, spec: evaluate_batch(spec, batch).gap / float(np.sum(spec.weights)),
-        DIST_SURROGATE,
-    ),
-    MapKind.DISK_DECISION: (lambda batch, spec: evaluate_batch(spec, batch).gap, DIST_EXACT),
-}
 
 # Projection onto {resultant = 0}: the Gauss-Newton step cap (a row stops
 # once |r| < TIE_TOL), the seeded uniform starts, and the KKT polish's step
@@ -252,8 +236,11 @@ def _pc_tie_distance(points: np.ndarray, gap: float) -> float:
 def distance_to_singular(spec: DataMapSpec, x, refine: bool = False) -> tuple[float, str]:
     """(distance to the singular set, method tag).
 
-    LS and DISK_DECISION have exact analytic projections.  PC and AUG_MEAN
-    report surrogates with a two-sided constant bound, optionally refined:
+    The distance is ``_singular_distance``, the gap over the divisor of the
+    kind's row of ``datamaps._KINDS``, tagged as that row says; a kind whose
+    row has no tag has no distance rule.  LS and DISK_DECISION have exact
+    analytic projections.  PC and AUG_MEAN report surrogates with a
+    two-sided constant bound, optionally refined:
     PC by its closed-form distance to the tie variety, from the gap its
     surrogate read, so 0 wherever PC is Undefined, AUG_MEAN by the
     wrapped arc distance to the nearest zero-resultant configuration that
@@ -262,16 +249,14 @@ def distance_to_singular(spec: DataMapSpec, x, refine: bool = False) -> tuple[fl
     surrogate is computed on every path, so a refined call takes and
     refuses the inputs an unrefined one does.
     """
-    kind = spec.kind
-    if kind not in SINGULAR_DISTANCE:
-        raise UnsupportedMapError(f"no distance rule for {kind}")
-    distance, tag = SINGULAR_DISTANCE[kind]
+    if (tag := _KINDS[spec.kind].tag) is None:
+        raise UnsupportedMapError(f"no distance rule for {spec.kind}")
     x = as_map_input(x)
-    surrogate = float(distance(x[None], spec)[0])
-    if refine and kind is MapKind.PC_LINE:
+    surrogate = float(_singular_distance(spec, x[None])[0])
+    if refine and spec.kind is MapKind.PC_LINE:
         # the PC surrogate is gap / 2, so doubling it gives back the gap exactly
         return _pc_tie_distance(x, 2.0 * surrogate), DIST_REFINED
-    if refine and kind is MapKind.AUG_MEAN:
+    if refine and spec.kind is MapKind.AUG_MEAN:
         return nearest_zero_resultant(x, spec)[0], DIST_REFINED
     return surrogate, tag
 
@@ -354,8 +339,7 @@ def oscillation(spec: DataMapSpec, x, radii, k_samples: int, seed: int) -> Oscil
     finite, positive and strictly decreasing, checked before the first draw.
     """
     radii = _decreasing_sizes(radii, "radii")
-    if k_samples < 16:
-        raise ContractViolation("k_samples must be >= 16")
+    k_samples = _count(k_samples, "k_samples", 16, ">= 16")
     rng = np.random.default_rng(seed)
     center = as_map_input(x)
     diameters = []

@@ -32,7 +32,7 @@ from singlab.datamaps import (
 )
 from singlab.geometry import ContractViolation, DomainError, angle_distance, reduce_mod_pi
 from singlab.measure import distance_cdf
-from singlab.metrics import SINGULAR_DISTANCE, batch_diameter
+from singlab.metrics import batch_diameter
 from singlab.slices import slice_map
 from singlab.topology import (
     MAX_REFINE,
@@ -305,8 +305,7 @@ def test_singular_distance_matches_reference_formulas(points, rows, w0):
     # (lambda1 - lambda2) / 2, LAD the sorted tie gap (0 on ties) and
     # AUG_MEAN |rho| / sum(w)
     def distance(kind, batch, spec=None):
-        fn, _ = SINGULAR_DISTANCE[kind]
-        return fn(batch, spec or DataMapSpec(kind=kind))
+        return datamaps._singular_distance(spec or DataMapSpec(kind=kind), batch)
 
     xc = points[..., 0] - points[..., 0].mean(axis=1, keepdims=True)
     ls = [math.sqrt(float(np.dot(r, r))) for r in xc]
@@ -358,7 +357,7 @@ def test_lad_rows_match_reference_across_blocks(n):
             assert_rows_match(evaluate_batch(spec, points[start:start + rows]), outcomes[start:start + rows])
     defined = np.array([not reason for _, _, reason in outcomes])
     want = np.where(defined, reference_lad_gap(points), 0.0)
-    got = SINGULAR_DISTANCE[MapKind.LAD_LINE][0](points, spec)
+    got = datamaps._singular_distance(spec, points)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
@@ -435,10 +434,10 @@ def _failing_on(distance, start, shape, error):
     at row start, which it knows by its first row."""
     first = np.random.default_rng((CHUNK_SEED, start)).standard_normal((1, *shape))[0]
 
-    def fail(batch, spec):
+    def fail(spec, batch):
         if np.array_equal(batch[0], first):
             raise error
-        return distance(batch, spec)
+        return distance(spec, batch)
 
     return fail
 
@@ -450,12 +449,12 @@ def test_a_chunk_error_propagates_with_its_type(workers, monkeypatch):
     # type, and the next CDF runs as usual
     monkeypatch.setattr(measure, "_worker_count", lambda: workers)
     spec, total = LS, 5 * (1 << 14) + 37
-    distance, tag = SINGULAR_DISTANCE[spec.kind]
+    distance = measure._singular_distance
     want = distance_cdf(spec, 4, total, CHUNK_SEED)
     for start in (0, 2 << 14, 5 << 14):
         for error in (DomainError("outside the domain"), ContractViolation("a chunk holds the marker")):
             with monkeypatch.context() as patch:
-                patch.setitem(SINGULAR_DISTANCE, spec.kind, (_failing_on(distance, start, (4, 2), error), tag))
+                patch.setattr(measure, "_singular_distance", _failing_on(distance, start, (4, 2), error))
                 with pytest.raises(ContractViolation) as raised:
                     distance_cdf(spec, 4, total, CHUNK_SEED)
             assert raised.value is error
@@ -467,17 +466,17 @@ def test_a_helper_error_reaches_the_caller(monkeypatch):
     # another, so the error can only come back from the helper
     monkeypatch.setattr(measure, "_worker_count", lambda: 2)
     spec = LS
-    distance, tag = SINGULAR_DISTANCE[spec.kind]
+    distance = measure._singular_distance
     caller, raised_on_helper = threading.get_ident(), threading.Event()
 
-    def fail_on_helpers(batch, spec):
+    def fail_on_helpers(spec, batch):
         if threading.get_ident() == caller:
             assert raised_on_helper.wait(30)
-            return distance(batch, spec)
+            return distance(spec, batch)
         raised_on_helper.set()
         raise ContractViolation("raised on a helper")
 
-    monkeypatch.setitem(SINGULAR_DISTANCE, spec.kind, (fail_on_helpers, tag))
+    monkeypatch.setattr(measure, "_singular_distance", fail_on_helpers)
     with pytest.raises(ContractViolation, match="raised on a helper"):
         distance_cdf(spec, 4, 3 * (1 << 14) + 5, CHUNK_SEED)
 
@@ -488,17 +487,17 @@ def test_helpers_stop_when_the_caller_fails(monkeypatch):
     # while the rest of the draw runs
     monkeypatch.setattr(measure, "_worker_count", lambda: 2)
     spec = LS
-    distance, tag = SINGULAR_DISTANCE[spec.kind]
+    distance = measure._singular_distance
     caller, helper_chunks = threading.get_ident(), []
 
-    def fail_on_caller(batch, spec):
+    def fail_on_caller(spec, batch):
         if threading.get_ident() == caller:
             raise ContractViolation("raised on the calling thread")
         helper_chunks.append(len(batch))
         time.sleep(0.05)
-        return distance(batch, spec)
+        return distance(spec, batch)
 
-    monkeypatch.setitem(SINGULAR_DISTANCE, spec.kind, (fail_on_caller, tag))
+    monkeypatch.setattr(measure, "_singular_distance", fail_on_caller)
     with pytest.raises(ContractViolation, match="calling thread"):
         distance_cdf(spec, 2, 40 * (1 << 14) + 37, CHUNK_SEED)
     assert len(helper_chunks) <= 1

@@ -26,9 +26,11 @@ from singlab.measure import (
     circle_cell_membership,
     circle_distance_fn,
     filled_box_membership,
+    distance_cdf,
     greedy_net,
     point_distance_fn,
     segment_distance_fn,
+    tradeoff_experiment,
     tube_volume,
 )
 from singlab.metrics import (
@@ -44,7 +46,7 @@ from singlab.metrics import (
 from singlab.topology import localize_singularities, rectangle_loop
 
 from fresh_python import run_python
-from oracles import PC, SLICE
+from oracles import LS, PC, SLICE
 
 # Frozen from a 10^6-step Riemann-sum oracle (test_riemann_oracle cross-checks).
 SEG_AVG_UNIT_DIAGONAL = 0.8116126200701153
@@ -323,7 +325,7 @@ def _never_called(*args):
 
 _FINITE_POSITIVE = "{name} must be finite and positive"
 _NUMERIC = "{name} must be numeric"
-_SHAPE = "{name} must be a finite {shape}"
+_SHAPE = "{name} must be a finite {detail}"
 # the bad inputs of each kind of check: (label, value, message)
 _BAD = {
     "size": [("nan", math.nan, _FINITE_POSITIVE), ("inf", math.inf, _FINITE_POSITIVE),
@@ -335,6 +337,10 @@ _BAD = {
     "array": [("nan", [[0.5, math.nan]], _SHAPE), ("inf", [[math.inf, 0.5]], _SHAPE),
               ("shape", [0.5, 0.5], _SHAPE), ("empty", np.zeros((0, 2)), "{name} must be nonempty"),
               ("text", "ab", _SHAPE)],
+    # every float, text and bool count reached numpy or ran; a negative
+    # n_points reached numpy
+    "count": [("float", 1e5, "{name} must be an integer"), ("text", "100000", "{name} must be an integer"),
+              ("bool", True, "{name} must be an integer"), ("negative", -1, "{name} must be {detail}")],
 }
 _BAD["unit"] = [*_BAD["vector"], ("norm", (0.6, 0.6), "{name} must be a unit vector")]
 _NONNEGATIVE = "AUG_MEAN {name} must be finite and nonnegative"
@@ -344,7 +350,7 @@ _MESHES = [0.1, 0.05, 0.01, 0.002]
 _AUG = {"kind": MapKind.AUG_MEAN, "weights": (1.0,), "w0": 0.5}
 _DISK = {"kind": MapKind.DISK_DECISION, "radius": 1.0}
 # each checked input: (site, call on the bad value, the name its refusal
-# reads, kind of check, the shape its refusal reads)
+# reads, kind of check, the shape or bound its refusal reads)
 _CHECKED = [
     ("spec-weights", lambda v: DataMapSpec(**{**_AUG, "weights": v}), "weights", "sizes", None),
     ("spec-radius", lambda v: DataMapSpec(**{**_DISK, "radius": v}), "radius", "size", None),
@@ -391,19 +397,29 @@ _CHECKED = [
     ("profile-radii", lambda v: OscillationProfile(radii=v, diameters=(1.0,) * len(v), samples_per_radius=16,
                                                    seed=0), "radii", "sizes", None),
     ("severity-mesh", lambda v: classify_severity(_PROFILE, v), "mesh", "size", None),
+    ("cdf-n-points", lambda v: distance_cdf(LS, v, 10**4, 0), "n_points", "count", "at least 1"),
+    ("cdf-n-samples", lambda v: distance_cdf(LS, 4, v, 0), "n_samples", "count", "at least 10^4"),
+    ("tube-mc-samples", lambda v: tube_volume(point_distance_fn((0.5, 0.5)), (0.0, 0.0), (1.0, 1.0), [0.1, 0.01],
+                                              v, 0), "mc_samples", "count", "at least 10^4"),
+    ("tradeoff-n-points", lambda v: tradeoff_experiment({}, v, 0), "n_points", "count", "at least 1"),
+    ("tradeoff-cloud-size", lambda v: tradeoff_experiment({}, 3, 0, cloud_size=v), "cloud_size", "count",
+     "at least 1"),
+    ("oscillation-k-samples", lambda v: oscillation(PC, SLICE.center_config, [0.1, 0.01], v, 0), "k_samples",
+     "count", ">= 16"),
 ]
-_REFUSALS = [pytest.param(call, value, message.format(name=name, shape=shape), id=f"{site}-{label}")
-             for site, call, name, kind, shape in _CHECKED for label, value, message in _BAD[kind]]
+_REFUSALS = [pytest.param(call, value, message.format(name=name, detail=detail), id=f"{site}-{label}")
+             for site, call, name, kind, detail in _CHECKED for label, value, message in _BAD[kind]]
 _REFUSALS.append(pytest.param(lambda v: DataMapSpec(**{**_AUG, "weights": v}), (), "weights must be nonempty",
                               id="spec-weights-empty"))
 
 
 @pytest.mark.parametrize("call, value, message", _REFUSALS)
 def test_every_checked_input_is_refused_by_name(call, value, message):
-    # each input passes one of geometry's checks (numbers, sizes, decreasing
-    # sizes, finite arrays, unit vectors), which refuses NaN, infinite,
-    # misshapen, empty and non-numeric values with a ContractViolation that
-    # names the parameter, before any map is called; a radius or w0 "abc"
+    # each input passes one of geometry's checks (numbers, sizes, counts,
+    # decreasing sizes, finite arrays, unit vectors), which refuses NaN,
+    # infinite, misshapen, empty and non-numeric values, and counts that are
+    # not integers or too small, with a ContractViolation that names the
+    # parameter, before any map is called or sample drawn; a radius or w0 "abc"
     # raised a bare TypeError, weights ("abc",) a bare ValueError, and eps =
     # inf certified the root box at depth 0
     with pytest.raises(ContractViolation) as raised:

@@ -1,5 +1,6 @@
 """Packing/covering, box counting, tube volumes, CDF tails, tradeoff."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -734,6 +735,23 @@ def test_cdf_refuses_an_augmented_mean_without_singular_set(spec):
     assert not aug_mean_singular_set_nonempty(spec)
     with pytest.raises(ContractViolation, match="the augmented mean's singular set is empty for these weights and w0"):
         distance_cdf(spec, len(spec.weights), 10**4, 0)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_kind_with_a_sampler_in_its_row_has_a_cdf(seed, monkeypatch):
+    # a kind's CDF is its row's business: the disk decision, whose row has
+    # no sampler, gets one, points uniform on [-1, 1)^2, with no edit to
+    # distance_cdf; its exact distance to the circle reads the circle's
+    # codimension 1 within criterion 1's 0.3
+    def uniform_square(rng, out):
+        np.subtract(np.multiply(rng.random(out=out), 2.0, out=out), 1.0, out=out)
+
+    row = datamaps._KINDS[MapKind.DISK_DECISION]
+    monkeypatch.setitem(datamaps._KINDS, MapKind.DISK_DECISION,
+                        dataclasses.replace(row, shape=lambda n: (2,), draw=uniform_square))
+    report = distance_cdf(DataMapSpec(kind=MapKind.DISK_DECISION, center=(0.1, -0.2), radius=0.5), 1, 10**5, seed)
+    assert report.surrogate is False
+    assert abs(report.exponent - 1.0) <= 0.3
 
 
 # ---------------------------------------------------------------------------
